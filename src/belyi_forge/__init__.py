@@ -83,6 +83,7 @@ from .surface_counts import (
     count_A2_family,
     count_Anu,
     find_construction,
+    lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
     nodal_unit_poly,

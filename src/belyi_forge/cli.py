@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .arrangement_jd import (
@@ -56,7 +55,7 @@ from .surface_counts import (
     build_nodal_surface,
     build_surface,
     census_matches_spectrum,
-    constructions_up_to,
+    lowest_nu_construction,
     nodal_surface_count,
     seed_grid,
     singular_census_3d,
@@ -104,18 +103,6 @@ def _write_output(text: str, path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("BELYI_FORGE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _parse_word(text: str, seed):
@@ -266,7 +253,7 @@ def cmd_jd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    tbl = bound_table(args.max_degree, workers=_resolve_threads(args.threads))
+    tbl = bound_table(args.max_degree)
     rows = tbl.rows
     if args.nu is not None:
         rows = tuple(r for r in rows if r.nu == args.nu)
@@ -280,16 +267,16 @@ def cmd_table(args) -> int:
 
 def cmd_surface_verify(args) -> int:
     d = args.degree
-    if args.nodal or (args.seed is None and find_default(d) is None):
+    cons = None if args.nodal or args.seed is not None else lowest_nu_construction(d)
+    if args.nodal or (args.seed is None and cons is None):
         surface = build_nodal_surface(d, args.precision)
         expected_types = {1: nodal_surface_count(d)}
         provenance = "nodal"
     else:
-        if args.seed is not None:
+        if cons is None:
             seed = parse_seed(args.seed)
             word = _parse_word(args.word or "", seed)
         else:
-            cons = find_default(d)
             seed, word = cons.seed, cons.word
         surface = build_surface(
             d,
@@ -322,14 +309,6 @@ def cmd_surface_verify(args) -> int:
     }
     _write_output(_dumps(payload), args.output)
     return EXIT_OK if match else EXIT_MISMATCH
-
-
-def find_default(d: int):
-    """Lowest-multiplicity catalogued construction at exactly degree d."""
-    for c in constructions_up_to(d):
-        if c.degree == d:
-            return c
-    return None
 
 
 def cmd_export(args) -> int:
@@ -369,12 +348,6 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> _Parser:
     root = _Parser(prog="belyi-forge", description=__doc__)
-    root.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads (default: BELYI_FORGE_THREADS or CPU count)",
-    )
     sub = root.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("seeds", help="list and validate seed triples over grids")

@@ -16,10 +16,9 @@ import io
 import math
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .arrangement_jd import (
     DEFAULT_PRECISION,
@@ -51,10 +50,14 @@ from .seed_families import (
     validate_seed,
 )
 from .word_engine import (
+    DerivationState,
+    Letter,
+    LetterNotApplicableError,
     NoFamilyRecordedError,
     Word,
     alternating_word,
-    is_E_admissible,
+    apply_letter,
+    initial_state,
     max_h,
     paper_word_families,
     trajectory,
@@ -235,9 +238,7 @@ def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
     words: list[Word] = [()]
     if uses_t2(seed):
         try:
-            words.extend(
-                paper_word_families(seed, limit=max(4, (d_max - tri.d0) // 3 + 2))
-            )
+            words.extend(paper_word_families(seed))
         except NoFamilyRecordedError:
             pass
     else:
@@ -249,40 +250,60 @@ def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
     return words
 
 
-def _constructions_for_seed(seed: SeedSpec, d_max: int) -> list[Construction]:
-    out = []
+def _step(state: DerivationState | None, letter: Letter) -> DerivationState | None:
+    """The state one letter on, or None once the prefix is inadmissible."""
+    if state is None:
+        return None
+    try:
+        child = apply_letter(state, letter)
+    except LetterNotApplicableError:
+        return None
+    return child if child.satisfies_E() else None
+
+
+@cache
+def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, ...]:
+    """The seed's admissible catalogued words up to degree d_max.
+
+    A memo maps each word prefix to its state (None once inadmissible), so
+    each distinct prefix costs one letter application and one admissibility
+    test.
+    """
+    start = initial_state(seed)
+    memo = {"": start if start.satisfies_E() else None}
     nu = seed_triple(seed).nu
+    out = []
     for w in _words_for_seed(seed, d_max):
-        if not is_E_admissible(seed, w):
-            continue
-        prof = trajectory(seed, w)[-1].profile
-        if prof.degree <= d_max:
-            out.append(
-                Construction(seed=seed, word=w, degree=prof.degree, nu=nu, profile=prof)
-            )
-    return out
+        text = word_to_str(w)
+        known = len(text)
+        while text[:known] not in memo:
+            known -= 1
+        for i in range(known, len(w)):
+            memo[text[: i + 1]] = _step(memo[text[:i]], w[i])
+        state = memo[text]
+        if state is not None and state.profile.degree <= d_max:
+            out.append(Construction(seed, w, state.profile.degree, nu, state.profile))
+    return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def constructions_up_to(d_max: int, workers: int = 1) -> tuple[Construction, ...]:
-    """Catalogued constructions (seed plus admissible word) up to degree d_max."""
-    seeds = seed_grid(d_max)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(lambda s: _constructions_for_seed(s, d_max), seeds)
-            cons = [c for chunk in chunks for c in chunk]
-    else:
-        cons = [c for s in seeds for c in _constructions_for_seed(s, d_max)]
+def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
+    """Catalogued constructions (seed plus admissible word) up to degree d_max,
+    in catalogue order, read from per-seed walks cached to the table guard."""
+    walk_to = max(d_max, BOUND_TABLE_GUARD)
+    cons = [c for s in seed_grid(d_max) for c in _constructions_for_seed(s, walk_to)]
+    cons = [c for c in cons if c.degree <= d_max]
     cons.sort(key=lambda c: (c.degree, c.nu, format_seed(c.seed), word_to_str(c.word)))
     return tuple(cons)
 
 
 def find_construction(d: int, nu: int) -> Construction | None:
     """Smallest catalogued construction at exactly (degree, nu), if any."""
-    for c in constructions_up_to(d):
-        if c.degree == d and c.nu == nu:
-            return c
-    return None
+    return next((c for c in constructions_up_to(d) if c.degree == d and c.nu == nu), None)
+
+
+def lowest_nu_construction(d: int) -> Construction | None:
+    """Smallest catalogued construction of lowest multiplicity at exactly degree d."""
+    return next((c for c in constructions_up_to(d) if c.degree == d), None)
 
 
 @dataclass(frozen=True)
@@ -319,7 +340,7 @@ class BoundTable:
         ]
 
 
-def bound_table(d_max: int, workers: int = 1) -> BoundTable:
+def bound_table(d_max: int) -> BoundTable:
     """Best singular-point counts per (degree, multiplicity).
 
     Rows for nu=1 cover every degree via the nodal construction; rows for
@@ -332,7 +353,7 @@ def bound_table(d_max: int, workers: int = 1) -> BoundTable:
     best: dict[tuple[int, int], tuple[int, str, str]] = {}
     for d in range(3, d_max + 1):
         best[(d, 1)] = (nodal_surface_count(d), "", "nodal")
-    for c in constructions_up_to(d_max, workers=workers):
+    for c in constructions_up_to(d_max):
         if c.degree % 3 != 0:
             continue
         sp = c.spectrum()

@@ -1,11 +1,13 @@
 """Singularity counting: closed forms, spectra, bound tables, 3D censuses."""
 
+import hashlib
 import warnings
 
 import pytest
 
-from belyi_forge import F1, jstats, seed_profile
+from belyi_forge import F1, jstats, seed_profile, surface_counts
 from belyi_forge.surface_counts import (
+    BOUND_TABLE_GUARD,
     ExistenceUnverifiedWarning,
     bound_table,
     build_nodal_surface,
@@ -15,12 +17,13 @@ from belyi_forge.surface_counts import (
     count_A2_family,
     count_Anu,
     find_construction,
+    lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
     singular_census_3d,
     spectrum,
 )
-from belyi_forge.word_engine import trajectory, word_from_str
+from belyi_forge.word_engine import trajectory, word_from_str, word_to_str
 
 
 def test_frozen_high_multiplicity_counts():
@@ -148,6 +151,55 @@ def test_find_construction_round_trip():
     assert c is not None
     assert c.degree == 21 and c.nu == 5
     assert find_construction(9, 8) is None
+
+
+def test_lowest_nu_construction_is_first_at_its_degree():
+    for d in (9, 12, 21, 30):
+        at_d = [c for c in constructions_up_to(d) if c.degree == d]
+        c = lowest_nu_construction(d)
+        assert c == at_d[0]
+        assert c.nu == min(x.nu for x in at_d)
+        assert find_construction(d, c.nu) == c
+    assert lowest_nu_construction(4) is None
+
+
+# sha256 of bound_table(200).to_csv(); perfbench/reference.json records the
+# same digest for `table --max-degree 200`.
+TABLE_200_SHA256 = "050e21251151edc6892036a59d880f7b2134b60aa04a0439ae8c3635280f106b"
+
+
+def test_bound_table_200_is_frozen():
+    csv_text = bound_table(200).to_csv()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == TABLE_200_SHA256
+
+
+def test_catalogue_is_a_degree_filter_of_the_larger_one():
+    full = constructions_up_to(90)
+    for d in range(3, 91, 3):
+        assert constructions_up_to(d) == tuple(c for c in full if c.degree <= d), d
+
+
+def test_catalogue_applies_each_prefix_once(monkeypatch):
+    calls = []
+    apply_letter = surface_counts.apply_letter
+
+    def counting(state, letter):
+        calls.append((state.seed, word_to_str(state.word) + letter.value))
+        return apply_letter(state, letter)
+
+    monkeypatch.setattr(surface_counts, "apply_letter", counting)
+    surface_counts._constructions_for_seed.cache_clear()
+    try:
+        constructions_up_to(60)
+    finally:
+        surface_counts._constructions_for_seed.cache_clear()
+    prefixes = set()
+    for seed in surface_counts.seed_grid(60):
+        for w in surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD):
+            text = word_to_str(w)
+            prefixes |= {(seed, text[:i]) for i in range(1, len(text) + 1)}
+    assert len(calls) == len(set(calls))
+    assert set(calls) == prefixes
 
 
 def test_end_to_end_census_smallest_surface():
