@@ -15,11 +15,11 @@ from .arrangement_jd import (
     JStats,
     LineSpec,
     RationalizationError,
+    arrangement_census,
     build_Jd,
     build_Jhat,
     build_lines,
     census_matches_jstats,
-    critical_census_2d,
     jd_census,
     jhat_census,
     jstats,

@@ -6,12 +6,21 @@ in {0, 8, -1} and known closed-form counts.  The y-axis rescaling by
 sqrt(3) turns the tau=0 product into a polynomial with rational
 coefficients, which this module recovers exactly by continued-fraction
 rationalization and cross-checks by dual-path evaluation.
+
+The 2D census takes its candidate critical points from the arrangement
+itself: every vertex (value 0) and, in each bounded chamber, the maximum of
+sum(log|l_i|) (values 8 and -1), found by damped Newton ascent from the
+centroid of the chamber's vertices.  For lines in general position these
+are all the critical points (Varchenko), one per bounded chamber, and the
+bounded chambers number (d-1)(d-2)/2 (Zaslavsky), so the census is
+complete by construction once every candidate passes its tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -21,8 +30,13 @@ from .belyi_numeric import DegreeGuardError
 
 DEFAULT_PRECISION = 256
 DEFAULT_DEN_BOUND = 10**12
-CENSUS_DEGREE_GUARD = 9
-DEFAULT_BOX = ((-3.0, 3.0), (-3.0, 3.0))
+# The census's gradient test |grad J| < 1e-8 (1 + |J|) is evaluated in
+# floats from the dense coefficients.  At d=13 that evaluation reads 1.4e-8
+# at a chamber maximum and 4.3e-8 at a vertex of J_d, though both points
+# are right to 1e-11: the rounding of the dense evaluation, not the points,
+# fails the test.  (jhat_census, in the unscaled y, reads 1.2e-8 at a
+# vertex already at d=12 and reports the census incomplete there.)
+CENSUS_DEGREE_GUARD = 12
 VALUE_TARGETS = (0.0, 8.0, -1.0)
 
 
@@ -323,8 +337,9 @@ def jstats(d: int) -> JStats:
     return JStats(d=d, n0=n0, n8=n8, nm1=nm1)
 
 
-def line_intersections(lines: list[LineSpec]) -> list[tuple[float, float]]:
-    pts = []
+def _vertices(lines: list[LineSpec]) -> list[tuple[int, int, float, float]]:
+    """(i, j, x, y) for each crossing of line i with a later line j."""
+    out = []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             l1, l2 = lines[i], lines[j]
@@ -333,8 +348,12 @@ def line_intersections(lines: list[LineSpec]) -> list[tuple[float, float]]:
                 continue
             x = (-l1.c * l2.b + l2.c * l1.b) / det
             y = (-l1.a * l2.c + l2.a * l1.c) / det
-            pts.append((x, y))
-    return pts
+            out.append((i, j, x, y))
+    return out
+
+
+def line_intersections(lines: list[LineSpec]) -> list[tuple[float, float]]:
+    return [(x, y) for _, _, x, y in _vertices(lines)]
 
 
 @dataclass(frozen=True)
@@ -354,8 +373,6 @@ class Census2D:
     all_nondegenerate: bool
     expected_total: int
     stray_values: tuple[float, ...]
-    box: tuple[tuple[float, float], tuple[float, float]]
-    grid: int
 
     @property
     def total(self) -> int:
@@ -372,190 +389,162 @@ class Census2D:
         }
 
 
-def _eval_many(grid: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _eval_many(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     acc = np.zeros_like(x)
-    for i in range(grid.shape[0] - 1, -1, -1):
+    for i in range(coeffs.shape[0] - 1, -1, -1):
         inner = np.zeros_like(y)
-        for j in range(grid.shape[1] - 1, -1, -1):
-            inner = inner * y + grid[i, j]
+        for j in range(coeffs.shape[1] - 1, -1, -1):
+            inner = inner * y + coeffs[i, j]
         acc = acc * x + inner
     return acc
 
 
-def critical_census_2d(
-    p: BiPoly,
-    box: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_BOX,
-    grid: int = 48,
-    tol: float = 1e-6,
-    targets: tuple[float, ...] = VALUE_TARGETS,
-    expected_total: int | None = None,
-    extra_starts: tuple[tuple[float, float], ...] = (),
-) -> Census2D:
-    """Real critical points of p by damped Newton from a lattice of starts.
+def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
+    """The vertex centroid of each bounded chamber of the arrangement.
 
-    extra_starts seeds known candidates (line intersections) on top of the
-    grid x grid lattice over box.  Converged points are kept wherever they
-    land, deduplicated within tol, classified against the target values,
-    and flagged nondegenerate by the Hessian determinant.  The census is
-    complete when the count reaches expected_total (default (degree-1)^2).
+    A chamber is named by its sign vector (the side of each line it lies
+    on).  Each vertex touches the four chambers that differ only in the
+    signs of its two lines.  A chamber is unbounded exactly when it holds
+    the far points of some direction, and the directions strictly inside
+    the 2n gaps between the n line directions and their opposites name all
+    the unbounded chambers.
+    """
+    normals = np.array([(l.a, l.b) for l in lines])
+    offsets = np.array([l.c for l in lines])
+    chambers: dict[tuple, list] = {}
+    for i, j, x, y in _vertices(lines):
+        side = normals @ (x, y) + offsets > 0
+        for si, sj in itertools.product((True, False), repeat=2):
+            side[i], side[j] = si, sj
+            chambers.setdefault(tuple(side), []).append((x, y))
+    along = np.arctan2(-normals[:, 0], normals[:, 1])
+    cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
+    between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
+    far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
+    unbounded = {tuple(s) for s in far}
+    return [tuple(np.mean(v, axis=0)) for k, v in chambers.items() if k not in unbounded]
+
+
+def _chamber_maximum(lines: list[LineSpec], start: tuple[float, float]) -> np.ndarray:
+    """Maximum of sum(log|l_i|) over the open chamber holding start.
+
+    Damped Newton ascent.  The objective is strictly concave on the chamber,
+    so the ascent converges.  With r_i = (n_i . step) / l_i, the scaled step
+    t * step keeps every sign while all 1 + t*r_i > 0 and raises the
+    objective by sum(log1p(t*r_i)); both read accurately however small the
+    step.  Once the Newton decrement is below 1e-20 the full step stays in
+    the chamber (its Hessian norm is under 1) and lands at rounding level.
+    """
+    normals = np.array([(l.a, l.b) for l in lines])
+    offsets = np.array([l.c for l in lines])
+    x = np.array(start)
+    for _ in range(50):
+        scaled = normals / (normals @ x + offsets)[:, None]
+        grad = scaled.sum(axis=0)
+        step = np.linalg.solve(scaled.T @ scaled, grad)
+        if grad @ step < 1e-20:
+            return x + step
+        r = scaled @ step
+        t = 1.0
+        while np.any(t * r <= -1.0) or np.log1p(t * r).sum() <= 0.0:
+            t /= 2
+        x = x + t * step
+    return x
+
+
+def arrangement_census(p: BiPoly, lines: list[LineSpec], tol: float = 1e-6) -> Census2D:
+    """Real critical points of p, a scaled product of the given lines.
+
+    For d lines in general position the critical points are the d(d-1)/2
+    vertices, where p vanishes to second order, and one maximum of
+    sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
+    (d-1)(d-2)/2 (Zaslavsky).  Each candidate must pass the gradient test
+    |grad p| < 1e-8 (1 + |p|) on p itself; it is then classified against
+    the values {0, 8, -1} within tol and flagged nondegenerate by its
+    Hessian determinant.  The census is complete when every candidate
+    passes, no value strays and the bounded chambers number (d-1)(d-2)/2.
     """
     d = p.degree
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
-    if expected_total is None:
-        expected_total = (d - 1) ** 2
-    g = p.as_float_grid()
-    gx = p.partial_x().as_float_grid()
-    gy = p.partial_y().as_float_grid()
-    gxx = p.partial_x().partial_x().as_float_grid()
-    gxy = p.partial_x().partial_y().as_float_grid()
-    gyy = p.partial_y().partial_y().as_float_grid()
-
-    (x0, x1), (y0, y1) = box
-    lx = np.linspace(x0, x1, grid)
-    ly = np.linspace(y0, y1, grid)
-    xs, ys = np.meshgrid(lx, ly)
-    x = xs.ravel()
-    y = ys.ravel()
-    if extra_starts:
-        ex = np.array([q[0] for q in extra_starts])
-        ey = np.array([q[1] for q in extra_starts])
-        x = np.concatenate([x, ex])
-        y = np.concatenate([y, ey])
-
-    span = max(x1 - x0, y1 - y0)
-    alive = np.ones(len(x), dtype=bool)
-    for _ in range(60):
-        fx = _eval_many(gx, x, y)
-        fy = _eval_many(gy, x, y)
-        hxx = _eval_many(gxx, x, y)
-        hxy = _eval_many(gxy, x, y)
-        hyy = _eval_many(gyy, x, y)
-        det = hxx * hyy - hxy * hxy
-        bad = np.abs(det) < 1e-14
-        det_safe = np.where(bad, 1.0, det)
-        dx = -(hyy * fx - hxy * fy) / det_safe
-        dy = -(hxx * fy - hxy * fx) / det_safe
-        step = np.hypot(dx, dy)
-        clip = np.where(step > 0.5 * span, 0.5 * span / np.maximum(step, 1e-300), 1.0)
-        x = np.where(alive & ~bad, x + clip * dx, x)
-        y = np.where(alive & ~bad, y + clip * dy, y)
-        alive = alive & ~bad & np.isfinite(x) & np.isfinite(y) & (np.hypot(x, y) < 50)
-        x = np.where(alive, x, 0.0)
-        y = np.where(alive, y, 0.0)
-
-    fx = _eval_many(gx, x, y)
-    fy = _eval_many(gy, x, y)
-    scale = 1.0 + np.abs(_eval_many(g, x, y))
-    ok = alive & (np.hypot(fx, fy) < 1e-8 * scale)
-    cx, cy = x[ok], y[ok]
-
-    accepted: list[tuple[float, float]] = []
-    for px, py in sorted(zip(cx, cy), key=lambda q: (q[0], q[1])):
-        if all((px - ax) ** 2 + (py - ay) ** 2 > tol * tol for ax, ay in accepted):
-            accepted.append((px, py))
+    centroids = _bounded_chambers(lines)
+    maxima = [_chamber_maximum(lines, c) for c in centroids]
+    candidates = np.array([(x, y) for _, _, x, y in _vertices(lines)] + maxima)
+    x, y = candidates[:, 0], candidates[:, 1]
+    px, py = p.partial_x(), p.partial_y()
+    val = _eval_many(p.as_float_grid(), x, y)
+    fx = _eval_many(px.as_float_grid(), x, y)
+    fy = _eval_many(py.as_float_grid(), x, y)
+    hxx = _eval_many(px.partial_x().as_float_grid(), x, y)
+    hxy = _eval_many(px.partial_y().as_float_grid(), x, y)
+    hyy = _eval_many(py.partial_y().as_float_grid(), x, y)
+    det = hxx * hyy - hxy * hxy
+    ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
+    nondeg = np.abs(det) > tol * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
 
     points: list[CriticalPoint2D] = []
-    counts = {t: 0 for t in targets}
+    counts = {t: 0 for t in VALUE_TARGETS}
     strays: list[float] = []
-    nondeg_all = True
-    for px, py in accepted:
-        val = float(_eval_many(g, np.array([px]), np.array([py]))[0])
-        hxx = float(_eval_many(gxx, np.array([px]), np.array([py]))[0])
-        hxy = float(_eval_many(gxy, np.array([px]), np.array([py]))[0])
-        hyy = float(_eval_many(gyy, np.array([px]), np.array([py]))[0])
-        det = hxx * hyy - hxy * hxy
-        nondeg = abs(det) > tol * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
-        nondeg_all = nondeg_all and nondeg
-        matched = None
-        for t in targets:
-            if abs(val - t) <= tol:
-                matched = t
-                break
+    for k in np.flatnonzero(ok):
+        v = float(val[k])
+        matched = next((t for t in VALUE_TARGETS if abs(v - t) <= tol), None)
         if matched is None:
-            strays.append(val)
+            strays.append(v)
         else:
             counts[matched] += 1
         points.append(
-            CriticalPoint2D(x=px, y=py, value=val, hessian_det=det, nondegenerate=nondeg)
+            CriticalPoint2D(
+                x=float(x[k]),
+                y=float(y[k]),
+                value=v,
+                hessian_det=float(det[k]),
+                nondegenerate=bool(nondeg[k]),
+            )
         )
-    complete = len(accepted) == expected_total and not strays
+    all_nondeg = all(q.nondegenerate for q in points)
+    complete = (
+        bool(ok.all())
+        and not strays
+        and all_nondeg
+        and len(centroids) == (d - 1) * (d - 2) // 2
+    )
     return Census2D(
         counts=counts,
         points=tuple(points),
         complete=complete,
-        all_nondegenerate=nondeg_all,
-        expected_total=expected_total,
+        all_nondegenerate=all_nondeg,
+        expected_total=(d - 1) ** 2,
         stray_values=tuple(strays),
-        box=box,
-        grid=grid,
     )
-
-
-def census_with_retries(
-    p: BiPoly,
-    starts: tuple[tuple[float, float], ...],
-    box: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_BOX,
-    grid: int = 48,
-    tol: float = 1e-6,
-    max_rounds: int = 3,
-) -> Census2D:
-    """Census wrapper that widens the box and densifies on incompleteness."""
-    census = None
-    for round_idx in range(max_rounds):
-        factor = 1.6**round_idx
-        wide = (
-            (box[0][0] * factor, box[0][1] * factor),
-            (box[1][0] * factor, box[1][1] * factor),
-        )
-        census = critical_census_2d(
-            p,
-            box=wide,
-            grid=grid + 16 * round_idx,
-            tol=tol,
-            extra_starts=starts,
-        )
-        if census.complete:
-            return census
-    return census
 
 
 def jhat_census(
     d: int,
-    grid: int = 48,
     tol: float = 1e-6,
     precision: int = DEFAULT_PRECISION,
-    max_rounds: int = 3,
 ) -> Census2D:
-    """Census of the float arrangement polynomial, seeded with its vertices."""
-    p = build_Jhat(d, 0.0, precision)
-    starts = tuple(line_intersections(build_lines(d, 0.0)))
-    return census_with_retries(p, starts, DEFAULT_BOX, grid, tol, max_rounds)
+    """Census of the float arrangement polynomial."""
+    return arrangement_census(build_Jhat(d, 0.0, precision), build_lines(d, 0.0), tol)
 
 
 def jd_census(
     d: int,
-    grid: int = 48,
     tol: float = 1e-6,
     precision: int = DEFAULT_PRECISION,
-    max_rounds: int = 3,
 ) -> Census2D:
-    """Census of the rational polynomial; vertices carry the sqrt(3) y-scale."""
-    p = build_Jd(d, precision)
-    return census_with_retries(
-        p, jd_starts(d), jd_default_box(), grid, tol, max_rounds
-    )
+    """Census of the rational polynomial, whose lines carry the sqrt(3) y-scale."""
+    return arrangement_census(build_Jd(d, precision), jd_lines(d), tol)
+
+
+def jd_lines(d: int) -> list[LineSpec]:
+    """The arrangement's lines in the rational polynomial's coordinates."""
+    s3 = math.sqrt(3)
+    return [replace(l, b=l.b / s3) for l in build_lines(d, 0.0)]
 
 
 def jd_starts(d: int) -> tuple[tuple[float, float], ...]:
     """Arrangement vertices in the rational polynomial's coordinates."""
-    s3 = math.sqrt(3)
-    return tuple((x, y * s3) for x, y in line_intersections(build_lines(d, 0.0)))
-
-
-def jd_default_box() -> tuple[tuple[float, float], tuple[float, float]]:
-    s3 = math.sqrt(3)
-    return (DEFAULT_BOX[0], (DEFAULT_BOX[1][0] * s3, DEFAULT_BOX[1][1] * s3))
+    return tuple(line_intersections(jd_lines(d)))
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

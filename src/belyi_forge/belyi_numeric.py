@@ -305,7 +305,6 @@ def shabat_solve(
     max_restarts: int = 32,
     rng_seed: int = 0,
     max_degree: int = DEGREE_GUARD,
-    raise_on_failure: bool = True,
     initial_positions: np.ndarray | None = None,
 ) -> ShabatSolution:
     """Solve for vertex positions giving critical values -1 (black), +1 (white).
@@ -482,7 +481,6 @@ def shabat_solve(
 
     layouts: list[np.ndarray] = [base] if warm is None else [warm, base]
     n_lay = len(layouts)
-    best_state: tuple[float, np.ndarray, complex, complex, int] | None = None
     for restart in range(max_restarts):
         if restart < n_lay or restart % 2 == 0:
             # Layout starts: warm continuation and the radial drawing
@@ -555,8 +553,6 @@ def shabat_solve(
         if not ok:
             continue
         fnorm = float(np.linalg.norm(c * s_vals + K - targets))
-        if best_state is None or fnorm < best_state[0]:
-            best_state = (fnorm, q.copy(), c, K, restart)
         # Stalled-but-close states are still worth finishing: the polish
         # pass inside finish() converges them, while pseudo-solutions (a
         # cluster of critical points where p is flat, so the vertex
@@ -567,38 +563,6 @@ def shabat_solve(
         sol = finish(assemble(q, c, K), restart)
         if sol is not None:
             return sol
-    if not raise_on_failure:
-        if best_state is not None:
-            _, q, c, K, restart = best_state
-            try:
-                positions = assemble(q, c, K)
-            except (ValueError, np.linalg.LinAlgError):
-                positions = np.zeros(nvert, dtype=complex)
-                for v in internals:
-                    positions[v] = q[idx_of[v]]
-        else:
-            restart = 0
-            span = base[top_white] - base[top_black]
-            positions = (base - base[top_black]) / span
-        _, _, fvec, d0 = _system(positions, black_idx, white_idx, degs)
-        if abs(d0) > 1e-14:
-            scale = complex(2.0 / d0)
-            res = float(abs(scale) * np.max(np.abs(fvec))) if len(fvec) else 0.0
-        else:
-            scale = 0j
-            res = math.inf
-        return ShabatSolution(
-            black_points=tuple(
-                (complex(positions[v]), int(degs[v]) - 1) for v in black_idx
-            ),
-            white_points=tuple(
-                (complex(positions[v]), int(degs[v]) - 1) for v in white_idx
-            ),
-            scale_constant=scale,
-            residual=res,
-            converged=False,
-            restarts_used=restart,
-        )
     raise NoConvergenceError(
         f"no convergence after {max_restarts} restarts (degree {d})"
     )

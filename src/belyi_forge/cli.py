@@ -234,9 +234,7 @@ def cmd_shabat(args) -> int:
 def cmd_jd_verify(args) -> int:
     build_Jd(args.degree, args.precision, args.den_bound)
     dual = verify_Jd_dual_path(args.degree, args.precision)
-    census = jd_census(
-        args.degree, grid=args.grid, tol=args.tol, precision=args.precision
-    )
+    census = jd_census(args.degree, tol=args.tol, precision=args.precision)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20
@@ -293,10 +291,7 @@ def cmd_surface_verify(args) -> int:
         expected_types = {k: v for k, v in sp.counts.items() if v}
         provenance = f"{format_seed(seed)} {word_to_str(word) or '(empty)'}"
     census = singular_census_3d(
-        surface,
-        tol=args.census_tol,
-        grid=args.grid,
-        cluster_tol=args.cluster_tol,
+        surface, tol=args.census_tol, cluster_tol=args.cluster_tol
     )
     match = census.by_type == expected_types and census.verified
     payload = {
@@ -324,6 +319,12 @@ def cmd_export(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write output to a file (UTF-8)")
+
+
+def _add_deprecated_grid(p: argparse.ArgumentParser) -> None:
+    # The 2D census takes its starts from the arrangement, not a grid; the
+    # flag is still accepted (and ignored) so existing scripts keep working.
+    p.add_argument("--grid", type=int, help=argparse.SUPPRESS)
 
 
 def _add_seed_word(p: argparse.ArgumentParser, word_required: bool = False) -> None:
@@ -381,7 +382,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("jd-verify", help="build the arrangement polynomial, census it")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--grid", type=int, default=48)
+    _add_deprecated_grid(p)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     p.add_argument("--den-bound", type=int, default=DEFAULT_DEN_BOUND)
@@ -400,7 +401,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", default=None)
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
-    p.add_argument("--grid", type=int, default=48)
+    _add_deprecated_grid(p)
     p.add_argument("--census-tol", type=float, default=1e-6)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     _add_solver(p)

@@ -25,10 +25,9 @@ from .arrangement_jd import (
     BiPoly,
     Census2D,
     JStats,
+    arrangement_census,
     build_Jd,
-    census_with_retries,
-    jd_default_box,
-    jd_starts,
+    jd_lines,
     jstats,
 )
 from .belyi_numeric import (
@@ -286,11 +285,26 @@ def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, .
     return tuple(out)
 
 
+@cache
+def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
+    """seed_grid(d_max) with each seed's starting degree, validated once."""
+    return tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
+
+
 def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
     """Catalogued constructions (seed plus admissible word) up to degree d_max,
-    in catalogue order, read from per-seed walks cached to the table guard."""
+    in catalogue order, read from per-seed walks cached to the table guard.
+
+    The seeds of seed_grid(d_max) are those of the cached grid at the walk
+    degree whose starting degree is at most d_max.
+    """
     walk_to = max(d_max, BOUND_TABLE_GUARD)
-    cons = [c for s in seed_grid(d_max) for c in _constructions_for_seed(s, walk_to)]
+    cons = [
+        c
+        for d0, s in _seeds_with_d0(walk_to)
+        if d0 <= d_max
+        for c in _constructions_for_seed(s, walk_to)
+    ]
     cons = [c for c in cons if c.degree <= d_max]
     cons.sort(key=lambda c: (c.degree, c.nu, format_seed(c.seed), word_to_str(c.word)))
     return tuple(cons)
@@ -534,9 +548,7 @@ class Census3D:
 def singular_census_3d(
     surface: SurfacePoly,
     tol: float = 1e-6,
-    grid: int = 48,
     cluster_tol: float = 1e-6,
-    max_rounds: int = 3,
 ) -> Census3D:
     """Count singular points of the surface by pairing the two censuses.
 
@@ -546,14 +558,7 @@ def singular_census_3d(
     verified directly: the surface value and full gradient are evaluated
     there and the worst defects are reported.
     """
-    j_cen = census_with_retries(
-        surface.j_part,
-        jd_starts(surface.d),
-        jd_default_box(),
-        grid=grid,
-        tol=tol,
-        max_rounds=max_rounds,
-    )
+    j_cen = arrangement_census(surface.j_part, jd_lines(surface.d), tol)
     u_cen = critical_census_uni(surface.u_part, cluster_tol)
 
     u_groups: Counter[tuple[float, int]] = Counter()
@@ -575,7 +580,9 @@ def singular_census_3d(
     real_total = 0
     max_f = 0.0
     max_g = 0.0
-    for jv in sorted({round(p.value, 6) for p in j_cen.points}):
+    # Adding 0.0 folds -0.0 into 0.0, so the key of the vertex value does
+    # not depend on which vertex the census happens to list first.
+    for jv in sorted({round(p.value, 6) + 0.0 for p in j_cen.points}):
         j_pts = [p for p in j_cen.points if abs(p.value - jv) <= tol]
         for (uv, mult), u_count in sorted(u_groups.items()):
             if abs(jv + uv) > tol:

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from belyi_forge import (
+    DegreeGuardError,
+    arrangement_census,
     build_Jd,
-    build_Jhat,
     build_lines,
     census_matches_jstats,
     jd_census,
@@ -19,7 +20,8 @@ from belyi_forge import (
 from belyi_forge.arrangement_jd import (
     BiPoly,
     RationalizationError,
-    critical_census_2d,
+    _bounded_chambers,
+    jd_lines,
     jd_starts,
     scale_constant,
 )
@@ -120,10 +122,7 @@ def test_rational_restriction_to_axis():
 
 
 def test_smallest_census_from_spec_example():
-    p = build_Jhat(3)
-    census = critical_census_2d(
-        p, ((-3.0, 3.0), (-3.0, 3.0)), grid=40, tol=1e-6, expected_total=4
-    )
+    census = jhat_census(3)
     assert census.counts == {0.0: 3, 8.0: 0, -1.0: 1}
     assert census.all_nondegenerate
     assert census.complete
@@ -131,7 +130,7 @@ def test_smallest_census_from_spec_example():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_float_census_matches_counts(d):
-    census = jhat_census(d, grid=48)
+    census = jhat_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
     assert census.total == (d - 1) ** 2
     assert census.all_nondegenerate
@@ -139,8 +138,34 @@ def test_float_census_matches_counts(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_rational_census_matches_counts(d):
-    census = jd_census(d, grid=48)
+    census = jd_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
+
+
+@pytest.mark.parametrize("d", [10, 11, 12])
+def test_rational_census_matches_counts_past_nine(d):
+    census = jd_census(d)
+    assert census_matches_jstats(census, jstats(d)), census.as_dict()
+    assert census.total == (d - 1) ** 2
+    assert census.all_nondegenerate
+
+
+def test_census_guard_refuses_degree_13():
+    with pytest.raises(DegreeGuardError):
+        jd_census(13)
+
+
+def test_bounded_chambers_number_zaslavsky_count():
+    for d in range(3, 13):
+        assert len(_bounded_chambers(jd_lines(d))) == (d - 1) * (d - 2) // 2, d
+
+
+def test_census_with_foreign_lines_is_incomplete():
+    # Unscaled lines are not the factors of J_d in its coordinates, so
+    # their vertices and chamber maxima fail the gradient test on J_d.
+    census = arrangement_census(build_Jd(5), build_lines(5))
+    assert not census.complete
+    assert not census_matches_jstats(census, jstats(5))
 
 
 def test_census_start_points_cover_vertices():

@@ -8,6 +8,7 @@ from belyi_forge import (
     F2,
     CriticalProfile,
     DegreeGuardError,
+    NoConvergenceError,
     UniPoly,
     census_matches_profile,
     critical_census_uni,
@@ -174,10 +175,10 @@ def test_five_letter_seed_realizes_profile_directly():
         assert profile_of(tree) == trajectory(seed, word)[-1].profile
 
 
-def test_failure_reporting_without_raise():
+def test_failure_raises_without_restarts():
     tree = tree_for_derivation(F1(0, 1), ())
-    sol = shabat_solve(tree, max_restarts=0, raise_on_failure=False)
-    assert not sol.converged
+    with pytest.raises(NoConvergenceError):
+        shabat_solve(tree, max_restarts=0)
 
 
 def test_solution_serializes():

@@ -1,11 +1,12 @@
 """Singularity counting: closed forms, spectra, bound tables, 3D censuses."""
 
 import hashlib
+import math
 import warnings
 
 import pytest
 
-from belyi_forge import F1, jstats, seed_profile, surface_counts
+from belyi_forge import F1, jstats, seed_profile, seed_triple, surface_counts
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
     ExistenceUnverifiedWarning,
@@ -20,6 +21,7 @@ from belyi_forge.surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
+    seed_grid,
     singular_census_3d,
     spectrum,
 )
@@ -179,6 +181,14 @@ def test_catalogue_is_a_degree_filter_of_the_larger_one():
         assert constructions_up_to(d) == tuple(c for c in full if c.degree <= d), d
 
 
+def test_seed_grid_is_a_degree_filter_of_the_table_grid():
+    # constructions_up_to reads its seeds from the cached grid at the table
+    # guard, filtered by starting degree.
+    table_grid = seed_grid(BOUND_TABLE_GUARD)
+    for d in range(3, BOUND_TABLE_GUARD + 1):
+        assert [s for s in table_grid if seed_triple(s).d0 <= d] == seed_grid(d), d
+
+
 def test_catalogue_applies_each_prefix_once(monkeypatch):
     calls = []
     apply_letter = surface_counts.apply_letter
@@ -231,6 +241,16 @@ def test_end_to_end_census_nodal_surface():
     assert census.verified
     assert census.total == nodal_surface_count(3) == 4
     assert census.by_type == {1: 4}
+
+
+def test_vertex_value_key_is_positive_zero():
+    # At d=8 a vertex value rounds to -0.0; the pairing key must not carry
+    # that sign into the report.
+    census = singular_census_3d(build_nodal_surface(8))
+    assert census.verified
+    zero_keys = [p.j_value for p in census.pairs if p.j_value == 0]
+    assert zero_keys
+    assert all(math.copysign(1.0, v) == 1.0 for v in zero_keys)
 
 
 def test_surface_polynomial_evaluates():
