@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -247,6 +248,7 @@ def _mpf_to_fraction(x, i: int, j: int, den_bound: int, err_limit) -> Fraction:
     return rat
 
 
+@lru_cache(maxsize=8)
 def build_Jd(
     d: int,
     precision: int = DEFAULT_PRECISION,
@@ -257,7 +259,8 @@ def build_Jd(
     The float expansion is rescaled column by column, each coefficient is
     snapped to its continued-fraction convergent within den_bound, and the
     snap is accepted only if it agrees with the float value to
-    2^(-precision/2).
+    2^(-precision/2).  The result is immutable and cached, so the dual-path
+    check, the census and the surfaces of one degree share a single build.
     """
     with mp.workprec(precision):
         jhat = build_Jhat(d, 0.0, precision)

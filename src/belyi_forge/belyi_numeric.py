@@ -13,19 +13,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
-import mpmath as mp
 import numpy as np
 
 from .profile_core import CriticalProfile
-from .seed_families import SeedSpec, seed_profile
-from .tree_realization import (
-    BLACK,
-    PlaneTree,
-    derive_tree,
-    profile_of,
-    realize_profile,
-)
+from .seed_families import SeedSpec
+from .tree_realization import BLACK, PlaneTree, derive_tree, realize_profile
 from .word_engine import Word, trajectory, uses_t2
 
 DEGREE_GUARD = 16
@@ -34,7 +28,7 @@ DEFAULT_CLUSTER_TOL = 1e-6
 
 _MIN_SEPARATION = 1e-6
 _NEWTON_ITERS = 120
-_POLISH_DPS = 45
+_POLISH_STEPS = 8
 
 
 class NoConvergenceError(RuntimeError):
@@ -241,62 +235,78 @@ def _system(
 
 
 def _min_same_color_gap(positions: np.ndarray, black_idx, white_idx) -> float:
-    gap = math.inf
-    for idx in (black_idx, white_idx):
-        pts = positions[idx]
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                gap = min(gap, abs(pts[i] - pts[j]))
-    return gap
+    pairs = (pq for idx in (black_idx, white_idx) for pq in combinations(positions[idx], 2))
+    return min((abs(p - q) for p, q in pairs), default=math.inf)
 
 
-def _polish_extended(positions, black_idx, white_idx, degs, free, fixed01) -> np.ndarray:
-    """A few Newton steps in extended precision when float64 stalls."""
-    with mp.workdps(_POLISH_DPS):
-        pos = [mp.mpc(z) for z in positions]
-        pos[fixed01[0]] = mp.mpc(0)
-        pos[fixed01[1]] = mp.mpc(1)
+def _coefficient_residual(fvec: np.ndarray, d0: complex) -> tuple[float, complex]:
+    """Largest defect of c·(∏black − ∏white) against 2, and c = 2/d0 (inf if d0 ≈ 0)."""
+    if abs(d0) < 1e-14:
+        return math.inf, 0j
+    c = 2.0 / d0
+    return (float(abs(c) * np.max(np.abs(fvec))) if len(fvec) else 0.0), c
 
-        def products():
-            d = int(degs.sum()) // 2
-            b = [mp.mpc(1)] + [mp.mpc(0)] * d
-            w = [mp.mpc(1)] + [mp.mpc(0)] * d
-            bn = wn = 0
-            for v, deg in enumerate(degs):
-                target, n = (b, bn) if v in set(int(i) for i in black_idx) else (w, wn)
-                for _ in range(int(deg)):
-                    for k in range(n + 1, -1, -1):
-                        target[k] = (target[k - 1] if k else mp.mpc(0)) - pos[v] * target[k]
-                    n += 1
-                if v in set(int(i) for i in black_idx):
-                    bn = n
-                else:
-                    wn = n
-            return b, w
 
-        d = int(degs.sum()) // 2
-        for _ in range(8):
-            b, w = products()
-            fvec = [b[k] - w[k] for k in range(1, d)]
-            jac = mp.zeros(d - 1, len(free))
-            for col, v in enumerate(free):
-                src = b if v in set(int(i) for i in black_idx) else w
-                n = d
-                quot = [mp.mpc(0)] * n
-                quot[n - 1] = src[n]
-                for k in range(n - 1, 0, -1):
-                    quot[k - 1] = src[k] + pos[v] * quot[k]
-                sign = -1 if v in set(int(i) for i in black_idx) else 1
-                for row in range(d - 1):
-                    jac[row, col] = sign * degs[v] * quot[row + 1]
-            rhs = mp.matrix([-f for f in fvec])
-            try:
-                delta = mp.lu_solve(jac, rhs)
-            except ZeroDivisionError:
-                break
-            for col, v in enumerate(free):
-                pos[v] = pos[v] + delta[col]
-        return np.array([complex(z) for z in pos])
+def _exact_defect(positions: np.ndarray, black_idx, white_idx, degs) -> tuple[np.ndarray, complex]:
+    """_system's coefficient defects, rounded only once at the end.
+
+    Floats are dyadic: over their largest denominator S the positions are
+    Gaussian integers A, and ∏(u − A)^deg in u = S·w expands exactly in ints.
+    """
+    parts = [x.as_integer_ratio() for z in positions.tolist() for x in (z.real, z.imag)]
+    scale = max(den for _, den in parts)
+    ints = [num * (scale // den) for num, den in parts]
+
+    def expand(idx) -> list[tuple[int, int]]:
+        out = [(1, 0)]
+        for v in idx:
+            ar, ai = ints[2 * v], ints[2 * v + 1]
+            for _ in range(int(degs[v])):
+                out = [
+                    (s - ar * r + ai * i, t - ar * i - ai * r)
+                    for (s, t), (r, i) in zip([(0, 0)] + out, out + [(0, 0)])
+                ]
+        return out
+
+    d = int(degs.sum()) // 2
+    diff = np.array([
+        complex((b - w) / scale ** (d - k), (bi - wi) / scale ** (d - k))
+        for k, ((b, bi), (w, wi)) in enumerate(zip(expand(black_idx), expand(white_idx)))
+    ])
+    return diff[1:-1], diff[0]
+
+
+def _polish(positions: np.ndarray, black_idx, white_idx, degs, free) -> np.ndarray:
+    """Float Newton on coefficients 1..d-1 of ∏black − ∏white; the best iterate.
+
+    Moving a vertex a of degree deg changes its product by −deg·prod/(w − a),
+    so Jacobian columns are signed _div_linear quotients.  The residual is
+    exact (iterative refinement): a float one stalls at rounding level with
+    far vertices 1e-8 off at degree 15.  Stops once it stops falling.
+    """
+    black = set(black_idx.tolist())
+    fvec, d0 = _exact_defect(positions, black_idx, white_idx, degs)
+    best, best_res = positions, _coefficient_residual(fvec, d0)[0]
+    for _ in range(_POLISH_STEPS):
+        b, w, _, _ = _system(best, black_idx, white_idx, degs)
+        jac = np.empty((len(fvec), len(free)), dtype=complex)
+        for col, v in enumerate(free):
+            src, sign = (b, -1.0) if v in black else (w, 1.0)
+            jac[:, col] = sign * degs[v] * _div_linear(src, best[v])[1:]
+        try:
+            delta = np.linalg.solve(jac, -fvec)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(delta)):
+            break
+        pos = best.copy()
+        pos[free] += delta
+        step_fvec, d0 = _exact_defect(pos, black_idx, white_idx, degs)
+        res = _coefficient_residual(step_fvec, d0)[0]
+        if not res < best_res:
+            break
+        best, best_res, fvec = pos, res, step_fvec
+    return best
 
 
 def shabat_solve(
@@ -319,9 +329,13 @@ def shabat_solve(
     and white products collide coefficient by coefficient.  Damped Newton
     runs per restart; restarts walk the radial tree drawings plain, then
     jittered (keyed by rng_seed), interleaved with gaussian scatters, and
-    the first restart index that converges wins.  Same-color vertex collisions are rejected as degenerate basins.
-    An extended-precision polish pass runs when double precision stalls
-    above tol.
+    the first restart index that converges wins.  Same-color vertex
+    collisions are rejected as degenerate basins.  When the coefficient
+    residual stalls above tol, a Newton polish on the full-vertex
+    coefficient system (float steps, exact residual) runs before the
+    acceptance test.  If no restart is
+    accepted, NoConvergenceError names the closest one (least coefficient
+    residual, then least fnorm) and the test that rejected it.
 
     initial_positions may cover a prefix of the vertex ids (surgeries
     append new vertices); covered vertices start there, the rest are
@@ -354,53 +368,36 @@ def shabat_solve(
             nbrs = t.rotation[v]
             anchor = next((u for u in nbrs if u < v), nbrs[0])
             placed = [u for u in t.rotation[anchor] if u < v and u != v]
-            away = 0.0 + 0.0j
-            for u in placed:
-                step = warm[anchor] - warm[u]
-                if abs(step) > 1e-12:
-                    away += step / abs(step)
+            steps = (warm[anchor] - warm[u] for u in placed)
+            away = sum(s / abs(s) for s in steps if abs(s) > 1e-12)
             sib = sum(1 for u in t.rotation[anchor] if covered <= u < v)
             if abs(away) < 1e-9:
                 away = cmath.exp(2j * math.pi * (0.381966 * v % 1.0))
             away /= abs(away)
             warm[v] = warm[anchor] + away * cmath.exp(0.5j * sib)
 
-    def finish(positions: np.ndarray, restart: int) -> ShabatSolution | None:
-        b, w, fvec, d0 = _system(positions, black_idx, white_idx, degs)
-        if abs(d0) < 1e-14:
-            return None
-        c = 2.0 / d0
-        residual = float(abs(c) * np.max(np.abs(fvec))) if len(fvec) else 0.0
+    def residual_at(positions: np.ndarray) -> tuple[float, complex]:
+        return _coefficient_residual(*_system(positions, black_idx, white_idx, degs)[2:])
+
+    def finish(positions: np.ndarray, restart: int) -> ShabatSolution | tuple[float, str]:
+        """The accepted solution, or the coefficient residual and the failed test."""
+        residual, c = residual_at(positions)
         if residual > 1e-2:
             # Too far for the polish pass to contract; typically a stalled
             # basin where two same-color vertices merged.
-            return None
+            return residual, f"coefficient residual {residual:.2e} > 1e-2"
         if residual > tol:
-            positions = _polish_extended(
-                positions, black_idx, white_idx, degs, free, (top_black, top_white)
-            )
-            b, w, fvec, d0 = _system(positions, black_idx, white_idx, degs)
-            if abs(d0) < 1e-14:
-                return None
-            c = 2.0 / d0
-            residual = float(abs(c) * np.max(np.abs(fvec))) if len(fvec) else 0.0
+            positions = _polish(positions, black_idx, white_idx, degs, free)
+            residual, c = residual_at(positions)
         if residual > tol:
-            return None
-        if _min_same_color_gap(positions, black_idx, white_idx) < _MIN_SEPARATION:
-            return None
-        blacks = tuple(
-            (complex(positions[v]), int(degs[v]) - 1) for v in black_idx
-        )
-        whites = tuple(
-            (complex(positions[v]), int(degs[v]) - 1) for v in white_idx
-        )
+            return residual, f"coefficient residual {residual:.2e} > tol {tol:.0e}"
+        gap = _min_same_color_gap(positions, black_idx, white_idx)
+        if gap < _MIN_SEPARATION:
+            return residual, f"same-color vertex gap {gap:.2e} < {_MIN_SEPARATION:.0e}"
         return ShabatSolution(
-            black_points=blacks,
-            white_points=whites,
-            scale_constant=complex(c),
-            residual=residual,
-            converged=True,
-            restarts_used=restart,
+            black_points=tuple((complex(positions[v]), int(degs[v]) - 1) for v in black_idx),
+            white_points=tuple((complex(positions[v]), int(degs[v]) - 1) for v in white_idx),
+            scale_constant=complex(c), residual=residual, converged=True, restarts_used=restart,
         )
 
     internals = [v for v in range(nvert) if degs[v] >= 2]
@@ -418,8 +415,8 @@ def shabat_solve(
             span = positions[top_white] - positions[top_black]
             positions = (positions - positions[top_black]) / span
         sol = finish(positions, 0)
-        if sol is None:
-            raise NoConvergenceError(f"degenerate star solve (degree {d})")
+        if isinstance(sol, tuple):
+            raise NoConvergenceError(f"degenerate star solve (degree {d}): {sol[1]}")
         return sol
 
     idx_of = {v: i for i, v in enumerate(internals)}
@@ -481,6 +478,7 @@ def shabat_solve(
 
     layouts: list[np.ndarray] = [base] if warm is None else [warm, base]
     n_lay = len(layouts)
+    closest: tuple[float, float, int, str] | None = None
     for restart in range(max_restarts):
         if restart < n_lay or restart % 2 == 0:
             # Layout starts: warm continuation and the radial drawing
@@ -494,9 +492,7 @@ def shabat_solve(
                 pos = layouts[k % n_lay].copy()
                 rng = np.random.default_rng([rng_seed, restart])
                 jit = 0.08 * (1 + k // n_lay)
-                pos = pos + jit * (
-                    rng.normal(size=nvert) + 1j * rng.normal(size=nvert)
-                )
+                pos = pos + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
             span = pos[top_white] - pos[top_black]
             if abs(span) < 1e-9:
                 continue
@@ -550,22 +546,28 @@ def shabat_solve(
                 lam /= 2
             if not accepted:
                 break
-        if not ok:
-            continue
         fnorm = float(np.linalg.norm(c * s_vals + K - targets))
         # Stalled-but-close states are still worth finishing: the polish
         # pass inside finish() converges them, while pseudo-solutions (a
         # cluster of critical points where p is flat, so the vertex
         # equations hold to 1e-14 without p being Shabat) fail its
         # coefficient residual no matter how small fnorm is.
-        if fnorm > 1e-6 or abs(c) < 1e-12:
-            continue
-        sol = finish(assemble(q, c, K), restart)
-        if sol is not None:
-            return sol
-    raise NoConvergenceError(
-        f"no convergence after {max_restarts} restarts (degree {d})"
-    )
+        residual = math.inf
+        if not ok:
+            verdict = "a non-finite Newton step"
+        elif fnorm > 1e-6:
+            verdict = f"fnorm {fnorm:.2e} > 1e-6"
+        elif abs(c) < 1e-12:
+            verdict = f"scale |c| = {abs(c):.2e} < 1e-12"
+        else:
+            verdict = finish(assemble(q, c, K), restart)
+            if isinstance(verdict, ShabatSolution):
+                return verdict
+            residual, verdict = verdict
+        if closest is None or (residual, fnorm) < closest[:2]:
+            closest = (residual, fnorm, restart, verdict)
+    why = "; closest restart {2} (fnorm {1:.2e}) failed: {3}".format(*closest) if closest else ""
+    raise NoConvergenceError(f"no convergence after {max_restarts} restarts (degree {d}){why}")
 
 
 def tree_for_derivation(seed: SeedSpec, word: Word) -> PlaneTree:
@@ -684,12 +686,11 @@ def _single_linkage(points: np.ndarray, tol: float) -> list[list[int]]:
             a = parent[a]
         return a
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in combinations(range(n), 2):
+        if abs(points[i] - points[j]) <= tol:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
@@ -726,11 +727,9 @@ def critical_census_uni(
         if spread > cluster_tol:
             reliable = False
             notes.append(f"chained root cluster of spread {spread:.2e}")
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            if abs(centers[i] - centers[j]) < 10 * cluster_tol:
-                reliable = False
-                notes.append("root clusters closer than 10x cluster_tol")
+    if any(abs(a - b) < 10 * cluster_tol for a, b in combinations(centers, 2)):
+        reliable = False
+        notes.append("root clusters closer than 10x cluster_tol")
 
     values = np.array([complex(p(z)) for z in centers])
     vclusters = _single_linkage(values, cluster_tol)

@@ -54,7 +54,6 @@ from .surface_counts import (
     bound_table,
     build_nodal_surface,
     build_surface,
-    census_matches_spectrum,
     lowest_nu_construction,
     nodal_surface_count,
     seed_grid,
@@ -232,7 +231,10 @@ def cmd_shabat(args) -> int:
 
 
 def cmd_jd_verify(args) -> int:
-    build_Jd(args.degree, args.precision, args.den_bound)
+    # The dual-path check and the census build J_d at the default bound; a
+    # different --den-bound is checked on its own build.
+    if args.den_bound != DEFAULT_DEN_BOUND:
+        build_Jd(args.degree, args.precision, args.den_bound)
     dual = verify_Jd_dual_path(args.degree, args.precision)
     census = jd_census(args.degree, tol=args.tol, precision=args.precision)
     st = jstats(args.degree)

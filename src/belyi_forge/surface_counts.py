@@ -18,7 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 
 from .arrangement_jd import (
     DEFAULT_PRECISION,
@@ -386,18 +386,13 @@ def bound_table(d_max: int) -> BoundTable:
     return BoundTable(rows=tuple(rows))
 
 
-@lru_cache(maxsize=8)
-def _jd_cached(d: int, precision: int) -> BiPoly:
-    return build_Jd(d, precision)
-
-
 def nodal_unit_poly(d: int, precision: int = DEFAULT_PRECISION) -> UniPoly:
     """Exact axis restriction reparametrized to critical values {0, 1}.
 
     Substitutes x = 2z+1, y = 0 into the rational arrangement polynomial
     and applies the affine value map v -> (3-v)/4, all in exact rationals.
     """
-    axis = _jd_cached(d, precision).restrict_y0()
+    axis = build_Jd(d, precision).restrict_y0()
     t = UniPoly((Fraction(1), Fraction(2)))
     g = UniPoly((axis[-1],))
     for c in reversed(axis[:-1]):
@@ -471,7 +466,7 @@ def build_surface(
         max_degree=max_degree,
     )
     return SurfacePoly(
-        j_part=_jd_cached(d, precision),
+        j_part=build_Jd(d, precision),
         u_part=to_unit_interval(sol.polynomial()),
         d=d,
         seed=seed,
@@ -483,7 +478,7 @@ def build_surface(
 def build_nodal_surface(d: int, precision: int = DEFAULT_PRECISION) -> SurfacePoly:
     """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction."""
     return SurfacePoly(
-        j_part=_jd_cached(d, precision),
+        j_part=build_Jd(d, precision),
         u_part=nodal_unit_poly(d, precision),
         d=d,
         seed=None,

@@ -20,7 +20,6 @@ from .word_engine import (
     Letter,
     T13Letter,
     Word,
-    initial_state,
     uses_t2,
 )
 

@@ -6,7 +6,6 @@ the per-criterion verdict.
 """
 
 import time
-import warnings
 
 import pytest
 

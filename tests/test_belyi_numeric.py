@@ -1,6 +1,8 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
-import numpy as np
+import math
+import re
+
 import pytest
 
 from belyi_forge import (
@@ -149,14 +151,37 @@ def test_gauge_census_stable_across_rng_seeds():
         assert key == reference
 
 
-def test_solver_first_growth_step():
+def vertex_defects(sol):
+    """|p+1| at the black and |p-1| at the white vertices, in product form.
+
+    p+1 = c·∏black (w-a)^(m+1) and p-1 = c·∏white (w-b)^(m+1) with one c, so
+    each vertex is checked on the factorization it is not a root of.  The
+    expanded coefficients of sol.polynomial() alone round by about 2e-8 at
+    the far vertices of the degree-15 tree.
+    """
+
+    def scaled_product(z, points):
+        return sol.scale_constant * math.prod((z - q) ** (m + 1) for q, m in points)
+
+    black = [abs(scaled_product(a, sol.white_points) + 2) for a, _ in sol.black_points]
+    white = [abs(scaled_product(b, sol.black_points) - 2) for b, _ in sol.white_points]
+    return black, white
+
+
+@pytest.mark.parametrize("word, degree", [("a", 12), ("ab", 15)], ids=["a", "ab"])
+def test_solver_first_growth_step(word, degree):
+    # Both trees leave Newton with a coefficient residual above tol, so the
+    # polish runs before acceptance.
     seed = F1(0, 1)
-    sol = shabat_solve(tree_for_derivation(seed, word_from_str("a", seed)))
+    sol = shabat_solve(tree_for_derivation(seed, word_from_str(word, seed)))
     assert sol.converged
-    assert sol.degree == 12
+    assert sol.degree == degree
     assert sol.residual < 1e-8
+    black, white = vertex_defects(sol)
+    assert max(black) < 1e-8, black
+    assert max(white) < 1e-8, white
     census = critical_census_uni(sol.polynomial(), cluster_tol=1e-4)
-    prof = profile_of(tree_for_derivation(seed, word_from_str("a", seed)))
+    prof = profile_of(tree_for_derivation(seed, word_from_str(word, seed)))
     assert census_matches_profile(census, prof)
 
 
@@ -179,6 +204,17 @@ def test_failure_raises_without_restarts():
     tree = tree_for_derivation(F1(0, 1), ())
     with pytest.raises(NoConvergenceError):
         shabat_solve(tree, max_restarts=0)
+
+
+def test_failure_names_the_closest_restart_and_its_rejection():
+    tree = tree_for_derivation(F1(0, 1), ())
+    with pytest.raises(NoConvergenceError) as info:
+        shabat_solve(tree, tol=1e-30, max_restarts=2)
+    assert re.search(
+        r"closest restart [01] \(fnorm \d\.\d\de[-+]\d+\) failed: "
+        r"coefficient residual \d\.\d\de-\d+ > tol 1e-30",
+        str(info.value),
+    ), str(info.value)
 
 
 def test_solution_serializes():

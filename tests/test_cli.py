@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from belyi_forge.arrangement_jd import build_Jd
 from belyi_forge.cli import main
 from belyi_forge.tree_realization import parse_dot
 
@@ -74,6 +75,19 @@ def test_jd_verify_small_degree(capsys):
     assert obj["match"] is True
     assert obj["dual_path_ok"] is True
     assert obj["census"]["counts"] == {"0.0": 3, "8.0": 0, "-1.0": 1}
+
+
+def test_jd_verify_builds_jd_once(capsys):
+    build_Jd.cache_clear()
+    code, out, err = run(capsys, "jd-verify", "--degree", "5")
+    assert code == 0
+    assert build_Jd.cache_info().misses == 1
+
+
+def test_jd_verify_checks_a_custom_den_bound(capsys):
+    code, out, err = run(capsys, "jd-verify", "--degree", "6", "--den-bound", "2")
+    assert code == 1
+    assert json.loads(err)["error"]["type"] == "RationalizationError"
 
 
 def test_table_csv_rows(capsys):

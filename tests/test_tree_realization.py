@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from belyi_forge import F1, F3, CriticalProfile, seed_profile, validate_profile
+from belyi_forge import F1, F3, CriticalProfile, validate_profile
 from belyi_forge.tree_realization import (
     PlaneTree,
     RealizationError,
