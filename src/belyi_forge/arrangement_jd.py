@@ -80,16 +80,6 @@ class BiPoly:
     def degree(self) -> int:
         return len(self.grid) - 1
 
-    @property
-    def n_coefficients(self) -> int:
-        n = self.degree + 1
-        return n * (n + 1) // 2
-
-    def coeff(self, i: int, j: int):
-        if i < len(self.grid) and j < len(self.grid):
-            return self.grid[i][j]
-        return 0
-
     def __call__(self, x, y):
         acc = None
         for row in reversed(self.grid):
@@ -142,19 +132,6 @@ class BiPoly:
     def restrict_y0(self) -> tuple:
         """Coefficients of p(x, 0), constant first."""
         return tuple(row[0] for row in self.grid)
-
-
-def bipoly_to_json(p: BiPoly) -> dict:
-    out = {}
-    for i, row in enumerate(p.grid):
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            if isinstance(c, Fraction):
-                out[f"{i},{j}"] = {"num": c.numerator, "den": c.denominator}
-            else:
-                out[f"{i},{j}"] = {"num": float(c), "den": 1}
-    return out
 
 
 def _vertical_index(d: int, tau: float) -> int | None:

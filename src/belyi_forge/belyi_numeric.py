@@ -19,7 +19,7 @@ import numpy as np
 
 from .profile_core import CriticalProfile
 from .seed_families import SeedSpec
-from .tree_realization import BLACK, PlaneTree, derive_tree, realize_profile
+from .tree_realization import BLACK, PlaneTree, _dfs_order, derive_tree, realize_profile
 from .word_engine import Word, trajectory, uses_t2
 
 DEGREE_GUARD = 16
@@ -175,18 +175,6 @@ def _integrate_poly(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dfs_preorder(t: PlaneTree, root: int) -> list[int]:
-    order, seen, stack = [], {root}, [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for u in reversed(t.rotation[v]):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return order
-
-
 def _radial_layout(t: PlaneTree) -> np.ndarray:
     """Unit-edge radial plane-tree drawing, sectors sized by leaf count.
 
@@ -200,7 +188,7 @@ def _radial_layout(t: PlaneTree) -> np.ndarray:
     n = t.vertex_count
     root = max(range(n), key=lambda v: (t.degree(v), -v))
     parent: dict[int, int | None] = {root: None}
-    order = _dfs_preorder(t, root)
+    order = _dfs_order(t, root)
     for v in order:
         for u in t.rotation[v]:
             if u not in parent:
@@ -315,7 +303,6 @@ def shabat_solve(
     max_restarts: int = 32,
     rng_seed: int = 0,
     max_degree: int = DEGREE_GUARD,
-    initial_positions: np.ndarray | None = None,
 ) -> ShabatSolution:
     """Solve for vertex positions giving critical values -1 (black), +1 (white).
 
@@ -327,19 +314,15 @@ def shabat_solve(
     roots of p+1 and p-1.  Working on internal vertices only keeps the
     system small and removes the spurious solution branch where the black
     and white products collide coefficient by coefficient.  Damped Newton
-    runs per restart; restarts walk the radial tree drawings plain, then
-    jittered (keyed by rng_seed), interleaved with gaussian scatters, and
-    the first restart index that converges wins.  Same-color vertex
-    collisions are rejected as degenerate basins.  When the coefficient
-    residual stalls above tol, a Newton polish on the full-vertex
-    coefficient system (float steps, exact residual) runs before the
-    acceptance test.  If no restart is
+    runs per restart.  Restart 0 starts from the radial tree drawing, the
+    other even restarts from copies of it jittered by 0.08·restart/2, and
+    odd restarts from gaussian scatters; the random draws are keyed by
+    (rng_seed, restart), and the first restart index that converges wins.  Same-color vertex collisions are rejected as
+    degenerate basins.  When the coefficient residual stalls above tol, a
+    Newton polish on the full-vertex coefficient system (float steps,
+    exact residual) runs before the acceptance test.  If no restart is
     accepted, NoConvergenceError names the closest one (least coefficient
     residual, then least fnorm) and the test that rejected it.
-
-    initial_positions may cover a prefix of the vertex ids (surgeries
-    append new vertices); covered vertices start there, the rest are
-    placed in a small disc around their first covered neighbor.
     """
     d = t.edge_count
     if d > max_degree:
@@ -353,28 +336,6 @@ def shabat_solve(
     top_black = max(black_idx, key=lambda v: (degs[v], -v))
     top_white = max(white_idx, key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
-
-    base = _radial_layout(t)
-    warm: np.ndarray | None = None
-    if initial_positions is not None:
-        covered = min(len(initial_positions), nvert)
-        warm = np.zeros(nvert, dtype=complex)
-        warm[:covered] = initial_positions[:covered]
-        for v in range(covered, nvert):
-            # Surgeries append vertices, so every new vertex has an already
-            # placed neighbor.  Step one unit away from the anchor's other
-            # placed neighbors, fanning siblings; this extends the warm
-            # layout the same way the radial drawing grows a subtree.
-            nbrs = t.rotation[v]
-            anchor = next((u for u in nbrs if u < v), nbrs[0])
-            placed = [u for u in t.rotation[anchor] if u < v and u != v]
-            steps = (warm[anchor] - warm[u] for u in placed)
-            away = sum(s / abs(s) for s in steps if abs(s) > 1e-12)
-            sib = sum(1 for u in t.rotation[anchor] if covered <= u < v)
-            if abs(away) < 1e-9:
-                away = cmath.exp(2j * math.pi * (0.381966 * v % 1.0))
-            away /= abs(away)
-            warm[v] = warm[anchor] + away * cmath.exp(0.5j * sib)
 
     def residual_at(positions: np.ndarray) -> tuple[float, complex]:
         return _coefficient_residual(*_system(positions, black_idx, white_idx, degs)[2:])
@@ -476,30 +437,25 @@ def shabat_solve(
                     positions[v] = z
         return positions
 
-    layouts: list[np.ndarray] = [base] if warm is None else [warm, base]
-    n_lay = len(layouts)
+    base = _radial_layout(t)
     closest: tuple[float, float, int, str] | None = None
     for restart in range(max_restarts):
-        if restart < n_lay or restart % 2 == 0:
-            # Layout starts: warm continuation and the radial drawing
-            # plain first, then jittered copies on even restarts.  The
-            # drawing separates sibling vertices angularly, which is where
-            # the true basins live.
-            if restart < n_lay:
-                pos = layouts[restart].copy()
-            else:
-                k = (restart - n_lay) // 2
-                pos = layouts[k % n_lay].copy()
+        if restart % 2 == 0:
+            # The radial drawing, plain first and then jittered.  It
+            # separates sibling vertices angularly, which is where the
+            # true basins live.
+            pos = base
+            if restart:
                 rng = np.random.default_rng([rng_seed, restart])
-                jit = 0.08 * (1 + k // n_lay)
-                pos = pos + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
+                jit = 0.08 * (restart // 2)
+                pos = base + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
             span = pos[top_white] - pos[top_black]
             if abs(span) < 1e-9:
                 continue
             pos = (pos - pos[top_black]) / span
             q = pos[internals].astype(complex)
         else:
-            # Plain gaussian scatter for basins the drawings miss.
+            # Plain gaussian scatter for basins the drawing misses.
             rng = np.random.default_rng([rng_seed, restart])
             spread = 1.0 + 0.25 * (restart % 4)
             q = rng.normal(scale=spread, size=len(internals)) + 1j * rng.normal(
@@ -508,45 +464,48 @@ def shabat_solve(
         q[idx_of[top_black]] = 0.0
         q[idx_of[top_white]] = 1.0
 
-        prod, S, s_vals = p_parts(q)
-        c, K = fit_ck(s_vals)
-        ok = True
-        for _ in range(_NEWTON_ITERS):
-            fvec = c * s_vals + K - targets
-            fnorm = float(np.linalg.norm(fvec))
-            if fnorm < 1e-13:
-                break
-            jac = np.zeros((len(internals), len(int_free) + 2), dtype=complex)
-            for col, i in enumerate(free_cols):
-                quot = _div_linear(prod, q[i])
-                iq = _integrate_poly(quot)
-                jac[:, col] = -c * (int_degs[i] - 1) * _polyval_arr(iq, q)
-            jac[:, -2] = s_vals
-            jac[:, -1] = 1.0
-            try:
-                delta = np.linalg.solve(jac, -fvec)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
-            if not np.all(np.isfinite(delta)):
-                ok = False
-                break
-            lam, accepted = 1.0, False
-            while lam >= 1 / 4096:
-                q_t = q.copy()
-                q_t[free_cols] = q[free_cols] + lam * delta[:-2]
-                c_t = c + lam * delta[-2]
-                K_t = K + lam * delta[-1]
-                prod_t, S_t, s_t = p_parts(q_t)
-                tnorm = float(np.linalg.norm(c_t * s_t + K_t - targets))
-                if tnorm <= (1 - 1e-4 * lam) * fnorm:
-                    q, c, K = q_t, c_t, K_t
-                    prod, S, s_vals = prod_t, S_t, s_t
-                    accepted = True
+        # A diverging restart overflows; the tests below already reject its
+        # non-finite steps and norms, so numpy need not warn on stderr.
+        with np.errstate(over="ignore", invalid="ignore"):
+            prod, S, s_vals = p_parts(q)
+            c, K = fit_ck(s_vals)
+            ok = True
+            for _ in range(_NEWTON_ITERS):
+                fvec = c * s_vals + K - targets
+                fnorm = float(np.linalg.norm(fvec))
+                if fnorm < 1e-13:
                     break
-                lam /= 2
-            if not accepted:
-                break
-        fnorm = float(np.linalg.norm(c * s_vals + K - targets))
+                jac = np.zeros((len(internals), len(int_free) + 2), dtype=complex)
+                for col, i in enumerate(free_cols):
+                    quot = _div_linear(prod, q[i])
+                    iq = _integrate_poly(quot)
+                    jac[:, col] = -c * (int_degs[i] - 1) * _polyval_arr(iq, q)
+                jac[:, -2] = s_vals
+                jac[:, -1] = 1.0
+                try:
+                    delta = np.linalg.solve(jac, -fvec)
+                except np.linalg.LinAlgError:
+                    delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
+                if not np.all(np.isfinite(delta)):
+                    ok = False
+                    break
+                lam, accepted = 1.0, False
+                while lam >= 1 / 4096:
+                    q_t = q.copy()
+                    q_t[free_cols] = q[free_cols] + lam * delta[:-2]
+                    c_t = c + lam * delta[-2]
+                    K_t = K + lam * delta[-1]
+                    prod_t, S_t, s_t = p_parts(q_t)
+                    tnorm = float(np.linalg.norm(c_t * s_t + K_t - targets))
+                    if tnorm <= (1 - 1e-4 * lam) * fnorm:
+                        q, c, K = q_t, c_t, K_t
+                        prod, S, s_vals = prod_t, S_t, s_t
+                        accepted = True
+                        break
+                    lam /= 2
+                if not accepted:
+                    break
+            fnorm = float(np.linalg.norm(c * s_vals + K - targets))
         # Stalled-but-close states are still worth finishing: the polish
         # pass inside finish() converges them, while pseudo-solutions (a
         # cluster of critical points where p is flat, so the vertex
@@ -582,38 +541,12 @@ def tree_for_derivation(seed: SeedSpec, word: Word) -> PlaneTree:
     return derive_tree(seed, word)
 
 
-def _positions_by_vertex(t: PlaneTree, sol: ShabatSolution) -> np.ndarray:
-    pos = np.zeros(t.vertex_count, dtype=complex)
-    blacks = iter(sol.black_points)
-    whites = iter(sol.white_points)
-    for v in range(t.vertex_count):
-        z, _ = next(blacks) if t.colors[v] == BLACK else next(whites)
-        pos[v] = z
-    return pos
-
-
 def shabat_for_derivation(seed: SeedSpec, word: Word, **kwargs) -> ShabatSolution:
-    """Solve the tree a word derives, warm-starting along the word.
+    """Solve the tree a word derives from a seed: shabat_solve on tree_for_derivation.
 
-    Two-letter words grow the tree by local surgeries, so each prefix is
-    solved from the previous prefix's vertex positions; the final degree
-    still honours max_degree but intermediate prefixes are exempt.
+    Keyword arguments go to shabat_solve unchanged.
     """
-    if uses_t2(seed) or not word:
-        return shabat_solve(tree_for_derivation(seed, word), **kwargs)
-    guard = int(kwargs.get("max_degree", DEGREE_GUARD))
-    final = derive_tree(seed, word)
-    if final.edge_count > guard:
-        raise DegreeGuardError(
-            f"degree {final.edge_count} exceeds guard {guard}"
-        )
-    warm = kwargs.pop("initial_positions", None)
-    sol = None
-    for cut in range(0, len(word) + 1):
-        tree = derive_tree(seed, word[:cut])
-        sol = shabat_solve(tree, **kwargs, initial_positions=warm)
-        warm = _positions_by_vertex(tree, sol)
-    return sol
+    return shabat_solve(tree_for_derivation(seed, word), **kwargs)
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,9 @@ from .seed_families import (
     F1,
     F2,
     F3,
-    SeedDomainError,
     SeedSpec,
     format_seed,
     seed_triple,
-    validate_seed,
 )
 from .word_engine import (
     DerivationState,
@@ -221,15 +219,12 @@ def _f3_seeds(d_max: int) -> list[F3]:
 
 
 def seed_grid(d_max: int) -> list[SeedSpec]:
-    """Every valid seed whose starting degree is at most d_max."""
-    seeds: list[SeedSpec] = []
-    for cand in _f1_seeds(d_max) + _f2_seeds(d_max) + _f3_seeds(d_max):
-        try:
-            validate_seed(cand)
-        except SeedDomainError:
-            continue
-        seeds.append(cand)
-    return seeds
+    """Every valid seed whose starting degree is at most d_max.
+
+    The family generators walk each family's domain, so they emit valid
+    seeds only.
+    """
+    return _f1_seeds(d_max) + _f2_seeds(d_max) + _f3_seeds(d_max)
 
 
 def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
@@ -421,19 +416,6 @@ class SurfacePoly:
             self.u_part.derivative()(w),
         )
 
-    def to_dense(self) -> dict:
-        out: dict[str, float] = {}
-        for i, row in enumerate(self.j_part.grid):
-            for j, c in enumerate(row):
-                if c != 0:
-                    out[f"{i},{j},0"] = float(c)
-        for k, c in enumerate(self.u_part.coeffs):
-            if c == 0:
-                continue
-            key = f"0,0,{k}"
-            out[key] = out.get(key, 0.0) + complex(c).real
-        return out
-
 
 def build_surface(
     d: int,
@@ -557,13 +539,11 @@ def singular_census_3d(
     u_cen = critical_census_uni(surface.u_part, cluster_tol)
 
     u_groups: Counter[tuple[float, int]] = Counter()
-    u_reps: dict[tuple[float, int], complex] = {}
     for w, val, mult in u_cen.points:
         if abs(val.imag) > tol:
             continue
         key = (round(val.real, 6), mult)
         u_groups[key] += 1
-        u_reps.setdefault(key, w)
 
     jx = surface.j_part.partial_x()
     jy = surface.j_part.partial_y()

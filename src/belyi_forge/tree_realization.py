@@ -214,8 +214,9 @@ def apply_letter_tree(t: PlaneTree, letter: Letter, site: int) -> PlaneTree:
     return out
 
 
-def _dfs_order(t: PlaneTree) -> list[int]:
-    order, seen, stack = [], {0}, [0]
+def _dfs_order(t: PlaneTree, root: int) -> list[int]:
+    """Vertices in depth-first preorder from root, children in rotation order."""
+    order, seen, stack = [], {root}, [root]
     while stack:
         v = stack.pop()
         order.append(v)
@@ -242,7 +243,7 @@ def derive_tree(seed: SeedSpec, word: Word) -> PlaneTree:
             site = next(
                 (
                     v
-                    for v in _dfs_order(tree)
+                    for v in _dfs_order(tree, 0)
                     if tree.colors[v] == WHITE and tree.degree(v) == 1
                 ),
                 None,

@@ -110,11 +110,6 @@ class DerivationState:
     def nu(self) -> int:
         return _triple(self.seed).nu
 
-    @property
-    def pending_simple_white(self) -> bool:
-        """True iff an alpha's simple white point awaits its beta upgrade."""
-        return 1 in self.profile.white_mults
-
     def stats(self) -> TopStats:
         return top_stats(self.profile, self.nu)
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import pytest
 
@@ -19,6 +20,7 @@ from belyi_forge import (
     to_unit_interval,
     tree_for_derivation,
 )
+from belyi_forge import belyi_numeric
 from belyi_forge.belyi_numeric import solution_to_json
 from belyi_forge.tree_realization import profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
@@ -183,6 +185,33 @@ def test_solver_first_growth_step(word, degree):
     census = critical_census_uni(sol.polynomial(), cluster_tol=1e-4)
     prof = profile_of(tree_for_derivation(seed, word_from_str(word, seed)))
     assert census_matches_profile(census, prof)
+
+
+@pytest.mark.parametrize("word", ["a", "ab"])
+def test_derivation_is_one_direct_solve(monkeypatch, word):
+    seed = F1(0, 1)
+    w = word_from_str(word, seed)
+    solve, calls = belyi_numeric.shabat_solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(belyi_numeric, "shabat_solve", counting)
+    sol = shabat_for_derivation(seed, w)
+    assert len(calls) == 1
+    assert sol == solve(tree_for_derivation(seed, w))
+
+
+def test_diverging_restarts_do_not_warn():
+    # Some of these degree-18 restarts overflow on the way out; their steps
+    # are rejected, and numpy must not write a warning for them.
+    seed = F1(0, 1)
+    tree = tree_for_derivation(seed, word_from_str("aba", seed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergenceError):
+            shabat_solve(tree, max_degree=18, rng_seed=3, max_restarts=5)
 
 
 def test_degree_guard():

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from belyi_forge import F1, jstats, seed_profile, seed_triple, surface_counts
+from belyi_forge import F1, jstats, seed_profile, seed_triple, surface_counts, validate_seed
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
     ExistenceUnverifiedWarning,
@@ -187,6 +187,11 @@ def test_seed_grid_is_a_degree_filter_of_the_table_grid():
     table_grid = seed_grid(BOUND_TABLE_GUARD)
     for d in range(3, BOUND_TABLE_GUARD + 1):
         assert [s for s in table_grid if seed_triple(s).d0 <= d] == seed_grid(d), d
+
+
+def test_seed_grid_emits_valid_seeds_only():
+    for seed in seed_grid(BOUND_TABLE_GUARD):
+        validate_seed(seed)
 
 
 def test_catalogue_applies_each_prefix_once(monkeypatch):
