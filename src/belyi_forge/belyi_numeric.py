@@ -315,10 +315,10 @@ def shabat_solve(
     system small and removes the spurious solution branch where the black
     and white products collide coefficient by coefficient.  Damped Newton
     runs per restart.  Restart 0 starts from the radial tree drawing, the
-    other even restarts from copies of it jittered by 0.08·restart/2, and
-    odd restarts from gaussian scatters; the random draws are keyed by
-    (rng_seed, restart), and the first restart index that converges wins.  Same-color vertex collisions are rejected as
-    degenerate basins.  When the coefficient residual stalls above tol, a
+    other even restarts from copies of it jittered by 0.08·(restart//2),
+    and odd restarts from gaussian scatters; the random draws are keyed by
+    (rng_seed, restart), and the first restart index that converges wins.
+    Same-color vertex collisions are rejected as degenerate basins.  When the coefficient residual stalls above tol, a
     Newton polish on the full-vertex coefficient system (float steps,
     exact residual) runs before the acceptance test.  If no restart is
     accepted, NoConvergenceError names the closest one (least coefficient

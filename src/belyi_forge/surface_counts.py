@@ -282,7 +282,7 @@ def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, .
 
 @cache
 def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
-    """seed_grid(d_max) with each seed's starting degree, validated once."""
+    """seed_grid(d_max) with each seed's starting degree."""
     return tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
 
 
