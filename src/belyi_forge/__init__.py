@@ -111,6 +111,7 @@ from .word_engine import (
     T2Letter,
     T13Letter,
     Word,
+    admissible_end,
     alphabet_for,
     alternating_word,
     apply_letter,

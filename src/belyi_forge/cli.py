@@ -65,8 +65,8 @@ from .word_engine import (
     AlphabetMismatchError,
     LetterNotApplicableError,
     NoFamilyRecordedError,
+    admissible_end,
     enumerate_LE,
-    is_E_admissible,
     paper_word_families,
     trajectory,
     word_from_str,
@@ -184,14 +184,13 @@ def cmd_families(args) -> int:
     rows = []
     all_ok = True
     for w in words:
-        ok = is_E_admissible(seed, w)
-        all_ok = all_ok and ok
-        final = trajectory(seed, w)[-1].profile if ok else None
+        end = admissible_end(seed, w)
+        all_ok = all_ok and end is not None
         rows.append(
             {
                 "word": word_to_str(w),
-                "admissible": ok,
-                "degree": final.degree if final else None,
+                "admissible": end is not None,
+                "degree": end.profile.degree if end else None,
             }
         )
     payload = {

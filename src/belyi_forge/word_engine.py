@@ -12,7 +12,10 @@ while keeping exactly one white nu-point.
 A word is admissible when the seed and every prefix state satisfy the
 floor-arithmetic admissibility condition at the seed's nu.  The admissible
 language is prefix-closed by definition, so breadth-first enumeration with
-pruning is exact.
+pruning is exact.  Both a letter's action and the admissibility condition
+read only the state's profile and the seed's nu, never the word, so the
+enumeration works out the admissible moves of each distinct profile once and
+reuses them for every word that reaches that profile.
 """
 
 from __future__ import annotations
@@ -290,19 +293,35 @@ def trajectory(seed: SeedSpec, word: Word) -> list[DerivationState]:
     return states
 
 
-def is_E_admissible(seed: SeedSpec, word: Word) -> bool:
-    """True iff the seed and every prefix state satisfy the condition."""
+def _admissible_child(state: DerivationState, letter: Letter) -> DerivationState | None:
+    """The state one letter on, or None if the letter does not apply or
+    the new state fails the condition."""
+    try:
+        child = apply_letter(state, letter)
+    except LetterNotApplicableError:
+        return None
+    return child if child.satisfies_E() else None
+
+
+def admissible_end(seed: SeedSpec, word: Word) -> DerivationState | None:
+    """The state the word reaches, or None unless it is admissible.
+
+    Reads the word once and stops at the first letter that does not apply
+    or whose state fails the condition; the seed state is tested first.
+    """
     state = initial_state(seed)
     if not state.satisfies_E():
-        return False
+        return None
     for letter in word:
-        try:
-            state = apply_letter(state, letter)
-        except LetterNotApplicableError:
-            return False
-        if not state.satisfies_E():
-            return False
-    return True
+        state = _admissible_child(state, letter)
+        if state is None:
+            return None
+    return state
+
+
+def is_E_admissible(seed: SeedSpec, word: Word) -> bool:
+    """True iff the seed and every prefix state satisfy the condition."""
+    return admissible_end(seed, word) is not None
 
 
 MAX_ENUM_LEN = 64
@@ -313,6 +332,13 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[Word]:
 
     Order is breadth-first by length, then by alphabet order within each
     length.  The empty word is listed iff the seed itself is admissible.
+
+    ``_apply_t13``, ``_apply_t2`` and the admissibility condition read only
+    the state's profile and the seed's nu, so whether a letter applies, the
+    profile it yields and whether that profile is admissible depend on the
+    profile alone.  The admissible moves of a profile are therefore worked
+    out once, from the first word that reaches it, and every later word
+    with that profile just extends itself by each move's letter.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -323,20 +349,24 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[Word]:
     start = initial_state(seed)
     if not start.satisfies_E():
         return []
-    words: list[Word] = [()]
-    frontier = [start]
     letters = alphabet_for(seed)
+    moves: dict[CriticalProfile, list[tuple[Letter, CriticalProfile]]] = {}
+    words: list[Word] = [()]
+    frontier: list[tuple[Word, CriticalProfile]] = [((), start.profile)]
     for _ in range(max_len):
         nxt = []
-        for state in frontier:
-            for letter in letters:
-                try:
-                    child = apply_letter(state, letter)
-                except LetterNotApplicableError:
-                    continue
-                if child.satisfies_E():
-                    nxt.append(child)
-                    words.append(child.word)
+        for word, profile in frontier:
+            admissible = moves.get(profile)
+            if admissible is None:
+                state = DerivationState(seed=seed, word=word, profile=profile)
+                admissible = moves[profile] = []
+                for letter in letters:
+                    child = _admissible_child(state, letter)
+                    if child is not None:
+                        admissible.append((letter, child.profile))
+            for letter, child_profile in admissible:
+                nxt.append((word + (letter,), child_profile))
+        words.extend(word for word, _ in nxt)
         frontier = nxt
     return words
 

@@ -59,6 +59,13 @@ def test_families_reports_subset(capsys):
     assert all(row["admissible"] for row in obj["words"])
 
 
+def test_families_without_a_catalogue_entry_is_mismatch(capsys):
+    code, out, err = run(capsys, "families", "--seed", "F2:1,1,0,0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "NoFamilyRecordedError"
+
+
 def test_shabat_solves_and_censuses(capsys):
     code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", "--word", "")
     assert code == 0

@@ -1,14 +1,17 @@
 """Rewriting words: admissibility language, step bounds, catalogued families."""
 
+import itertools
 import math
 
 import pytest
 
-from belyi_forge import F1, F2, F3, seed_profile, seed_triple
+from belyi_forge import F1, F2, F3, seed_profile, seed_triple, word_engine
 from belyi_forge.word_engine import (
     AlphabetMismatchError,
     NoFamilyRecordedError,
     WordEngineError,
+    admissible_end,
+    alphabet_for,
     alternating_word,
     enumerate_LE,
     is_E_admissible,
@@ -31,6 +34,40 @@ def test_enumeration_prefix_closed(seed):
     for w in words:
         for cut in range(len(w)):
             assert w[:cut] in pool, (word_to_str(w), cut)
+
+
+@pytest.mark.parametrize("seed", T13_SEEDS + T2_SEEDS, ids=repr)
+def test_enumeration_matches_brute_force(seed):
+    letters = alphabet_for(seed)
+    brute = [
+        w
+        for n in range(6)
+        for w in itertools.product(letters, repeat=n)
+        if is_E_admissible(seed, w)
+    ]
+    assert enumerate_LE(seed, 5) == brute
+
+
+def test_enumeration_reference_counts():
+    assert len(enumerate_LE(F2(0, 2, 2, 2), 10)) == 70572
+    assert len(enumerate_LE(F2(1, 2, 2, 2), 9)) == 45053
+
+
+def test_enumeration_applies_each_profile_letter_pair_once(monkeypatch):
+    seed, max_len = F2(0, 2, 2, 2), 8
+    pairs = []
+    apply_letter = word_engine.apply_letter
+
+    def counting(state, letter):
+        pairs.append((state.profile, letter))
+        return apply_letter(state, letter)
+
+    monkeypatch.setattr(word_engine, "apply_letter", counting)
+    words = enumerate_LE(seed, max_len)
+    monkeypatch.undo()
+    expanded = {trajectory(seed, w)[-1].profile for w in words if len(w) < max_len}
+    assert len(set(pairs)) == len(pairs)
+    assert len(pairs) <= len(alphabet_for(seed)) * len(expanded)
 
 
 def test_enumeration_deterministic():
@@ -226,6 +263,15 @@ def test_trajectory_prefix_consistency():
     for i, st in enumerate(states):
         assert st.word == word[:i]
         assert st.satisfies_E()
+
+
+def test_admissible_end_is_the_last_trajectory_state():
+    seed = F2(0, 1, 1, 1)
+    word = word_from_str("BggD", seed)
+    assert admissible_end(seed, word) == trajectory(seed, word)[-1]
+    assert admissible_end(F1(1, 1), alternating_word(5)) is None
+    # The letter does not apply: the seed has no simple white point for beta.
+    assert admissible_end(F1(0, 1), word_from_str("b", F1(0, 1))) is None
 
 
 def test_inadmissible_word_detected():
