@@ -1,10 +1,15 @@
 """Numeric realization of plane trees as polynomials with critical values ±1.
 
 The solver exploits the factorization p+1 = c·∏_black (w-a)^deg and
-p-1 = c·∏_white (w-b)^deg: the difference of the two monic vertex products
-must collapse to the constant 2/c, giving d-1 coefficient-vanishing
-equations in the d-1 vertex positions left free after gauge fixing.  A
-root census of p' acts as an independent check that the solved polynomial
+p-1 = c·∏_white (w-b)^deg.  Newton runs on the internal vertices: p is
+c·S + K, with S the antiderivative of ∏_internal (w-q)^(deg-1), and p must
+be -1 at each internal black vertex and +1 at each white one.  S at a
+vertex is evaluated in product form, as a Gauss–Legendre sum of products
+of linear factors.  The leaves are then recovered from the dense p, and a
+polish on the full-vertex system (the difference of the two monic vertex
+products must collapse to the constant 2/c: d-1 coefficient equations)
+runs on every landed restart.
+A root census of p' acts as an independent check that the solved polynomial
 really has the critical structure the tree prescribes.
 """
 
@@ -175,6 +180,38 @@ def _integrate_poly(p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss–Legendre rule on [0, 1], exact to degree 2n-1.
+
+    Newton on P_n, run by the three-term recurrence, from the classical
+    guesses cos(π(i - 1/4)/(n + 1/2)).  Six steps reach rounding level:
+    the fourth correction is already below 1e-14 for every n up to 60.
+    The weights are 2/((1-x²)·P_n'(x)²), halved for the unit interval.
+    """
+    x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
+    for _ in range(6):
+        p_prev, p, dp = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+        for j in range(1, n + 1):
+            p_prev, p, dp = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, x * dp + j * p
+        x = x - p / dp
+    return (x + 1) / 2, 1 / ((1 - x) * (1 + x) * dp * dp)
+
+
+def _vertex_integrals(
+    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, exps: np.ndarray
+) -> np.ndarray:
+    """q_j·Σ_k w_k·∏_l (t_k·q_j − q_l)^e_rl, the integral of ∏_l (w − q_l)^e_rl over [0, q_j].
+
+    One row per exponent row e_r, one column per vertex q_j.  (t_k, w_k) is
+    a quadrature rule on [0, 1]; the sum is the integral when the rule is
+    exact to the integrand's degree.  The products of linear factors keep
+    each term's relative error at rounding level; Horner on the expanded
+    coefficients loses digits at the far vertices.
+    """
+    diffs = nodes[:, None, None] * q[:, None] - q
+    return q * (weights @ np.multiply.reduce(diffs ** exps[:, None, None, :], axis=-1))
+
+
 def _radial_layout(t: PlaneTree) -> np.ndarray:
     """Unit-edge radial plane-tree drawing, sectors sized by leaf count.
 
@@ -318,11 +355,20 @@ def shabat_solve(
     other even restarts from copies of it jittered by 0.08·(restart//2),
     and odd restarts from gaussian scatters; the random draws are keyed by
     (rng_seed, restart), and the first restart index that converges wins.
-    Same-color vertex collisions are rejected as degenerate basins.  When the coefficient residual stalls above tol, a
-    Newton polish on the full-vertex coefficient system (float steps,
-    exact residual) runs before the acceptance test.  If no restart is
-    accepted, NoConvergenceError names the closest one (least coefficient
-    residual, then least fnorm) and the test that rejected it.
+    Same-color vertex collisions are rejected as degenerate basins.
+
+    Newton evaluates the vertex equations in product form: S(q_j), the
+    integral of ∏_l (w − q_l)^(deg_l − 1) from 0 to q_j, is a Gauss–Legendre
+    sum of products of linear factors, with no expanded coefficients, and
+    each Jacobian column lowers one exponent by one.  The dense
+    antiderivative is built once per landed restart, to recover the
+    leaves.  Every landed restart then gets a Newton polish on the
+    full-vertex coefficient system (float steps, exact residual) before
+    the acceptance test: dense leaf recovery rounds by more than the
+    product-form Newton does, and the polish returns its best iterate, so
+    it never makes a restart worse.  If no restart is accepted,
+    NoConvergenceError names the closest one (least coefficient residual,
+    then least fnorm) and the test that rejected it.
     """
     d = t.edge_count
     if d > max_degree:
@@ -347,9 +393,8 @@ def shabat_solve(
             # Too far for the polish pass to contract; typically a stalled
             # basin where two same-color vertices merged.
             return residual, f"coefficient residual {residual:.2e} > 1e-2"
-        if residual > tol:
-            positions = _polish(positions, black_idx, white_idx, degs, free)
-            residual, c = residual_at(positions)
+        positions = _polish(positions, black_idx, white_idx, degs, free)
+        residual, c = residual_at(positions)
         if residual > tol:
             return residual, f"coefficient residual {residual:.2e} > tol {tol:.0e}"
         gap = _min_same_color_gap(positions, black_idx, white_idx)
@@ -381,9 +426,7 @@ def shabat_solve(
         return sol
 
     idx_of = {v: i for i, v in enumerate(internals)}
-    int_degs = degs[internals].astype(int)
-    int_free = [v for v in internals if v not in (top_black, top_white)]
-    free_cols = [idx_of[v] for v in int_free]
+    free_cols = [idx_of[v] for v in internals if v not in (top_black, top_white)]
     targets = np.array(
         [-1.0 if t.colors[v] == BLACK else 1.0 for v in internals], dtype=complex
     )
@@ -392,10 +435,18 @@ def shabat_solve(
     black_leaf_ids = [int(v) for v in black_idx if degs[v] < 2]
     white_leaf_ids = [int(v) for v in white_idx if degs[v] < 2]
 
-    def p_parts(q: np.ndarray):
-        prod = _poly_from_roots_np(q, int_degs - 1)
-        S = _integrate_poly(prod)
-        return prod, S, _polyval_arr(S, q)
+    # The integrand ∏_l (w − q_l)^m_l with m_l = deg_l − 1 has degree d − 1,
+    # so (d+1)//2 Gauss–Legendre nodes integrate it exactly.  ∂S(q_j)/∂q_i
+    # is −m_i times the integral with m_i lowered by one; the upper limit
+    # adds nothing, as q_j is a root of the integrand.  Lowering the
+    # exponent needs no division by t_k·q_j − q_i, which can vanish.
+    nodes, weights = _gauss_legendre_01((d + 1) // 2)
+    mults = degs[internals].astype(int) - 1
+    col_exps = mults - np.eye(len(internals), dtype=int)[free_cols]
+    col_scale = -mults[free_cols]
+
+    def s_at(q: np.ndarray) -> np.ndarray:
+        return _vertex_integrals(q, nodes, weights, mults[None])[0]
 
     pin_rows = [idx_of[top_black], idx_of[top_white]]
 
@@ -414,8 +465,7 @@ def shabat_solve(
     def assemble(q: np.ndarray, c: complex, K: complex) -> np.ndarray:
         # Leaves are the leftover roots of p+1 and p-1 after dividing out
         # the internal vertices with their multiplicities.
-        prod, S, _ = p_parts(q)
-        P = c * S
+        P = c * _integrate_poly(_poly_from_roots_np(q, mults))
         P[0] += K
         positions = np.zeros(nvert, dtype=complex)
         for v in internals:
@@ -467,7 +517,7 @@ def shabat_solve(
         # A diverging restart overflows; the tests below already reject its
         # non-finite steps and norms, so numpy need not warn on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
-            prod, S, s_vals = p_parts(q)
+            s_vals = s_at(q)
             c, K = fit_ck(s_vals)
             ok = True
             for _ in range(_NEWTON_ITERS):
@@ -475,11 +525,8 @@ def shabat_solve(
                 fnorm = float(np.linalg.norm(fvec))
                 if fnorm < 1e-13:
                     break
-                jac = np.zeros((len(internals), len(int_free) + 2), dtype=complex)
-                for col, i in enumerate(free_cols):
-                    quot = _div_linear(prod, q[i])
-                    iq = _integrate_poly(quot)
-                    jac[:, col] = -c * (int_degs[i] - 1) * _polyval_arr(iq, q)
+                jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
+                jac[:, :-2] = (c * col_scale) * _vertex_integrals(q, nodes, weights, col_exps).T
                 jac[:, -2] = s_vals
                 jac[:, -1] = 1.0
                 try:
@@ -495,11 +542,10 @@ def shabat_solve(
                     q_t[free_cols] = q[free_cols] + lam * delta[:-2]
                     c_t = c + lam * delta[-2]
                     K_t = K + lam * delta[-1]
-                    prod_t, S_t, s_t = p_parts(q_t)
+                    s_t = s_at(q_t)
                     tnorm = float(np.linalg.norm(c_t * s_t + K_t - targets))
                     if tnorm <= (1 - 1e-4 * lam) * fnorm:
-                        q, c, K = q_t, c_t, K_t
-                        prod, S, s_vals = prod_t, S_t, s_t
+                        q, c, K, s_vals = q_t, c_t, K_t, s_t
                         accepted = True
                         break
                     lam /= 2

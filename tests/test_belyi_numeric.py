@@ -1,9 +1,12 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
-import math
 import re
 import warnings
+from fractions import Fraction
+from functools import lru_cache
 
+import mpmath
+import numpy as np
 import pytest
 
 from belyi_forge import (
@@ -15,6 +18,7 @@ from belyi_forge import (
     UniPoly,
     census_matches_profile,
     critical_census_uni,
+    parse_seed,
     shabat_for_derivation,
     shabat_solve,
     to_unit_interval,
@@ -159,14 +163,19 @@ def vertex_defects(sol):
     p+1 = c·∏black (w-a)^(m+1) and p-1 = c·∏white (w-b)^(m+1) with one c, so
     each vertex is checked on the factorization it is not a root of.  The
     expanded coefficients of sol.polynomial() alone round by about 2e-8 at
-    the far vertices of the degree-15 tree.
+    the far vertices of the degree-15 tree.  The products run at 40 digits,
+    taking the float positions and c as exact, so the check adds no
+    rounding of its own.
     """
+    with mpmath.workdps(40):
 
-    def scaled_product(z, points):
-        return sol.scale_constant * math.prod((z - q) ** (m + 1) for q, m in points)
+        def scaled_product(z, points):
+            return sol.scale_constant * mpmath.fprod(
+                (mpmath.mpc(z) - q) ** (m + 1) for q, m in points
+            )
 
-    black = [abs(scaled_product(a, sol.white_points) + 2) for a, _ in sol.black_points]
-    white = [abs(scaled_product(b, sol.black_points) - 2) for b, _ in sol.white_points]
+        black = [float(abs(scaled_product(a, sol.white_points) + 2)) for a, _ in sol.black_points]
+        white = [float(abs(scaled_product(b, sol.black_points) - 2)) for b, _ in sol.white_points]
     return black, white
 
 
@@ -260,3 +269,116 @@ def test_census_flags_never_lie_about_total():
     # at an absurdly tight tolerance clustering may fail, but the total
     # critical-point count (with multiplicity) is still degree - 1
     assert census.total() == sol.degree - 1
+
+
+# The solve workload's constructions, each solved for rng_seeds 0 and 1 at
+# max_degree=18.  Expected: (restarts_used, census verdict), or the exception
+# type when no restart is accepted.
+SOLVE_PAIRS = {
+    ("F2:1,0,0,0", "", 0): (0, True),
+    ("F1:0,1", "", 0): (0, True),
+    ("F1:0,1", "a", 0): (0, False),
+    ("F1:0,1", "ab", 0): (0, False),
+    ("F1:0,1", "aba", 0): NoConvergenceError,
+    ("F2:1,1,0,0", "", 0): (0, False),
+    ("F2:1,2,0,0", "", 0): (0, False),
+    ("F3:1,1,0,1,0", "", 0): (0, False),
+    ("F2:1,0,0,0", "", 1): (0, True),
+    ("F1:0,1", "", 1): (0, True),
+    ("F1:0,1", "a", 1): (0, False),
+    ("F1:0,1", "ab", 1): (0, False),
+    ("F1:0,1", "aba", 1): (2, False),
+    ("F2:1,1,0,0", "", 1): (0, False),
+    ("F2:1,2,0,0", "", 1): (0, False),
+    ("F3:1,1,0,1,0", "", 1): (0, False),
+}
+
+
+def pair_id(pair):
+    seed, word, rng_seed = pair
+    return f"{seed}-{word or 'base'}-rng{rng_seed}"
+
+
+@lru_cache(maxsize=None)
+def solve_pair(seed_text, word_text, rng_seed):
+    """The solution, or the exception the solve raised."""
+    seed = parse_seed(seed_text)
+    try:
+        return shabat_for_derivation(
+            seed, word_from_str(word_text, seed), max_degree=18, rng_seed=rng_seed
+        )
+    except NoConvergenceError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("pair", list(SOLVE_PAIRS), ids=pair_id)
+def test_solve_outcomes_are_pinned(pair):
+    # A change to the Newton kernel that moves a restart into another basin
+    # changes restarts_used, the census verdict or the exception.
+    expected = SOLVE_PAIRS[pair]
+    sol = solve_pair(*pair)
+    if isinstance(expected, type):
+        assert isinstance(sol, expected), sol
+        return
+    assert not isinstance(sol, Exception), sol
+    seed = parse_seed(pair[0])
+    profile = trajectory(seed, word_from_str(pair[1], seed))[-1].profile
+    census = critical_census_uni(sol.polynomial())
+    assert (sol.restarts_used, census_matches_profile(census, profile)) == expected
+
+
+@pytest.mark.parametrize(
+    "pair", [p for p, e in SOLVE_PAIRS.items() if isinstance(e, tuple)], ids=pair_id
+)
+def test_converged_solves_are_accurate_at_the_vertices(pair):
+    black, white = vertex_defects(solve_pair(*pair))
+    assert max(black + white) <= 1e-13
+
+
+def exact_vertex_integrals(q, mults):
+    """∫_0^{q_j} ∏_l (w − q_l)^m_l for each j, in exact Gaussian rationals."""
+    zero = (Fraction(0), Fraction(0))
+    qs = [(Fraction(z.real), Fraction(z.imag)) for z in q.tolist()]
+    poly = [(Fraction(1), Fraction(0))]  # constant term first
+    for (ar, ai), m in zip(qs, mults):
+        for _ in range(int(m)):
+            poly = [
+                (s - ar * r + ai * i, t - ar * i - ai * r)
+                for (s, t), (r, i) in zip([zero] + poly, poly + [zero])
+            ]
+    out = []
+    for zr, zi in qs:
+        acc = zero
+        for k in range(len(poly) - 1, -1, -1):
+            ar, ai = acc[0] + poly[k][0] / (k + 1), acc[1] + poly[k][1] / (k + 1)
+            acc = (ar * zr - ai * zi, ar * zi + ai * zr)
+        out.append(complex(float(acc[0]), float(acc[1])))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("word, degree", [("", 9), ("ab", 15)], ids=["d9", "d15"])
+def test_quadrature_kernel_matches_exact_integration(word, degree):
+    seed = F1(0, 1)
+    sol = shabat_solve(tree_for_derivation(seed, word_from_str(word, seed)))
+    assert sol.degree == degree
+    # The internal vertices, moved to the nearest multiple of 1/1024 so the
+    # float positions are exactly rational.
+    points = [(z, m) for z, m in sol.black_points + sol.white_points if m >= 1]
+    q = np.array([complex(round(z.real * 1024), round(z.imag * 1024)) / 1024 for z, _ in points])
+    mults = np.array([m for _, m in points])
+    nodes, weights = belyi_numeric._gauss_legendre_01((degree + 1) // 2)
+
+    def integrals(x):
+        return belyi_numeric._vertex_integrals(x, nodes, weights, mults[None])[0]
+
+    exact = exact_vertex_integrals(q, mults)
+    assert np.max(np.abs(integrals(q) - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    lowered = mults - np.eye(len(q), dtype=int)
+    jac = -mults * belyi_numeric._vertex_integrals(q, nodes, weights, lowered).T
+    h = 1e-6
+    central = np.stack(
+        [(integrals(q + h * e) - integrals(q - h * e)) / (2 * h) for e in np.eye(len(q))],
+        axis=1,
+    )
+    assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
