@@ -5,10 +5,12 @@ p-1 = c·∏_white (w-b)^deg.  Newton runs on the internal vertices: p is
 c·S + K, with S the antiderivative of ∏_internal (w-q)^(deg-1), and p must
 be -1 at each internal black vertex and +1 at each white one.  S at a
 vertex is evaluated in product form, as a Gauss–Legendre sum of products
-of linear factors.  The leaves are then recovered from the dense p, and a
-polish on the full-vertex system (the difference of the two monic vertex
-products must collapse to the constant 2/c: d-1 coefficient equations)
-runs on every landed restart.
+of linear factors, each vertex's factor repeated once per power, so no
+complex power is taken; a Jacobian column leaves out one copy of a factor,
+as a product of prefix and suffix products.  The leaves are then recovered
+from the dense p, and a polish on the full-vertex system (the difference
+of the two monic vertex products must collapse to the constant 2/c: d-1
+coefficient equations) runs on every landed restart.
 A root census of p' acts as an independent check that the solved polynomial
 really has the critical structure the tree prescribes.
 """
@@ -197,19 +199,48 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1) / 2, 1 / ((1 - x) * (1 + x) * dp * dp)
 
 
-def _vertex_integrals(
-    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, exps: np.ndarray
-) -> np.ndarray:
-    """q_j·Σ_k w_k·∏_l (t_k·q_j − q_l)^e_rl, the integral of ∏_l (w − q_l)^e_rl over [0, q_j].
+def _linear_factors(q: np.ndarray, nodes: np.ndarray, rep: np.ndarray) -> np.ndarray:
+    """t_k·q_j − q_rep[r], factor-major: shape (len(rep), len(nodes), len(q))."""
+    return (nodes[:, None] * q)[None] - q[rep][:, None, None]
 
-    One row per exponent row e_r, one column per vertex q_j.  (t_k, w_k) is
-    a quadrature rule on [0, 1]; the sum is the integral when the rule is
-    exact to the integrand's degree.  The products of linear factors keep
+
+def _antiderivative_at_vertices(
+    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, rep: np.ndarray
+) -> np.ndarray:
+    """q_j·Σ_k w_k·∏_r (t_k·q_j − q_rep[r]), the integral of ∏_r (w − q_rep[r]) over [0, q_j].
+
+    rep lists each vertex once per power of its linear factor, so the
+    product needs no complex power.  (t_k, w_k) is a quadrature rule on
+    [0, 1]; the sum is the integral when the rule is exact to the
+    integrand's degree, len(rep).  The products of linear factors keep
     each term's relative error at rounding level; Horner on the expanded
     coefficients loses digits at the far vertices.
     """
-    diffs = nodes[:, None, None] * q[:, None] - q
-    return q * (weights @ np.multiply.reduce(diffs ** exps[:, None, None, :], axis=-1))
+    return q * (weights @ np.multiply.reduce(_linear_factors(q, nodes, rep), axis=0))
+
+
+def _antiderivative_partials(
+    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, rep: np.ndarray, drop: np.ndarray
+) -> np.ndarray:
+    """_antiderivative_at_vertices with factor drop[i] left out, one row per i.
+
+    The product without factor r is the product of the factors before it
+    times the product of those after it, read off cumulative products taken
+    forward and backward.  Dividing the full product by t_k·q_j − q_i
+    instead would fail where that factor vanishes.
+    """
+    factors = _linear_factors(q, nodes, rep)
+    pre = np.ones((len(rep) + 1,) + factors.shape[1:], dtype=complex)
+    suf = pre.copy()
+    np.cumprod(factors, axis=0, out=pre[1:])
+    np.cumprod(factors[::-1], axis=0, out=suf[-2::-1])
+    return q * (weights @ (pre[drop] * suf[drop + 1]))
+
+
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of a complex vector, by numpy.linalg.norm's own arithmetic."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _radial_layout(t: PlaneTree) -> np.ndarray:
@@ -359,8 +390,11 @@ def shabat_solve(
 
     Newton evaluates the vertex equations in product form: S(q_j), the
     integral of ∏_l (w − q_l)^(deg_l − 1) from 0 to q_j, is a Gauss–Legendre
-    sum of products of linear factors, with no expanded coefficients, and
-    each Jacobian column lowers one exponent by one.  The dense
+    sum of products of d − 1 linear factors (vertex l repeated deg_l − 1
+    times), with no expanded coefficients and no complex powers.  Each
+    Jacobian column leaves out one copy of one factor, as the product of
+    the factors before it times the product of those after it, so no
+    factor, which can vanish at a node, is divided out.  The dense
     antiderivative is built once per landed restart, to recover the
     leaves.  Every landed restart then gets a Newton polish on the
     full-vertex coefficient system (float steps, exact residual) before
@@ -436,17 +470,19 @@ def shabat_solve(
     white_leaf_ids = [int(v) for v in white_idx if degs[v] < 2]
 
     # The integrand ∏_l (w − q_l)^m_l with m_l = deg_l − 1 has degree d − 1,
-    # so (d+1)//2 Gauss–Legendre nodes integrate it exactly.  ∂S(q_j)/∂q_i
-    # is −m_i times the integral with m_i lowered by one; the upper limit
-    # adds nothing, as q_j is a root of the integrand.  Lowering the
-    # exponent needs no division by t_k·q_j − q_i, which can vanish.
+    # so (d+1)//2 Gauss–Legendre nodes integrate it exactly.  It is kept as
+    # d − 1 linear factors, vertex l repeated m_l times.  ∂S(q_j)/∂q_i is
+    # −m_i times the integral with one copy of factor i left out (the first
+    # one, at drop_at[i]); the upper limit adds nothing, as q_j is a root of
+    # the integrand.
     nodes, weights = _gauss_legendre_01((d + 1) // 2)
     mults = degs[internals].astype(int) - 1
-    col_exps = mults - np.eye(len(internals), dtype=int)[free_cols]
+    rep = np.repeat(np.arange(len(internals)), mults)
+    drop_at = (np.cumsum(mults) - mults)[free_cols]
     col_scale = -mults[free_cols]
 
     def s_at(q: np.ndarray) -> np.ndarray:
-        return _vertex_integrals(q, nodes, weights, mults[None])[0]
+        return _antiderivative_at_vertices(q, nodes, weights, rep)
 
     pin_rows = [idx_of[top_black], idx_of[top_white]]
 
@@ -522,11 +558,12 @@ def shabat_solve(
             ok = True
             for _ in range(_NEWTON_ITERS):
                 fvec = c * s_vals + K - targets
-                fnorm = float(np.linalg.norm(fvec))
+                fnorm = _norm(fvec)
                 if fnorm < 1e-13:
                     break
                 jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
-                jac[:, :-2] = (c * col_scale) * _vertex_integrals(q, nodes, weights, col_exps).T
+                partials = _antiderivative_partials(q, nodes, weights, rep, drop_at)
+                jac[:, :-2] = (c * col_scale) * partials.T
                 jac[:, -2] = s_vals
                 jac[:, -1] = 1.0
                 try:
@@ -543,7 +580,7 @@ def shabat_solve(
                     c_t = c + lam * delta[-2]
                     K_t = K + lam * delta[-1]
                     s_t = s_at(q_t)
-                    tnorm = float(np.linalg.norm(c_t * s_t + K_t - targets))
+                    tnorm = _norm(c_t * s_t + K_t - targets)
                     if tnorm <= (1 - 1e-4 * lam) * fnorm:
                         q, c, K, s_vals = q_t, c_t, K_t, s_t
                         accepted = True
@@ -551,7 +588,7 @@ def shabat_solve(
                     lam /= 2
                 if not accepted:
                     break
-            fnorm = float(np.linalg.norm(c * s_vals + K - targets))
+            fnorm = _norm(c * s_vals + K - targets)
         # Stalled-but-close states are still worth finishing: the polish
         # pass inside finish() converges them, while pseudo-solutions (a
         # cluster of critical points where p is flat, so the vertex
@@ -619,23 +656,33 @@ class CriticalCensus:
         return sum(e.count for e in self.entries if abs(e.value - value) <= tol)
 
 
-def _polyval_arr(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    r = np.full_like(z, c[-1])
-    for k in range(len(c) - 2, -1, -1):
-        r = r * z + c[k]
+def _polyval_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Each row of cs (constant term first) at every z, by one Horner pass."""
+    r = np.repeat(cs[:, -1:], len(z), axis=1)
+    for k in range(cs.shape[1] - 2, -1, -1):
+        r = r * z + cs[:, k : k + 1]
     return r
 
 
 def _aberth_refine(c: np.ndarray, roots: np.ndarray, iters: int = 30) -> np.ndarray:
+    """Aberth iteration on the roots of c (constant term first): the best of
+    the start and its iters iterates, scored by max |c(z)|.
+
+    Each iterate costs one Horner pass, over c and c' stacked, and its value
+    of c both scores the iterate and drives the next step.
+    """
     if len(roots) == 0:
         return roots
-    dc = np.array([k * c[k] for k in range(1, len(c))], dtype=complex)
+    n = len(c) - 1
+    # c' padded with a zero leading coefficient, so both rows have n + 1.
+    cs = np.zeros((2, n + 1), dtype=complex)
+    cs[0] = c
+    cs[1, :n] = [k * c[k] for k in range(1, n + 1)]
     z = roots.astype(complex).copy()
     best = z.copy()
-    best_err = np.max(np.abs(_polyval_arr(c, z)))
+    f, fp = _polyval_rows(cs, z)
+    best_err = np.max(np.abs(f))
     for _ in range(iters):
-        f = _polyval_arr(c, z)
-        fp = _polyval_arr(dc, z) if len(dc) else np.ones_like(z)
         fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
         newton = f / fp
         diff = z[:, None] - z[None, :]
@@ -649,7 +696,8 @@ def _aberth_refine(c: np.ndarray, roots: np.ndarray, iters: int = 30) -> np.ndar
         mag = np.abs(step)
         step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 1e-300)), step)
         z = z - step
-        err = np.max(np.abs(_polyval_arr(c, z)))
+        f, fp = _polyval_rows(cs, z)
+        err = np.max(np.abs(f))
         if err < best_err:
             best, best_err = z.copy(), err
     return best

@@ -356,29 +356,131 @@ def exact_vertex_integrals(q, mults):
     return np.array(out)
 
 
-@pytest.mark.parametrize("word, degree", [("", 9), ("ab", 15)], ids=["d9", "d15"])
-def test_quadrature_kernel_matches_exact_integration(word, degree):
-    seed = F1(0, 1)
-    sol = shabat_solve(tree_for_derivation(seed, word_from_str(word, seed)))
+def kernel_inputs(seed_text, word, rng_seed, degree):
+    """Internal vertices of a solved tree at positions rounded to 1/1024, so
+    the floats are exactly rational; their multiplicities; the rule."""
+    seed = parse_seed(seed_text)
+    sol = shabat_solve(
+        tree_for_derivation(seed, word_from_str(word, seed)), max_degree=18, rng_seed=rng_seed
+    )
     assert sol.degree == degree
-    # The internal vertices, moved to the nearest multiple of 1/1024 so the
-    # float positions are exactly rational.
     points = [(z, m) for z, m in sol.black_points + sol.white_points if m >= 1]
     q = np.array([complex(round(z.real * 1024), round(z.imag * 1024)) / 1024 for z, _ in points])
     mults = np.array([m for _, m in points])
-    nodes, weights = belyi_numeric._gauss_legendre_01((degree + 1) // 2)
+    return q, mults, *belyi_numeric._gauss_legendre_01((degree + 1) // 2)
+
+
+def kernel_jacobian(q, mults, nodes, weights):
+    """∂S(q_j)/∂q_i for every i: −m_i times the sum without one copy of factor i."""
+    rep = np.repeat(np.arange(len(q)), mults)
+    drop = np.cumsum(mults) - mults
+    return -mults * belyi_numeric._antiderivative_partials(q, nodes, weights, rep, drop).T
+
+
+def central_differences(q, mults, nodes, weights, h=1e-6):
+    rep = np.repeat(np.arange(len(q)), mults)
 
     def integrals(x):
-        return belyi_numeric._vertex_integrals(x, nodes, weights, mults[None])[0]
+        return belyi_numeric._antiderivative_at_vertices(x, nodes, weights, rep)
 
-    exact = exact_vertex_integrals(q, mults)
-    assert np.max(np.abs(integrals(q) - exact)) <= 1e-13 * np.max(np.abs(exact))
-
-    lowered = mults - np.eye(len(q), dtype=int)
-    jac = -mults * belyi_numeric._vertex_integrals(q, nodes, weights, lowered).T
-    h = 1e-6
-    central = np.stack(
+    return np.stack(
         [(integrals(q + h * e) - integrals(q - h * e)) / (2 * h) for e in np.eye(len(q))],
         axis=1,
     )
+
+
+KERNEL_CASES = {
+    "d9": ("F1:0,1", "", 0, 9),
+    "d15": ("F1:0,1", "ab", 0, 15),
+    "d18": ("F1:0,1", "aba", 1, 18),
+    # Four vertices of multiplicity 4: the Jacobian leaves out one of four
+    # equal factors.
+    "d18-mult4": ("F3:1,1,0,1,0", "", 0, 18),
+}
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES.values()), ids=list(KERNEL_CASES))
+def test_quadrature_kernel_matches_exact_integration(case):
+    q, mults, nodes, weights = kernel_inputs(*case)
+    rep = np.repeat(np.arange(len(q)), mults)
+    s_vals = belyi_numeric._antiderivative_at_vertices(q, nodes, weights, rep)
+    exact = exact_vertex_integrals(q, mults)
+    assert np.max(np.abs(s_vals - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+    jac = kernel_jacobian(q, mults, nodes, weights)
+    central = central_differences(q, mults, nodes, weights)
     assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
+
+
+def test_kernel_jacobian_is_finite_where_a_factor_vanishes():
+    # Vertex 2 sits at t_1·q_1 with q_1 = 1, so the factor t_1·q_1 − q_2 is
+    # exactly 0: a Jacobian that divided the full product by the left-out
+    # factor would read 0/0 in row 1 of column 2.
+    nodes, weights = belyi_numeric._gauss_legendre_01(5)
+    q = np.array([0.25 + 0.5j, 1.0, nodes[1], 0.5 + 0.75j])
+    mults = np.array([2, 2, 2, 2])
+    rep = np.repeat(np.arange(len(q)), mults)
+    factors = belyi_numeric._linear_factors(q, nodes, rep)
+    assert np.count_nonzero(factors == 0) == 2  # both copies of factor 2, node 1, row 1
+    assert np.all(factors[rep == 2][:, 1, 1] == 0)
+    jac = kernel_jacobian(q, mults, nodes, weights)
+    assert np.all(np.isfinite(jac))
+    central = central_differences(q, mults, nodes, weights)
+    assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
+
+
+def reference_aberth(c, roots, iters=30):
+    """Aberth iteration with c and c' evaluated by separate Horner loops."""
+
+    def polyval(coeffs, z):
+        r = np.full_like(z, coeffs[-1])
+        for k in range(len(coeffs) - 2, -1, -1):
+            r = r * z + coeffs[k]
+        return r
+
+    if len(roots) == 0:
+        return roots
+    dc = np.array([k * c[k] for k in range(1, len(c))], dtype=complex)
+    z = roots.astype(complex).copy()
+    best = z.copy()
+    best_err = np.max(np.abs(polyval(c, z)))
+    for _ in range(iters):
+        f = polyval(c, z)
+        fp = polyval(dc, z) if len(dc) else np.ones_like(z)
+        fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
+        newton = f / fp
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            repel = np.sum(1.0 / diff, axis=1)
+            repel = np.where(np.isfinite(repel), repel, 0.0)
+            denom = 1.0 - newton * repel
+            step = np.where(np.abs(denom) > 1e-12, newton / denom, newton)
+            step = np.where(np.isfinite(step), step, 0.0)
+        mag = np.abs(step)
+        step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 1e-300)), step)
+        z = z - step
+        err = np.max(np.abs(polyval(c, z)))
+        if err < best_err:
+            best, best_err = z.copy(), err
+    return best
+
+
+def aberth_inputs():
+    """Coefficients (constant term first) and np.roots starts: random
+    polynomials, and polynomials whose roots are all double or all triple."""
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        deg = int(rng.integers(1, 25))
+        if trial % 3 == 0:
+            c = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        else:
+            r = rng.normal(size=max(1, deg // 3)) + 1j * rng.normal(size=max(1, deg // 3))
+            c = np.poly(np.repeat(r, 2 + trial % 3))[::-1].astype(complex)
+        yield c, np.roots(c[::-1])
+
+
+def test_aberth_refine_matches_the_unfused_loop_bit_for_bit():
+    for c, roots in aberth_inputs():
+        got = belyi_numeric._aberth_refine(c, roots)
+        assert got.tobytes() == reference_aberth(c, roots).tobytes(), c
