@@ -21,9 +21,7 @@ from .arrangement_jd import (
     build_lines,
     census_matches_jstats,
     jd_census,
-    jhat_census,
     jstats,
-    line_intersections,
     verify_Jd_dual_path,
 )
 from .belyi_numeric import (

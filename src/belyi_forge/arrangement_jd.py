@@ -13,7 +13,11 @@ sum(log|l_i|) (values 8 and -1), found by damped Newton ascent from the
 centroid of the chamber's vertices.  For lines in general position these
 are all the critical points (Varchenko), one per bounded chamber, and the
 bounded chambers number (d-1)(d-2)/2 (Zaslavsky), so the census is
-complete by construction once every candidate passes its tests.
+complete by construction once every candidate passes its tests.  It reads
+J_d, its gradient and its Hessian in product form, from the lines and the
+scale constant, whose factors keep a small relative error where the dense
+coefficients would not; the rational coefficients serve the dual-path
+check and the axis restriction.
 """
 
 from __future__ import annotations
@@ -31,13 +35,13 @@ from .belyi_numeric import DegreeGuardError
 
 DEFAULT_PRECISION = 256
 DEFAULT_DEN_BOUND = 10**12
-# The census's gradient test |grad J| < 1e-8 (1 + |J|) is evaluated in
-# floats from the dense coefficients.  At d=13 that evaluation reads 1.4e-8
-# at a chamber maximum and 4.3e-8 at a vertex of J_d, though both points
-# are right to 1e-11: the rounding of the dense evaluation, not the points,
-# fails the test.  (jhat_census, in the unscaled y, reads 1.2e-8 at a
-# vertex already at d=12 and reports the census incomplete there.)
-CENSUS_DEGREE_GUARD = 12
+# The census's gradient test |grad J| < 1e-8 (1 + |J|), read in product
+# form, is worst at the vertices, where it is |Hessian| times the rounding of
+# the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
+# 4.2e-8 at d=35, where one vertex fails and the census is incomplete.  The
+# guard keeps a factor of ten below the test; the nodal 3D check, whose U side
+# is still dense, holds to 1e-5 through d=27 (see ROADMAP item 3).
+CENSUS_DEGREE_GUARD = 24
 VALUE_TARGETS = (0.0, 8.0, -1.0)
 
 
@@ -102,32 +106,6 @@ class BiPoly:
                 out[i][j + 1] += b * g
                 out[i][j] += c * g
         return BiPoly(tuple(tuple(row) for row in out))
-
-    def partial_x(self) -> "BiPoly":
-        n = len(self.grid)
-        if n == 1:
-            return BiPoly(((self.grid[0][0] * 0,),))
-        out = [
-            [self.grid[i + 1][j] * (i + 1) for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-        return BiPoly(tuple(tuple(row) for row in out))
-
-    def partial_y(self) -> "BiPoly":
-        n = len(self.grid)
-        if n == 1:
-            return BiPoly(((self.grid[0][0] * 0,),))
-        out = [
-            [self.grid[i][j + 1] * (j + 1) for j in range(n - 1)]
-            for i in range(n - 1)
-        ]
-        return BiPoly(tuple(tuple(row) for row in out))
-
-    def map_coeffs(self, fn) -> "BiPoly":
-        return BiPoly(tuple(tuple(fn(c, i, j) for j, c in enumerate(row)) for i, row in enumerate(self.grid)))
-
-    def as_float_grid(self) -> np.ndarray:
-        return np.array([[float(c) for c in row] for row in self.grid], dtype=float)
 
     def restrict_y0(self) -> tuple:
         """Coefficients of p(x, 0), constant first."""
@@ -332,15 +310,12 @@ def _vertices(lines: list[LineSpec]) -> list[tuple[int, int, float, float]]:
     return out
 
 
-def line_intersections(lines: list[LineSpec]) -> list[tuple[float, float]]:
-    return [(x, y) for _, _, x, y in _vertices(lines)]
-
-
 @dataclass(frozen=True)
 class CriticalPoint2D:
     x: float
     y: float
     value: float
+    gradient: tuple[float, float]
     hessian_det: float
     nondegenerate: bool
 
@@ -369,14 +344,9 @@ class Census2D:
         }
 
 
-def _eval_many(coeffs: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(x)
-    for i in range(coeffs.shape[0] - 1, -1, -1):
-        inner = np.zeros_like(y)
-        for j in range(coeffs.shape[1] - 1, -1, -1):
-            inner = inner * y + coeffs[i, j]
-        acc = acc * x + inner
-    return acc
+def _line_arrays(lines: list[LineSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """The normals (a, b) as rows, and the offsets c, of the lines."""
+    return np.array([(l.a, l.b) for l in lines]), np.array([l.c for l in lines])
 
 
 def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
@@ -389,8 +359,7 @@ def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
     the 2n gaps between the n line directions and their opposites name all
     the unbounded chambers.
     """
-    normals = np.array([(l.a, l.b) for l in lines])
-    offsets = np.array([l.c for l in lines])
+    normals, offsets = _line_arrays(lines)
     chambers: dict[tuple, list] = {}
     for i, j, x, y in _vertices(lines):
         side = normals @ (x, y) + offsets > 0
@@ -415,8 +384,7 @@ def _chamber_maximum(lines: list[LineSpec], start: tuple[float, float]) -> np.nd
     step.  Once the Newton decrement is below 1e-20 the full step stays in
     the chamber (its Hessian norm is under 1) and lands at rounding level.
     """
-    normals = np.array([(l.a, l.b) for l in lines])
-    offsets = np.array([l.c for l in lines])
+    normals, offsets = _line_arrays(lines)
     x = np.array(start)
     for _ in range(50):
         scaled = normals / (normals @ x + offsets)[:, None]
@@ -432,32 +400,66 @@ def _chamber_maximum(lines: list[LineSpec], start: tuple[float, float]) -> np.nd
     return x
 
 
-def arrangement_census(p: BiPoly, lines: list[LineSpec], tol: float = 1e-6) -> Census2D:
-    """Real critical points of p, a scaled product of the given lines.
+def _leave_one_out(factors: np.ndarray) -> np.ndarray:
+    """Product of all rows of factors but the k-th, for each row k.
+
+    A forward and a reversed cumulative product meet at k, so no division
+    is taken and a vanishing factor (two of them at a vertex) is harmless.
+    """
+    ones = np.ones_like(factors[:1])
+    pre = np.cumprod(np.concatenate([ones, factors[:-1]]), axis=0)
+    suf = np.cumprod(np.concatenate([ones, factors[:0:-1]]), axis=0)[::-1]
+    return pre * suf
+
+
+def _product_jet(
+    lines: list[LineSpec], scale: float, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Value, gradient and Hessian of scale * prod(l_i) at the points (x, y).
+
+    Returns (value, gx, gy, hxx, hxy, hyy).  With normals n_i, the gradient
+    is scale * sum_i n_i prod_{k != i} l_k and the Hessian is
+    scale * sum_{i != j} n_i n_j^T prod_{k != i, j} l_k; the leave-two-out
+    products are leave-one-out products of the factors with row i set to 1.
+    """
+    normals, offsets = _line_arrays(lines)
+    factors = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + offsets[:, None]
+    n = len(lines)
+    value = scale * factors.prod(axis=0)
+    gx, gy = scale * (normals.T @ _leave_one_out(factors))
+    all_but_i = np.repeat(factors[None], n, axis=0)
+    all_but_i[np.arange(n), np.arange(n)] = 1.0
+    pairs = _leave_one_out(all_but_i.swapaxes(0, 1))
+    pairs[np.arange(n), np.arange(n)] = 0.0
+    a, b = normals[:, 0], normals[:, 1]
+    hxx = scale * np.einsum("i,j,ijk->k", a, a, pairs)
+    hxy = scale * np.einsum("i,j,ijk->k", a, b, pairs)
+    hyy = scale * np.einsum("i,j,ijk->k", b, b, pairs)
+    return value, gx, gy, hxx, hxy, hyy
+
+
+def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -> Census2D:
+    """Real critical points of J = scale * prod(l_i), read in product form.
 
     For d lines in general position the critical points are the d(d-1)/2
-    vertices, where p vanishes to second order, and one maximum of
+    vertices, where J vanishes to second order, and one maximum of
     sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
-    (d-1)(d-2)/2 (Zaslavsky).  Each candidate must pass the gradient test
-    |grad p| < 1e-8 (1 + |p|) on p itself; it is then classified against
-    the values {0, 8, -1} within tol and flagged nondegenerate by its
-    Hessian determinant.  The census is complete when every candidate
-    passes, no value strays and the bounded chambers number (d-1)(d-2)/2.
+    (d-1)(d-2)/2 (Zaslavsky).  J, its gradient and its Hessian are
+    evaluated from the line factors (_product_jet), never from dense
+    coefficients.  Each candidate must pass the gradient test
+    |grad J| < 1e-8 (1 + |J|); it is then classified against the values
+    {0, 8, -1} within tol and flagged nondegenerate by its Hessian
+    determinant.  The census is complete when every candidate passes, no
+    value strays and the bounded chambers number (d-1)(d-2)/2.
     """
-    d = p.degree
+    d = len(lines)
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
     centroids = _bounded_chambers(lines)
     maxima = [_chamber_maximum(lines, c) for c in centroids]
     candidates = np.array([(x, y) for _, _, x, y in _vertices(lines)] + maxima)
     x, y = candidates[:, 0], candidates[:, 1]
-    px, py = p.partial_x(), p.partial_y()
-    val = _eval_many(p.as_float_grid(), x, y)
-    fx = _eval_many(px.as_float_grid(), x, y)
-    fy = _eval_many(py.as_float_grid(), x, y)
-    hxx = _eval_many(px.partial_x().as_float_grid(), x, y)
-    hxy = _eval_many(px.partial_y().as_float_grid(), x, y)
-    hyy = _eval_many(py.partial_y().as_float_grid(), x, y)
+    val, fx, fy, hxx, hxy, hyy = _product_jet(lines, scale, x, y)
     det = hxx * hyy - hxy * hxy
     ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
     nondeg = np.abs(det) > tol * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
@@ -477,6 +479,7 @@ def arrangement_census(p: BiPoly, lines: list[LineSpec], tol: float = 1e-6) -> C
                 x=float(x[k]),
                 y=float(y[k]),
                 value=v,
+                gradient=(float(fx[k]), float(fy[k])),
                 hessian_det=float(det[k]),
                 nondegenerate=bool(nondeg[k]),
             )
@@ -498,33 +501,15 @@ def arrangement_census(p: BiPoly, lines: list[LineSpec], tol: float = 1e-6) -> C
     )
 
 
-def jhat_census(
-    d: int,
-    tol: float = 1e-6,
-    precision: int = DEFAULT_PRECISION,
-) -> Census2D:
-    """Census of the float arrangement polynomial."""
-    return arrangement_census(build_Jhat(d, 0.0, precision), build_lines(d, 0.0), tol)
-
-
-def jd_census(
-    d: int,
-    tol: float = 1e-6,
-    precision: int = DEFAULT_PRECISION,
-) -> Census2D:
-    """Census of the rational polynomial, whose lines carry the sqrt(3) y-scale."""
-    return arrangement_census(build_Jd(d, precision), jd_lines(d), tol)
+def jd_census(d: int, tol: float = 1e-6) -> Census2D:
+    """Census of J_d from its lines, which carry the sqrt(3) y-scale."""
+    return arrangement_census(jd_lines(d), scale_constant(d), tol)
 
 
 def jd_lines(d: int) -> list[LineSpec]:
     """The arrangement's lines in the rational polynomial's coordinates."""
     s3 = math.sqrt(3)
     return [replace(l, b=l.b / s3) for l in build_lines(d, 0.0)]
-
-
-def jd_starts(d: int) -> tuple[tuple[float, float], ...]:
-    """Arrangement vertices in the rational polynomial's coordinates."""
-    return tuple(line_intersections(jd_lines(d)))
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

@@ -230,12 +230,13 @@ def cmd_shabat(args) -> int:
 
 
 def cmd_jd_verify(args) -> int:
-    # The dual-path check and the census build J_d at the default bound; a
-    # different --den-bound is checked on its own build.
+    # The dual-path check builds J_d at the default bound; a different
+    # --den-bound is checked on its own build.  The census reads J_d from
+    # its lines and needs no build.
     if args.den_bound != DEFAULT_DEN_BOUND:
         build_Jd(args.degree, args.precision, args.den_bound)
     dual = verify_Jd_dual_path(args.degree, args.precision)
-    census = jd_census(args.degree, tol=args.tol, precision=args.precision)
+    census = jd_census(args.degree, tol=args.tol)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20

@@ -25,9 +25,8 @@ from .arrangement_jd import (
     BiPoly,
     Census2D,
     JStats,
-    arrangement_census,
     build_Jd,
-    jd_lines,
+    jd_census,
     jstats,
 )
 from .belyi_numeric import (
@@ -409,13 +408,6 @@ class SurfacePoly:
     def __call__(self, x, y, w):
         return self.j_part(x, y) + self.u_part(w)
 
-    def gradient(self, x, y, w):
-        return (
-            self.j_part.partial_x()(x, y),
-            self.j_part.partial_y()(x, y),
-            self.u_part.derivative()(w),
-        )
-
 
 def build_surface(
     d: int,
@@ -529,25 +521,27 @@ def singular_census_3d(
 ) -> Census3D:
     """Count singular points of the surface by pairing the two censuses.
 
-    The two-variable census supplies critical points of J by value; the
-    one-variable census supplies critical points of U; a singular point is
-    any combination whose values cancel.  Every paired triple is then
-    verified directly: the surface value and full gradient are evaluated
-    there and the worst defects are reported.
+    The two-variable census of J_d, read in product form from its lines,
+    supplies critical points of J by value with their values and
+    gradients; the one-variable census supplies critical points of U; a
+    singular point is any combination whose values cancel.  Every paired
+    triple is then verified directly: the surface value and full gradient
+    are formed there, J's from its census point and U's evaluated once per
+    point, and the worst defects are reported.
     """
-    j_cen = arrangement_census(surface.j_part, jd_lines(surface.d), tol)
+    j_cen = jd_census(surface.d, tol)
     u_cen = critical_census_uni(surface.u_part, cluster_tol)
 
-    u_groups: Counter[tuple[float, int]] = Counter()
+    # Each real-valued critical point of U, grouped by (value, multiplicity),
+    # with U and |U'| evaluated there once.
+    du = surface.u_part.derivative()
+    u_groups: dict[tuple[float, int], list[tuple[complex, complex, float]]] = {}
     for w, val, mult in u_cen.points:
         if abs(val.imag) > tol:
             continue
-        key = (round(val.real, 6), mult)
-        u_groups[key] += 1
-
-    jx = surface.j_part.partial_x()
-    jy = surface.j_part.partial_y()
-    du = surface.u_part.derivative()
+        u_groups.setdefault((round(val.real, 6), mult), []).append(
+            (w, complex(surface.u_part(w)), abs(complex(du(w))))
+        )
 
     pairs: list[PairClass] = []
     by_type: Counter[int] = Counter()
@@ -559,9 +553,11 @@ def singular_census_3d(
     # not depend on which vertex the census happens to list first.
     for jv in sorted({round(p.value, 6) + 0.0 for p in j_cen.points}):
         j_pts = [p for p in j_cen.points if abs(p.value - jv) <= tol]
-        for (uv, mult), u_count in sorted(u_groups.items()):
+        j_grad = max((abs(g) for p in j_pts for g in p.gradient), default=0.0)
+        for (uv, mult), u_pts in sorted(u_groups.items()):
             if abs(jv + uv) > tol:
                 continue
+            u_count = len(u_pts)
             pairs.append(
                 PairClass(
                     j_value=jv,
@@ -573,20 +569,12 @@ def singular_census_3d(
             )
             total += len(j_pts) * u_count
             by_type[mult] += len(j_pts) * u_count
-            for w, val, m in u_cen.points:
-                if (round(val.real, 6), m) != (uv, mult) or abs(val.imag) > tol:
-                    continue
+            for w, u_w, du_w in u_pts:
                 if abs(w.imag) <= tol:
                     real_total += len(j_pts)
-                for p in j_pts:
-                    fval = abs(complex(p.value) + complex(surface.u_part(w)))
-                    gval = max(
-                        abs(float(jx(p.x, p.y))),
-                        abs(float(jy(p.x, p.y))),
-                        abs(complex(du(w))),
-                    )
-                    max_f = max(max_f, fval)
-                    max_g = max(max_g, gval)
+                if j_pts:
+                    max_f = max(max_f, *(abs(p.value + u_w) for p in j_pts))
+                    max_g = max(max_g, j_grad, du_w)
     verified = max_f <= 10 * tol and max_g <= 10 * tol
     return Census3D(
         d=surface.d,

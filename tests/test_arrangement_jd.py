@@ -1,8 +1,10 @@
 """Line arrangements: exact coefficients, closed-form counts, 2D censuses."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from belyi_forge import (
@@ -12,17 +14,18 @@ from belyi_forge import (
     build_lines,
     census_matches_jstats,
     jd_census,
-    jhat_census,
     jstats,
-    line_intersections,
     verify_Jd_dual_path,
 )
 from belyi_forge.arrangement_jd import (
+    CENSUS_DEGREE_GUARD,
     BiPoly,
+    LineSpec,
     RationalizationError,
     _bounded_chambers,
+    _product_jet,
+    _vertices,
     jd_lines,
-    jd_starts,
     scale_constant,
 )
 
@@ -70,21 +73,74 @@ def test_scale_constant_nonzero_at_tau_zero():
 
 def test_intersections_bounded_by_pair_count():
     for d in (3, 4, 5, 6):
-        pts = line_intersections(build_lines(d))
+        pts = _vertices(build_lines(d))
         assert 1 <= len(pts) <= d * (d - 1) // 2
 
 
-def test_bipoly_partials_match_finite_differences():
-    jd = build_Jd(4)
-    p = jd.map_coeffs(lambda c, i, j: float(c))
-    px = p.partial_x()
-    py = p.partial_y()
-    h = 1e-7
-    for x, y in [(0.3, -0.4), (-1.1, 0.9)]:
-        fd_x = (p(x + h, y) - p(x - h, y)) / (2 * h)
-        fd_y = (p(x, y + h) - p(x, y - h)) / (2 * h)
-        assert abs(px(x, y) - fd_x) < 1e-5
-        assert abs(py(x, y) - fd_y) < 1e-5
+def _falling(n, k):
+    return math.prod(range(n - k + 1, n + 1)) if k <= n else 0
+
+
+def exact_jet(poly, x, y):
+    """(value, gx, gy, hxx, hxy, hyy) of a Fraction BiPoly at Fractions x, y."""
+    return tuple(
+        sum(
+            c * _falling(i, di) * x ** max(i - di, 0) * _falling(j, dj) * y ** max(j - dj, 0)
+            for i, row in enumerate(poly.grid)
+            for j, c in enumerate(row)
+        )
+        for di, dj in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+    )
+
+
+def jet_errors(lines, scale, poly, points):
+    """Worst error of the product form's value, gradient and Hessian against
+    the exact polynomial, each relative to 1 + its exact size."""
+    x = np.array([float(px) for px, _ in points])
+    y = np.array([float(py) for _, py in points])
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = np.array(_product_jet(lines, scale, x, y))
+    assert np.isfinite(jet).all()
+    worst = [0.0, 0.0, 0.0]
+    for k, (px, py) in enumerate(zip(x, y)):
+        exact = np.array([float(v) for v in exact_jet(poly, Fraction(px), Fraction(py))])
+        for group, rows in enumerate((slice(0, 1), slice(1, 3), slice(3, 6))):
+            err = np.abs(jet[rows, k] - exact[rows]).max()
+            worst[group] = max(worst[group], err / (1.0 + np.abs(exact[rows]).max()))
+    return worst
+
+
+RATIONAL_POINTS = [
+    (Fraction(n1, 7), Fraction(n2, 5))
+    for n1, n2 in [(0, 0), (3, -2), (-5, 4), (8, 1), (-9, -6), (1, 7),
+                   (12, -3), (-2, 9), (6, 6), (-11, 2), (4, -8), (10, 5)]
+]
+
+
+def test_product_jet_matches_exact_partials():
+    for d in (3, 6, 9, 12):
+        errors = jet_errors(jd_lines(d), scale_constant(d), build_Jd(d), RATIONAL_POINTS)
+        assert max(errors) < 1e-12, (d, errors)
+
+
+def test_product_jet_at_vertices_is_exact_and_division_free():
+    # Two factors vanish at each vertex of the arrangement.
+    vertices = [(x, y) for _, _, x, y in _vertices(jd_lines(5))]
+    assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
+    # x * y * (x + y - 1) at the origin: two factors are exactly zero.
+    lines = [LineSpec(mu=0, phi=0.0, is_vertical=False, a=a, b=b, c=c)
+             for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]]
+    with np.errstate(all="raise"):
+        jet = _product_jet(lines, 1.0, np.zeros(1), np.zeros(1))
+    assert [float(v[0]) for v in jet] == [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]
+
+
+def test_product_jet_of_unscaled_lines_is_not_jd():
+    # The unscaled lines are the factors of J_d in the y/sqrt(3) coordinate,
+    # not in the rational polynomial's own.
+    errors = jet_errors(build_lines(5), scale_constant(5), build_Jd(5), RATIONAL_POINTS)
+    assert min(errors) > 1e-3
 
 
 def test_rational_coefficients_small_denominators():
@@ -121,16 +177,21 @@ def test_rational_restriction_to_axis():
     assert direct == from_restriction
 
 
+def float_census(d):
+    """Census of the unscaled-y arrangement polynomial."""
+    return arrangement_census(build_lines(d), scale_constant(d))
+
+
 def test_smallest_census_from_spec_example():
-    census = jhat_census(3)
+    census = float_census(3)
     assert census.counts == {0.0: 3, 8.0: 0, -1.0: 1}
     assert census.all_nondegenerate
     assert census.complete
 
 
-@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 12])
 def test_float_census_matches_counts(d):
-    census = jhat_census(d)
+    census = float_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
     assert census.total == (d - 1) ** 2
     assert census.all_nondegenerate
@@ -142,7 +203,7 @@ def test_rational_census_matches_counts(d):
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
 
 
-@pytest.mark.parametrize("d", [10, 11, 12])
+@pytest.mark.parametrize("d", [10, 11, 12, 13, 18, 24])
 def test_rational_census_matches_counts_past_nine(d):
     census = jd_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
@@ -150,26 +211,14 @@ def test_rational_census_matches_counts_past_nine(d):
     assert census.all_nondegenerate
 
 
-def test_census_guard_refuses_degree_13():
+def test_census_guard_refuses_degree_past_guard():
     with pytest.raises(DegreeGuardError):
-        jd_census(13)
+        jd_census(CENSUS_DEGREE_GUARD + 1)
 
 
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
         assert len(_bounded_chambers(jd_lines(d))) == (d - 1) * (d - 2) // 2, d
-
-
-def test_census_with_foreign_lines_is_incomplete():
-    # Unscaled lines are not the factors of J_d in its coordinates, so
-    # their vertices and chamber maxima fail the gradient test on J_d.
-    census = arrangement_census(build_Jd(5), build_lines(5))
-    assert not census.complete
-    assert not census_matches_jstats(census, jstats(5))
-
-
-def test_census_start_points_cover_vertices():
-    assert len(jd_starts(4)) == len(line_intersections(build_lines(4)))
 
 
 def test_bipoly_mul_linear_degree_bump():

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -97,6 +98,14 @@ def test_jd_verify_checks_a_custom_den_bound(capsys):
     assert json.loads(err)["error"]["type"] == "RationalizationError"
 
 
+def test_jd_verify_up_to_the_census_guard(capsys):
+    code, out, err = run(capsys, "jd-verify", "--degree", "24")
+    assert code == 0
+    assert json.loads(out)["match"] is True
+    code, out, err = run(capsys, "jd-verify", "--degree", "25")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "DegreeGuardError"
+
 def test_table_csv_rows(capsys):
     code, out, err = run(capsys, "table", "--max-degree", "15", "--nu", "2")
     assert code == 0
@@ -114,6 +123,52 @@ def test_surface_verify_nodal(capsys):
     assert obj["expected_total"] == 4
     assert obj["census"]["total"] == 4
     assert obj["census"]["by_type"] == {"A1": 4}
+
+
+# sha256 of the stdout of `jd-verify --degree d`, and of the payload of
+# `surface-verify --degree d --nodal` without its two reported defects,
+# recorded with the census on dense coefficients; the product-form census
+# must reproduce them.
+JD_VERIFY_SHA256 = {
+    3: "a85dcc402291b809ee9c508c5d76ee247ebb8fb96756cc09886a11fa5bcd0d7c",
+    4: "3e4d4dc04c7e604d6f560206bc704b43e8aeb5eab66edb4826c0e2deef42ae73",
+    5: "4b7f76ac07c561de8a20407dffb8aa427de22757dbb2b3495d1a77755a2e8651",
+    6: "1a3ff5d5ca4550d01cc2ac322c8392f352743ddeb886d93623d851cfd4751926",
+    7: "0f6d4ac4303965924c1f0529c885d4c588828567c652f93e7a398123ff4fe65e",
+    8: "45f6e2866d2d9e3df7e42e64b82282fa62047334a0c1ba9d2e99ac4db29ed504",
+    9: "c1bed948d5bd793fe982767bb7e802879739d0c6eb91c139ade5222b0cc53135",
+    10: "1b0981bac90e84da3a801776c18beb858557e119dd3d7800bf9241eaade4523f",
+    11: "ad50ae9c7d503d3237fb7af12ebdd6f5a8f83382cbc47dbc5fd82272f8f79f7f",
+    12: "bcf39f253a43a4d6de6768f12cab1eacdc588351068768ab8918cb81c3388857",
+}
+NODAL_SURFACE_SHA256 = {
+    3: "6798894a2f7e3719fae3414bed461ae56f3a2aa55796dade906b819e775adc17",
+    4: "57c750308a13d3c0853da2780728be995f9536bb563077309452faefbecc34ec",
+    5: "dbd8d2ad85964f1e59163efec6ba1d204bf6fce5b123551c9a86380f3a730fc4",
+    6: "07e0e39b902da48670c6fe85a6ce0c793c3b477551b1137248a75be1016665fd",
+    7: "b27956056b06a474a02cd6082a55e99042fa2a6356f68b27e93c958e50e8bc13",
+    8: "17e4e1d1467d466737179a72878db630e424b8cb61de16ee4be46e7f5ebe74c2",
+    9: "3b1df05751f2e8fa94ae66ba8bc263e6055a494922476ba5a0c3bfa4d0dbf2d9",
+    10: "678e7bf25cae34000d6ce4b2a05ac5604b46dc6bdb4ad435a83a3cc48f247190",
+    11: "14773ca4dfa583aab10a1400b97f11f2936f8203eed7add3751029594451b841",
+    12: "4ea39ae5cd92923afc4a8214fa11e83f94daf05a6955198f083bf505a22389c5",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("d", sorted(JD_VERIFY_SHA256))
+def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
+    code, out, err = run(capsys, "jd-verify", "--degree", str(d))
+    assert code == 0
+    assert _sha256(out) == JD_VERIFY_SHA256[d]
+    code, out, err = run(capsys, "surface-verify", "--degree", str(d), "--nodal")
+    assert code == 0
+    payload = json.loads(out)
+    del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
+    assert _sha256(json.dumps(payload, sort_keys=True, indent=2) + "\n") == NODAL_SURFACE_SHA256[d]
 
 
 def test_export_dot_round_trips(capsys):
@@ -193,7 +248,11 @@ def test_inadmissible_word_is_mismatch(capsys):
 
 
 def test_documented_defaults():
-    from belyi_forge.arrangement_jd import DEFAULT_DEN_BOUND, DEFAULT_PRECISION
+    from belyi_forge.arrangement_jd import (
+        CENSUS_DEGREE_GUARD,
+        DEFAULT_DEN_BOUND,
+        DEFAULT_PRECISION,
+    )
     from belyi_forge.belyi_numeric import (
         DEFAULT_CLUSTER_TOL,
         DEFAULT_TOL,
@@ -205,3 +264,4 @@ def test_documented_defaults():
     assert DEGREE_GUARD == 16
     assert DEFAULT_PRECISION == 256
     assert DEFAULT_DEN_BOUND == 10**12
+    assert CENSUS_DEGREE_GUARD == 24

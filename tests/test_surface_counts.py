@@ -3,6 +3,7 @@
 import hashlib
 import math
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -260,10 +261,29 @@ def test_vertex_value_key_is_positive_zero():
 
 def test_surface_polynomial_evaluates():
     surface = build_surface(9, F1(0, 1), ())
-    value = surface(0.25, -0.3, 0.5)
-    gx, gy, gw = surface.gradient(0.25, -0.3, 0.5)
-    h = 1e-7
-    fd = (surface(0.25 + h, -0.3, 0.5) - surface(0.25 - h, -0.3, 0.5)) / (2 * h)
-    assert abs(gx - fd) < 1e-4 * max(1.0, abs(value))
-    fd = (surface(0.25, -0.3, 0.5 + h) - surface(0.25, -0.3, 0.5 - h)) / (2 * h)
-    assert abs(gw - fd) < 1e-4 * max(1.0, abs(value))
+    assert surface(0.25, -0.3, 0.5) == surface.j_part(0.25, -0.3) + surface.u_part(0.5)
+    census = singular_census_3d(surface)
+    assert census.verified
+    # A paired point: a chamber maximum of J at value -1 and a real critical
+    # point of U at value 1.  The gradient the census reports there matches
+    # central differences of the surface, taken at rational points so that
+    # only the float U part rounds.
+    p = next(q for q in census.j_census.points if abs(q.value + 1) < 1e-6)
+    w = next(w.real for w, val, _ in census.u_census.points
+             if abs(val - 1) < 1e-6 and abs(w.imag) < 1e-6)
+    x, y, w, h = Fraction(p.x), Fraction(p.y), Fraction(w), Fraction(1, 10**6)
+    fd = (
+        (surface(x + h, y, w) - surface(x - h, y, w)) / (2 * h),
+        (surface(x, y + h, w) - surface(x, y - h, w)) / (2 * h),
+        (surface(x, y, w + h) - surface(x, y, w - h)) / (2 * h),
+    )
+    assert abs(fd[0] - p.gradient[0]) < 1e-6
+    assert abs(fd[1] - p.gradient[1]) < 1e-6
+    assert abs(fd[2]) < 1e-6
+    assert max(map(abs, p.gradient)) <= census.max_gradient_defect
+
+
+def test_nodal_census_past_the_old_guard():
+    census = singular_census_3d(build_nodal_surface(18))
+    assert census.verified
+    assert census.by_type == {1: nodal_surface_count(18)} == {1: 2105}
