@@ -205,22 +205,22 @@ def _linear_factors(q: np.ndarray, nodes: np.ndarray, rep: np.ndarray) -> np.nda
 
 
 def _antiderivative_at_vertices(
-    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, rep: np.ndarray
+    q: np.ndarray, weights: np.ndarray, factors: np.ndarray
 ) -> np.ndarray:
     """q_j·Σ_k w_k·∏_r (t_k·q_j − q_rep[r]), the integral of ∏_r (w − q_rep[r]) over [0, q_j].
 
-    rep lists each vertex once per power of its linear factor, so the
-    product needs no complex power.  (t_k, w_k) is a quadrature rule on
-    [0, 1]; the sum is the integral when the rule is exact to the
-    integrand's degree, len(rep).  The products of linear factors keep
-    each term's relative error at rounding level; Horner on the expanded
-    coefficients loses digits at the far vertices.
+    factors is _linear_factors(q, nodes, rep).  rep lists each vertex once
+    per power of its linear factor, so the product needs no complex power.
+    (t_k, w_k) is a quadrature rule on [0, 1]; the sum is the integral when
+    the rule is exact to the integrand's degree, len(rep).  The products of
+    linear factors keep each term's relative error at rounding level;
+    Horner on the expanded coefficients loses digits at the far vertices.
     """
-    return q * (weights @ np.multiply.reduce(_linear_factors(q, nodes, rep), axis=0))
+    return q * (weights @ np.multiply.reduce(factors, axis=0))
 
 
 def _antiderivative_partials(
-    q: np.ndarray, nodes: np.ndarray, weights: np.ndarray, rep: np.ndarray, drop: np.ndarray
+    q: np.ndarray, weights: np.ndarray, factors: np.ndarray, drop: np.ndarray
 ) -> np.ndarray:
     """_antiderivative_at_vertices with factor drop[i] left out, one row per i.
 
@@ -229,8 +229,7 @@ def _antiderivative_partials(
     forward and backward.  Dividing the full product by t_k·q_j − q_i
     instead would fail where that factor vanishes.
     """
-    factors = _linear_factors(q, nodes, rep)
-    pre = np.ones((len(rep) + 1,) + factors.shape[1:], dtype=complex)
+    pre = np.ones((len(factors) + 1,) + factors.shape[1:], dtype=complex)
     suf = pre.copy()
     np.cumprod(factors, axis=0, out=pre[1:])
     np.cumprod(factors[::-1], axis=0, out=suf[-2::-1])
@@ -394,7 +393,8 @@ def shabat_solve(
     times), with no expanded coefficients and no complex powers.  Each
     Jacobian column leaves out one copy of one factor, as the product of
     the factors before it times the product of those after it, so no
-    factor, which can vanish at a node, is divided out.  The dense
+    factor, which can vanish at a node, is divided out.  The factors of
+    the line-search trial Newton accepts serve the next Jacobian.  The dense
     antiderivative is built once per landed restart, to recover the
     leaves.  Every landed restart then gets a Newton polish on the
     full-vertex coefficient system (float steps, exact residual) before
@@ -481,8 +481,10 @@ def shabat_solve(
     drop_at = (np.cumsum(mults) - mults)[free_cols]
     col_scale = -mults[free_cols]
 
-    def s_at(q: np.ndarray) -> np.ndarray:
-        return _antiderivative_at_vertices(q, nodes, weights, rep)
+    def s_at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The factors at q, kept for the Jacobian once q is accepted.
+        factors = _linear_factors(q, nodes, rep)
+        return factors, _antiderivative_at_vertices(q, weights, factors)
 
     pin_rows = [idx_of[top_black], idx_of[top_white]]
 
@@ -553,7 +555,7 @@ def shabat_solve(
         # A diverging restart overflows; the tests below already reject its
         # non-finite steps and norms, so numpy need not warn on stderr.
         with np.errstate(over="ignore", invalid="ignore"):
-            s_vals = s_at(q)
+            factors, s_vals = s_at(q)
             c, K = fit_ck(s_vals)
             ok = True
             for _ in range(_NEWTON_ITERS):
@@ -562,7 +564,7 @@ def shabat_solve(
                 if fnorm < 1e-13:
                     break
                 jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
-                partials = _antiderivative_partials(q, nodes, weights, rep, drop_at)
+                partials = _antiderivative_partials(q, weights, factors, drop_at)
                 jac[:, :-2] = (c * col_scale) * partials.T
                 jac[:, -2] = s_vals
                 jac[:, -1] = 1.0
@@ -579,10 +581,10 @@ def shabat_solve(
                     q_t[free_cols] = q[free_cols] + lam * delta[:-2]
                     c_t = c + lam * delta[-2]
                     K_t = K + lam * delta[-1]
-                    s_t = s_at(q_t)
+                    f_t, s_t = s_at(q_t)
                     tnorm = _norm(c_t * s_t + K_t - targets)
                     if tnorm <= (1 - 1e-4 * lam) * fnorm:
-                        q, c, K, s_vals = q_t, c_t, K_t, s_t
+                        q, c, K, s_vals, factors = q_t, c_t, K_t, s_t, f_t
                         accepted = True
                         break
                     lam /= 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .arrangement_jd import (
     DEFAULT_DEN_BOUND,
@@ -349,7 +350,9 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     root = _Parser(prog="belyi-forge", description=__doc__)
     sub = root.add_subparsers(dest="subcommand", required=True)
 

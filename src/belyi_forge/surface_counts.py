@@ -243,27 +243,37 @@ def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
     return words
 
 
-def _step(state: DerivationState | None, letter: Letter) -> DerivationState | None:
-    """The state one letter on, or None once the prefix is inadmissible."""
+def _kept(state: DerivationState, d_max: int) -> DerivationState | None:
+    """The state if it is within degree d_max and admissible, else None."""
+    return state if state.profile.degree <= d_max and state.satisfies_E() else None
+
+
+def _step(
+    state: DerivationState | None, letter: Letter, d_max: int
+) -> DerivationState | None:
+    """The state one letter on, or None once the prefix is inadmissible or
+    past degree d_max."""
     if state is None:
         return None
     try:
         child = apply_letter(state, letter)
     except LetterNotApplicableError:
         return None
-    return child if child.satisfies_E() else None
+    return _kept(child, d_max)
 
 
 @cache
 def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, ...]:
     """The seed's admissible catalogued words up to degree d_max.
 
-    A memo maps each word prefix to its state (None once inadmissible), so
-    each distinct prefix costs one letter application and one admissibility
-    test.
+    A memo maps each word prefix to its state, or to None once the prefix
+    is inadmissible or past degree d_max, so each distinct prefix costs at
+    most one letter application and one admissibility test.  Every letter
+    strictly raises the degree (a T13 letter adds nu + 1, a T2 letter adds
+    3, nu or nu - eps + 2 with eps < nu), so no extension of a prefix past
+    d_max can come back within it, and the walk stops there.
     """
-    start = initial_state(seed)
-    memo = {"": start if start.satisfies_E() else None}
+    memo = {"": _kept(initial_state(seed), d_max)}
     nu = seed_triple(seed).nu
     out = []
     for w in _words_for_seed(seed, d_max):
@@ -272,9 +282,9 @@ def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, .
         while text[:known] not in memo:
             known -= 1
         for i in range(known, len(w)):
-            memo[text[: i + 1]] = _step(memo[text[:i]], w[i])
+            memo[text[: i + 1]] = _step(memo[text[:i]], w[i], d_max)
         state = memo[text]
-        if state is not None and state.profile.degree <= d_max:
+        if state is not None:
             out.append(Construction(seed, w, state.profile.degree, nu, state.profile))
     return tuple(out)
 
@@ -285,12 +295,17 @@ def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
     return tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
 
 
-def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
-    """Catalogued constructions (seed plus admissible word) up to degree d_max,
-    in catalogue order, read from per-seed walks cached to the table guard.
+def _catalogue_order(c: Construction) -> tuple:
+    return (c.degree, c.nu, format_seed(c.seed), word_to_str(c.word))
 
-    The seeds of seed_grid(d_max) are those of the cached grid at the walk
-    degree whose starting degree is at most d_max.
+
+def _catalogued(d_max: int, keep) -> tuple[Construction, ...]:
+    """The constructions c up to degree d_max with keep(c), in catalogue order.
+
+    They are read from per-seed walks cached to the table guard (or to
+    d_max past it); the seeds of seed_grid(d_max) are those of the cached
+    grid at the walk degree whose starting degree is at most d_max, and
+    only those are walked.
     """
     walk_to = max(d_max, BOUND_TABLE_GUARD)
     cons = [
@@ -298,20 +313,36 @@ def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
         for d0, s in _seeds_with_d0(walk_to)
         if d0 <= d_max
         for c in _constructions_for_seed(s, walk_to)
+        if keep(c)
     ]
-    cons = [c for c in cons if c.degree <= d_max]
-    cons.sort(key=lambda c: (c.degree, c.nu, format_seed(c.seed), word_to_str(c.word)))
-    return tuple(cons)
+    return tuple(sorted(cons, key=_catalogue_order))
+
+
+def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
+    """Catalogued constructions (seed plus admissible word) up to degree d_max,
+    in catalogue order: by degree, nu, seed and word."""
+    return _catalogued(d_max, lambda c: c.degree <= d_max)
+
+
+@cache
+def _constructions_at(d: int) -> tuple[Construction, ...]:
+    """The catalogue's slice at exactly degree d, by nu, seed and word.
+
+    Built on first use of each degree, so a lookup at a small degree walks
+    only the seeds that start at or below it.
+    """
+    return _catalogued(d, lambda c: c.degree == d)
 
 
 def find_construction(d: int, nu: int) -> Construction | None:
-    """Smallest catalogued construction at exactly (degree, nu), if any."""
-    return next((c for c in constructions_up_to(d) if c.degree == d and c.nu == nu), None)
+    """Smallest catalogued construction at exactly (degree, nu), if any:
+    the first of that nu in the degree's cached slice."""
+    return next((c for c in _constructions_at(d) if c.nu == nu), None)
 
 
 def lowest_nu_construction(d: int) -> Construction | None:
     """Smallest catalogued construction of lowest multiplicity at exactly degree d."""
-    return next((c for c in constructions_up_to(d) if c.degree == d), None)
+    return next(iter(_constructions_at(d)), None)
 
 
 @dataclass(frozen=True)

@@ -374,14 +374,16 @@ def kernel_jacobian(q, mults, nodes, weights):
     """∂S(q_j)/∂q_i for every i: −m_i times the sum without one copy of factor i."""
     rep = np.repeat(np.arange(len(q)), mults)
     drop = np.cumsum(mults) - mults
-    return -mults * belyi_numeric._antiderivative_partials(q, nodes, weights, rep, drop).T
+    factors = belyi_numeric._linear_factors(q, nodes, rep)
+    return -mults * belyi_numeric._antiderivative_partials(q, weights, factors, drop).T
 
 
 def central_differences(q, mults, nodes, weights, h=1e-6):
     rep = np.repeat(np.arange(len(q)), mults)
 
     def integrals(x):
-        return belyi_numeric._antiderivative_at_vertices(x, nodes, weights, rep)
+        factors = belyi_numeric._linear_factors(x, nodes, rep)
+        return belyi_numeric._antiderivative_at_vertices(x, weights, factors)
 
     return np.stack(
         [(integrals(q + h * e) - integrals(q - h * e)) / (2 * h) for e in np.eye(len(q))],
@@ -403,7 +405,8 @@ KERNEL_CASES = {
 def test_quadrature_kernel_matches_exact_integration(case):
     q, mults, nodes, weights = kernel_inputs(*case)
     rep = np.repeat(np.arange(len(q)), mults)
-    s_vals = belyi_numeric._antiderivative_at_vertices(q, nodes, weights, rep)
+    factors = belyi_numeric._linear_factors(q, nodes, rep)
+    s_vals = belyi_numeric._antiderivative_at_vertices(q, weights, factors)
     exact = exact_vertex_integrals(q, mults)
     assert np.max(np.abs(s_vals - exact)) <= 1e-13 * np.max(np.abs(exact))
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from belyi_forge.arrangement_jd import build_Jd
-from belyi_forge.cli import main
+from belyi_forge.cli import build_parser, main
 from belyi_forge.tree_realization import parse_dot
 
 
@@ -240,6 +240,24 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process(capsys):
+    build_parser.cache_clear()
+    run(capsys, "seeds", "--max-degree", "9")
+    run(capsys, "seeds", "--max-degree", "9", "--family", "F1")
+    assert build_parser.cache_info().misses == 1
+
+
+def test_usage_error_leaves_the_cached_parser_intact(capsys):
+    build_parser.cache_clear()
+    fresh = run(capsys, "seeds", "--max-degree", "9")
+    with pytest.raises(SystemExit) as exc:
+        main(["seeds", "--max-degree", "nine"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, "seeds", "--max-degree", "9") == fresh
+    assert build_parser.cache_info().misses == 1
 
 
 def test_inadmissible_word_is_mismatch(capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -26,7 +27,16 @@ from belyi_forge.surface_counts import (
     singular_census_3d,
     spectrum,
 )
-from belyi_forge.word_engine import trajectory, word_from_str, word_to_str
+from belyi_forge.word_engine import (
+    LetterNotApplicableError,
+    admissible_end,
+    alphabet_for,
+    apply_letter,
+    enumerate_LE,
+    trajectory,
+    word_from_str,
+    word_to_str,
+)
 
 
 def test_frozen_high_multiplicity_counts():
@@ -177,9 +187,37 @@ def test_bound_table_200_is_frozen():
 
 
 def test_catalogue_is_a_degree_filter_of_the_larger_one():
-    full = constructions_up_to(90)
-    for d in range(3, 91, 3):
+    full = constructions_up_to(BOUND_TABLE_GUARD)
+    for d in range(3, BOUND_TABLE_GUARD + 1):
         assert constructions_up_to(d) == tuple(c for c in full if c.degree <= d), d
+
+
+def test_lookups_are_the_first_match_of_a_scan():
+    for d in range(3, BOUND_TABLE_GUARD + 1):
+        cons = constructions_up_to(d)
+        assert lowest_nu_construction(d) == next((c for c in cons if c.degree == d), None), d
+        for nu in range(1, 71):
+            first = next((c for c in cons if c.degree == d and c.nu == nu), None)
+            assert find_construction(d, nu) == first, (d, nu)
+
+
+def test_count_sweep_builds_each_degree_slice_once():
+    # The catalogue workload's sweep: every degree 3..90 once per nu 3..11,
+    # shuffled, so a degree recurs long after its first lookup.
+    sweep = [(d, nu) for nu in range(3, 12) for d in range(3, 91, 3)]
+    random.Random(0).shuffle(sweep)
+    assert len(sweep) == 270
+    surface_counts._constructions_at.cache_clear()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExistenceUnverifiedWarning)
+            for d, nu in sweep:
+                count_Anu(d, nu)
+        info = surface_counts._constructions_at.cache_info()
+    finally:
+        surface_counts._constructions_at.cache_clear()
+    assert info.misses == len({d for d, _ in sweep}) == 30
+    assert info.hits == 240
 
 
 def test_seed_grid_is_a_degree_filter_of_the_table_grid():
@@ -195,7 +233,17 @@ def test_seed_grid_emits_valid_seeds_only():
         validate_seed(seed)
 
 
-def test_catalogue_applies_each_prefix_once(monkeypatch):
+def _clear_catalogue_caches():
+    for fn in (
+        surface_counts._constructions_for_seed,
+        surface_counts._seeds_with_d0,
+        surface_counts._constructions_at,
+    ):
+        fn.cache_clear()
+
+
+def _walk_counting_letters(monkeypatch, d_max):
+    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies."""
     calls = []
     apply_letter = surface_counts.apply_letter
 
@@ -204,18 +252,50 @@ def test_catalogue_applies_each_prefix_once(monkeypatch):
         return apply_letter(state, letter)
 
     monkeypatch.setattr(surface_counts, "apply_letter", counting)
-    surface_counts._constructions_for_seed.cache_clear()
+    _clear_catalogue_caches()
     try:
-        constructions_up_to(60)
+        constructions_up_to(d_max)
     finally:
-        surface_counts._constructions_for_seed.cache_clear()
+        _clear_catalogue_caches()
+    return calls
+
+
+def test_catalogue_applies_each_prefix_once(monkeypatch):
+    # The walk applies a letter exactly when the prefix before it is
+    # admissible and within the walk degree, the table guard.
+    calls = _walk_counting_letters(monkeypatch, 60)
     prefixes = set()
-    for seed in surface_counts.seed_grid(60):
+    for seed in seed_grid(60):
         for w in surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD):
-            text = word_to_str(w)
-            prefixes |= {(seed, text[:i]) for i in range(1, len(text) + 1)}
+            for i in range(len(w)):
+                parent = admissible_end(seed, w[:i])
+                if parent is not None and parent.profile.degree <= BOUND_TABLE_GUARD:
+                    prefixes.add((seed, word_to_str(w[: i + 1])))
     assert len(calls) == len(set(calls))
     assert set(calls) == prefixes
+
+
+def test_cold_table_catalogue_letter_count(monkeypatch):
+    # The walk stops each prefix at the table guard; without that it
+    # applied 7,067 letters here.
+    assert len(_walk_counting_letters(monkeypatch, BOUND_TABLE_GUARD)) == 1494
+
+
+def test_every_letter_raises_the_degree():
+    # Why the walk may stop a prefix past its degree: no extension of it
+    # comes back below.
+    applied = 0
+    for seed in seed_grid(60):
+        for w in enumerate_LE(seed, 6):
+            state = admissible_end(seed, w)
+            for letter in alphabet_for(seed):
+                try:
+                    child = apply_letter(state, letter)
+                except LetterNotApplicableError:
+                    continue
+                assert child.profile.degree > state.profile.degree, (seed, w, letter)
+                applied += 1
+    assert applied > 20000
 
 
 def test_end_to_end_census_smallest_surface():
