@@ -14,10 +14,8 @@ from .arrangement_jd import (
     Census2D,
     JStats,
     LineSpec,
-    RationalizationError,
     arrangement_census,
     build_Jd,
-    build_Jhat,
     build_lines,
     census_matches_jstats,
     jd_census,

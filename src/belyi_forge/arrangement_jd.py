@@ -1,11 +1,19 @@
 """Line-arrangement polynomials with critical values {0, 8, -1}.
 
 A degree-d member is a scaled product of d lines whose angles march in
-steps of pi/d; at tau=0 all (d-1)^2 critical points are real with values
-in {0, 8, -1} and known closed-form counts.  The y-axis rescaling by
-sqrt(3) turns the tau=0 product into a polynomial with rational
-coefficients, which this module recovers exactly by continued-fraction
-rationalization and cross-checks by dual-path evaluation.
+steps of pi/d; all (d-1)^2 critical points are real with values in
+{0, 8, -1} and known closed-form counts.  The lines
+x sin(phi) - y cos(phi) = sin(3 phi) are tangent to the deltoid, and the
+scaled product is Chmutov's folding polynomial
+
+    2 - Re P_d(z) + sqrt(3) Im P_d(z),    z = x - iy,
+
+where P_n is the A2 power sum: P_0 = 3, P_1 = z, P_2 = z^2 - 2 zbar and
+P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
+recurrence has integer coefficients, so the y-axis rescaling by sqrt(3)
+gives J_d exactly, with powers of 3 as denominators; the scaled line
+product, evaluated in mpmath, is the independent second route of the
+dual-path check.
 
 The 2D census takes its candidate critical points from the arrangement
 itself: every vertex (value 0) and, in each bounded chamber, the maximum of
@@ -33,8 +41,8 @@ import numpy as np
 
 from .belyi_numeric import DegreeGuardError
 
-DEFAULT_PRECISION = 256
-DEFAULT_DEN_BOUND = 10**12
+# Working precision of the dual-path check's line product, in bits.
+DUAL_PATH_PRECISION = 256
 # The census's gradient test |grad J| < 1e-8 (1 + |J|), read in product
 # form, is worst at the vertices, where it is |Hessian| times the rounding of
 # the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
@@ -45,22 +53,12 @@ CENSUS_DEGREE_GUARD = 24
 VALUE_TARGETS = (0.0, 8.0, -1.0)
 
 
-class RationalizationError(ValueError):
-    """A coefficient admitted no convergent within the denominator bound."""
-
-    def __init__(self, message: str, i: int, j: int, value: float):
-        super().__init__(message)
-        self.monomial = (i, j)
-        self.value = value
-
-
 @dataclass(frozen=True)
 class LineSpec:
     """One line a*x + b*y + c = 0 of the arrangement."""
 
     mu: int
     phi: float
-    is_vertical: bool
     a: float
     b: float
     c: float
@@ -73,9 +71,8 @@ class LineSpec:
 class BiPoly:
     """Dense bivariate polynomial; grid[i][j] is the coefficient of x^i y^j.
 
-    The grid is square of side degree+1; coefficient types are whatever the
-    constructor supplied (float, Fraction, mpmath), and the arithmetic here
-    never forces conversions.
+    The grid is square of side degree+1.  Evaluation keeps the coefficient
+    type (Fraction for build_Jd), so Fraction points give exact values.
     """
 
     grid: tuple[tuple, ...]
@@ -93,170 +90,132 @@ class BiPoly:
             acc = inner if acc is None else acc * x + inner
         return acc
 
-    def mul_linear(self, a, b, c) -> "BiPoly":
-        n = len(self.grid)
-        zero = self.grid[0][0] * 0
-        out = [[zero for _ in range(n + 1)] for _ in range(n + 1)]
-        for i in range(n):
-            for j in range(n):
-                g = self.grid[i][j]
-                if g == 0:
-                    continue
-                out[i + 1][j] += a * g
-                out[i][j + 1] += b * g
-                out[i][j] += c * g
-        return BiPoly(tuple(tuple(row) for row in out))
-
     def restrict_y0(self) -> tuple:
         """Coefficients of p(x, 0), constant first."""
         return tuple(row[0] for row in self.grid)
-
-
-def _vertical_index(d: int, tau: float) -> int | None:
-    """The integer m with tau = (6m - 3d - 1)pi/6, if one exists."""
-    m = round((6 * tau / math.pi + 3 * d + 1) / 6)
-    if abs(tau - (6 * m - 3 * d - 1) * math.pi / 6) < 1e-12:
-        return int(m)
-    return None
 
 
 def _mu_range(d: int) -> range:
     return range(-((d - 2) // 2), (d + 1) // 2 + 1)
 
 
-def build_lines(d: int, tau: float = 0.0) -> list[LineSpec]:
+def build_lines(d: int) -> list[LineSpec]:
     """The d lines whose product (after scaling) has critical values {0,8,-1}.
 
-    Angles are phi = (6*mu - 1)*pi/(6d) - tau/d.  When tau sits exactly at
-    a vertical configuration the degenerate line is interpreted as x+1=0.
+    Angles are phi = (6*mu - 1)*pi/(6d).  None is vertical: that would need
+    6*mu - 1 to be an odd multiple of 3d, and 3 does not divide 6*mu - 1.
     """
     if d < 2:
         raise ValueError("need at least two lines")
-    vertical_m = _vertical_index(d, tau)
     lines = []
     for mu in _mu_range(d):
-        phi = (6 * mu - 1) * math.pi / (6 * d) - tau / d
-        if vertical_m is not None and (mu - vertical_m) % d == 0:
-            lines.append(LineSpec(mu=mu, phi=phi, is_vertical=True, a=1.0, b=0.0, c=1.0))
-            continue
+        phi = (6 * mu - 1) * math.pi / (6 * d)
         t = math.tan(phi)
-        lines.append(
-            LineSpec(
-                mu=mu,
-                phi=phi,
-                is_vertical=False,
-                a=-t,
-                b=1.0,
-                c=math.cos(2 * phi) * t + math.sin(2 * phi),
-            )
-        )
+        c = math.cos(2 * phi) * t + math.sin(2 * phi)
+        lines.append(LineSpec(mu=mu, phi=phi, a=-t, b=1.0, c=c))
     return lines
 
 
-def scale_constant(d: int, tau: float = 0.0) -> float:
-    """The prefactor: 2cos(tau + d pi/2 + 2 pi/3), or (-1)^m 2d when vertical."""
-    vertical_m = _vertical_index(d, tau)
-    if vertical_m is not None:
-        return (-1) ** vertical_m * 2.0 * d
-    return 2.0 * math.cos(tau + d * math.pi / 2 + 2 * math.pi / 3)
+def scale_constant(d: int) -> float:
+    """The prefactor 2cos(d pi/2 + 2 pi/3) of the line product."""
+    return 2.0 * math.cos(d * math.pi / 2 + 2 * math.pi / 3)
 
 
-def build_Jhat(d: int, tau: float = 0.0, precision: int = DEFAULT_PRECISION) -> BiPoly:
-    """Expand the scaled d-line product at the given binary precision."""
-    if d < 2:
-        raise ValueError("need degree >= 2")
-    vertical_m = _vertical_index(d, tau)
-    with mp.workprec(precision):
-        if vertical_m is not None:
-            tau_exact = (6 * vertical_m - 3 * d - 1) * mp.pi / 6
-            lam = mp.mpf((-1) ** vertical_m) * 2 * d
-        else:
-            tau_exact = mp.mpf(tau)
-            lam = 2 * mp.cos(tau_exact + d * mp.pi / 2 + 2 * mp.pi / 3)
-        poly = BiPoly(((lam,),))
-        for mu in _mu_range(d):
-            if vertical_m is not None and (mu - vertical_m) % d == 0:
-                poly = poly.mul_linear(mp.mpf(1), mp.mpf(0), mp.mpf(1))
-                continue
-            phi = (6 * mu - 1) * mp.pi / (6 * d) - tau_exact / d
-            t = mp.tan(phi)
-            poly = poly.mul_linear(-t, mp.mpf(1), mp.cos(2 * phi) * t + mp.sin(2 * phi))
-    return poly
+def _a2_power_sum(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of P_d as integer grids over x^k y^m.
 
+    Gaussian integers are pairs of Python ints (the grids have dtype
+    object).  With z = x - iy, z (R + iI) = xR + yI + i(xI - yR) and
+    zbar (R + iI) = xR - yI + i(xI + yR); the recurrence starts from
+    P_{-1} = zbar, P_0 = 3, P_1 = z.
+    """
 
-def _mpf_to_fraction(x, i: int, j: int, den_bound: int, err_limit) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    with mp.workprec(max(mp.mp.prec, 320)):
-        scaled = int(mp.floor(x * mp.mpf(2) ** 240 + mp.mpf(1) / 2))
-    rat = Fraction(scaled, 2**240).limit_denominator(den_bound)
-    err = abs(mp.mpf(rat.numerator) / rat.denominator - x)
-    if err > err_limit:
-        raise RationalizationError(
-            f"coefficient of x^{i} y^{j} has no rational approximation with "
-            f"denominator <= {den_bound} within {mp.nstr(err_limit, 5)} "
-            f"(defect {mp.nstr(err, 5)}); raise the build precision",
-            i,
-            j,
-            float(x),
-        )
-    return rat
+    def monomial(k, m, c):
+        g = np.zeros((d + 1, d + 1), dtype=object)
+        g[k, m] = c
+        return g
+
+    def x(g):
+        out = np.zeros_like(g)
+        out[1:] = g[:-1]
+        return out
+
+    def y(g):
+        out = np.zeros_like(g)
+        out[:, 1:] = g[:, :-1]
+        return out
+
+    p3 = (monomial(1, 0, 1), monomial(0, 1, 1))  # P_{-1} = x + iy
+    p2 = (monomial(0, 0, 3), monomial(0, 0, 0))  # P_0 = 3
+    p1 = (monomial(1, 0, 1), monomial(0, 1, -1))  # P_1 = x - iy
+    for _ in range(d - 1):
+        (r1, i1), (r2, i2), (r3, i3) = p1, p2, p3
+        p1, p2, p3 = (x(r1 - r2) + y(i1 + i2) + r3, x(i1 - i2) - y(r1 + r2) + i3), p1, p2
+    return p1
 
 
 @lru_cache(maxsize=8)
-def build_Jd(
-    d: int,
-    precision: int = DEFAULT_PRECISION,
-    den_bound: int = DEFAULT_DEN_BOUND,
-) -> BiPoly:
-    """Exact rational form of the tau=0 arrangement polynomial in x, y/sqrt(3).
+def build_Jd(d: int) -> BiPoly:
+    """Exact rational form of the arrangement polynomial in x and Y = sqrt(3) y.
 
-    The float expansion is rescaled column by column, each coefficient is
-    snapped to its continued-fraction convergent within den_bound, and the
-    snap is accepted only if it agrees with the float value to
-    2^(-precision/2).  The result is immutable and cached, so the dual-path
-    check, the census and the surfaces of one degree share a single build.
+    J_d = 2 - Re P_d + sqrt(3) Im P_d, and a coefficient c of x^k y^m in
+    P_d sits at x^k Y^m divided by sqrt(3)^m.  So the coefficient of
+    x^k Y^m is -Re c / 3^(m/2) for even m and Im c / 3^((m-1)/2) for odd m,
+    plus the constant 2; the other part of c vanishes, and is asserted to.
+    The result is immutable and cached, so the dual-path check and the
+    surfaces of one degree share a single build.
     """
-    with mp.workprec(precision):
-        jhat = build_Jhat(d, 0.0, precision)
-        s3 = mp.sqrt(3)
-        err_limit = mp.mpf(2) ** (-(precision // 2))
-        rows = []
-        for i, row in enumerate(jhat.grid):
-            out = []
-            for j, c in enumerate(row):
-                out.append(_mpf_to_fraction(c / s3**j, i, j, den_bound, err_limit))
-            rows.append(tuple(out))
-    return BiPoly(tuple(rows))
+    if d < 2:
+        raise ValueError("need degree >= 2")
+    re, im = _a2_power_sum(d)
+
+    def coefficient(k: int, m: int) -> Fraction:
+        rational, other = (-re[k, m], im[k, m]) if m % 2 == 0 else (im[k, m], re[k, m])
+        assert other == 0, (d, k, m)
+        return Fraction(rational, 3 ** (m // 2)) + (2 if k == m == 0 else 0)
+
+    return BiPoly(tuple(tuple(coefficient(k, m) for m in range(d + 1)) for k in range(d + 1)))
 
 
-def verify_Jd_dual_path(
-    d: int,
-    precision: int = DEFAULT_PRECISION,
-    n_points: int = 12,
-    seed: int = 7,
-) -> float:
-    """Max disagreement between the rational polynomial and the float product.
+def line_product_values(d: int, points) -> list:
+    """J_d at rational points (x, Y) through the scaled line product.
+
+    The lines meet (x, Y/sqrt(3)); every step runs at mpmath's working
+    precision, so the caller sets it.
+    """
+    scale = 2 * mp.cos(d * mp.pi / 2 + 2 * mp.pi / 3)
+    lines = []
+    for mu in _mu_range(d):
+        phi = (6 * mu - 1) * mp.pi / (6 * d)
+        t = mp.tan(phi)
+        lines.append((-t, mp.cos(2 * phi) * t + mp.sin(2 * phi)))
+    s3 = mp.sqrt(3)
+    values = []
+    for px, py in points:
+        x = mp.mpf(px.numerator) / px.denominator
+        y = mp.mpf(py.numerator) / py.denominator / s3
+        values.append(scale * mp.fprod(a * x + y + c for a, c in lines))
+    return values
+
+
+def verify_Jd_dual_path(d: int, n_points: int = 12, seed: int = 7) -> float:
+    """Max disagreement between the rational polynomial and the line product.
 
     Evaluates J_d at deterministic rational points both exactly and through
-    the mpf expansion of the unscaled product at (x, y/sqrt(3)); returns the
+    the scaled line product at DUAL_PATH_PRECISION bits; returns the
     largest absolute difference.
     """
-    jd = build_Jd(d, precision)
-    jhat = build_Jhat(d, 0.0, precision)
+    jd = build_Jd(d)
     rng = np.random.default_rng(seed)
-    worst = mp.mpf(0)
-    with mp.workprec(precision):
-        s3 = mp.sqrt(3)
-        for _ in range(n_points):
-            x = Fraction(int(rng.integers(-4000, 4000)), 1000)
-            y = Fraction(int(rng.integers(-4000, 4000)), 1000)
-            exact = jd(x, y)
-            via_float = jhat(mp.mpf(x.numerator) / x.denominator,
-                             (mp.mpf(y.numerator) / y.denominator) / s3)
-            diff = abs(mp.mpf(exact.numerator) / exact.denominator - via_float)
-            worst = max(worst, diff)
-    return float(worst)
+    draws = [Fraction(int(rng.integers(-4000, 4000)), 1000) for _ in range(2 * n_points)]
+    points = list(zip(draws[::2], draws[1::2]))
+    with mp.workprec(DUAL_PATH_PRECISION):
+        via_lines = line_product_values(d, points)
+        diffs = [
+            abs(mp.mpf(exact.numerator) / exact.denominator - v)
+            for exact, v in zip((jd(x, y) for x, y in points), via_lines)
+        ]
+        return float(max(diffs, default=0))
 
 
 @dataclass(frozen=True)
@@ -509,7 +468,7 @@ def jd_census(d: int, tol: float = 1e-6) -> Census2D:
 def jd_lines(d: int) -> list[LineSpec]:
     """The arrangement's lines in the rational polynomial's coordinates."""
     s3 = math.sqrt(3)
-    return [replace(l, b=l.b / s3) for l in build_lines(d, 0.0)]
+    return [replace(l, b=l.b / s3) for l in build_lines(d)]
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

@@ -18,10 +18,6 @@ import sys
 from functools import cache
 
 from .arrangement_jd import (
-    DEFAULT_DEN_BOUND,
-    DEFAULT_PRECISION,
-    RationalizationError,
-    build_Jd,
     census_matches_jstats,
     jd_census,
     jstats,
@@ -231,12 +227,8 @@ def cmd_shabat(args) -> int:
 
 
 def cmd_jd_verify(args) -> int:
-    # The dual-path check builds J_d at the default bound; a different
-    # --den-bound is checked on its own build.  The census reads J_d from
-    # its lines and needs no build.
-    if args.den_bound != DEFAULT_DEN_BOUND:
-        build_Jd(args.degree, args.precision, args.den_bound)
-    dual = verify_Jd_dual_path(args.degree, args.precision)
+    # The dual-path check builds J_d; the census reads it from its lines.
+    dual = verify_Jd_dual_path(args.degree)
     census = jd_census(args.degree, tol=args.tol)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
@@ -267,10 +259,14 @@ def cmd_table(args) -> int:
 
 
 def cmd_surface_verify(args) -> int:
+    if args.nodal and (args.seed is not None or args.word is not None):
+        raise ValueError("--nodal builds its own surface; it takes no --seed or --word")
+    if args.word is not None and args.seed is None:
+        raise ValueError("--word needs the --seed it applies to")
     d = args.degree
     cons = None if args.nodal or args.seed is not None else lowest_nu_construction(d)
     if args.nodal or (args.seed is None and cons is None):
-        surface = build_nodal_surface(d, args.precision)
+        surface = build_nodal_surface(d)
         expected_types = {1: nodal_surface_count(d)}
         provenance = "nodal"
     else:
@@ -283,7 +279,6 @@ def cmd_surface_verify(args) -> int:
             d,
             seed,
             word,
-            precision=args.precision,
             tol=args.tol,
             max_restarts=args.restarts,
             rng_seed=args.rng_seed,
@@ -389,8 +384,6 @@ def build_parser() -> _Parser:
     p.add_argument("--degree", type=int, required=True)
     _add_deprecated_grid(p)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
-    p.add_argument("--den-bound", type=int, default=DEFAULT_DEN_BOUND)
     _add_common(p)
     p.set_defaults(func=cmd_jd_verify)
 
@@ -408,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
     _add_deprecated_grid(p)
     p.add_argument("--census-tol", type=float, default=1e-6)
-    p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
     _add_solver(p)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)
@@ -425,7 +417,6 @@ def build_parser() -> _Parser:
 _USAGE_ERRORS = (SeedDomainError, AlphabetMismatchError, DegreeGuardError)
 _MISMATCH_ERRORS = (
     NoConvergenceError,
-    RationalizationError,
     NoFamilyRecordedError,
     LetterNotApplicableError,
     RealizationError,

@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import cache
 
 from .arrangement_jd import (
-    DEFAULT_PRECISION,
-    BiPoly,
     Census2D,
     JStats,
     build_Jd,
@@ -411,13 +409,13 @@ def bound_table(d_max: int) -> BoundTable:
     return BoundTable(rows=tuple(rows))
 
 
-def nodal_unit_poly(d: int, precision: int = DEFAULT_PRECISION) -> UniPoly:
+def nodal_unit_poly(d: int) -> UniPoly:
     """Exact axis restriction reparametrized to critical values {0, 1}.
 
     Substitutes x = 2z+1, y = 0 into the rational arrangement polynomial
     and applies the affine value map v -> (3-v)/4, all in exact rationals.
     """
-    axis = build_Jd(d, precision).restrict_y0()
+    axis = build_Jd(d).restrict_y0()
     t = UniPoly((Fraction(1), Fraction(2)))
     g = UniPoly((axis[-1],))
     for c in reversed(axis[:-1]):
@@ -427,9 +425,8 @@ def nodal_unit_poly(d: int, precision: int = DEFAULT_PRECISION) -> UniPoly:
 
 @dataclass(frozen=True)
 class SurfacePoly:
-    """Structured trivariate polynomial J(x, y) + U(w)."""
+    """Structured trivariate polynomial J_d(x, y) + U(w)."""
 
-    j_part: BiPoly
     u_part: UniPoly
     d: int
     seed: SeedSpec | None
@@ -437,14 +434,13 @@ class SurfacePoly:
     label: str
 
     def __call__(self, x, y, w):
-        return self.j_part(x, y) + self.u_part(w)
+        return build_Jd(self.d)(x, y) + self.u_part(w)
 
 
 def build_surface(
     d: int,
     seed: SeedSpec,
     word: Word | str,
-    precision: int = DEFAULT_PRECISION,
     tol: float = 1e-10,
     max_restarts: int = 32,
     rng_seed: int = 0,
@@ -471,7 +467,6 @@ def build_surface(
         max_degree=max_degree,
     )
     return SurfacePoly(
-        j_part=build_Jd(d, precision),
         u_part=to_unit_interval(sol.polynomial()),
         d=d,
         seed=seed,
@@ -480,11 +475,10 @@ def build_surface(
     )
 
 
-def build_nodal_surface(d: int, precision: int = DEFAULT_PRECISION) -> SurfacePoly:
+def build_nodal_surface(d: int) -> SurfacePoly:
     """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction."""
     return SurfacePoly(
-        j_part=build_Jd(d, precision),
-        u_part=nodal_unit_poly(d, precision),
+        u_part=nodal_unit_poly(d),
         d=d,
         seed=None,
         word=None,

@@ -215,9 +215,9 @@ def test_criterion_06_arrangement_census():
 def test_criterion_07_rationality():
     budget = Budget("criterion 07 rationality", 30.0)
     for d in range(3, 10):
-        jd = build_Jd(d, precision=256, den_bound=10**12)
+        jd = build_Jd(d)
         assert jd.degree == d
-        diff = verify_Jd_dual_path(d, precision=256)
+        diff = verify_Jd_dual_path(d)
         assert diff < 1e-20, (d, diff)
     budget.done("exact coefficients at d=3..9; dual-path gap below 1e-20")
 

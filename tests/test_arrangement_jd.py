@@ -1,9 +1,11 @@
 """Line arrangements: exact coefficients, closed-form counts, 2D censuses."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -19,13 +21,12 @@ from belyi_forge import (
 )
 from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
-    BiPoly,
     LineSpec,
-    RationalizationError,
     _bounded_chambers,
     _product_jet,
     _vertices,
     jd_lines,
+    line_product_values,
     scale_constant,
 )
 
@@ -54,10 +55,8 @@ def test_line_count_is_degree():
     for d in range(2, 61):
         lines = build_lines(d)
         assert len(lines) == d
-        for line in lines:
-            # normals are unit length up to the vertical special case
-            if not line.is_vertical:
-                assert abs(line.b - 1.0) < 1e-12
+        # no line is vertical, so every one is y = -a x - c
+        assert all(line.b == 1 for line in lines)
 
 
 def test_lines_have_distinct_angles():
@@ -68,7 +67,7 @@ def test_lines_have_distinct_angles():
 
 def test_scale_constant_nonzero_at_tau_zero():
     for d in range(2, 20):
-        assert abs(scale_constant(d, 0.0)) > 1e-9
+        assert abs(scale_constant(d)) > 1e-9
 
 
 def test_intersections_bounded_by_pair_count():
@@ -129,7 +128,7 @@ def test_product_jet_at_vertices_is_exact_and_division_free():
     vertices = [(x, y) for _, _, x, y in _vertices(jd_lines(5))]
     assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
-    lines = [LineSpec(mu=0, phi=0.0, is_vertical=False, a=a, b=b, c=c)
+    lines = [LineSpec(mu=0, phi=0.0, a=a, b=b, c=c)
              for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]]
     with np.errstate(all="raise"):
         jet = _product_jet(lines, 1.0, np.zeros(1), np.zeros(1))
@@ -143,23 +142,94 @@ def test_product_jet_of_unscaled_lines_is_not_jd():
     assert min(errors) > 1e-3
 
 
+def _is_power_of_3(n):
+    while n % 3 == 0:
+        n //= 3
+    return n == 1
+
+
 def test_rational_coefficients_small_denominators():
-    frozen_max_den = {3: 3, 4: 9, 5: 9, 6: 27, 7: 27, 8: 81, 9: 81}
-    for d, max_den in frozen_max_den.items():
+    for d in range(3, 61):
         jd = build_Jd(d)
-        dens = {
-            c.denominator
-            for row in jd.grid
-            for c in row
-            if isinstance(c, Fraction) and c != 0
-        }
-        assert max(dens) == max_den, d
+        dens = {c.denominator for row in jd.grid for c in row if c != 0}
+        assert all(map(_is_power_of_3, dens)), d
+        assert max(dens) == 3 ** (d // 2), d
         assert jd.degree == d
 
 
-def test_rationalization_refuses_impossible_bound():
-    with pytest.raises(RationalizationError):
-        build_Jd(6, den_bound=2)
+def _grid_sha256(poly):
+    text = ";".join(",".join(f"{c.numerator}/{c.denominator}" for c in row) for row in poly.grid)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the coefficient grid of build_Jd(d), written row by row as
+# "p/q" Fractions, recorded when J_d was expanded in 256-bit mpmath and
+# rationalized by continued fractions.
+JD_GRID_SHA256 = {
+    3: "153bb44bfafe66edba1bd409d3911ba4bd311ca83d78fd28fd0418ed7eebcfc2",
+    4: "6558338ef02060374c2a981c32f2a50d13da567d50e213b5a95f1487c635add4",
+    5: "4113cbe247e3df93591f8b803765d28d2540e49ea13a35c3f9bf6ca5286de25f",
+    6: "83338a5cbf6a2adc1f383aa1d45799abfbad5ed6b071e9379672c55f4e02fedf",
+    7: "35e1306aa98294ba4f903ec5f1eb0adc7d64a0e050158b544e55f0368a49bcb6",
+    8: "fa0b679eb2d12dbce81588debad6e1a92dcc49c36838c49a782a6769e7a7b2fc",
+    9: "bcab476a20f892d15ca72285de0be96804c08595ec05d23aeb9b60d7f133752c",
+    10: "4d432e82757a89498d1473c1434211b9f48c0c4a4733285e3d454301f7303087",
+    11: "675b6534e94a2cf7529271d0907217d1570034645043221d44e9e0b543d997ab",
+    12: "e0cad596402d7ac2696c95e5f77f3bed160ce38e071d3ddc6e3af9726f63a383",
+    13: "e55d58094ffa50dac4c15c8f896b98de25b970079fd972a6ae95b3a21f3863ab",
+    14: "d665bf2233dfa27df5cb467bfe10757aa45d55f30523dc0c09239a9f574baff9",
+    15: "bde431640e2a649f5a81c70bff434b6b66510b8f44fe3e9ad1222a797183269d",
+    16: "392f78420c92add35d65c02ca02f8678d8b5215f720d4edcbe5c431ad7a16400",
+    17: "558a16817301e8b2d8557003a2d9fb213e691a1aa90cdf03d95569968d90eb63",
+    18: "b5237f7108fbab80a992064ccdc00f85d039ed87e0a31550270b3f2acb2b48d3",
+    19: "272efa20d409ad0313c820a9eb063fe45cb71778dbd6f19d2cef2ae0d0841f6a",
+    20: "236f2bfa07397b180a59271ffbc92b94eff9a617753de1f5597cd1fbf2289396",
+    21: "0b882b9722b43b5d59e762dffd1cfda5cce47056b7e903fdf1b297992911204a",
+    22: "29e65516372e00b11a1391b322a7f586bdcc94a58e645a559176f182b1e48512",
+    23: "f7f6f2309a017ac9fa4acbc6316bd5c2f53044ca3ac3b5264ecb8c4ba67151f0",
+    24: "079a1233ae90e556a74dceea5222147b49c81f621e6ff764aabf295bea9eb021",
+    25: "013493194c3a50a3f601aab9e1de3ca5c492e7c56b68e99ac82fb655c5488781",
+    26: "2ac7b25cba03793ff78300754eea8a3df97abb3fb119e9706ef2b8832eceeea0",
+    27: "df8653952ad31c9f44d8e27e9395a23b910cd426e26cbca9dcfd16280421bbf0",
+    28: "19ff8e471fd0be2a56b78e6c64c7dd92e9c9cfd37501d4676fe8f34841f9583a",
+    29: "01d8f732e9cc319a49a9ac4533a78e555a71acdc0278f86164f31696201c2059",
+    30: "8d1e85c26de8696e330c95c71ae0a46e22aadab1fcee886d642c48aea514a2eb",
+    31: "ff20067fbd3967683b02d662f7c9a2ff749a8090346adf99b87493c83467a46a",
+    32: "52e2166e7d1d5c382ea6a1cf44c907925b2b4e1f347b133ee08af9ad58d86136",
+    33: "72559184b63619361029f712341ab87ee41d758fd170b898345bfe5cf49b2232",
+    34: "0a173455174d00adb9d8b371a5afec733f2ec62c109e5f97a001dad3fcc99605",
+    35: "7cc6e3a319d37fc9da94d272644054ad788b7e216a0beaa9cd2099f67ef38a99",
+    36: "8956ec7892474640d9325210bb3ffe40f8decd77b47f7b78e7c8e264186b22e5",
+    37: "7f7c6d38149029eea546a06286f0132b7c00f594c500e00e90e571d6180505dd",
+    38: "df94b45337221e4f90cb89518988799966e957fc677f8a82bdd5d292a1459a87",
+    39: "69d4d0bc6beceaefab933c442cf503c1fb665fc32fff8de92d39931a28f328e5",
+    40: "4bcbca32ede74921f4ebc547d6d2fcccc0689bc849d11af208003cc6a7029c99",
+    41: "3ad91e79b227df839f74cf4d7bc7968e73928216bf5f03f568b22930777e0901",
+    42: "881605a368f5f6a081ee62b92ec56d5f7e746ac6ae5cb8971f442eb1b899cbcd",
+    43: "3a2a7d5e355099ab3fe31795add868600d1bee567e5178a988154f6ecb219d26",
+    44: "a126c09d008f2594c46634511641260076570f7e076373ea2ca19bb91d7b5a17",
+    45: "edad405d35ecda7934ab09cf4db1b2ec7eafc2cc256a050c3703cc9aee2bc98e",
+}
+
+
+@pytest.mark.parametrize("d", sorted(JD_GRID_SHA256))
+def test_recurrence_reproduces_the_rationalized_build(d):
+    jd = build_Jd(d)
+    assert all(isinstance(c, Fraction) for row in jd.grid for c in row)
+    assert _grid_sha256(jd) == JD_GRID_SHA256[d]
+
+
+def test_degree_120_agrees_with_the_line_product():
+    # Past the old build's reach: its denominators, up to 3^60, would need
+    # a rationalization bound far beyond any it used.
+    jd = build_Jd(120)
+    points = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-9, 10), Fraction(5, 4)),
+              (Fraction(3, 2), Fraction(1, 9)), (Fraction(-21, 10), Fraction(-13, 5))]
+    with mp.workprec(512):
+        for p, via_lines in zip(points, line_product_values(120, points)):
+            exact = jd(*p)
+            exact = mp.mpf(exact.numerator) / exact.denominator
+            assert abs(exact - via_lines) < 1e-100 * (1 + abs(exact)), p
 
 
 @pytest.mark.parametrize("d", range(3, 8))
@@ -220,9 +290,3 @@ def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
         assert len(_bounded_chambers(jd_lines(d))) == (d - 1) * (d - 2) // 2, d
 
-
-def test_bipoly_mul_linear_degree_bump():
-    p = BiPoly(((1.0,),))
-    q = p.mul_linear(2.0, 0.0, 1.0)
-    assert q.degree == 1
-    assert q(3.0, 0.0) == 7.0

@@ -92,10 +92,21 @@ def test_jd_verify_builds_jd_once(capsys):
     assert build_Jd.cache_info().misses == 1
 
 
-def test_jd_verify_checks_a_custom_den_bound(capsys):
-    code, out, err = run(capsys, "jd-verify", "--degree", "6", "--den-bound", "2")
-    assert code == 1
-    assert json.loads(err)["error"]["type"] == "RationalizationError"
+@pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
+@pytest.mark.parametrize("flag", ["--precision", "--den-bound"])
+def test_build_precision_flags_are_gone(capsys, subcommand, flag):
+    # J_d is exact by construction; nothing about its build can be set.
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--degree", "3", flag, "256"])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
+def test_grid_is_still_accepted_and_ignored(capsys, subcommand):
+    code, out, err = run(capsys, subcommand, "--degree", "3", "--grid", "64")
+    assert code == 0
+    assert out == run(capsys, subcommand, "--degree", "3")[1]
 
 
 def test_jd_verify_up_to_the_census_guard(capsys):
@@ -125,21 +136,40 @@ def test_surface_verify_nodal(capsys):
     assert obj["census"]["by_type"] == {"A1": 4}
 
 
-# sha256 of the stdout of `jd-verify --degree d`, and of the payload of
-# `surface-verify --degree d --nodal` without its two reported defects,
-# recorded with the census on dense coefficients; the product-form census
-# must reproduce them.
+def test_surface_verify_word_needs_a_seed(capsys):
+    code, out, err = run(capsys, "surface-verify", "--degree", "3", "--word", "zz")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "construction", [["--seed", "F1:0,1", "--word", "a"], ["--seed", "F1:0,1"], ["--word", "a"]]
+)
+def test_surface_verify_nodal_takes_no_construction(capsys, construction):
+    code, out, err = run(capsys, "surface-verify", "--degree", "4", "--nodal", *construction)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+# sha256 of the payload of `jd-verify --degree d` without its dual-path
+# difference, a rounding-level figure of the check's second route, and of the
+# payload of `surface-verify --degree d --nodal` without its two reported
+# defects.  Recorded with the census on dense coefficients and J_d from the
+# rationalized mpmath expansion; the product-form census and the A2
+# recurrence must reproduce them.
 JD_VERIFY_SHA256 = {
-    3: "a85dcc402291b809ee9c508c5d76ee247ebb8fb96756cc09886a11fa5bcd0d7c",
-    4: "3e4d4dc04c7e604d6f560206bc704b43e8aeb5eab66edb4826c0e2deef42ae73",
-    5: "4b7f76ac07c561de8a20407dffb8aa427de22757dbb2b3495d1a77755a2e8651",
-    6: "1a3ff5d5ca4550d01cc2ac322c8392f352743ddeb886d93623d851cfd4751926",
-    7: "0f6d4ac4303965924c1f0529c885d4c588828567c652f93e7a398123ff4fe65e",
-    8: "45f6e2866d2d9e3df7e42e64b82282fa62047334a0c1ba9d2e99ac4db29ed504",
-    9: "c1bed948d5bd793fe982767bb7e802879739d0c6eb91c139ade5222b0cc53135",
-    10: "1b0981bac90e84da3a801776c18beb858557e119dd3d7800bf9241eaade4523f",
-    11: "ad50ae9c7d503d3237fb7af12ebdd6f5a8f83382cbc47dbc5fd82272f8f79f7f",
-    12: "bcf39f253a43a4d6de6768f12cab1eacdc588351068768ab8918cb81c3388857",
+    3: "f7b34dc5678aa995ac7cf9803a87025da88cc12fe46343a859031ae02d33431e",
+    4: "d155a276671b73cf780da158aecb53676fe977519292cd49d47f840d348c8faf",
+    5: "2013fda64f66e2bb9c791f6eec03dcf3e079b7b26aaaa0253ecaf19d1e318cf1",
+    6: "693fc34a85232ffa8308250be0297d60d4eeae017619476d1ef4197d3e9a275b",
+    7: "1506d8e82d5d3eaba4b9bc9e5383dce49f06bc6deed64f9e360d6982721a3a30",
+    8: "8daa4fcf92cd7fdd10c914309e0334aa6eb634d45faeddb93586742d1df4edc2",
+    9: "e6aed419714b610dcb0614676e9be383b70bb8a9013a90103bd8a9ddbe908025",
+    10: "5524426e2be1e6d0766e20ea93f183d0a52114208b9e188ecd2458c52c83c23f",
+    11: "dfc9a928ae9e2cdd2720e5f53e3ff7175f655f05d205c6b7436a309d14152b75",
+    12: "16efa6217c3b11ed78b15ebd71a9ffd34635718b28e52a70d84125997da9cd77",
 }
 NODAL_SURFACE_SHA256 = {
     3: "6798894a2f7e3719fae3414bed461ae56f3a2aa55796dade906b819e775adc17",
@@ -159,16 +189,22 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _dumps(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("d", sorted(JD_VERIFY_SHA256))
 def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
     code, out, err = run(capsys, "jd-verify", "--degree", str(d))
     assert code == 0
-    assert _sha256(out) == JD_VERIFY_SHA256[d]
+    payload = json.loads(out)
+    assert payload.pop("dual_path_max_diff") < 1e-20
+    assert _sha256(_dumps(payload)) == JD_VERIFY_SHA256[d]
     code, out, err = run(capsys, "surface-verify", "--degree", str(d), "--nodal")
     assert code == 0
     payload = json.loads(out)
     del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
-    assert _sha256(json.dumps(payload, sort_keys=True, indent=2) + "\n") == NODAL_SURFACE_SHA256[d]
+    assert _sha256(_dumps(payload)) == NODAL_SURFACE_SHA256[d]
 
 
 def test_export_dot_round_trips(capsys):
@@ -266,11 +302,7 @@ def test_inadmissible_word_is_mismatch(capsys):
 
 
 def test_documented_defaults():
-    from belyi_forge.arrangement_jd import (
-        CENSUS_DEGREE_GUARD,
-        DEFAULT_DEN_BOUND,
-        DEFAULT_PRECISION,
-    )
+    from belyi_forge.arrangement_jd import CENSUS_DEGREE_GUARD, DUAL_PATH_PRECISION
     from belyi_forge.belyi_numeric import (
         DEFAULT_CLUSTER_TOL,
         DEFAULT_TOL,
@@ -280,6 +312,5 @@ def test_documented_defaults():
     assert DEFAULT_TOL == 1e-10
     assert DEFAULT_CLUSTER_TOL == 1e-6
     assert DEGREE_GUARD == 16
-    assert DEFAULT_PRECISION == 256
-    assert DEFAULT_DEN_BOUND == 10**12
+    assert DUAL_PATH_PRECISION == 256
     assert CENSUS_DEGREE_GUARD == 24

@@ -8,7 +8,15 @@ from fractions import Fraction
 
 import pytest
 
-from belyi_forge import F1, jstats, seed_profile, seed_triple, surface_counts, validate_seed
+from belyi_forge import (
+    F1,
+    build_Jd,
+    jstats,
+    seed_profile,
+    seed_triple,
+    surface_counts,
+    validate_seed,
+)
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
     ExistenceUnverifiedWarning,
@@ -341,7 +349,7 @@ def test_vertex_value_key_is_positive_zero():
 
 def test_surface_polynomial_evaluates():
     surface = build_surface(9, F1(0, 1), ())
-    assert surface(0.25, -0.3, 0.5) == surface.j_part(0.25, -0.3) + surface.u_part(0.5)
+    assert surface(0.25, -0.3, 0.5) == build_Jd(9)(0.25, -0.3) + surface.u_part(0.5)
     census = singular_census_3d(surface)
     assert census.verified
     # A paired point: a chamber maximum of J at value -1 and a real critical
