@@ -18,14 +18,15 @@ dual-path check.
 The 2D census takes its candidate critical points from the arrangement
 itself: every vertex (value 0) and, in each bounded chamber, the maximum of
 sum(log|l_i|) (values 8 and -1), found by damped Newton ascent from the
-centroid of the chamber's vertices.  For lines in general position these
-are all the critical points (Varchenko), one per bounded chamber, and the
-bounded chambers number (d-1)(d-2)/2 (Zaslavsky), so the census is
-complete by construction once every candidate passes its tests.  It reads
-J_d, its gradient and its Hessian in product form, from the lines and the
-scale constant, whose factors keep a small relative error where the dense
-coefficients would not; the rational coefficients serve the dual-path
-check and the axis restriction.
+centroid of the chamber's vertices, all chambers in one batch.  For lines in
+general position these are all the critical points (Varchenko), one per
+bounded chamber, and the bounded chambers number (d-1)(d-2)/2 (Zaslavsky),
+so the census is complete by construction once every candidate passes its
+tests.  It reads J_d, its gradient and its Hessian in product form, from the
+lines and the scale constant, whose factors keep a small relative error where
+the dense coefficients would not; the rational coefficients serve the
+dual-path check, which evaluates them in Python ints, and the axis
+restriction.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ class LineSpec:
 class BiPoly:
     """Dense bivariate polynomial; grid[i][j] is the coefficient of x^i y^j.
 
-    The grid is square of side degree+1.  Evaluation keeps the coefficient
-    type (Fraction for build_Jd), so Fraction points give exact values.
+    The grid is square of side degree+1.  Calling it runs Horner in the
+    coefficient type (the float surfaces use this); exact values at rational
+    points come from rational_values, in Python ints.
     """
 
     grid: tuple[tuple, ...]
@@ -89,6 +91,36 @@ class BiPoly:
                 inner = c if inner is None else inner * y + c
             acc = inner if acc is None else acc * x + inner
         return acc
+
+    def rational_values(self, points) -> list[Fraction]:
+        """Exact values at rational points (x, y), one Fraction per point.
+
+        With D the common denominator of the coefficients (3^(d//2) for
+        build_Jd) and x = p/q, y = r/s, the value times D q^d s^d is the
+        integer sum of D c_ij p^i q^(d-i) r^j s^(d-j).  Homogeneous Horner
+        computes it in Python ints, so the only gcd is the one the Fraction
+        takes when it reduces the quotient.
+        """
+        n = self.degree
+        den = math.lcm(*(c.denominator for row in self.grid for c in row))
+        scaled = [[c.numerator * (den // c.denominator) for c in row] for row in self.grid]
+        values = []
+        for x, y in points:
+            p, q = x.numerator, x.denominator
+            r, s = y.numerator, y.denominator
+            q_pows, s_pows = [1], [1]
+            for _ in range(n):
+                q_pows.append(q_pows[-1] * q)
+                s_pows.append(s_pows[-1] * s)
+            acc = 0
+            for i in range(n, -1, -1):
+                row = scaled[i]
+                inner = row[n]
+                for j in range(n - 1, -1, -1):
+                    inner = inner * r + row[j] * s_pows[n - j]
+                acc = acc * p + inner * q_pows[n - i]
+            values.append(Fraction(acc, den * q_pows[n] * s_pows[n]))
+        return values
 
     def restrict_y0(self) -> tuple:
         """Coefficients of p(x, 0), constant first."""
@@ -198,22 +230,28 @@ def line_product_values(d: int, points) -> list:
     return values
 
 
+def _dual_path_points(n_points: int, seed: int) -> list[tuple[Fraction, Fraction]]:
+    """Deterministic rational points k/1000 with |k| <= 4000."""
+    rng = np.random.default_rng(seed)
+    draws = [Fraction(int(rng.integers(-4000, 4000)), 1000) for _ in range(2 * n_points)]
+    return list(zip(draws[::2], draws[1::2]))
+
+
 def verify_Jd_dual_path(d: int, n_points: int = 12, seed: int = 7) -> float:
     """Max disagreement between the rational polynomial and the line product.
 
-    Evaluates J_d at deterministic rational points both exactly and through
+    Evaluates J_d at deterministic rational points both exactly, by integer
+    Horner over one common denominator (BiPoly.rational_values), and through
     the scaled line product at DUAL_PATH_PRECISION bits; returns the
     largest absolute difference.
     """
-    jd = build_Jd(d)
-    rng = np.random.default_rng(seed)
-    draws = [Fraction(int(rng.integers(-4000, 4000)), 1000) for _ in range(2 * n_points)]
-    points = list(zip(draws[::2], draws[1::2]))
+    points = _dual_path_points(n_points, seed)
+    exact_values = build_Jd(d).rational_values(points)
     with mp.workprec(DUAL_PATH_PRECISION):
         via_lines = line_product_values(d, points)
         diffs = [
             abs(mp.mpf(exact.numerator) / exact.denominator - v)
-            for exact, v in zip((jd(x, y) for x, y in points), via_lines)
+            for exact, v in zip(exact_values, via_lines)
         ]
         return float(max(diffs, default=0))
 
@@ -333,29 +371,44 @@ def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
     return [tuple(np.mean(v, axis=0)) for k, v in chambers.items() if k not in unbounded]
 
 
-def _chamber_maximum(lines: list[LineSpec], start: tuple[float, float]) -> np.ndarray:
-    """Maximum of sum(log|l_i|) over the open chamber holding start.
+def _chamber_maxima(lines: list[LineSpec], starts: np.ndarray) -> np.ndarray:
+    """Maximum of sum(log|l_i|) over the open chamber holding each start.
 
-    Damped Newton ascent.  The objective is strictly concave on the chamber,
-    so the ascent converges.  With r_i = (n_i . step) / l_i, the scaled step
-    t * step keeps every sign while all 1 + t*r_i > 0 and raises the
-    objective by sum(log1p(t*r_i)); both read accurately however small the
-    step.  Once the Newton decrement is below 1e-20 the full step stays in
-    the chamber (its Hessian norm is under 1) and lands at rounding level.
+    Damped Newton ascent, run on all chambers at once as stacked arrays;
+    each chamber stops on its own.  The objective is strictly concave on a
+    chamber, so the ascent converges.  With r_i = (n_i . step) / l_i, the
+    scaled step t * step keeps every sign while all 1 + t*r_i > 0 and raises
+    the objective by sum(log1p(t*r_i)); both read accurately however small
+    the step, and each chamber halves its own t until both hold.  Once the
+    Newton decrement is below 1e-20 the full step stays in the chamber (its
+    Hessian norm is under 1) and lands at rounding level.  A chamber that
+    has not converged in 50 steps keeps its last iterate, which the census's
+    gradient test then rejects.
     """
     normals, offsets = _line_arrays(lines)
-    x = np.array(start)
+    x = np.array(starts, dtype=float)
+    todo = np.arange(len(x))
     for _ in range(50):
-        scaled = normals / (normals @ x + offsets)[:, None]
-        grad = scaled.sum(axis=0)
-        step = np.linalg.solve(scaled.T @ scaled, grad)
-        if grad @ step < 1e-20:
-            return x + step
-        r = scaled @ step
-        t = 1.0
-        while np.any(t * r <= -1.0) or np.log1p(t * r).sum() <= 0.0:
-            t /= 2
-        x = x + t * step
+        if not todo.size:
+            break
+        scaled = normals / (x[todo] @ normals.T + offsets)[:, :, None]
+        grad = scaled.sum(axis=1)
+        step = np.linalg.solve(scaled.swapaxes(1, 2) @ scaled, grad[:, :, None])[:, :, 0]
+        done = np.einsum("ki,ki->k", grad, step) < 1e-20
+        x[todo[done]] += step[done]
+        todo, scaled, step = todo[~done], scaled[~done], step[~done]
+        r = np.einsum("kni,ki->kn", scaled, step)
+        t = np.ones(len(todo))
+        while True:
+            tr = t[:, None] * r
+            inside = tr > -1.0
+            # log1p only where it is defined, so nothing warns.
+            gain = np.log1p(np.where(inside, tr, 0.0)).sum(axis=1)
+            halve = ~inside.all(axis=1) | (gain <= 0.0)
+            if not halve.any():
+                break
+            t[halve] /= 2
+        x[todo] += t[:, None] * step
     return x
 
 
@@ -403,7 +456,8 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     For d lines in general position the critical points are the d(d-1)/2
     vertices, where J vanishes to second order, and one maximum of
     sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
-    (d-1)(d-2)/2 (Zaslavsky).  J, its gradient and its Hessian are
+    (d-1)(d-2)/2 (Zaslavsky); one batched damped-Newton ascent finds every
+    chamber's maximum (_chamber_maxima).  J, its gradient and its Hessian are
     evaluated from the line factors (_product_jet), never from dense
     coefficients.  Each candidate must pass the gradient test
     |grad J| < 1e-8 (1 + |J|); it is then classified against the values
@@ -415,8 +469,9 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
     centroids = _bounded_chambers(lines)
-    maxima = [_chamber_maximum(lines, c) for c in centroids]
-    candidates = np.array([(x, y) for _, _, x, y in _vertices(lines)] + maxima)
+    maxima = _chamber_maxima(lines, np.reshape(centroids, (-1, 2)))
+    vertices = np.array([(x, y) for _, _, x, y in _vertices(lines)])
+    candidates = np.concatenate([vertices, maxima])
     x, y = candidates[:, 0], candidates[:, 1]
     val, fx, fy, hxx, hxy, hyy = _product_jet(lines, scale, x, y)
     det = hxx * hyy - hxy * hxy

@@ -11,9 +11,7 @@ in ``word_engine``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from .profile_core import CriticalProfile, condition_E, top_stats, validate_profile
@@ -107,7 +105,7 @@ def validate_seed(seed: SeedSpec) -> None:
 
 
 def seed_triple(seed: SeedSpec) -> SeedTriple:
-    """(d0, nu, eps) of the seed.  eps is evaluated with exact rationals."""
+    """(d0, nu, eps) of the seed, in integer arithmetic."""
     validate_seed(seed)
     if isinstance(seed, F1):
         n, m = seed.n, seed.m
@@ -126,11 +124,11 @@ def seed_triple(seed: SeedSpec) -> SeedTriple:
     x, j, n, m, l = seed.x, seed.j, seed.n, seed.m, seed.l
     d0 = 3 * (m * (3 * (m + n) + x - 1) + j * (n + 2 * m + x // 3) + l + 1)
     nu = 3 * (n + m) + j + x - 1
-    # The secondary multiplicity mixes half-integer and reciprocal floors;
-    # evaluate them exactly rather than in floating point.
-    inner = 1 + ((x - 1) // 2 - Fraction(1, 2)) * j
-    eps = 3 * l + 2 * math.floor(inner) + j * math.floor(Fraction(1, x))
-    return SeedTriple(d0=d0, nu=nu, eps=int(eps))
+    # The secondary multiplicity 3l + 2 floor(1 + ((x-1)//2 - 1/2) j)
+    # + j floor(1/x) mixes half-integer and reciprocal floors; both are
+    # integer floors of integer quotients.
+    eps = 3 * l + 2 * ((2 + (2 * ((x - 1) // 2) - 1) * j) // 2) + j * (1 // x)
+    return SeedTriple(d0=d0, nu=nu, eps=eps)
 
 
 def seed_profile(seed: SeedSpec) -> CriticalProfile:

@@ -23,6 +23,9 @@ from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
     LineSpec,
     _bounded_chambers,
+    _chamber_maxima,
+    _dual_path_points,
+    _line_arrays,
     _product_jet,
     _vertices,
     jd_lines,
@@ -226,10 +229,43 @@ def test_degree_120_agrees_with_the_line_product():
     points = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-9, 10), Fraction(5, 4)),
               (Fraction(3, 2), Fraction(1, 9)), (Fraction(-21, 10), Fraction(-13, 5))]
     with mp.workprec(512):
-        for p, via_lines in zip(points, line_product_values(120, points)):
-            exact = jd(*p)
+        for p, exact, via_lines in zip(
+            points, jd.rational_values(points), line_product_values(120, points)
+        ):
             exact = mp.mpf(exact.numerator) / exact.denominator
             assert abs(exact - via_lines) < 1e-100 * (1 + abs(exact)), p
+
+
+def fraction_horner(poly, x, y):
+    """Plain Horner in Fractions, one reduced Fraction per multiply-add."""
+    acc = Fraction(0)
+    for row in reversed(poly.grid):
+        inner = Fraction(0)
+        for c in reversed(row):
+            inner = inner * y + c
+        acc = acc * x + inner
+    return acc
+
+
+# Denominators 1, 7, 3^5, 2^40 and 1000, with zero and negative coordinates.
+EXACT_POINTS = [
+    (Fraction(0), Fraction(0)),
+    (Fraction(-3), Fraction(2)),
+    (Fraction(-5, 7), Fraction(0)),
+    (Fraction(0), Fraction(-13, 7)),
+    (Fraction(200, 3**5), Fraction(-7, 3**5)),
+    (Fraction(4, 7), Fraction(-1, 3**5)),
+    (Fraction(3 - 2**40, 2**40), Fraction(1, 2**40)),
+    (Fraction(-1, 2**40), Fraction(-617, 1000)),
+    (Fraction(-1237, 1000), Fraction(2999, 1000)),
+]
+
+
+@pytest.mark.parametrize("d", range(3, 46))
+def test_integer_horner_equals_fraction_horner(d):
+    jd = build_Jd(d)
+    points = _dual_path_points(12, 7) + EXACT_POINTS
+    assert jd.rational_values(points) == [fraction_horner(jd, x, y) for x, y in points]
 
 
 @pytest.mark.parametrize("d", range(3, 8))
@@ -290,3 +326,36 @@ def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
         assert len(_bounded_chambers(jd_lines(d))) == (d - 1) * (d - 2) // 2, d
 
+
+def chamber_maximum_one_at_a_time(lines, start):
+    """The damped Newton ascent of one chamber, as the census ran it before
+    the chambers were batched."""
+    normals, offsets = _line_arrays(lines)
+    x = np.array(start)
+    for _ in range(50):
+        scaled = normals / (normals @ x + offsets)[:, None]
+        grad = scaled.sum(axis=0)
+        step = np.linalg.solve(scaled.T @ scaled, grad)
+        if grad @ step < 1e-20:
+            return x + step
+        r = scaled @ step
+        t = 1.0
+        while np.any(t * r <= -1.0) or np.log1p(t * r).sum() <= 0.0:
+            t /= 2
+        x = x + t * step
+    return x
+
+
+@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+def test_batched_ascent_matches_the_per_chamber_ascent(d):
+    lines = jd_lines(d)
+    normals, offsets = _line_arrays(lines)
+    starts = np.array(_bounded_chambers(lines))
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maxima = _chamber_maxima(lines, starts)
+    oracle = np.array([chamber_maximum_one_at_a_time(lines, s) for s in starts])
+    assert np.all(np.abs(maxima - oracle) <= 1e-13 * (1 + np.abs(oracle)))
+    sides = np.sign(starts @ normals.T + offsets)
+    assert np.all(sides != 0)
+    assert np.array_equal(np.sign(maxima @ normals.T + offsets), sides)

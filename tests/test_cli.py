@@ -207,6 +207,102 @@ def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
     assert _sha256(_dumps(payload)) == NODAL_SURFACE_SHA256[d]
 
 
+# sha256 of the whole stdout of `jd-verify --degree d`, dual-path difference
+# included, and of the `by_type`, `pairs` and `match` of
+# `surface-verify --degree d --nodal`, recorded when each bounded chamber ran
+# its own Newton ascent and the dual-path check evaluated J_d by Fraction
+# Horner.  Beside them, that run's two nodal defects: they may move only at
+# rounding level, here taken as less than a factor of 8.
+JD_VERIFY_STDOUT_SHA256 = {
+    3: "1fa58110b8b3d749c74528280fd25c1df23f13015c10364e7e5b782c67977f32",
+    4: "091312692f81b5c0e8d736e4d3f579fdd56cb03721cdb7cfa583c58ddb958509",
+    5: "4b7f76ac07c561de8a20407dffb8aa427de22757dbb2b3495d1a77755a2e8651",
+    6: "164685b6be6dc679f32099cd94431638a7e42166c0de9bbbb54efb2ca9f9b788",
+    7: "e693cb8bf6a14a13e12f1604a8b26a98a5363ad264ef8c19b7c0113a590ca4bb",
+    8: "222206b2cbd96e97f841baa4936dc9668b9517ac0722dfbc86cf9d5834bb6fcd",
+    9: "6f6268404517c8ae368851efc35e3c42e30292d57c3e7d1644735201fa96c587",
+    10: "6ee3ae1c977e3fa922b7f84545162400a7f48b6ade5e83d2730f41709817c4f3",
+    11: "7ee0369c7ecab1597b6a56f08d75fd665eae881a52b330c3997531500a01a28c",
+    12: "ea086a3a025661a7e44d830c30fd37a9e25503f7fbd69578cfd67ceb20887933",
+    13: "06a260a4020795624b17666c8fbc95c3c059fe0e6594012e3519e1dfcd4477b0",
+    14: "df92ca926d0d7a6a65d016d34db58cefc85d3c65b18ff26111916e10f2de0edf",
+    15: "7e3793f2f0680fe44f58e9823db2d9cc309c968447772c38ff318b2efbfaa0d1",
+    16: "3f1bfb695a7fcb5c13bad0cc650884dd3401120453528a6a1c6676415122f967",
+    17: "80fc69bbda2607f2ef3295c61bafee351b3d343273f654da2fd89bcc94887c93",
+    18: "6fd583e4338d293856de10a5406b66e014006d271dca48c015b058584b13e2b4",
+    19: "564d93377e57dc95d958049553a8b041f23340cf10eafbd94845fdb2fb3e467f",
+    20: "aa917091be33515c1dac2ada7b095f5808e1b5d35c0b22be974a4a1f9708c37b",
+    21: "ff8b4ab87706043c3d8545a26c686fc1c217f4bec65ab6cd2b64b76791d1e4a5",
+    22: "76986a6c6417136a9f29f8637d37aead5a79394ea54a7eee797c4bc795132e59",
+    23: "ec5cfb9884737f24eace57f5395955d07ac487b72f51c36737d676ae8a4dbb10",
+    24: "fcb45fb5610bc2edd8c7e2778842163cfceba08be14a6ae1354c4f05b34942a3",
+}
+NODAL_PAIRING_SHA256 = {
+    3: "e5ac3c4686dc05eeb383f53fcdbe726342824ede07e53c8c7ccffd791cb31e97",
+    4: "c2ad0c30fd1441eedec247c1cf02267b90085ab37521aa40d282854eb0258571",
+    5: "ff4009619677c9ec05015470e9ffd01b4a978a8c3183e5da7076ed76997cef60",
+    6: "bd4cf580794d72e35e59c8b495bf6c75f1f4785a5dfd2118c7e253acca43b112",
+    7: "58d1f2758d685e2e01051f122c1fc6a4d00093b8f6eef6248367cbca707bf7e1",
+    8: "e30c122ebd18a706251fe1b679dedd8294ee66a45b833c03b1e0713159972d79",
+    9: "6d7e9ccee9cda3a329d4d123200f5cc0e09b2d680dc1d29829ce30d411b80649",
+    10: "3180553b7dfa20ef60b6156947dbb765e6d05adf4a1a9c4fa6eb0ad44b7ee54f",
+    11: "f5356fbaefeb17b0aded4b002b5968b9a6c58215d06829910f239c746c3208b0",
+    12: "0ccf0e5d68c5de307932f37818fa313e54c9c5e7361b6b57067161a89d2d1e0f",
+    13: "b36fa4aa71ae4fe4d435ae1c422594534007b78ffd5491f5efb812632f944ff6",
+    14: "b8f1320ff826da4d426c4e40ea86dc7d841060f0594630e51769fa9d0eddec6d",
+    15: "0a2e6753d2037fd3ed6a24627ab356c32cc98644887bf57d047a34d7bee365ee",
+    16: "ef7f8687a3bc30e1f6f866c0a3341d85d67f1f28b6af52e3f1fa19b12d84aab8",
+    17: "ae166d5b1dda280dba8f78bf0acd66e356459cb35e8cc761aceec06b110c96d7",
+    18: "c3bcf6f4aaa66294d73bcdab5ff14ec55636ce804d20981429bb306924c30895",
+    19: "92e5c6413252a12063f8080933321fa94e827edb2e397d14a3f22a01816d01c2",
+    20: "fa126de1ea51d7bf88094951913be3f2f5599cceada489dde9899ca6d592c45c",
+    21: "df8b53937caf1056b8443a2b4fbf791859d08ef0bce279b6ca346c1a16c9a99c",
+    22: "b8c69a42ab129b4a95973f2cb7d07e0faa6c16e0039ac32036df428f717d90b4",
+    23: "a4d7826956aefaf0c79e602ae32e7c8c123a402463395ba603e7b5cac77e6e78",
+    24: "2cf76dfa999d7772b5ed57401a94cecef388f06b7df3705e0f0cb51e4adbafe9",
+}
+NODAL_DEFECTS = {
+    3: (2.44e-15, 8.05e-16),
+    4: (3.66e-15, 3.16e-15),
+    5: (1.78e-15, 4.5e-14),
+    6: (3.11e-15, 1.25e-13),
+    7: (5.66e-15, 4.42e-13),
+    8: (8.44e-15, 1.81e-12),
+    9: (1.71e-14, 1.76e-12),
+    10: (3.21e-14, 5.54e-13),
+    11: (2.86e-14, 4.88e-12),
+    12: (2.52e-13, 9.77e-12),
+    13: (4.69e-13, 1.25e-11),
+    14: (1.01e-12, 4.21e-11),
+    15: (2.9e-12, 1.84e-11),
+    16: (3.41e-12, 3.95e-11),
+    17: (1.71e-11, 1.11e-10),
+    18: (8.48e-12, 2.82e-10),
+    19: (8.98e-11, 3.51e-10),
+    20: (1.65e-10, 1.67e-09),
+    21: (3.95e-10, 2.41e-09),
+    22: (1.31e-09, 1.47e-08),
+    23: (9.13e-10, 1.64e-08),
+    24: (6.33e-09, 5.86e-08),
+}
+
+
+@pytest.mark.parametrize("d", sorted(JD_VERIFY_STDOUT_SHA256))
+def test_jd_verify_stdout_and_nodal_pairing_are_pinned_to_the_guard(capsys, d):
+    code, out, err = run(capsys, "jd-verify", "--degree", str(d))
+    assert code == 0
+    assert _sha256(out) == JD_VERIFY_STDOUT_SHA256[d]
+    code, out, err = run(capsys, "surface-verify", "--degree", str(d), "--nodal")
+    assert code == 0
+    payload = json.loads(out)
+    census = payload["census"]
+    pairing = {"by_type": census["by_type"], "pairs": census["pairs"], "match": payload["match"]}
+    assert _sha256(_dumps(pairing)) == NODAL_PAIRING_SHA256[d]
+    value_defect, gradient_defect = NODAL_DEFECTS[d]
+    assert census["max_value_defect"] <= 8 * value_defect
+    assert census["max_gradient_defect"] <= 8 * gradient_defect
+
+
 def test_export_dot_round_trips(capsys):
     code, out, err = run(capsys, "export", "--seed", "F1:0,1", "--word", "a")
     assert code == 0

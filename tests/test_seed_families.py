@@ -1,5 +1,8 @@
 """Seed families: domains, frozen starting data, and coincidence identities."""
 
+import math
+from fractions import Fraction
+
 import pytest
 
 from belyi_forge import (
@@ -18,6 +21,7 @@ from belyi_forge import (
     verify_coincidences,
 )
 from belyi_forge.seed_families import seed_satisfies_E
+from belyi_forge.surface_counts import seed_grid
 
 
 def parameter_grid(bound: int = 6):
@@ -98,6 +102,21 @@ FROZEN_TRIPLES = {
 def test_frozen_triples(seed, expected):
     t = seed_triple(seed)
     assert (t.d0, t.nu, t.eps) == expected
+
+
+def rational_eps(x, j, l):
+    """The F3 secondary multiplicity as the family writes it, in Fractions."""
+    inner = 1 + ((x - 1) // 2 - Fraction(1, 2)) * j
+    return 3 * l + 2 * math.floor(inner) + j * math.floor(Fraction(1, x))
+
+
+def test_f3_eps_equals_the_rational_floors():
+    f3 = [s for s in seed_grid(600) if isinstance(s, F3)]
+    assert {(s.x, s.j) for s in f3} == {(x, j) for x in (1, 2, 3) for j in (-1, 0, 1)}
+    for seed in f3:
+        eps = seed_triple(seed).eps
+        assert type(eps) is int, seed
+        assert eps == rational_eps(seed.x, seed.j, seed.l), seed
 
 
 def test_frozen_base_profile():
