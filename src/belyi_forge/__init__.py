@@ -68,7 +68,9 @@ from .surface_counts import (
     BoundTable,
     Census3D,
     Construction,
+    DegenerateAxisError,
     ExistenceUnverifiedWarning,
+    NodalUCensus,
     SingularitySpectrum,
     SurfacePoly,
     bound_table,
@@ -82,6 +84,7 @@ from .surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
+    nodal_u_census,
     nodal_unit_poly,
     singular_census_3d,
     spectrum,

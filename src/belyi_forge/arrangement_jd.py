@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import mpmath as mp
 import numpy as np
@@ -48,8 +50,9 @@ DUAL_PATH_PRECISION = 256
 # form, is worst at the vertices, where it is |Hessian| times the rounding of
 # the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
 # 4.2e-8 at d=35, where one vertex fails and the census is incomplete.  The
-# guard keeps a factor of ten below the test; the nodal 3D check, whose U side
-# is still dense, holds to 1e-5 through d=27 (see ROADMAP item 3).
+# guard keeps a factor of ten below the test.  The nodal 3D check reads its U
+# side from the axis roots of the same lines, so with the guard lifted it
+# verifies wherever this census is complete (d <= 34 and d = 36).
 CENSUS_DEGREE_GUARD = 24
 VALUE_TARGETS = (0.0, 8.0, -1.0)
 
@@ -319,7 +322,7 @@ class CriticalPoint2D:
 
 @dataclass(frozen=True)
 class Census2D:
-    counts: dict
+    counts: Mapping
     points: tuple[CriticalPoint2D, ...]
     complete: bool
     all_nondegenerate: bool
@@ -346,7 +349,9 @@ def _line_arrays(lines: list[LineSpec]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([(l.a, l.b) for l in lines]), np.array([l.c for l in lines])
 
 
-def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
+def _bounded_chambers(
+    lines: list[LineSpec], vertices: list[tuple[int, int, float, float]]
+) -> np.ndarray:
     """The vertex centroid of each bounded chamber of the arrangement.
 
     A chamber is named by its sign vector (the side of each line it lies
@@ -354,21 +359,31 @@ def _bounded_chambers(lines: list[LineSpec]) -> list[tuple[float, float]]:
     signs of its two lines.  A chamber is unbounded exactly when it holds
     the far points of some direction, and the directions strictly inside
     the 2n gaps between the n line directions and their opposites name all
-    the unbounded chambers.
+    the unbounded chambers.  The sign rows are grouped by np.unique, and
+    each centroid sums its vertices in vertex order, as a running mean would.
     """
     normals, offsets = _line_arrays(lines)
-    chambers: dict[tuple, list] = {}
-    for i, j, x, y in _vertices(lines):
-        side = normals @ (x, y) + offsets > 0
-        for si, sj in itertools.product((True, False), repeat=2):
-            side[i], side[j] = si, sj
-            chambers.setdefault(tuple(side), []).append((x, y))
+    pairs = np.array([(i, j) for i, j, _, _ in vertices])
+    at = np.array([(x, y) for _, _, x, y in vertices])
+    k = np.arange(len(at))
+    sides = np.repeat((at @ normals.T + offsets > 0)[:, None], 4, axis=1)
+    for c, (si, sj) in enumerate(itertools.product((True, False), repeat=2)):
+        sides[k, c, pairs[:, 0]] = si
+        sides[k, c, pairs[:, 1]] = sj
     along = np.arctan2(-normals[:, 0], normals[:, 1])
     cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
     between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
     far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
-    unbounded = {tuple(s) for s in far}
-    return [tuple(np.mean(v, axis=0)) for k, v in chambers.items() if k not in unbounded]
+    rows = np.concatenate([sides.reshape(-1, len(lines)), far])
+    chambers, chamber_of = np.unique(rows, axis=0, return_inverse=True)
+    chamber_of = chamber_of.ravel()
+    touching, unbounded = chamber_of[: 4 * len(at)], chamber_of[4 * len(at) :]
+    count = np.bincount(touching, minlength=len(chambers))
+    bounded = count > 0
+    bounded[unbounded] = False
+    corners = np.repeat(at, 4, axis=0)
+    sums = [np.bincount(touching, corners[:, i], len(chambers))[bounded] for i in (0, 1)]
+    return np.stack(sums, axis=1) / count[bounded, None]
 
 
 def _chamber_maxima(lines: list[LineSpec], starts: np.ndarray) -> np.ndarray:
@@ -468,10 +483,10 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     d = len(lines)
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
-    centroids = _bounded_chambers(lines)
-    maxima = _chamber_maxima(lines, np.reshape(centroids, (-1, 2)))
-    vertices = np.array([(x, y) for _, _, x, y in _vertices(lines)])
-    candidates = np.concatenate([vertices, maxima])
+    vertices = _vertices(lines)
+    centroids = _bounded_chambers(lines, vertices)
+    maxima = _chamber_maxima(lines, centroids)
+    candidates = np.concatenate([np.array([(x, y) for _, _, x, y in vertices]), maxima])
     x, y = candidates[:, 0], candidates[:, 1]
     val, fx, fy, hxx, hxy, hyy = _product_jet(lines, scale, x, y)
     det = hxx * hyy - hxy * hxy
@@ -506,7 +521,7 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
         and len(centroids) == (d - 1) * (d - 2) // 2
     )
     return Census2D(
-        counts=counts,
+        counts=MappingProxyType(counts),
         points=tuple(points),
         complete=complete,
         all_nondegenerate=all_nondeg,
@@ -515,8 +530,15 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     )
 
 
+@lru_cache(maxsize=8)
 def jd_census(d: int, tol: float = 1e-6) -> Census2D:
-    """Census of J_d from its lines, which carry the sqrt(3) y-scale."""
+    """Census of J_d from its lines, which carry the sqrt(3) y-scale.
+
+    It depends on d and tol alone, so it is cached: jd-verify, the nodal
+    surface and the paired surfaces of one degree share one census.  The
+    cache keys on the arguments as passed, so callers pass tol positionally.
+    The census is read-only (its counts are a mapping proxy).
+    """
     return arrangement_census(jd_lines(d), scale_constant(d), tol)
 
 

@@ -229,9 +229,10 @@ def cmd_shabat(args) -> int:
 def cmd_jd_verify(args) -> int:
     # The dual-path check builds J_d and reads its exact values by integer
     # Horner; the census reads J_d from its lines, and finds every chamber
-    # maximum in one batched Newton ascent.
+    # maximum in one batched Newton ascent.  tol is passed positionally, as
+    # surface-verify passes it, so both share the census's cache entry.
     dual = verify_Jd_dual_path(args.degree)
-    census = jd_census(args.degree, tol=args.tol)
+    census = jd_census(args.degree, args.tol)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20
@@ -344,7 +345,13 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)
-    p.add_argument("--cluster-tol", type=float, default=DEFAULT_CLUSTER_TOL)
+    p.add_argument(
+        "--cluster-tol",
+        type=float,
+        default=DEFAULT_CLUSTER_TOL,
+        help="root clustering of the one-variable census: shabat's, and the U "
+        "side of paired surfaces (the nodal surface's U census has none)",
+    )
 
 
 @cache

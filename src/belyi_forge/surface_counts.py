@@ -20,12 +20,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from .arrangement_jd import (
     Census2D,
     JStats,
+    LineSpec,
+    _leave_one_out,
     build_Jd,
     jd_census,
+    jd_lines,
     jstats,
+    scale_constant,
 )
 from .belyi_numeric import (
     CriticalCensus,
@@ -486,6 +492,77 @@ def build_nodal_surface(d: int) -> SurfacePoly:
     )
 
 
+class DegenerateAxisError(ArithmeticError):
+    """The lines do not meet the x-axis at distinct real points, so the
+    product-form census of the nodal U does not apply."""
+
+
+@dataclass(frozen=True)
+class NodalUCensus:
+    """Critical points of the nodal U, each certified simple.
+
+    points holds (position z, value U(z), multiplicity 1) as
+    CriticalCensus.points does, in increasing z; slopes holds |U'(z)| at
+    each point, read in product form.
+    """
+
+    points: tuple[tuple[float, float, int], ...]
+    slopes: tuple[float, ...]
+
+
+def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
+    """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
+
+    On the axis J is scale * prod(a_i x + c_i), of degree d = len(lines),
+    with roots r_i = -c_i / a_i.  When these are d distinct reals, Rolle
+    puts a critical point of J in each of the d - 1 gaps between
+    consecutive roots; J' has degree d - 1, so these are all of them and
+    each is simple, with no clustering to decide.  Roots that are not
+    distinct, or a line parallel to the axis, raise DegenerateAxisError;
+    there is no fallback.
+
+    In a gap the critical point is the root of sum 1/(x - r_i), which falls
+    strictly from +inf to -inf across it.  Vectorized bisection on its sign
+    halves every bracket until it is no wider than four rounding units of
+    the largest |r_i| (the stop rule); every gap must start wider than that,
+    so each midpoint taken lies strictly inside its gap and no term divides
+    by zero.  The point is the last bracket's midpoint, mapped to the
+    surface's variable by z = (x - 1) / 2.  There U = (3 - J) / 4 and
+    |U'| = |J_x| / 2, with J and J_x formed from the line factors and their
+    division-free leave-one-out products.
+    """
+    a = np.array([l.a for l in lines])
+    c = np.array([l.c for l in lines])
+    if np.any(a == 0):
+        raise DegenerateAxisError("a line is parallel to the x-axis")
+    roots = np.sort(-c / a)
+    width = 4 * np.finfo(float).eps * np.abs(roots).max()
+    gaps = np.diff(roots)
+    if not np.all(gaps > width):
+        raise DegenerateAxisError(
+            f"axis roots are not distinct: smallest gap {gaps.min():.3e}, "
+            f"bisection width {width:.3e}"
+        )
+    lo, hi = roots[:-1].copy(), roots[1:].copy()
+    while True:
+        live = np.flatnonzero(hi - lo > width)
+        if not live.size:
+            break
+        mid = (lo[live] + hi[live]) / 2
+        right = (1.0 / (mid[:, None] - roots)).sum(axis=1) > 0
+        lo[live[right]] = mid[right]
+        hi[live[~right]] = mid[~right]
+    x = (lo + hi) / 2
+    factors = a[:, None] * x + c[:, None]
+    j = scale * factors.prod(axis=0)
+    jx = scale * (a @ _leave_one_out(factors))
+    z, u = (x - 1) / 2, (3 - j) / 4
+    return NodalUCensus(
+        points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),
+        slopes=tuple(float(g) for g in np.abs(jx) / 2),
+    )
+
+
 @dataclass(frozen=True)
 class PairClass:
     j_value: float
@@ -515,7 +592,7 @@ class Census3D:
     max_value_defect: float
     max_gradient_defect: float
     j_census: Census2D
-    u_census: CriticalCensus
+    u_census: CriticalCensus | NodalUCensus
 
     def as_dict(self) -> dict:
         return {
@@ -546,27 +623,42 @@ def singular_census_3d(
 ) -> Census3D:
     """Count singular points of the surface by pairing the two censuses.
 
-    The two-variable census of J_d, read in product form from its lines,
-    supplies critical points of J by value with their values and
-    gradients; the one-variable census supplies critical points of U; a
-    singular point is any combination whose values cancel.  Every paired
-    triple is then verified directly: the surface value and full gradient
-    are formed there, J's from its census point and U's evaluated once per
-    point, and the worst defects are reported.
+    The two-variable census of J_d, read in product form from its lines
+    and cached per degree, supplies critical points of J by value with
+    their values and gradients.  For the nodal surface, nodal_u_census
+    supplies the d - 1 critical points of U from the axis roots of the same
+    lines: Rolle puts one in each gap, bisection on sum 1/(x - r_i) finds
+    it, and it is simple because U' has degree d - 1, so cluster_tol plays
+    no part.  For a paired surface the one-variable census of U, clustered
+    at cluster_tol, supplies them, and U and |U'| are evaluated once per
+    point.  A singular point is any combination whose values cancel.
+    Every paired triple is then verified directly: the surface value and
+    full gradient are formed there from the two censuses, and the worst
+    defects are reported.
     """
     j_cen = jd_census(surface.d, tol)
-    u_cen = critical_census_uni(surface.u_part, cluster_tol)
+    if surface.label == "nodal":
+        u_cen = nodal_u_census(jd_lines(surface.d), scale_constant(surface.d))
+        u_rows = [
+            (w, val, mult, val, slope)
+            for (w, val, mult), slope in zip(u_cen.points, u_cen.slopes)
+        ]
+    else:
+        u_cen = critical_census_uni(surface.u_part, cluster_tol)
+        du = surface.u_part.derivative()
+        u_rows = [
+            (w, val, mult, complex(surface.u_part(w)), abs(complex(du(w))))
+            for w, val, mult in u_cen.points
+        ]
 
     # Each real-valued critical point of U, grouped by (value, multiplicity),
-    # with U and |U'| evaluated there once.
-    du = surface.u_part.derivative()
+    # with U and |U'| there.  Adding 0.0 folds a rounding residual's -0.0
+    # into 0.0, as for the vertex value below.
     u_groups: dict[tuple[float, int], list[tuple[complex, complex, float]]] = {}
-    for w, val, mult in u_cen.points:
+    for w, val, mult, u_w, du_w in u_rows:
         if abs(val.imag) > tol:
             continue
-        u_groups.setdefault((round(val.real, 6), mult), []).append(
-            (w, complex(surface.u_part(w)), abs(complex(du(w))))
-        )
+        u_groups.setdefault((round(val.real, 6) + 0.0, mult), []).append((w, u_w, du_w))
 
     pairs: list[PairClass] = []
     by_type: Counter[int] = Counter()

@@ -1,6 +1,7 @@
 """Line arrangements: exact coefficients, closed-form counts, 2D censuses."""
 
 import hashlib
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -324,7 +325,43 @@ def test_census_guard_refuses_degree_past_guard():
 
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
-        assert len(_bounded_chambers(jd_lines(d))) == (d - 1) * (d - 2) // 2, d
+        lines = jd_lines(d)
+        assert len(_bounded_chambers(lines, _vertices(lines))) == (d - 1) * (d - 2) // 2, d
+
+
+def bounded_chambers_by_dict(lines):
+    """The chamber centroids as the census found them before the sign rows
+    were grouped by np.unique: a dict keyed by sign tuples, one np.mean per
+    chamber."""
+    normals, offsets = _line_arrays(lines)
+    chambers = {}
+    for i, j, x, y in _vertices(lines):
+        side = normals @ (x, y) + offsets > 0
+        for si, sj in itertools.product((True, False), repeat=2):
+            side[i], side[j] = si, sj
+            chambers.setdefault(tuple(side), []).append((x, y))
+    along = np.arctan2(-normals[:, 0], normals[:, 1])
+    cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
+    between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
+    far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
+    unbounded = {tuple(s) for s in far}
+    return [tuple(np.mean(v, axis=0)) for k, v in chambers.items() if k not in unbounded]
+
+
+@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+def test_grouped_chambers_equal_the_dict_grouping(d):
+    # Each centroid sums its vertices in the same order as the running mean
+    # did, so the two agree bit for bit; only the chamber order differs.
+    lines = jd_lines(d)
+    grouped = _bounded_chambers(lines, _vertices(lines))
+    assert sorted(map(tuple, grouped.tolist())) == sorted(bounded_chambers_by_dict(lines))
+
+
+def test_cached_census_is_read_only():
+    census = jd_census(5, 1e-6)
+    assert jd_census(5, 1e-6) is census
+    with pytest.raises(TypeError):
+        census.counts[0.0] = 0
 
 
 def chamber_maximum_one_at_a_time(lines, start):
@@ -350,7 +387,7 @@ def chamber_maximum_one_at_a_time(lines, start):
 def test_batched_ascent_matches_the_per_chamber_ascent(d):
     lines = jd_lines(d)
     normals, offsets = _line_arrays(lines)
-    starts = np.array(_bounded_chambers(lines))
+    starts = _bounded_chambers(lines, _vertices(lines))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
         maxima = _chamber_maxima(lines, starts)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from belyi_forge.arrangement_jd import build_Jd
+from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.cli import build_parser, main
 from belyi_forge.tree_realization import parse_dot
 
@@ -158,7 +158,10 @@ def test_surface_verify_nodal_takes_no_construction(capsys, construction):
 # payload of `surface-verify --degree d --nodal` without its two reported
 # defects.  Recorded with the census on dense coefficients and J_d from the
 # rationalized mpmath expansion; the product-form census and the A2
-# recurrence must reproduce them.
+# recurrence must reproduce them.  The nodal entries at d = 5, 7, 8, 10, 11
+# and 12 printed "u_value": -0.0, the sign of a rounding residual; they were
+# recorded again once the U pairing key folded -0.0 into 0.0, from payloads
+# that equal the old ones with every zero made +0.0.
 JD_VERIFY_SHA256 = {
     3: "f7b34dc5678aa995ac7cf9803a87025da88cc12fe46343a859031ae02d33431e",
     4: "d155a276671b73cf780da158aecb53676fe977519292cd49d47f840d348c8faf",
@@ -174,14 +177,14 @@ JD_VERIFY_SHA256 = {
 NODAL_SURFACE_SHA256 = {
     3: "6798894a2f7e3719fae3414bed461ae56f3a2aa55796dade906b819e775adc17",
     4: "57c750308a13d3c0853da2780728be995f9536bb563077309452faefbecc34ec",
-    5: "dbd8d2ad85964f1e59163efec6ba1d204bf6fce5b123551c9a86380f3a730fc4",
+    5: "29f054bfac165d349aa5d5f6452c296085539e4efaad0fb886655c2aafecadaf",
     6: "07e0e39b902da48670c6fe85a6ce0c793c3b477551b1137248a75be1016665fd",
-    7: "b27956056b06a474a02cd6082a55e99042fa2a6356f68b27e93c958e50e8bc13",
-    8: "17e4e1d1467d466737179a72878db630e424b8cb61de16ee4be46e7f5ebe74c2",
+    7: "703436acd248c8fbfaf27bd40c61300fcb204a5c7ceb1125b5520c93de220144",
+    8: "620d8fc2a9085d71cff7e61f4e5b424bd29762fcf0a01bc2c68520b49712a6a0",
     9: "3b1df05751f2e8fa94ae66ba8bc263e6055a494922476ba5a0c3bfa4d0dbf2d9",
-    10: "678e7bf25cae34000d6ce4b2a05ac5604b46dc6bdb4ad435a83a3cc48f247190",
-    11: "14773ca4dfa583aab10a1400b97f11f2936f8203eed7add3751029594451b841",
-    12: "4ea39ae5cd92923afc4a8214fa11e83f94daf05a6955198f083bf505a22389c5",
+    10: "b0db96f1d36c38f226ea2dc31a9006c6320bca99ce96a29e56e61120a0849b8d",
+    11: "dae29e68829a725bebbf1108bebb4ddda4af3302ae87592ac507e04b28040dee",
+    12: "94b7d74e23ea9acd2067faff082f3cc7e5f8793f6e4211cddcbbcf98da8a8aef",
 }
 
 
@@ -212,7 +215,9 @@ def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
 # `surface-verify --degree d --nodal`, recorded when each bounded chamber ran
 # its own Newton ascent and the dual-path check evaluated J_d by Fraction
 # Horner.  Beside them, that run's two nodal defects: they may move only at
-# rounding level, here taken as less than a factor of 8.
+# rounding level, here taken as less than a factor of 8.  The pairings at
+# d = 5, 7, 8, 10-12, 14-17, 19-21 and 23 printed "u_value": -0.0 and were
+# recorded again, as above, when the U pairing key began to fold -0.0.
 JD_VERIFY_STDOUT_SHA256 = {
     3: "1fa58110b8b3d749c74528280fd25c1df23f13015c10364e7e5b782c67977f32",
     4: "091312692f81b5c0e8d736e4d3f579fdd56cb03721cdb7cfa583c58ddb958509",
@@ -240,25 +245,25 @@ JD_VERIFY_STDOUT_SHA256 = {
 NODAL_PAIRING_SHA256 = {
     3: "e5ac3c4686dc05eeb383f53fcdbe726342824ede07e53c8c7ccffd791cb31e97",
     4: "c2ad0c30fd1441eedec247c1cf02267b90085ab37521aa40d282854eb0258571",
-    5: "ff4009619677c9ec05015470e9ffd01b4a978a8c3183e5da7076ed76997cef60",
+    5: "f79251ae05884d5162b30b0af67a8131b99572fb4c1bfcf3645417a8f5078733",
     6: "bd4cf580794d72e35e59c8b495bf6c75f1f4785a5dfd2118c7e253acca43b112",
-    7: "58d1f2758d685e2e01051f122c1fc6a4d00093b8f6eef6248367cbca707bf7e1",
-    8: "e30c122ebd18a706251fe1b679dedd8294ee66a45b833c03b1e0713159972d79",
+    7: "b530d64537c8fde457feb7de549fecf8216c2d7552efa96210348d84f465c576",
+    8: "ce7ec3b89e1a7291d8fbd63ac4fbc5bc1ada76b0c472c73260aa7dcf41a3a4a1",
     9: "6d7e9ccee9cda3a329d4d123200f5cc0e09b2d680dc1d29829ce30d411b80649",
-    10: "3180553b7dfa20ef60b6156947dbb765e6d05adf4a1a9c4fa6eb0ad44b7ee54f",
-    11: "f5356fbaefeb17b0aded4b002b5968b9a6c58215d06829910f239c746c3208b0",
-    12: "0ccf0e5d68c5de307932f37818fa313e54c9c5e7361b6b57067161a89d2d1e0f",
+    10: "b01b039cf6b4597bf8bc2aad8a4149e24deaf1d300f7d8966c1710e01c641241",
+    11: "46e180e2124921bd7090a22355a12421116f8af34904f25aec96bbb9e1c627e7",
+    12: "7650884bc5133a993ee69205f1e595c8a523dcbcfe6bb50317a6a10735dbe576",
     13: "b36fa4aa71ae4fe4d435ae1c422594534007b78ffd5491f5efb812632f944ff6",
-    14: "b8f1320ff826da4d426c4e40ea86dc7d841060f0594630e51769fa9d0eddec6d",
-    15: "0a2e6753d2037fd3ed6a24627ab356c32cc98644887bf57d047a34d7bee365ee",
-    16: "ef7f8687a3bc30e1f6f866c0a3341d85d67f1f28b6af52e3f1fa19b12d84aab8",
-    17: "ae166d5b1dda280dba8f78bf0acd66e356459cb35e8cc761aceec06b110c96d7",
+    14: "2fad4903bfdd5bad639ac2637ad796d591d1e70b0f1538df1a71f2c5305cd5f2",
+    15: "ee30e7ea310213929138a373adfcf47db8b768c8d53ec60c9ac8ecdf6df0be23",
+    16: "66f8777a74b65696187a520071cc0928aaf5c311b6bf481b45e0890b3dd4c786",
+    17: "feba75d12a87dc706543510f1289761cf4cb6eef82a503a4285137833c871b48",
     18: "c3bcf6f4aaa66294d73bcdab5ff14ec55636ce804d20981429bb306924c30895",
-    19: "92e5c6413252a12063f8080933321fa94e827edb2e397d14a3f22a01816d01c2",
-    20: "fa126de1ea51d7bf88094951913be3f2f5599cceada489dde9899ca6d592c45c",
-    21: "df8b53937caf1056b8443a2b4fbf791859d08ef0bce279b6ca346c1a16c9a99c",
+    19: "7ed4d03e5704e9767f4cf3fb6b5a06f87d20cd0d883322be5e4807a352118a1b",
+    20: "60ac2d62fcf2b54cb1e3b98fce1db9f1683dfaa2f8707073233d472778f8f7fa",
+    21: "f36b292a210e3c92060d46c579f3021ab5e272e26b3fae5a816d802664fd2b4d",
     22: "b8c69a42ab129b4a95973f2cb7d07e0faa6c16e0039ac32036df428f717d90b4",
-    23: "a4d7826956aefaf0c79e602ae32e7c8c123a402463395ba603e7b5cac77e6e78",
+    23: "5213670e00494e8f883560c231f867cb1d691404b3a9a962ac977078f4acadb0",
     24: "2cf76dfa999d7772b5ed57401a94cecef388f06b7df3705e0f0cb51e4adbafe9",
 }
 NODAL_DEFECTS = {
@@ -301,6 +306,36 @@ def test_jd_verify_stdout_and_nodal_pairing_are_pinned_to_the_guard(capsys, d):
     value_defect, gradient_defect = NODAL_DEFECTS[d]
     assert census["max_value_defect"] <= 8 * value_defect
     assert census["max_gradient_defect"] <= 8 * gradient_defect
+
+
+NO_NEGATIVE_ZERO_CALLS = [
+    *(("surface-verify", "--degree", str(d), "--nodal") for d in range(3, 25)),
+    ("surface-verify", "--degree", "3"),
+    ("surface-verify", "--degree", "9"),
+    ("surface-verify", "--degree", "9", "--seed", "F1:0,1"),
+]
+
+
+@pytest.mark.parametrize("argv", NO_NEGATIVE_ZERO_CALLS, ids=" ".join)
+def test_surface_reports_carry_no_negative_zero(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert "-0.0" not in out
+
+
+@pytest.mark.parametrize("d", [7, 24])
+def test_jd_verify_and_nodal_surface_share_one_census(capsys, d):
+    jd_census.cache_clear()
+    together = [run(capsys, "jd-verify", "--degree", str(d))]
+    together.append(run(capsys, "surface-verify", "--degree", str(d), "--nodal"))
+    info = jd_census.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    apart = []
+    for argv in (("jd-verify",), ("surface-verify", "--nodal")):
+        jd_census.cache_clear()
+        apart.append(run(capsys, argv[0], "--degree", str(d), *argv[1:]))
+    assert together == apart
+    assert all(code == 0 for code, _, _ in together)
 
 
 def test_export_dot_round_trips(capsys):

@@ -4,21 +4,29 @@ import hashlib
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from belyi_forge import (
     F1,
+    UniPoly,
+    belyi_numeric,
     build_Jd,
+    critical_census_uni,
     jstats,
     seed_profile,
     seed_triple,
     surface_counts,
     validate_seed,
 )
+from belyi_forge.arrangement_jd import jd_lines, line_product_values, scale_constant
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
+    DegenerateAxisError,
     ExistenceUnverifiedWarning,
     bound_table,
     build_nodal_surface,
@@ -31,6 +39,8 @@ from belyi_forge.surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
+    nodal_u_census,
+    nodal_unit_poly,
     seed_grid,
     singular_census_3d,
     spectrum,
@@ -375,3 +385,75 @@ def test_nodal_census_past_the_old_guard():
     census = singular_census_3d(build_nodal_surface(18))
     assert census.verified
     assert census.by_type == {1: nodal_surface_count(18)} == {1: 2105}
+
+
+def axis_roots(d):
+    return np.sort([-line.c / line.a for line in jd_lines(d)])
+
+
+@pytest.mark.parametrize("d", range(3, 25))
+def test_nodal_u_census_matches_the_dense_census(d):
+    dense = critical_census_uni(nodal_unit_poly(d))
+    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    assert dense.reliable
+    assert len(census.points) == len(census.slopes) == len(dense.points) == d - 1
+    for (z, value, mult), (w, dense_value, dense_mult) in zip(census.points, dense.points):
+        assert mult == dense_mult == 1
+        assert abs(w.imag) < 1e-12 and abs(dense_value.imag) < 1e-12
+        assert abs(z - w.real) <= 1e-10
+        assert abs(value - dense_value.real) <= 1e-7
+
+
+@pytest.mark.parametrize("d", [30, 60, 120, 200])
+def test_nodal_u_census_past_the_census_guard(d):
+    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    x = np.array([2 * z + 1 for z, _, _ in census.points])
+    roots = axis_roots(d)
+    # d - 1 simple points, one strictly inside each gap of the axis roots.
+    assert len(x) == d - 1
+    assert all(m == 1 for _, _, m in census.points)
+    assert np.all((roots[:-1] < x) & (x < roots[1:]))
+    values = np.array([v for _, v, _ in census.points])
+    at_zero, at_one = np.abs(values) <= 1e-11, np.abs(values - 1) <= 1e-11
+    assert np.all(at_zero | at_one)
+    # U = 0 is J = 3 and U = 1 is J = -1: at d=200, 100 and 99 points.
+    assert (at_zero.sum(), at_one.sum()) == (d // 2, (d - 1) // 2)
+
+
+@pytest.mark.parametrize("d", [30, 200])
+def test_nodal_u_values_agree_with_a_50_digit_line_product(d):
+    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    points = [(Fraction(2 * z + 1), Fraction(0)) for z, _, _ in census.points]
+    with mp.workdps(50):
+        exact = [(3 - j) / 4 for j in line_product_values(d, points)]
+        for (_, value, _), u in zip(census.points, exact):
+            assert abs(value - u) <= 1e-11
+            # The bisection's point is a critical point to far below the
+            # float product's rounding.
+            assert min(abs(u), abs(u - 1)) <= 1e-20
+
+
+def test_nodal_u_census_refuses_a_degenerate_axis():
+    lines = jd_lines(5)
+    # A line through the first line's axis point, at twice its slope.
+    first = lines[0]
+    doubled = replace(first, a=2 * first.a, c=2 * first.c)
+    with pytest.raises(DegenerateAxisError, match="not distinct"):
+        nodal_u_census([*lines[1:], doubled, first], scale_constant(5))
+    flat = replace(first, a=0.0, c=1.0)
+    with pytest.raises(DegenerateAxisError, match="parallel"):
+        nodal_u_census([*lines[1:], flat], scale_constant(5))
+
+
+def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the nodal census took the dense U path")
+
+    monkeypatch.setattr(surface_counts, "critical_census_uni", refuse)
+    monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
+    monkeypatch.setattr(belyi_numeric, "_aberth_refine", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(UniPoly, "__call__", refuse)
+    census = singular_census_3d(build_nodal_surface(12))
+    assert census.verified
+    assert census.by_type == {1: nodal_surface_count(12)}
