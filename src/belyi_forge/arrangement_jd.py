@@ -22,11 +22,14 @@ centroid of the chamber's vertices, all chambers in one batch.  For lines in
 general position these are all the critical points (Varchenko), one per
 bounded chamber, and the bounded chambers number (d-1)(d-2)/2 (Zaslavsky),
 so the census is complete by construction once every candidate passes its
-tests.  It reads J_d, its gradient and its Hessian in product form, from the
-lines and the scale constant, whose factors keep a small relative error where
-the dense coefficients would not; the rational coefficients serve the
-dual-path check, which evaluates them in Python ints, and the axis
-restriction.
+tests.  It reads J_d, its gradient and its Hessian as one jet, carried
+through the product of the lines by the product rule one line at a time and
+scaled last; the factors keep a small relative error where the dense
+coefficients would not, and the jet divides by nothing, so it stays exact at
+a vertex.  The lines are converted to arrays once, and the vertices, the
+chambers, their maxima and the jet are all read from those arrays.  The
+rational coefficients serve the dual-path check, which evaluates them in
+Python ints, and the axis restriction.
 """
 
 from __future__ import annotations
@@ -44,8 +47,11 @@ import numpy as np
 
 from .belyi_numeric import DegreeGuardError
 
-# Working precision of the dual-path check's line product, in bits.
+# Working precision of the dual-path check's line product, in bits, and the
+# number and seed of its deterministic rational points.
 DUAL_PATH_PRECISION = 256
+DUAL_PATH_POINTS = 12
+DUAL_PATH_SEED = 7
 # The census's gradient test |grad J| < 1e-8 (1 + |J|), read in product
 # form, is worst at the vertices, where it is |Hessian| times the rounding of
 # the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
@@ -66,9 +72,6 @@ class LineSpec:
     a: float
     b: float
     c: float
-
-    def __call__(self, x: float, y: float) -> float:
-        return self.a * x + self.b * y + self.c
 
 
 @dataclass(frozen=True)
@@ -240,15 +243,15 @@ def _dual_path_points(n_points: int, seed: int) -> list[tuple[Fraction, Fraction
     return list(zip(draws[::2], draws[1::2]))
 
 
-def verify_Jd_dual_path(d: int, n_points: int = 12, seed: int = 7) -> float:
+def verify_Jd_dual_path(d: int) -> float:
     """Max disagreement between the rational polynomial and the line product.
 
-    Evaluates J_d at deterministic rational points both exactly, by integer
-    Horner over one common denominator (BiPoly.rational_values), and through
-    the scaled line product at DUAL_PATH_PRECISION bits; returns the
-    largest absolute difference.
+    Evaluates J_d at DUAL_PATH_POINTS deterministic rational points both
+    exactly, by integer Horner over one common denominator
+    (BiPoly.rational_values), and through the scaled line product at
+    DUAL_PATH_PRECISION bits; returns the largest absolute difference.
     """
-    points = _dual_path_points(n_points, seed)
+    points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED)
     exact_values = build_Jd(d).rational_values(points)
     with mp.workprec(DUAL_PATH_PRECISION):
         via_lines = line_product_values(d, points)
@@ -295,19 +298,26 @@ def jstats(d: int) -> JStats:
     return JStats(d=d, n0=n0, n8=n8, nm1=nm1)
 
 
-def _vertices(lines: list[LineSpec]) -> list[tuple[int, int, float, float]]:
-    """(i, j, x, y) for each crossing of line i with a later line j."""
-    out = []
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            l1, l2 = lines[i], lines[j]
-            det = l1.a * l2.b - l2.a * l1.b
-            if abs(det) < 1e-12:
-                continue
-            x = (-l1.c * l2.b + l2.c * l1.b) / det
-            y = (-l1.a * l2.c + l2.a * l1.c) / det
-            out.append((i, j, x, y))
-    return out
+def _line_arrays(lines: list[LineSpec]) -> tuple[np.ndarray, np.ndarray]:
+    """The normals (a, b) as rows, and the offsets c, of the lines."""
+    return np.array([(l.a, l.b) for l in lines]), np.array([l.c for l in lines])
+
+
+def _vertices(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each crossing of line i with a later line j, by Cramer's rule.
+
+    Returns the pairs (i, j) and the crossings (x, y) as rows, in the order
+    of np.triu_indices (i, then j, increasing).  Pairs of parallel lines
+    (|det| < 1e-12) are dropped before the division.
+    """
+    i, j = np.triu_indices(len(offsets), k=1)
+    (a, b), c = normals.T, offsets
+    det = a[i] * b[j] - a[j] * b[i]
+    crossing = np.abs(det) >= 1e-12
+    i, j, det = i[crossing], j[crossing], det[crossing]
+    x = (-c[i] * b[j] + c[j] * b[i]) / det
+    y = (-a[i] * c[j] + a[j] * c[i]) / det
+    return np.stack([i, j], axis=1), np.stack([x, y], axis=1)
 
 
 @dataclass(frozen=True)
@@ -344,13 +354,8 @@ class Census2D:
         }
 
 
-def _line_arrays(lines: list[LineSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """The normals (a, b) as rows, and the offsets c, of the lines."""
-    return np.array([(l.a, l.b) for l in lines]), np.array([l.c for l in lines])
-
-
 def _bounded_chambers(
-    lines: list[LineSpec], vertices: list[tuple[int, int, float, float]]
+    normals: np.ndarray, offsets: np.ndarray, pairs: np.ndarray, at: np.ndarray
 ) -> np.ndarray:
     """The vertex centroid of each bounded chamber of the arrangement.
 
@@ -359,12 +364,10 @@ def _bounded_chambers(
     signs of its two lines.  A chamber is unbounded exactly when it holds
     the far points of some direction, and the directions strictly inside
     the 2n gaps between the n line directions and their opposites name all
-    the unbounded chambers.  The sign rows are grouped by np.unique, and
-    each centroid sums its vertices in vertex order, as a running mean would.
+    the unbounded chambers.  The vertices are given as _vertices returns
+    them.  The sign rows are grouped by np.unique, and each centroid sums
+    its vertices in vertex order, as a running mean would.
     """
-    normals, offsets = _line_arrays(lines)
-    pairs = np.array([(i, j) for i, j, _, _ in vertices])
-    at = np.array([(x, y) for _, _, x, y in vertices])
     k = np.arange(len(at))
     sides = np.repeat((at @ normals.T + offsets > 0)[:, None], 4, axis=1)
     for c, (si, sj) in enumerate(itertools.product((True, False), repeat=2)):
@@ -374,7 +377,7 @@ def _bounded_chambers(
     cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
     between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
     far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
-    rows = np.concatenate([sides.reshape(-1, len(lines)), far])
+    rows = np.concatenate([sides.reshape(-1, len(offsets)), far])
     chambers, chamber_of = np.unique(rows, axis=0, return_inverse=True)
     chamber_of = chamber_of.ravel()
     touching, unbounded = chamber_of[: 4 * len(at)], chamber_of[4 * len(at) :]
@@ -386,7 +389,7 @@ def _bounded_chambers(
     return np.stack(sums, axis=1) / count[bounded, None]
 
 
-def _chamber_maxima(lines: list[LineSpec], starts: np.ndarray) -> np.ndarray:
+def _chamber_maxima(normals: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Maximum of sum(log|l_i|) over the open chamber holding each start.
 
     Damped Newton ascent, run on all chambers at once as stacked arrays;
@@ -400,7 +403,6 @@ def _chamber_maxima(lines: list[LineSpec], starts: np.ndarray) -> np.ndarray:
     has not converged in 50 steps keeps its last iterate, which the census's
     gradient test then rejects.
     """
-    normals, offsets = _line_arrays(lines)
     x = np.array(starts, dtype=float)
     todo = np.arange(len(x))
     for _ in range(50):
@@ -427,42 +429,27 @@ def _chamber_maxima(lines: list[LineSpec], starts: np.ndarray) -> np.ndarray:
     return x
 
 
-def _leave_one_out(factors: np.ndarray) -> np.ndarray:
-    """Product of all rows of factors but the k-th, for each row k.
-
-    A forward and a reversed cumulative product meet at k, so no division
-    is taken and a vanishing factor (two of them at a vertex) is harmless.
-    """
-    ones = np.ones_like(factors[:1])
-    pre = np.cumprod(np.concatenate([ones, factors[:-1]]), axis=0)
-    suf = np.cumprod(np.concatenate([ones, factors[:0:-1]]), axis=0)[::-1]
-    return pre * suf
-
-
 def _product_jet(
-    lines: list[LineSpec], scale: float, x: np.ndarray, y: np.ndarray
+    normals: np.ndarray, offsets: np.ndarray, scale: float, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Value, gradient and Hessian of scale * prod(l_i) at the points (x, y).
 
-    Returns (value, gx, gy, hxx, hxy, hyy).  With normals n_i, the gradient
-    is scale * sum_i n_i prod_{k != i} l_k and the Hessian is
-    scale * sum_{i != j} n_i n_j^T prod_{k != i, j} l_k; the leave-two-out
-    products are leave-one-out products of the factors with row i set to 1.
+    Returns (value, gx, gy, hxx, hxy, hyy).  One jet (v, g, H), started at
+    (1, 0, 0), takes the lines in order by the product rule: with
+    l = a x + b y + c and normal n = (a, b), it becomes
+    (v l, g l + v n, H l + n g^T + g n^T).  The scale multiplies last, so
+    the value rounds as scale * prod(l_i) taken line by line does.  The jet
+    divides by nothing, so it stays exact at a vertex, where two factors
+    vanish, and it holds six arrays the size of the points.
     """
-    normals, offsets = _line_arrays(lines)
-    factors = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + offsets[:, None]
-    n = len(lines)
-    value = scale * factors.prod(axis=0)
-    gx, gy = scale * (normals.T @ _leave_one_out(factors))
-    all_but_i = np.repeat(factors[None], n, axis=0)
-    all_but_i[np.arange(n), np.arange(n)] = 1.0
-    pairs = _leave_one_out(all_but_i.swapaxes(0, 1))
-    pairs[np.arange(n), np.arange(n)] = 0.0
-    a, b = normals[:, 0], normals[:, 1]
-    hxx = scale * np.einsum("i,j,ijk->k", a, a, pairs)
-    hxy = scale * np.einsum("i,j,ijk->k", a, b, pairs)
-    hyy = scale * np.einsum("i,j,ijk->k", b, b, pairs)
-    return value, gx, gy, hxx, hxy, hyy
+    value = np.ones_like(x)
+    gx, gy, hxx, hxy, hyy = (np.zeros_like(x) for _ in range(5))
+    for (a, b), c in zip(normals, offsets):
+        l = a * x + b * y + c
+        hxx, hxy, hyy = hxx * l + 2 * a * gx, hxy * l + a * gy + b * gx, hyy * l + 2 * b * gy
+        gx, gy = gx * l + a * value, gy * l + b * value
+        value = value * l
+    return tuple(scale * q for q in (value, gx, gy, hxx, hxy, hyy))
 
 
 def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -> Census2D:
@@ -472,23 +459,24 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     vertices, where J vanishes to second order, and one maximum of
     sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
     (d-1)(d-2)/2 (Zaslavsky); one batched damped-Newton ascent finds every
-    chamber's maximum (_chamber_maxima).  J, its gradient and its Hessian are
-    evaluated from the line factors (_product_jet), never from dense
-    coefficients.  Each candidate must pass the gradient test
-    |grad J| < 1e-8 (1 + |J|); it is then classified against the values
-    {0, 8, -1} within tol and flagged nondegenerate by its Hessian
-    determinant.  The census is complete when every candidate passes, no
+    chamber's maximum (_chamber_maxima).  The lines become arrays once, and
+    the vertices, chambers, maxima and jet all read them.  J, its gradient
+    and its Hessian come from one product-rule jet over the line factors
+    (_product_jet), never from dense coefficients.  Each candidate must pass
+    the gradient test |grad J| < 1e-8 (1 + |J|); it is then classified
+    against the values {0, 8, -1} within tol and flagged nondegenerate by
+    its Hessian determinant.  The census is complete when every candidate passes, no
     value strays and the bounded chambers number (d-1)(d-2)/2.
     """
     d = len(lines)
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
-    vertices = _vertices(lines)
-    centroids = _bounded_chambers(lines, vertices)
-    maxima = _chamber_maxima(lines, centroids)
-    candidates = np.concatenate([np.array([(x, y) for _, _, x, y in vertices]), maxima])
-    x, y = candidates[:, 0], candidates[:, 1]
-    val, fx, fy, hxx, hxy, hyy = _product_jet(lines, scale, x, y)
+    normals, offsets = _line_arrays(lines)
+    pairs, vertices = _vertices(normals, offsets)
+    centroids = _bounded_chambers(normals, offsets, pairs, vertices)
+    maxima = _chamber_maxima(normals, offsets, centroids)
+    x, y = np.concatenate([vertices, maxima]).T
+    val, fx, fy, hxx, hxy, hyy = _product_jet(normals, offsets, scale, x, y)
     det = hxx * hyy - hxy * hxy
     ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
     nondeg = np.abs(det) > tol * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
@@ -531,13 +519,13 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
 
 
 @lru_cache(maxsize=8)
-def jd_census(d: int, tol: float = 1e-6) -> Census2D:
+def jd_census(d: int, tol: float, /) -> Census2D:
     """Census of J_d from its lines, which carry the sqrt(3) y-scale.
 
     It depends on d and tol alone, so it is cached: jd-verify, the nodal
-    surface and the paired surfaces of one degree share one census.  The
-    cache keys on the arguments as passed, so callers pass tol positionally.
-    The census is read-only (its counts are a mapping proxy).
+    surface and the paired surfaces of one degree share one census.  Both
+    arguments are positional and required, so each (d, tol) has one cache
+    key.  The census is read-only (its counts are a mapping proxy).
     """
     return arrangement_census(jd_lines(d), scale_constant(d), tol)
 

@@ -229,8 +229,7 @@ def cmd_shabat(args) -> int:
 def cmd_jd_verify(args) -> int:
     # The dual-path check builds J_d and reads its exact values by integer
     # Horner; the census reads J_d from its lines, and finds every chamber
-    # maximum in one batched Newton ascent.  tol is passed positionally, as
-    # surface-verify passes it, so both share the census's cache entry.
+    # maximum in one batched Newton ascent.
     dual = verify_Jd_dual_path(args.degree)
     census = jd_census(args.degree, args.tol)
     st = jstats(args.degree)

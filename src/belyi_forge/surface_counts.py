@@ -26,7 +26,8 @@ from .arrangement_jd import (
     Census2D,
     JStats,
     LineSpec,
-    _leave_one_out,
+    _line_arrays,
+    _product_jet,
     build_Jd,
     jd_census,
     jd_lines,
@@ -443,19 +444,13 @@ class SurfacePoly:
         return build_Jd(self.d)(x, y) + self.u_part(w)
 
 
-def build_surface(
-    d: int,
-    seed: SeedSpec,
-    word: Word | str,
-    tol: float = 1e-10,
-    max_restarts: int = 32,
-    rng_seed: int = 0,
-    max_degree: int = 16,
-) -> SurfacePoly:
+def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> SurfacePoly:
     """Assemble J_d(x,y) + U(w) for the polynomial a word derives from a seed.
 
     The unit-interval part comes from an actual converged solve, so a
     failed solve propagates; the count formulas stay available either way.
+    Keyword arguments go to shabat_for_derivation, and so to shabat_solve,
+    unchanged.
     """
     if isinstance(word, str):
         word = word_from_str(word, seed)
@@ -464,14 +459,7 @@ def build_surface(
         raise ValueError(
             f"word reaches degree {prof.degree}, arrangement degree is {d}"
         )
-    sol = shabat_for_derivation(
-        seed,
-        word,
-        tol=tol,
-        max_restarts=max_restarts,
-        rng_seed=rng_seed,
-        max_degree=max_degree,
-    )
+    sol = shabat_for_derivation(seed, word, **solver)
     return SurfacePoly(
         u_part=to_unit_interval(sol.polynomial()),
         d=d,
@@ -528,11 +516,11 @@ def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
     so each midpoint taken lies strictly inside its gap and no term divides
     by zero.  The point is the last bracket's midpoint, mapped to the
     surface's variable by z = (x - 1) / 2.  There U = (3 - J) / 4 and
-    |U'| = |J_x| / 2, with J and J_x formed from the line factors and their
-    division-free leave-one-out products.
+    |U'| = |J_x| / 2, with J and J_x read from the arrangement's
+    product-rule jet (arrangement_jd._product_jet) on the axis.
     """
-    a = np.array([l.a for l in lines])
-    c = np.array([l.c for l in lines])
+    normals, c = _line_arrays(lines)
+    a = normals[:, 0]
     if np.any(a == 0):
         raise DegenerateAxisError("a line is parallel to the x-axis")
     roots = np.sort(-c / a)
@@ -553,9 +541,7 @@ def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
         lo[live[right]] = mid[right]
         hi[live[~right]] = mid[~right]
     x = (lo + hi) / 2
-    factors = a[:, None] * x + c[:, None]
-    j = scale * factors.prod(axis=0)
-    jx = scale * (a @ _leave_one_out(factors))
+    j, jx = _product_jet(normals, c, scale, x, np.zeros_like(x))[:2]
     z, u = (x - 1) / 2, (3 - j) / 4
     return NodalUCensus(
         points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),

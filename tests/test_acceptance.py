@@ -205,7 +205,7 @@ def test_criterion_06_arrangement_census():
     for d, triple in frozen.items():
         stats = jstats(d)
         assert (stats.n0, stats.n8, stats.nm1) == triple
-        census = jd_census(d, tol=1e-6)
+        census = jd_census(d, 1e-6)
         assert census_matches_jstats(census, stats), census.as_dict()
         assert census.total == (d - 1) ** 2
         assert census.all_nondegenerate

@@ -3,7 +3,9 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -76,8 +78,48 @@ def test_scale_constant_nonzero_at_tau_zero():
 
 def test_intersections_bounded_by_pair_count():
     for d in (3, 4, 5, 6):
-        pts = _vertices(build_lines(d))
-        assert 1 <= len(pts) <= d * (d - 1) // 2
+        pairs, _ = _vertices(*_line_arrays(build_lines(d)))
+        assert 1 <= len(pairs) <= d * (d - 1) // 2
+
+
+def vertices_by_loop(lines):
+    """(i, j, x, y) for each crossing, as the census found them before the
+    vertices were arrays: Cramer's rule in a double loop over the lines."""
+    out = []
+    for i in range(len(lines)):
+        for j in range(i + 1, len(lines)):
+            l1, l2 = lines[i], lines[j]
+            det = l1.a * l2.b - l2.a * l1.b
+            if abs(det) < 1e-12:
+                continue
+            x = (-l1.c * l2.b + l2.c * l1.b) / det
+            y = (-l1.a * l2.c + l2.a * l1.c) / det
+            out.append((i, j, x, y))
+    return out
+
+
+def assert_vertices_equal_the_loop(lines):
+    pairs, at = _vertices(*_line_arrays(lines))
+    oracle = vertices_by_loop(lines)
+    assert pairs.tolist() == [[i, j] for i, j, _, _ in oracle]
+    # Bit for bit: equal int64 views also tell -0.0 from 0.0.
+    want = np.array([(x, y) for _, _, x, y in oracle])
+    assert np.array_equal(at.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+def test_vertices_equal_the_double_loop(d):
+    assert_vertices_equal_the_loop(jd_lines(d))
+
+
+def test_vertices_skip_a_parallel_pair():
+    lines = jd_lines(5)
+    shifted = replace(lines[1], c=lines[1].c + 1.0)
+    lines = lines[:3] + [shifted] + lines[3:]
+    assert_vertices_equal_the_loop(lines)
+    pairs, _ = _vertices(*_line_arrays(lines))
+    assert len(pairs) == 6 * 5 // 2 - 1
+    assert [1, 3] not in pairs.tolist()
 
 
 def _falling(n, k):
@@ -103,7 +145,7 @@ def jet_errors(lines, scale, poly, points):
     y = np.array([float(py) for _, py in points])
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        jet = np.array(_product_jet(lines, scale, x, y))
+        jet = np.array(_product_jet(*_line_arrays(lines), scale, x, y))
     assert np.isfinite(jet).all()
     worst = [0.0, 0.0, 0.0]
     for k, (px, py) in enumerate(zip(x, y)):
@@ -129,14 +171,62 @@ def test_product_jet_matches_exact_partials():
 
 def test_product_jet_at_vertices_is_exact_and_division_free():
     # Two factors vanish at each vertex of the arrangement.
-    vertices = [(x, y) for _, _, x, y in _vertices(jd_lines(5))]
+    vertices = _vertices(*_line_arrays(jd_lines(5)))[1].tolist()
     assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
     lines = [LineSpec(mu=0, phi=0.0, a=a, b=b, c=c)
              for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]]
     with np.errstate(all="raise"):
-        jet = _product_jet(lines, 1.0, np.zeros(1), np.zeros(1))
+        jet = _product_jet(*_line_arrays(lines), 1.0, np.zeros(1), np.zeros(1))
     assert [float(v[0]) for v in jet] == [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]
+
+
+def leave_one_out(factors):
+    """Product of all rows of factors but the k-th, for each row k."""
+    ones = np.ones_like(factors[:1])
+    pre = np.cumprod(np.concatenate([ones, factors[:-1]]), axis=0)
+    suf = np.cumprod(np.concatenate([ones, factors[:0:-1]]), axis=0)[::-1]
+    return pre * suf
+
+
+def product_jet_leave_two_out(normals, factors, scale):
+    """The jet as the census read it before the product rule, from the line
+    factors (one row per line): leave-one-out products for the gradient, and
+    an n x n x K array of leave-two-out products for the Hessian."""
+    n = len(factors)
+    value = scale * factors.prod(axis=0)
+    gx, gy = scale * (normals.T @ leave_one_out(factors))
+    all_but_i = np.repeat(factors[None], n, axis=0)
+    all_but_i[np.arange(n), np.arange(n)] = 1.0
+    pairs = leave_one_out(all_but_i.swapaxes(0, 1))
+    pairs[np.arange(n), np.arange(n)] = 0.0
+    a, b = normals[:, 0], normals[:, 1]
+    hxx = scale * np.einsum("i,j,ijk->k", a, a, pairs)
+    hxy = scale * np.einsum("i,j,ijk->k", a, b, pairs)
+    hyy = scale * np.einsum("i,j,ijk->k", b, b, pairs)
+    return value, gx, gy, hxx, hxy, hyy
+
+
+@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+def test_product_rule_jet_equals_the_leave_two_out_jet(d):
+    # At every census candidate the values are equal, and each derivative
+    # agrees to 1e-12 relative to the sum of its terms' sizes: the old jet
+    # taken over |n_i|, |l_i| and |scale|.  The gradient itself vanishes
+    # there, so it is no scale.
+    normals, offsets = _line_arrays(jd_lines(d))
+    pairs, vertices = _vertices(normals, offsets)
+    maxima = _chamber_maxima(
+        normals, offsets, _bounded_chambers(normals, offsets, pairs, vertices)
+    )
+    x, y = np.concatenate([vertices, maxima]).T
+    scale = scale_constant(d)
+    factors = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + offsets[:, None]
+    jet = _product_jet(normals, offsets, scale, x, y)
+    oracle = product_jet_leave_two_out(normals, factors, scale)
+    size = product_jet_leave_two_out(np.abs(normals), np.abs(factors), abs(scale))
+    assert np.array_equal(jet[0], oracle[0])
+    for got, want, terms in zip(jet[1:], oracle[1:], size[1:]):
+        assert np.all(np.abs(got - want) <= 1e-12 * terms), d
 
 
 def test_product_jet_of_unscaled_lines_is_not_jd():
@@ -306,13 +396,13 @@ def test_float_census_matches_counts(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_rational_census_matches_counts(d):
-    census = jd_census(d)
+    census = jd_census(d, 1e-6)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
 
 
 @pytest.mark.parametrize("d", [10, 11, 12, 13, 18, 24])
 def test_rational_census_matches_counts_past_nine(d):
-    census = jd_census(d)
+    census = jd_census(d, 1e-6)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
     assert census.total == (d - 1) ** 2
     assert census.all_nondegenerate
@@ -320,13 +410,14 @@ def test_rational_census_matches_counts_past_nine(d):
 
 def test_census_guard_refuses_degree_past_guard():
     with pytest.raises(DegreeGuardError):
-        jd_census(CENSUS_DEGREE_GUARD + 1)
+        jd_census(CENSUS_DEGREE_GUARD + 1, 1e-6)
 
 
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
-        lines = jd_lines(d)
-        assert len(_bounded_chambers(lines, _vertices(lines))) == (d - 1) * (d - 2) // 2, d
+        normals, offsets = _line_arrays(jd_lines(d))
+        chambers = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
+        assert len(chambers) == (d - 1) * (d - 2) // 2, d
 
 
 def bounded_chambers_by_dict(lines):
@@ -335,7 +426,8 @@ def bounded_chambers_by_dict(lines):
     chamber."""
     normals, offsets = _line_arrays(lines)
     chambers = {}
-    for i, j, x, y in _vertices(lines):
+    pairs, at = _vertices(normals, offsets)
+    for (i, j), (x, y) in zip(pairs.tolist(), at.tolist()):
         side = normals @ (x, y) + offsets > 0
         for si, sj in itertools.product((True, False), repeat=2):
             side[i], side[j] = si, sj
@@ -353,7 +445,8 @@ def test_grouped_chambers_equal_the_dict_grouping(d):
     # Each centroid sums its vertices in the same order as the running mean
     # did, so the two agree bit for bit; only the chamber order differs.
     lines = jd_lines(d)
-    grouped = _bounded_chambers(lines, _vertices(lines))
+    normals, offsets = _line_arrays(lines)
+    grouped = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
     assert sorted(map(tuple, grouped.tolist())) == sorted(bounded_chambers_by_dict(lines))
 
 
@@ -362,6 +455,30 @@ def test_cached_census_is_read_only():
     assert jd_census(5, 1e-6) is census
     with pytest.raises(TypeError):
         census.counts[0.0] = 0
+
+
+def test_jd_census_has_one_call_form():
+    with pytest.raises(TypeError):
+        jd_census(5, tol=1e-6)
+    with pytest.raises(TypeError):
+        jd_census(5)
+    jd_census(5, 1e-6)
+    hits = jd_census.cache_info().hits
+    jd_census(5, 1e-6)
+    assert jd_census.cache_info().hits == hits + 1
+
+
+def test_census_peak_memory_at_degree_24():
+    # The jet holds six arrays the size of the candidates, so the census
+    # peaks near 0.5 MiB; an n x n x K Hessian array would take 9.6 MiB.
+    jd_census.cache_clear()
+    tracemalloc.start()
+    try:
+        jd_census(24, 1e-6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def chamber_maximum_one_at_a_time(lines, start):
@@ -387,10 +504,10 @@ def chamber_maximum_one_at_a_time(lines, start):
 def test_batched_ascent_matches_the_per_chamber_ascent(d):
     lines = jd_lines(d)
     normals, offsets = _line_arrays(lines)
-    starts = _bounded_chambers(lines, _vertices(lines))
+    starts = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        maxima = _chamber_maxima(lines, starts)
+        maxima = _chamber_maxima(normals, offsets, starts)
     oracle = np.array([chamber_maximum_one_at_a_time(lines, s) for s in starts])
     assert np.all(np.abs(maxima - oracle) <= 1e-13 * (1 + np.abs(oracle)))
     sides = np.sign(starts @ normals.T + offsets)

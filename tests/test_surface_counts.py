@@ -13,6 +13,7 @@ import pytest
 
 from belyi_forge import (
     F1,
+    DegreeGuardError,
     UniPoly,
     belyi_numeric,
     build_Jd,
@@ -68,6 +69,29 @@ def test_count_rejects_bad_domain():
         count_Anu(10, 5)
     with pytest.raises(ValueError):
         count_Anu(9, 2)
+
+
+def test_count_anu_is_not_the_condition_e_maximum():
+    # count_Anu returns n0 q + nm1 with q = floor(d / (nu + 1)).  The
+    # condition-E maximum is n0 q + nm1 r with r = floor((d - 1) / nu) - q,
+    # so the two agree exactly when r = 1.
+    def e_maximum(d, nu):
+        st = jstats(d)
+        q = d // (nu + 1)
+        return st.n0 * q + st.nm1 * ((d - 1) // nu - q)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExistenceUnverifiedWarning)
+        assert [count_Anu(d, 3) for d in (9, 12, 39)] == [91, 235, 7138]
+        assert [e_maximum(d, 3) for d in (9, 12, 39)] == [72, 198, 8076]
+        for d in range(3, 61, 3):
+            st = jstats(d)
+            for nu in range(3, 21):
+                q = d // (nu + 1)
+                r = (d - 1) // nu - q
+                count = count_Anu(d, nu)
+                assert count == st.n0 * q + st.nm1, (d, nu)
+                assert (count == e_maximum(d, nu)) == (r == 1), (d, nu)
 
 
 A2_SERIES = [127, 301, 647, 1100, 1851, 2715, 4027, 5434, 7463, 9545, 12447]
@@ -330,6 +354,12 @@ def test_end_to_end_census_smallest_surface():
     state = trajectory(F1(0, 1), ())[-1]
     sp = spectrum(jstats(9), state.profile)
     assert census_matches_spectrum(census, sp)
+
+
+def test_build_surface_forwards_the_solver_guard():
+    # F1:0,1 "a" reaches degree 12, past a guard of 9.
+    with pytest.raises(DegreeGuardError):
+        build_surface(12, F1(0, 1), "a", max_degree=9)
 
 
 def test_pairing_is_complete():
