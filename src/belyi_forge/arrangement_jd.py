@@ -42,7 +42,6 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-import mpmath as mp
 import numpy as np
 
 from .belyi_numeric import DegreeGuardError
@@ -221,6 +220,8 @@ def line_product_values(d: int, points) -> list:
     The lines meet (x, Y/sqrt(3)); every step runs at mpmath's working
     precision, so the caller sets it.
     """
+    import mpmath as mp
+
     scale = 2 * mp.cos(d * mp.pi / 2 + 2 * mp.pi / 3)
     lines = []
     for mu in _mu_range(d):
@@ -251,6 +252,8 @@ def verify_Jd_dual_path(d: int) -> float:
     (BiPoly.rational_values), and through the scaled line product at
     DUAL_PATH_PRECISION bits; returns the largest absolute difference.
     """
+    import mpmath as mp
+
     points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED)
     exact_values = build_Jd(d).rational_values(points)
     with mp.workprec(DUAL_PATH_PRECISION):

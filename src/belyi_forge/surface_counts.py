@@ -18,7 +18,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -56,11 +56,11 @@ from .word_engine import (
     LetterNotApplicableError,
     NoFamilyRecordedError,
     Word,
+    _t2_families,
     alternating_word,
     apply_letter,
     initial_state,
     max_h,
-    paper_word_families,
     trajectory,
     uses_t2,
     word_from_str,
@@ -232,11 +232,23 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
 
 
 def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
+    """The empty word and the seed's catalogued words that can end within
+    degree d_max, each once.
+
+    Every letter strictly raises the degree: a T13 letter by nu + 1, a T2
+    letter by at least 3 (by 3, nu, or nu - eps + 2 with eps < nu, and
+    nu = 3(n + l) + j >= 4 for every second-family seed with a recorded
+    family).  So a word of more than (d_max - d0) // (nu + 1) letters, or
+    (d_max - d0) // 3 for a second-family seed, ends past d_max, and no
+    such word is generated.  The T2 words come in generation order, not in
+    the canonical order of paper_word_families: the catalogue sorts its
+    constructions itself.
+    """
     tri = seed_triple(seed)
     words: list[Word] = [()]
     if uses_t2(seed):
         try:
-            words.extend(paper_word_families(seed))
+            words.extend(dict.fromkeys(_t2_families(seed, (d_max - tri.d0) // 3)))
         except NoFamilyRecordedError:
             pass
     else:
@@ -271,12 +283,14 @@ def _step(
 def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, ...]:
     """The seed's admissible catalogued words up to degree d_max.
 
-    A memo maps each word prefix to its state, or to None once the prefix
-    is inadmissible or past degree d_max, so each distinct prefix costs at
-    most one letter application and one admissibility test.  Every letter
-    strictly raises the degree (a T13 letter adds nu + 1, a T2 letter adds
-    3, nu or nu - eps + 2 with eps < nu), so no extension of a prefix past
-    d_max can come back within it, and the walk stops there.
+    Every letter strictly raises the degree, by nu + 1 for a T13 letter and
+    by at least 3 for a T2 letter.  So _words_for_seed generates only words
+    of at most (d_max - d0) // (nu + 1) letters, or (d_max - d0) // 3 for a
+    second-family seed, and no extension of a prefix past d_max can come
+    back within it.  A memo maps each word prefix to its state, or to None
+    once the prefix is inadmissible or past degree d_max, so each distinct
+    prefix costs at most one letter application and one admissibility
+    test, and the walk stops a prefix there.
     """
     memo = {"": _kept(initial_state(seed), d_max)}
     nu = seed_triple(seed).nu
@@ -444,6 +458,22 @@ class SurfacePoly:
         return build_Jd(self.d)(x, y) + self.u_part(w)
 
 
+class _NodalSurfacePoly(SurfacePoly):
+    """The all-nodes surface, whose U is the exact axis restriction.
+
+    The nodal census reads U's critical points from the lines, not from U,
+    so u_part (nodal_unit_poly) is built on first read only.
+    """
+
+    def __init__(self, d: int) -> None:
+        for name, value in (("d", d), ("seed", None), ("word", None), ("label", "nodal")):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def u_part(self) -> UniPoly:
+        return nodal_unit_poly(self.d)
+
+
 def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> SurfacePoly:
     """Assemble J_d(x,y) + U(w) for the polynomial a word derives from a seed.
 
@@ -470,14 +500,9 @@ def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> Surface
 
 
 def build_nodal_surface(d: int) -> SurfacePoly:
-    """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction."""
-    return SurfacePoly(
-        u_part=nodal_unit_poly(d),
-        d=d,
-        seed=None,
-        word=None,
-        label="nodal",
-    )
+    """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction,
+    which is built when u_part is first read."""
+    return _NodalSurfacePoly(d)
 
 
 class DegenerateAxisError(ArithmeticError):

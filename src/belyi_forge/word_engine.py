@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .profile_core import (
     CriticalProfile,
@@ -405,89 +405,95 @@ def alternating_word(length: int) -> Word:
     )
 
 
-def _t2_word(*runs: tuple[T2Letter, int]) -> Word:
-    out: list[Letter] = []
-    for letter, count in runs:
-        out.extend([letter] * count)
-    return tuple(out)
+_Runs = tuple[tuple[T2Letter, int], ...]
 
 
-def _families_t2_j0(seed: F2) -> set[Word]:
+def _run_family(
+    max_len: int | float, runs: _Runs, letter: T2Letter, lo: int, hi: int
+) -> Iterator[Word]:
+    """The words runs + letter^k for lo <= k <= hi of at most max_len letters.
+
+    Lengths are counted before any word is built, so a word longer than
+    max_len never is.
+    """
+    top = min(hi, max_len - sum(count for _, count in runs))
+    if top < lo:
+        return
+    prefix = tuple(x for run_letter, count in runs for x in (run_letter,) * count)
+    for k in range(lo, top + 1):
+        yield prefix + (letter,) * k
+
+
+def _families_t2_j0(seed: F2, max_len: int | float) -> Iterator[Word]:
     A, B, G, DB = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA, T2Letter.DELTA_BAR
     n, m, l = seed.n, seed.m, seed.l
     nu = _triple(seed).nu
     # The alpha-run bound is m-1 when l=m and m+s-1 when l=m+s, i.e. l-1.
     a_max = l - 1
-    words: set[Word] = {(B,)}
-    for q in range(1, a_max + 1):
-        words.add(_t2_word((B, 1), (A, q)))
-    for r in range(1, nu):
-        words.add(_t2_word((B, 1), (A, a_max), (G, r)))
-    for f in range(1, n + 1):
-        words.add(_t2_word((B, 1), (A, a_max), (G, nu - 1), (A, f)))
-    for g in range(1, 3 * n + 1):
-        words.add(_t2_word((B, 1), (A, a_max), (G, nu - 1), (A, n), (G, g)))
+    yield from _run_family(max_len, ((B, 1),), A, 0, a_max)
+    yield from _run_family(max_len, ((B, 1), (A, a_max)), G, 1, nu - 1)
+    yield from _run_family(max_len, ((B, 1), (A, a_max), (G, nu - 1)), A, 1, n)
+    yield from _run_family(
+        max_len, ((B, 1), (A, a_max), (G, nu - 1), (A, n)), G, 1, 3 * n
+    )
     if m == 1 and l == 1:
         # Series reaching degree 2 nu (nu + 1): one delta-bar after beta
         # gamma^2, then gamma^3 delta-bar blocks, then a gamma tail.
-        for q in range(1, nu):
-            words.add(_t2_word((B, 1), (G, q)))
-        base = _t2_word((B, 1), (G, 2), (DB, 1))
+        yield from _run_family(max_len, ((B, 1),), G, 1, nu - 1)
         for r in range(0, n):
-            block = base + _t2_word((G, 3), (DB, 1)) * r
-            for s in range(0, nu + 1):
-                words.add(block + _t2_word((G, s)))
+            block = ((B, 1), (G, 2), (DB, 1)) + ((G, 3), (DB, 1)) * r
+            yield from _run_family(max_len, block, G, 0, nu)
         if n == 2:
-            words |= _families_t2_adhoc()
-    return words
+            yield from _families_t2_adhoc(max_len)
 
 
-def _families_t2_adhoc() -> set[Word]:
+def _families_t2_adhoc(max_len: int | float) -> Iterator[Word]:
     # Catalogued one-off list for the seed with j=0, n=2, m=1, l=1.
     A, B, G = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA
-    word_a = _t2_word((B, 1), (G, 2))
-    word_b = word_a + _t2_word((G, 6))
-    word_c = word_a + _t2_word((A, 1), (G, 3))
-    words: set[Word] = {(B,), (B, G), word_a}
-    for p in range(1, 7):
-        words.add(word_a + _t2_word((G, p)))
-    for q in range(0, 4):
-        words.add(word_a + _t2_word((A, 1), (G, q)))
-    for r in range(0, 4):
-        words.add(word_b + _t2_word((A, 1), (G, r)))
-    words.add(word_c + _t2_word((G, 1)))
-    words.add(word_c + _t2_word((G, 2)))
-    for s in range(0, 10):
-        words.add(word_c + _t2_word((A, 1), (G, s)))
+    word_a: _Runs = ((B, 1), (G, 2))
+    word_b: _Runs = ((B, 1), (G, 8))  # word_a gamma^6
+    word_c: _Runs = word_a + ((A, 1), (G, 3))
+    # beta, beta gamma, word_a, and word_a gamma^p for p = 1..6.
+    yield from _run_family(max_len, ((B, 1),), G, 0, 8)
+    yield from _run_family(max_len, word_a + ((A, 1),), G, 0, 3)
+    yield from _run_family(max_len, word_b + ((A, 1),), G, 0, 3)
+    yield from _run_family(max_len, word_c, G, 1, 2)
+    yield from _run_family(max_len, word_c + ((A, 1),), G, 0, 9)
     # Words recorded for the degree coincidences: B-alpha and C-gamma^3
     # share d=123; B-alpha^2, C-gamma^3-alpha, C-alpha-gamma^3 share d=126.
-    words.add(word_c + _t2_word((G, 3)))
-    words.add(word_b + _t2_word((A, 2)))
-    words.add(word_c + _t2_word((G, 3), (A, 1)))
-    return words
+    yield from _run_family(max_len, word_c, G, 3, 3)
+    yield from _run_family(max_len, word_b, A, 2, 2)
+    yield from _run_family(max_len, word_c + ((G, 3),), A, 1, 1)
 
 
-def _families_t2_j1(seed: F2) -> set[Word]:
+def _families_t2_j1(seed: F2, max_len: int | float) -> Iterator[Word]:
     A, B, G, D = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA, T2Letter.DELTA
     n, m, l = seed.n, seed.m, seed.l
-    words: set[Word] = set()
     # Recorded alpha-run sizes count added edges (three per letter), so the
     # run of letters after beta is at most l-1 long; longer runs leave the
     # admissibility window, whose slack after beta is exactly 3l.
     a_max = l - 1
-    if a_max >= 0:
-        words.add((B,))
-        for q in range(1, a_max + 1):
-            words.add(_t2_word((B, 1), (A, q)))
-        # The two gamma words need n >= 1 when l = m; any n when l > m.
-        if l > m or n >= 1:
-            words.add(_t2_word((B, 1), (A, a_max), (G, 1)))
-            words.add(_t2_word((B, 1), (A, a_max), (G, 2)))
+    yield from _run_family(max_len, ((B, 1),), A, 0, a_max)
+    # The two gamma words need n >= 1 when l = m; any n when l > m.
+    if l > m or n >= 1:
+        yield from _run_family(max_len, ((B, 1), (A, a_max)), G, 1, 2)
     if m == 0 and l == 1:
-        words |= {(D,), (D, B)}
-    if not words:
+        yield from _run_family(max_len, ((D, 1),), B, 0, 1)
+
+
+def _t2_families(seed: F2, max_len: int | float) -> Iterator[Word]:
+    """The second-family seed's catalogued words of at most max_len letters,
+    some more than once.
+
+    Raises NoFamilyRecordedError, whatever max_len, when no catalogue entry
+    covers the seed: with j = 1 that is l = 0, where the alpha run after
+    beta would have to be shorter than empty.
+    """
+    if seed.j == 0:
+        return _families_t2_j0(seed, max_len)
+    if seed.l < 1:
         raise NoFamilyRecordedError(f"no catalogued word family for {seed!r}")
-    return words
+    return _families_t2_j1(seed, max_len)
 
 
 def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[Word]:
@@ -505,9 +511,6 @@ def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[Word]:
         words = [alternating_word(k) for k in range(1, cap + 1)]
         return words
     assert isinstance(seed, F2)
-    if seed.j == 0:
-        words = _families_t2_j0(seed)
-    else:
-        words = _families_t2_j1(seed)
+    words = set(_t2_families(seed, math.inf))
     order = {letter: i for i, letter in enumerate(T2Letter)}
     return sorted(words, key=lambda w: (len(w), [order[x] for x in w]))

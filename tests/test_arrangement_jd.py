@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -513,3 +515,9 @@ def test_batched_ascent_matches_the_per_chamber_ascent(d):
     sides = np.sign(starts @ normals.T + offsets)
     assert np.all(sides != 0)
     assert np.array_equal(np.sign(maxima @ normals.T + offsets), sides)
+
+
+def test_package_import_leaves_mpmath_unloaded():
+    # Only the dual-path check evaluates in mpmath, so it is imported there.
+    code = "import sys, belyi_forge, belyi_forge.cli; assert 'mpmath' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)

@@ -13,11 +13,13 @@ import pytest
 
 from belyi_forge import (
     F1,
+    F2,
     DegreeGuardError,
     UniPoly,
     belyi_numeric,
     build_Jd,
     critical_census_uni,
+    format_seed,
     jstats,
     seed_profile,
     seed_triple,
@@ -48,10 +50,12 @@ from belyi_forge.surface_counts import (
 )
 from belyi_forge.word_engine import (
     LetterNotApplicableError,
+    NoFamilyRecordedError,
     admissible_end,
     alphabet_for,
     apply_letter,
     enumerate_LE,
+    paper_word_families,
     trajectory,
     word_from_str,
     word_to_str,
@@ -319,8 +323,10 @@ def test_catalogue_applies_each_prefix_once(monkeypatch):
 
 def test_cold_table_catalogue_letter_count(monkeypatch):
     # The walk stops each prefix at the table guard; without that it
-    # applied 7,067 letters here.
-    assert len(_walk_counting_letters(monkeypatch, BOUND_TABLE_GUARD)) == 1494
+    # applied 7,067 letters here.  With the families generated only up to
+    # the walk degree it no longer applies beta to F2:0,1,1,4 (d0 = 198)
+    # or alpha after beta to F2:1,0,4,4 (d0 = 195): both end past 200.
+    assert len(_walk_counting_letters(monkeypatch, BOUND_TABLE_GUARD)) == 1492
 
 
 def test_every_letter_raises_the_degree():
@@ -338,6 +344,77 @@ def test_every_letter_raises_the_degree():
                 assert child.profile.degree > state.profile.degree, (seed, w, letter)
                 applied += 1
     assert applied > 20000
+
+
+def test_every_letter_raises_the_degree_by_its_least_step():
+    # The length caps of _words_for_seed: a T13 letter adds nu + 1 to the
+    # degree, a T2 letter at least 3 from a seed with a recorded family.
+    # (Gamma adds nu, and F2:1,0,0,0, with nu = 1, has no family.)
+    applied = 0
+    for seed in seed_grid(60):
+        nu = seed_triple(seed).nu
+        if seed == F2(1, 0, 0, 0):
+            with pytest.raises(NoFamilyRecordedError):
+                paper_word_families(seed)
+            continue
+        for w in enumerate_LE(seed, 4):
+            state = admissible_end(seed, w)
+            for letter in alphabet_for(seed):
+                try:
+                    child = apply_letter(state, letter)
+                except LetterNotApplicableError:
+                    continue
+                step = child.profile.degree - state.profile.degree
+                if isinstance(seed, F2):
+                    assert step >= 3, (seed, w, letter)
+                else:
+                    assert step == nu + 1, (seed, w, letter)
+                applied += 1
+    assert applied > 2000
+
+
+def test_catalogue_words_are_the_families_up_to_the_length_cap():
+    # Every second-family seed of the table grid: the walk's words are the
+    # empty word and, each once, the catalogued words of at most
+    # (200 - d0) // 3 letters.  The generator is exact at other length
+    # bounds too, as walks past the table guard need.
+    seeds = [s for s in seed_grid(BOUND_TABLE_GUARD) if isinstance(s, F2)]
+    assert len(seeds) == 131
+    kept = 0
+    for seed in seeds:
+        cap = (BOUND_TABLE_GUARD - seed_triple(seed).d0) // 3
+        words = surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD)
+        assert words[0] == () and len(words) == len(set(words)), seed
+        kept += len(words)
+        try:
+            family = paper_word_families(seed)
+        except NoFamilyRecordedError:
+            assert words == [()]
+            with pytest.raises(NoFamilyRecordedError):
+                surface_counts._t2_families(seed, cap)
+            continue
+        assert set(words[1:]) == {w for w in family if len(w) <= cap}, seed
+        longest = max(map(len, family))
+        for bound in {0, 1, cap + 1, longest - 1, longest}:
+            capped = {w for w in family if len(w) <= bound}
+            assert set(surface_counts._t2_families(seed, bound)) == capped, (seed, bound)
+    assert kept == 1773
+
+
+# sha256 of the rows (degree, nu, seed, word, profile) of
+# constructions_up_to(200), recorded before the catalogue's words were capped
+# by length.
+CATALOGUE_200_SHA256 = "2731bd5250a743fc2a6fb6c88bb2723b1a980ed4fe99a43b8795b4ac25be5b26"
+
+
+def test_catalogue_200_is_frozen():
+    cons = constructions_up_to(BOUND_TABLE_GUARD)
+    rows = "".join(
+        f"{c.degree},{c.nu},{format_seed(c.seed)},{word_to_str(c.word)},{c.profile!r}\n"
+        for c in cons
+    )
+    assert len(cons) == 1836
+    assert hashlib.sha256(rows.encode()).hexdigest() == CATALOGUE_200_SHA256
 
 
 def test_end_to_end_census_smallest_surface():
@@ -473,6 +550,23 @@ def test_nodal_u_census_refuses_a_degenerate_axis():
     flat = replace(first, a=0.0, c=1.0)
     with pytest.raises(DegenerateAxisError, match="parallel"):
         nodal_u_census([*lines[1:], flat], scale_constant(5))
+
+
+def test_nodal_surface_builds_its_u_part_on_first_read(monkeypatch):
+    built = []
+
+    def counting(d):
+        built.append(d)
+        return nodal_unit_poly(d)
+
+    monkeypatch.setattr(surface_counts, "nodal_unit_poly", counting)
+    surface = build_nodal_surface(9)
+    assert singular_census_3d(surface).verified
+    assert built == []
+    assert surface.u_part == nodal_unit_poly(9)
+    assert surface(0.25, -0.3, 0.5) == build_Jd(9)(0.25, -0.3) + surface.u_part(0.5)
+    assert built == [9]
+    assert (surface.d, surface.seed, surface.word, surface.label) == (9, None, None, "nodal")
 
 
 def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):

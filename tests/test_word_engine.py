@@ -1,11 +1,13 @@
 """Rewriting words: admissibility language, step bounds, catalogued families."""
 
+import hashlib
 import itertools
 import math
 
 import pytest
 
-from belyi_forge import F1, F2, F3, seed_profile, seed_triple, word_engine
+from belyi_forge import F1, F2, F3, format_seed, seed_profile, seed_triple, word_engine
+from belyi_forge.surface_counts import seed_grid
 from belyi_forge.word_engine import (
     AlphabetMismatchError,
     NoFamilyRecordedError,
@@ -197,6 +199,24 @@ def test_families_are_a_sublanguage():
     assert fam
     pool = set(enumerate_LE(seed, max(len(w) for w in fam)))
     assert fam <= pool
+
+
+# sha256 of "<seed> <words>" lines, one per seed of seed_grid(200), with the
+# words of paper_word_families(seed) space-joined ("-" when none is recorded),
+# recorded before the second-family generators took a length bound.
+FAMILIES_200_SHA256 = "0ad3cbe2ca2bb6654966e17eac3e93423c0a9b8671d00f1ef35dfe47c7de0e31"
+
+
+def test_families_of_the_table_grid_are_frozen():
+    lines = []
+    for seed in seed_grid(200):
+        try:
+            text = " ".join(word_to_str(w) for w in paper_word_families(seed))
+        except NoFamilyRecordedError:
+            text = "-"
+        lines.append(f"{format_seed(seed)} {text}\n")
+    assert len(lines) == 414
+    assert hashlib.sha256("".join(lines).encode()).hexdigest() == FAMILIES_200_SHA256
 
 
 def test_no_family_for_trivial_seed():
