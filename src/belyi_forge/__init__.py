@@ -107,9 +107,8 @@ from .word_engine import (
     DerivationState,
     LetterNotApplicableError,
     NoFamilyRecordedError,
-    T2Letter,
-    T13Letter,
-    Word,
+    T2_ALPHABET,
+    T13_ALPHABET,
     admissible_end,
     alphabet_for,
     alternating_word,
@@ -122,7 +121,6 @@ from .word_engine import (
     trajectory,
     uses_t2,
     word_from_str,
-    word_to_str,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ import numpy as np
 from .profile_core import CriticalProfile
 from .seed_families import SeedSpec
 from .tree_realization import BLACK, PlaneTree, _dfs_order, derive_tree, realize_profile
-from .word_engine import Word, trajectory, uses_t2
+from .word_engine import trajectory, uses_t2
 
 DEGREE_GUARD = 16
 DEFAULT_TOL = 1e-10
@@ -614,7 +614,7 @@ def shabat_solve(
     raise NoConvergenceError(f"no convergence after {max_restarts} restarts (degree {d}){why}")
 
 
-def tree_for_derivation(seed: SeedSpec, word: Word) -> PlaneTree:
+def tree_for_derivation(seed: SeedSpec, word: str) -> PlaneTree:
     """Tree realizing the profile a word derives from a seed.
 
     Two-letter seeds replay the word as tree surgeries; five-letter seeds
@@ -626,7 +626,7 @@ def tree_for_derivation(seed: SeedSpec, word: Word) -> PlaneTree:
     return derive_tree(seed, word)
 
 
-def shabat_for_derivation(seed: SeedSpec, word: Word, **kwargs) -> ShabatSolution:
+def shabat_for_derivation(seed: SeedSpec, word: str, **kwargs) -> ShabatSolution:
     """Solve the tree a word derives from a seed: shabat_solve on tree_for_derivation.
 
     Keyword arguments go to shabat_solve unchanged.

@@ -67,7 +67,6 @@ from .word_engine import (
     paper_word_families,
     trajectory,
     word_from_str,
-    word_to_str,
 )
 
 EXIT_OK = 0
@@ -101,10 +100,6 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _parse_word(text: str, seed):
-    return word_from_str(text, seed) if text else ()
-
-
 def cmd_seeds(args) -> int:
     rows = []
     all_ok = True
@@ -135,7 +130,7 @@ def cmd_seeds(args) -> int:
 
 def cmd_derive(args) -> int:
     seed = parse_seed(args.seed)
-    word = _parse_word(args.word, seed)
+    word = word_from_str(args.word, seed)
     states = trajectory(seed, word)
     lines = []
     all_e = True
@@ -147,7 +142,7 @@ def cmd_derive(args) -> int:
             json.dumps(
                 {
                     "step": i,
-                    "word": word_to_str(st.word),
+                    "word": st.word,
                     "degree": st.profile.degree,
                     "nu": s.nu,
                     "n_minus1": s.n_minus1,
@@ -169,7 +164,7 @@ def cmd_enumerate(args) -> int:
         "seed": format_seed(seed),
         "max_len": args.max_len,
         "count": len(words),
-        "words": [word_to_str(w) for w in words],
+        "words": words,
     }
     _write_output(_dumps(payload), args.output)
     return EXIT_OK
@@ -185,7 +180,7 @@ def cmd_families(args) -> int:
         all_ok = all_ok and end is not None
         rows.append(
             {
-                "word": word_to_str(w),
+                "word": w,
                 "admissible": end is not None,
                 "degree": end.profile.degree if end else None,
             }
@@ -202,7 +197,7 @@ def cmd_families(args) -> int:
 
 def cmd_shabat(args) -> int:
     seed = parse_seed(args.seed)
-    word = _parse_word(args.word, seed)
+    word = word_from_str(args.word, seed)
     sol = shabat_for_derivation(
         seed,
         word,
@@ -216,7 +211,7 @@ def cmd_shabat(args) -> int:
     match = census_matches_profile(census, prof)
     payload = {
         "seed": format_seed(seed),
-        "word": word_to_str(word),
+        "word": word,
         "degree": prof.degree,
         "solution": solution_to_json(sol),
         "census": census_to_json(census),
@@ -274,7 +269,7 @@ def cmd_surface_verify(args) -> int:
     else:
         if cons is None:
             seed = parse_seed(args.seed)
-            word = _parse_word(args.word or "", seed)
+            word = word_from_str(args.word or "", seed)
         else:
             seed, word = cons.seed, cons.word
         surface = build_surface(
@@ -287,9 +282,9 @@ def cmd_surface_verify(args) -> int:
             max_degree=args.max_degree,
         )
         prof = trajectory(seed, word)[-1].profile
-        sp = spectrum(jstats(d), prof, seed=seed, word=word_to_str(word))
+        sp = spectrum(jstats(d), prof, seed=seed, word=word)
         expected_types = {k: v for k, v in sp.counts.items() if v}
-        provenance = f"{format_seed(seed)} {word_to_str(word) or '(empty)'}"
+        provenance = f"{format_seed(seed)} {word or '(empty)'}"
     census = singular_census_3d(
         surface, tol=args.census_tol, cluster_tol=args.cluster_tol
     )
@@ -308,7 +303,7 @@ def cmd_surface_verify(args) -> int:
 
 def cmd_export(args) -> int:
     seed = parse_seed(args.seed)
-    word = _parse_word(args.word, seed)
+    word = word_from_str(args.word, seed)
     tree = tree_for_derivation(seed, word)
     if args.format == "dot":
         _write_output(export_dot(tree), args.output)

@@ -52,10 +52,8 @@ from .seed_families import (
 )
 from .word_engine import (
     DerivationState,
-    Letter,
     LetterNotApplicableError,
     NoFamilyRecordedError,
-    Word,
     _t2_families,
     alternating_word,
     apply_letter,
@@ -64,7 +62,6 @@ from .word_engine import (
     trajectory,
     uses_t2,
     word_from_str,
-    word_to_str,
 )
 
 BOUND_TABLE_GUARD = 200
@@ -159,7 +156,7 @@ def nodal_threefold_count(d: int) -> int:
 @dataclass(frozen=True)
 class Construction:
     seed: SeedSpec
-    word: Word
+    word: str
     degree: int
     nu: int
     profile: CriticalProfile
@@ -169,7 +166,7 @@ class Construction:
             jstats(self.degree),
             self.profile,
             seed=self.seed,
-            word=word_to_str(self.word),
+            word=self.word,
         )
 
 
@@ -231,7 +228,7 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
     return _f1_seeds(d_max) + _f2_seeds(d_max) + _f3_seeds(d_max)
 
 
-def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
+def _words_for_seed(seed: SeedSpec, d_max: int) -> list[str]:
     """The empty word and the seed's catalogued words that can end within
     degree d_max, each once.
 
@@ -245,7 +242,7 @@ def _words_for_seed(seed: SeedSpec, d_max: int) -> list[Word]:
     constructions itself.
     """
     tri = seed_triple(seed)
-    words: list[Word] = [()]
+    words = [""]
     if uses_t2(seed):
         try:
             words.extend(dict.fromkeys(_t2_families(seed, (d_max - tri.d0) // 3)))
@@ -266,7 +263,7 @@ def _kept(state: DerivationState, d_max: int) -> DerivationState | None:
 
 
 def _step(
-    state: DerivationState | None, letter: Letter, d_max: int
+    state: DerivationState | None, letter: str, d_max: int
 ) -> DerivationState | None:
     """The state one letter on, or None once the prefix is inadmissible or
     past degree d_max."""
@@ -296,13 +293,12 @@ def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, .
     nu = seed_triple(seed).nu
     out = []
     for w in _words_for_seed(seed, d_max):
-        text = word_to_str(w)
-        known = len(text)
-        while text[:known] not in memo:
+        known = len(w)
+        while w[:known] not in memo:
             known -= 1
         for i in range(known, len(w)):
-            memo[text[: i + 1]] = _step(memo[text[:i]], w[i], d_max)
-        state = memo[text]
+            memo[w[: i + 1]] = _step(memo[w[:i]], w[i], d_max)
+        state = memo[w]
         if state is not None:
             out.append(Construction(seed, w, state.profile.degree, nu, state.profile))
     return tuple(out)
@@ -315,7 +311,7 @@ def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
 
 
 def _catalogue_order(c: Construction) -> tuple:
-    return (c.degree, c.nu, format_seed(c.seed), word_to_str(c.word))
+    return (c.degree, c.nu, format_seed(c.seed), c.word)
 
 
 def _catalogued(d_max: int, keep) -> tuple[Construction, ...]:
@@ -419,7 +415,7 @@ def bound_table(d_max: int) -> BoundTable:
             if cnt == 0:
                 continue
             key = (c.degree, k)
-            cand = (cnt, format_seed(c.seed), word_to_str(c.word))
+            cand = (cnt, format_seed(c.seed), c.word)
             cur = best.get(key)
             if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1:] < cur[1:]):
                 best[key] = cand
@@ -474,7 +470,7 @@ class _NodalSurfacePoly(SurfacePoly):
         return nodal_unit_poly(self.d)
 
 
-def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> SurfacePoly:
+def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
     """Assemble J_d(x,y) + U(w) for the polynomial a word derives from a seed.
 
     The unit-interval part comes from an actual converged solve, so a
@@ -482,8 +478,7 @@ def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> Surface
     Keyword arguments go to shabat_for_derivation, and so to shabat_solve,
     unchanged.
     """
-    if isinstance(word, str):
-        word = word_from_str(word, seed)
+    word = word_from_str(word, seed)
     prof = trajectory(seed, word)[-1].profile
     if prof.degree != d:
         raise ValueError(
@@ -494,7 +489,7 @@ def build_surface(d: int, seed: SeedSpec, word: Word | str, **solver) -> Surface
         u_part=to_unit_interval(sol.polynomial()),
         d=d,
         seed=seed,
-        word=word_to_str(word),
+        word=word,
         label="paired",
     )
 

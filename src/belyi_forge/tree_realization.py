@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 from .profile_core import CriticalProfile, ValidationReport, validate_profile
 from .seed_families import SeedSpec, seed_profile
-from .word_engine import (
-    DerivationState,
-    Letter,
-    T13Letter,
-    Word,
-    uses_t2,
-)
+from .word_engine import DerivationState, uses_t2
 
 BLACK = "black"
 WHITE = "white"
@@ -178,7 +172,7 @@ def top_black_multiplicity(t: PlaneTree) -> int:
     return max(mults)
 
 
-def apply_letter_tree(t: PlaneTree, letter: Letter, site: int) -> PlaneTree:
+def apply_letter_tree(t: PlaneTree, letter: str, site: int) -> PlaneTree:
     """Two-letter rewrite surgery at an explicit site.
 
     alpha: site must be a white leaf; a new black hub of degree nu+1 is
@@ -187,16 +181,16 @@ def apply_letter_tree(t: PlaneTree, letter: Letter, site: int) -> PlaneTree:
     receives a second black hub of degree nu+1.  nu is read off the tree as
     its top black multiplicity.
     """
-    if not isinstance(letter, T13Letter):
+    if letter not in ("a", "b"):
         raise RealizationError("tree surgeries are defined for the two-letter alphabet")
     if not 0 <= site < t.vertex_count:
         raise RealizationError(f"site {site} out of range")
     if t.colors[site] != WHITE:
         raise RealizationError(f"site {site} must be white")
     nu = top_black_multiplicity(t)
-    if letter is T13Letter.ALPHA and t.degree(site) != 1:
+    if letter == "a" and t.degree(site) != 1:
         raise RealizationError("alpha site must be a white leaf")
-    if letter is T13Letter.BETA and t.degree(site) != 2:
+    if letter == "b" and t.degree(site) != 2:
         raise RealizationError("beta site must be a white vertex of degree 2")
     colors = list(t.colors)
     rotation = [list(nbrs) for nbrs in t.rotation]
@@ -227,7 +221,7 @@ def _dfs_order(t: PlaneTree, root: int) -> list[int]:
     return order
 
 
-def derive_tree(seed: SeedSpec, word: Word) -> PlaneTree:
+def derive_tree(seed: SeedSpec, word: str) -> PlaneTree:
     """Realize the seed profile and replay a two-letter word on the tree.
 
     alpha sites are chosen canonically as the first white leaf in
@@ -239,7 +233,7 @@ def derive_tree(seed: SeedSpec, word: Word) -> PlaneTree:
     tree = realize_profile(seed_profile(seed))
     pending: list[int] = []
     for letter in word:
-        if letter is T13Letter.ALPHA:
+        if letter == "a":
             site = next(
                 (
                     v
@@ -259,7 +253,7 @@ def derive_tree(seed: SeedSpec, word: Word) -> PlaneTree:
     return tree
 
 
-def tree_state_matches(seed: SeedSpec, word: Word, state: DerivationState) -> bool:
+def tree_state_matches(seed: SeedSpec, word: str, state: DerivationState) -> bool:
     """True iff the tree-level derivation reproduces the profile-level one."""
     return profile_of(derive_tree(seed, word)) == state.profile
 

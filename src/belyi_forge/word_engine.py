@@ -9,6 +9,9 @@ family use the five-letter alphabet {alpha, beta, gamma, delta, delta-bar}
 ("T2"), whose letters adjust the degree and the count of black nu-points
 while keeping exactly one white nu-point.
 
+A word is the plain string of its letters' one-character codes: a, b for
+T13 and A, B, g, d, D for T2, in the order listed.
+
 A word is admissible when the seed and every prefix state satisfy the
 floor-arithmetic admissibility condition at the seed's nu.  The admissible
 language is prefix-closed by definition, so breadth-first enumeration with
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -52,48 +54,33 @@ class NoFamilyRecordedError(WordEngineError):
     """No catalogued word family covers the given seed."""
 
 
-class T13Letter(Enum):
-    ALPHA = "a"
-    BETA = "b"
+T13_ALPHABET = "ab"
+T2_ALPHABET = "ABgdD"
 
-
-class T2Letter(Enum):
-    ALPHA = "A"
-    BETA = "B"
-    GAMMA = "g"
-    DELTA = "d"
-    DELTA_BAR = "D"
-
-
-Letter = T13Letter | T2Letter
-Word = tuple[Letter, ...]
-
-_CODE_TO_T13 = {letter.value: letter for letter in T13Letter}
-_CODE_TO_T2 = {letter.value: letter for letter in T2Letter}
+# A str `in` test matches substrings ("ab" in "ab", "" in "ab"), so single
+# letters are checked against sets.
+_T13_LETTERS = frozenset(T13_ALPHABET)
+_T2_LETTERS = frozenset(T2_ALPHABET)
 
 
 def uses_t2(seed: SeedSpec) -> bool:
     return isinstance(seed, F2)
 
 
-def alphabet_for(seed: SeedSpec) -> tuple[Letter, ...]:
-    return tuple(T2Letter) if uses_t2(seed) else tuple(T13Letter)
+def alphabet_for(seed: SeedSpec) -> str:
+    return T2_ALPHABET if uses_t2(seed) else T13_ALPHABET
 
 
-def word_to_str(word: Word) -> str:
-    return "".join(letter.value for letter in word)
-
-
-def word_from_str(text: str, seed: SeedSpec) -> Word:
-    codes = _CODE_TO_T2 if uses_t2(seed) else _CODE_TO_T13
-    letters = []
+def word_from_str(text: str, seed: SeedSpec) -> str:
+    """The word text spells, once every letter is checked against the
+    seed's alphabet."""
+    letters = _T2_LETTERS if uses_t2(seed) else _T13_LETTERS
     for ch in text:
-        if ch not in codes:
+        if ch not in letters:
             raise AlphabetMismatchError(
                 f"letter {ch!r} is not in the alphabet for {type(seed).__name__} seeds"
             )
-        letters.append(codes[ch])
-    return tuple(letters)
+    return text
 
 
 @lru_cache(maxsize=None)
@@ -106,7 +93,7 @@ class DerivationState:
     """A seed together with the profile reached by a word."""
 
     seed: SeedSpec
-    word: Word
+    word: str
     profile: CriticalProfile
 
     @property
@@ -122,7 +109,7 @@ class DerivationState:
 
 
 def initial_state(seed: SeedSpec) -> DerivationState:
-    return DerivationState(seed=seed, word=(), profile=seed_profile(seed))
+    return DerivationState(seed=seed, word="", profile=seed_profile(seed))
 
 
 def _residuals(mults: tuple[int, ...], nu: int) -> list[int]:
@@ -138,9 +125,9 @@ def _replace(mults: tuple[int, ...], remove: Iterable[int], add: Iterable[int]):
     return tuple(bag.elements())
 
 
-def _apply_t13(state: DerivationState, letter: T13Letter) -> CriticalProfile:
+def _apply_t13(state: DerivationState, letter: str) -> CriticalProfile:
     p, nu = state.profile, state.nu
-    if letter is T13Letter.ALPHA:
+    if letter == "a":
         # New black nu-point hooked onto a white leaf; the leaf becomes a
         # simple critical point and nu fresh white leaves appear.
         if p.white_leaves < 1:
@@ -164,11 +151,11 @@ def _apply_t13(state: DerivationState, letter: T13Letter) -> CriticalProfile:
     )
 
 
-def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
+def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
     p, nu = state.profile, state.nu
     res_black = _residuals(p.black_mults, nu)
     res_white = _residuals(p.white_mults, nu)
-    if letter is T2Letter.ALPHA:
+    if letter == "A":
         # Three black leaves hooked onto a white leaf, which becomes a
         # 3-point.  The black leaves are what later gamma steps consume:
         # every recorded gamma-run bound is exactly the running black-leaf
@@ -183,7 +170,7 @@ def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
             black_leaves=p.black_leaves + 3,
             white_leaves=p.white_leaves - 1,
         )
-    if letter is T2Letter.BETA:
+    if letter == "B":
         # Promote the secondary black point (a black leaf when none exists)
         # to a nu-point, and raise one white leaf to multiplicity two.
         if p.white_leaves < 1:
@@ -206,7 +193,7 @@ def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
             black_leaves=p.black_leaves + 1,
             white_leaves=p.white_leaves + nu - 1,
         )
-    if letter is T2Letter.GAMMA:
+    if letter == "g":
         # Promote a black leaf directly to a nu-point.
         if p.black_leaves < 1:
             raise LetterNotApplicableError("gamma needs a black leaf to promote")
@@ -216,7 +203,7 @@ def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
             black_leaves=p.black_leaves - 1,
             white_leaves=p.white_leaves + nu,
         )
-    if letter is T2Letter.DELTA:
+    if letter == "d":
         # Grow the secondary black point by three (create one if absent).
         if res_black:
             target = max(res_black)
@@ -240,7 +227,7 @@ def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
             black_leaves=p.black_leaves - 1,
             white_leaves=p.white_leaves + 3,
         )
-    # DELTA_BAR: same growth applied on the white side, to the white
+    # Delta-bar (D): same growth applied on the white side, to the white
     # critical point of lowest multiplicity.
     if res_white:
         target = min(res_white)
@@ -266,26 +253,26 @@ def _apply_t2(state: DerivationState, letter: T2Letter) -> CriticalProfile:
     )
 
 
-def apply_letter(state: DerivationState, letter: Letter) -> DerivationState:
+def apply_letter(state: DerivationState, letter: str) -> DerivationState:
     """Apply one rewrite letter; raises if the alphabet or target is wrong."""
     if uses_t2(state.seed):
-        if not isinstance(letter, T2Letter):
+        if letter not in _T2_LETTERS:
             raise AlphabetMismatchError(
                 f"{letter!r} is not a T2 letter; this seed uses the five-letter alphabet"
             )
         new_profile = _apply_t2(state, letter)
     else:
-        if not isinstance(letter, T13Letter):
+        if letter not in _T13_LETTERS:
             raise AlphabetMismatchError(
                 f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
             )
         new_profile = _apply_t13(state, letter)
     return DerivationState(
-        seed=state.seed, word=state.word + (letter,), profile=new_profile
+        seed=state.seed, word=state.word + letter, profile=new_profile
     )
 
 
-def trajectory(seed: SeedSpec, word: Word) -> list[DerivationState]:
+def trajectory(seed: SeedSpec, word: str) -> list[DerivationState]:
     """States visited while reading the word, seed state included."""
     states = [initial_state(seed)]
     for letter in word:
@@ -293,7 +280,7 @@ def trajectory(seed: SeedSpec, word: Word) -> list[DerivationState]:
     return states
 
 
-def _admissible_child(state: DerivationState, letter: Letter) -> DerivationState | None:
+def _admissible_child(state: DerivationState, letter: str) -> DerivationState | None:
     """The state one letter on, or None if the letter does not apply or
     the new state fails the condition."""
     try:
@@ -303,7 +290,7 @@ def _admissible_child(state: DerivationState, letter: Letter) -> DerivationState
     return child if child.satisfies_E() else None
 
 
-def admissible_end(seed: SeedSpec, word: Word) -> DerivationState | None:
+def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
     """The state the word reaches, or None unless it is admissible.
 
     Reads the word once and stops at the first letter that does not apply
@@ -319,7 +306,7 @@ def admissible_end(seed: SeedSpec, word: Word) -> DerivationState | None:
     return state
 
 
-def is_E_admissible(seed: SeedSpec, word: Word) -> bool:
+def is_E_admissible(seed: SeedSpec, word: str) -> bool:
     """True iff the seed and every prefix state satisfy the condition."""
     return admissible_end(seed, word) is not None
 
@@ -327,7 +314,7 @@ def is_E_admissible(seed: SeedSpec, word: Word) -> bool:
 MAX_ENUM_LEN = 64
 
 
-def enumerate_LE(seed: SeedSpec, max_len: int) -> list[Word]:
+def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     """All admissible words up to the given length, in canonical order.
 
     Order is breadth-first by length, then by alphabet order within each
@@ -350,9 +337,9 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[Word]:
     if not start.satisfies_E():
         return []
     letters = alphabet_for(seed)
-    moves: dict[CriticalProfile, list[tuple[Letter, CriticalProfile]]] = {}
-    words: list[Word] = [()]
-    frontier: list[tuple[Word, CriticalProfile]] = [((), start.profile)]
+    moves: dict[CriticalProfile, list[tuple[str, CriticalProfile]]] = {}
+    words = [""]
+    frontier = [("", start.profile)]
     for _ in range(max_len):
         nxt = []
         for word, profile in frontier:
@@ -365,7 +352,7 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[Word]:
                     if child is not None:
                         admissible.append((letter, child.profile))
             for letter, child_profile in admissible:
-                nxt.append((word + (letter,), child_profile))
+                nxt.append((word + letter, child_profile))
         words.extend(word for word, _ in nxt)
         frontier = nxt
     return words
@@ -398,19 +385,17 @@ def max_h(seed: SeedSpec) -> int | float:
     return (t.d0 // (t.nu + 1) + 2) * t.nu - t.d0
 
 
-def alternating_word(length: int) -> Word:
+def alternating_word(length: int) -> str:
     """alpha, beta, alpha, ... of the given length."""
-    return tuple(
-        T13Letter.ALPHA if i % 2 == 0 else T13Letter.BETA for i in range(length)
-    )
+    return ("ab" * length)[:length]
 
 
-_Runs = tuple[tuple[T2Letter, int], ...]
+_Runs = tuple[tuple[str, int], ...]
 
 
 def _run_family(
-    max_len: int | float, runs: _Runs, letter: T2Letter, lo: int, hi: int
-) -> Iterator[Word]:
+    max_len: int | float, runs: _Runs, letter: str, lo: int, hi: int
+) -> Iterator[str]:
     """The words runs + letter^k for lo <= k <= hi of at most max_len letters.
 
     Lengths are counted before any word is built, so a word longer than
@@ -419,13 +404,13 @@ def _run_family(
     top = min(hi, max_len - sum(count for _, count in runs))
     if top < lo:
         return
-    prefix = tuple(x for run_letter, count in runs for x in (run_letter,) * count)
+    prefix = "".join(run_letter * count for run_letter, count in runs)
     for k in range(lo, top + 1):
-        yield prefix + (letter,) * k
+        yield prefix + letter * k
 
 
-def _families_t2_j0(seed: F2, max_len: int | float) -> Iterator[Word]:
-    A, B, G, DB = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA, T2Letter.DELTA_BAR
+def _families_t2_j0(seed: F2, max_len: int | float) -> Iterator[str]:
+    A, B, G, DB = "A", "B", "g", "D"
     n, m, l = seed.n, seed.m, seed.l
     nu = _triple(seed).nu
     # The alpha-run bound is m-1 when l=m and m+s-1 when l=m+s, i.e. l-1.
@@ -447,9 +432,9 @@ def _families_t2_j0(seed: F2, max_len: int | float) -> Iterator[Word]:
             yield from _families_t2_adhoc(max_len)
 
 
-def _families_t2_adhoc(max_len: int | float) -> Iterator[Word]:
+def _families_t2_adhoc(max_len: int | float) -> Iterator[str]:
     # Catalogued one-off list for the seed with j=0, n=2, m=1, l=1.
-    A, B, G = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA
+    A, B, G = "A", "B", "g"
     word_a: _Runs = ((B, 1), (G, 2))
     word_b: _Runs = ((B, 1), (G, 8))  # word_a gamma^6
     word_c: _Runs = word_a + ((A, 1), (G, 3))
@@ -466,8 +451,8 @@ def _families_t2_adhoc(max_len: int | float) -> Iterator[Word]:
     yield from _run_family(max_len, word_c + ((G, 3),), A, 1, 1)
 
 
-def _families_t2_j1(seed: F2, max_len: int | float) -> Iterator[Word]:
-    A, B, G, D = T2Letter.ALPHA, T2Letter.BETA, T2Letter.GAMMA, T2Letter.DELTA
+def _families_t2_j1(seed: F2, max_len: int | float) -> Iterator[str]:
+    A, B, G, D = "A", "B", "g", "d"
     n, m, l = seed.n, seed.m, seed.l
     # Recorded alpha-run sizes count added edges (three per letter), so the
     # run of letters after beta is at most l-1 long; longer runs leave the
@@ -481,7 +466,7 @@ def _families_t2_j1(seed: F2, max_len: int | float) -> Iterator[Word]:
         yield from _run_family(max_len, ((D, 1),), B, 0, 1)
 
 
-def _t2_families(seed: F2, max_len: int | float) -> Iterator[Word]:
+def _t2_families(seed: F2, max_len: int | float) -> Iterator[str]:
     """The second-family seed's catalogued words of at most max_len letters,
     some more than once.
 
@@ -496,7 +481,7 @@ def _t2_families(seed: F2, max_len: int | float) -> Iterator[Word]:
     return _families_t2_j1(seed, max_len)
 
 
-def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[Word]:
+def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[str]:
     """Catalogued admissible word families for the seed, in canonical order.
 
     For T13 seeds this is the alternating family up to max_h; when that
@@ -512,5 +497,4 @@ def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[Word]:
         return words
     assert isinstance(seed, F2)
     words = set(_t2_families(seed, math.inf))
-    order = {letter: i for i, letter in enumerate(T2Letter)}
-    return sorted(words, key=lambda w: (len(w), [order[x] for x in w]))
+    return sorted(words, key=lambda w: (len(w), [T2_ALPHABET.index(x) for x in w]))

@@ -48,7 +48,6 @@ from belyi_forge.word_engine import (
     paper_word_families,
     trajectory,
     word_from_str,
-    word_to_str,
 )
 
 
@@ -169,13 +168,13 @@ def test_criterion_05_catalogued_families():
         except Exception:
             continue
         for w in words:
-            assert is_E_admissible(seed, w), (seed, word_to_str(w))
+            assert is_E_admissible(seed, w), (seed, w)
             total += 1
     assert total >= 3000
 
     special = F2(0, 2, 1, 1)
     finals = {
-        word_to_str(w): trajectory(special, w)[-1]
+        w: trajectory(special, w)[-1]
         for w in paper_word_families(special)
     }
     for text in ("BggggggggA", "BggAgggggg"):
@@ -234,15 +233,15 @@ def test_criterion_08_shabat_realization():
             continue
         sol = shabat_for_derivation(seed, word, max_restarts=32)
         assert sol.converged
-        assert sol.residual < 1e-8, word_to_str(word)
+        assert sol.residual < 1e-8, word
         census = critical_census_uni(sol.polynomial(), cluster_tol=1e-4)
-        assert census_matches_profile(census, state.profile), word_to_str(word)
+        assert census_matches_profile(census, state.profile), word
         solved += 1
     assert solved == 3
     for guard_seed in (F1(1, 1), F3(2, 1, 0, 1, 0)):
         assert seed_triple(guard_seed).d0 > 16
         with pytest.raises(DegreeGuardError):
-            shabat_for_derivation(guard_seed, ())
+            shabat_for_derivation(guard_seed, "")
     budget.done("degrees 9/12/15 solved to 1e-8 with matching censuses;"
                 " larger trees stopped by the degree guard")
 
@@ -267,7 +266,7 @@ def test_criterion_09_count_formulas():
 
 def test_criterion_10_end_to_end_census():
     budget = Budget("criterion 10 end-to-end", 600.0)
-    surface = build_surface(9, F1(0, 1), ())
+    surface = build_surface(9, F1(0, 1), "")
     census = singular_census_3d(surface, tol=1e-6)
     assert census.verified
     assert census.total == 127 == count_A2_family(0)
@@ -275,7 +274,7 @@ def test_criterion_10_end_to_end_census():
         (round(p.j_value), round(p.u_value)): p.pair_count for p in census.pairs
     }
     assert pair_keys == {(0, 0): 108, (-1, 1): 19}
-    state = trajectory(F1(0, 1), ())[-1]
+    state = trajectory(F1(0, 1), "")[-1]
     assert census_matches_spectrum(census, spectrum(jstats(9), state.profile))
 
     nodal = singular_census_3d(build_nodal_surface(3), tol=1e-6)

@@ -109,11 +109,11 @@ def test_degree_five_star():
 
 
 def solved_base_surface_poly():
-    return shabat_for_derivation(F1(0, 1), ())
+    return shabat_for_derivation(F1(0, 1), "")
 
 
 def test_base_tree_solution_certifies_profile():
-    tree = tree_for_derivation(F1(0, 1), ())
+    tree = tree_for_derivation(F1(0, 1), "")
     sol = shabat_solve(tree)
     assert sol.converged
     assert sol.residual < 1e-8
@@ -142,7 +142,7 @@ def test_unit_interval_census_of_solved_tree():
 
 
 def test_gauge_census_stable_across_rng_seeds():
-    tree = tree_for_derivation(F1(0, 1), ())
+    tree = tree_for_derivation(F1(0, 1), "")
     reference = None
     for seed in (0, 7, 23):
         sol = shabat_solve(tree, rng_seed=seed)
@@ -225,8 +225,8 @@ def test_diverging_restarts_do_not_warn():
 
 def test_degree_guard():
     with pytest.raises(DegreeGuardError):
-        shabat_for_derivation(F1(1, 1), ())
-    tree = tree_for_derivation(F1(0, 1), ())
+        shabat_for_derivation(F1(1, 1), "")
+    tree = tree_for_derivation(F1(0, 1), "")
     with pytest.raises(DegreeGuardError):
         shabat_solve(tree, max_degree=8)
 
@@ -239,13 +239,13 @@ def test_five_letter_seed_realizes_profile_directly():
 
 
 def test_failure_raises_without_restarts():
-    tree = tree_for_derivation(F1(0, 1), ())
+    tree = tree_for_derivation(F1(0, 1), "")
     with pytest.raises(NoConvergenceError):
         shabat_solve(tree, max_restarts=0)
 
 
 def test_failure_names_the_closest_restart_and_its_rejection():
-    tree = tree_for_derivation(F1(0, 1), ())
+    tree = tree_for_derivation(F1(0, 1), "")
     with pytest.raises(NoConvergenceError) as info:
         shabat_solve(tree, tol=1e-30, max_restarts=2)
     assert re.search(

@@ -58,7 +58,6 @@ from belyi_forge.word_engine import (
     paper_word_families,
     trajectory,
     word_from_str,
-    word_to_str,
 )
 
 
@@ -294,7 +293,7 @@ def _walk_counting_letters(monkeypatch, d_max):
     apply_letter = surface_counts.apply_letter
 
     def counting(state, letter):
-        calls.append((state.seed, word_to_str(state.word) + letter.value))
+        calls.append((state.seed, state.word + letter))
         return apply_letter(state, letter)
 
     monkeypatch.setattr(surface_counts, "apply_letter", counting)
@@ -316,7 +315,7 @@ def test_catalogue_applies_each_prefix_once(monkeypatch):
             for i in range(len(w)):
                 parent = admissible_end(seed, w[:i])
                 if parent is not None and parent.profile.degree <= BOUND_TABLE_GUARD:
-                    prefixes.add((seed, word_to_str(w[: i + 1])))
+                    prefixes.add((seed, w[: i + 1]))
     assert len(calls) == len(set(calls))
     assert set(calls) == prefixes
 
@@ -384,12 +383,12 @@ def test_catalogue_words_are_the_families_up_to_the_length_cap():
     for seed in seeds:
         cap = (BOUND_TABLE_GUARD - seed_triple(seed).d0) // 3
         words = surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD)
-        assert words[0] == () and len(words) == len(set(words)), seed
+        assert words[0] == "" and len(words) == len(set(words)), seed
         kept += len(words)
         try:
             family = paper_word_families(seed)
         except NoFamilyRecordedError:
-            assert words == [()]
+            assert words == [""]
             with pytest.raises(NoFamilyRecordedError):
                 surface_counts._t2_families(seed, cap)
             continue
@@ -410,7 +409,7 @@ CATALOGUE_200_SHA256 = "2731bd5250a743fc2a6fb6c88bb2723b1a980ed4fe99a43b8795b4ac
 def test_catalogue_200_is_frozen():
     cons = constructions_up_to(BOUND_TABLE_GUARD)
     rows = "".join(
-        f"{c.degree},{c.nu},{format_seed(c.seed)},{word_to_str(c.word)},{c.profile!r}\n"
+        f"{c.degree},{c.nu},{format_seed(c.seed)},{c.word},{c.profile!r}\n"
         for c in cons
     )
     assert len(cons) == 1836
@@ -418,7 +417,7 @@ def test_catalogue_200_is_frozen():
 
 
 def test_end_to_end_census_smallest_surface():
-    surface = build_surface(9, F1(0, 1), ())
+    surface = build_surface(9, F1(0, 1), "")
     census = singular_census_3d(surface)
     assert census.verified
     assert census.total == 127
@@ -428,7 +427,7 @@ def test_end_to_end_census_smallest_surface():
     }
     assert pair_keys == {(0, 0): 108, (-1, 1): 19}
     assert census.max_value_defect < 1e-6
-    state = trajectory(F1(0, 1), ())[-1]
+    state = trajectory(F1(0, 1), "")[-1]
     sp = spectrum(jstats(9), state.profile)
     assert census_matches_spectrum(census, sp)
 
@@ -440,7 +439,7 @@ def test_build_surface_forwards_the_solver_guard():
 
 
 def test_pairing_is_complete():
-    surface = build_surface(9, F1(0, 1), ())
+    surface = build_surface(9, F1(0, 1), "")
     census = singular_census_3d(surface)
     assert sum(p.pair_count for p in census.pairs) == census.total
     assert sum(census.by_type.values()) == census.total
@@ -465,7 +464,7 @@ def test_vertex_value_key_is_positive_zero():
 
 
 def test_surface_polynomial_evaluates():
-    surface = build_surface(9, F1(0, 1), ())
+    surface = build_surface(9, F1(0, 1), "")
     assert surface(0.25, -0.3, 0.5) == build_Jd(9)(0.25, -0.3) + surface.u_part(0.5)
     census = singular_census_3d(surface)
     assert census.verified

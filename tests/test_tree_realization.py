@@ -19,12 +19,7 @@ from belyi_forge.tree_realization import (
     tree_from_json,
     tree_state_matches,
 )
-from belyi_forge.word_engine import (
-    T13Letter,
-    enumerate_LE,
-    trajectory,
-    word_from_str,
-)
+from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
 
 def small_valid_profiles():
@@ -84,26 +79,26 @@ def test_tree_rewrites_commute_with_profile_rewrites(seed):
 
 def test_single_surgery_matches_engine_step():
     seed = F1(1, 1)
-    t = derive_tree(seed, ())
+    t = derive_tree(seed, "")
     site = next(
         v
         for v in range(t.vertex_count)
         if t.colors[v] == "white" and t.degree(v) == 1
     )
-    t2 = apply_letter_tree(t, T13Letter.ALPHA, site)
+    t2 = apply_letter_tree(t, "a", site)
     s2 = trajectory(seed, word_from_str("a", seed))[-1]
     assert profile_of(t2) == s2.profile
 
 
 def test_surgery_site_validation():
-    t = derive_tree(F1(0, 1), ())
+    t = derive_tree(F1(0, 1), "")
     black = next(v for v in range(t.vertex_count) if t.colors[v] == "black")
     with pytest.raises(RealizationError):
-        apply_letter_tree(t, T13Letter.ALPHA, black)
+        apply_letter_tree(t, "a", black)
     with pytest.raises(RealizationError):
-        apply_letter_tree(t, T13Letter.BETA, black)
+        apply_letter_tree(t, "b", black)
     with pytest.raises(RealizationError):
-        apply_letter_tree(t, T13Letter.ALPHA, t.vertex_count)
+        apply_letter_tree(t, "a", t.vertex_count)
     # beta with no pending simple white anywhere
     white_leaf = next(
         v
@@ -111,7 +106,21 @@ def test_surgery_site_validation():
         if t.colors[v] == "white" and t.degree(v) == 1
     )
     with pytest.raises(RealizationError):
-        apply_letter_tree(t, T13Letter.BETA, white_leaf)
+        apply_letter_tree(t, "b", white_leaf)
+
+
+@pytest.mark.parametrize("letter", ["ab", "", "A"])
+def test_surgery_takes_exactly_one_two_letter_code(letter):
+    # The site is a white leaf, where alpha applies, so only the letter is wrong.
+    t = derive_tree(F1(0, 1), "")
+    white_leaf = next(
+        v
+        for v in range(t.vertex_count)
+        if t.colors[v] == "white" and t.degree(v) == 1
+    )
+    apply_letter_tree(t, "a", white_leaf)
+    with pytest.raises(RealizationError):
+        apply_letter_tree(t, letter, white_leaf)
 
 
 def test_check_tree_rejects_malformed_inputs():
@@ -137,7 +146,7 @@ def test_check_tree_rejects_malformed_inputs():
 
 @pytest.mark.parametrize("seed", SEEDS, ids=repr)
 def test_dot_round_trip(seed):
-    t = derive_tree(seed, ())
+    t = derive_tree(seed, "")
     text = export_dot(t)
     back = parse_dot(text)
     assert back.colors == t.colors
@@ -152,7 +161,7 @@ def test_json_round_trip():
 
 def test_derived_tree_grows_by_word_length():
     seed = F1(0, 1)
-    base = derive_tree(seed, ())
+    base = derive_tree(seed, "")
     grown = derive_tree(seed, word_from_str("abab", seed))
     # each letter adds one hub plus nu fresh leaves
     assert grown.vertex_count == base.vertex_count + 4 * 3

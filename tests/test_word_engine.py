@@ -6,7 +6,16 @@ import math
 
 import pytest
 
-from belyi_forge import F1, F2, F3, format_seed, seed_profile, seed_triple, word_engine
+from belyi_forge import (
+    F1,
+    F2,
+    F3,
+    format_seed,
+    parse_seed,
+    seed_profile,
+    seed_triple,
+    word_engine,
+)
 from belyi_forge.surface_counts import seed_grid
 from belyi_forge.word_engine import (
     AlphabetMismatchError,
@@ -15,13 +24,14 @@ from belyi_forge.word_engine import (
     admissible_end,
     alphabet_for,
     alternating_word,
+    apply_letter,
     enumerate_LE,
+    initial_state,
     is_E_admissible,
     max_h,
     paper_word_families,
     trajectory,
     word_from_str,
-    word_to_str,
 )
 
 T13_SEEDS = [F1(0, 1), F1(1, 1), F1(2, 1), F1(0, 3), F3(2, 1, 1, 1, 0), F3(3, -1, 0, 2, 0)]
@@ -32,10 +42,10 @@ T2_SEEDS = [F2(0, 1, 1, 1), F2(0, 1, 2, 3), F2(1, 1, 1, 1), F2(1, 0, 0, 1)]
 def test_enumeration_prefix_closed(seed):
     words = enumerate_LE(seed, 5)
     pool = set(words)
-    assert () in pool
+    assert "" in pool
     for w in words:
         for cut in range(len(w)):
-            assert w[:cut] in pool, (word_to_str(w), cut)
+            assert w[:cut] in pool, (w, cut)
 
 
 @pytest.mark.parametrize("seed", T13_SEEDS + T2_SEEDS, ids=repr)
@@ -44,7 +54,7 @@ def test_enumeration_matches_brute_force(seed):
     brute = [
         w
         for n in range(6)
-        for w in itertools.product(letters, repeat=n)
+        for w in map("".join, itertools.product(letters, repeat=n))
         if is_E_admissible(seed, w)
     ]
     assert enumerate_LE(seed, 5) == brute
@@ -53,6 +63,55 @@ def test_enumeration_matches_brute_force(seed):
 def test_enumeration_reference_counts():
     assert len(enumerate_LE(F2(0, 2, 2, 2), 10)) == 70572
     assert len(enumerate_LE(F2(1, 2, 2, 2), 9)) == 45053
+
+
+# sha256 of the "\n"-joined words of enumerate_LE(seed, length): the two
+# second-family runs of the enumerate benchmark, and every first- and
+# third-family seed of seed_grid(60) at length 12.  Recorded while words
+# were still tuples of letter objects, so a reordered or wrong list fails,
+# not just a wrong count.
+ENUMERATION_SHA256 = {
+    ("F1:0,1", 12): "38381dc2bc91a21617a2c3e2a0277dded2a12df2dff91453b20fc9a6ded72ede",
+    ("F1:0,2", 12): "17e7e3dd4c02bd903eb89fce48d3e3fc5528ef4860583564a5ca4a676aff3d4f",
+    ("F1:1,1", 12): "17e7e3dd4c02bd903eb89fce48d3e3fc5528ef4860583564a5ca4a676aff3d4f",
+    ("F1:1,2", 12): "83c4aeb6272404f99899fc353ecfed0298ec30564bfa08bc94f86f0176682ee7",
+    ("F1:2,1", 12): "83c4aeb6272404f99899fc353ecfed0298ec30564bfa08bc94f86f0176682ee7",
+    ("F1:3,1", 12): "8d2866b20cce17ef51adbbf179c95f95df5ff8eac1e41394949dc5285936b121",
+    ("F1:4,1", 12): "48adc405d64905c2e5aca3df6223ddc4fa65bbfcae3abdac2de36404660377c2",
+    ("F2:0,2,2,2", 10): "709a99b274f654199648b0a01dddbaef05b9337a8f7ff5cf70320812e04f37e8",
+    ("F2:1,2,2,2", 9): "503fbdd5f3fe62f0b3d7532230d337db36bd8995e5a3f1451567e5aa941f5865",
+    ("F3:1,-1,0,2,0", 12): "87f3629e5846693be2ea1894be1fa3c0f369e7a1c926b47582e9327765c4cfe4",
+    ("F3:1,-1,1,2,0", 12): "18ed6bb8fd5cb2b0bbd752e1e4df9c8a7dd32489f1326f3a98c4db11ab2cb789",
+    ("F3:1,-1,2,2,0", 12): "7092142f07910ad87761a339fc0dbe0f180cfad74753f665388587abd86b2e14",
+    ("F3:1,0,0,2,0", 12): "87f3629e5846693be2ea1894be1fa3c0f369e7a1c926b47582e9327765c4cfe4",
+    ("F3:1,0,1,2,0", 12): "18ed6bb8fd5cb2b0bbd752e1e4df9c8a7dd32489f1326f3a98c4db11ab2cb789",
+    ("F3:1,1,0,1,0", 12): "96f96dc530d3794ed4299baa886ad93aa54e8be50526b773b6e233711b92e6bb",
+    ("F3:1,1,0,2,0", 12): "e98a8684577e42ca115db6ae651fdcd88b366a3158c8bc0595dbd2fcfd47cc55",
+    ("F3:1,1,1,1,0", 12): "e98a8684577e42ca115db6ae651fdcd88b366a3158c8bc0595dbd2fcfd47cc55",
+    ("F3:1,1,2,1,0", 12): "f4b11919cb1b8dd924235292c5c59dd3482886df62b5d765e746d930806f2e89",
+    ("F3:1,1,3,1,0", 12): "9ffbbcfb391d6e3438fc106a6540c3102d6fc210be36ad379ba6db81d8e28215",
+    ("F3:2,-1,0,2,0", 12): "87f3629e5846693be2ea1894be1fa3c0f369e7a1c926b47582e9327765c4cfe4",
+    ("F3:2,-1,1,2,0", 12): "18ed6bb8fd5cb2b0bbd752e1e4df9c8a7dd32489f1326f3a98c4db11ab2cb789",
+    ("F3:2,0,0,2,0", 12): "17e7e3dd4c02bd903eb89fce48d3e3fc5528ef4860583564a5ca4a676aff3d4f",
+    ("F3:2,1,0,1,0", 12): "17e7e3dd4c02bd903eb89fce48d3e3fc5528ef4860583564a5ca4a676aff3d4f",
+    ("F3:2,1,0,2,0", 12): "83c4aeb6272404f99899fc353ecfed0298ec30564bfa08bc94f86f0176682ee7",
+    ("F3:2,1,1,1,0", 12): "83c4aeb6272404f99899fc353ecfed0298ec30564bfa08bc94f86f0176682ee7",
+    ("F3:2,1,2,1,0", 12): "8d2866b20cce17ef51adbbf179c95f95df5ff8eac1e41394949dc5285936b121",
+    ("F3:2,1,3,1,0", 12): "48adc405d64905c2e5aca3df6223ddc4fa65bbfcae3abdac2de36404660377c2",
+    ("F3:3,-1,0,2,0", 12): "18ed6bb8fd5cb2b0bbd752e1e4df9c8a7dd32489f1326f3a98c4db11ab2cb789",
+    ("F3:3,-1,1,2,0", 12): "7092142f07910ad87761a339fc0dbe0f180cfad74753f665388587abd86b2e14",
+    ("F3:3,0,0,2,0", 12): "e98a8684577e42ca115db6ae651fdcd88b366a3158c8bc0595dbd2fcfd47cc55",
+    ("F3:3,1,0,1,0", 12): "87f3629e5846693be2ea1894be1fa3c0f369e7a1c926b47582e9327765c4cfe4",
+    ("F3:3,1,1,1,0", 12): "18ed6bb8fd5cb2b0bbd752e1e4df9c8a7dd32489f1326f3a98c4db11ab2cb789",
+    ("F3:3,1,2,1,0", 12): "7092142f07910ad87761a339fc0dbe0f180cfad74753f665388587abd86b2e14",
+}
+
+
+@pytest.mark.parametrize("name, length", list(ENUMERATION_SHA256), ids=str)
+def test_enumerated_word_lists_are_frozen(name, length):
+    words = enumerate_LE(parse_seed(name), length)
+    digest = hashlib.sha256("\n".join(words).encode()).hexdigest()
+    assert digest == ENUMERATION_SHA256[(name, length)]
 
 
 def test_enumeration_applies_each_profile_letter_pair_once(monkeypatch):
@@ -88,14 +147,14 @@ def test_degree_and_count_closure_alternating_alphabet(seed):
     for w in enumerate_LE(seed, 6):
         h = len(w)
         s = trajectory(seed, w)[-1].stats()
-        assert s.d == t.d0 + h * (t.nu + 1), word_to_str(w)
-        assert s.n_minus1 == n_minus1_0 + h, word_to_str(w)
+        assert s.d == t.d0 + h * (t.nu + 1), w
+        assert s.n_minus1 == n_minus1_0 + h, w
         expected_plus = 1 + (h // 2 if t.nu == 2 else 0)
-        assert s.n_plus1 == expected_plus, word_to_str(w)
+        assert s.n_plus1 == expected_plus, w
 
 
 def test_base_seed_language_is_alternating_chain():
-    words = [word_to_str(w) for w in enumerate_LE(F1(0, 1), 8)]
+    words = enumerate_LE(F1(0, 1), 8)
     assert words == [
         "",
         "a",
@@ -117,7 +176,7 @@ def test_bounded_seed_longest_word():
 
 @pytest.mark.parametrize("seed", T13_SEEDS + T2_SEEDS, ids=repr)
 def test_zero_length_enumeration(seed):
-    assert enumerate_LE(seed, 0) == [()]
+    assert enumerate_LE(seed, 0) == [""]
 
 
 def test_max_h_frozen_values():
@@ -160,16 +219,22 @@ def test_unbounded_seed_runs_very_long():
 
 
 def test_word_string_round_trip():
-    w = word_from_str("abab", F1(0, 1))
-    assert word_to_str(w) == "abab"
-    v = word_from_str("BggAdD", F2(0, 1, 1, 1))
-    assert word_to_str(v) == "BggAdD"
+    assert word_from_str("abab", F1(0, 1)) == "abab"
+    assert word_from_str("BggAdD", F2(0, 1, 1, 1)) == "BggAdD"
     with pytest.raises(AlphabetMismatchError):
         word_from_str("ab", F2(0, 1, 1, 1))
     with pytest.raises(AlphabetMismatchError):
         word_from_str("Bg", F1(0, 1))
     with pytest.raises(WordEngineError):
         word_from_str("xyz", F1(0, 1))
+
+
+@pytest.mark.parametrize("seed", [F1(0, 1), F2(0, 1, 1, 1)], ids=repr)
+@pytest.mark.parametrize("letter", ["ab", "", "AB", "Bg", "x"])
+def test_apply_letter_takes_exactly_one_letter(seed, letter):
+    # A str `in` test against the alphabet string would let "ab" and "" in.
+    with pytest.raises(AlphabetMismatchError):
+        apply_letter(initial_state(seed), letter)
 
 
 FAMILY_SEEDS = [
@@ -190,7 +255,7 @@ def test_catalogued_families_are_admissible(seed):
     words = paper_word_families(seed, limit=8)
     assert words
     for w in words:
-        assert is_E_admissible(seed, w), (seed, word_to_str(w))
+        assert is_E_admissible(seed, w), (seed, w)
 
 
 def test_families_are_a_sublanguage():
@@ -211,7 +276,7 @@ def test_families_of_the_table_grid_are_frozen():
     lines = []
     for seed in seed_grid(200):
         try:
-            text = " ".join(word_to_str(w) for w in paper_word_families(seed))
+            text = " ".join(paper_word_families(seed))
         except NoFamilyRecordedError:
             text = "-"
         lines.append(f"{format_seed(seed)} {text}\n")
@@ -226,7 +291,7 @@ def test_no_family_for_trivial_seed():
 
 def test_degree_123_coincidence():
     seed = F2(0, 2, 1, 1)
-    fam = {word_to_str(w): trajectory(seed, w)[-1] for w in paper_word_families(seed)}
+    fam = {w: trajectory(seed, w)[-1] for w in paper_word_families(seed)}
     assert "BggggggggA" in fam and "BggAgggggg" in fam
     states = [fam["BggggggggA"], fam["BggAgggggg"]]
     assert all(s.stats().d == 123 for s in states)
@@ -235,7 +300,7 @@ def test_degree_123_coincidence():
 
 def test_degree_126_coincidence():
     seed = F2(0, 2, 1, 1)
-    fam = {word_to_str(w): trajectory(seed, w)[-1] for w in paper_word_families(seed)}
+    fam = {w: trajectory(seed, w)[-1] for w in paper_word_families(seed)}
     for text in ["BggggggggAA", "BggAggggggA", "BggAgggAggg"]:
         assert text in fam, text
         assert fam[text].stats().d == 126, text
@@ -253,8 +318,8 @@ def test_series_matches_closed_form_lattice(n):
         s = trajectory(seed, w)[-1].stats()
         degrees.add(s.d)
         three_m = s.d - t.d0 - (s.n_minus1 - 3) * t.nu
-        assert three_m >= 0 and three_m % 3 == 0, word_to_str(w)
-        assert s.n_minus1 - 3 - three_m // 3 >= 0, word_to_str(w)
+        assert three_m >= 0 and three_m % 3 == 0, w
+        assert s.n_minus1 - 3 - three_m // 3 >= 0, w
     assert max(degrees) == 2 * t.nu * (t.nu + 1)
 
 
