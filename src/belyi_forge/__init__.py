@@ -110,6 +110,7 @@ from .word_engine import (
     T2_ALPHABET,
     T13_ALPHABET,
     admissible_end,
+    admissible_ends,
     alphabet_for,
     alternating_word,
     apply_letter,

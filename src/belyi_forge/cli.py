@@ -62,7 +62,7 @@ from .word_engine import (
     AlphabetMismatchError,
     LetterNotApplicableError,
     NoFamilyRecordedError,
-    admissible_end,
+    admissible_ends,
     enumerate_LE,
     paper_word_families,
     trajectory,
@@ -175,8 +175,7 @@ def cmd_families(args) -> int:
     words = paper_word_families(seed, limit=args.limit)
     rows = []
     all_ok = True
-    for w in words:
-        end = admissible_end(seed, w)
+    for w, end in zip(words, admissible_ends(seed, words)):
         all_ok = all_ok and end is not None
         rows.append(
             {

@@ -73,7 +73,10 @@ def alphabet_for(seed: SeedSpec) -> str:
 
 def word_from_str(text: str, seed: SeedSpec) -> str:
     """The word text spells, once every letter is checked against the
-    seed's alphabet."""
+    seed's alphabet.  Raises TypeError unless text is a str: a tuple of
+    letters would pass the letter check and then stand in for a word."""
+    if not isinstance(text, str):
+        raise TypeError(f"a word is a str of letter codes, got {type(text).__name__}")
     letters = _T2_LETTERS if uses_t2(seed) else _T13_LETTERS
     for ch in text:
         if ch not in letters:
@@ -306,6 +309,34 @@ def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
     return state
 
 
+def admissible_ends(
+    seed: SeedSpec, words: Iterable[str]
+) -> list[DerivationState | None]:
+    """For each word, the state it reaches, or None unless it is admissible:
+    ``[admissible_end(seed, w) for w in words]``.
+
+    A memo maps each word prefix to its state, or to None once the prefix
+    fails, so each distinct prefix costs at most one letter application
+    and one admissibility test however many words share it.  A word whose
+    prefixes are not all in the memo is read from its longest known one,
+    so the words need not be sorted or prefix-closed.
+    """
+    start = initial_state(seed)
+    memo: dict[str, DerivationState | None] = {
+        "": start if start.satisfies_E() else None
+    }
+    ends = []
+    for w in words:
+        known = len(w)
+        while w[:known] not in memo:
+            known -= 1
+        for i in range(known, len(w)):
+            state = memo[w[:i]]
+            memo[w[: i + 1]] = None if state is None else _admissible_child(state, w[i])
+        ends.append(memo[w])
+    return ends
+
+
 def is_E_admissible(seed: SeedSpec, word: str) -> bool:
     """True iff the seed and every prefix state satisfy the condition."""
     return admissible_end(seed, word) is not None
@@ -323,9 +354,12 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     ``_apply_t13``, ``_apply_t2`` and the admissibility condition read only
     the state's profile and the seed's nu, so whether a letter applies, the
     profile it yields and whether that profile is admissible depend on the
-    profile alone.  The admissible moves of a profile are therefore worked
-    out once, from the first word that reaches it, and every later word
-    with that profile just extends itself by each move's letter.
+    profile alone.  Each distinct profile is numbered the first time a move
+    reaches it, and its admissible moves, as (letter, profile number) pairs,
+    are worked out once, from the first word that reaches it.  The frontier
+    carries each word's profile number beside it, so a later word with that
+    profile just extends itself by each move's letter, and a profile is
+    hashed once per move rather than once per word.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -337,24 +371,34 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     if not start.satisfies_E():
         return []
     letters = alphabet_for(seed)
-    moves: dict[CriticalProfile, list[tuple[str, CriticalProfile]]] = {}
+    ids = {start.profile: 0}
+    profiles = [start.profile]
+    # moves[i] is None until a word with profile i is expanded.
+    moves: list[list[tuple[str, int]] | None] = [None]
     words = [""]
-    frontier = [("", start.profile)]
+    frontier, frontier_ids = [""], [0]
     for _ in range(max_len):
-        nxt = []
-        for word, profile in frontier:
-            admissible = moves.get(profile)
+        nxt, nxt_ids = [], []
+        for word, pid in zip(frontier, frontier_ids):
+            admissible = moves[pid]
             if admissible is None:
-                state = DerivationState(seed=seed, word=word, profile=profile)
-                admissible = moves[profile] = []
+                state = DerivationState(seed=seed, word=word, profile=profiles[pid])
+                admissible = moves[pid] = []
                 for letter in letters:
                     child = _admissible_child(state, letter)
-                    if child is not None:
-                        admissible.append((letter, child.profile))
-            for letter, child_profile in admissible:
-                nxt.append((word + letter, child_profile))
-        words.extend(word for word, _ in nxt)
-        frontier = nxt
+                    if child is None:
+                        continue
+                    cid = ids.get(child.profile)
+                    if cid is None:
+                        cid = ids[child.profile] = len(profiles)
+                        profiles.append(child.profile)
+                        moves.append(None)
+                    admissible.append((letter, cid))
+            for letter, cid in admissible:
+                nxt.append(word + letter)
+                nxt_ids.append(cid)
+        words.extend(nxt)
+        frontier, frontier_ids = nxt, nxt_ids
     return words
 
 

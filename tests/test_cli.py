@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from belyi_forge import F2, format_seed, word_engine
 from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.cli import build_parser, main
+from belyi_forge.surface_counts import seed_grid
 from belyi_forge.tree_realization import parse_dot
 
 
@@ -65,6 +67,65 @@ def test_families_without_a_catalogue_entry_is_mismatch(capsys):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["type"] == "NoFamilyRecordedError"
+
+
+# sha256 of the stdout of `families --seed S`, and its exit code, for every
+# second-family seed of seed_grid(60), recorded while each family word was
+# still replayed from the seed.  The digests cover the admissible and degree
+# fields as well as the words; the seeds with no catalogue entry print
+# nothing and exit 1.
+_NO_FAMILY = ("e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 1)
+FAMILIES_STDOUT_SHA256 = {
+    "F2:0,1,1,1": ("697ca7280e6a6bed6858beadaf6ddb2a9efce73edacbaa467ca032efb12d6833", 0),
+    "F2:0,2,1,1": ("ea380e41f540470ac25f757fc71ed584337beeb73218484e4241a2571154e6d5", 0),
+    "F2:0,3,1,1": ("88a347b5b85b810394de08f12301cd144443462955228b644984f1f6d242bb32", 0),
+    "F2:1,0,0,0": _NO_FAMILY,
+    "F2:1,0,0,1": ("2d73488d065a6fc1fcabce5b7de9a432a964e52513491542549f9de9c824820c", 0),
+    "F2:1,0,0,2": ("e9484a4cae98bab8fbc29e46e5a6cc0c8650abe30a0ddcc873e70c37e115a3e0", 0),
+    "F2:1,0,1,1": ("1c400f8d150f245884c8df48712e86fd89dab2cf189904aa145f17978e376c21", 0),
+    "F2:1,0,1,2": ("d02947843dd0b9603d44380527dfcffaad1bd0e73ead0bc8a1e6ea04cdef4159", 0),
+    "F2:1,1,0,0": _NO_FAMILY,
+    "F2:1,1,0,1": ("3eaa1acc259c76950cccf989b82e09a032e727d3e4e675e521f83f19a2e86d5b", 0),
+    "F2:1,1,1,1": ("daf12053fcc405ca7d840db15d06c38c41596d0343454cc485aa1d1677ed4bbb", 0),
+    "F2:1,2,0,0": _NO_FAMILY,
+    "F2:1,2,0,1": ("2af3e4875cb3b0ae4d776fc41b7fab4c5ae3fddee2760618d9f79ab6d99e4386", 0),
+    "F2:1,2,1,1": ("900787d91a0536ec7c43f8a7b9401fcfd89a5fa17991b721c2a6d3b2d8fc8de1", 0),
+    "F2:1,3,0,0": _NO_FAMILY,
+    "F2:1,4,0,0": _NO_FAMILY,
+    "F2:1,5,0,0": _NO_FAMILY,
+    "F2:1,6,0,0": _NO_FAMILY,
+    "F2:1,7,0,0": _NO_FAMILY,
+    "F2:1,8,0,0": _NO_FAMILY,
+    "F2:1,9,0,0": _NO_FAMILY,
+}
+
+
+def test_families_pins_every_second_family_seed():
+    seeds = [format_seed(s) for s in seed_grid(60) if isinstance(s, F2)]
+    assert seeds == list(FAMILIES_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("seed", list(FAMILIES_STDOUT_SHA256))
+def test_families_stdout_is_pinned(capsys, seed):
+    code, out, err = run(capsys, "families", "--seed", seed)
+    assert (_sha256(out), code) == FAMILIES_STDOUT_SHA256[seed]
+
+
+def test_families_applies_each_distinct_prefix_once(capsys, monkeypatch):
+    # The 63 words of F2:0,3,1,1 have 63 distinct nonempty prefixes; reading
+    # each word from the seed applied 846 letters.
+    applied = []
+    apply_letter = word_engine.apply_letter
+
+    def counting(state, letter):
+        applied.append(letter)
+        return apply_letter(state, letter)
+
+    monkeypatch.setattr(word_engine, "apply_letter", counting)
+    code, out, err = run(capsys, "families", "--seed", "F2:0,3,1,1")
+    assert code == 0
+    assert json.loads(out)["count"] == 63
+    assert len(applied) == 63
 
 
 def test_shabat_solves_and_censuses(capsys):

@@ -438,6 +438,12 @@ def test_build_surface_forwards_the_solver_guard():
         build_surface(12, F1(0, 1), "a", max_degree=9)
 
 
+def test_build_surface_takes_its_word_as_a_str():
+    # The empty tuple once passed the letter check and became the word.
+    with pytest.raises(TypeError):
+        build_surface(9, F1(0, 1), ())
+
+
 def test_pairing_is_complete():
     surface = build_surface(9, F1(0, 1), "")
     census = singular_census_3d(surface)

@@ -22,6 +22,7 @@ from belyi_forge.word_engine import (
     NoFamilyRecordedError,
     WordEngineError,
     admissible_end,
+    admissible_ends,
     alphabet_for,
     alternating_word,
     apply_letter,
@@ -131,6 +132,22 @@ def test_enumeration_applies_each_profile_letter_pair_once(monkeypatch):
     assert len(pairs) <= len(alphabet_for(seed)) * len(expanded)
 
 
+def test_enumeration_expands_each_profile_once(monkeypatch):
+    # 955 admissibility steps, the count before profiles were numbered:
+    # each distinct profile reached below length 10 tries each letter once.
+    calls = []
+    admissible_child = word_engine._admissible_child
+
+    def counting(state, letter):
+        calls.append(letter)
+        return admissible_child(state, letter)
+
+    monkeypatch.setattr(word_engine, "_admissible_child", counting)
+    words = enumerate_LE(F2(0, 2, 2, 2), 10)
+    assert len(words) == 70572
+    assert len(calls) == 955
+
+
 def test_enumeration_deterministic():
     a = enumerate_LE(F2(0, 1, 1, 1), 6)
     b = enumerate_LE(F2(0, 1, 1, 1), 6)
@@ -227,6 +244,13 @@ def test_word_string_round_trip():
         word_from_str("Bg", F1(0, 1))
     with pytest.raises(WordEngineError):
         word_from_str("xyz", F1(0, 1))
+
+
+@pytest.mark.parametrize("text", [("a", "b"), ["a"], ()], ids=repr)
+def test_word_from_str_takes_only_a_str(text):
+    # A tuple of valid letters would pass the letter check unchanged.
+    with pytest.raises(TypeError):
+        word_from_str(text, F1(0, 1))
 
 
 @pytest.mark.parametrize("seed", [F1(0, 1), F2(0, 1, 1, 1)], ids=repr)
@@ -357,6 +381,65 @@ def test_admissible_end_is_the_last_trajectory_state():
     assert admissible_end(F1(1, 1), alternating_word(5)) is None
     # The letter does not apply: the seed has no simple white point for beta.
     assert admissible_end(F1(0, 1), word_from_str("b", F1(0, 1))) is None
+
+
+def _end_key(state):
+    return None if state is None else (state.profile, state.word)
+
+
+def _assert_ends_match(seed, words):
+    ends = admissible_ends(seed, words)
+    assert [_end_key(e) for e in ends] == [
+        _end_key(admissible_end(seed, w)) for w in words
+    ]
+
+
+@pytest.mark.parametrize("seed", seed_grid(60), ids=format_seed)
+def test_admissible_ends_replays_the_catalogued_families(seed):
+    try:
+        words = paper_word_families(seed, limit=20)
+    except NoFamilyRecordedError:
+        words = []
+    _assert_ends_match(seed, words)
+
+
+def test_admissible_ends_needs_no_order_or_prefix_closure():
+    seed = F2(0, 2, 1, 1)
+    words = ["BggAg", "Bgg", "BggggggggA", "B", "BggAg", "BgggA", "Bg"]
+    assert any(e is not None for e in admissible_ends(seed, words))
+    _assert_ends_match(seed, words)
+    _assert_ends_match(seed, words[::-1])
+
+
+def test_admissible_ends_of_the_empty_word():
+    for seed in (F1(0, 1), F2(0, 1, 1, 1)):
+        ends = admissible_ends(seed, ["", alphabet_for(seed)[0], ""])
+        assert ends[0] == ends[2] == initial_state(seed)
+        _assert_ends_match(seed, ["", alphabet_for(seed)[0], ""])
+
+
+def test_admissible_ends_stops_at_an_inadmissible_middle_letter():
+    seed = F1(0, 1)
+    # "b" needs the simple white point a preceding "a" leaves.
+    words = ["aba", "abba", "abb", "ab", "abbab"]
+    ends = admissible_ends(seed, words)
+    assert [e is None for e in ends] == [False, True, True, False, True]
+    _assert_ends_match(seed, words)
+
+
+def test_admissible_ends_of_a_seed_failing_E(monkeypatch):
+    # Every catalogued seed satisfies the condition, so it is made to fail
+    # at the seed's degree alone: the words' own states would still pass.
+    seed = F2(0, 1, 1, 1)
+    words = ["", "B", "Bg", "BggD"]
+    assert None not in admissible_ends(seed, words)
+    d0 = initial_state(seed).profile.degree
+    condition_E = word_engine.condition_E
+    monkeypatch.setattr(
+        word_engine, "condition_E", lambda d, *rest: d != d0 and condition_E(d, *rest)
+    )
+    assert admissible_ends(seed, words) == [None] * len(words)
+    _assert_ends_match(seed, words)
 
 
 def test_inadmissible_word_detected():
