@@ -114,6 +114,7 @@ from .word_engine import (
     alphabet_for,
     alternating_word,
     apply_letter,
+    catalogue_ends,
     enumerate_LE,
     initial_state,
     is_E_admissible,

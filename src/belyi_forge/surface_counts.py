@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -50,19 +49,7 @@ from .seed_families import (
     format_seed,
     seed_triple,
 )
-from .word_engine import (
-    DerivationState,
-    LetterNotApplicableError,
-    NoFamilyRecordedError,
-    _t2_families,
-    alternating_word,
-    apply_letter,
-    initial_state,
-    max_h,
-    trajectory,
-    uses_t2,
-    word_from_str,
-)
+from .word_engine import catalogue_ends, trajectory, word_from_str
 
 BOUND_TABLE_GUARD = 200
 
@@ -228,80 +215,14 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
     return _f1_seeds(d_max) + _f2_seeds(d_max) + _f3_seeds(d_max)
 
 
-def _words_for_seed(seed: SeedSpec, d_max: int) -> list[str]:
-    """The empty word and the seed's catalogued words that can end within
-    degree d_max, each once.
-
-    Every letter strictly raises the degree: a T13 letter by nu + 1, a T2
-    letter by at least 3 (by 3, nu, or nu - eps + 2 with eps < nu, and
-    nu = 3(n + l) + j >= 4 for every second-family seed with a recorded
-    family).  So a word of more than (d_max - d0) // (nu + 1) letters, or
-    (d_max - d0) // 3 for a second-family seed, ends past d_max, and no
-    such word is generated.  The T2 words come in generation order, not in
-    the canonical order of paper_word_families: the catalogue sorts its
-    constructions itself.
-    """
-    tri = seed_triple(seed)
-    words = [""]
-    if uses_t2(seed):
-        try:
-            words.extend(dict.fromkeys(_t2_families(seed, (d_max - tri.d0) // 3)))
-        except NoFamilyRecordedError:
-            pass
-    else:
-        cap = (d_max - tri.d0) // (tri.nu + 1)
-        bound = max_h(seed)
-        if bound != math.inf:
-            cap = min(cap, int(bound))
-        words.extend(alternating_word(k) for k in range(1, cap + 1))
-    return words
-
-
-def _kept(state: DerivationState, d_max: int) -> DerivationState | None:
-    """The state if it is within degree d_max and admissible, else None."""
-    return state if state.profile.degree <= d_max and state.satisfies_E() else None
-
-
-def _step(
-    state: DerivationState | None, letter: str, d_max: int
-) -> DerivationState | None:
-    """The state one letter on, or None once the prefix is inadmissible or
-    past degree d_max."""
-    if state is None:
-        return None
-    try:
-        child = apply_letter(state, letter)
-    except LetterNotApplicableError:
-        return None
-    return _kept(child, d_max)
-
-
 @cache
 def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, ...]:
-    """The seed's admissible catalogued words up to degree d_max.
-
-    Every letter strictly raises the degree, by nu + 1 for a T13 letter and
-    by at least 3 for a T2 letter.  So _words_for_seed generates only words
-    of at most (d_max - d0) // (nu + 1) letters, or (d_max - d0) // 3 for a
-    second-family seed, and no extension of a prefix past d_max can come
-    back within it.  A memo maps each word prefix to its state, or to None
-    once the prefix is inadmissible or past degree d_max, so each distinct
-    prefix costs at most one letter application and one admissibility
-    test, and the walk stops a prefix there.
-    """
-    memo = {"": _kept(initial_state(seed), d_max)}
-    nu = seed_triple(seed).nu
-    out = []
-    for w in _words_for_seed(seed, d_max):
-        known = len(w)
-        while w[:known] not in memo:
-            known -= 1
-        for i in range(known, len(w)):
-            memo[w[: i + 1]] = _step(memo[w[:i]], w[i], d_max)
-        state = memo[w]
-        if state is not None:
-            out.append(Construction(seed, w, state.profile.degree, nu, state.profile))
-    return tuple(out)
+    """The seed's admissible catalogued words up to degree d_max, as
+    constructions in the order of catalogue_ends."""
+    return tuple(
+        Construction(seed, s.word, s.profile.degree, s.nu, s.profile)
+        for s in catalogue_ends(seed, d_max)
+    )
 
 
 @cache

@@ -19,6 +19,12 @@ pruning is exact.  Both a letter's action and the admissibility condition
 read only the state's profile and the seed's nu, never the word, so the
 enumeration works out the admissible moves of each distinct profile once and
 reuses them for every word that reaches that profile.
+
+The catalogued word families are listed and walked here too:
+``paper_word_families`` lists a seed's family, ``admissible_ends`` reads a
+list of words through one prefix memo, and ``catalogue_ends`` gives the
+admissible states of the family words that end within a degree, the walk
+the bound table's catalogue is read from.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .profile_core import (
@@ -86,22 +91,15 @@ def word_from_str(text: str, seed: SeedSpec) -> str:
     return text
 
 
-@lru_cache(maxsize=None)
-def _triple(seed: SeedSpec):
-    return seed_triple(seed)
-
-
 @dataclass(frozen=True)
 class DerivationState:
-    """A seed together with the profile reached by a word."""
+    """A seed together with the profile reached by a word, and the seed's
+    top multiplicity nu, which every letter carries forward."""
 
     seed: SeedSpec
     word: str
     profile: CriticalProfile
-
-    @property
-    def nu(self) -> int:
-        return _triple(self.seed).nu
+    nu: int
 
     def stats(self) -> TopStats:
         return top_stats(self.profile, self.nu)
@@ -112,7 +110,9 @@ class DerivationState:
 
 
 def initial_state(seed: SeedSpec) -> DerivationState:
-    return DerivationState(seed=seed, word="", profile=seed_profile(seed))
+    return DerivationState(
+        seed=seed, word="", profile=seed_profile(seed), nu=seed_triple(seed).nu
+    )
 
 
 def _residuals(mults: tuple[int, ...], nu: int) -> list[int]:
@@ -271,7 +271,7 @@ def apply_letter(state: DerivationState, letter: str) -> DerivationState:
             )
         new_profile = _apply_t13(state, letter)
     return DerivationState(
-        seed=state.seed, word=state.word + letter, profile=new_profile
+        seed=state.seed, word=state.word + letter, profile=new_profile, nu=state.nu
     )
 
 
@@ -283,14 +283,21 @@ def trajectory(seed: SeedSpec, word: str) -> list[DerivationState]:
     return states
 
 
-def _admissible_child(state: DerivationState, letter: str) -> DerivationState | None:
+def _kept(state: DerivationState, d_max: int | float) -> DerivationState | None:
+    """The state if it is within degree d_max and admissible, else None."""
+    return state if state.profile.degree <= d_max and state.satisfies_E() else None
+
+
+def _admissible_child(
+    state: DerivationState, letter: str, d_max: int | float = math.inf
+) -> DerivationState | None:
     """The state one letter on, or None if the letter does not apply or
-    the new state fails the condition."""
+    the new state is past degree d_max or fails the condition."""
     try:
         child = apply_letter(state, letter)
     except LetterNotApplicableError:
         return None
-    return child if child.satisfies_E() else None
+    return _kept(child, d_max)
 
 
 def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
@@ -309,22 +316,21 @@ def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
     return state
 
 
-def admissible_ends(
-    seed: SeedSpec, words: Iterable[str]
+def _walk(
+    seed: SeedSpec, words: Iterable[str], d_max: int | float
 ) -> list[DerivationState | None]:
-    """For each word, the state it reaches, or None unless it is admissible:
-    ``[admissible_end(seed, w) for w in words]``.
+    """For each word, the state it reaches, or None unless it is admissible
+    and ends within degree d_max.
 
     A memo maps each word prefix to its state, or to None once the prefix
-    fails, so each distinct prefix costs at most one letter application
-    and one admissibility test however many words share it.  A word whose
-    prefixes are not all in the memo is read from its longest known one,
-    so the words need not be sorted or prefix-closed.
+    fails or passes degree d_max, so each distinct prefix costs at most one
+    letter application and one admissibility test however many words share
+    it.  Every letter strictly raises the degree, so no extension of a
+    prefix past d_max comes back within it.  A word whose prefixes are not
+    all in the memo is read from its longest known one, so the words need
+    not be sorted or prefix-closed.
     """
-    start = initial_state(seed)
-    memo: dict[str, DerivationState | None] = {
-        "": start if start.satisfies_E() else None
-    }
+    memo = {"": _kept(initial_state(seed), d_max)}
     ends = []
     for w in words:
         known = len(w)
@@ -332,9 +338,20 @@ def admissible_ends(
             known -= 1
         for i in range(known, len(w)):
             state = memo[w[:i]]
-            memo[w[: i + 1]] = None if state is None else _admissible_child(state, w[i])
+            memo[w[: i + 1]] = (
+                None if state is None else _admissible_child(state, w[i], d_max)
+            )
         ends.append(memo[w])
     return ends
+
+
+def admissible_ends(
+    seed: SeedSpec, words: Iterable[str]
+) -> list[DerivationState | None]:
+    """For each word, the state it reaches, or None unless it is admissible:
+    ``[admissible_end(seed, w) for w in words]``, read through one prefix
+    memo, so each distinct prefix is applied at most once."""
+    return _walk(seed, words, math.inf)
 
 
 def is_E_admissible(seed: SeedSpec, word: str) -> bool:
@@ -382,7 +399,9 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
         for word, pid in zip(frontier, frontier_ids):
             admissible = moves[pid]
             if admissible is None:
-                state = DerivationState(seed=seed, word=word, profile=profiles[pid])
+                state = DerivationState(
+                    seed=seed, word=word, profile=profiles[pid], nu=start.nu
+                )
                 admissible = moves[pid] = []
                 for letter in letters:
                     child = _admissible_child(state, letter)
@@ -423,7 +442,7 @@ def max_h(seed: SeedSpec) -> int | float:
         raise WordEngineError(
             "max_h applies to T13 seeds (first and third families)"
         )
-    t = _triple(seed)
+    t = seed_triple(seed)
     if t.nu == 2:
         return math.inf
     return (t.d0 // (t.nu + 1) + 2) * t.nu - t.d0
@@ -456,7 +475,7 @@ def _run_family(
 def _families_t2_j0(seed: F2, max_len: int | float) -> Iterator[str]:
     A, B, G, DB = "A", "B", "g", "D"
     n, m, l = seed.n, seed.m, seed.l
-    nu = _triple(seed).nu
+    nu = seed_triple(seed).nu
     # The alpha-run bound is m-1 when l=m and m+s-1 when l=m+s, i.e. l-1.
     a_max = l - 1
     yield from _run_family(max_len, ((B, 1),), A, 0, a_max)
@@ -510,14 +529,18 @@ def _families_t2_j1(seed: F2, max_len: int | float) -> Iterator[str]:
         yield from _run_family(max_len, ((D, 1),), B, 0, 1)
 
 
-def _t2_families(seed: F2, max_len: int | float) -> Iterator[str]:
-    """The second-family seed's catalogued words of at most max_len letters,
-    some more than once.
+def _family_words(seed: SeedSpec, max_len: int | float) -> Iterator[str]:
+    """The seed's catalogued words of at most max_len letters.
 
-    Raises NoFamilyRecordedError, whatever max_len, when no catalogue entry
-    covers the seed: with j = 1 that is l = 0, where the alpha run after
-    beta would have to be shorter than empty.
+    For T13 seeds these are the alternating words up to max_h, by length;
+    max_len must be finite when max_h is infinite (nu = 2).  Second-family
+    words come in generation order, some more than once.  Raises
+    NoFamilyRecordedError, whatever max_len, when no catalogue entry covers
+    the seed: for a second-family seed with j = 1 that is l = 0, where the
+    alpha run after beta would have to be shorter than empty.
     """
+    if not uses_t2(seed):
+        return map(alternating_word, range(1, min(max_h(seed), max_len) + 1))
     if seed.j == 0:
         return _families_t2_j0(seed, max_len)
     if seed.l < 1:
@@ -531,14 +554,44 @@ def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[str]:
     For T13 seeds this is the alternating family up to max_h; when that
     bound is infinite (nu = 2) the family is truncated at ``limit``
     letters.  For second-family seeds the catalogue depends on (j, l - m)
-    and includes the recorded one-off lists.  Raises NoFamilyRecordedError
-    when no catalogue entry covers the seed.
+    and includes the recorded one-off lists.  Raises ValueError unless
+    0 <= limit <= MAX_ENUM_LEN, whatever the seed, and
+    NoFamilyRecordedError when no catalogue entry covers the seed.
     """
-    if isinstance(seed, (F1, F3)):
-        bound = max_h(seed)
-        cap = limit if bound == math.inf else int(bound)
-        words = [alternating_word(k) for k in range(1, cap + 1)]
-        return words
-    assert isinstance(seed, F2)
-    words = set(_t2_families(seed, math.inf))
+    if not 0 <= limit <= MAX_ENUM_LEN:
+        raise ValueError(f"limit must be in 0..{MAX_ENUM_LEN}, got {limit}")
+    if not uses_t2(seed):
+        cap = limit if max_h(seed) == math.inf else math.inf
+        return list(_family_words(seed, cap))
+    words = set(_family_words(seed, math.inf))
     return sorted(words, key=lambda w: (len(w), [T2_ALPHABET.index(x) for x in w]))
+
+
+def _catalogue_words(seed: SeedSpec, d_max: int) -> list[str]:
+    """The empty word and the seed's catalogued words that can end within
+    degree d_max, each once.
+
+    Every letter strictly raises the degree: a T13 letter by nu + 1, a T2
+    letter by at least 3 (by 3, nu, or nu - eps + 2 with eps < nu, and
+    nu = 3(n + l) + j >= 4 for every second-family seed with a recorded
+    family).  So a word of more than (d_max - d0) // (nu + 1) letters, or
+    (d_max - d0) // 3 for a second-family seed, ends past d_max, and no
+    such word is generated.  The T2 words come in generation order, not in
+    the canonical order of paper_word_families: the catalogue sorts its
+    constructions itself.
+    """
+    tri = seed_triple(seed)
+    step = 3 if uses_t2(seed) else tri.nu + 1
+    try:
+        family = _family_words(seed, (d_max - tri.d0) // step)
+    except NoFamilyRecordedError:
+        family = ()
+    return ["", *dict.fromkeys(family)]
+
+
+def catalogue_ends(seed: SeedSpec, d_max: int) -> list[DerivationState]:
+    """The states of the seed's catalogued words, the empty word first,
+    that are admissible and end within degree d_max, in the order of
+    _catalogue_words.  Each distinct prefix is applied at most once, and a
+    prefix past d_max is not extended."""
+    return [end for end in _walk(seed, _catalogue_words(seed, d_max), d_max) if end is not None]

@@ -111,6 +111,86 @@ def test_families_stdout_is_pinned(capsys, seed):
     assert (_sha256(out), code) == FAMILIES_STDOUT_SHA256[seed]
 
 
+# The same pins for the first- and third-family seeds of seed_grid(60),
+# whose family is the alternating words up to max_h (20 letters for F1:0,1,
+# where max_h is infinite), recorded before the catalogue's walk moved into
+# the word engine.
+TWO_LETTER_FAMILIES_STDOUT_SHA256 = {
+    "F1:0,1": ("8ff487516bdbec74c6ae02e69fc2ff67a4aa41d18f1761121dde4a4721fdf715", 0),
+    "F1:0,2": ("1799a3a9ee9f4b699767620b5d07463fb2b9221eb84676e23f07cd8163d9cad6", 0),
+    "F1:1,1": ("457759e5870ef0529be21acf14c6e97d036bb35f533ec32e12b5155d9b67de88", 0),
+    "F1:1,2": ("e5c95e46f80260fe75d76d7b30ab03b9ccbb2bf4afada15bdd674d8c21bb4a89", 0),
+    "F1:2,1": ("2507afa7d80e5e24ede8fb211f6952a01717f8c88fc1dfac47c6f2a51b6d7885", 0),
+    "F1:3,1": ("e6318dc8398c8ce1c6a7f64824599a002633b9f924eae31d750b8ddfda8ece4e", 0),
+    "F1:4,1": ("6f9011885c71401868e68e8359ec324c260af212069883225962b93643a82678", 0),
+    "F3:1,-1,0,2,0": ("1d85800ec20b5383d1728a1354ca43555275778f640430d0a62955c5510fbedb", 0),
+    "F3:1,-1,1,2,0": ("a7d98226c0f77cfd0f592180b4b1a97909a49a5a4957a96ae1a834852c17502d", 0),
+    "F3:1,-1,2,2,0": ("5ac945bb2b429901232cc618c9aea8b20efbbe04838b5522e9526a5088d0bee6", 0),
+    "F3:1,0,0,2,0": ("a4af628f47043fbdfe16328e926755f8a90eb97b8ba2986e1b82d0fe9bec348d", 0),
+    "F3:1,0,1,2,0": ("2d292b24bcba1e407d27b5086634a0c6bd5b7eecde5b8d075e07456800faf8a6", 0),
+    "F3:1,1,0,1,0": ("ad2b4d704beeb809c3f161486009cfb4ff0289493ba04b3dd7655f41297b3a9e", 0),
+    "F3:1,1,0,2,0": ("7d3883d061a9f4d2932f9e87fbb04140df62aab29f86cdfde4e35a60cfc5d8da", 0),
+    "F3:1,1,1,1,0": ("c877fbd57e423f8b71b83bff2bfbbb41dff59340c8ae91a6c41f9e8e546dda0f", 0),
+    "F3:1,1,2,1,0": ("b688f614731a84453980769d7cd1e0236d940344299d00386a950e913a6387f7", 0),
+    "F3:1,1,3,1,0": ("f9dc7a8b89cec14a958f2b7d09e59fb1539d8db41effc661f126a6ae354e06df", 0),
+    "F3:2,-1,0,2,0": ("40d5e218a15c7889b1f35c53bb978e968df65fb1ff4f784195754b2279e66bd9", 0),
+    "F3:2,-1,1,2,0": ("b5bedeb3089348b895e8075e9ca70488fba645644fb2055df0a3006c33f0685a", 0),
+    "F3:2,0,0,2,0": ("6cc9cb971db6948725e053b25e921ed10d2797499320ca75f4558c174aa4cdd7", 0),
+    "F3:2,1,0,1,0": ("330eba5be74ddedb58335c0ad51cbfa4aa70415630449b0aae2a4f94f926c96e", 0),
+    "F3:2,1,0,2,0": ("6b71e4ae739a78f407d302efcddfa1d4db0426bd79b412cc7e7bbf3bb9c2fe81", 0),
+    "F3:2,1,1,1,0": ("08057109f49f06e377278a4dd8f655121a7ac5f8100d9e347ce701e21bb8054f", 0),
+    "F3:2,1,2,1,0": ("2eabaeb845f74e44d130d2382278f7b3a1159827eb90f4c9c83aa3e9bcab7ae0", 0),
+    "F3:2,1,3,1,0": ("66d1c6fbcda13b483c3b95e22eeae8bdbbe16d07f50d7bd6552548a32113b637", 0),
+    "F3:3,-1,0,2,0": ("36cc2e05ce57c271d6d36ecf00ccef68be1b691e9b9b23fe9e8107119481e6b6", 0),
+    "F3:3,-1,1,2,0": ("68cf108e5f79b190def7985310a16354df419e511c41d5d8c25cef0dbb1c896c", 0),
+    "F3:3,0,0,2,0": ("da52882a4c8d8eb9776e5af5a37b274e4e4cf81540c207a2554bf6d71bda30a3", 0),
+    "F3:3,1,0,1,0": ("6db9af24b9ebd547914d93702709265820b3591eb529741e3a9bb1e08ec76fdf", 0),
+    "F3:3,1,1,1,0": ("0dfe6d067b83d2020e6475618824be0ec50af1a4fc1f7796a451bdc7e37b71e7", 0),
+    "F3:3,1,2,1,0": ("8dcfd547995500356ff5ce09596fa68c3236f471ee01e8ee156dace16ea0eef8", 0),
+}
+
+
+def test_families_pins_every_two_letter_seed():
+    seeds = [format_seed(s) for s in seed_grid(60) if not isinstance(s, F2)]
+    assert seeds == list(TWO_LETTER_FAMILIES_STDOUT_SHA256)
+
+
+@pytest.mark.parametrize("seed", list(TWO_LETTER_FAMILIES_STDOUT_SHA256))
+def test_two_letter_families_stdout_is_pinned(capsys, seed):
+    code, out, err = run(capsys, "families", "--seed", seed)
+    assert (_sha256(out), code) == TWO_LETTER_FAMILIES_STDOUT_SHA256[seed]
+
+
+# sha256 of the stdout of `families --seed F1:0,1 --limit N`; nu = 2, so the
+# limit is what ends the family.
+FAMILIES_LIMIT_STDOUT_SHA256 = {
+    "0": "3c6c70f459e03b9185e1ccb24d868bff94198e4cb0352571fc3ac496dbd19330",
+    "7": "15dd8288efa648b13129b0088878e2299ed020cdd84fcaeacfb884f03d7a62f7",
+    "64": "aa1a69d8bdc9a486d23390d402d325f01143750375afdfbd038cb5dbed4d6cd0",
+}
+
+
+@pytest.mark.parametrize("limit", list(FAMILIES_LIMIT_STDOUT_SHA256))
+def test_families_limit_within_the_guard_is_pinned(capsys, limit):
+    code, out, err = run(capsys, "families", "--seed", "F1:0,1", "--limit", limit)
+    assert (_sha256(out), code) == (FAMILIES_LIMIT_STDOUT_SHA256[limit], 0)
+
+
+@pytest.mark.parametrize("limit", ["-1", "65"])
+def test_families_limit_outside_the_guard_is_usage_error(capsys, monkeypatch, limit):
+    built = []
+    alternating_word = word_engine.alternating_word
+
+    def counting(length):
+        built.append(length)
+        return alternating_word(length)
+
+    monkeypatch.setattr(word_engine, "alternating_word", counting)
+    code, out, err = run(capsys, "families", "--seed", "F1:0,1", "--limit", limit)
+    assert (code, out, built) == (2, "", [])
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_families_applies_each_distinct_prefix_once(capsys, monkeypatch):
     # The 63 words of F2:0,3,1,1 have 63 distinct nonempty prefixes; reading
     # each word from the seed applied 846 letters.

@@ -25,6 +25,7 @@ from belyi_forge import (
     seed_triple,
     surface_counts,
     validate_seed,
+    word_engine,
 )
 from belyi_forge.arrangement_jd import jd_lines, line_product_values, scale_constant
 from belyi_forge.surface_counts import (
@@ -288,18 +289,22 @@ def _clear_catalogue_caches():
 
 
 def _walk_counting_letters(monkeypatch, d_max):
-    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies."""
+    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies.
+
+    The patch is undone on return, so letters the caller applies itself
+    are not counted."""
     calls = []
-    apply_letter = surface_counts.apply_letter
+    apply_letter = word_engine.apply_letter
 
     def counting(state, letter):
         calls.append((state.seed, state.word + letter))
         return apply_letter(state, letter)
 
-    monkeypatch.setattr(surface_counts, "apply_letter", counting)
     _clear_catalogue_caches()
     try:
-        constructions_up_to(d_max)
+        with monkeypatch.context() as patch:
+            patch.setattr(word_engine, "apply_letter", counting)
+            constructions_up_to(d_max)
     finally:
         _clear_catalogue_caches()
     return calls
@@ -311,7 +316,7 @@ def test_catalogue_applies_each_prefix_once(monkeypatch):
     calls = _walk_counting_letters(monkeypatch, 60)
     prefixes = set()
     for seed in seed_grid(60):
-        for w in surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD):
+        for w in word_engine._catalogue_words(seed, BOUND_TABLE_GUARD):
             for i in range(len(w)):
                 parent = admissible_end(seed, w[:i])
                 if parent is not None and parent.profile.degree <= BOUND_TABLE_GUARD:
@@ -346,7 +351,7 @@ def test_every_letter_raises_the_degree():
 
 
 def test_every_letter_raises_the_degree_by_its_least_step():
-    # The length caps of _words_for_seed: a T13 letter adds nu + 1 to the
+    # The length caps of _catalogue_words: a T13 letter adds nu + 1 to the
     # degree, a T2 letter at least 3 from a seed with a recorded family.
     # (Gamma adds nu, and F2:1,0,0,0, with nu = 1, has no family.)
     applied = 0
@@ -382,7 +387,7 @@ def test_catalogue_words_are_the_families_up_to_the_length_cap():
     kept = 0
     for seed in seeds:
         cap = (BOUND_TABLE_GUARD - seed_triple(seed).d0) // 3
-        words = surface_counts._words_for_seed(seed, BOUND_TABLE_GUARD)
+        words = word_engine._catalogue_words(seed, BOUND_TABLE_GUARD)
         assert words[0] == "" and len(words) == len(set(words)), seed
         kept += len(words)
         try:
@@ -390,13 +395,13 @@ def test_catalogue_words_are_the_families_up_to_the_length_cap():
         except NoFamilyRecordedError:
             assert words == [""]
             with pytest.raises(NoFamilyRecordedError):
-                surface_counts._t2_families(seed, cap)
+                word_engine._family_words(seed, cap)
             continue
         assert set(words[1:]) == {w for w in family if len(w) <= cap}, seed
         longest = max(map(len, family))
         for bound in {0, 1, cap + 1, longest - 1, longest}:
             capped = {w for w in family if len(w) <= bound}
-            assert set(surface_counts._t2_families(seed, bound)) == capped, (seed, bound)
+            assert set(word_engine._family_words(seed, bound)) == capped, (seed, bound)
     assert kept == 1773
 
 

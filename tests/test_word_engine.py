@@ -26,6 +26,7 @@ from belyi_forge.word_engine import (
     alphabet_for,
     alternating_word,
     apply_letter,
+    catalogue_ends,
     enumerate_LE,
     initial_state,
     is_E_admissible,
@@ -308,6 +309,24 @@ def test_families_of_the_table_grid_are_frozen():
     assert hashlib.sha256("".join(lines).encode()).hexdigest() == FAMILIES_200_SHA256
 
 
+@pytest.mark.parametrize("limit", [-1, 65])
+def test_family_limit_outside_the_guard_is_rejected(limit):
+    # Rejected for every seed, whether or not the limit would end its
+    # family: a nu = 2 family has no end, and its 64th word already ends
+    # at degree 201.
+    for seed in (F1(0, 1), F1(1, 1), F2(0, 1, 1, 1), F2(1, 0, 0, 0)):
+        with pytest.raises(ValueError, match="limit"):
+            paper_word_families(seed, limit=limit)
+
+
+def test_family_limit_truncates_only_an_endless_family():
+    assert paper_word_families(F1(0, 1), limit=0) == []
+    assert paper_word_families(F1(0, 1), limit=64) == [
+        alternating_word(k) for k in range(1, 65)
+    ]
+    assert paper_word_families(F1(1, 1), limit=0) == paper_word_families(F1(1, 1))
+
+
 def test_no_family_for_trivial_seed():
     with pytest.raises(NoFamilyRecordedError):
         paper_word_families(F2(1, 0, 0, 0))
@@ -440,6 +459,23 @@ def test_admissible_ends_of_a_seed_failing_E(monkeypatch):
     )
     assert admissible_ends(seed, words) == [None] * len(words)
     _assert_ends_match(seed, words)
+
+
+@pytest.mark.parametrize("d_max", [60, 200])
+@pytest.mark.parametrize("seed", seed_grid(60), ids=format_seed)
+def test_catalogue_ends_match_the_straight_reference(seed, d_max):
+    # Each catalogue word read on its own from the seed; every letter raises
+    # the degree, so a word ends within d_max iff all its prefixes do.
+    expected = []
+    for w in word_engine._catalogue_words(seed, d_max):
+        end = admissible_end(seed, w)
+        if end is not None and end.profile.degree <= d_max:
+            expected.append(end)
+    assert catalogue_ends(seed, d_max) == expected
+    assert expected[0].word == ""
+    nu = seed_triple(seed).nu
+    for end in expected:
+        assert [s.nu for s in trajectory(seed, end.word)] == [nu] * (len(end.word) + 1)
 
 
 def test_inadmissible_word_detected():
