@@ -44,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .belyi_numeric import DegreeGuardError
+from .belyi_numeric import VALUE_TOL, DegreeGuardError
 
 # Working precision of the dual-path check's line product, in bits, and the
 # number and seed of its deterministic rational points.
@@ -455,7 +455,7 @@ def _product_jet(
     return tuple(scale * q for q in (value, gx, gy, hxx, hxy, hyy))
 
 
-def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -> Census2D:
+def arrangement_census(lines: list[LineSpec], scale: float) -> Census2D:
     """Real critical points of J = scale * prod(l_i), read in product form.
 
     For d lines in general position the critical points are the d(d-1)/2
@@ -467,9 +467,10 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     and its Hessian come from one product-rule jet over the line factors
     (_product_jet), never from dense coefficients.  Each candidate must pass
     the gradient test |grad J| < 1e-8 (1 + |J|); it is then classified
-    against the values {0, 8, -1} within tol and flagged nondegenerate by
-    its Hessian determinant.  The census is complete when every candidate passes, no
-    value strays and the bounded chambers number (d-1)(d-2)/2.
+    against the values {0, 8, -1} within VALUE_TOL and flagged
+    nondegenerate by its Hessian determinant.  The census is complete when
+    every candidate passes, no value strays and the bounded chambers
+    number (d-1)(d-2)/2.
     """
     d = len(lines)
     if d > CENSUS_DEGREE_GUARD:
@@ -482,14 +483,14 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
     val, fx, fy, hxx, hxy, hyy = _product_jet(normals, offsets, scale, x, y)
     det = hxx * hyy - hxy * hxy
     ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
-    nondeg = np.abs(det) > tol * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
+    nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
 
     points: list[CriticalPoint2D] = []
     counts = {t: 0 for t in VALUE_TARGETS}
     strays: list[float] = []
     for k in np.flatnonzero(ok):
         v = float(val[k])
-        matched = next((t for t in VALUE_TARGETS if abs(v - t) <= tol), None)
+        matched = next((t for t in VALUE_TARGETS if abs(v - t) <= VALUE_TOL), None)
         if matched is None:
             strays.append(v)
         else:
@@ -522,15 +523,14 @@ def arrangement_census(lines: list[LineSpec], scale: float, tol: float = 1e-6) -
 
 
 @lru_cache(maxsize=8)
-def jd_census(d: int, tol: float, /) -> Census2D:
+def jd_census(d: int) -> Census2D:
     """Census of J_d from its lines, which carry the sqrt(3) y-scale.
 
-    It depends on d and tol alone, so it is cached: jd-verify, the nodal
-    surface and the paired surfaces of one degree share one census.  Both
-    arguments are positional and required, so each (d, tol) has one cache
-    key.  The census is read-only (its counts are a mapping proxy).
+    It depends on d alone, so it is cached: jd-verify, the nodal surface
+    and the paired surfaces of one degree share one census.  The census is
+    read-only (its counts are a mapping proxy).
     """
-    return arrangement_census(jd_lines(d), scale_constant(d), tol)
+    return arrangement_census(jd_lines(d), scale_constant(d))
 
 
 def jd_lines(d: int) -> list[LineSpec]:

@@ -32,6 +32,8 @@ from .word_engine import trajectory, uses_t2
 DEGREE_GUARD = 16
 DEFAULT_TOL = 1e-10
 DEFAULT_CLUSTER_TOL = 1e-6
+# Every census compares a critical value with its target within this.
+VALUE_TOL = 1e-6
 
 _MIN_SEPARATION = 1e-6
 _NEWTON_ITERS = 120
@@ -409,6 +411,10 @@ def shabat_solve(
         raise DegreeGuardError(f"degree {d} exceeds guard {max_degree}")
     if d < 1:
         raise ValueError("tree must have at least one edge")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if max_restarts < 1:
+        raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     nvert = t.vertex_count
     degs = np.array([t.degree(v) for v in range(nvert)], dtype=float)
     black_idx = np.array([v for v in range(nvert) if t.colors[v] == BLACK], dtype=int)
@@ -654,8 +660,8 @@ class CriticalCensus:
     def total(self) -> int:
         return sum(e.multiplicity * e.count for e in self.entries)
 
-    def count_at(self, value: complex, tol: float = 1e-6) -> int:
-        return sum(e.count for e in self.entries if abs(e.value - value) <= tol)
+    def count_at(self, value: complex) -> int:
+        return sum(e.count for e in self.entries if abs(e.value - value) <= VALUE_TOL)
 
 
 def _polyval_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -738,6 +744,8 @@ def critical_census_uni(
     failing.  Multiplicities above ~3 in double precision need a looser
     cluster_tol because the root cluster radius scales like eps^(1/mult).
     """
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be finite and > 0, got {cluster_tol}")
     if p.degree < 1:
         raise ValueError("census needs degree >= 1")
     dp = p.derivative().as_complex_array()
@@ -786,9 +794,7 @@ def critical_census_uni(
     )
 
 
-def census_matches_profile(
-    census: CriticalCensus, profile: CriticalProfile, value_tol: float = 1e-6
-) -> bool:
+def census_matches_profile(census: CriticalCensus, profile: CriticalProfile) -> bool:
     """True iff the census is exactly the profile's ±1 critical structure."""
     expected: dict[tuple[int, int], int] = {}
     for m, count in profile.black_counter().items():
@@ -797,11 +803,11 @@ def census_matches_profile(
         expected[(1, m)] = count
     seen: dict[tuple[int, int], int] = {}
     for e in census.entries:
-        if abs(e.value.imag) > value_tol:
+        if abs(e.value.imag) > VALUE_TOL:
             return False
-        if abs(e.value.real + 1) <= value_tol:
+        if abs(e.value.real + 1) <= VALUE_TOL:
             key = (-1, e.multiplicity)
-        elif abs(e.value.real - 1) <= value_tol:
+        elif abs(e.value.real - 1) <= VALUE_TOL:
             key = (1, e.multiplicity)
         else:
             return False

@@ -225,7 +225,7 @@ def cmd_jd_verify(args) -> int:
     # Horner; the census reads J_d from its lines, and finds every chamber
     # maximum in one batched Newton ascent.
     dual = verify_Jd_dual_path(args.degree)
-    census = jd_census(args.degree, args.tol)
+    census = jd_census(args.degree)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20
@@ -284,9 +284,7 @@ def cmd_surface_verify(args) -> int:
         sp = spectrum(jstats(d), prof, seed=seed, word=word)
         expected_types = {k: v for k, v in sp.counts.items() if v}
         provenance = f"{format_seed(seed)} {word or '(empty)'}"
-    census = singular_census_3d(
-        surface, tol=args.census_tol, cluster_tol=args.cluster_tol
-    )
+    census = singular_census_3d(surface, cluster_tol=args.cluster_tol)
     match = census.by_type == expected_types and census.verified
     payload = {
         "degree": d,
@@ -387,7 +385,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("jd-verify", help="build the arrangement polynomial, census it")
     p.add_argument("--degree", type=int, required=True)
     _add_deprecated_grid(p)
-    p.add_argument("--tol", type=float, default=1e-6)
     _add_common(p)
     p.set_defaults(func=cmd_jd_verify)
 
@@ -404,7 +401,6 @@ def build_parser() -> _Parser:
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
     _add_deprecated_grid(p)
-    p.add_argument("--census-tol", type=float, default=1e-6)
     _add_solver(p)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)

@@ -34,6 +34,8 @@ from .arrangement_jd import (
     scale_constant,
 )
 from .belyi_numeric import (
+    DEFAULT_CLUSTER_TOL,
+    VALUE_TOL,
     CriticalCensus,
     UniPoly,
     critical_census_uni,
@@ -544,9 +546,7 @@ class Census3D:
 
 
 def singular_census_3d(
-    surface: SurfacePoly,
-    tol: float = 1e-6,
-    cluster_tol: float = 1e-6,
+    surface: SurfacePoly, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> Census3D:
     """Count singular points of the surface by pairing the two censuses.
 
@@ -563,7 +563,7 @@ def singular_census_3d(
     full gradient are formed there from the two censuses, and the worst
     defects are reported.
     """
-    j_cen = jd_census(surface.d, tol)
+    j_cen = jd_census(surface.d)
     if surface.label == "nodal":
         u_cen = nodal_u_census(jd_lines(surface.d), scale_constant(surface.d))
         u_rows = [
@@ -583,7 +583,7 @@ def singular_census_3d(
     # into 0.0, as for the vertex value below.
     u_groups: dict[tuple[float, int], list[tuple[complex, complex, float]]] = {}
     for w, val, mult, u_w, du_w in u_rows:
-        if abs(val.imag) > tol:
+        if abs(val.imag) > VALUE_TOL:
             continue
         u_groups.setdefault((round(val.real, 6) + 0.0, mult), []).append((w, u_w, du_w))
 
@@ -596,10 +596,10 @@ def singular_census_3d(
     # Adding 0.0 folds -0.0 into 0.0, so the key of the vertex value does
     # not depend on which vertex the census happens to list first.
     for jv in sorted({round(p.value, 6) + 0.0 for p in j_cen.points}):
-        j_pts = [p for p in j_cen.points if abs(p.value - jv) <= tol]
+        j_pts = [p for p in j_cen.points if abs(p.value - jv) <= VALUE_TOL]
         j_grad = max((abs(g) for p in j_pts for g in p.gradient), default=0.0)
         for (uv, mult), u_pts in sorted(u_groups.items()):
-            if abs(jv + uv) > tol:
+            if abs(jv + uv) > VALUE_TOL:
                 continue
             u_count = len(u_pts)
             pairs.append(
@@ -614,12 +614,12 @@ def singular_census_3d(
             total += len(j_pts) * u_count
             by_type[mult] += len(j_pts) * u_count
             for w, u_w, du_w in u_pts:
-                if abs(w.imag) <= tol:
+                if abs(w.imag) <= VALUE_TOL:
                     real_total += len(j_pts)
                 if j_pts:
                     max_f = max(max_f, *(abs(p.value + u_w) for p in j_pts))
                     max_g = max(max_g, j_grad, du_w)
-    verified = max_f <= 10 * tol and max_g <= 10 * tol
+    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL
     return Census3D(
         d=surface.d,
         label=surface.label,

@@ -204,7 +204,7 @@ def test_criterion_06_arrangement_census():
     for d, triple in frozen.items():
         stats = jstats(d)
         assert (stats.n0, stats.n8, stats.nm1) == triple
-        census = jd_census(d, 1e-6)
+        census = jd_census(d)
         assert census_matches_jstats(census, stats), census.as_dict()
         assert census.total == (d - 1) ** 2
         assert census.all_nondegenerate
@@ -267,7 +267,7 @@ def test_criterion_09_count_formulas():
 def test_criterion_10_end_to_end_census():
     budget = Budget("criterion 10 end-to-end", 600.0)
     surface = build_surface(9, F1(0, 1), "")
-    census = singular_census_3d(surface, tol=1e-6)
+    census = singular_census_3d(surface)
     assert census.verified
     assert census.total == 127 == count_A2_family(0)
     pair_keys = {
@@ -277,7 +277,7 @@ def test_criterion_10_end_to_end_census():
     state = trajectory(F1(0, 1), "")[-1]
     assert census_matches_spectrum(census, spectrum(jstats(9), state.profile))
 
-    nodal = singular_census_3d(build_nodal_surface(3), tol=1e-6)
+    nodal = singular_census_3d(build_nodal_surface(3))
     assert nodal.verified
     assert nodal.total == 4
     budget.done("127 = 108 + 19 singular points at d=9; 4 nodes at d=3")

@@ -398,13 +398,13 @@ def test_float_census_matches_counts(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_rational_census_matches_counts(d):
-    census = jd_census(d, 1e-6)
+    census = jd_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
 
 
 @pytest.mark.parametrize("d", [10, 11, 12, 13, 18, 24])
 def test_rational_census_matches_counts_past_nine(d):
-    census = jd_census(d, 1e-6)
+    census = jd_census(d)
     assert census_matches_jstats(census, jstats(d)), census.as_dict()
     assert census.total == (d - 1) ** 2
     assert census.all_nondegenerate
@@ -412,7 +412,7 @@ def test_rational_census_matches_counts_past_nine(d):
 
 def test_census_guard_refuses_degree_past_guard():
     with pytest.raises(DegreeGuardError):
-        jd_census(CENSUS_DEGREE_GUARD + 1, 1e-6)
+        jd_census(CENSUS_DEGREE_GUARD + 1)
 
 
 def test_bounded_chambers_number_zaslavsky_count():
@@ -453,21 +453,20 @@ def test_grouped_chambers_equal_the_dict_grouping(d):
 
 
 def test_cached_census_is_read_only():
-    census = jd_census(5, 1e-6)
-    assert jd_census(5, 1e-6) is census
+    census = jd_census(5)
+    assert jd_census(5) is census
     with pytest.raises(TypeError):
         census.counts[0.0] = 0
 
 
 def test_jd_census_has_one_call_form():
-    with pytest.raises(TypeError):
-        jd_census(5, tol=1e-6)
-    with pytest.raises(TypeError):
-        jd_census(5)
-    jd_census(5, 1e-6)
+    # The census takes the degree alone, so each degree has one cache entry.
+    jd_census(5)
     hits = jd_census.cache_info().hits
-    jd_census(5, 1e-6)
+    jd_census(5)
     assert jd_census.cache_info().hits == hits + 1
+    with pytest.raises(TypeError):
+        jd_census(5, 1e-6)
 
 
 def test_census_peak_memory_at_degree_24():
@@ -476,7 +475,7 @@ def test_census_peak_memory_at_degree_24():
     jd_census.cache_clear()
     tracemalloc.start()
     try:
-        jd_census(24, 1e-6)
+        jd_census(24)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,6 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -240,8 +241,14 @@ def test_five_letter_seed_realizes_profile_directly():
 
 def test_failure_raises_without_restarts():
     tree = tree_for_derivation(F1(0, 1), "")
-    with pytest.raises(NoConvergenceError):
+    with pytest.raises(ValueError, match="max_restarts must be >= 1, got 0"):
         shabat_solve(tree, max_restarts=0)
+
+
+@pytest.mark.parametrize("cluster_tol", [math.nan, math.inf, 0.0, -1.0])
+def test_census_refuses_a_cluster_tolerance_out_of_range(cluster_tol):
+    with pytest.raises(ValueError, match="cluster_tol must be finite and > 0"):
+        critical_census_uni(UniPoly((0.0, 0.0, 1.0)), cluster_tol)
 
 
 def test_failure_names_the_closest_restart_and_its_rejection():

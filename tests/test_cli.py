@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from belyi_forge import F2, format_seed, word_engine
+from belyi_forge import F2, belyi_numeric, format_seed, word_engine
 from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.cli import build_parser, main
 from belyi_forge.surface_counts import seed_grid
@@ -241,6 +241,47 @@ def test_build_precision_flags_are_gone(capsys, subcommand, flag):
         main([subcommand, "--degree", "3", flag, "256"])
     assert exc.value.code == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("jd-verify", "--degree", "5", "--tol", "1e-6"),
+        ("surface-verify", "--degree", "3", "--nodal", "--census-tol", "1e-6"),
+    ],
+    ids=" ".join,
+)
+def test_census_tolerance_flags_are_gone(capsys, argv):
+    # Every census compares values within the one fixed VALUE_TOL.
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", v) for v in ("nan", "inf", "0", "-1")]
+    + [("--cluster-tol", v) for v in ("nan", "inf", "0", "-1")]
+    + [("--restarts", v) for v in ("0", "-3")],
+)
+def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, value):
+    steps = []
+    linear_factors = belyi_numeric._linear_factors
+
+    def counting(*args):
+        steps.append(1)
+        return linear_factors(*args)
+
+    monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
+    # F1:0,1 derives a degree-9 tree that is not a star, so its solve runs
+    # Newton, and the solver refuses its inputs before the first step.  The
+    # cluster tolerance is read by the census, after the solve.
+    code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", flag, value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    if flag != "--cluster-tol":
+        assert steps == []
 
 
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
@@ -579,10 +620,12 @@ def test_documented_defaults():
         DEFAULT_CLUSTER_TOL,
         DEFAULT_TOL,
         DEGREE_GUARD,
+        VALUE_TOL,
     )
 
     assert DEFAULT_TOL == 1e-10
     assert DEFAULT_CLUSTER_TOL == 1e-6
+    assert VALUE_TOL == 1e-6
     assert DEGREE_GUARD == 16
     assert DUAL_PATH_PRECISION == 256
     assert CENSUS_DEGREE_GUARD == 24

@@ -164,16 +164,51 @@ def test_known_coincidence_instance():
 
 
 def test_format_parse_round_trip():
-    for seed in GRID[::11]:
+    for seed in seed_grid(200):
         assert parse_seed(format_seed(seed)) == seed
 
 
 def test_json_round_trip():
-    for seed in GRID[::11]:
+    for seed in seed_grid(200):
         assert seed_from_json(seed_to_json(seed)) == seed
+
+
+def test_json_lists_the_family_then_its_fields_in_order():
+    assert list(seed_to_json(F3(1, 1, 0, 1, 0)).items()) == [
+        ("family", "F3"), ("x", 1), ("j", 1), ("n", 0), ("m", 1), ("l", 0)
+    ]
 
 
 def test_parse_rejects_garbage():
     for text in ["F9:1,1", "F1:1", "F1:a,b", "", "F3:1,0,0"]:
-        with pytest.raises((ValueError, KeyError)):
+        with pytest.raises(SeedDomainError):
             parse_seed(text)
+
+
+@pytest.mark.parametrize("text", ["F1:1_0,1", "F1:\u0661,1", "F1:1,", "F1:1.0,1"])
+def test_parse_takes_only_ascii_integers(text):
+    with pytest.raises(SeedDomainError, match="malformed seed string"):
+        parse_seed(text)
+
+
+def test_parse_takes_lower_case_and_padded_parameters():
+    assert parse_seed("f1:1,1") == F1(1, 1)
+    assert parse_seed("F1: 0 , 1") == F1(0, 1)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "F1", "n": 1.9, "m": 1},
+        {"family": "F1", "n": 1, "m": True},
+        {"family": "F1", "n": "1", "m": 1},
+    ],
+)
+def test_json_takes_only_int_fields(obj):
+    with pytest.raises(SeedDomainError):
+        seed_from_json(obj)
+
+
+def test_json_rejects_an_unknown_family():
+    with pytest.raises(SeedDomainError, match="unknown seed family: 'F4'"):
+        seed_from_json({"family": "F4"})
