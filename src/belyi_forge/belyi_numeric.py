@@ -7,10 +7,11 @@ be -1 at each internal black vertex and +1 at each white one.  S at a
 vertex is evaluated in product form, as a Gauss–Legendre sum of products
 of linear factors, each vertex's factor repeated once per power, so no
 complex power is taken; a Jacobian column leaves out one copy of a factor,
-as a product of prefix and suffix products.  The leaves are then recovered
-from the dense p, and a polish on the full-vertex system (the difference
-of the two monic vertex products must collapse to the constant 2/c: d-1
-coefficient equations) runs on every landed restart.
+as a product of prefix and suffix products.  np.roots then reads the
+leaves from the dense p, and a polish on the full-vertex system (the
+difference of the two monic vertex products must collapse to the constant
+2/c: d-1 coefficient equations), their only refinement, runs on every
+landed restart; acceptance reads the exact coefficient residual it computes.
 A root census of p' acts as an independent check that the solved polynomial
 really has the critical structure the tree prescribes.
 """
@@ -38,6 +39,7 @@ VALUE_TOL = 1e-6
 _MIN_SEPARATION = 1e-6
 _NEWTON_ITERS = 120
 _POLISH_STEPS = 8
+_POLISH_GATE = 1e-2  # the polish cannot contract a larger coefficient residual
 
 
 class NoConvergenceError(RuntimeError):
@@ -52,9 +54,9 @@ class DegreeGuardError(ValueError):
 class UniPoly:
     """Dense univariate polynomial, constant term first.
 
-    Coefficients may be float, complex, Fraction, or mpmath types; the
-    arithmetic here never forces a conversion, so precision is whatever
-    the coefficients carry.
+    Coefficients may be float, complex, or Fraction; the arithmetic here
+    never forces a conversion, so precision is whatever the coefficients
+    carry.
     """
 
     coeffs: tuple
@@ -127,7 +129,7 @@ class ShabatSolution:
     black_points and white_points are (position, multiplicity) pairs;
     leaves appear with multiplicity 0.  scale_constant is the c in
     p+1 = c·∏(w-a)^(mult+1); residual is the largest coefficient defect
-    of c·(∏black − ∏white) against the constant 2.
+    of c·(∏black − ∏white) against the constant 2, in exact arithmetic.
     """
 
     black_points: tuple[tuple[complex, int], ...]
@@ -282,15 +284,6 @@ def _radial_layout(t: PlaneTree) -> np.ndarray:
     return pos
 
 
-def _system(
-    positions: np.ndarray, black_idx, white_idx, degs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, complex]:
-    b = _poly_from_roots_np(positions[black_idx], degs[black_idx])
-    w = _poly_from_roots_np(positions[white_idx], degs[white_idx])
-    diff = b - w
-    return b, w, diff[1:-1], diff[0]
-
-
 def _min_same_color_gap(positions: np.ndarray, black_idx, white_idx) -> float:
     pairs = (pq for idx in (black_idx, white_idx) for pq in combinations(positions[idx], 2))
     return min((abs(p - q) for p, q in pairs), default=math.inf)
@@ -305,7 +298,7 @@ def _coefficient_residual(fvec: np.ndarray, d0: complex) -> tuple[float, complex
 
 
 def _exact_defect(positions: np.ndarray, black_idx, white_idx, degs) -> tuple[np.ndarray, complex]:
-    """_system's coefficient defects, rounded only once at the end.
+    """Coefficients 1..d-1 and 0 of ∏black − ∏white, rounded only once at the end.
 
     Floats are dyadic: over their largest denominator S the positions are
     Gaussian integers A, and ∏(u − A)^deg in u = S·w expands exactly in ints.
@@ -333,19 +326,22 @@ def _exact_defect(positions: np.ndarray, black_idx, white_idx, degs) -> tuple[np
     return diff[1:-1], diff[0]
 
 
-def _polish(positions: np.ndarray, black_idx, white_idx, degs, free) -> np.ndarray:
-    """Float Newton on coefficients 1..d-1 of ∏black − ∏white; the best iterate.
+def _polish(
+    positions: np.ndarray, black_idx, white_idx, degs, free
+) -> tuple[np.ndarray, float, complex]:
+    """Float Newton on coefficients 1..d-1 of ∏black − ∏white: best iterate, residual, c.
 
     Moving a vertex a of degree deg changes its product by −deg·prod/(w − a),
     so Jacobian columns are signed _div_linear quotients.  The residual is
     exact (iterative refinement): a float one stalls at rounding level with
-    far vertices 1e-8 off at degree 15.  Stops once it stops falling.
+    far vertices 1e-8 off at degree 15.  No step starts above _POLISH_GATE,
+    and steps stop once the residual stops falling.
     """
     black = set(black_idx.tolist())
     fvec, d0 = _exact_defect(positions, black_idx, white_idx, degs)
-    best, best_res = positions, _coefficient_residual(fvec, d0)[0]
-    for _ in range(_POLISH_STEPS):
-        b, w, _, _ = _system(best, black_idx, white_idx, degs)
+    best, (best_res, best_c) = positions, _coefficient_residual(fvec, d0)
+    for _ in range(_POLISH_STEPS if best_res <= _POLISH_GATE else 0):
+        b, w = (_poly_from_roots_np(best[i], degs[i]) for i in (black_idx, white_idx))
         jac = np.empty((len(fvec), len(free)), dtype=complex)
         for col, v in enumerate(free):
             src, sign = (b, -1.0) if v in black else (w, 1.0)
@@ -359,11 +355,11 @@ def _polish(positions: np.ndarray, black_idx, white_idx, degs, free) -> np.ndarr
         pos = best.copy()
         pos[free] += delta
         step_fvec, d0 = _exact_defect(pos, black_idx, white_idx, degs)
-        res = _coefficient_residual(step_fvec, d0)[0]
+        res, c = _coefficient_residual(step_fvec, d0)
         if not res < best_res:
             break
-        best, best_res, fvec = pos, res, step_fvec
-    return best
+        best, best_res, best_c, fvec = pos, res, c, step_fvec
+    return best, best_res, best_c
 
 
 def shabat_solve(
@@ -397,12 +393,13 @@ def shabat_solve(
     the factors before it times the product of those after it, so no
     factor, which can vanish at a node, is divided out.  The factors of
     the line-search trial Newton accepts serve the next Jacobian.  The dense
-    antiderivative is built once per landed restart, to recover the
-    leaves.  Every landed restart then gets a Newton polish on the
-    full-vertex coefficient system (float steps, exact residual) before
-    the acceptance test: dense leaf recovery rounds by more than the
+    antiderivative is built once per landed restart, and np.roots reads the
+    leaves from it.  Every landed restart then gets a Newton polish on the
+    full-vertex coefficient system (float steps, exact residual), the
+    leaves' only refinement: dense leaf recovery rounds by more than the
     product-form Newton does, and the polish returns its best iterate, so
-    it never makes a restart worse.  If no restart is accepted,
+    it never makes a restart worse.  Acceptance reads the polish's exact
+    residual and c = 2/d0.  If no restart is accepted,
     NoConvergenceError names the closest one (least coefficient residual,
     then least fnorm) and the test that rejected it.
     """
@@ -423,18 +420,12 @@ def shabat_solve(
     top_white = max(white_idx, key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
 
-    def residual_at(positions: np.ndarray) -> tuple[float, complex]:
-        return _coefficient_residual(*_system(positions, black_idx, white_idx, degs)[2:])
-
     def finish(positions: np.ndarray, restart: int) -> ShabatSolution | tuple[float, str]:
         """The accepted solution, or the coefficient residual and the failed test."""
-        residual, c = residual_at(positions)
-        if residual > 1e-2:
-            # Too far for the polish pass to contract; typically a stalled
-            # basin where two same-color vertices merged.
+        positions, residual, c = _polish(positions, black_idx, white_idx, degs, free)
+        if residual > _POLISH_GATE:
+            # The polish took no step: typically two same-color vertices merged.
             return residual, f"coefficient residual {residual:.2e} > 1e-2"
-        positions = _polish(positions, black_idx, white_idx, degs, free)
-        residual, c = residual_at(positions)
         if residual > tol:
             return residual, f"coefficient residual {residual:.2e} > tol {tol:.0e}"
         gap = _min_same_color_gap(positions, black_idx, white_idx)
@@ -508,7 +499,7 @@ def shabat_solve(
 
     def assemble(q: np.ndarray, c: complex, K: complex) -> np.ndarray:
         # Leaves are the leftover roots of p+1 and p-1 after dividing out
-        # the internal vertices with their multiplicities.
+        # the internal vertices, each deg times; only finish()'s polish refines them.
         P = c * _integrate_poly(_poly_from_roots_np(q, mults))
         P[0] += K
         positions = np.zeros(nvert, dtype=complex)
@@ -524,9 +515,7 @@ def shabat_solve(
                 for _ in range(int(degs[v])):
                     quot = _div_linear(quot, q[idx_of[v]])
             if leaf_ids:
-                roots = np.roots(quot[::-1])
-                roots = _aberth_refine(quot, roots)
-                roots = sorted(roots, key=lambda z: (round(z.real, 9), z.imag))
+                roots = sorted(np.roots(quot[::-1]), key=lambda z: (round(z.real, 9), z.imag))
                 for v, z in zip(leaf_ids, roots):
                     positions[v] = z
         return positions
@@ -732,6 +721,12 @@ def _single_linkage(points: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
+def check_cluster_tol(cluster_tol: float) -> None:
+    """The census's test of its clustering tolerance: finite and > 0."""
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be finite and > 0, got {cluster_tol}")
+
+
 def critical_census_uni(
     p: UniPoly, cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> CriticalCensus:
@@ -744,8 +739,7 @@ def critical_census_uni(
     failing.  Multiplicities above ~3 in double precision need a looser
     cluster_tol because the root cluster radius scales like eps^(1/mult).
     """
-    if not 0 < cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be finite and > 0, got {cluster_tol}")
+    check_cluster_tol(cluster_tol)
     if p.degree < 1:
         raise ValueError("census needs degree >= 1")
     dp = p.derivative().as_complex_array()

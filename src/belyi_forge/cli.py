@@ -31,6 +31,7 @@ from .belyi_numeric import (
     NoConvergenceError,
     census_matches_profile,
     census_to_json,
+    check_cluster_tol,
     critical_census_uni,
     shabat_for_derivation,
     solution_to_json,
@@ -195,6 +196,7 @@ def cmd_families(args) -> int:
 
 
 def cmd_shabat(args) -> int:
+    check_cluster_tol(args.cluster_tol)
     seed = parse_seed(args.seed)
     word = word_from_str(args.word, seed)
     sol = shabat_for_derivation(
@@ -255,6 +257,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_surface_verify(args) -> int:
+    check_cluster_tol(args.cluster_tol)
     if args.nodal and (args.seed is not None or args.word is not None):
         raise ValueError("--nodal builds its own surface; it takes no --seed or --word")
     if args.word is not None and args.seed is None:

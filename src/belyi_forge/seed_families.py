@@ -233,15 +233,18 @@ def seed_to_json(seed: SeedSpec) -> dict:
 
 
 def seed_from_json(obj: Mapping) -> SeedSpec:
-    family = obj["family"]
+    family = obj.get("family")
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise SeedDomainError(f"unknown seed family: {family!r}")
-    nums = [obj[f.name] for f in fields(cls)]
-    # bool is an int subclass, so the type is compared exactly.
-    if any(type(v) is not int for v in nums):
-        raise SeedDomainError(f"{family} parameters must be integers, got {dict(obj)!r}")
-    return cls(*nums)
+    names = [f.name for f in fields(cls)]
+    nums = [obj.get(name) for name in names]
+    # A missing key reads None; bool, an int subclass, fails the exact type test.
+    if len(obj) != 1 + len(names) or any(type(v) is not int for v in nums):
+        raise SeedDomainError(f"{family} takes integer keys {names}, got {dict(obj)!r}")
+    seed = cls(*nums)
+    validate_seed(seed)
+    return seed
 
 
 def format_seed(seed: SeedSpec) -> str:

@@ -494,3 +494,59 @@ def test_aberth_refine_matches_the_unfused_loop_bit_for_bit():
     for c, roots in aberth_inputs():
         got = belyi_numeric._aberth_refine(c, roots)
         assert got.tobytes() == reference_aberth(c, roots).tobytes(), c
+
+
+def exact_residual_of(sol):
+    """_coefficient_residual of _exact_defect at the solution's own points."""
+    points = sol.black_points + sol.white_points
+    positions = np.array([z for z, _ in points], dtype=complex)
+    degs = np.array([m + 1 for _, m in points], dtype=float)
+    black_idx = np.arange(len(sol.black_points))
+    white_idx = np.arange(len(sol.black_points), len(points))
+    return belyi_numeric._coefficient_residual(
+        *belyi_numeric._exact_defect(positions, black_idx, white_idx, degs)
+    )
+
+
+@pytest.mark.parametrize("seed_text, word", [("F1:0,1", "ab"), ("F2:1,2,0,0", "")])
+def test_residual_and_scale_are_the_exact_defect_of_the_returned_points(seed_text, word):
+    seed = parse_seed(seed_text)
+    sol = shabat_for_derivation(seed, word_from_str(word, seed))
+    assert (sol.residual, sol.scale_constant) == exact_residual_of(sol)
+
+
+def test_only_the_census_runs_aberth(monkeypatch):
+    aberth, calls = belyi_numeric._aberth_refine, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return aberth(*args, **kwargs)
+
+    monkeypatch.setattr(belyi_numeric, "_aberth_refine", counting)
+    sol = shabat_solve(tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1))))
+    assert calls == []
+    critical_census_uni(sol.polynomial())
+    assert calls == [1]
+
+
+def test_degree_21_tree_within_tol_of_its_exact_defect_lands_at_once():
+    # The float expansion of this tree's vertex products rounds to a
+    # residual of 1.97e-10; the exact defect of the same points is below tol.
+    sol = shabat_solve(tree_for_derivation(parse_seed("F2:1,0,0,1"), ""), max_degree=21)
+    assert (sol.degree, sol.restarts_used) == (21, 0)
+    assert sol.residual <= belyi_numeric.DEFAULT_TOL
+
+
+def test_same_color_gap_below_the_separation_is_rejected(monkeypatch):
+    monkeypatch.setattr(belyi_numeric, "_MIN_SEPARATION", 10.0)
+    with pytest.raises(NoConvergenceError, match="same-color vertex gap"):
+        shabat_solve(tree_for_derivation(F1(0, 1), ""), max_restarts=2)
+
+
+def test_census_off_the_profile_values_does_not_match():
+    profile = profile_of(tree_for_derivation(F1(0, 1), ""))
+    p = solved_base_surface_poly().polynomial()
+    assert census_matches_profile(critical_census_uni(p), profile)
+    # Critical values -0.5 and 1.5 are off target; -1 + 0.5i and 1 + 0.5i are not real.
+    for shift in (0.5, 0.5j):
+        assert not census_matches_profile(critical_census_uni(p.shift_constant(shift)), profile)

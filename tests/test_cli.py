@@ -53,6 +53,13 @@ def test_enumerate_lists_language(capsys):
     assert obj["words"] == ["", "a", "ab", "aba", "abab"]
 
 
+@pytest.mark.parametrize("max_len", ["-1", "65"])
+def test_enumerate_length_outside_the_guard_is_usage_error(capsys, max_len):
+    code, out, err = run(capsys, "enumerate", "--seed", "F1:0,1", "--max-len", max_len)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+
+
 def test_families_reports_subset(capsys):
     code, out, err = run(capsys, "families", "--seed", "F2:0,2,1,1", "--limit", "10")
     assert code == 0
@@ -275,13 +282,22 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
 
     monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
     # F1:0,1 derives a degree-9 tree that is not a star, so its solve runs
-    # Newton, and the solver refuses its inputs before the first step.  The
-    # cluster tolerance is read by the census, after the solve.
+    # Newton, and its inputs are refused before the first step.
     code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", flag, value)
     assert (code, out) == (2, "")
     assert json.loads(err)["error"]["type"] == "ValueError"
-    if flag != "--cluster-tol":
-        assert steps == []
+    assert steps == []
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_nodal_surface_refuses_a_cluster_tolerance_out_of_range(capsys, value):
+    # The nodal surface's U census does not cluster, but the flag is still
+    # checked, as for every other surface.
+    code, out, err = run(capsys, "surface-verify", "--degree", "3", "--nodal",
+                         "--cluster-tol", value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "ValueError"
+    assert "cluster_tol must be finite and > 0" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
@@ -306,6 +322,12 @@ def test_table_csv_rows(capsys):
     assert rows[0] == ["d", "nu", "bound", "seed", "word"]
     bounds = {int(r[0]): int(r[2]) for r in rows[1:]}
     assert bounds == {9: 127, 12: 301, 15: 647}
+
+
+def test_table_json_is_pinned(capsys):
+    code, out, err = run(capsys, "table", "--max-degree", "60", "--format", "json")
+    assert code == 0
+    assert _sha256(out) == "e92030e0ad9a9d1a01250d1c8573276b7daefe37ae0285f6cd0b60d0badf0900"
 
 
 def test_surface_verify_nodal(capsys):

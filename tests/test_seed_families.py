@@ -212,3 +212,29 @@ def test_json_takes_only_int_fields(obj):
 def test_json_rejects_an_unknown_family():
     with pytest.raises(SeedDomainError, match="unknown seed family: 'F4'"):
         seed_from_json({"family": "F4"})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"family": "F1", "n": 1},
+        {"n": 1, "m": 1},
+        {"family": "F1", "n": 1, "m": 1, "zz": 3},
+    ],
+    ids=["missing-field", "missing-family", "unknown-key"],
+)
+def test_json_takes_exactly_the_family_keys(obj):
+    with pytest.raises(SeedDomainError):
+        seed_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"family": "F1", "n": -1, "m": 1}, "F1 requires n >= 0"),
+        ({"family": "F3", "x": 4, "j": 0, "n": 0, "m": 2, "l": 0}, r"F3 requires x in \{1,2,3\}"),
+    ],
+)
+def test_json_validates_the_parameter_domain(obj, message):
+    with pytest.raises(SeedDomainError, match=message):
+        seed_from_json(obj)
