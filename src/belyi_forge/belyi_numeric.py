@@ -1,19 +1,22 @@
 """Numeric realization of plane trees as polynomials with critical values ±1.
 
-The solver exploits the factorization p+1 = c·∏_black (w-a)^deg and
-p-1 = c·∏_white (w-b)^deg.  Newton runs on the internal vertices: p is
+The solver exploits the factorization p+1 = ℓ·∏_black (w-a)^deg and
+p-1 = ℓ·∏_white (w-b)^deg.  Newton runs on the internal vertices: p is
 c·S + K, with S the antiderivative of ∏_internal (w-q)^(deg-1), and p must
 be -1 at each internal black vertex and +1 at each white one.  S at a
 vertex is evaluated in product form, as a Gauss–Legendre sum of products
 of linear factors, each vertex's factor repeated once per power, so no
 complex power is taken; a Jacobian column leaves out one copy of a factor,
-as a product of prefix and suffix products.  np.roots then reads the
-leaves from the dense p, and a polish on the full-vertex system (the
-difference of the two monic vertex products must collapse to the constant
-2/c: d-1 coefficient equations), their only refinement, runs on every
-landed restart; acceptance reads the exact coefficient residual it computes.
-A root census of p' acts as an independent check that the solved polynomial
-really has the critical structure the tree prescribes.
+as a product of prefix and suffix products.  Everything after Newton stays
+in product form: Aberth's iteration reads the leaves as the simple roots of
+(p ± 1)/∏_same-colour internal (w-q)^deg, with p read by the same
+quadrature, and a short Gauss–Newton pass refines every vertex and
+ℓ = c/d on the full vertex system.  Acceptance reads that system's largest
+residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
+coefficients are formed; only ShabatSolution.polynomial() expands them, for
+the univariate census.  A root census of p' acts as an independent check
+that the solved polynomial really has the critical structure the tree
+prescribes.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ VALUE_TOL = 1e-6
 
 _MIN_SEPARATION = 1e-6
 _NEWTON_ITERS = 120
-_POLISH_STEPS = 8
-_POLISH_GATE = 1e-2  # the polish cannot contract a larger coefficient residual
+_LEAF_ITERS = 64  # the leaves of F2:1,20,0,0 (d=123) take 31
+_REFINE_STEPS = 4
 
 
 class NoConvergenceError(RuntimeError):
@@ -127,9 +130,11 @@ class ShabatSolution:
     """Solved vertex positions for a plane tree.
 
     black_points and white_points are (position, multiplicity) pairs;
-    leaves appear with multiplicity 0.  scale_constant is the c in
-    p+1 = c·∏(w-a)^(mult+1); residual is the largest coefficient defect
-    of c·(∏black − ∏white) against the constant 2, in exact arithmetic.
+    leaves appear with multiplicity 0.  scale_constant is the ℓ in
+    p+1 = ℓ·∏_black (w-a)^(mult+1) and p-1 = ℓ·∏_white (w-b)^(mult+1);
+    residual is the largest vertex defect at the returned points, in float
+    products of linear factors: |ℓ·∏_white (a-b)^(mult+1) + 2| at each
+    black vertex a and |ℓ·∏_black (b-a)^(mult+1) - 2| at each white vertex b.
     """
 
     black_points: tuple[tuple[complex, int], ...]
@@ -144,6 +149,13 @@ class ShabatSolution:
         return sum(m + 1 for _, m in self.black_points)
 
     def polynomial(self) -> UniPoly:
+        """p = ℓ·∏_black (w-a)^(mult+1) - 1 expanded in the monomial basis.
+
+        The expansion is ill-conditioned at high degree: its coefficients
+        span many orders of magnitude and round far above the residual.  It
+        is kept only for the univariate census and the U side of paired
+        surfaces; the solver never forms it.
+        """
         b = UniPoly.from_roots([(a, m + 1) for a, m in self.black_points])
         return b.scale(self.scale_constant).shift_constant(-1)
 
@@ -160,30 +172,6 @@ def solution_to_json(s: ShabatSolution) -> dict:
         "converged": s.converged,
         "degree": s.degree,
     }
-
-
-def _poly_from_roots_np(positions: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    out = np.array([1.0 + 0.0j])
-    for pos, deg in zip(positions, degs):
-        lin = np.array([-pos, 1.0 + 0.0j])
-        for _ in range(int(deg)):
-            out = np.convolve(out, lin)
-    return out
-
-
-def _div_linear(p: np.ndarray, a: complex) -> np.ndarray:
-    n = len(p) - 1
-    q = np.zeros(n, dtype=complex)
-    q[n - 1] = p[n]
-    for k in range(n - 1, 0, -1):
-        q[k - 1] = p[k] + a * q[k]
-    return q
-
-
-def _integrate_poly(p: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(p) + 1, dtype=complex)
-    out[1:] = p / np.arange(1, len(p) + 1)
-    return out
 
 
 def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +191,15 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1) / 2, 1 / ((1 - x) * (1 + x) * dp * dp)
 
 
-def _linear_factors(q: np.ndarray, nodes: np.ndarray, rep: np.ndarray) -> np.ndarray:
-    """t_k·q_j − q_rep[r], factor-major: shape (len(rep), len(nodes), len(q))."""
-    return (nodes[:, None] * q)[None] - q[rep][:, None, None]
+def _linear_factors(
+    q: np.ndarray, nodes: np.ndarray, rep: np.ndarray, at: np.ndarray | None = None
+) -> np.ndarray:
+    """t_k·z_j − q_rep[r] at the points z = at (q by default), factor-major.
+
+    Shape (len(rep), len(nodes), len(z)).
+    """
+    z = q if at is None else at
+    return (nodes[:, None] * z)[None] - q[rep][:, None, None]
 
 
 def _antiderivative_at_vertices(
@@ -213,7 +207,8 @@ def _antiderivative_at_vertices(
 ) -> np.ndarray:
     """q_j·Σ_k w_k·∏_r (t_k·q_j − q_rep[r]), the integral of ∏_r (w − q_rep[r]) over [0, q_j].
 
-    factors is _linear_factors(q, nodes, rep).  rep lists each vertex once
+    factors is _linear_factors(·, nodes, rep, q): q may be any points, not
+    only the vertices the factors are built from.  rep lists each vertex once
     per power of its linear factor, so the product needs no complex power.
     (t_k, w_k) is a quadrature rule on [0, 1]; the sum is the integral when
     the rule is exact to the integrand's degree, len(rep).  The products of
@@ -289,77 +284,77 @@ def _min_same_color_gap(positions: np.ndarray, black_idx, white_idx) -> float:
     return min((abs(p - q) for p, q in pairs), default=math.inf)
 
 
-def _coefficient_residual(fvec: np.ndarray, d0: complex) -> tuple[float, complex]:
-    """Largest defect of c·(∏black − ∏white) against 2, and c = 2/d0 (inf if d0 ≈ 0)."""
-    if abs(d0) < 1e-14:
-        return math.inf, 0j
-    c = 2.0 / d0
-    return (float(abs(c) * np.max(np.abs(fvec))) if len(fvec) else 0.0), c
+def _aberth(z: np.ndarray, correction, repel: np.ndarray) -> np.ndarray:
+    """Simple roots found together by Aberth's iteration: the best iterate by max error.
 
-
-def _exact_defect(positions: np.ndarray, black_idx, white_idx, degs) -> tuple[np.ndarray, complex]:
-    """Coefficients 1..d-1 and 0 of ∏black − ∏white, rounded only once at the end.
-
-    Floats are dyadic: over their largest denominator S the positions are
-    Gaussian integers A, and ∏(u − A)^deg in u = S·w expands exactly in ints.
+    correction(z) gives each root's error and its Newton correction f/f′.
+    Roots i and j repel only where repel[i, j], that is when they are roots
+    of the same f.  Steps stop at _LEAF_ITERS, or after a step below 1e-12
+    of every root's modulus: the iteration converges cubically, so the
+    iterate that step reaches is at rounding level.
     """
-    parts = [x.as_integer_ratio() for z in positions.tolist() for x in (z.real, z.imag)]
-    scale = max(den for _, den in parts)
-    ints = [num * (scale // den) for num, den in parts]
-
-    def expand(idx) -> list[tuple[int, int]]:
-        out = [(1, 0)]
-        for v in idx:
-            ar, ai = ints[2 * v], ints[2 * v + 1]
-            for _ in range(int(degs[v])):
-                out = [
-                    (s - ar * r + ai * i, t - ar * i - ai * r)
-                    for (s, t), (r, i) in zip([(0, 0)] + out, out + [(0, 0)])
-                ]
-        return out
-
-    d = int(degs.sum()) // 2
-    diff = np.array([
-        complex((b - w) / scale ** (d - k), (bi - wi) / scale ** (d - k))
-        for k, ((b, bi), (w, wi)) in enumerate(zip(expand(black_idx), expand(white_idx)))
-    ])
-    return diff[1:-1], diff[0]
+    best, best_err, step = z, math.inf, np.inf
+    for _ in range(_LEAF_ITERS + 1):
+        err, newton = correction(z)
+        if np.max(err) < best_err:
+            best, best_err = z, np.max(err)
+        if np.all(np.abs(step) <= 1e-12 * np.abs(z)):
+            break
+        pull = np.sum(1 / np.where(repel, z[:, None] - z, np.inf), axis=1)
+        step = newton / (1 - newton * pull)
+        z = z - step
+        if not np.all(np.isfinite(z)):
+            break
+    return best
 
 
-def _polish(
-    positions: np.ndarray, black_idx, white_idx, degs, free
-) -> tuple[np.ndarray, float, complex]:
-    """Float Newton on coefficients 1..d-1 of ∏black − ∏white: best iterate, residual, c.
+def _opposite_products(positions: np.ndarray, black_idx, white_idx, degs) -> np.ndarray:
+    """∏ (v − u)^deg_u over the vertices u of the other colour, at every vertex v.
 
-    Moving a vertex a of degree deg changes its product by −deg·prod/(w − a),
-    so Jacobian columns are signed _div_linear quotients.  The residual is
-    exact (iterative refinement): a float one stalls at rounding level with
-    far vertices 1e-8 off at degree 15.  No step starts above _POLISH_GATE,
-    and steps stop once the residual stops falling.
+    Each u is repeated deg_u times as a linear factor, so no complex power
+    is taken.
     """
-    black = set(black_idx.tolist())
-    fvec, d0 = _exact_defect(positions, black_idx, white_idx, degs)
-    best, (best_res, best_c) = positions, _coefficient_residual(fvec, d0)
-    for _ in range(_POLISH_STEPS if best_res <= _POLISH_GATE else 0):
-        b, w = (_poly_from_roots_np(best[i], degs[i]) for i in (black_idx, white_idx))
-        jac = np.empty((len(fvec), len(free)), dtype=complex)
-        for col, v in enumerate(free):
-            src, sign = (b, -1.0) if v in black else (w, 1.0)
-            jac[:, col] = sign * degs[v] * _div_linear(src, best[v])[1:]
-        try:
-            delta = np.linalg.solve(jac, -fvec)
-        except np.linalg.LinAlgError:
+    out = np.empty(len(positions), dtype=complex)
+    for rows, cols in ((black_idx, white_idx), (white_idx, black_idx)):
+        rep = np.repeat(cols, degs[cols].astype(int))
+        out[rows] = np.multiply.reduce(positions[rows][:, None] - positions[rep], axis=1)
+    return out
+
+
+def _refine(
+    positions: np.ndarray, ell: complex, black_idx, white_idx, degs, free
+) -> tuple[np.ndarray, complex, float]:
+    """Gauss–Newton on the full vertex system: best iterate, its ℓ and max|r|.
+
+    r(v) = ℓ·∏_black (v − a)^deg − 2 at each white vertex v, and
+    ℓ·∏_white (v − b)^deg + 2 at each black one.  The unknowns are the free
+    positions and log ℓ.  Moving the evaluation vertex v itself changes its
+    row by ℓ·∏·Σ deg/(v − u); moving a vertex u of the other colour, by
+    −deg_u·ℓ·∏/(v − u).  Steps stop at _REFINE_STEPS or once max|r| stops
+    falling.
+    """
+    black = np.isin(np.arange(len(positions)), black_idx)
+    target = np.where(black, -2.0, 2.0)
+    other = np.where(black[:, None] != black, degs, 0.0)
+    vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
+    best = (positions, ell, float(np.max(np.abs(vals - target))))
+    for _ in range(_REFINE_STEPS):
+        pull = other / np.where(other > 0, positions[:, None] - positions, 1.0)
+        jac = -vals[:, None] * pull
+        jac[np.diag_indices_from(jac)] = vals * pull.sum(axis=1)
+        jac = np.column_stack([jac[:, free], vals])
+        if not np.all(np.isfinite(jac)):
             break
-        if not np.all(np.isfinite(delta)):
+        delta = np.linalg.lstsq(jac, target - vals, rcond=None)[0]
+        positions = positions.copy()
+        positions[free] += delta[:-1]
+        ell = ell * np.exp(delta[-1])
+        vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
+        residual = float(np.max(np.abs(vals - target)))
+        if not residual < best[2]:
             break
-        pos = best.copy()
-        pos[free] += delta
-        step_fvec, d0 = _exact_defect(pos, black_idx, white_idx, degs)
-        res, c = _coefficient_residual(step_fvec, d0)
-        if not res < best_res:
-            break
-        best, best_res, best_c, fvec = pos, res, c, step_fvec
-    return best, best_res, best_c
+        best = (positions, complex(ell), residual)
+    return best
 
 
 def shabat_solve(
@@ -392,16 +387,25 @@ def shabat_solve(
     Jacobian column leaves out one copy of one factor, as the product of
     the factors before it times the product of those after it, so no
     factor, which can vanish at a node, is divided out.  The factors of
-    the line-search trial Newton accepts serve the next Jacobian.  The dense
-    antiderivative is built once per landed restart, and np.roots reads the
-    leaves from it.  Every landed restart then gets a Newton polish on the
-    full-vertex coefficient system (float steps, exact residual), the
-    leaves' only refinement: dense leaf recovery rounds by more than the
-    product-form Newton does, and the polish returns its best iterate, so
-    it never makes a restart worse.  Acceptance reads the polish's exact
-    residual and c = 2/d0.  If no restart is accepted,
-    NoConvergenceError names the closest one (least coefficient residual,
-    then least fnorm) and the test that rejected it.
+    the line-search trial Newton accepts serve the next Jacobian.
+
+    Every landed restart stays in product form.  Each colour's leaves are
+    the simple roots of f = (p ± 1)/∏_same-colour internal (z − q)^deg,
+    found together by Aberth's iteration (see _aberth), with p = c·S + K
+    read by the same quadrature at the leaves and
+    f′/f = p′/(p ± 1) − Σ deg/(z − q).  Each leaf starts one local edge
+    length from its internal neighbour, in the direction the radial drawing
+    gives it.  A short Gauss–Newton pass then refines every free position
+    and ℓ = c/d on the full vertex system r(v) = ℓ·∏_other colour
+    (v − u)^deg ∓ 2 (see _refine).  A restart is accepted when max|r| ≤ tol
+    and no two same-colour vertices are within _MIN_SEPARATION.  Together
+    these are the Shabat condition: ℓ·(∏black − ∏white) − 2 has degree at
+    most d − 1 and vanishes, up to r, at the d + 1 distinct vertices.  The
+    internal-vertex and leaf equations alone admit pseudo-solutions whose
+    vertex residual is far above tol.  A star (at most one internal vertex)
+    is its own radial drawing and goes straight to the refinement.  If no
+    restart is accepted, NoConvergenceError names the closest one (least
+    max|r|, then least fnorm) and the test that rejected it.
     """
     d = t.edge_count
     if d > max_degree:
@@ -419,52 +423,16 @@ def shabat_solve(
     top_black = max(black_idx, key=lambda v: (degs[v], -v))
     top_white = max(white_idx, key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
-
-    def finish(positions: np.ndarray, restart: int) -> ShabatSolution | tuple[float, str]:
-        """The accepted solution, or the coefficient residual and the failed test."""
-        positions, residual, c = _polish(positions, black_idx, white_idx, degs, free)
-        if residual > _POLISH_GATE:
-            # The polish took no step: typically two same-color vertices merged.
-            return residual, f"coefficient residual {residual:.2e} > 1e-2"
-        if residual > tol:
-            return residual, f"coefficient residual {residual:.2e} > tol {tol:.0e}"
-        gap = _min_same_color_gap(positions, black_idx, white_idx)
-        if gap < _MIN_SEPARATION:
-            return residual, f"same-color vertex gap {gap:.2e} < {_MIN_SEPARATION:.0e}"
-        return ShabatSolution(
-            black_points=tuple((complex(positions[v]), int(degs[v]) - 1) for v in black_idx),
-            white_points=tuple((complex(positions[v]), int(degs[v]) - 1) for v in white_idx),
-            scale_constant=complex(c), residual=residual, converged=True, restarts_used=restart,
-        )
-
     internals = [v for v in range(nvert) if degs[v] >= 2]
-    if len(internals) <= 1:
-        # Single edge or a star: p is an explicit power map, re-gauged so
-        # the pinned black and white vertices land at 0 and 1.
-        positions = np.zeros(nvert, dtype=complex)
-        if d == 1:
-            positions[top_white] = 1.0
-        else:
-            center = internals[0]
-            leaves = [v for v in range(nvert) if v != center]
-            for k, v in enumerate(leaves):
-                positions[v] = cmath.exp(2j * math.pi * k / d)
-            span = positions[top_white] - positions[top_black]
-            positions = (positions - positions[top_black]) / span
-        sol = finish(positions, 0)
-        if isinstance(sol, tuple):
-            raise NoConvergenceError(f"degenerate star solve (degree {d}): {sol[1]}")
-        return sol
+    leaves = [v for v in range(nvert) if degs[v] < 2]
+    base = _radial_layout(t)
+    drawing = (base - base[top_black]) / (base[top_white] - base[top_black])
 
     idx_of = {v: i for i, v in enumerate(internals)}
     free_cols = [idx_of[v] for v in internals if v not in (top_black, top_white)]
     targets = np.array(
         [-1.0 if t.colors[v] == BLACK else 1.0 for v in internals], dtype=complex
     )
-    black_int = [v for v in internals if t.colors[v] == BLACK]
-    white_int = [v for v in internals if t.colors[v] != BLACK]
-    black_leaf_ids = [int(v) for v in black_idx if degs[v] < 2]
-    white_leaf_ids = [int(v) for v in white_idx if degs[v] < 2]
 
     # The integrand ∏_l (w − q_l)^m_l with m_l = deg_l − 1 has degree d − 1,
     # so (d+1)//2 Gauss–Legendre nodes integrate it exactly.  It is kept as
@@ -483,46 +451,58 @@ def shabat_solve(
         factors = _linear_factors(q, nodes, rep)
         return factors, _antiderivative_at_vertices(q, weights, factors)
 
-    pin_rows = [idx_of[top_black], idx_of[top_white]]
-
     def fit_ck(s_vals: np.ndarray) -> tuple[complex, complex]:
         # Fit through the two pinned vertices exactly; a least-squares fit
         # over all vertices tends to start c near zero, and Newton then
         # creeps down the flat c -> 0 valley instead of converging.
-        a, b = s_vals[pin_rows[0]], s_vals[pin_rows[1]]
+        i, j = idx_of[top_black], idx_of[top_white]
+        a, b = s_vals[i], s_vals[j]
         if abs(b - a) > 1e-9:
-            c = (targets[pin_rows[1]] - targets[pin_rows[0]]) / (b - a)
-            return complex(c), complex(targets[pin_rows[0]] - c * a)
+            c = (targets[j] - targets[i]) / (b - a)
+            return complex(c), complex(targets[i] - c * a)
         A = np.stack([s_vals, np.ones_like(s_vals)], axis=1)
         (c, K), *_ = np.linalg.lstsq(A, targets, rcond=None)
         return complex(c), complex(K)
 
+    # Leaf i is a root of p + shift[i]; own[i] holds the degrees of the
+    # internal vertices of its colour, which f divides out, and leaves of
+    # one colour repel each other in Aberth's iteration.
+    leaf_black = np.array([t.colors[v] == BLACK for v in leaves])
+    shift = np.where(leaf_black, 1.0, -1.0)
+    own = np.array([[degs[u] * (t.colors[u] == t.colors[v]) for u in internals] for v in leaves])
+    repel = (leaf_black[:, None] == leaf_black) & ~np.eye(len(leaves), dtype=bool)
+    hub = [t.rotation[v][0] for v in leaves]
+    heading = (drawing[leaves] - drawing[hub]) / np.abs(drawing[leaves] - drawing[hub])
+    own_copy = rep == np.arange(len(internals))[:, None]
+
     def assemble(q: np.ndarray, c: complex, K: complex) -> np.ndarray:
-        # Leaves are the leftover roots of p+1 and p-1 after dividing out
-        # the internal vertices, each deg times; only finish()'s polish refines them.
-        P = c * _integrate_poly(_poly_from_roots_np(q, mults))
-        P[0] += K
+        def correction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            value = c * _antiderivative_at_vertices(
+                z, weights, _linear_factors(q, nodes, rep, z)
+            ) + K + shift
+            slope = c * np.multiply.reduce(z - q[rep][:, None], axis=0)
+            return np.abs(value), 1 / (slope / value - np.sum(own / (z[:, None] - q), axis=1))
+
+        # Each leaf starts one local edge length from its hub, in the
+        # drawing's direction: near an internal vertex q of degree k,
+        # p ≈ p(q) + A·(z − q)^k, with k·A = c·∏ of the other vertices'
+        # factors at q (own_copy marks q's own), and its neighbours sit
+        # where |A|·r^k = 2.
         positions = np.zeros(nvert, dtype=complex)
-        for v in internals:
-            positions[v] = q[idx_of[v]]
-        for shift, int_ids, leaf_ids in (
-            (1.0, black_int, black_leaf_ids),
-            (-1.0, white_int, white_leaf_ids),
-        ):
-            quot = P.copy()
-            quot[0] += shift
-            for v in int_ids:
-                for _ in range(int(degs[v])):
-                    quot = _div_linear(quot, q[idx_of[v]])
-            if leaf_ids:
-                roots = sorted(np.roots(quot[::-1]), key=lambda z: (round(z.real, 9), z.imag))
-                for v, z in zip(leaf_ids, roots):
-                    positions[v] = z
+        positions[internals] = q
+        reach = np.zeros(nvert)
+        local = c * np.multiply.reduce(np.where(own_copy, 1, q[:, None] - q[rep]), axis=1)
+        reach[internals] = (2 * degs[internals] / np.abs(local)) ** (1 / degs[internals])
+        z = _aberth(positions[hub] + reach[hub] * heading, correction, repel)
+        for colour in (True, False):
+            ids = [v for v, b in zip(leaves, leaf_black) if b == colour]
+            roots = sorted(z[leaf_black == colour], key=lambda w: (round(w.real, 9), w.imag))
+            positions[ids] = roots
         return positions
 
-    base = _radial_layout(t)
-    closest: tuple[float, float, int, str] | None = None
-    for restart in range(max_restarts):
+    def land(restart: int) -> tuple[float, str | None, np.ndarray | None, complex]:
+        """Newton from this restart's start: fnorm, the test that failed (None
+        once it lands), and the assembled positions and ℓ = c/d."""
         if restart % 2 == 0:
             # The radial drawing, plain first and then jittered.  It
             # separates sibling vertices angularly, which is where the
@@ -534,7 +514,7 @@ def shabat_solve(
                 pos = base + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
             span = pos[top_white] - pos[top_black]
             if abs(span) < 1e-9:
-                continue
+                return math.inf, "a degenerate start", None, 0j
             pos = (pos - pos[top_black]) / span
             q = pos[internals].astype(complex)
         else:
@@ -547,66 +527,84 @@ def shabat_solve(
         q[idx_of[top_black]] = 0.0
         q[idx_of[top_white]] = 1.0
 
+        factors, s_vals = s_at(q)
+        c, K = fit_ck(s_vals)
+        for _ in range(_NEWTON_ITERS):
+            fvec = c * s_vals + K - targets
+            fnorm = _norm(fvec)
+            if fnorm < 1e-13:
+                break
+            jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
+            partials = _antiderivative_partials(q, weights, factors, drop_at)
+            jac[:, :-2] = (c * col_scale) * partials.T
+            jac[:, -2] = s_vals
+            jac[:, -1] = 1.0
+            try:
+                delta = np.linalg.solve(jac, -fvec)
+            except np.linalg.LinAlgError:
+                delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
+            if not np.all(np.isfinite(delta)):
+                return _norm(fvec), "a non-finite Newton step", None, 0j
+            lam, accepted = 1.0, False
+            while lam >= 1 / 4096:
+                q_t = q.copy()
+                q_t[free_cols] = q[free_cols] + lam * delta[:-2]
+                c_t = c + lam * delta[-2]
+                K_t = K + lam * delta[-1]
+                f_t, s_t = s_at(q_t)
+                tnorm = _norm(c_t * s_t + K_t - targets)
+                if tnorm <= (1 - 1e-4 * lam) * fnorm:
+                    q, c, K, s_vals, factors = q_t, c_t, K_t, s_t, f_t
+                    accepted = True
+                    break
+                lam /= 2
+            if not accepted:
+                break
+        # Stalled-but-close states are still worth refining: the full vertex
+        # system converges them, while pseudo-solutions (a cluster of
+        # critical points where p is flat, so the internal-vertex equations
+        # hold to 1e-14 without p being Shabat) fail its residual no matter
+        # how small fnorm is.
+        fnorm = _norm(c * s_vals + K - targets)
+        if fnorm > 1e-6:
+            return fnorm, f"fnorm {fnorm:.2e} > 1e-6", None, 0j
+        if abs(c) < 1e-12:
+            return fnorm, f"scale |c| = {abs(c):.2e} < 1e-12", None, 0j
+        return fnorm, None, assemble(q, c, K), c / d
+
+    star = len(internals) <= 1
+    closest: tuple[float, float, int, str] | None = None
+    tries = 1 if star else max_restarts
+    for restart in range(tries):
         # A diverging restart overflows; the tests below already reject its
         # non-finite steps and norms, so numpy need not warn on stderr.
-        with np.errstate(over="ignore", invalid="ignore"):
-            factors, s_vals = s_at(q)
-            c, K = fit_ck(s_vals)
-            ok = True
-            for _ in range(_NEWTON_ITERS):
-                fvec = c * s_vals + K - targets
-                fnorm = _norm(fvec)
-                if fnorm < 1e-13:
-                    break
-                jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
-                partials = _antiderivative_partials(q, weights, factors, drop_at)
-                jac[:, :-2] = (c * col_scale) * partials.T
-                jac[:, -2] = s_vals
-                jac[:, -1] = 1.0
-                try:
-                    delta = np.linalg.solve(jac, -fvec)
-                except np.linalg.LinAlgError:
-                    delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
-                if not np.all(np.isfinite(delta)):
-                    ok = False
-                    break
-                lam, accepted = 1.0, False
-                while lam >= 1 / 4096:
-                    q_t = q.copy()
-                    q_t[free_cols] = q[free_cols] + lam * delta[:-2]
-                    c_t = c + lam * delta[-2]
-                    K_t = K + lam * delta[-1]
-                    f_t, s_t = s_at(q_t)
-                    tnorm = _norm(c_t * s_t + K_t - targets)
-                    if tnorm <= (1 - 1e-4 * lam) * fnorm:
-                        q, c, K, s_vals, factors = q_t, c_t, K_t, s_t, f_t
-                        accepted = True
-                        break
-                    lam /= 2
-                if not accepted:
-                    break
-            fnorm = _norm(c * s_vals + K - targets)
-        # Stalled-but-close states are still worth finishing: the polish
-        # pass inside finish() converges them, while pseudo-solutions (a
-        # cluster of critical points where p is flat, so the vertex
-        # equations hold to 1e-14 without p being Shabat) fail its
-        # coefficient residual no matter how small fnorm is.
-        residual = math.inf
-        if not ok:
-            verdict = "a non-finite Newton step"
-        elif fnorm > 1e-6:
-            verdict = f"fnorm {fnorm:.2e} > 1e-6"
-        elif abs(c) < 1e-12:
-            verdict = f"scale |c| = {abs(c):.2e} < 1e-12"
-        else:
-            verdict = finish(assemble(q, c, K), restart)
-            if isinstance(verdict, ShabatSolution):
-                return verdict
-            residual, verdict = verdict
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if star:
+                # A single edge or a star: the drawing is the solution.
+                products = _opposite_products(drawing, black_idx, white_idx, degs)
+                positions, ell, fnorm, verdict = drawing, 2 / products[top_white], 0.0, None
+            else:
+                fnorm, verdict, positions, ell = land(restart)
+            residual = math.inf
+            if verdict is None:
+                positions, ell, residual = _refine(positions, ell, black_idx, white_idx, degs, free)
+                gap = _min_same_color_gap(positions, black_idx, white_idx)
+                if not residual <= tol:
+                    verdict = f"vertex residual {residual:.2e} > tol {tol:.0e}"
+                elif gap < _MIN_SEPARATION:
+                    verdict = f"same-color vertex gap {gap:.2e} < {_MIN_SEPARATION:.0e}"
+                else:
+                    points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
+                    return ShabatSolution(
+                        black_points=tuple(points[v] for v in black_idx),
+                        white_points=tuple(points[v] for v in white_idx),
+                        scale_constant=complex(ell), residual=residual, converged=True,
+                        restarts_used=restart,
+                    )
         if closest is None or (residual, fnorm) < closest[:2]:
             closest = (residual, fnorm, restart, verdict)
     why = "; closest restart {2} (fnorm {1:.2e}) failed: {3}".format(*closest) if closest else ""
-    raise NoConvergenceError(f"no convergence after {max_restarts} restarts (degree {d}){why}")
+    raise NoConvergenceError(f"no convergence after {tries} restarts (degree {d}){why}")
 
 
 def tree_for_derivation(seed: SeedSpec, word: str) -> PlaneTree:

@@ -337,7 +337,14 @@ def _add_seed_word(p: argparse.ArgumentParser, word_required: bool = False) -> N
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=DEFAULT_TOL,
+        help="bound on the solution's residual, its largest vertex defect: "
+        "|l*prod(v-u)^deg(u) -/+ 2| at each vertex v over the other colour's "
+        "vertices u (default %(default)s)",
+    )
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)

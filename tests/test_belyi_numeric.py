@@ -182,8 +182,8 @@ def vertex_defects(sol):
 
 @pytest.mark.parametrize("word, degree", [("a", 12), ("ab", 15)], ids=["a", "ab"])
 def test_solver_first_growth_step(word, degree):
-    # Both trees leave Newton with a coefficient residual above tol, so the
-    # polish runs before acceptance.
+    # Both trees are accepted on the full vertex system, after the leaves are
+    # read from the product form and refined with the internal vertices.
     seed = F1(0, 1)
     sol = shabat_solve(tree_for_derivation(seed, word_from_str(word, seed)))
     assert sol.converged
@@ -257,7 +257,7 @@ def test_failure_names_the_closest_restart_and_its_rejection():
         shabat_solve(tree, tol=1e-30, max_restarts=2)
     assert re.search(
         r"closest restart [01] \(fnorm \d\.\d\de[-+]\d+\) failed: "
-        r"coefficient residual \d\.\d\de-\d+ > tol 1e-30",
+        r"vertex residual \d\.\d\de-\d+ > tol 1e-30",
         str(info.value),
     ), str(info.value)
 
@@ -496,23 +496,15 @@ def test_aberth_refine_matches_the_unfused_loop_bit_for_bit():
         assert got.tobytes() == reference_aberth(c, roots).tobytes(), c
 
 
-def exact_residual_of(sol):
-    """_coefficient_residual of _exact_defect at the solution's own points."""
-    points = sol.black_points + sol.white_points
-    positions = np.array([z for z, _ in points], dtype=complex)
-    degs = np.array([m + 1 for _, m in points], dtype=float)
-    black_idx = np.arange(len(sol.black_points))
-    white_idx = np.arange(len(sol.black_points), len(points))
-    return belyi_numeric._coefficient_residual(
-        *belyi_numeric._exact_defect(positions, black_idx, white_idx, degs)
-    )
-
-
 @pytest.mark.parametrize("seed_text, word", [("F1:0,1", "ab"), ("F2:1,2,0,0", "")])
 def test_residual_and_scale_are_the_exact_defect_of_the_returned_points(seed_text, word):
+    # The residual is the largest vertex defect at the returned points and
+    # scale, up to the rounding of the solver's float products: each of their
+    # d factors rounds once, relative to |ℓ·∏| = 2.
     seed = parse_seed(seed_text)
     sol = shabat_for_derivation(seed, word_from_str(word, seed))
-    assert (sol.residual, sol.scale_constant) == exact_residual_of(sol)
+    black, white = vertex_defects(sol)
+    assert abs(sol.residual - max(black + white)) <= 2 * sol.degree * np.finfo(float).eps
 
 
 def test_only_the_census_runs_aberth(monkeypatch):
@@ -530,11 +522,64 @@ def test_only_the_census_runs_aberth(monkeypatch):
 
 
 def test_degree_21_tree_within_tol_of_its_exact_defect_lands_at_once():
-    # The float expansion of this tree's vertex products rounds to a
-    # residual of 1.97e-10; the exact defect of the same points is below tol.
+    # This tree's vertex products, expanded in the monomial basis, round to
+    # a residual of 1.97e-10, above tol; in product form they stay at
+    # rounding level.
     sol = shabat_solve(tree_for_derivation(parse_seed("F2:1,0,0,1"), ""), max_degree=21)
     assert (sol.degree, sol.restarts_used) == (21, 0)
     assert sol.residual <= belyi_numeric.DEFAULT_TOL
+
+
+def test_vertex_residual_rejects_a_pseudo_solution():
+    # Restart 1 lands Newton on a pseudo-solution: two white hubs 1.6e-4
+    # apart, where the internal-vertex and leaf equations hold and the vertex
+    # products of the two colours do not share one ℓ.
+    with pytest.raises(NoConvergenceError) as info:
+        shabat_solve(
+            tree_for_derivation(F1(0, 1), "aba"), max_degree=18, rng_seed=1, max_restarts=2
+        )
+    found = re.search(
+        r"closest restart 1 \(fnorm [^)]+\) failed: vertex residual (\S+) > tol", str(info.value)
+    )
+    assert found and float(found.group(1)) > 1e3, str(info.value)
+
+
+@pytest.mark.parametrize("n", [3, 5, 12])
+def test_second_family_lands_at_once_past_the_guard(n):
+    # F2:1,n,0,0 has degree 6n + 3: 21, 33 and 75.
+    sol = shabat_solve(tree_for_derivation(F2(1, n, 0, 0), ""), max_degree=6 * n + 3)
+    assert (sol.degree, sol.restarts_used) == (6 * n + 3, 0)
+    assert sol.residual <= 1e-10
+    black, white = vertex_defects(sol)
+    assert max(black + white) <= 1e-10
+
+
+@pytest.mark.parametrize("seed_text", ["F1:1,1", "F2:1,3,0,0"])
+def test_degree_21_constructions_are_accepted_at_the_default_tol(seed_text):
+    sol = shabat_solve(tree_for_derivation(parse_seed(seed_text), ""), max_degree=21)
+    assert sol.degree == 21
+    assert sol.converged and sol.residual <= belyi_numeric.DEFAULT_TOL
+
+
+def test_refinement_takes_a_moved_solution_back_to_rounding_level():
+    # Gauss–Newton on the full vertex system needs the column of each row's
+    # own vertex: without it the steps stall near the moved points.
+    seed = F1(0, 1)
+    sol = shabat_for_derivation(seed, word_from_str("ab", seed))
+    points = sol.black_points + sol.white_points
+    positions = np.array([z for z, _ in points])
+    degs = np.array([m + 1 for _, m in points], dtype=float)
+    black_idx = np.arange(len(sol.black_points))
+    white_idx = np.arange(len(sol.black_points), len(points))
+    free = [v for v, z in enumerate(positions) if z not in (0, 1)]  # the gauge pins 0 and 1
+    rng = np.random.default_rng(0)
+    moved = positions.copy()
+    moved[free] += 1e-9 * (rng.normal(size=len(free)) + 1j * rng.normal(size=len(free)))
+    _, ell, residual = belyi_numeric._refine(
+        moved, sol.scale_constant, black_idx, white_idx, degs, free
+    )
+    assert residual <= 1e-13
+    assert abs(ell - sol.scale_constant) <= 1e-12 * abs(sol.scale_constant)
 
 
 def test_same_color_gap_below_the_separation_is_rejected(monkeypatch):
