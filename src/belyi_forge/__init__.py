@@ -12,14 +12,17 @@ singular points are counted both in closed form and by direct census.
 from .arrangement_jd import (
     BiPoly,
     Census2D,
+    DegenerateAxisError,
     JStats,
     LineSpec,
+    NodalUCensus,
     arrangement_census,
     build_Jd,
     build_lines,
     census_matches_jstats,
     jd_census,
     jstats,
+    nodal_u_census,
     verify_Jd_dual_path,
 )
 from .belyi_numeric import (
@@ -68,9 +71,7 @@ from .surface_counts import (
     BoundTable,
     Census3D,
     Construction,
-    DegenerateAxisError,
     ExistenceUnverifiedWarning,
-    NodalUCensus,
     SingularitySpectrum,
     SurfacePoly,
     bound_table,
@@ -84,7 +85,6 @@ from .surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
-    nodal_u_census,
     nodal_unit_poly,
     singular_census_3d,
     spectrum,

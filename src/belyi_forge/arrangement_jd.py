@@ -28,8 +28,9 @@ scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
 a vertex.  The lines are converted to arrays once, and the vertices, the
 chambers, their maxima and the jet are all read from those arrays.  The
-rational coefficients serve the dual-path check, which evaluates them in
-Python ints, and the axis restriction.
+nodal surface's U census (nodal_u_census) reads the same lines and jet on
+the x-axis.  The rational coefficients serve the dual-path check, which
+evaluates them in Python ints, and the exact axis restriction.
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def build_Jd(d: int) -> BiPoly:
     P_d sits at x^k Y^m divided by sqrt(3)^m.  So the coefficient of
     x^k Y^m is -Re c / 3^(m/2) for even m and Im c / 3^((m-1)/2) for odd m,
     plus the constant 2; the other part of c vanishes, and is asserted to.
-    The result is immutable and cached, so the dual-path check and the
-    surfaces of one degree share a single build.
+    The result is immutable and cached, so the dual-path check, the exact
+    axis restriction (nodal_unit_poly) and surface evaluation of one degree
+    share a single build.  The censuses never build it: they read J_d from
+    its lines.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
@@ -537,6 +540,75 @@ def jd_lines(d: int) -> list[LineSpec]:
     """The arrangement's lines in the rational polynomial's coordinates."""
     s3 = math.sqrt(3)
     return [replace(l, b=l.b / s3) for l in build_lines(d)]
+
+
+class DegenerateAxisError(ArithmeticError):
+    """The lines do not meet the x-axis at distinct real points, so the
+    product-form census of the nodal U does not apply."""
+
+
+@dataclass(frozen=True)
+class NodalUCensus:
+    """Critical points of the nodal U, each certified simple.
+
+    points holds (position z, value U(z), multiplicity 1) as
+    CriticalCensus.points does, in increasing z; slopes holds |U'(z)| at
+    each point, read in product form.
+    """
+
+    points: tuple[tuple[float, float, int], ...]
+    slopes: tuple[float, ...]
+
+
+def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
+    """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
+
+    On the axis J is scale * prod(a_i x + c_i), of degree d = len(lines),
+    with roots r_i = -c_i / a_i.  When these are d distinct reals, Rolle
+    puts a critical point of J in each of the d - 1 gaps between
+    consecutive roots; J' has degree d - 1, so these are all of them and
+    each is simple, with no clustering to decide.  Roots that are not
+    distinct, or a line parallel to the axis, raise DegenerateAxisError;
+    there is no fallback.
+
+    In a gap the critical point is the root of sum 1/(x - r_i), which falls
+    strictly from +inf to -inf across it.  Vectorized bisection on its sign
+    halves every bracket until it is no wider than four rounding units of
+    the largest |r_i| (the stop rule); every gap must start wider than that,
+    so each midpoint taken lies strictly inside its gap and no term divides
+    by zero.  The point is the last bracket's midpoint, mapped to the
+    surface's variable by z = (x - 1) / 2.  There U = (3 - J) / 4 and
+    |U'| = |J_x| / 2, with J and J_x read from the arrangement's
+    product-rule jet (_product_jet) on the axis.
+    """
+    normals, c = _line_arrays(lines)
+    a = normals[:, 0]
+    if np.any(a == 0):
+        raise DegenerateAxisError("a line is parallel to the x-axis")
+    roots = np.sort(-c / a)
+    width = 4 * np.finfo(float).eps * np.abs(roots).max()
+    gaps = np.diff(roots)
+    if not np.all(gaps > width):
+        raise DegenerateAxisError(
+            f"axis roots are not distinct: smallest gap {gaps.min():.3e}, "
+            f"bisection width {width:.3e}"
+        )
+    lo, hi = roots[:-1].copy(), roots[1:].copy()
+    while True:
+        live = np.flatnonzero(hi - lo > width)
+        if not live.size:
+            break
+        mid = (lo[live] + hi[live]) / 2
+        right = (1.0 / (mid[:, None] - roots)).sum(axis=1) > 0
+        lo[live[right]] = mid[right]
+        hi[live[~right]] = mid[~right]
+    x = (lo + hi) / 2
+    j, jx = _product_jet(normals, c, scale, x, np.zeros_like(x))[:2]
+    z, u = (x - 1) / 2, (3 - j) / 4
+    return NodalUCensus(
+        points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),
+        slopes=tuple(float(g) for g in np.abs(jx) / 2),
+    )
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

@@ -14,9 +14,9 @@ quadrature, and a short Gauss–Newton pass refines every vertex and
 ℓ = c/d on the full vertex system.  Acceptance reads that system's largest
 residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
 coefficients are formed; only ShabatSolution.polynomial() expands them, for
-the univariate census.  A root census of p' acts as an independent check
-that the solved polynomial really has the critical structure the tree
-prescribes.
+the univariate census.  A root census of p', its roots polished by the
+same Aberth iteration, acts as an independent check that the solved
+polynomial really has the critical structure the tree prescribes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .profile_core import CriticalProfile
 from .seed_families import SeedSpec
-from .tree_realization import BLACK, PlaneTree, _dfs_order, derive_tree, realize_profile
+from .tree_realization import BLACK, PlaneTree, dfs_order, derive_tree, realize_profile
 from .word_engine import trajectory, uses_t2
 
 DEGREE_GUARD = 16
@@ -42,6 +42,7 @@ VALUE_TOL = 1e-6
 _MIN_SEPARATION = 1e-6
 _NEWTON_ITERS = 120
 _LEAF_ITERS = 64  # the leaves of F2:1,20,0,0 (d=123) take 31
+_CENSUS_ITERS = 30
 _REFINE_STEPS = 4
 
 
@@ -254,7 +255,7 @@ def _radial_layout(t: PlaneTree) -> np.ndarray:
     n = t.vertex_count
     root = max(range(n), key=lambda v: (t.degree(v), -v))
     parent: dict[int, int | None] = {root: None}
-    order = _dfs_order(t, root)
+    order = dfs_order(t, root)
     for v in order:
         for u in t.rotation[v]:
             if u not in parent:
@@ -284,17 +285,21 @@ def _min_same_color_gap(positions: np.ndarray, black_idx, white_idx) -> float:
     return min((abs(p - q) for p, q in pairs), default=math.inf)
 
 
-def _aberth(z: np.ndarray, correction, repel: np.ndarray) -> np.ndarray:
-    """Simple roots found together by Aberth's iteration: the best iterate by max error.
+def _aberth(z: np.ndarray, correction, repel: np.ndarray, steps: int) -> np.ndarray:
+    """Roots found together by Aberth's iteration: the best iterate by max error.
 
     correction(z) gives each root's error and its Newton correction f/f′.
-    Roots i and j repel only where repel[i, j], that is when they are roots
-    of the same f.  Steps stop at _LEAF_ITERS, or after a step below 1e-12
-    of every root's modulus: the iteration converges cubically, so the
-    iterate that step reaches is at rounding level.
+    Roots i and j repel only where repel[i, j].  Steps stop after steps of
+    them, or after a step below 1e-12 of every root's modulus: at simple
+    roots the iteration converges cubically, so the iterate that step
+    reaches is at rounding level.  It has two callers.  Shabat's leaves
+    (steps _LEAF_ITERS) are simple roots, and leaves of one colour repel.
+    The census polishes np.roots' roots of p′ (steps _CENSUS_ITERS), where
+    only starts that differ repel.  A multiple root of p′ converges slowly
+    and seldom meets the stop rule, so its step count bounds the cost.
     """
     best, best_err, step = z, math.inf, np.inf
-    for _ in range(_LEAF_ITERS + 1):
+    for _ in range(steps + 1):
         err, newton = correction(z)
         if np.max(err) < best_err:
             best, best_err = z, np.max(err)
@@ -493,7 +498,7 @@ def shabat_solve(
         reach = np.zeros(nvert)
         local = c * np.multiply.reduce(np.where(own_copy, 1, q[:, None] - q[rep]), axis=1)
         reach[internals] = (2 * degs[internals] / np.abs(local)) ** (1 / degs[internals])
-        z = _aberth(positions[hub] + reach[hub] * heading, correction, repel)
+        z = _aberth(positions[hub] + reach[hub] * heading, correction, repel, _LEAF_ITERS)
         for colour in (True, False):
             ids = [v for v, b in zip(leaves, leaf_black) if b == colour]
             roots = sorted(z[leaf_black == colour], key=lambda w: (round(w.real, 9), w.imag))
@@ -659,43 +664,23 @@ def _polyval_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return r
 
 
-def _aberth_refine(c: np.ndarray, roots: np.ndarray, iters: int = 30) -> np.ndarray:
-    """Aberth iteration on the roots of c (constant term first): the best of
-    the start and its iters iterates, scored by max |c(z)|.
+def _critical_points(dp: np.ndarray) -> np.ndarray:
+    """Roots of p′ (dp, constant term first): np.roots' starts, polished by _aberth.
 
-    Each iterate costs one Horner pass, over c and c' stacked, and its value
-    of c both scores the iterate and drives the next step.
+    One Horner pass over p′ and p″ gives the error |p′| and the Newton
+    correction p′/p″, read as 0 where p″ = 0.  np.roots returns exact copies
+    of a root at an exact zero, so only starts that differ repel.
     """
-    if len(roots) == 0:
-        return roots
-    n = len(c) - 1
-    # c' padded with a zero leading coefficient, so both rows have n + 1.
-    cs = np.zeros((2, n + 1), dtype=complex)
-    cs[0] = c
-    cs[1, :n] = [k * c[k] for k in range(1, n + 1)]
-    z = roots.astype(complex).copy()
-    best = z.copy()
-    f, fp = _polyval_rows(cs, z)
-    best_err = np.max(np.abs(f))
-    for _ in range(iters):
-        fp = np.where(np.abs(fp) < 1e-300, 1e-300, fp)
-        newton = f / fp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            repel = np.sum(1.0 / diff, axis=1)
-            repel = np.where(np.isfinite(repel), repel, 0.0)
-            denom = 1.0 - newton * repel
-            step = np.where(np.abs(denom) > 1e-12, newton / denom, newton)
-            step = np.where(np.isfinite(step), step, 0.0)
-        mag = np.abs(step)
-        step = np.where(mag > 0.5, step * (0.5 / np.maximum(mag, 1e-300)), step)
-        z = z - step
+    cs = np.zeros((2, len(dp)), dtype=complex)
+    cs[0] = dp
+    cs[1, :-1] = dp[1:] * np.arange(1, len(dp))
+
+    def correction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         f, fp = _polyval_rows(cs, z)
-        err = np.max(np.abs(f))
-        if err < best_err:
-            best, best_err = z.copy(), err
-    return best
+        return np.abs(f), np.divide(f, fp, out=np.zeros_like(f), where=fp != 0)
+
+    roots = np.roots(dp[::-1])
+    return _aberth(roots, correction, roots[:, None] != roots, _CENSUS_ITERS)
 
 
 def _single_linkage(points: np.ndarray, tol: float) -> list[list[int]]:
@@ -730,12 +715,15 @@ def critical_census_uni(
 ) -> CriticalCensus:
     """Census of p's critical points grouped by value and multiplicity.
 
-    Roots of p' come from the companion matrix and are polished by Aberth
-    iteration; roots within cluster_tol merge into one critical point whose
-    multiplicity is the cluster size.  Clusters whose separation or spread
-    is marginal at cluster_tol mark the census unreliable rather than
-    failing.  Multiplicities above ~3 in double precision need a looser
-    cluster_tol because the root cluster radius scales like eps^(1/mult).
+    Roots of p' come from the companion matrix and are polished by the
+    Aberth iteration that reads the solver's leaves (_aberth), in at most
+    _CENSUS_ITERS steps where the leaves take up to _LEAF_ITERS (see
+    _critical_points).  Roots within cluster_tol merge into one critical
+    point whose multiplicity is the cluster size.  Clusters whose
+    separation or spread is marginal at cluster_tol mark the census
+    unreliable rather than failing.  Multiplicities above ~3 in double
+    precision need a looser cluster_tol because the root cluster radius
+    scales like eps^(1/mult).
     """
     check_cluster_tol(cluster_tol)
     if p.degree < 1:
@@ -743,8 +731,7 @@ def critical_census_uni(
     dp = p.derivative().as_complex_array()
     if len(dp) == 1:
         return CriticalCensus(entries=(), reliable=True)
-    roots = np.roots(dp[::-1])
-    roots = _aberth_refine(dp, roots)
+    roots = _critical_points(dp)
 
     notes: list[str] = []
     reliable = True

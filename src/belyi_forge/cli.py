@@ -223,11 +223,12 @@ def cmd_shabat(args) -> int:
 
 
 def cmd_jd_verify(args) -> int:
-    # The dual-path check builds J_d and reads its exact values by integer
-    # Horner; the census reads J_d from its lines, and finds every chamber
-    # maximum in one batched Newton ascent.
-    dual = verify_Jd_dual_path(args.degree)
+    # The census reads J_d from its lines, and finds every chamber maximum
+    # in one batched Newton ascent; it runs first, as it holds the degree
+    # guard.  The dual-path check builds J_d and reads its exact values by
+    # integer Horner.
     census = jd_census(args.degree)
+    dual = verify_Jd_dual_path(args.degree)
     st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20

@@ -19,18 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
-import numpy as np
-
 from .arrangement_jd import (
     Census2D,
     JStats,
-    LineSpec,
-    _line_arrays,
-    _product_jet,
+    NodalUCensus,
     build_Jd,
     jd_census,
     jd_lines,
     jstats,
+    nodal_u_census,
     scale_constant,
 )
 from .belyi_numeric import (
@@ -421,75 +418,6 @@ def build_nodal_surface(d: int) -> SurfacePoly:
     """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction,
     which is built when u_part is first read."""
     return _NodalSurfacePoly(d)
-
-
-class DegenerateAxisError(ArithmeticError):
-    """The lines do not meet the x-axis at distinct real points, so the
-    product-form census of the nodal U does not apply."""
-
-
-@dataclass(frozen=True)
-class NodalUCensus:
-    """Critical points of the nodal U, each certified simple.
-
-    points holds (position z, value U(z), multiplicity 1) as
-    CriticalCensus.points does, in increasing z; slopes holds |U'(z)| at
-    each point, read in product form.
-    """
-
-    points: tuple[tuple[float, float, int], ...]
-    slopes: tuple[float, ...]
-
-
-def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
-    """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
-
-    On the axis J is scale * prod(a_i x + c_i), of degree d = len(lines),
-    with roots r_i = -c_i / a_i.  When these are d distinct reals, Rolle
-    puts a critical point of J in each of the d - 1 gaps between
-    consecutive roots; J' has degree d - 1, so these are all of them and
-    each is simple, with no clustering to decide.  Roots that are not
-    distinct, or a line parallel to the axis, raise DegenerateAxisError;
-    there is no fallback.
-
-    In a gap the critical point is the root of sum 1/(x - r_i), which falls
-    strictly from +inf to -inf across it.  Vectorized bisection on its sign
-    halves every bracket until it is no wider than four rounding units of
-    the largest |r_i| (the stop rule); every gap must start wider than that,
-    so each midpoint taken lies strictly inside its gap and no term divides
-    by zero.  The point is the last bracket's midpoint, mapped to the
-    surface's variable by z = (x - 1) / 2.  There U = (3 - J) / 4 and
-    |U'| = |J_x| / 2, with J and J_x read from the arrangement's
-    product-rule jet (arrangement_jd._product_jet) on the axis.
-    """
-    normals, c = _line_arrays(lines)
-    a = normals[:, 0]
-    if np.any(a == 0):
-        raise DegenerateAxisError("a line is parallel to the x-axis")
-    roots = np.sort(-c / a)
-    width = 4 * np.finfo(float).eps * np.abs(roots).max()
-    gaps = np.diff(roots)
-    if not np.all(gaps > width):
-        raise DegenerateAxisError(
-            f"axis roots are not distinct: smallest gap {gaps.min():.3e}, "
-            f"bisection width {width:.3e}"
-        )
-    lo, hi = roots[:-1].copy(), roots[1:].copy()
-    while True:
-        live = np.flatnonzero(hi - lo > width)
-        if not live.size:
-            break
-        mid = (lo[live] + hi[live]) / 2
-        right = (1.0 / (mid[:, None] - roots)).sum(axis=1) > 0
-        lo[live[right]] = mid[right]
-        hi[live[~right]] = mid[~right]
-    x = (lo + hi) / 2
-    j, jx = _product_jet(normals, c, scale, x, np.zeros_like(x))[:2]
-    z, u = (x - 1) / 2, (3 - j) / 4
-    return NodalUCensus(
-        points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),
-        slopes=tuple(float(g) for g in np.abs(jx) / 2),
-    )
 
 
 @dataclass(frozen=True)

@@ -208,8 +208,12 @@ def apply_letter_tree(t: PlaneTree, letter: str, site: int) -> PlaneTree:
     return out
 
 
-def _dfs_order(t: PlaneTree, root: int) -> list[int]:
-    """Vertices in depth-first preorder from root, children in rotation order."""
+def dfs_order(t: PlaneTree, root: int) -> list[int]:
+    """Vertices in depth-first preorder from root, children in rotation order.
+
+    derive_tree picks its alpha sites in this order, and the solver's radial
+    drawing walks the tree in it.
+    """
     order, seen, stack = [], {root}, [root]
     while stack:
         v = stack.pop()
@@ -237,7 +241,7 @@ def derive_tree(seed: SeedSpec, word: str) -> PlaneTree:
             site = next(
                 (
                     v
-                    for v in _dfs_order(tree, 0)
+                    for v in dfs_order(tree, 0)
                     if tree.colors[v] == WHITE and tree.degree(v) == 1
                 ),
                 None,

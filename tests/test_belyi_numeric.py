@@ -1,5 +1,6 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
+import inspect
 import math
 import re
 import warnings
@@ -26,7 +27,7 @@ from belyi_forge import (
     tree_for_derivation,
 )
 from belyi_forge import belyi_numeric
-from belyi_forge.belyi_numeric import solution_to_json
+from belyi_forge.belyi_numeric import CensusEntry, solution_to_json
 from belyi_forge.tree_realization import profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
@@ -490,10 +491,13 @@ def aberth_inputs():
         yield c, np.roots(c[::-1])
 
 
-def test_aberth_refine_matches_the_unfused_loop_bit_for_bit():
+def test_census_polish_lands_on_the_unfused_loop():
+    # The census polishes with the leaves' Aberth iteration, which stops once
+    # its steps reach rounding level and takes no 0.5 step clamp; the
+    # reference runs all 30 steps, so the two agree to rounding.
     for c, roots in aberth_inputs():
-        got = belyi_numeric._aberth_refine(c, roots)
-        assert got.tobytes() == reference_aberth(c, roots).tobytes(), c
+        got, want = belyi_numeric._critical_points(c), reference_aberth(c, roots)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want))), c
 
 
 @pytest.mark.parametrize("seed_text, word", [("F1:0,1", "ab"), ("F2:1,2,0,0", "")])
@@ -507,18 +511,74 @@ def test_residual_and_scale_are_the_exact_defect_of_the_returned_points(seed_tex
     assert abs(sol.residual - max(black + white)) <= 2 * sol.degree * np.finfo(float).eps
 
 
-def test_only_the_census_runs_aberth(monkeypatch):
-    aberth, calls = belyi_numeric._aberth_refine, []
+def test_census_and_leaves_run_aberth_at_their_own_caps(monkeypatch):
+    aberth, calls = belyi_numeric._aberth, []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return aberth(*args, **kwargs)
+    def counting(z, correction, repel, steps):
+        calls.append((inspect.currentframe().f_back.f_code.co_name, steps))
+        return aberth(z, correction, repel, steps)
 
-    monkeypatch.setattr(belyi_numeric, "_aberth_refine", counting)
+    monkeypatch.setattr(belyi_numeric, "_aberth", counting)
     sol = shabat_solve(tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1))))
-    assert calls == []
+    assert calls and set(calls) == {("assemble", 64)}
+    calls.clear()
     critical_census_uni(sol.polynomial())
-    assert calls == [1]
+    assert calls == [("_critical_points", 30)]
+
+
+# Census of each solve-workload construction at max_degree 18 and the
+# default cluster_tol, recorded before the census shared the leaves' Aberth
+# iteration: (census_matches_profile, reliable, notes, entries as (value to
+# 6 digits, multiplicity, count)), or None where the solve does not converge.
+CLOSE = "root clusters closer than 10x cluster_tol"
+CENSUS_PINS = {
+    ("F2:1,0,0,0", "", 0): (True, True, (), ((-1, 1, 1), (1, 1, 1))),
+    ("F2:1,0,0,0", "", 1): (True, True, (), ((-1, 1, 1), (1, 1, 1))),
+    ("F1:0,1", "", 0): (True, True, (), ((-1, 2, 3), (1, 2, 1))),
+    ("F1:0,1", "", 1): (True, True, (), ((-1, 2, 3), (1, 2, 1))),
+    ("F1:0,1", "a", 0): (False, False, (CLOSE,), ((-1, 1, 4), (-1, 2, 2), (1, 1, 1), (1, 2, 1))),
+    ("F1:0,1", "a", 1): (False, False, (CLOSE,), ((-1, 1, 4), (-1, 2, 2), (1, 1, 1), (1, 2, 1))),
+    ("F1:0,1", "ab", 0): (False, False, (CLOSE,), ((-1, 1, 6), (-1, 2, 2), (1, 1, 2), (1, 2, 1))),
+    ("F1:0,1", "ab", 1): (False, False, (CLOSE,), ((-1, 1, 6), (-1, 2, 2), (1, 1, 2), (1, 2, 1))),
+    ("F1:0,1", "aba", 0): None,
+    ("F1:0,1", "aba", 1): (False, True, (), ((-1, 1, 8), (-1, 2, 2), (1, 1, 3), (1, 2, 1))),
+    ("F2:1,1,0,0", "", 0): (False, True, (), ((-1, 4, 1), (1, 1, 4))),
+    ("F2:1,1,0,0", "", 1): (False, True, (), ((-1, 4, 1), (1, 1, 4))),
+    ("F2:1,2,0,0", "", 0): (False, True, (), ((-1, 7, 1), (1, 1, 7))),
+    ("F2:1,2,0,0", "", 1): (False, True, (), ((-1, 7, 1), (1, 1, 7))),
+    ("F3:1,1,0,1,0", "", 0): (False, True, (), ((-1, 1, 9), (-1, 4, 1), (1, 1, 4))),
+    ("F3:1,1,0,1,0", "", 1): (False, True, (), ((-1, 1, 9), (-1, 4, 1), (1, 1, 4))),
+}
+
+
+@pytest.mark.parametrize("key", list(CENSUS_PINS), ids=lambda k: f"{k[0]}-{k[1] or 'e'}-{k[2]}")
+def test_solve_workload_censuses_are_pinned(key):
+    seed_text, word_text, rng_seed = key
+    seed = parse_seed(seed_text)
+    word = word_from_str(word_text, seed)
+    try:
+        sol = shabat_for_derivation(seed, word, max_degree=18, rng_seed=rng_seed)
+    except NoConvergenceError:
+        assert CENSUS_PINS[key] is None
+        return
+    census = critical_census_uni(sol.polynomial())
+    entries = tuple(
+        (complex(round(e.value.real, 6), round(e.value.imag, 6)), e.multiplicity, e.count)
+        for e in census.entries
+    )
+    profile = trajectory(seed, word)[-1].profile
+    got = (census_matches_profile(census, profile), census.reliable, census.notes, entries)
+    assert got == CENSUS_PINS[key]
+
+
+def test_census_of_an_exact_triple_zero_is_one_point():
+    # np.roots returns three exact copies of 0 for p' = 4z³; they must not
+    # repel each other, as 1/(z_i − z_j) would be infinite.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        census = critical_census_uni(UniPoly((0, 0, 0, 0, 1.0)))
+    assert census.entries == (CensusEntry(value=0j, multiplicity=3, count=1),)
+    assert census.points == ((0j, 0j, 3),)
 
 
 def test_degree_21_tree_within_tol_of_its_exact_defect_lands_at_once():

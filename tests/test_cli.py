@@ -240,6 +240,16 @@ def test_jd_verify_builds_jd_once(capsys):
     assert build_Jd.cache_info().misses == 1
 
 
+def test_jd_verify_refuses_a_degree_past_the_guard_before_building_jd(capsys):
+    # The census holds the degree guard and runs first; the dual-path check
+    # would build the exact J_d and take seconds before the guard fired.
+    build_Jd.cache_clear()
+    code, out, err = run(capsys, "jd-verify", "--degree", "300")
+    assert code == 2
+    assert json.loads(err)["error"]["type"] == "DegreeGuardError"
+    assert build_Jd.cache_info().misses == 0
+
+
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
 @pytest.mark.parametrize("flag", ["--precision", "--den-bound"])
 def test_build_precision_flags_are_gone(capsys, subcommand, flag):

@@ -1,7 +1,10 @@
-"""Every imported name is used: an ast scan of the package and the tests.
+"""Imports, by ast scans: every imported name is used, in the package and
+the tests, and no package module imports another module's private name.
 
 No linter ships with the project, so this stands in for the unused-import
-rule.  ``__init__.py`` is skipped: its imports are the public re-exports.
+rule.  ``__init__.py`` is skipped there: its imports are the public
+re-exports.  The private-name scan covers it too, so each kernel is read
+only through its owner module's public names.
 """
 
 import ast
@@ -10,10 +13,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "belyi_forge").glob("*.py"))
 SOURCES = sorted(
-    p
-    for p in [*(ROOT / "src" / "belyi_forge").glob("*.py"), *(ROOT / "tests").glob("*.py")]
-    if p.name != "__init__.py"
+    p for p in [*PACKAGE, *(ROOT / "tests").glob("*.py")] if p.name != "__init__.py"
 )
 
 
@@ -39,3 +41,33 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list[str]:
+    """Imported names with a leading underscore in any dotted part."""
+    return sorted(
+        f"{alias.name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if any(part.startswith("_") for part in alias.name.split("."))
+    )
+
+
+def test_scan_flags_a_private_import():
+    source = "from __future__ import annotations\nfrom .a import _b, c\nimport d._e\n"
+    assert private_imports(source) == ["_b (line 2)", "d._e (line 3)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_private_imports_across_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_nodal_axis_census_is_exported_from_its_owner():
+    import belyi_forge
+    from belyi_forge import arrangement_jd
+
+    for name in ("nodal_u_census", "NodalUCensus", "DegenerateAxisError"):
+        assert getattr(belyi_forge, name) is getattr(arrangement_jd, name)

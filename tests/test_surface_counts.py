@@ -27,10 +27,15 @@ from belyi_forge import (
     validate_seed,
     word_engine,
 )
-from belyi_forge.arrangement_jd import jd_lines, line_product_values, scale_constant
+from belyi_forge.arrangement_jd import (
+    DegenerateAxisError,
+    jd_lines,
+    line_product_values,
+    nodal_u_census,
+    scale_constant,
+)
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
-    DegenerateAxisError,
     ExistenceUnverifiedWarning,
     bound_table,
     build_nodal_surface,
@@ -43,7 +48,6 @@ from belyi_forge.surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
-    nodal_u_census,
     nodal_unit_poly,
     seed_grid,
     singular_census_3d,
@@ -585,7 +589,7 @@ def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
 
     monkeypatch.setattr(surface_counts, "critical_census_uni", refuse)
     monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
-    monkeypatch.setattr(belyi_numeric, "_aberth_refine", refuse)
+    monkeypatch.setattr(belyi_numeric, "_aberth", refuse)
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(UniPoly, "__call__", refuse)
     census = singular_census_3d(build_nodal_surface(12))
