@@ -1,17 +1,20 @@
 """Numeric realization of plane trees as polynomials with critical values ±1.
 
 The solver exploits the factorization p+1 = ℓ·∏_black (w-a)^deg and
-p-1 = ℓ·∏_white (w-b)^deg.  Newton runs on the internal vertices: p is
-c·S + K, with S the antiderivative of ∏_internal (w-q)^(deg-1), and p must
-be -1 at each internal black vertex and +1 at each white one.  S at a
-vertex is evaluated in product form, as a Gauss–Legendre sum of products
-of linear factors, each vertex's factor repeated once per power, so no
+p-1 = ℓ·∏_white (w-b)^deg.  When every black degree is a multiple of
+k > 1, p + 1 = 2·g^k with deg g = d/k (Ritt 1922; Adrianov & Zvonkin
+1998), g being 0 at the black vertices and a k-th root of unity at the
+white ones.  Newton runs on g's critical vertices: g is c·S + K, with S
+the antiderivative of ∏_critical (w-q)^m, and must take its value at each.
+For k = 1 this is the same loop on g = p, with targets ∓1.  S at a vertex
+is evaluated in product form, as a Gauss–Legendre sum of products of
+linear factors, each vertex's factor repeated once per power, so no
 complex power is taken; a Jacobian column leaves out one copy of a factor,
 as a product of prefix and suffix products.  Everything after Newton stays
-in product form: Aberth's iteration reads the leaves as the simple roots of
-(p ± 1)/∏_same-colour internal (w-q)^deg, with p read by the same
-quadrature, and a short Gauss–Newton pass refines every vertex and
-ℓ = c/d on the full vertex system.  Acceptance reads that system's largest
+in product form: Aberth's iteration reads every other vertex as a simple
+root of (g − t)/∏_critical, same target (w-q)^(m+1), with g read by the
+same quadrature, and a short Gauss–Newton pass refines every vertex and ℓ
+on the full vertex system.  Acceptance reads that system's largest
 residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
 coefficients are formed; only ShabatSolution.polynomial() expands them, for
 the univariate census.  A root census of p', its roots polished by the
@@ -362,6 +365,28 @@ def _refine(
     return best
 
 
+def _power_labels(t: PlaneTree, k: int, root: int) -> np.ndarray:
+    """Each vertex's value of g, where p + 1 = 2·g^k for k > 1 and g = p for k = 1.
+
+    g is 0 at the black vertices (p = −1 for k = 1) and a k-th root of unity
+    at the white ones: counter-clockwise around a black vertex, consecutive
+    neighbours differ by the factor e^(2πi/k), as g turns by 2π/k between
+    consecutive edges.  The walk labels each black vertex's neighbours from
+    its parent, the one already labelled, so on a tree the labels agree.
+    """
+    out = np.full(t.vertex_count, -1.0 if k == 1 else 0.0, dtype=complex)
+    turns: dict[int, int] = {}
+    for b in dfs_order(t, root):
+        if t.colors[b] == BLACK:
+            nbrs = t.rotation[b]
+            i = next((i for i, w in enumerate(nbrs) if w in turns), 0)
+            first = turns.get(nbrs[i], 0) - i
+            for j, w in enumerate(nbrs):
+                turns.setdefault(w, (first + j) % k)
+    out[list(turns)] = np.exp(2j * np.pi * np.array(list(turns.values())) / k)
+    return out
+
+
 def shabat_solve(
     t: PlaneTree,
     tol: float = DEFAULT_TOL,
@@ -372,45 +397,55 @@ def shabat_solve(
     """Solve for vertex positions giving critical values -1 (black), +1 (white).
 
     Gauge: the highest-degree black vertex is pinned at 0 and the
-    highest-degree white vertex at 1 (ties by lowest vertex id).  The
-    unknowns are the internal (degree >= 2) vertex positions plus the
-    scale and integration constant of p, built as the antiderivative of
-    its critical divisor; leaves are recovered afterwards as the leftover
-    roots of p+1 and p-1.  Working on internal vertices only keeps the
-    system small and removes the spurious solution branch where the black
-    and white products collide coefficient by coefficient.  Damped Newton
-    runs per restart.  Restart 0 starts from the radial tree drawing, the
+    highest-degree white vertex at 1 (ties by lowest vertex id).  Let k be
+    the gcd of the black degrees, leaves counting as degree 1.  Newton
+    solves for g, with p + 1 = 2·g^k for k > 1 and g = p for k = 1, whose
+    value at each vertex is its target t_v (see _power_labels).  The
+    unknowns are g's critical vertices (white of degree ≥ 2, black of
+    degree ≥ 2k: for k = 1 the internal vertices) plus the scale and
+    integration constant of g = c·S + K, the antiderivative of its critical
+    divisor; every other vertex is recovered as a simple root of g − t_v.
+    This keeps the system small (F1:0,1 aba, k = 3: 3 unknowns, not 9) and
+    removes the spurious solution branch where the black and white products
+    collide coefficient by coefficient.  Newton pins two critical vertices
+    of distinct targets at 0 and 1, and the solution is mapped to the
+    gauge; a lone critical vertex needs no Newton.  Damped Newton runs per
+    restart.  Restart 0 starts from the radial tree drawing, the
     other even restarts from copies of it jittered by 0.08·(restart//2),
     and odd restarts from gaussian scatters; the random draws are keyed by
     (rng_seed, restart), and the first restart index that converges wins.
     Same-color vertex collisions are rejected as degenerate basins.
 
     Newton evaluates the vertex equations in product form: S(q_j), the
-    integral of ∏_l (w − q_l)^(deg_l − 1) from 0 to q_j, is a Gauss–Legendre
-    sum of products of d − 1 linear factors (vertex l repeated deg_l − 1
-    times), with no expanded coefficients and no complex powers.  Each
-    Jacobian column leaves out one copy of one factor, as the product of
-    the factors before it times the product of those after it, so no
-    factor, which can vanish at a node, is divided out.  The factors of
-    the line-search trial Newton accepts serve the next Jacobian.
+    integral of ∏_l (w − q_l)^m_l from 0 to q_j, with m_l the multiplicity
+    of q_l as a critical point of g, is a Gauss–Legendre sum of products of
+    d/k − 1 linear factors (vertex l repeated m_l times), with no expanded
+    coefficients and no complex powers.  Each Jacobian column leaves out
+    one copy of one factor, as the product of the factors before it times
+    the product of those after it, so no factor, which can vanish at a
+    node, is divided out.  The factors of the line-search trial Newton
+    accepts serve the next Jacobian.
 
-    Every landed restart stays in product form.  Each colour's leaves are
-    the simple roots of f = (p ± 1)/∏_same-colour internal (z − q)^deg,
-    found together by Aberth's iteration (see _aberth), with p = c·S + K
-    read by the same quadrature at the leaves and
-    f′/f = p′/(p ± 1) − Σ deg/(z − q).  Each leaf starts one local edge
-    length from its internal neighbour, in the direction the radial drawing
-    gives it.  A short Gauss–Newton pass then refines every free position
-    and ℓ = c/d on the full vertex system r(v) = ℓ·∏_other colour
-    (v − u)^deg ∓ 2 (see _refine).  A restart is accepted when max|r| ≤ tol
-    and no two same-colour vertices are within _MIN_SEPARATION.  Together
-    these are the Shabat condition: ℓ·(∏black − ∏white) − 2 has degree at
-    most d − 1 and vanishes, up to r, at the d + 1 distinct vertices.  The
-    internal-vertex and leaf equations alone admit pseudo-solutions whose
-    vertex residual is far above tol.  A star (at most one internal vertex)
-    is its own radial drawing and goes straight to the refinement.  If no
-    restart is accepted, NoConvergenceError names the closest one (least
-    max|r|, then least fnorm) and the test that rejected it.
+    Every landed restart stays in product form.  The other vertices are the
+    simple roots of f = (g − t)/∏ (z − q)^(m+1), over the critical q with
+    the same target t, found together by Aberth's iteration (see _aberth),
+    with g = c·S + K read by the same quadrature and
+    f′/f = g′/(g − t) − Σ (m+1)/(z − q).  Each starts one local edge length
+    from its first critical neighbour, in the direction the radial drawing
+    gives it, or else where its neighbour starts.  Leaves are then listed in
+    sorted order per colour.  A short Gauss–Newton pass then refines every
+    free position and ℓ (c/d for k = 1, 2·(c·k/d)^k for k > 1) on the full
+    vertex system r(v) = ℓ·∏_other colour (v − u)^deg ∓ 2 (see _refine).  A
+    restart is accepted when max|r| ≤ tol and no two same-colour vertices
+    are within _MIN_SEPARATION.  Together these are the Shabat condition:
+    ℓ·(∏black − ∏white) − 2 has degree at most d − 1 and vanishes, up to r,
+    at the d + 1 distinct vertices.  The critical-vertex and leaf equations
+    alone admit pseudo-solutions whose vertex residual is far above tol.  A
+    star (at most one internal vertex) is its own radial drawing and goes
+    straight to the refinement.  If no restart is accepted,
+    NoConvergenceError names the system (full, or perfect-power with its k)
+    and its number of unknowns, and the closest restart (least max|r|, then
+    least fnorm) and the test that rejected it.
     """
     d = t.edge_count
     if d > max_degree:
@@ -423,31 +458,41 @@ def shabat_solve(
         raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     nvert = t.vertex_count
     degs = np.array([t.degree(v) for v in range(nvert)], dtype=float)
-    black_idx = np.array([v for v in range(nvert) if t.colors[v] == BLACK], dtype=int)
-    white_idx = np.array([v for v in range(nvert) if t.colors[v] != BLACK], dtype=int)
+    black = np.array([c == BLACK for c in t.colors])
+    black_idx, white_idx = np.flatnonzero(black), np.flatnonzero(~black)
     top_black = max(black_idx, key=lambda v: (degs[v], -v))
     top_white = max(white_idx, key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
-    internals = [v for v in range(nvert) if degs[v] >= 2]
     leaves = [v for v in range(nvert) if degs[v] < 2]
     base = _radial_layout(t)
     drawing = (base - base[top_black]) / (base[top_white] - base[top_black])
 
-    idx_of = {v: i for i, v in enumerate(internals)}
-    free_cols = [idx_of[v] for v in internals if v not in (top_black, top_white)]
-    targets = np.array(
-        [-1.0 if t.colors[v] == BLACK else 1.0 for v in internals], dtype=complex
-    )
+    # Newton's gauge pins lo at 0 and hi at 1: the top black and white
+    # vertices when both are critical, else two critical vertices of
+    # distinct targets, or a lone one and its first neighbour.
+    k = math.gcd(*degs[black_idx].astype(int))
+    label = _power_labels(t, k, top_black)
+    crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)]
+    others = [v for v in range(nvert) if v not in crit]
+    lo = max(crit, key=lambda v: (black[v], degs[v], -v), default=top_black)
+    hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v), default=lo)
+    hi = t.rotation[lo][0] if hi == lo else hi
+    frame = (base - base[lo]) / (base[hi] - base[lo])
 
-    # The integrand ∏_l (w − q_l)^m_l with m_l = deg_l − 1 has degree d − 1,
-    # so (d+1)//2 Gauss–Legendre nodes integrate it exactly.  It is kept as
-    # d − 1 linear factors, vertex l repeated m_l times.  ∂S(q_j)/∂q_i is
-    # −m_i times the integral with one copy of factor i left out (the first
-    # one, at drop_at[i]); the upper limit adds nothing, as q_j is a root of
-    # the integrand.
-    nodes, weights = _gauss_legendre_01((d + 1) // 2)
-    mults = degs[internals].astype(int) - 1
-    rep = np.repeat(np.arange(len(internals)), mults)
+    idx_of = {v: i for i, v in enumerate(crit)}
+    free_cols = [idx_of[v] for v in crit if v not in (lo, hi)]
+    targets = label[crit]
+
+    # The integrand ∏_l (w − q_l)^m_l, with m_l = deg_l − 1 at a white vertex
+    # and deg_l/k − 1 at a black one, has degree d/k − 1, so (d/k + 1)//2
+    # Gauss–Legendre nodes integrate it exactly.  It is kept as linear
+    # factors, vertex l repeated m_l times.  ∂S(q_j)/∂q_i is −m_i times the
+    # integral with one copy of factor i left out (the first one, at
+    # drop_at[i]); the upper limit adds nothing, as q_j is a root of the
+    # integrand.
+    nodes, weights = _gauss_legendre_01((d // k + 1) // 2)
+    mults = np.array([int(degs[v]) // (k if black[v] else 1) - 1 for v in crit], dtype=int)
+    rep = np.repeat(np.arange(len(crit)), mults)
     drop_at = (np.cumsum(mults) - mults)[free_cols]
     col_scale = -mults[free_cols]
 
@@ -460,7 +505,7 @@ def shabat_solve(
         # Fit through the two pinned vertices exactly; a least-squares fit
         # over all vertices tends to start c near zero, and Newton then
         # creeps down the flat c -> 0 valley instead of converging.
-        i, j = idx_of[top_black], idx_of[top_white]
+        i, j = idx_of[lo], idx_of[hi]
         a, b = s_vals[i], s_vals[j]
         if abs(b - a) > 1e-9:
             c = (targets[j] - targets[i]) / (b - a)
@@ -469,45 +514,70 @@ def shabat_solve(
         (c, K), *_ = np.linalg.lstsq(A, targets, rcond=None)
         return complex(c), complex(K)
 
-    # Leaf i is a root of p + shift[i]; own[i] holds the degrees of the
-    # internal vertices of its colour, which f divides out, and leaves of
-    # one colour repel each other in Aberth's iteration.
-    leaf_black = np.array([t.colors[v] == BLACK for v in leaves])
-    shift = np.where(leaf_black, 1.0, -1.0)
-    own = np.array([[degs[u] * (t.colors[u] == t.colors[v]) for u in internals] for v in leaves])
-    repel = (leaf_black[:, None] == leaf_black) & ~np.eye(len(leaves), dtype=bool)
-    hub = [t.rotation[v][0] for v in leaves]
-    heading = (drawing[leaves] - drawing[hub]) / np.abs(drawing[leaves] - drawing[hub])
-    own_copy = rep == np.arange(len(internals))[:, None]
+    # Vertex i of `others` is a root of g − own_target[i]; own[i] holds the
+    # multiplicities of the critical vertices that g − own_target[i] shares,
+    # which f divides out, and roots of one g − t repel each other in
+    # Aberth's iteration.  Each starts from a hub: its first critical
+    # neighbour, or else a relay, its first neighbour, itself a simple root.
+    own_target = label[others]
+    own = (mults + 1) * (own_target[:, None] == targets)
+    repel = (own_target[:, None] == own_target) & ~np.eye(len(others), dtype=bool)
+    hub = np.array(
+        [next((u for u in t.rotation[v] if u in idx_of), t.rotation[v][0]) for v in others]
+    )
+    relay = np.array([u not in idx_of for u in hub])
+    heading = (frame[others] - frame[hub]) / np.abs(frame[others] - frame[hub])
+    rise = abs(label[top_white] - label[top_black])
+    own_copy = rep == np.arange(len(crit))[:, None]
 
-    def assemble(q: np.ndarray, c: complex, K: complex) -> np.ndarray:
+    def assemble(q: np.ndarray, c: complex, K: complex) -> tuple[np.ndarray, complex]:
+        """Every vertex and ℓ in the gauge top_black → 0, top_white → 1."""
+
         def correction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             value = c * _antiderivative_at_vertices(
                 z, weights, _linear_factors(q, nodes, rep, z)
-            ) + K + shift
+            ) + K - own_target
             slope = c * np.multiply.reduce(z - q[rep][:, None], axis=0)
-            return np.abs(value), 1 / (slope / value - np.sum(own / (z[:, None] - q), axis=1))
+            # The Newton correction is 1/(f′/f), and 0 at an exact root.
+            log_slope = slope / value - np.sum(own / (z[:, None] - q), axis=1)
+            return np.abs(value), np.divide(1, log_slope, out=np.zeros_like(z), where=value != 0)
 
-        # Each leaf starts one local edge length from its hub, in the
-        # drawing's direction: near an internal vertex q of degree k,
-        # p ≈ p(q) + A·(z − q)^k, with k·A = c·∏ of the other vertices'
-        # factors at q (own_copy marks q's own), and its neighbours sit
-        # where |A|·r^k = 2.
+        # Each vertex starts one local edge length from its hub, in the
+        # drawing's direction: near a critical vertex q, a root of
+        # multiplicity e of g − g(q), g ≈ g(q) + A·(z − q)^e, with
+        # e·A = c·∏ of the other vertices' factors at q (own_copy marks q's
+        # own), and its neighbours sit where |A|·r^e = rise, the change of g
+        # along an edge.  A vertex whose hub is a relay starts where the hub
+        # starts: Aberth's first step from there is a Newton step along it.
         positions = np.zeros(nvert, dtype=complex)
-        positions[internals] = q
+        positions[crit] = q
         reach = np.zeros(nvert)
         local = c * np.multiply.reduce(np.where(own_copy, 1, q[:, None] - q[rep]), axis=1)
-        reach[internals] = (2 * degs[internals] / np.abs(local)) ** (1 / degs[internals])
-        z = _aberth(positions[hub] + reach[hub] * heading, correction, repel, _LEAF_ITERS)
+        reach[crit] = (rise * (mults + 1) / np.abs(local)) ** (1 / (mults + 1))
+        z = positions[hub] + reach[hub] * heading
+        if relay.any():
+            positions[others] = z
+            z[relay] = positions[hub[relay]]
+        positions[others] = _aberth(z, correction, repel, _LEAF_ITERS)
+        ell = c / d if k == 1 else 2 * (c * k / d) ** k
+        span = positions[top_white] - positions[top_black]
+        if positions[top_black] != 0 or positions[top_white] != 1:
+            positions = (positions - positions[top_black]) / span
+            positions[[top_black, top_white]] = 0, 1
+            ell = ell * span**d
+        # Leaves of one colour are interchangeable; they are listed sorted.
         for colour in (True, False):
-            ids = [v for v, b in zip(leaves, leaf_black) if b == colour]
-            roots = sorted(z[leaf_black == colour], key=lambda w: (round(w.real, 9), w.imag))
-            positions[ids] = roots
-        return positions
+            ids = [v for v in leaves if black[v] == colour]
+            positions[ids] = sorted(positions[ids], key=lambda w: (round(w.real, 9), w.imag))
+        return positions, ell
 
     def land(restart: int) -> tuple[float, str | None, np.ndarray | None, complex]:
         """Newton from this restart's start: fnorm, the test that failed (None
-        once it lands), and the assembled positions and ℓ = c/d."""
+        once it lands), and the assembled positions and ℓ."""
+        if len(crit) == 1:
+            # g = t_lo + (t_hi − t_lo)·z^e puts lo at 0 and its neighbour hi at 1.
+            c = (mults[0] + 1) * (label[hi] - label[lo])
+            return 0.0, None, *assemble(np.zeros(1, complex), c, label[lo])
         if restart % 2 == 0:
             # The radial drawing, plain first and then jittered.  It
             # separates sibling vertices angularly, which is where the
@@ -517,20 +587,20 @@ def shabat_solve(
                 rng = np.random.default_rng([rng_seed, restart])
                 jit = 0.08 * (restart // 2)
                 pos = base + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
-            span = pos[top_white] - pos[top_black]
+            span = pos[hi] - pos[lo]
             if abs(span) < 1e-9:
                 return math.inf, "a degenerate start", None, 0j
-            pos = (pos - pos[top_black]) / span
-            q = pos[internals].astype(complex)
+            pos = (pos - pos[lo]) / span
+            q = pos[crit].astype(complex)
         else:
             # Plain gaussian scatter for basins the drawing misses.
             rng = np.random.default_rng([rng_seed, restart])
             spread = 1.0 + 0.25 * (restart % 4)
-            q = rng.normal(scale=spread, size=len(internals)) + 1j * rng.normal(
-                scale=spread, size=len(internals)
+            q = rng.normal(scale=spread, size=len(crit)) + 1j * rng.normal(
+                scale=spread, size=len(crit)
             )
-        q[idx_of[top_black]] = 0.0
-        q[idx_of[top_white]] = 1.0
+        q[idx_of[lo]] = 0.0
+        q[idx_of[hi]] = 1.0
 
         factors, s_vals = s_at(q)
         c, K = fit_ck(s_vals)
@@ -539,7 +609,7 @@ def shabat_solve(
             fnorm = _norm(fvec)
             if fnorm < 1e-13:
                 break
-            jac = np.empty((len(internals), len(free_cols) + 2), dtype=complex)
+            jac = np.empty((len(crit), len(free_cols) + 2), dtype=complex)
             partials = _antiderivative_partials(q, weights, factors, drop_at)
             jac[:, :-2] = (c * col_scale) * partials.T
             jac[:, -2] = s_vals
@@ -567,7 +637,7 @@ def shabat_solve(
                 break
         # Stalled-but-close states are still worth refining: the full vertex
         # system converges them, while pseudo-solutions (a cluster of
-        # critical points where p is flat, so the internal-vertex equations
+        # critical points where p is flat, so Newton's vertex equations
         # hold to 1e-14 without p being Shabat) fail its residual no matter
         # how small fnorm is.
         fnorm = _norm(c * s_vals + K - targets)
@@ -575,11 +645,11 @@ def shabat_solve(
             return fnorm, f"fnorm {fnorm:.2e} > 1e-6", None, 0j
         if abs(c) < 1e-12:
             return fnorm, f"scale |c| = {abs(c):.2e} < 1e-12", None, 0j
-        return fnorm, None, assemble(q, c, K), c / d
+        return fnorm, None, *assemble(q, c, K)
 
-    star = len(internals) <= 1
+    star = np.count_nonzero(degs >= 2) <= 1
     closest: tuple[float, float, int, str] | None = None
-    tries = 1 if star else max_restarts
+    tries = 1 if len(crit) <= 1 else max_restarts
     for restart in range(tries):
         # A diverging restart overflows; the tests below already reject its
         # non-finite steps and norms, so numpy need not warn on stderr.
@@ -609,7 +679,11 @@ def shabat_solve(
         if closest is None or (residual, fnorm) < closest[:2]:
             closest = (residual, fnorm, restart, verdict)
     why = "; closest restart {2} (fnorm {1:.2e}) failed: {3}".format(*closest) if closest else ""
-    raise NoConvergenceError(f"no convergence after {tries} restarts (degree {d}){why}")
+    system = "full system" if k == 1 else f"perfect-power system k={k}"
+    raise NoConvergenceError(
+        f"no convergence after {tries} restarts (degree {d}, {system}, "
+        f"{len(crit)} unknown{'s' * (len(crit) != 1)}){why}"
+    )
 
 
 def tree_for_derivation(seed: SeedSpec, word: str) -> PlaneTree:

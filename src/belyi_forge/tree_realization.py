@@ -212,7 +212,7 @@ def dfs_order(t: PlaneTree, root: int) -> list[int]:
     """Vertices in depth-first preorder from root, children in rotation order.
 
     derive_tree picks its alpha sites in this order, and the solver's radial
-    drawing walks the tree in it.
+    drawing and its root-of-unity labels walk the tree in it.
     """
     order, seen, stack = [], {root}, [root]
     while stack:
