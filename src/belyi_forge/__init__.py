@@ -44,6 +44,7 @@ from .profile_core import (
     ValidationReport,
     condition_E,
     profile_from_json,
+    profile_satisfies_E,
     profile_to_json,
     top_stats,
     validate_profile,
@@ -61,6 +62,7 @@ from .seed_families import (
     seed_from_json,
     seed_profile,
     seed_satisfies_E,
+    seed_start,
     seed_to_json,
     seed_triple,
     validate_seed,

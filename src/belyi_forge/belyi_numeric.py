@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -178,6 +179,7 @@ def solution_to_json(s: ShabatSolution) -> dict:
     }
 
 
+@cache
 def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point Gauss–Legendre rule on [0, 1], exact to degree 2n-1.
 
@@ -185,6 +187,8 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     guesses cos(π(i - 1/4)/(n + 1/2)).  Six steps reach rounding level:
     the fourth correction is already below 1e-14 for every n up to 60.
     The weights are 2/((1-x²)·P_n'(x)²), halved for the unit interval.
+    The rule is worked out once per n and shared by every solve, so both
+    arrays are read-only.
     """
     x = -np.cos(np.pi * (np.arange(1, n + 1) - 0.25) / (n + 0.5))
     for _ in range(6):
@@ -192,7 +196,9 @@ def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
         for j in range(1, n + 1):
             p_prev, p, dp = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j, x * dp + j * p
         x = x - p / dp
-    return (x + 1) / 2, 1 / ((1 - x) * (1 + x) * dp * dp)
+    nodes, weights = (x + 1) / 2, 1 / ((1 - x) * (1 + x) * dp * dp)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _linear_factors(
@@ -734,7 +740,8 @@ def _polyval_rows(cs: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Each row of cs (constant term first) at every z, by one Horner pass."""
     r = np.repeat(cs[:, -1:], len(z), axis=1)
     for k in range(cs.shape[1] - 2, -1, -1):
-        r = r * z + cs[:, k : k + 1]
+        r *= z
+        r += cs[:, k : k + 1]
     return r
 
 

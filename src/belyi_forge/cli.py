@@ -37,15 +37,13 @@ from .belyi_numeric import (
     solution_to_json,
     tree_for_derivation,
 )
-from .profile_core import profile_to_json, validate_profile
+from .profile_core import profile_satisfies_E, profile_to_json, validate_profile
 from .seed_families import (
     SeedDomainError,
     format_seed,
     parse_seed,
-    seed_profile,
-    seed_satisfies_E,
+    seed_start,
     seed_to_json,
-    seed_triple,
 )
 from .surface_counts import (
     BoundTable,
@@ -108,9 +106,9 @@ def cmd_seeds(args) -> int:
         name = format_seed(seed)
         if args.family != "all" and not name.startswith(args.family + ":"):
             continue
-        tri = seed_triple(seed)
-        report = validate_profile(seed_profile(seed))
-        ok_e = seed_satisfies_E(seed)
+        tri, prof = seed_start(seed)
+        report = validate_profile(prof)
+        ok_e = profile_satisfies_E(prof, tri.nu)
         all_ok = all_ok and report.ok and ok_e
         rows.append(
             {
@@ -245,6 +243,8 @@ def cmd_jd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.nu is not None and args.nu < 1:
+        raise ValueError(f"--nu must be >= 1, got {args.nu}")
     tbl = bound_table(args.max_degree)
     rows = tbl.rows
     if args.nu is not None:

@@ -10,7 +10,7 @@ that tree, which is what every counting formula downstream consumes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 
@@ -27,21 +27,24 @@ class CriticalProfile:
     degree-one tree vertices carry no multiplicity and are stored as leaf
     counts.  Multisets are kept sorted in descending order so equal profiles
     compare equal.
+
+    ``degree`` is the tree's edge count read from the black side,
+    sum(m + 1 for m in black_mults) + black_leaves.  It is worked out once,
+    at construction, and follows from the four fields above, so it is left
+    out of ``==``, ``hash``, ``repr`` and ``profile_to_json``.
     """
 
     black_mults: tuple[int, ...]
     white_mults: tuple[int, ...]
     black_leaves: int = 0
     white_leaves: int = 0
+    degree: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "black_mults", _canon(self.black_mults))
+        black = _canon(self.black_mults)
+        object.__setattr__(self, "black_mults", black)
         object.__setattr__(self, "white_mults", _canon(self.white_mults))
-
-    @property
-    def degree(self) -> int:
-        """Edge count of the tree, computed from the black side."""
-        return sum(m + 1 for m in self.black_mults) + self.black_leaves
+        object.__setattr__(self, "degree", sum(black) + len(black) + self.black_leaves)
 
     @property
     def white_degree(self) -> int:
@@ -141,6 +144,16 @@ def condition_E(d: int, nu: int, n_minus1: int, n_plus1: int) -> bool:
         raise ValueError(f"need d >= 1 and nu >= 1, got d={d}, nu={nu}")
     q = d // (nu + 1)
     return q == n_minus1 and (d - 1) // nu - q == n_plus1
+
+
+def profile_satisfies_E(p: CriticalProfile, nu: int) -> bool:
+    """condition_E on the profile's degree and its counts of nu-points over
+    -1 and +1, read straight off the profile with no TopStats built.
+
+    Raises ValueError, as condition_E does, unless nu >= 1 and the degree
+    is >= 1.
+    """
+    return condition_E(p.degree, nu, p.black_mults.count(nu), p.white_mults.count(nu))
 
 
 def profile_to_json(p: CriticalProfile) -> dict:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
 
-from .profile_core import CriticalProfile, condition_E, top_stats, validate_profile
+from .profile_core import CriticalProfile, profile_satisfies_E, validate_profile
 
 
 class SeedDomainError(ValueError):
@@ -135,8 +135,9 @@ def seed_triple(seed: SeedSpec) -> SeedTriple:
     return SeedTriple(d0=d0, nu=nu, eps=eps)
 
 
-def seed_profile(seed: SeedSpec) -> CriticalProfile:
-    """Starting critical profile of the seed.
+def seed_start(seed: SeedSpec) -> tuple[SeedTriple, CriticalProfile]:
+    """The seed's triple and its starting critical profile, read from one
+    seed_triple call.
 
     All families place one white point of multiplicity nu; the black side
     carries the family's count of nu-points plus, when eps > 0, one
@@ -172,13 +173,17 @@ def seed_profile(seed: SeedSpec) -> CriticalProfile:
         raise SeedDomainError(
             f"profile infeasible for {seed!r}: {'; '.join(report.violations)}"
         )
-    return profile
+    return t, profile
+
+
+def seed_profile(seed: SeedSpec) -> CriticalProfile:
+    """Starting critical profile of the seed (see seed_start)."""
+    return seed_start(seed)[1]
 
 
 def seed_satisfies_E(seed: SeedSpec) -> bool:
-    t = seed_triple(seed)
-    stats = top_stats(seed_profile(seed), t.nu)
-    return condition_E(stats.d, t.nu, stats.n_minus1, stats.n_plus1)
+    t, profile = seed_start(seed)
+    return profile_satisfies_E(profile, t.nu)
 
 
 @dataclass(frozen=True)

@@ -30,17 +30,11 @@ the bound table's catalogue is read from.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .profile_core import (
-    CriticalProfile,
-    TopStats,
-    condition_E,
-    top_stats,
-)
-from .seed_families import F1, F2, F3, SeedSpec, seed_profile, seed_triple
+from .profile_core import CriticalProfile, TopStats, condition_E, top_stats
+from .seed_families import F1, F2, F3, SeedSpec, seed_start, seed_triple
 
 
 class WordEngineError(Exception):
@@ -105,27 +99,36 @@ class DerivationState:
         return top_stats(self.profile, self.nu)
 
     def satisfies_E(self) -> bool:
-        s = self.stats()
-        return condition_E(s.d, s.nu, s.n_minus1, s.n_plus1)
+        """The admissibility condition at the seed's nu.
+
+        Every letter step tests it, so the profile's degree and its counts
+        of nu-points go straight to condition_E, which checks them as it
+        would stats(), with no TopStats built.
+        """
+        p, nu = self.profile, self.nu
+        return condition_E(p.degree, nu, p.black_mults.count(nu), p.white_mults.count(nu))
 
 
 def initial_state(seed: SeedSpec) -> DerivationState:
-    return DerivationState(
-        seed=seed, word="", profile=seed_profile(seed), nu=seed_triple(seed).nu
-    )
+    triple, profile = seed_start(seed)
+    return DerivationState(seed=seed, word="", profile=profile, nu=triple.nu)
 
 
 def _residuals(mults: tuple[int, ...], nu: int) -> list[int]:
     return [m for m in mults if m != nu]
 
 
-def _replace(mults: tuple[int, ...], remove: Iterable[int], add: Iterable[int]):
-    bag = Counter(mults)
-    bag.subtract(Counter(remove))
-    if any(c < 0 for c in bag.values()):
-        raise LetterNotApplicableError("internal: removed a missing multiplicity")
-    bag.update(Counter(add))
-    return tuple(bag.elements())
+def _replace(mults: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
+    """mults with one copy of old swapped for new, in old's slot.
+
+    Every letter that changes a multiplicity changes exactly one, so one
+    index and two slices do it; CriticalProfile re-sorts the result.
+    """
+    try:
+        i = mults.index(old)
+    except ValueError:
+        raise LetterNotApplicableError("internal: removed a missing multiplicity") from None
+    return mults[:i] + (new,) + mults[i + 1 :]
 
 
 def _apply_t13(state: DerivationState, letter: str) -> CriticalProfile:
@@ -148,7 +151,7 @@ def _apply_t13(state: DerivationState, letter: str) -> CriticalProfile:
         )
     return CriticalProfile(
         black_mults=p.black_mults + (nu,),
-        white_mults=_replace(p.white_mults, [1], [2]),
+        white_mults=_replace(p.white_mults, 1, 2),
         black_leaves=p.black_leaves,
         white_leaves=p.white_leaves + nu,
     )
@@ -183,7 +186,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
         if res_black:
             eps = max(res_black)
             return CriticalProfile(
-                black_mults=_replace(p.black_mults, [eps], [nu]),
+                black_mults=_replace(p.black_mults, eps, nu),
                 white_mults=p.white_mults + (2,),
                 black_leaves=p.black_leaves + 2,
                 white_leaves=p.white_leaves + nu - eps - 1,
@@ -215,7 +218,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
                     "delta would push the secondary black point to the top multiplicity"
                 )
             return CriticalProfile(
-                black_mults=_replace(p.black_mults, [target], [target + 3]),
+                black_mults=_replace(p.black_mults, target, target + 3),
                 white_mults=p.white_mults,
                 black_leaves=p.black_leaves,
                 white_leaves=p.white_leaves + 3,
@@ -240,7 +243,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
             )
         return CriticalProfile(
             black_mults=p.black_mults,
-            white_mults=_replace(p.white_mults, [target], [target + 3]),
+            white_mults=_replace(p.white_mults, target, target + 3),
             black_leaves=p.black_leaves + 3,
             white_leaves=p.white_leaves,
         )

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from belyi_forge import F2, belyi_numeric, format_seed, word_engine
+from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
 from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.cli import build_parser, main
 from belyi_forge.surface_counts import seed_grid
@@ -332,6 +332,20 @@ def test_table_csv_rows(capsys):
     assert rows[0] == ["d", "nu", "bound", "seed", "word"]
     bounds = {int(r[0]): int(r[2]) for r in rows[1:]}
     assert bounds == {9: 127, 12: 301, 15: 647}
+
+
+@pytest.mark.parametrize("nu", ["0", "-1"])
+def test_table_nu_below_one_is_usage_error(capsys, monkeypatch, nu):
+    # No row has nu < 1, so such a filter would print an empty table; it is
+    # refused before the table is built.
+    built = []
+    monkeypatch.setattr(cli, "bound_table", lambda d_max: built.append(d_max))
+    code, out, err = run(capsys, "table", "--max-degree", "9", "--nu", nu)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "--nu" in error["message"]
+    assert built == []
 
 
 def test_table_json_is_pinned(capsys):

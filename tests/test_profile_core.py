@@ -10,6 +10,7 @@ from belyi_forge import (
     CriticalProfile,
     condition_E,
     profile_from_json,
+    profile_satisfies_E,
     profile_to_json,
     top_stats,
     validate_profile,
@@ -120,6 +121,40 @@ def test_profile_multisets_are_canonical():
     assert a.black_counter()[5] == 1
 
 
+@settings(max_examples=200)
+@given(
+    black=st.lists(st.integers(min_value=1, max_value=30), max_size=8),
+    white=st.lists(st.integers(min_value=1, max_value=30), max_size=8),
+    black_leaves=st.integers(min_value=0, max_value=50),
+    white_leaves=st.integers(min_value=0, max_value=50),
+    data=st.data(),
+)
+def test_degree_is_stored_at_construction_and_ignored_by_equality(
+    black, white, black_leaves, white_leaves, data
+):
+    # degree is read once, from the black side, whatever order the
+    # multisets come in; it is not part of the profile's identity.
+    p = CriticalProfile(tuple(black), tuple(white), black_leaves, white_leaves)
+    q = CriticalProfile(
+        tuple(data.draw(st.permutations(black))),
+        tuple(data.draw(st.permutations(white))),
+        black_leaves,
+        white_leaves,
+    )
+    assert p.degree == q.degree == sum(m + 1 for m in black) + black_leaves
+    assert p == q
+    assert hash(p) == hash(q)
+    assert repr(p) == repr(q)
+    assert "degree" not in repr(p)
+    assert profile_to_json(p) == profile_to_json(q)
+    assert "degree" not in profile_to_json(p)
+
+
+def test_degree_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        CriticalProfile((2,), (2,), 1, 1, degree=4)
+
+
 def test_top_stats_counts_top_multiplicity():
     p = CriticalProfile((3, 3, 2), (3, 1), 1, 5)
     s = top_stats(p, 3)
@@ -128,6 +163,18 @@ def test_top_stats_counts_top_multiplicity():
     assert off.n_minus1 == 0 and off.n_plus1 == 0
     with pytest.raises(ValueError):
         top_stats(p, 0)
+
+
+@settings(max_examples=200)
+@given(balanced_profiles(), st.integers(min_value=1, max_value=9))
+def test_profile_satisfies_E_reads_the_top_stats(p, nu):
+    s = top_stats(p, nu)
+    assert profile_satisfies_E(p, nu) == condition_E(s.d, s.nu, s.n_minus1, s.n_plus1)
+
+
+def test_profile_satisfies_E_rejects_bad_domain():
+    with pytest.raises(ValueError):
+        profile_satisfies_E(CriticalProfile((2,), (2,), 1, 1), 0)
 
 
 @settings(max_examples=100)

@@ -20,7 +20,7 @@ from belyi_forge import (
     validate_profile,
     verify_coincidences,
 )
-from belyi_forge.seed_families import seed_satisfies_E
+from belyi_forge.seed_families import seed_satisfies_E, seed_start
 from belyi_forge.surface_counts import seed_grid
 
 
@@ -64,6 +64,11 @@ def test_every_grid_seed_profile_validates():
 def test_every_grid_seed_satisfies_admissibility():
     for seed in GRID:
         assert seed_satisfies_E(seed), seed
+
+
+def test_seed_start_is_the_triple_and_the_profile():
+    for seed in GRID:
+        assert seed_start(seed) == (seed_triple(seed), seed_profile(seed)), seed
 
 
 def test_grid_degrees_divisible_by_three():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from belyi_forge import (
 from belyi_forge.surface_counts import seed_grid
 from belyi_forge.word_engine import (
     AlphabetMismatchError,
+    LetterNotApplicableError,
     NoFamilyRecordedError,
     WordEngineError,
     admissible_end,
@@ -147,6 +149,75 @@ def test_enumeration_expands_each_profile_once(monkeypatch):
     words = enumerate_LE(F2(0, 2, 2, 2), 10)
     assert len(words) == 70572
     assert len(calls) == 955
+
+
+def counter_replace(mults, old, new):
+    """_replace by multiset arithmetic: one copy of old out, one of new in."""
+    bag = Counter(mults)
+    bag.subtract(Counter([old]))
+    if any(c < 0 for c in bag.values()):
+        raise LetterNotApplicableError("internal: removed a missing multiplicity")
+    bag.update(Counter([new]))
+    return tuple(bag.elements())
+
+
+def letter_outcome(state, letter):
+    """The child's profile and its degree, or the error's message."""
+    try:
+        child = apply_letter(state, letter).profile
+    except LetterNotApplicableError as exc:
+        return ("not applicable", str(exc))
+    return (child, child.degree)
+
+
+def reached_states(seed, max_len):
+    """One state per distinct profile reached by enumerate_LE(seed, max_len),
+    or by catalogue_ends(seed, 60) when max_len is None."""
+    if max_len is None:
+        states = catalogue_ends(seed, 60)
+    else:
+        by_word = {"": initial_state(seed)}
+        for w in enumerate_LE(seed, max_len)[1:]:
+            by_word[w] = apply_letter(by_word[w[:-1]], w[-1])
+        states = by_word.values()
+    return list({s.profile: s for s in states}.values())
+
+
+REFERENCE_CASES = [(F2(0, 2, 2, 2), 8), (F2(1, 2, 2, 2), 7)] + [
+    (s, None) for s in seed_grid(60)
+]
+
+
+@pytest.mark.parametrize(
+    "seed, max_len",
+    REFERENCE_CASES,
+    ids=[
+        f"{format_seed(s)}-{'catalogue' if n is None else f'LE{n}'}"
+        for s, n in REFERENCE_CASES
+    ],
+)
+def test_letter_steps_match_the_counter_reference(monkeypatch, seed, max_len):
+    # Every letter of the alphabet from every profile reached: the one-slot
+    # swap gives the same child, or refuses with the same message, as
+    # multiset arithmetic on Counter bags.
+    states = reached_states(seed, max_len)
+    assert states
+    letters = alphabet_for(seed)
+    fast = [letter_outcome(s, x) for s in states for x in letters]
+    monkeypatch.setattr(word_engine, "_replace", counter_replace)
+    reference = [letter_outcome(s, x) for s in states for x in letters]
+    assert fast == reference
+    for outcome in fast:
+        if outcome[0] != "not applicable":
+            child, degree = outcome
+            assert degree == sum(m + 1 for m in child.black_mults) + child.black_leaves
+
+
+def test_replace_swaps_one_copy():
+    assert word_engine._replace((5, 2, 2, 1), 2, 5) == (5, 5, 2, 1)
+    assert word_engine._replace((3,), 3, 6) == (6,)
+    with pytest.raises(LetterNotApplicableError, match="missing multiplicity"):
+        word_engine._replace((5, 2), 1, 2)
 
 
 def test_enumeration_deterministic():
