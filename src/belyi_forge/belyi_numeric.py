@@ -415,11 +415,15 @@ def shabat_solve(
     removes the spurious solution branch where the black and white products
     collide coefficient by coefficient.  Newton pins two critical vertices
     of distinct targets at 0 and 1, and the solution is mapped to the
-    gauge; a lone critical vertex needs no Newton.  Damped Newton runs per
-    restart.  Restart 0 starts from the radial tree drawing, the
-    other even restarts from copies of it jittered by 0.08·(restart//2),
-    and odd restarts from gaussian scatters; the random draws are keyed by
-    (rng_seed, restart), and the first restart index that converges wins.
+    gauge.  A tree with at most one critical vertex of g needs no Newton:
+    that vertex (top_black when there is none: the single edge, a
+    black-centre star) is a root of g − t_lo of multiplicity e, and
+    g = t_lo + (t_hi − t_lo)·z^e puts it at 0 and its first neighbour at 1,
+    in one restart.  Otherwise damped Newton runs per restart.  Restart 0
+    starts from the radial tree drawing, the other even restarts from
+    copies of it jittered by 0.08·(restart//2), and odd restarts from
+    gaussian scatters; the random draws are keyed by (rng_seed, restart),
+    and the first restart index that converges wins.
     Same-color vertex collisions are rejected as degenerate basins.
 
     Newton evaluates the vertex equations in product form: S(q_j), the
@@ -438,20 +442,20 @@ def shabat_solve(
     with g = c·S + K read by the same quadrature and
     f′/f = g′/(g − t) − Σ (m+1)/(z − q).  Each starts one local edge length
     from its first critical neighbour, in the direction the radial drawing
-    gives it, or else where its neighbour starts.  Leaves are then listed in
-    sorted order per colour.  A short Gauss–Newton pass then refines every
-    free position and ℓ (c/d for k = 1, 2·(c·k/d)^k for k > 1) on the full
-    vertex system r(v) = ℓ·∏_other colour (v − u)^deg ∓ 2 (see _refine).  A
-    restart is accepted when max|r| ≤ tol and no two same-colour vertices
-    are within _MIN_SEPARATION.  Together these are the Shabat condition:
+    gives it, or else where its neighbour starts.  Leaves other than the
+    pinned top_black and top_white are then listed in sorted order per
+    colour.  A short Gauss–Newton pass then refines every free position and
+    ℓ (c/d for k = 1, 2·(c·k/d)^k for k > 1) on the full vertex system
+    r(v) = ℓ·∏_other colour (v − u)^deg ∓ 2 (see _refine).  A restart is
+    accepted when max|r| ≤ tol and no two same-colour vertices are within
+    _MIN_SEPARATION.  Together these are the Shabat condition:
     ℓ·(∏black − ∏white) − 2 has degree at most d − 1 and vanishes, up to r,
     at the d + 1 distinct vertices.  The critical-vertex and leaf equations
-    alone admit pseudo-solutions whose vertex residual is far above tol.  A
-    star (at most one internal vertex) is its own radial drawing and goes
-    straight to the refinement.  If no restart is accepted,
-    NoConvergenceError names the system (full, or perfect-power with its k)
-    and its number of unknowns, and the closest restart (least max|r|, then
-    least fnorm) and the test that rejected it.
+    alone admit pseudo-solutions whose vertex residual is far above tol.
+    If no restart is accepted, NoConvergenceError names the system (full,
+    or perfect-power with its k) and its number of unknowns, and the
+    closest restart (least max|r|, then least fnorm) and the test that
+    rejected it.
     """
     d = t.edge_count
     if d > max_degree:
@@ -469,19 +473,20 @@ def shabat_solve(
     top_black = max(black_idx, key=lambda v: (degs[v], -v))
     top_white = max(white_idx, key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
-    leaves = [v for v in range(nvert) if degs[v] < 2]
+    leaves = [v for v in free if degs[v] < 2]
     base = _radial_layout(t)
-    drawing = (base - base[top_black]) / (base[top_white] - base[top_black])
 
     # Newton's gauge pins lo at 0 and hi at 1: the top black and white
     # vertices when both are critical, else two critical vertices of
-    # distinct targets, or a lone one and its first neighbour.
+    # distinct targets, or a lone one and its first neighbour.  A tree with
+    # no critical vertex of g (the single edge, a black-centre star) takes
+    # top_black as its lone one, a simple root of g − t_lo.
     k = math.gcd(*degs[black_idx].astype(int))
     label = _power_labels(t, k, top_black)
-    crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)]
+    crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)] or [top_black]
     others = [v for v in range(nvert) if v not in crit]
-    lo = max(crit, key=lambda v: (black[v], degs[v], -v), default=top_black)
-    hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v), default=lo)
+    lo = max(crit, key=lambda v: (black[v], degs[v], -v))
+    hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v))
     hi = t.rotation[lo][0] if hi == lo else hi
     frame = (base - base[lo]) / (base[hi] - base[lo])
 
@@ -653,19 +658,13 @@ def shabat_solve(
             return fnorm, f"scale |c| = {abs(c):.2e} < 1e-12", None, 0j
         return fnorm, None, *assemble(q, c, K)
 
-    star = np.count_nonzero(degs >= 2) <= 1
     closest: tuple[float, float, int, str] | None = None
-    tries = 1 if len(crit) <= 1 else max_restarts
+    tries = 1 if len(crit) == 1 else max_restarts
     for restart in range(tries):
         # A diverging restart overflows; the tests below already reject its
         # non-finite steps and norms, so numpy need not warn on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if star:
-                # A single edge or a star: the drawing is the solution.
-                products = _opposite_products(drawing, black_idx, white_idx, degs)
-                positions, ell, fnorm, verdict = drawing, 2 / products[top_white], 0.0, None
-            else:
-                fnorm, verdict, positions, ell = land(restart)
+            fnorm, verdict, positions, ell = land(restart)
             residual = math.inf
             if verdict is None:
                 positions, ell, residual = _refine(positions, ell, black_idx, white_idx, degs, free)

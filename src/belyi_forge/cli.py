@@ -37,7 +37,7 @@ from .belyi_numeric import (
     solution_to_json,
     tree_for_derivation,
 )
-from .profile_core import profile_satisfies_E, profile_to_json, validate_profile
+from .profile_core import profile_satisfies_E, profile_to_json
 from .seed_families import (
     SeedDomainError,
     format_seed,
@@ -106,10 +106,11 @@ def cmd_seeds(args) -> int:
         name = format_seed(seed)
         if args.family != "all" and not name.startswith(args.family + ":"):
             continue
+        # seed_start raises SeedDomainError on an invalid profile, so every
+        # listed profile is valid.
         tri, prof = seed_start(seed)
-        report = validate_profile(prof)
         ok_e = profile_satisfies_E(prof, tri.nu)
-        all_ok = all_ok and report.ok and ok_e
+        all_ok = all_ok and ok_e
         rows.append(
             {
                 "seed": name,
@@ -117,7 +118,7 @@ def cmd_seeds(args) -> int:
                 "d0": tri.d0,
                 "nu": tri.nu,
                 "eps": tri.eps,
-                "profile_valid": report.ok,
+                "profile_valid": True,
                 "satisfies_E": ok_e,
             }
         )
@@ -446,6 +447,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_MISMATCH
     except ValueError as exc:
         _emit_error("ValueError", str(exc))
+        return EXIT_USAGE
+    except OSError as exc:
+        # An --output path that cannot be opened.
+        _emit_error("OSError", str(exc))
         return EXIT_USAGE
 
 

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .profile_core import CriticalProfile, TopStats, condition_E, top_stats
+from .profile_core import CriticalProfile, TopStats, profile_satisfies_E, top_stats
 from .seed_families import F1, F2, F3, SeedSpec, seed_start, seed_triple
 
 
@@ -99,14 +99,9 @@ class DerivationState:
         return top_stats(self.profile, self.nu)
 
     def satisfies_E(self) -> bool:
-        """The admissibility condition at the seed's nu.
-
-        Every letter step tests it, so the profile's degree and its counts
-        of nu-points go straight to condition_E, which checks them as it
-        would stats(), with no TopStats built.
-        """
-        p, nu = self.profile, self.nu
-        return condition_E(p.degree, nu, p.black_mults.count(nu), p.white_mults.count(nu))
+        """The admissibility condition at the seed's nu: profile_satisfies_E,
+        which every letter step calls with no TopStats built."""
+        return profile_satisfies_E(self.profile, self.nu)
 
 
 def initial_state(seed: SeedSpec) -> DerivationState:
@@ -159,8 +154,6 @@ def _apply_t13(state: DerivationState, letter: str) -> CriticalProfile:
 
 def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
     p, nu = state.profile, state.nu
-    res_black = _residuals(p.black_mults, nu)
-    res_white = _residuals(p.white_mults, nu)
     if letter == "A":
         # Three black leaves hooked onto a white leaf, which becomes a
         # 3-point.  The black leaves are what later gamma steps consume:
@@ -183,6 +176,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
             raise LetterNotApplicableError("beta needs a white leaf")
         if nu <= 2:
             raise LetterNotApplicableError("beta would duplicate the white top point")
+        res_black = _residuals(p.black_mults, nu)
         if res_black:
             eps = max(res_black)
             return CriticalProfile(
@@ -211,6 +205,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
         )
     if letter == "d":
         # Grow the secondary black point by three (create one if absent).
+        res_black = _residuals(p.black_mults, nu)
         if res_black:
             target = max(res_black)
             if target + 3 >= nu:
@@ -235,6 +230,7 @@ def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
         )
     # Delta-bar (D): same growth applied on the white side, to the white
     # critical point of lowest multiplicity.
+    res_white = _residuals(p.white_mults, nu)
     if res_white:
         target = min(res_white)
         if target + 3 >= nu:
@@ -304,19 +300,11 @@ def _admissible_child(
 
 
 def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
-    """The state the word reaches, or None unless it is admissible.
-
-    Reads the word once and stops at the first letter that does not apply
-    or whose state fails the condition; the seed state is tested first.
-    """
-    state = initial_state(seed)
-    if not state.satisfies_E():
-        return None
-    for letter in word:
-        state = _admissible_child(state, letter)
-        if state is None:
-            return None
-    return state
+    """The state the word reaches, or None unless it is admissible: the
+    prefix walk of admissible_ends over this one word, which tests the seed
+    state first and stops at the first letter that does not apply or whose
+    state fails the condition."""
+    return _walk(seed, [word], math.inf)[0]
 
 
 def _walk(

@@ -28,7 +28,7 @@ from belyi_forge import (
 )
 from belyi_forge import belyi_numeric
 from belyi_forge.belyi_numeric import CensusEntry, solution_to_json
-from belyi_forge.tree_realization import profile_of, realize_profile
+from belyi_forge.tree_realization import BLACK, profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
 
@@ -108,6 +108,36 @@ def test_degree_five_star():
     # the gauge puts the black center at 0, so p + 1 = 2 w^5
     assert abs(p(0.0) + 1) < 1e-10
     assert abs(p(1.0) - 1) < 1e-10
+
+
+def _one_internal_vertex_profiles():
+    yield pytest.param(CriticalProfile((), (), 1, 1), id="edge")
+    for d in range(2, 13):
+        yield pytest.param(star_profile(d), id=f"black-centre-{d}")
+        yield pytest.param(CriticalProfile((), (d - 1,), d, 0), id=f"white-centre-{d}")
+
+
+@pytest.mark.parametrize("profile", _one_internal_vertex_profiles())
+def test_trees_with_one_internal_vertex_land_in_closed_form(profile):
+    # g = t_lo + (t_hi - t_lo)·z^e lands them at restart 0.  The gauge's top
+    # black and white vertices stay pinned at 0 and 1, and the other leaves
+    # of each colour are listed in sorted order.
+    tree = realize_profile(profile)
+    sol = shabat_solve(tree)
+    assert (sol.converged, sol.restarts_used) == (True, 0)
+    assert sol.residual <= 1e-13
+    for black, pinned, points in ((True, 0, sol.black_points), (False, 1, sol.white_points)):
+        ids = [v for v in range(tree.vertex_count) if (tree.colors[v] == BLACK) == black]
+        top = max(ids, key=lambda v: (tree.degree(v), -v))
+        at = dict(zip(ids, (z for z, _ in points)))
+        assert at[top] == pinned
+        leaves = [at[v] for v in ids if v != top and tree.degree(v) == 1]
+        assert leaves == sorted(leaves, key=lambda w: (round(w.real, 9), w.imag))
+    if profile.black_mults:
+        # A black centre at 0 and a white leaf at 1: p + 1 = 2·w^d.
+        d = profile.degree
+        assert sol.black_points == ((0, d - 1),)
+        assert abs(sol.scale_constant - 2) <= 1e-13
 
 
 def solved_base_surface_poly():

@@ -589,6 +589,19 @@ def test_output_file_is_utf8(tmp_path, capsys):
     assert obj["words"] == ["", "a", "ab"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["seeds", "--max-degree", "9"], ["enumerate", "--seed", "F1:0,1", "--max-len", "2"]]
+)
+def test_output_path_that_cannot_be_opened_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.json"
+    code, out, err = run(capsys, *argv, "--output", str(target))
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "OSError"
+    assert str(target) in error["message"]
+    assert not target.parent.exists()
+
+
 def test_reruns_byte_identical(capsys):
     outputs = set()
     for _ in range(2):
