@@ -15,7 +15,6 @@ from .arrangement_jd import (
     DegenerateAxisError,
     JStats,
     LineSpec,
-    NodalUCensus,
     arrangement_census,
     build_Jd,
     build_lines,
@@ -30,6 +29,7 @@ from .belyi_numeric import (
     DegreeGuardError,
     NoConvergenceError,
     ShabatSolution,
+    UCensus,
     UniPoly,
     census_matches_profile,
     critical_census_uni,
@@ -37,6 +37,7 @@ from .belyi_numeric import (
     shabat_solve,
     to_unit_interval,
     tree_for_derivation,
+    vertex_u_census,
 )
 from .profile_core import (
     CriticalProfile,

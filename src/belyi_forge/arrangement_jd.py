@@ -45,7 +45,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .belyi_numeric import VALUE_TOL, DegreeGuardError
+from .belyi_numeric import VALUE_TOL, DegreeGuardError, UCensus
 
 # Working precision of the dual-path check's line product, in bits, and the
 # number and seed of its deterministic rational points.
@@ -547,20 +547,7 @@ class DegenerateAxisError(ArithmeticError):
     product-form census of the nodal U does not apply."""
 
 
-@dataclass(frozen=True)
-class NodalUCensus:
-    """Critical points of the nodal U, each certified simple.
-
-    points holds (position z, value U(z), multiplicity 1) as
-    CriticalCensus.points does, in increasing z; slopes holds |U'(z)| at
-    each point, read in product form.
-    """
-
-    points: tuple[tuple[float, float, int], ...]
-    slopes: tuple[float, ...]
-
-
-def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
+def nodal_u_census(lines: list[LineSpec], scale: float) -> UCensus:
     """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
 
     On the axis J is scale * prod(a_i x + c_i), of degree d = len(lines),
@@ -605,7 +592,7 @@ def nodal_u_census(lines: list[LineSpec], scale: float) -> NodalUCensus:
     x = (lo + hi) / 2
     j, jx = _product_jet(normals, c, scale, x, np.zeros_like(x))[:2]
     z, u = (x - 1) / 2, (3 - j) / 4
-    return NodalUCensus(
+    return UCensus(
         points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),
         slopes=tuple(float(g) for g in np.abs(jx) / 2),
     )

@@ -19,7 +19,9 @@ residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
 coefficients are formed; only ShabatSolution.polynomial() expands them, for
 the univariate census.  A root census of p', its roots polished by the
 same Aberth iteration, acts as an independent check that the solved
-polynomial really has the critical structure the tree prescribes.
+polynomial really has the critical structure the tree prescribes.  The
+surface census reads U = (p + 1)/2 at the solved vertices instead
+(vertex_u_census), from the same products of the other colour's factors.
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ class ShabatSolution:
 
         The expansion is ill-conditioned at high degree: its coefficients
         span many orders of magnitude and round far above the residual.  It
-        is kept only for the univariate census and the U side of paired
-        surfaces; the solver never forms it.
+        is kept only for the univariate census and for evaluating a paired
+        surface; the solver and the surface census never form it.
         """
         b = UniPoly.from_roots([(a, m + 1) for a, m in self.black_points])
         return b.scale(self.scale_constant).shift_constant(-1)
@@ -712,6 +714,43 @@ def shabat_for_derivation(seed: SeedSpec, word: str, **kwargs) -> ShabatSolution
 
 
 @dataclass(frozen=True)
+class UCensus:
+    """Critical points of a surface's U as (position w, value U(w), multiplicity),
+    with |U'(w)| at each in slopes, all read from linear factors."""
+
+    points: tuple[tuple[complex, complex, int], ...]
+    slopes: tuple[float, ...]
+
+
+def vertex_u_census(sol: ShabatSolution) -> UCensus:
+    """Critical points of U = (p + 1)/2 read from the solved vertices.
+
+    They are the internal vertices of the tree, each of multiplicity
+    deg − 1, listed black first in the solution's order.  U and U′ are read
+    from the other colour's factor (_opposite_products), so neither defect
+    is zero by construction: at a white vertex b, U = ℓ·∏_black (b − a)^deg / 2
+    and U′ = U·Σ deg_a/(b − a); at a black vertex a, U − 1 = ℓ·∏_white
+    (a − b)^deg / 2 and U′ = (U − 1)·Σ deg_b/(a − b).
+    """
+    pts = sol.black_points + sol.white_points
+    positions = np.array([z for z, _ in pts], dtype=complex)
+    degs = np.array([m + 1 for _, m in pts], dtype=float)
+    black = np.arange(len(pts)) < len(sol.black_points)
+    half = sol.scale_constant / 2 * _opposite_products(
+        positions, np.flatnonzero(black), np.flatnonzero(~black), degs
+    )
+    inner = np.flatnonzero(degs > 1)
+    other = np.where(black[inner, None] != black, degs, 0.0)
+    pull = np.sum(other / np.where(other > 0, positions[inner, None] - positions, 1.0), axis=1)
+    return UCensus(
+        points=tuple(
+            (complex(positions[v]), complex(half[v] + black[v]), int(degs[v]) - 1) for v in inner
+        ),
+        slopes=tuple(float(g) for g in np.abs(half[inner] * pull)),
+    )
+
+
+@dataclass(frozen=True)
 class CensusEntry:
     value: complex
     multiplicity: int
@@ -720,13 +759,11 @@ class CensusEntry:
 
 @dataclass(frozen=True)
 class CriticalCensus:
-    """Entries aggregate by (value, multiplicity); points keep the cluster
-    centers as (position, value, multiplicity) for downstream pairing."""
+    """Entries aggregate the critical points by (value, multiplicity)."""
 
     entries: tuple[CensusEntry, ...]
     reliable: bool
     notes: tuple[str, ...] = field(default=())
-    points: tuple[tuple[complex, complex, int], ...] = field(default=())
 
     def total(self) -> int:
         return sum(e.multiplicity * e.count for e in self.entries)
@@ -830,7 +867,6 @@ def critical_census_uni(
     values = np.array([complex(p(z)) for z in centers])
     vclusters = _single_linkage(values, cluster_tol)
     entries: list[CensusEntry] = []
-    points: list[tuple[complex, complex, int]] = []
     for vidx in vclusters:
         vcenter = complex(np.mean(values[vidx]))
         vspread = max(abs(values[i] - vcenter) for i in vidx)
@@ -840,16 +876,11 @@ def critical_census_uni(
         by_mult: dict[int, int] = {}
         for i in vidx:
             by_mult[mults[i]] = by_mult.get(mults[i], 0) + 1
-            points.append((complex(centers[i]), vcenter, mults[i]))
         for m, count in sorted(by_mult.items()):
             entries.append(CensusEntry(value=vcenter, multiplicity=m, count=count))
     entries.sort(key=lambda e: (e.value.real, e.value.imag, e.multiplicity))
-    points.sort(key=lambda t: (t[0].real, t[0].imag))
     return CriticalCensus(
-        entries=tuple(entries),
-        reliable=reliable,
-        notes=tuple(dict.fromkeys(notes)),
-        points=tuple(points),
+        entries=tuple(entries), reliable=reliable, notes=tuple(dict.fromkeys(notes))
     )
 
 

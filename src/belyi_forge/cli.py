@@ -259,7 +259,6 @@ def cmd_table(args) -> int:
 
 
 def cmd_surface_verify(args) -> int:
-    check_cluster_tol(args.cluster_tol)
     if args.nodal and (args.seed is not None or args.word is not None):
         raise ValueError("--nodal builds its own surface; it takes no --seed or --word")
     if args.word is not None and args.seed is None:
@@ -289,7 +288,7 @@ def cmd_surface_verify(args) -> int:
         sp = spectrum(jstats(d), prof, seed=seed, word=word)
         expected_types = {k: v for k, v in sp.counts.items() if v}
         provenance = f"{format_seed(seed)} {word or '(empty)'}"
-    census = singular_census_3d(surface, cluster_tol=args.cluster_tol)
+    census = singular_census_3d(surface)
     match = census.by_type == expected_types and census.verified
     payload = {
         "degree": d,
@@ -350,13 +349,6 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)
-    p.add_argument(
-        "--cluster-tol",
-        type=float,
-        default=DEFAULT_CLUSTER_TOL,
-        help="root clustering of the one-variable census: shabat's, and the U "
-        "side of paired surfaces (the nodal surface's U census has none)",
-    )
 
 
 @cache
@@ -391,6 +383,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("shabat", help="solve vertex positions and census the result")
     _add_seed_word(p)
     _add_solver(p)
+    p.add_argument(
+        "--cluster-tol",
+        type=float,
+        default=DEFAULT_CLUSTER_TOL,
+        help="root clustering of the census of p' (surface-verify reads U's "
+        "critical points from the solved vertices and has none)",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_shabat)
 

@@ -22,7 +22,6 @@ from functools import cache, cached_property
 from .arrangement_jd import (
     Census2D,
     JStats,
-    NodalUCensus,
     build_Jd,
     jd_census,
     jd_lines,
@@ -31,13 +30,13 @@ from .arrangement_jd import (
     scale_constant,
 )
 from .belyi_numeric import (
-    DEFAULT_CLUSTER_TOL,
     VALUE_TOL,
-    CriticalCensus,
+    ShabatSolution,
+    UCensus,
     UniPoly,
-    critical_census_uni,
     shabat_for_derivation,
     to_unit_interval,
+    vertex_u_census,
 )
 from .profile_core import CriticalProfile
 from .seed_families import (
@@ -362,32 +361,28 @@ def nodal_unit_poly(d: int) -> UniPoly:
 
 @dataclass(frozen=True)
 class SurfacePoly:
-    """Structured trivariate polynomial J_d(x, y) + U(w)."""
+    """Structured trivariate polynomial J_d(x, y) + U(w).
 
-    u_part: UniPoly
+    solution is the Shabat solution U = (p + 1)/2 is read from, or None for
+    the nodal surface, whose U is the exact axis restriction.  The census
+    reads U's critical points from the solution or the lines, not from U,
+    so u_part is expanded on first read only.
+    """
+
     d: int
+    solution: ShabatSolution | None
     seed: SeedSpec | None
     word: str | None
     label: str
 
-    def __call__(self, x, y, w):
-        return build_Jd(self.d)(x, y) + self.u_part(w)
-
-
-class _NodalSurfacePoly(SurfacePoly):
-    """The all-nodes surface, whose U is the exact axis restriction.
-
-    The nodal census reads U's critical points from the lines, not from U,
-    so u_part (nodal_unit_poly) is built on first read only.
-    """
-
-    def __init__(self, d: int) -> None:
-        for name, value in (("d", d), ("seed", None), ("word", None), ("label", "nodal")):
-            object.__setattr__(self, name, value)
-
     @cached_property
     def u_part(self) -> UniPoly:
-        return nodal_unit_poly(self.d)
+        if self.solution is None:
+            return nodal_unit_poly(self.d)
+        return to_unit_interval(self.solution.polynomial())
+
+    def __call__(self, x, y, w):
+        return build_Jd(self.d)(x, y) + self.u_part(w)
 
 
 def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
@@ -405,19 +400,13 @@ def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
             f"word reaches degree {prof.degree}, arrangement degree is {d}"
         )
     sol = shabat_for_derivation(seed, word, **solver)
-    return SurfacePoly(
-        u_part=to_unit_interval(sol.polynomial()),
-        d=d,
-        seed=seed,
-        word=word,
-        label="paired",
-    )
+    return SurfacePoly(d=d, solution=sol, seed=seed, word=word, label="paired")
 
 
 def build_nodal_surface(d: int) -> SurfacePoly:
     """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction,
     which is built when u_part is first read."""
-    return _NodalSurfacePoly(d)
+    return SurfacePoly(d=d, solution=None, seed=None, word=None, label="nodal")
 
 
 @dataclass(frozen=True)
@@ -449,7 +438,7 @@ class Census3D:
     max_value_defect: float
     max_gradient_defect: float
     j_census: Census2D
-    u_census: CriticalCensus | NodalUCensus
+    u_census: UCensus
 
     def as_dict(self) -> dict:
         return {
@@ -473,47 +462,37 @@ class Census3D:
         }
 
 
-def singular_census_3d(
-    surface: SurfacePoly, cluster_tol: float = DEFAULT_CLUSTER_TOL
-) -> Census3D:
+def singular_census_3d(surface: SurfacePoly) -> Census3D:
     """Count singular points of the surface by pairing the two censuses.
 
     The two-variable census of J_d, read in product form from its lines
     and cached per degree, supplies critical points of J by value with
-    their values and gradients.  For the nodal surface, nodal_u_census
-    supplies the d - 1 critical points of U from the axis roots of the same
-    lines: Rolle puts one in each gap, bisection on sum 1/(x - r_i) finds
-    it, and it is simple because U' has degree d - 1, so cluster_tol plays
-    no part.  For a paired surface the one-variable census of U, clustered
-    at cluster_tol, supplies them, and U and |U'| are evaluated once per
-    point.  A singular point is any combination whose values cancel.
-    Every paired triple is then verified directly: the surface value and
-    full gradient are formed there from the two censuses, and the worst
-    defects are reported.
+    their values and gradients.  U's critical points, with U and |U'|
+    there, come in product form too, with no clustering and no expanded
+    coefficients.  For the nodal surface nodal_u_census reads them from
+    the axis roots of the same lines: Rolle puts one in each gap, and each
+    is simple because U' has degree d - 1.  For a paired surface
+    vertex_u_census reads them from the solved tree: U's critical points
+    are its internal vertices.  A singular point is any combination whose
+    values cancel.  Every paired triple is then verified directly: the
+    surface value and full gradient are formed there from the two
+    censuses, and the worst defects are reported.  A U point whose value
+    pairs with no J value (one with an imaginary part above VALUE_TOL
+    included) leaves the census unverified.
     """
     j_cen = jd_census(surface.d)
-    if surface.label == "nodal":
+    if surface.solution is None:
         u_cen = nodal_u_census(jd_lines(surface.d), scale_constant(surface.d))
-        u_rows = [
-            (w, val, mult, val, slope)
-            for (w, val, mult), slope in zip(u_cen.points, u_cen.slopes)
-        ]
     else:
-        u_cen = critical_census_uni(surface.u_part, cluster_tol)
-        du = surface.u_part.derivative()
-        u_rows = [
-            (w, val, mult, complex(surface.u_part(w)), abs(complex(du(w))))
-            for w, val, mult in u_cen.points
-        ]
+        u_cen = vertex_u_census(surface.solution)
 
     # Each real-valued critical point of U, grouped by (value, multiplicity),
     # with U and |U'| there.  Adding 0.0 folds a rounding residual's -0.0
     # into 0.0, as for the vertex value below.
     u_groups: dict[tuple[float, int], list[tuple[complex, complex, float]]] = {}
-    for w, val, mult, u_w, du_w in u_rows:
-        if abs(val.imag) > VALUE_TOL:
-            continue
-        u_groups.setdefault((round(val.real, 6) + 0.0, mult), []).append((w, u_w, du_w))
+    for (w, val, mult), slope in zip(u_cen.points, u_cen.slopes):
+        if abs(val.imag) <= VALUE_TOL:
+            u_groups.setdefault((round(val.real, 6) + 0.0, mult), []).append((w, val, slope))
 
     pairs: list[PairClass] = []
     by_type: Counter[int] = Counter()
@@ -521,6 +500,7 @@ def singular_census_3d(
     real_total = 0
     max_f = 0.0
     max_g = 0.0
+    paired: set[tuple[float, int]] = set()
     # Adding 0.0 folds -0.0 into 0.0, so the key of the vertex value does
     # not depend on which vertex the census happens to list first.
     for jv in sorted({round(p.value, 6) + 0.0 for p in j_cen.points}):
@@ -529,6 +509,7 @@ def singular_census_3d(
         for (uv, mult), u_pts in sorted(u_groups.items()):
             if abs(jv + uv) > VALUE_TOL:
                 continue
+            paired.add((uv, mult))
             u_count = len(u_pts)
             pairs.append(
                 PairClass(
@@ -544,10 +525,10 @@ def singular_census_3d(
             for w, u_w, du_w in u_pts:
                 if abs(w.imag) <= VALUE_TOL:
                     real_total += len(j_pts)
-                if j_pts:
-                    max_f = max(max_f, *(abs(p.value + u_w) for p in j_pts))
-                    max_g = max(max_g, j_grad, du_w)
-    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL
+                max_f = max(max_f, *(abs(p.value + u_w) for p in j_pts))
+                max_g = max(max_g, j_grad, du_w)
+    unpaired = len(u_cen.points) - sum(len(u_groups[key]) for key in paired)
+    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and not unpaired
     return Census3D(
         d=surface.d,
         label=surface.label,

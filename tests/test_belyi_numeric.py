@@ -636,7 +636,6 @@ def test_census_of_an_exact_triple_zero_is_one_point():
         warnings.simplefilter("error", RuntimeWarning)
         census = critical_census_uni(UniPoly((0, 0, 0, 0, 1.0)))
     assert census.entries == (CensusEntry(value=0j, multiplicity=3, count=1),)
-    assert census.points == ((0j, 0j, 3),)
 
 
 def test_degree_21_tree_within_tol_of_its_exact_defect_lands_at_once():

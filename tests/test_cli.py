@@ -299,15 +299,16 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
     assert steps == []
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-def test_nodal_surface_refuses_a_cluster_tolerance_out_of_range(capsys, value):
-    # The nodal surface's U census does not cluster, but the flag is still
-    # checked, as for every other surface.
-    code, out, err = run(capsys, "surface-verify", "--degree", "3", "--nodal",
-                         "--cluster-tol", value)
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["type"] == "ValueError"
-    assert "cluster_tol must be finite and > 0" in json.loads(err)["error"]["message"]
+def test_surface_verify_takes_no_cluster_tolerance(capsys):
+    # Neither U census clusters, so the flag is shabat's only.
+    with pytest.raises(SystemExit) as exc:
+        main(["surface-verify", "--degree", "3", "--nodal", "--cluster-tol", "1e-6"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "type": "usage", "message": "unrecognized arguments: --cluster-tol 1e-6"
+    }
 
 
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])

@@ -67,7 +67,11 @@ def test_no_private_imports_across_modules(path):
 
 def test_the_nodal_axis_census_is_exported_from_its_owner():
     import belyi_forge
-    from belyi_forge import arrangement_jd
+    from belyi_forge import arrangement_jd, belyi_numeric
 
-    for name in ("nodal_u_census", "NodalUCensus", "DegenerateAxisError"):
+    for name in ("nodal_u_census", "DegenerateAxisError"):
         assert getattr(belyi_forge, name) is getattr(arrangement_jd, name)
+    # Both U censuses return the one type, owned by belyi_numeric.
+    for name in ("UCensus", "vertex_u_census"):
+        assert getattr(belyi_forge, name) is getattr(belyi_numeric, name)
+    assert arrangement_jd.UCensus is belyi_numeric.UCensus

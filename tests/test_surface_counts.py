@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import warnings
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -514,15 +515,27 @@ def axis_roots(d):
 
 @pytest.mark.parametrize("d", range(3, 25))
 def test_nodal_u_census_matches_the_dense_census(d):
-    dense = critical_census_uni(nodal_unit_poly(d))
+    u = nodal_unit_poly(d)
+    du = u.derivative()
+    ddu = du.derivative()
+    dense = critical_census_uni(u)
     census = nodal_u_census(jd_lines(d), scale_constant(d))
     assert dense.reliable
-    assert len(census.points) == len(census.slopes) == len(dense.points) == d - 1
-    for (z, value, mult), (w, dense_value, dense_mult) in zip(census.points, dense.points):
-        assert mult == dense_mult == 1
-        assert abs(w.imag) < 1e-12 and abs(dense_value.imag) < 1e-12
-        assert abs(z - w.real) <= 1e-10
-        assert abs(value - dense_value.real) <= 1e-7
+    assert all(abs(e.value.imag) < 1e-12 for e in dense.entries)
+    assert len(census.points) == len(census.slopes) == d - 1
+    # The points' values and multiplicities are the dense census's entries.
+    grouped = Counter((round(value, 6) + 0.0, mult) for _, value, mult in census.points)
+    assert grouped == {(round(e.value.real, 6) + 0.0, e.multiplicity): e.count
+                       for e in dense.entries}
+    # In exact arithmetic on U's rational coefficients, each of the d - 1
+    # increasing points is one Newton step of at most 1e-10 from a root of
+    # U', and its value is U there.
+    assert list(census.points) == sorted(census.points)
+    for z, value, mult in census.points:
+        w = Fraction(z)
+        assert mult == 1
+        assert abs(du(w) / ddu(w)) <= 1e-10
+        assert abs(value - u(w)) <= 1e-7
 
 
 @pytest.mark.parametrize("d", [30, 60, 120, 200])
@@ -587,7 +600,6 @@ def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the nodal census took the dense U path")
 
-    monkeypatch.setattr(surface_counts, "critical_census_uni", refuse)
     monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
     monkeypatch.setattr(belyi_numeric, "_aberth", refuse)
     monkeypatch.setattr(np, "roots", refuse)
@@ -595,3 +607,67 @@ def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
     census = singular_census_3d(build_nodal_surface(12))
     assert census.verified
     assert census.by_type == {1: nodal_surface_count(12)}
+
+
+def test_paired_census_never_expands_p(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the paired census expanded p")
+
+    monkeypatch.setattr(belyi_numeric.ShabatSolution, "polynomial", refuse)
+    monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
+    surface = build_surface(9, F1(0, 1), "")
+    census = singular_census_3d(surface)
+    assert census.verified
+    assert census.by_type == {2: 127}
+    # u_part is expanded on first read only.
+    with pytest.raises(AssertionError, match="expanded p"):
+        surface.u_part
+
+
+@pytest.mark.parametrize(
+    "seed, word, d",
+    [
+        (F2(1, 0, 0, 0), "", 3),
+        (F1(0, 1), "", 9),
+        (F1(0, 1), "a", 12),
+        (F1(0, 1), "ab", 15),
+        (F2(1, 1, 0, 0), "", 9),
+        (F2(1, 2, 0, 0), "", 15),
+    ],
+    ids=lambda v: format_seed(v) if not isinstance(v, (str, int)) else repr(v),
+)
+def test_paired_census_reads_u_from_the_solved_vertices(seed, word, d):
+    # U's critical points are the tree's internal vertices, so multiple
+    # points (A4 at F2:1,1,0,0, A7 at F2:1,2,0,0) need no clustering.
+    census = singular_census_3d(build_surface(d, seed, word))
+    sp = spectrum(jstats(d), trajectory(seed, word)[-1].profile)
+    assert census.by_type == {k: v for k, v in sp.counts.items() if v}
+    assert census.verified
+
+
+@pytest.mark.parametrize("colour", ["black_points", "white_points"])
+def test_a_moved_vertex_leaves_the_census_unverified(colour):
+    surface = build_surface(9, F1(0, 1), "")
+    points = list(getattr(surface.solution, colour))
+    i = next(i for i, (_, mult) in enumerate(points) if mult >= 1)
+    points[i] = (points[i][0] + 1e-6, points[i][1])
+    moved = replace(surface, solution=replace(surface.solution, **{colour: tuple(points)}))
+    census = singular_census_3d(moved)
+    # The other colour's U values move by about 2e-6 and pair with no J
+    # value, while the points that do pair keep small defects.
+    assert census.by_type in ({2: 19}, {2: 108})
+    assert max(census.max_value_defect, census.max_gradient_defect) <= 1e-9
+    assert not census.verified
+
+
+def test_a_u_point_of_complex_value_leaves_the_census_unverified(monkeypatch):
+    def with_a_complex_value(sol):
+        cen = belyi_numeric.vertex_u_census(sol)
+        (w, value, mult), slope = cen.points[0], cen.slopes[0]
+        return replace(cen, points=(*cen.points, (w, value + 1e-5j, mult)),
+                       slopes=(*cen.slopes, slope))
+
+    monkeypatch.setattr(surface_counts, "vertex_u_census", with_a_complex_value)
+    census = singular_census_3d(build_surface(9, F1(0, 1), ""))
+    assert census.by_type == {2: 127}
+    assert not census.verified
