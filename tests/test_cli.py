@@ -299,16 +299,27 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
     assert steps == []
 
 
-def test_surface_verify_takes_no_cluster_tolerance(capsys):
-    # Neither U census clusters, so the flag is shabat's only.
+def _surface_verify_refuses_cluster_tol(capsys, value):
     with pytest.raises(SystemExit) as exc:
-        main(["surface-verify", "--degree", "3", "--nodal", "--cluster-tol", "1e-6"])
+        main(["surface-verify", "--degree", "3", "--nodal", "--cluster-tol", value])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == {
-        "type": "usage", "message": "unrecognized arguments: --cluster-tol 1e-6"
+        "type": "usage", "message": f"unrecognized arguments: --cluster-tol {value}"
     }
+
+
+def test_surface_verify_takes_no_cluster_tolerance(capsys):
+    # Neither U census clusters, so the flag is shabat's only.
+    _surface_verify_refuses_cluster_tol(capsys, "1e-6")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_nodal_surface_refuses_a_cluster_tolerance_out_of_range(capsys, value):
+    # The flag is gone from surface-verify, so an out-of-range value is
+    # refused as a usage error before anything is solved.
+    _surface_verify_refuses_cluster_tol(capsys, value)
 
 
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
