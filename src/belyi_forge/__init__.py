@@ -35,7 +35,6 @@ from .belyi_numeric import (
     critical_census_uni,
     shabat_for_derivation,
     shabat_solve,
-    to_unit_interval,
     tree_for_derivation,
     vertex_u_census,
 )
@@ -73,7 +72,6 @@ from .surface_counts import (
     BoundRow,
     BoundTable,
     Census3D,
-    Construction,
     ExistenceUnverifiedWarning,
     SingularitySpectrum,
     SurfacePoly,

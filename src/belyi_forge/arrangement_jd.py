@@ -79,8 +79,8 @@ class BiPoly:
     """Dense bivariate polynomial; grid[i][j] is the coefficient of x^i y^j.
 
     The grid is square of side degree+1.  Calling it runs Horner in the
-    coefficient type (the float surfaces use this); exact values at rational
-    points come from rational_values, in Python ints.
+    coefficient type, a dense reference for the product-form census; exact
+    values at rational points come from rational_values, in Python ints.
     """
 
     grid: tuple[tuple, ...]

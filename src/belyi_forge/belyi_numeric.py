@@ -16,9 +16,9 @@ root of (g − t)/∏_critical, same target (w-q)^(m+1), with g read by the
 same quadrature, and a short Gauss–Newton pass refines every vertex and ℓ
 on the full vertex system.  Acceptance reads that system's largest
 residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
-coefficients are formed; only ShabatSolution.polynomial() expands them, for
-the univariate census.  A root census of p', its roots polished by the
-same Aberth iteration, acts as an independent check that the solved
+coefficients are formed; only ShabatSolution.polynomial() expands them, and
+only for the univariate census.  That root census of p', its roots polished
+by the same Aberth iteration, acts as an independent check that the solved
 polynomial really has the critical structure the tree prescribes.  The
 surface census reads U = (p + 1)/2 at the solved vertices instead
 (vertex_u_census), from the same products of the other colour's factors.
@@ -94,12 +94,6 @@ class UniPoly:
             return UniPoly((0,))
         return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return UniPoly(tuple(c + (b[k] if k < len(b) else 0) for k, c in enumerate(a)))
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
         out = [0] * (len(a) + len(b) - 1)
@@ -124,12 +118,6 @@ class UniPoly:
 
     def as_complex_array(self) -> np.ndarray:
         return np.asarray([complex(c) for c in self.coeffs], dtype=complex)
-
-
-def to_unit_interval(g: UniPoly) -> UniPoly:
-    """Affine change of the value axis sending -1, +1 to 0, 1: (g+1)/2."""
-    cs = tuple(c / 2 for c in g.coeffs)
-    return UniPoly(((g.coeffs[0] + 1) / 2,) + cs[1:])
 
 
 @dataclass(frozen=True)
@@ -160,8 +148,8 @@ class ShabatSolution:
 
         The expansion is ill-conditioned at high degree: its coefficients
         span many orders of magnitude and round far above the residual.  It
-        is kept only for the univariate census and for evaluating a paired
-        surface; the solver and the surface census never form it.
+        is kept for the univariate census only; the solver and the surface
+        census never form it.
         """
         b = UniPoly.from_roots([(a, m + 1) for a, m in self.black_points])
         return b.scale(self.scale_constant).shift_constant(-1)

@@ -285,7 +285,7 @@ def cmd_surface_verify(args) -> int:
             max_degree=args.max_degree,
         )
         prof = trajectory(seed, word)[-1].profile
-        sp = spectrum(jstats(d), prof, seed=seed, word=word)
+        sp = spectrum(jstats(d), prof)
         expected_types = {k: v for k, v in sp.counts.items() if v}
         provenance = f"{format_seed(seed)} {word or '(empty)'}"
     census = singular_census_3d(surface)
@@ -315,14 +315,6 @@ def cmd_export(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write output to a file (UTF-8)")
-
-
-def _add_deprecated_grid(p: argparse.ArgumentParser) -> None:
-    # The 2D census takes its starts from the arrangement, not a grid; the
-    # flag is still accepted (and ignored) so existing scripts keep working.
-    # It stays while the benchmark's surface workload passes `--grid 64`:
-    # removing it waits for a change that also edits perfbench/.
-    p.add_argument("--grid", type=int, help=argparse.SUPPRESS)
 
 
 def _add_seed_word(p: argparse.ArgumentParser, word_required: bool = False) -> None:
@@ -395,7 +387,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("jd-verify", help="build the arrangement polynomial, census it")
     p.add_argument("--degree", type=int, required=True)
-    _add_deprecated_grid(p)
+    # The 2D census takes its starts from the arrangement, not a grid; the
+    # flag is still accepted (and ignored) so existing scripts keep working.
+    # It stays while the benchmark's surface workload passes `--grid 64`:
+    # removing it waits for a change that also edits perfbench/.
+    p.add_argument("--grid", type=int, help=argparse.SUPPRESS)
     _add_common(p)
     p.set_defaults(func=cmd_jd_verify)
 
@@ -411,7 +407,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", default=None)
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
-    _add_deprecated_grid(p)
     _add_solver(p)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)

@@ -17,7 +17,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
 from .arrangement_jd import (
     Census2D,
@@ -35,7 +35,6 @@ from .belyi_numeric import (
     UCensus,
     UniPoly,
     shabat_for_derivation,
-    to_unit_interval,
     vertex_u_census,
 )
 from .profile_core import CriticalProfile
@@ -47,7 +46,7 @@ from .seed_families import (
     format_seed,
     seed_triple,
 )
-from .word_engine import catalogue_ends, trajectory, word_from_str
+from .word_engine import DerivationState, catalogue_ends, trajectory, word_from_str
 
 BOUND_TABLE_GUARD = 200
 
@@ -61,9 +60,6 @@ class SingularitySpectrum:
     """Per-type singularity counts of one paired surface."""
 
     counts: dict
-    d: int
-    seed: SeedSpec | None = None
-    word: str | None = None
 
     def __getitem__(self, k: int) -> int:
         return self.counts.get(k, 0)
@@ -72,12 +68,7 @@ class SingularitySpectrum:
         return sum(self.counts.values())
 
 
-def spectrum(
-    js: JStats,
-    g: CriticalProfile,
-    seed: SeedSpec | None = None,
-    word: str | None = None,
-) -> SingularitySpectrum:
+def spectrum(js: JStats, g: CriticalProfile) -> SingularitySpectrum:
     """Pairing arithmetic: black k-points meet value-0 sheets, white k-points
     meet value -1 sheets; value-8 critical points pair with nothing."""
     if g.degree != js.d:
@@ -89,9 +80,7 @@ def spectrum(
         counts[k] = counts.get(k, 0) + js.n0 * c
     for k, c in g.white_counter().items():
         counts[k] = counts.get(k, 0) + js.nm1 * c
-    return SingularitySpectrum(
-        counts=dict(sorted(counts.items())), d=js.d, seed=seed, word=word
-    )
+    return SingularitySpectrum(counts=dict(sorted(counts.items())))
 
 
 def count_Anu(d: int, nu: int) -> int:
@@ -136,23 +125,6 @@ def nodal_threefold_count(d: int) -> int:
     """Node count of the threefold pairing the arrangement against itself."""
     st = jstats(d)
     return st.n0**2 + st.n8**2 + st.nm1**2
-
-
-@dataclass(frozen=True)
-class Construction:
-    seed: SeedSpec
-    word: str
-    degree: int
-    nu: int
-    profile: CriticalProfile
-
-    def spectrum(self) -> SingularitySpectrum:
-        return spectrum(
-            jstats(self.degree),
-            self.profile,
-            seed=self.seed,
-            word=self.word,
-        )
 
 
 def _f1_seeds(d_max: int) -> list[F1]:
@@ -214,13 +186,10 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
 
 
 @cache
-def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[Construction, ...]:
-    """The seed's admissible catalogued words up to degree d_max, as
-    constructions in the order of catalogue_ends."""
-    return tuple(
-        Construction(seed, s.word, s.profile.degree, s.nu, s.profile)
-        for s in catalogue_ends(seed, d_max)
-    )
+def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[DerivationState, ...]:
+    """The seed's admissible catalogued words up to degree d_max, as the
+    states they reach, in the order of catalogue_ends."""
+    return tuple(catalogue_ends(seed, d_max))
 
 
 @cache
@@ -229,11 +198,11 @@ def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
     return tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
 
 
-def _catalogue_order(c: Construction) -> tuple:
-    return (c.degree, c.nu, format_seed(c.seed), c.word)
+def _catalogue_order(c: DerivationState) -> tuple:
+    return (c.profile.degree, c.nu, format_seed(c.seed), c.word)
 
 
-def _catalogued(d_max: int, keep) -> tuple[Construction, ...]:
+def _catalogued(d_max: int, keep) -> tuple[DerivationState, ...]:
     """The constructions c up to degree d_max with keep(c), in catalogue order.
 
     They are read from per-seed walks cached to the table guard (or to
@@ -252,29 +221,29 @@ def _catalogued(d_max: int, keep) -> tuple[Construction, ...]:
     return tuple(sorted(cons, key=_catalogue_order))
 
 
-def constructions_up_to(d_max: int) -> tuple[Construction, ...]:
+def constructions_up_to(d_max: int) -> tuple[DerivationState, ...]:
     """Catalogued constructions (seed plus admissible word) up to degree d_max,
     in catalogue order: by degree, nu, seed and word."""
-    return _catalogued(d_max, lambda c: c.degree <= d_max)
+    return _catalogued(d_max, lambda c: c.profile.degree <= d_max)
 
 
 @cache
-def _constructions_at(d: int) -> tuple[Construction, ...]:
+def _constructions_at(d: int) -> tuple[DerivationState, ...]:
     """The catalogue's slice at exactly degree d, by nu, seed and word.
 
     Built on first use of each degree, so a lookup at a small degree walks
     only the seeds that start at or below it.
     """
-    return _catalogued(d, lambda c: c.degree == d)
+    return _catalogued(d, lambda c: c.profile.degree == d)
 
 
-def find_construction(d: int, nu: int) -> Construction | None:
+def find_construction(d: int, nu: int) -> DerivationState | None:
     """Smallest catalogued construction at exactly (degree, nu), if any:
     the first of that nu in the degree's cached slice."""
     return next((c for c in _constructions_at(d) if c.nu == nu), None)
 
 
-def lowest_nu_construction(d: int) -> Construction | None:
+def lowest_nu_construction(d: int) -> DerivationState | None:
     """Smallest catalogued construction of lowest multiplicity at exactly degree d."""
     return next(iter(_constructions_at(d)), None)
 
@@ -327,13 +296,13 @@ def bound_table(d_max: int) -> BoundTable:
     for d in range(3, d_max + 1):
         best[(d, 1)] = (nodal_surface_count(d), "", "nodal")
     for c in constructions_up_to(d_max):
-        if c.degree % 3 != 0:
+        d = c.profile.degree
+        if d % 3 != 0:
             continue
-        sp = c.spectrum()
-        for k, cnt in sp.counts.items():
+        for k, cnt in spectrum(jstats(d), c.profile).counts.items():
             if cnt == 0:
                 continue
-            key = (c.degree, k)
+            key = (d, k)
             cand = (cnt, format_seed(c.seed), c.word)
             cur = best.get(key)
             if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1:] < cur[1:]):
@@ -361,28 +330,16 @@ def nodal_unit_poly(d: int) -> UniPoly:
 
 @dataclass(frozen=True)
 class SurfacePoly:
-    """Structured trivariate polynomial J_d(x, y) + U(w).
+    """The surface J_d(x, y) + U(w), held as what its census reads.
 
-    solution is the Shabat solution U = (p + 1)/2 is read from, or None for
-    the nodal surface, whose U is the exact axis restriction.  The census
-    reads U's critical points from the solution or the lines, not from U,
-    so u_part is expanded on first read only.
+    solution is the Shabat solution U = (p + 1)/2 comes from, or None for
+    the nodal surface, whose U is the axis restriction of J_d's lines.
+    Neither U is expanded: the census reads U's critical points from the
+    solved vertices or from the lines.
     """
 
     d: int
     solution: ShabatSolution | None
-    seed: SeedSpec | None
-    word: str | None
-    label: str
-
-    @cached_property
-    def u_part(self) -> UniPoly:
-        if self.solution is None:
-            return nodal_unit_poly(self.d)
-        return to_unit_interval(self.solution.polynomial())
-
-    def __call__(self, x, y, w):
-        return build_Jd(self.d)(x, y) + self.u_part(w)
 
 
 def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
@@ -400,13 +357,13 @@ def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
             f"word reaches degree {prof.degree}, arrangement degree is {d}"
         )
     sol = shabat_for_derivation(seed, word, **solver)
-    return SurfacePoly(d=d, solution=sol, seed=seed, word=word, label="paired")
+    return SurfacePoly(d=d, solution=sol)
 
 
 def build_nodal_surface(d: int) -> SurfacePoly:
-    """The all-nodes surface J_d(x,y) + u(z) from the exact axis restriction,
-    which is built when u_part is first read."""
-    return SurfacePoly(d=d, solution=None, seed=None, word=None, label="nodal")
+    """The all-nodes surface J_d(x,y) + u(z), u the axis restriction of
+    J_d's lines (nodal_unit_poly expands it exactly)."""
+    return SurfacePoly(d=d, solution=None)
 
 
 @dataclass(frozen=True)
@@ -531,7 +488,7 @@ def singular_census_3d(surface: SurfacePoly) -> Census3D:
     verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and not unpaired
     return Census3D(
         d=surface.d,
-        label=surface.label,
+        label="nodal" if surface.solution is None else "paired",
         total=total,
         pairs=tuple(pairs),
         by_type=dict(sorted(by_type.items())),

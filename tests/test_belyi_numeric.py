@@ -23,7 +23,6 @@ from belyi_forge import (
     parse_seed,
     shabat_for_derivation,
     shabat_solve,
-    to_unit_interval,
     tree_for_derivation,
 )
 from belyi_forge import belyi_numeric
@@ -44,17 +43,11 @@ def test_unipoly_basics():
     assert q.degree == 2
     assert abs(q(1.0)) < 1e-15
     assert abs((p * q)(2.0) - p(2.0) * q(2.0)) < 1e-12
-    assert abs((p + q)(0.5) - (p(0.5) + q(0.5))) < 1e-15
 
 
 def test_unipoly_trims_trailing_zeros():
     p = UniPoly((1.0, 2.0, 0.0, 0.0))
     assert p.degree == 1
-
-
-def test_to_unit_interval_constants():
-    assert to_unit_interval(UniPoly((-1.0,)))(17.0) == 0.0
-    assert to_unit_interval(UniPoly((1.0,)))(17.0) == 1.0
 
 
 def test_census_classical_cubic():
@@ -167,7 +160,7 @@ def test_base_tree_solution_certifies_profile():
 
 def test_unit_interval_census_of_solved_tree():
     sol = solved_base_surface_poly()
-    u = to_unit_interval(sol.polynomial())
+    u = sol.polynomial().shift_constant(1).scale(0.5)
     census = critical_census_uni(u)
     assert census.count_at(0.0) == 3
     assert census.count_at(1.0) == 1

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -299,34 +300,40 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
     assert steps == []
 
 
-def _surface_verify_refuses_cluster_tol(capsys, value):
+def _surface_verify_refuses(capsys, *argv):
+    # argv ends with the flag and value that surface-verify does not take.
     with pytest.raises(SystemExit) as exc:
-        main(["surface-verify", "--degree", "3", "--nodal", "--cluster-tol", value])
+        main(["surface-verify", "--degree", "3", *argv])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == {
-        "type": "usage", "message": f"unrecognized arguments: --cluster-tol {value}"
+        "type": "usage", "message": "unrecognized arguments: " + " ".join(argv[-2:])
     }
 
 
 def test_surface_verify_takes_no_cluster_tolerance(capsys):
     # Neither U census clusters, so the flag is shabat's only.
-    _surface_verify_refuses_cluster_tol(capsys, "1e-6")
+    _surface_verify_refuses(capsys, "--nodal", "--cluster-tol", "1e-6")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
 def test_nodal_surface_refuses_a_cluster_tolerance_out_of_range(capsys, value):
     # The flag is gone from surface-verify, so an out-of-range value is
     # refused as a usage error before anything is solved.
-    _surface_verify_refuses_cluster_tol(capsys, value)
+    _surface_verify_refuses(capsys, "--nodal", "--cluster-tol", value)
 
 
-@pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
+@pytest.mark.parametrize("subcommand", ["jd-verify"])
 def test_grid_is_still_accepted_and_ignored(capsys, subcommand):
     code, out, err = run(capsys, subcommand, "--degree", "3", "--grid", "64")
     assert code == 0
     assert out == run(capsys, subcommand, "--degree", "3")[1]
+
+
+def test_surface_verify_refuses_grid(capsys):
+    # Only jd-verify keeps the hidden flag.
+    _surface_verify_refuses(capsys, "--grid", "64")
 
 
 def test_jd_verify_up_to_the_census_guard(capsys):
@@ -678,6 +685,36 @@ def test_usage_error_leaves_the_cached_parser_intact(capsys):
     capsys.readouterr()
     assert run(capsys, "seeds", "--max-degree", "9") == fresh
     assert build_parser.cache_info().misses == 1
+
+
+# Every option string of each subcommand, in the order the parser lists
+# them, -h and --help left out: a settable value changes only on purpose.
+SUBCOMMAND_OPTIONS = {
+    "seeds": ["--family", "--max-degree", "--output"],
+    "derive": ["--seed", "--word", "--output"],
+    "enumerate": ["--seed", "--max-len", "--output"],
+    "families": ["--seed", "--limit", "--output"],
+    "shabat": [
+        "--seed", "--word", "--tol", "--restarts", "--rng-seed", "--max-degree",
+        "--cluster-tol", "--output",
+    ],
+    "jd-verify": ["--degree", "--grid", "--output"],
+    "table": ["--max-degree", "--nu", "--format", "--output"],
+    "surface-verify": [
+        "--degree", "--seed", "--word", "--nodal", "--tol", "--restarts", "--rng-seed",
+        "--max-degree", "--output",
+    ],
+    "export": ["--seed", "--word", "--format", "--output"],
+}
+
+
+def test_subcommand_options_are_pinned():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+        for name, p in sub.choices.items()
+    }
+    assert options == SUBCOMMAND_OPTIONS
 
 
 def test_inadmissible_word_is_mismatch(capsys):

@@ -1,5 +1,6 @@
 """The README examples run: its Python quick start prints what its comments
-say, and every `belyi-forge ...` line of its shell examples exits 0."""
+say, every `belyi-forge ...` line of its shell examples exits 0, and its
+sample table is what the CLI prints."""
 
 import re
 import shlex
@@ -44,3 +45,10 @@ def test_readme_python_block_prints_what_its_comments_say(capsys):
 @pytest.mark.parametrize("line", CLI_LINES)
 def test_readme_cli_example_exits_zero(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_sample_csv_is_the_table_output(capsys):
+    (block,) = _blocks("csv")
+    assert "`table --max-degree 15 --format csv`" in README
+    assert cli.main(["table", "--max-degree", "15", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == block

@@ -137,7 +137,7 @@ def test_spectrum_is_the_pairing_product():
     seed = F1(1, 1)
     prof = seed_profile(seed)
     js = jstats(prof.degree)
-    sp = spectrum(js, prof, seed=seed, word="")
+    sp = spectrum(js, prof)
     # three black 5-points against value-0 sheets, one white 5-point
     # against value -1 sheets
     assert sp[5] == 3 * js.n0 + 1 * js.nm1
@@ -159,11 +159,11 @@ def test_high_multiplicity_count_matches_spectrum_on_constructions():
         for c in constructions_up_to(24):
             if c.nu <= 2:
                 continue
-            sp = c.spectrum()
-            js = jstats(c.degree)
-            assert sp[c.nu] == js.n0 * (c.degree // (c.nu + 1)) + js.nm1
-            if c.degree % 3 == 0:
-                assert sp[c.nu] == count_Anu(c.degree, c.nu), (c.seed, c.word)
+            js = jstats(c.profile.degree)
+            sp = spectrum(js, c.profile)
+            assert sp[c.nu] == js.n0 * (c.profile.degree // (c.nu + 1)) + js.nm1
+            if c.profile.degree % 3 == 0:
+                assert sp[c.nu] == count_Anu(c.profile.degree, c.nu), (c.seed, c.word)
                 checked_formula += 1
     assert checked_formula >= 5
 
@@ -213,13 +213,13 @@ def test_bound_table_guard():
 def test_find_construction_round_trip():
     c = find_construction(21, 5)
     assert c is not None
-    assert c.degree == 21 and c.nu == 5
+    assert c.profile.degree == 21 and c.nu == 5
     assert find_construction(9, 8) is None
 
 
 def test_lowest_nu_construction_is_first_at_its_degree():
     for d in (9, 12, 21, 30):
-        at_d = [c for c in constructions_up_to(d) if c.degree == d]
+        at_d = [c for c in constructions_up_to(d) if c.profile.degree == d]
         c = lowest_nu_construction(d)
         assert c == at_d[0]
         assert c.nu == min(x.nu for x in at_d)
@@ -240,15 +240,15 @@ def test_bound_table_200_is_frozen():
 def test_catalogue_is_a_degree_filter_of_the_larger_one():
     full = constructions_up_to(BOUND_TABLE_GUARD)
     for d in range(3, BOUND_TABLE_GUARD + 1):
-        assert constructions_up_to(d) == tuple(c for c in full if c.degree <= d), d
+        assert constructions_up_to(d) == tuple(c for c in full if c.profile.degree <= d), d
 
 
 def test_lookups_are_the_first_match_of_a_scan():
     for d in range(3, BOUND_TABLE_GUARD + 1):
         cons = constructions_up_to(d)
-        assert lowest_nu_construction(d) == next((c for c in cons if c.degree == d), None), d
+        assert lowest_nu_construction(d) == next((c for c in cons if c.profile.degree == d), None), d
         for nu in range(1, 71):
-            first = next((c for c in cons if c.degree == d and c.nu == nu), None)
+            first = next((c for c in cons if c.profile.degree == d and c.nu == nu), None)
             assert find_construction(d, nu) == first, (d, nu)
 
 
@@ -419,7 +419,7 @@ CATALOGUE_200_SHA256 = "2731bd5250a743fc2a6fb6c88bb2723b1a980ed4fe99a43b8795b4ac
 def test_catalogue_200_is_frozen():
     cons = constructions_up_to(BOUND_TABLE_GUARD)
     rows = "".join(
-        f"{c.degree},{c.nu},{format_seed(c.seed)},{c.word},{c.profile!r}\n"
+        f"{c.profile.degree},{c.nu},{format_seed(c.seed)},{c.word},{c.profile!r}\n"
         for c in cons
     )
     assert len(cons) == 1836
@@ -481,7 +481,12 @@ def test_vertex_value_key_is_positive_zero():
 
 def test_surface_polynomial_evaluates():
     surface = build_surface(9, F1(0, 1), "")
-    assert surface(0.25, -0.3, 0.5) == build_Jd(9)(0.25, -0.3) + surface.u_part(0.5)
+    jd = build_Jd(9)
+    u = surface.solution.polynomial().shift_constant(1).scale(0.5)
+
+    def f(x, y, w):
+        return jd(x, y) + u(w)
+
     census = singular_census_3d(surface)
     assert census.verified
     # A paired point: a chamber maximum of J at value -1 and a real critical
@@ -493,9 +498,9 @@ def test_surface_polynomial_evaluates():
              if abs(val - 1) < 1e-6 and abs(w.imag) < 1e-6)
     x, y, w, h = Fraction(p.x), Fraction(p.y), Fraction(w), Fraction(1, 10**6)
     fd = (
-        (surface(x + h, y, w) - surface(x - h, y, w)) / (2 * h),
-        (surface(x, y + h, w) - surface(x, y - h, w)) / (2 * h),
-        (surface(x, y, w + h) - surface(x, y, w - h)) / (2 * h),
+        (f(x + h, y, w) - f(x - h, y, w)) / (2 * h),
+        (f(x, y + h, w) - f(x, y - h, w)) / (2 * h),
+        (f(x, y, w + h) - f(x, y, w - h)) / (2 * h),
     )
     assert abs(fd[0] - p.gradient[0]) < 1e-6
     assert abs(fd[1] - p.gradient[1]) < 1e-6
@@ -579,23 +584,6 @@ def test_nodal_u_census_refuses_a_degenerate_axis():
         nodal_u_census([*lines[1:], flat], scale_constant(5))
 
 
-def test_nodal_surface_builds_its_u_part_on_first_read(monkeypatch):
-    built = []
-
-    def counting(d):
-        built.append(d)
-        return nodal_unit_poly(d)
-
-    monkeypatch.setattr(surface_counts, "nodal_unit_poly", counting)
-    surface = build_nodal_surface(9)
-    assert singular_census_3d(surface).verified
-    assert built == []
-    assert surface.u_part == nodal_unit_poly(9)
-    assert surface(0.25, -0.3, 0.5) == build_Jd(9)(0.25, -0.3) + surface.u_part(0.5)
-    assert built == [9]
-    assert (surface.d, surface.seed, surface.word, surface.label) == (9, None, None, "nodal")
-
-
 def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the nodal census took the dense U path")
@@ -615,13 +603,9 @@ def test_paired_census_never_expands_p(monkeypatch):
 
     monkeypatch.setattr(belyi_numeric.ShabatSolution, "polynomial", refuse)
     monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
-    surface = build_surface(9, F1(0, 1), "")
-    census = singular_census_3d(surface)
+    census = singular_census_3d(build_surface(9, F1(0, 1), ""))
     assert census.verified
     assert census.by_type == {2: 127}
-    # u_part is expanded on first read only.
-    with pytest.raises(AssertionError, match="expanded p"):
-        surface.u_part
 
 
 @pytest.mark.parametrize(
