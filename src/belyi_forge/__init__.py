@@ -73,12 +73,7 @@ from .surface_counts import (
     BoundTable,
     Census3D,
     ExistenceUnverifiedWarning,
-    SingularitySpectrum,
-    SurfacePoly,
     bound_table,
-    build_nodal_surface,
-    build_surface,
-    census_matches_spectrum,
     constructions_up_to,
     count_A2_family,
     count_Anu,

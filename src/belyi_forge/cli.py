@@ -48,8 +48,6 @@ from .seed_families import (
 from .surface_counts import (
     BoundTable,
     bound_table,
-    build_nodal_surface,
-    build_surface,
     lowest_nu_construction,
     nodal_surface_count,
     seed_grid,
@@ -264,37 +262,43 @@ def cmd_surface_verify(args) -> int:
     if args.word is not None and args.seed is None:
         raise ValueError("--word needs the --seed it applies to")
     d = args.degree
-    cons = None if args.nodal or args.seed is not None else lowest_nu_construction(d)
-    if args.nodal or (args.seed is None and cons is None):
-        surface = build_nodal_surface(d)
-        expected_types = {1: nodal_surface_count(d)}
-        provenance = "nodal"
+    # The construction is read once: the state the word reaches from the
+    # seed, the catalogue's state of lowest nu at d, or None for the nodal
+    # surface (also when nothing is catalogued at d).
+    if args.seed is not None:
+        seed = parse_seed(args.seed)
+        end = trajectory(seed, word_from_str(args.word or "", seed))[-1]
     else:
-        if cons is None:
-            seed = parse_seed(args.seed)
-            word = word_from_str(args.word or "", seed)
-        else:
-            seed, word = cons.seed, cons.word
-        surface = build_surface(
-            d,
-            seed,
-            word,
+        end = None if args.nodal else lowest_nu_construction(d)
+    if end is None:
+        expected = {1: nodal_surface_count(d)}
+        provenance = "nodal"
+        sol = None
+    else:
+        if end.profile.degree != d:
+            raise ValueError(
+                f"word reaches degree {end.profile.degree}, arrangement degree is {d}"
+            )
+        expected = spectrum(jstats(d), end.profile)
+        provenance = f"{format_seed(end.seed)} {end.word or '(empty)'}"
+        # The 2D census holds its degree guard, so it runs before the solve;
+        # it is cached, and the 3D census reads it from the cache.
+        jd_census(d)
+        sol = shabat_for_derivation(
+            end.seed,
+            end.word,
             tol=args.tol,
             max_restarts=args.restarts,
             rng_seed=args.rng_seed,
             max_degree=args.max_degree,
         )
-        prof = trajectory(seed, word)[-1].profile
-        sp = spectrum(jstats(d), prof)
-        expected_types = {k: v for k, v in sp.counts.items() if v}
-        provenance = f"{format_seed(seed)} {word or '(empty)'}"
-    census = singular_census_3d(surface)
-    match = census.by_type == expected_types and census.verified
+    census = singular_census_3d(d, sol)
+    match = census.by_type == expected and census.verified
     payload = {
         "degree": d,
         "construction": provenance,
-        "expected_by_type": {f"A{k}": v for k, v in sorted(expected_types.items())},
-        "expected_total": sum(expected_types.values()),
+        "expected_by_type": {f"A{k}": v for k, v in sorted(expected.items())},
+        "expected_total": sum(expected.values()),
         "census": census.as_dict(),
         "match": match,
     }
@@ -317,16 +321,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="write output to a file (UTF-8)")
 
 
-def _add_seed_word(p: argparse.ArgumentParser, word_required: bool = False) -> None:
+def _add_seed_word(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--seed", required=True, help="seed flags, e.g. F1:1,1 or F2:0,1,2,2"
     )
-    p.add_argument(
-        "--word",
-        default="" if not word_required else None,
-        required=word_required,
-        help="letter string over the seed's alphabet",
-    )
+    p.add_argument("--word", default="", help="letter string over the seed's alphabet")
 
 
 def _add_solver(p: argparse.ArgumentParser) -> None:

@@ -20,7 +20,6 @@ from fractions import Fraction
 from functools import cache
 
 from .arrangement_jd import (
-    Census2D,
     JStats,
     build_Jd,
     jd_census,
@@ -32,9 +31,7 @@ from .arrangement_jd import (
 from .belyi_numeric import (
     VALUE_TOL,
     ShabatSolution,
-    UCensus,
     UniPoly,
-    shabat_for_derivation,
     vertex_u_census,
 )
 from .profile_core import CriticalProfile
@@ -46,7 +43,7 @@ from .seed_families import (
     format_seed,
     seed_triple,
 )
-from .word_engine import DerivationState, catalogue_ends, trajectory, word_from_str
+from .word_engine import DerivationState, catalogue_ends
 
 BOUND_TABLE_GUARD = 200
 
@@ -55,32 +52,22 @@ class ExistenceUnverifiedWarning(UserWarning):
     """A count formula was evaluated at (d, nu) with no known construction."""
 
 
-@dataclass(frozen=True)
-class SingularitySpectrum:
-    """Per-type singularity counts of one paired surface."""
-
-    counts: dict
-
-    def __getitem__(self, k: int) -> int:
-        return self.counts.get(k, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def spectrum(js: JStats, g: CriticalProfile) -> SingularitySpectrum:
+def spectrum(js: JStats, g: CriticalProfile) -> Counter[int]:
     """Pairing arithmetic: black k-points meet value-0 sheets, white k-points
-    meet value -1 sheets; value-8 critical points pair with nothing."""
+    meet value -1 sheets; value-8 critical points pair with nothing.
+
+    The counts are per multiplicity k; a type that does not occur reads 0.
+    """
     if g.degree != js.d:
         raise ValueError(
             f"profile degree {g.degree} does not match arrangement degree {js.d}"
         )
-    counts: dict[int, int] = {}
+    counts: Counter[int] = Counter()
     for k, c in g.black_counter().items():
-        counts[k] = counts.get(k, 0) + js.n0 * c
+        counts[k] += js.n0 * c
     for k, c in g.white_counter().items():
-        counts[k] = counts.get(k, 0) + js.nm1 * c
-    return SingularitySpectrum(counts=dict(sorted(counts.items())))
+        counts[k] += js.nm1 * c
+    return counts
 
 
 def count_Anu(d: int, nu: int) -> int:
@@ -299,9 +286,7 @@ def bound_table(d_max: int) -> BoundTable:
         d = c.profile.degree
         if d % 3 != 0:
             continue
-        for k, cnt in spectrum(jstats(d), c.profile).counts.items():
-            if cnt == 0:
-                continue
+        for k, cnt in spectrum(jstats(d), c.profile).items():
             key = (d, k)
             cand = (cnt, format_seed(c.seed), c.word)
             cur = best.get(key)
@@ -326,44 +311,6 @@ def nodal_unit_poly(d: int) -> UniPoly:
     for c in reversed(axis[:-1]):
         g = (g * t).shift_constant(c)
     return g.scale(Fraction(-1, 4)).shift_constant(Fraction(3, 4))
-
-
-@dataclass(frozen=True)
-class SurfacePoly:
-    """The surface J_d(x, y) + U(w), held as what its census reads.
-
-    solution is the Shabat solution U = (p + 1)/2 comes from, or None for
-    the nodal surface, whose U is the axis restriction of J_d's lines.
-    Neither U is expanded: the census reads U's critical points from the
-    solved vertices or from the lines.
-    """
-
-    d: int
-    solution: ShabatSolution | None
-
-
-def build_surface(d: int, seed: SeedSpec, word: str, **solver) -> SurfacePoly:
-    """Assemble J_d(x,y) + U(w) for the polynomial a word derives from a seed.
-
-    The unit-interval part comes from an actual converged solve, so a
-    failed solve propagates; the count formulas stay available either way.
-    Keyword arguments go to shabat_for_derivation, and so to shabat_solve,
-    unchanged.
-    """
-    word = word_from_str(word, seed)
-    prof = trajectory(seed, word)[-1].profile
-    if prof.degree != d:
-        raise ValueError(
-            f"word reaches degree {prof.degree}, arrangement degree is {d}"
-        )
-    sol = shabat_for_derivation(seed, word, **solver)
-    return SurfacePoly(d=d, solution=sol)
-
-
-def build_nodal_surface(d: int) -> SurfacePoly:
-    """The all-nodes surface J_d(x,y) + u(z), u the axis restriction of
-    J_d's lines (nodal_unit_poly expands it exactly)."""
-    return SurfacePoly(d=d, solution=None)
 
 
 @dataclass(frozen=True)
@@ -394,8 +341,6 @@ class Census3D:
     verified: bool
     max_value_defect: float
     max_gradient_defect: float
-    j_census: Census2D
-    u_census: UCensus
 
     def as_dict(self) -> dict:
         return {
@@ -419,16 +364,19 @@ class Census3D:
         }
 
 
-def singular_census_3d(surface: SurfacePoly) -> Census3D:
-    """Count singular points of the surface by pairing the two censuses.
+def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census3D:
+    """Count singular points of the surface J_d(x, y) + U(w) by pairing the
+    two censuses.
 
-    The two-variable census of J_d, read in product form from its lines
-    and cached per degree, supplies critical points of J by value with
-    their values and gradients.  U's critical points, with U and |U'|
-    there, come in product form too, with no clustering and no expanded
-    coefficients.  For the nodal surface nodal_u_census reads them from
-    the axis roots of the same lines: Rolle puts one in each gap, and each
-    is simple because U' has degree d - 1.  For a paired surface
+    U = (p + 1)/2 for the Shabat solution p, or, when solution is None, the
+    nodal surface's U: the axis restriction of J_d's lines (nodal_unit_poly
+    expands it exactly).  The two-variable census of J_d, read in product
+    form from its lines and cached per degree, supplies critical points of
+    J by value with their values and gradients.  U's critical points, with
+    U and |U'| there, come in product form too, with no clustering and no
+    expanded coefficients.  For the nodal surface nodal_u_census reads them
+    from the axis roots of the same lines: Rolle puts one in each gap, and
+    each is simple because U' has degree d - 1.  For a paired surface
     vertex_u_census reads them from the solved tree: U's critical points
     are its internal vertices.  A singular point is any combination whose
     values cancel.  Every paired triple is then verified directly: the
@@ -437,11 +385,15 @@ def singular_census_3d(surface: SurfacePoly) -> Census3D:
     pairs with no J value (one with an imaginary part above VALUE_TOL
     included) leaves the census unverified.
     """
-    j_cen = jd_census(surface.d)
-    if surface.solution is None:
-        u_cen = nodal_u_census(jd_lines(surface.d), scale_constant(surface.d))
+    if solution is not None and solution.degree != d:
+        raise ValueError(
+            f"solution degree {solution.degree} does not match arrangement degree {d}"
+        )
+    j_cen = jd_census(d)
+    if solution is None:
+        u_cen = nodal_u_census(jd_lines(d), scale_constant(d))
     else:
-        u_cen = vertex_u_census(surface.solution)
+        u_cen = vertex_u_census(solution)
 
     # Each real-valued critical point of U, grouped by (value, multiplicity),
     # with U and |U'| there.  Adding 0.0 folds a rounding residual's -0.0
@@ -487,8 +439,8 @@ def singular_census_3d(surface: SurfacePoly) -> Census3D:
     unpaired = len(u_cen.points) - sum(len(u_groups[key]) for key in paired)
     verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and not unpaired
     return Census3D(
-        d=surface.d,
-        label="nodal" if surface.solution is None else "paired",
+        d=d,
+        label="nodal" if solution is None else "paired",
         total=total,
         pairs=tuple(pairs),
         by_type=dict(sorted(by_type.items())),
@@ -496,10 +448,5 @@ def singular_census_3d(surface: SurfacePoly) -> Census3D:
         verified=verified,
         max_value_defect=max_f,
         max_gradient_defect=max_g,
-        j_census=j_cen,
-        u_census=u_cen,
     )
 
-
-def census_matches_spectrum(census: Census3D, sp: SingularitySpectrum) -> bool:
-    return census.by_type == {k: v for k, v in sp.counts.items() if v}

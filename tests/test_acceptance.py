@@ -30,9 +30,6 @@ from belyi_forge.arrangement_jd import build_Jd
 from belyi_forge.seed_families import seed_satisfies_E
 from belyi_forge.surface_counts import (
     ExistenceUnverifiedWarning,
-    build_nodal_surface,
-    build_surface,
-    census_matches_spectrum,
     count_A2_family,
     count_Anu,
     nodal_surface_count,
@@ -266,8 +263,7 @@ def test_criterion_09_count_formulas():
 
 def test_criterion_10_end_to_end_census():
     budget = Budget("criterion 10 end-to-end", 600.0)
-    surface = build_surface(9, F1(0, 1), "")
-    census = singular_census_3d(surface)
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert census.verified
     assert census.total == 127 == count_A2_family(0)
     pair_keys = {
@@ -275,9 +271,9 @@ def test_criterion_10_end_to_end_census():
     }
     assert pair_keys == {(0, 0): 108, (-1, 1): 19}
     state = trajectory(F1(0, 1), "")[-1]
-    assert census_matches_spectrum(census, spectrum(jstats(9), state.profile))
+    assert census.by_type == spectrum(jstats(9), state.profile)
 
-    nodal = singular_census_3d(build_nodal_surface(3))
+    nodal = singular_census_3d(3)
     assert nodal.verified
     assert nodal.total == 4
     budget.done("127 = 108 + 19 singular points at d=9; 4 nodes at d=3")

@@ -9,7 +9,7 @@ import pytest
 from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
 from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.cli import build_parser, main
-from belyi_forge.surface_counts import seed_grid
+from belyi_forge.surface_counts import lowest_nu_construction, seed_grid
 from belyi_forge.tree_realization import parse_dot
 
 
@@ -398,6 +398,67 @@ def test_surface_verify_nodal_takes_no_construction(capsys, construction):
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("--degree", "12", "--seed", "F1:0,1"),
+            {"type": "ValueError", "message": "word reaches degree 9, arrangement degree is 12"},
+        ),
+        # The word reaches degree 39, which the 2D census refuses; the solve
+        # (32 failed restarts here) would come to nothing, so it is not run.
+        (
+            ("--degree", "39", "--seed", "F2:0,1,1,1", "--word", "Bg", "--max-degree", "39"),
+            {"type": "DegreeGuardError", "message": "degree 39 exceeds census guard 24"},
+        ),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, tuple) else v["type"],
+)
+def test_surface_verify_refuses_before_solving(capsys, monkeypatch, argv, error):
+    def refuse(*args, **kwargs):
+        raise AssertionError("surface-verify solved a surface it refuses")
+
+    monkeypatch.setattr(belyi_numeric, "shabat_solve", refuse)
+    code, out, err = run(capsys, "surface-verify", *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == error
+
+
+def test_surface_verify_forwards_the_solver_guard(capsys, monkeypatch):
+    steps = []
+    linear_factors = belyi_numeric._linear_factors
+
+    def counting(*args):
+        steps.append(1)
+        return linear_factors(*args)
+
+    monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
+    # F1:0,1 "a" reaches degree 12, past a guard of 9.
+    code, out, err = run(
+        capsys, "surface-verify", "--degree", "12", "--seed", "F1:0,1", "--word", "a",
+        "--max-degree", "9",
+    )
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "DegreeGuardError", "message": "degree 12 exceeds guard 9"
+    }
+    assert steps == []
+
+
+@pytest.mark.parametrize("d", [3, 9, 12])
+def test_surface_verify_catalogue_and_explicit_construction_agree(capsys, d):
+    # With no --seed, surface-verify reads the catalogue's construction of
+    # lowest nu; naming that construction prints the same bytes.
+    end = lowest_nu_construction(d)
+    catalogue = run(capsys, "surface-verify", "--degree", str(d))
+    explicit = run(
+        capsys, "surface-verify", "--degree", str(d), "--seed", format_seed(end.seed),
+        "--word", end.word,
+    )
+    assert catalogue == explicit
+    assert catalogue[0] == 0
 
 
 # sha256 of the payload of `jd-verify --degree d` without its dual-path

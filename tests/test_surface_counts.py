@@ -15,7 +15,6 @@ import pytest
 from belyi_forge import (
     F1,
     F2,
-    DegreeGuardError,
     UniPoly,
     belyi_numeric,
     build_Jd,
@@ -24,12 +23,15 @@ from belyi_forge import (
     jstats,
     seed_profile,
     seed_triple,
+    shabat_for_derivation,
     surface_counts,
     validate_seed,
+    vertex_u_census,
     word_engine,
 )
 from belyi_forge.arrangement_jd import (
     DegenerateAxisError,
+    jd_census,
     jd_lines,
     line_product_values,
     nodal_u_census,
@@ -39,9 +41,6 @@ from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
     ExistenceUnverifiedWarning,
     bound_table,
-    build_nodal_surface,
-    build_surface,
-    census_matches_spectrum,
     constructions_up_to,
     count_A2_family,
     count_Anu,
@@ -427,8 +426,7 @@ def test_catalogue_200_is_frozen():
 
 
 def test_end_to_end_census_smallest_surface():
-    surface = build_surface(9, F1(0, 1), "")
-    census = singular_census_3d(surface)
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert census.verified
     assert census.total == 127
     assert census.by_type == {2: 127}
@@ -438,32 +436,23 @@ def test_end_to_end_census_smallest_surface():
     assert pair_keys == {(0, 0): 108, (-1, 1): 19}
     assert census.max_value_defect < 1e-6
     state = trajectory(F1(0, 1), "")[-1]
-    sp = spectrum(jstats(9), state.profile)
-    assert census_matches_spectrum(census, sp)
+    assert census.by_type == spectrum(jstats(9), state.profile)
 
 
-def test_build_surface_forwards_the_solver_guard():
-    # F1:0,1 "a" reaches degree 12, past a guard of 9.
-    with pytest.raises(DegreeGuardError):
-        build_surface(12, F1(0, 1), "a", max_degree=9)
-
-
-def test_build_surface_takes_its_word_as_a_str():
-    # The empty tuple once passed the letter check and became the word.
-    with pytest.raises(TypeError):
-        build_surface(9, F1(0, 1), ())
+def test_paired_census_refuses_a_solution_of_another_degree():
+    sol = shabat_for_derivation(F1(0, 1), "")
+    with pytest.raises(ValueError, match="solution degree 9 does not match arrangement degree 12"):
+        singular_census_3d(12, sol)
 
 
 def test_pairing_is_complete():
-    surface = build_surface(9, F1(0, 1), "")
-    census = singular_census_3d(surface)
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert sum(p.pair_count for p in census.pairs) == census.total
     assert sum(census.by_type.values()) == census.total
 
 
 def test_end_to_end_census_nodal_surface():
-    surface = build_nodal_surface(3)
-    census = singular_census_3d(surface)
+    census = singular_census_3d(3)
     assert census.verified
     assert census.total == nodal_surface_count(3) == 4
     assert census.by_type == {1: 4}
@@ -472,7 +461,7 @@ def test_end_to_end_census_nodal_surface():
 def test_vertex_value_key_is_positive_zero():
     # At d=8 a vertex value rounds to -0.0; the pairing key must not carry
     # that sign into the report.
-    census = singular_census_3d(build_nodal_surface(8))
+    census = singular_census_3d(8)
     assert census.verified
     zero_keys = [p.j_value for p in census.pairs if p.j_value == 0]
     assert zero_keys
@@ -480,21 +469,21 @@ def test_vertex_value_key_is_positive_zero():
 
 
 def test_surface_polynomial_evaluates():
-    surface = build_surface(9, F1(0, 1), "")
+    sol = shabat_for_derivation(F1(0, 1), "")
     jd = build_Jd(9)
-    u = surface.solution.polynomial().shift_constant(1).scale(0.5)
+    u = sol.polynomial().shift_constant(1).scale(0.5)
 
     def f(x, y, w):
         return jd(x, y) + u(w)
 
-    census = singular_census_3d(surface)
+    census = singular_census_3d(9, sol)
     assert census.verified
     # A paired point: a chamber maximum of J at value -1 and a real critical
     # point of U at value 1.  The gradient the census reports there matches
     # central differences of the surface, taken at rational points so that
     # only the float U part rounds.
-    p = next(q for q in census.j_census.points if abs(q.value + 1) < 1e-6)
-    w = next(w.real for w, val, _ in census.u_census.points
+    p = next(q for q in jd_census(9).points if abs(q.value + 1) < 1e-6)
+    w = next(w.real for w, val, _ in vertex_u_census(sol).points
              if abs(val - 1) < 1e-6 and abs(w.imag) < 1e-6)
     x, y, w, h = Fraction(p.x), Fraction(p.y), Fraction(w), Fraction(1, 10**6)
     fd = (
@@ -509,7 +498,7 @@ def test_surface_polynomial_evaluates():
 
 
 def test_nodal_census_past_the_old_guard():
-    census = singular_census_3d(build_nodal_surface(18))
+    census = singular_census_3d(18)
     assert census.verified
     assert census.by_type == {1: nodal_surface_count(18)} == {1: 2105}
 
@@ -592,7 +581,7 @@ def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
     monkeypatch.setattr(belyi_numeric, "_aberth", refuse)
     monkeypatch.setattr(np, "roots", refuse)
     monkeypatch.setattr(UniPoly, "__call__", refuse)
-    census = singular_census_3d(build_nodal_surface(12))
+    census = singular_census_3d(12)
     assert census.verified
     assert census.by_type == {1: nodal_surface_count(12)}
 
@@ -603,7 +592,7 @@ def test_paired_census_never_expands_p(monkeypatch):
 
     monkeypatch.setattr(belyi_numeric.ShabatSolution, "polynomial", refuse)
     monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
-    census = singular_census_3d(build_surface(9, F1(0, 1), ""))
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert census.verified
     assert census.by_type == {2: 127}
 
@@ -623,20 +612,18 @@ def test_paired_census_never_expands_p(monkeypatch):
 def test_paired_census_reads_u_from_the_solved_vertices(seed, word, d):
     # U's critical points are the tree's internal vertices, so multiple
     # points (A4 at F2:1,1,0,0, A7 at F2:1,2,0,0) need no clustering.
-    census = singular_census_3d(build_surface(d, seed, word))
-    sp = spectrum(jstats(d), trajectory(seed, word)[-1].profile)
-    assert census.by_type == {k: v for k, v in sp.counts.items() if v}
+    census = singular_census_3d(d, shabat_for_derivation(seed, word))
+    assert census.by_type == spectrum(jstats(d), trajectory(seed, word)[-1].profile)
     assert census.verified
 
 
 @pytest.mark.parametrize("colour", ["black_points", "white_points"])
 def test_a_moved_vertex_leaves_the_census_unverified(colour):
-    surface = build_surface(9, F1(0, 1), "")
-    points = list(getattr(surface.solution, colour))
+    sol = shabat_for_derivation(F1(0, 1), "")
+    points = list(getattr(sol, colour))
     i = next(i for i, (_, mult) in enumerate(points) if mult >= 1)
     points[i] = (points[i][0] + 1e-6, points[i][1])
-    moved = replace(surface, solution=replace(surface.solution, **{colour: tuple(points)}))
-    census = singular_census_3d(moved)
+    census = singular_census_3d(9, replace(sol, **{colour: tuple(points)}))
     # The other colour's U values move by about 2e-6 and pair with no J
     # value, while the points that do pair keep small defects.
     assert census.by_type in ({2: 19}, {2: 108})
@@ -652,6 +639,6 @@ def test_a_u_point_of_complex_value_leaves_the_census_unverified(monkeypatch):
                        slopes=(*cen.slopes, slope))
 
     monkeypatch.setattr(surface_counts, "vertex_u_census", with_a_complex_value)
-    census = singular_census_3d(build_surface(9, F1(0, 1), ""))
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert census.by_type == {2: 127}
     assert not census.verified
