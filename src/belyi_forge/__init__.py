@@ -14,7 +14,6 @@ from .arrangement_jd import (
     Census2D,
     DegenerateAxisError,
     JStats,
-    LineSpec,
     arrangement_census,
     build_Jd,
     build_lines,

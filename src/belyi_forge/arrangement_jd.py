@@ -26,10 +26,11 @@ tests.  It reads J_d, its gradient and its Hessian as one jet, carried
 through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
-a vertex.  The lines are converted to arrays once, and the vertices, the
-chambers, their maxima and the jet are all read from those arrays.  The
-nodal surface's U census (nodal_u_census) reads the same lines and jet on
-the x-axis.  The rational coefficients serve the dual-path check, which
+a vertex.  The lines are arrays from the start (normals and offsets), and
+the census returns its candidates as arrays.  The nodal surface's U census
+(nodal_u_census) reads the same lines and jet on the x-axis, where the same
+ascent, in one dimension, finds a critical point in each gap between the
+axis roots.  The rational coefficients serve the dual-path check, which
 evaluates them in Python ints, and the exact axis restriction.
 """
 
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -61,17 +62,6 @@ DUAL_PATH_SEED = 7
 # verifies wherever this census is complete (d <= 34 and d = 36).
 CENSUS_DEGREE_GUARD = 24
 VALUE_TARGETS = (0.0, 8.0, -1.0)
-
-
-@dataclass(frozen=True)
-class LineSpec:
-    """One line a*x + b*y + c = 0 of the arrangement."""
-
-    mu: int
-    phi: float
-    a: float
-    b: float
-    c: float
 
 
 @dataclass(frozen=True)
@@ -137,21 +127,23 @@ def _mu_range(d: int) -> range:
     return range(-((d - 2) // 2), (d + 1) // 2 + 1)
 
 
-def build_lines(d: int) -> list[LineSpec]:
-    """The d lines whose product (after scaling) has critical values {0,8,-1}.
+def build_lines(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d lines a*x + b*y + c = 0 whose product (after scaling) has
+    critical values {0,8,-1}: their normals (a, b) as rows, and offsets c.
 
-    Angles are phi = (6*mu - 1)*pi/(6d).  None is vertical: that would need
-    6*mu - 1 to be an odd multiple of 3d, and 3 does not divide 6*mu - 1.
+    Angles are phi = (6*mu - 1)*pi/(6d), and a = -tan(phi), b = 1.  None is
+    vertical: that would need 6*mu - 1 to be an odd multiple of 3d, and 3
+    does not divide 6*mu - 1.
     """
     if d < 2:
         raise ValueError("need at least two lines")
-    lines = []
+    normals, offsets = [], []
     for mu in _mu_range(d):
         phi = (6 * mu - 1) * math.pi / (6 * d)
         t = math.tan(phi)
-        c = math.cos(2 * phi) * t + math.sin(2 * phi)
-        lines.append(LineSpec(mu=mu, phi=phi, a=-t, b=1.0, c=c))
-    return lines
+        normals.append((-t, 1.0))
+        offsets.append(math.cos(2 * phi) * t + math.sin(2 * phi))
+    return np.array(normals), np.array(offsets)
 
 
 def scale_constant(d: int) -> float:
@@ -304,11 +296,6 @@ def jstats(d: int) -> JStats:
     return JStats(d=d, n0=n0, n8=n8, nm1=nm1)
 
 
-def _line_arrays(lines: list[LineSpec]) -> tuple[np.ndarray, np.ndarray]:
-    """The normals (a, b) as rows, and the offsets c, of the lines."""
-    return np.array([(l.a, l.b) for l in lines]), np.array([l.c for l in lines])
-
-
 def _vertices(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each crossing of line i with a later line j, by Cramer's rule.
 
@@ -326,20 +313,16 @@ def _vertices(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.
     return np.stack([i, j], axis=1), np.stack([x, y], axis=1)
 
 
-@dataclass(frozen=True)
-class CriticalPoint2D:
-    x: float
-    y: float
-    value: float
-    gradient: tuple[float, float]
-    hessian_det: float
-    nondegenerate: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Census2D:
+    """The census's counts per value target, and the candidates that pass its
+    gradient test as read-only arrays: positions and gradients as (x, y)
+    rows, and values."""
+
     counts: Mapping
-    points: tuple[CriticalPoint2D, ...]
+    positions: np.ndarray
+    values: np.ndarray
+    gradients: np.ndarray
     complete: bool
     all_nondegenerate: bool
     expected_total: int
@@ -347,7 +330,7 @@ class Census2D:
 
     @property
     def total(self) -> int:
-        return len(self.points)
+        return len(self.values)
 
     def as_dict(self) -> dict:
         return {
@@ -358,6 +341,13 @@ class Census2D:
             "all_nondegenerate": self.all_nondegenerate,
             "stray_values": list(self.stray_values),
         }
+
+
+def value_classes(values: np.ndarray) -> np.ndarray:
+    """For each value, the index of the target in VALUE_TARGETS it lies within
+    VALUE_TOL of, or -1 for none; the targets are too far apart for two."""
+    near = np.abs(values[:, None] - np.array(VALUE_TARGETS)) <= VALUE_TOL
+    return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
 def _bounded_chambers(
@@ -398,6 +388,9 @@ def _bounded_chambers(
 def _chamber_maxima(normals: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Maximum of sum(log|l_i|) over the open chamber holding each start.
 
+    The lines l_i = n_i . x + c_i and the starts may be of any dimension:
+    the 2D census runs it on the arrangement's bounded chambers, and the
+    nodal U census in one dimension, on the gaps between the axis roots.
     Damped Newton ascent, run on all chambers at once as stacked arrays;
     each chamber stops on its own.  The objective is strictly concave on a
     chamber, so the ascent converges.  With r_i = (n_i . step) / l_i, the
@@ -458,27 +451,25 @@ def _product_jet(
     return tuple(scale * q for q in (value, gx, gy, hxx, hxy, hyy))
 
 
-def arrangement_census(lines: list[LineSpec], scale: float) -> Census2D:
+def arrangement_census(normals: np.ndarray, offsets: np.ndarray, scale: float) -> Census2D:
     """Real critical points of J = scale * prod(l_i), read in product form.
 
-    For d lines in general position the critical points are the d(d-1)/2
-    vertices, where J vanishes to second order, and one maximum of
-    sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
+    The lines l_i = n_i . (x, y) + c_i come as their normals n_i (rows) and
+    offsets c_i.  For d lines in general position the critical points are
+    the d(d-1)/2 vertices, where J vanishes to second order, and one maximum
+    of sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
     (d-1)(d-2)/2 (Zaslavsky); one batched damped-Newton ascent finds every
-    chamber's maximum (_chamber_maxima).  The lines become arrays once, and
-    the vertices, chambers, maxima and jet all read them.  J, its gradient
-    and its Hessian come from one product-rule jet over the line factors
-    (_product_jet), never from dense coefficients.  Each candidate must pass
-    the gradient test |grad J| < 1e-8 (1 + |J|); it is then classified
-    against the values {0, 8, -1} within VALUE_TOL and flagged
-    nondegenerate by its Hessian determinant.  The census is complete when
-    every candidate passes, no value strays and the bounded chambers
-    number (d-1)(d-2)/2.
+    chamber's maximum (_chamber_maxima).  J, its gradient and its Hessian
+    come from one product-rule jet over the line factors (_product_jet),
+    never from dense coefficients.  Each candidate must pass the gradient
+    test |grad J| < 1e-8 (1 + |J|); it is then classified against the values
+    {0, 8, -1} within VALUE_TOL (value_classes) and flagged nondegenerate by
+    its Hessian determinant.  The census is complete when every candidate
+    passes, no value strays and the bounded chambers number (d-1)(d-2)/2.
     """
-    d = len(lines)
+    d = len(offsets)
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
-    normals, offsets = _line_arrays(lines)
     pairs, vertices = _vertices(normals, offsets)
     centroids = _bounded_chambers(normals, offsets, pairs, vertices)
     maxima = _chamber_maxima(normals, offsets, centroids)
@@ -487,41 +478,24 @@ def arrangement_census(lines: list[LineSpec], scale: float) -> Census2D:
     det = hxx * hyy - hxy * hxy
     ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
     nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
-
-    points: list[CriticalPoint2D] = []
-    counts = {t: 0 for t in VALUE_TARGETS}
-    strays: list[float] = []
-    for k in np.flatnonzero(ok):
-        v = float(val[k])
-        matched = next((t for t in VALUE_TARGETS if abs(v - t) <= VALUE_TOL), None)
-        if matched is None:
-            strays.append(v)
-        else:
-            counts[matched] += 1
-        points.append(
-            CriticalPoint2D(
-                x=float(x[k]),
-                y=float(y[k]),
-                value=v,
-                gradient=(float(fx[k]), float(fy[k])),
-                hessian_det=float(det[k]),
-                nondegenerate=bool(nondeg[k]),
-            )
-        )
-    all_nondeg = all(q.nondegenerate for q in points)
-    complete = (
-        bool(ok.all())
-        and not strays
-        and all_nondeg
-        and len(centroids) == (d - 1) * (d - 2) // 2
-    )
+    all_nondeg = bool(nondeg[ok].all())
+    # The candidates that pass, one read-only row (x, y, J, J_x, J_y) each.
+    rows = np.stack([x, y, val, fx, fy], axis=1)[ok]
+    rows.flags.writeable = False
+    classes = value_classes(rows[:, 2])
+    counts = np.bincount(classes[classes >= 0], minlength=len(VALUE_TARGETS))
+    strays = tuple(float(v) for v in rows[classes < 0, 2])
+    bounded = (d - 1) * (d - 2) // 2
+    complete = bool(ok.all()) and not strays and all_nondeg and len(centroids) == bounded
     return Census2D(
-        counts=MappingProxyType(counts),
-        points=tuple(points),
+        counts=MappingProxyType(dict(zip(VALUE_TARGETS, counts.tolist()))),
+        positions=rows[:, :2],
+        values=rows[:, 2],
+        gradients=rows[:, 3:],
         complete=complete,
         all_nondegenerate=all_nondeg,
         expected_total=(d - 1) ** 2,
-        stray_values=tuple(strays),
+        stray_values=strays,
     )
 
 
@@ -531,15 +505,18 @@ def jd_census(d: int) -> Census2D:
 
     It depends on d alone, so it is cached: jd-verify, the nodal surface
     and the paired surfaces of one degree share one census.  The census is
-    read-only (its counts are a mapping proxy).
+    read-only: its counts are a mapping proxy and its arrays are not
+    writeable.
     """
-    return arrangement_census(jd_lines(d), scale_constant(d))
+    return arrangement_census(*jd_lines(d), scale_constant(d))
 
 
-def jd_lines(d: int) -> list[LineSpec]:
-    """The arrangement's lines in the rational polynomial's coordinates."""
-    s3 = math.sqrt(3)
-    return [replace(l, b=l.b / s3) for l in build_lines(d)]
+def jd_lines(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The arrangement's normals and offsets in the rational polynomial's
+    coordinates, where each b = 1 of build_lines is 1/sqrt(3)."""
+    normals, offsets = build_lines(d)
+    normals[:, 1] /= math.sqrt(3)
+    return normals, offsets
 
 
 class DegenerateAxisError(ArithmeticError):
@@ -547,10 +524,10 @@ class DegenerateAxisError(ArithmeticError):
     product-form census of the nodal U does not apply."""
 
 
-def nodal_u_census(lines: list[LineSpec], scale: float) -> UCensus:
+def nodal_u_census(normals: np.ndarray, offsets: np.ndarray, scale: float) -> UCensus:
     """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
 
-    On the axis J is scale * prod(a_i x + c_i), of degree d = len(lines),
+    On the axis J is scale * prod(a_i x + c_i), of degree d = len(offsets),
     with roots r_i = -c_i / a_i.  When these are d distinct reals, Rolle
     puts a critical point of J in each of the d - 1 gaps between
     consecutive roots; J' has degree d - 1, so these are all of them and
@@ -558,39 +535,29 @@ def nodal_u_census(lines: list[LineSpec], scale: float) -> UCensus:
     distinct, or a line parallel to the axis, raise DegenerateAxisError;
     there is no fallback.
 
-    In a gap the critical point is the root of sum 1/(x - r_i), which falls
-    strictly from +inf to -inf across it.  Vectorized bisection on its sign
-    halves every bracket until it is no wider than four rounding units of
-    the largest |r_i| (the stop rule); every gap must start wider than that,
-    so each midpoint taken lies strictly inside its gap and no term divides
-    by zero.  The point is the last bracket's midpoint, mapped to the
-    surface's variable by z = (x - 1) / 2.  There U = (3 - J) / 4 and
-    |U'| = |J_x| / 2, with J and J_x read from the arrangement's
-    product-rule jet (_product_jet) on the axis.
+    Each gap is a bounded chamber of the lines restricted to the axis, and
+    its critical point is the maximum of sum(log|a_i x + c_i|) there, so the
+    2D census's ascent (_chamber_maxima), run in one dimension, finds it
+    from the gap's midpoint.  Every gap must be wider than four rounding
+    units of the largest |r_i|, so that midpoint lies strictly inside it.
+    The point maps to the surface's variable by z = (x - 1) / 2.  There
+    U = (3 - J) / 4 and |U'| = |J_x| / 2, with J and J_x read from the
+    arrangement's product-rule jet (_product_jet) on the axis.
     """
-    normals, c = _line_arrays(lines)
     a = normals[:, 0]
     if np.any(a == 0):
         raise DegenerateAxisError("a line is parallel to the x-axis")
-    roots = np.sort(-c / a)
+    roots = np.sort(-offsets / a)
     width = 4 * np.finfo(float).eps * np.abs(roots).max()
     gaps = np.diff(roots)
     if not np.all(gaps > width):
         raise DegenerateAxisError(
             f"axis roots are not distinct: smallest gap {gaps.min():.3e}, "
-            f"bisection width {width:.3e}"
+            f"rounding width {width:.3e}"
         )
-    lo, hi = roots[:-1].copy(), roots[1:].copy()
-    while True:
-        live = np.flatnonzero(hi - lo > width)
-        if not live.size:
-            break
-        mid = (lo[live] + hi[live]) / 2
-        right = (1.0 / (mid[:, None] - roots)).sum(axis=1) > 0
-        lo[live[right]] = mid[right]
-        hi[live[~right]] = mid[~right]
-    x = (lo + hi) / 2
-    j, jx = _product_jet(normals, c, scale, x, np.zeros_like(x))[:2]
+    midpoints = (roots[:-1] + roots[1:]) / 2
+    x = _chamber_maxima(a[:, None], offsets, midpoints[:, None])[:, 0]
+    j, jx = _product_jet(normals, offsets, scale, x, np.zeros_like(x))[:2]
     z, u = (x - 1) / 2, (3 - j) / 4
     return UCensus(
         points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),

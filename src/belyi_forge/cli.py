@@ -220,13 +220,11 @@ def cmd_shabat(args) -> int:
 
 
 def cmd_jd_verify(args) -> int:
-    # The census reads J_d from its lines, and finds every chamber maximum
-    # in one batched Newton ascent; it runs first, as it holds the degree
-    # guard.  The dual-path check builds J_d and reads its exact values by
-    # integer Horner.
+    # The counts refuse d < 3 and the census holds the degree guard, so both
+    # run before the dual-path check builds J_d and reads it in 256 bits.
+    st = jstats(args.degree)
     census = jd_census(args.degree)
     dual = verify_Jd_dual_path(args.degree)
-    st = jstats(args.degree)
     match = census_matches_jstats(census, st)
     dual_ok = dual < 1e-20
     payload = {

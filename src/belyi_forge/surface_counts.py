@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+import numpy as np
+
 from .arrangement_jd import (
+    VALUE_TARGETS,
     JStats,
     build_Jd,
     jd_census,
@@ -27,6 +30,7 @@ from .arrangement_jd import (
     jstats,
     nodal_u_census,
     scale_constant,
+    value_classes,
 )
 from .belyi_numeric import (
     VALUE_TOL,
@@ -370,20 +374,20 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
 
     U = (p + 1)/2 for the Shabat solution p, or, when solution is None, the
     nodal surface's U: the axis restriction of J_d's lines (nodal_unit_poly
-    expands it exactly).  The two-variable census of J_d, read in product
-    form from its lines and cached per degree, supplies critical points of
-    J by value with their values and gradients.  U's critical points, with
-    U and |U'| there, come in product form too, with no clustering and no
-    expanded coefficients.  For the nodal surface nodal_u_census reads them
-    from the axis roots of the same lines: Rolle puts one in each gap, and
-    each is simple because U' has degree d - 1.  For a paired surface
-    vertex_u_census reads them from the solved tree: U's critical points
-    are its internal vertices.  A singular point is any combination whose
-    values cancel.  Every paired triple is then verified directly: the
-    surface value and full gradient are formed there from the two
-    censuses, and the worst defects are reported.  A U point whose value
-    pairs with no J value (one with an imaginary part above VALUE_TOL
-    included) leaves the census unverified.
+    expands it exactly).  Both censuses read their critical points in
+    product form, with no clustering and no expanded coefficients.  J's
+    come from the cached two-variable census of J_d's lines, as arrays of
+    values and gradients.  U's come with U and |U'| there: for the nodal
+    surface nodal_u_census reads them from the axis roots of the same lines
+    (Rolle puts one simple point in each gap), and for a paired surface
+    vertex_u_census reads them from the solved tree's internal vertices.
+    Each of J's value classes (value_classes, the rule the 2D census
+    counts by) pairs with the U points of the opposite value, per
+    multiplicity.  Every paired triple is verified directly: the surface
+    value and full gradient are formed there from the two censuses, and the
+    worst defects are reported.  A U point whose value pairs with no J
+    class (one with an imaginary part above VALUE_TOL included) leaves the
+    census unverified.
     """
     if solution is not None and solution.degree != d:
         raise ValueError(
@@ -391,57 +395,40 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
         )
     j_cen = jd_census(d)
     if solution is None:
-        u_cen = nodal_u_census(jd_lines(d), scale_constant(d))
+        u_cen = nodal_u_census(*jd_lines(d), scale_constant(d))
     else:
         u_cen = vertex_u_census(solution)
+    w, u, mult = (np.array(q) for q in zip(*u_cen.points))
+    slopes = np.array(u_cen.slopes)
 
-    # Each real-valued critical point of U, grouped by (value, multiplicity),
-    # with U and |U'| there.  Adding 0.0 folds a rounding residual's -0.0
-    # into 0.0, as for the vertex value below.
-    u_groups: dict[tuple[float, int], list[tuple[complex, complex, float]]] = {}
-    for (w, val, mult), slope in zip(u_cen.points, u_cen.slopes):
-        if abs(val.imag) <= VALUE_TOL:
-            u_groups.setdefault((round(val.real, 6) + 0.0, mult), []).append((w, val, slope))
-
+    # J's classes are the 2D census's; a U point joins the class of the
+    # opposite value if its imaginary part is within VALUE_TOL, and pairs
+    # with nothing if that class holds no J point.
+    j_class = value_classes(j_cen.values)
+    u_class = np.where(np.abs(np.imag(u)) <= VALUE_TOL, value_classes(-np.real(u)), -1)
+    u_class[~np.isin(u_class, j_class)] = -1
+    real_u = np.abs(np.imag(w)) <= VALUE_TOL
     pairs: list[PairClass] = []
     by_type: Counter[int] = Counter()
-    total = 0
     real_total = 0
-    max_f = 0.0
-    max_g = 0.0
-    paired: set[tuple[float, int]] = set()
-    # Adding 0.0 folds -0.0 into 0.0, so the key of the vertex value does
-    # not depend on which vertex the census happens to list first.
-    for jv in sorted({round(p.value, 6) + 0.0 for p in j_cen.points}):
-        j_pts = [p for p in j_cen.points if abs(p.value - jv) <= VALUE_TOL]
-        j_grad = max((abs(g) for p in j_pts for g in p.gradient), default=0.0)
-        for (uv, mult), u_pts in sorted(u_groups.items()):
-            if abs(jv + uv) > VALUE_TOL:
-                continue
-            paired.add((uv, mult))
-            u_count = len(u_pts)
-            pairs.append(
-                PairClass(
-                    j_value=jv,
-                    u_value=uv,
-                    j_count=len(j_pts),
-                    u_count=u_count,
-                    mult=mult,
-                )
-            )
-            total += len(j_pts) * u_count
-            by_type[mult] += len(j_pts) * u_count
-            for w, u_w, du_w in u_pts:
-                if abs(w.imag) <= VALUE_TOL:
-                    real_total += len(j_pts)
-                max_f = max(max_f, *(abs(p.value + u_w) for p in j_pts))
-                max_g = max(max_g, j_grad, du_w)
-    unpaired = len(u_cen.points) - sum(len(u_groups[key]) for key in paired)
-    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and not unpaired
+    max_f = max_g = 0.0
+    for jv, c in sorted((t, c) for c, t in enumerate(VALUE_TARGETS)):
+        j_pts = np.flatnonzero(j_class == c)
+        for m in sorted(set(mult[u_class == c].tolist())):
+            u_pts = np.flatnonzero((u_class == c) & (mult == m))
+            # 0.0 - jv is +0.0 opposite the vertex value.
+            pairs.append(PairClass(jv, 0.0 - jv, len(j_pts), len(u_pts), m))
+            by_type[m] += len(j_pts) * len(u_pts)
+            real_total += len(j_pts) * int(np.count_nonzero(real_u[u_pts]))
+            # np.hypot rounds as Python's complex abs does.
+            f = j_cen.values[j_pts, None] + u[u_pts]
+            max_f = max(max_f, float(np.hypot(f.real, f.imag).max()))
+            max_g = float(max(max_g, np.abs(j_cen.gradients[j_pts]).max(), slopes[u_pts].max()))
+    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and -1 not in u_class
     return Census3D(
         d=d,
         label="nodal" if solution is None else "paired",
-        total=total,
+        total=sum(by_type.values()),
         pairs=tuple(pairs),
         by_type=dict(sorted(by_type.items())),
         real_total=real_total,

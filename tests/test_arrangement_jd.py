@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -26,11 +25,9 @@ from belyi_forge import (
 )
 from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
-    LineSpec,
     _bounded_chambers,
     _chamber_maxima,
     _dual_path_points,
-    _line_arrays,
     _product_jet,
     _vertices,
     jd_lines,
@@ -61,16 +58,17 @@ def test_counts_reject_tiny_degree():
 
 def test_line_count_is_degree():
     for d in range(2, 61):
-        lines = build_lines(d)
-        assert len(lines) == d
+        normals, offsets = build_lines(d)
+        assert normals.shape == (d, 2) and offsets.shape == (d,)
         # no line is vertical, so every one is y = -a x - c
-        assert all(line.b == 1 for line in lines)
+        assert np.all(normals[:, 1] == 1)
 
 
 def test_lines_have_distinct_angles():
     for d in (3, 4, 7, 12):
-        angles = [line.phi % math.pi for line in build_lines(d)]
-        assert len({round(a, 9) for a in angles}) == d
+        normals, _ = build_lines(d)
+        angles = np.arctan2(-normals[:, 0], normals[:, 1]) % math.pi
+        assert len({round(a, 9) for a in angles.tolist()}) == d
 
 
 def test_scale_constant_nonzero_at_tau_zero():
@@ -80,29 +78,30 @@ def test_scale_constant_nonzero_at_tau_zero():
 
 def test_intersections_bounded_by_pair_count():
     for d in (3, 4, 5, 6):
-        pairs, _ = _vertices(*_line_arrays(build_lines(d)))
+        pairs, _ = _vertices(*build_lines(d))
         assert 1 <= len(pairs) <= d * (d - 1) // 2
 
 
-def vertices_by_loop(lines):
+def vertices_by_loop(normals, offsets):
     """(i, j, x, y) for each crossing, as the census found them before the
     vertices were arrays: Cramer's rule in a double loop over the lines."""
+    lines = [(a, b, c) for (a, b), c in zip(normals.tolist(), offsets.tolist())]
     out = []
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
-            l1, l2 = lines[i], lines[j]
-            det = l1.a * l2.b - l2.a * l1.b
+            (a1, b1, c1), (a2, b2, c2) = lines[i], lines[j]
+            det = a1 * b2 - a2 * b1
             if abs(det) < 1e-12:
                 continue
-            x = (-l1.c * l2.b + l2.c * l1.b) / det
-            y = (-l1.a * l2.c + l2.a * l1.c) / det
+            x = (-c1 * b2 + c2 * b1) / det
+            y = (-a1 * c2 + a2 * c1) / det
             out.append((i, j, x, y))
     return out
 
 
-def assert_vertices_equal_the_loop(lines):
-    pairs, at = _vertices(*_line_arrays(lines))
-    oracle = vertices_by_loop(lines)
+def assert_vertices_equal_the_loop(normals, offsets):
+    pairs, at = _vertices(normals, offsets)
+    oracle = vertices_by_loop(normals, offsets)
     assert pairs.tolist() == [[i, j] for i, j, _, _ in oracle]
     # Bit for bit: equal int64 views also tell -0.0 from 0.0.
     want = np.array([(x, y) for _, _, x, y in oracle])
@@ -111,15 +110,16 @@ def assert_vertices_equal_the_loop(lines):
 
 @pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
 def test_vertices_equal_the_double_loop(d):
-    assert_vertices_equal_the_loop(jd_lines(d))
+    assert_vertices_equal_the_loop(*jd_lines(d))
 
 
 def test_vertices_skip_a_parallel_pair():
-    lines = jd_lines(5)
-    shifted = replace(lines[1], c=lines[1].c + 1.0)
-    lines = lines[:3] + [shifted] + lines[3:]
-    assert_vertices_equal_the_loop(lines)
-    pairs, _ = _vertices(*_line_arrays(lines))
+    normals, offsets = jd_lines(5)
+    # Line 1 shifted, inserted as line 3.
+    normals = np.insert(normals, 3, normals[1], axis=0)
+    offsets = np.insert(offsets, 3, offsets[1] + 1.0)
+    assert_vertices_equal_the_loop(normals, offsets)
+    pairs, _ = _vertices(normals, offsets)
     assert len(pairs) == 6 * 5 // 2 - 1
     assert [1, 3] not in pairs.tolist()
 
@@ -141,13 +141,14 @@ def exact_jet(poly, x, y):
 
 
 def jet_errors(lines, scale, poly, points):
-    """Worst error of the product form's value, gradient and Hessian against
-    the exact polynomial, each relative to 1 + its exact size."""
+    """Worst error of the product form's value, gradient and Hessian of the
+    lines (normals, offsets) against the exact polynomial, each relative to
+    1 + its exact size."""
     x = np.array([float(px) for px, _ in points])
     y = np.array([float(py) for _, py in points])
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        jet = np.array(_product_jet(*_line_arrays(lines), scale, x, y))
+        jet = np.array(_product_jet(*lines, scale, x, y))
     assert np.isfinite(jet).all()
     worst = [0.0, 0.0, 0.0]
     for k, (px, py) in enumerate(zip(x, y)):
@@ -173,13 +174,12 @@ def test_product_jet_matches_exact_partials():
 
 def test_product_jet_at_vertices_is_exact_and_division_free():
     # Two factors vanish at each vertex of the arrangement.
-    vertices = _vertices(*_line_arrays(jd_lines(5)))[1].tolist()
+    vertices = _vertices(*jd_lines(5))[1].tolist()
     assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
-    lines = [LineSpec(mu=0, phi=0.0, a=a, b=b, c=c)
-             for a, b, c in [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (1.0, 1.0, -1.0)]]
+    normals = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     with np.errstate(all="raise"):
-        jet = _product_jet(*_line_arrays(lines), 1.0, np.zeros(1), np.zeros(1))
+        jet = _product_jet(normals, np.array([0.0, 0.0, -1.0]), 1.0, np.zeros(1), np.zeros(1))
     assert [float(v[0]) for v in jet] == [0.0, 0.0, 0.0, 0.0, -1.0, 0.0]
 
 
@@ -215,7 +215,7 @@ def test_product_rule_jet_equals_the_leave_two_out_jet(d):
     # agrees to 1e-12 relative to the sum of its terms' sizes: the old jet
     # taken over |n_i|, |l_i| and |scale|.  The gradient itself vanishes
     # there, so it is no scale.
-    normals, offsets = _line_arrays(jd_lines(d))
+    normals, offsets = jd_lines(d)
     pairs, vertices = _vertices(normals, offsets)
     maxima = _chamber_maxima(
         normals, offsets, _bounded_chambers(normals, offsets, pairs, vertices)
@@ -378,7 +378,7 @@ def test_rational_restriction_to_axis():
 
 def float_census(d):
     """Census of the unscaled-y arrangement polynomial."""
-    return arrangement_census(build_lines(d), scale_constant(d))
+    return arrangement_census(*build_lines(d), scale_constant(d))
 
 
 def test_smallest_census_from_spec_example():
@@ -417,7 +417,7 @@ def test_census_guard_refuses_degree_past_guard():
 
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
-        normals, offsets = _line_arrays(jd_lines(d))
+        normals, offsets = jd_lines(d)
         chambers = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
         assert len(chambers) == (d - 1) * (d - 2) // 2, d
 
@@ -426,7 +426,7 @@ def bounded_chambers_by_dict(lines):
     """The chamber centroids as the census found them before the sign rows
     were grouped by np.unique: a dict keyed by sign tuples, one np.mean per
     chamber."""
-    normals, offsets = _line_arrays(lines)
+    normals, offsets = lines
     chambers = {}
     pairs, at = _vertices(normals, offsets)
     for (i, j), (x, y) in zip(pairs.tolist(), at.tolist()):
@@ -446,8 +446,7 @@ def bounded_chambers_by_dict(lines):
 def test_grouped_chambers_equal_the_dict_grouping(d):
     # Each centroid sums its vertices in the same order as the running mean
     # did, so the two agree bit for bit; only the chamber order differs.
-    lines = jd_lines(d)
-    normals, offsets = _line_arrays(lines)
+    lines = normals, offsets = jd_lines(d)
     grouped = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
     assert sorted(map(tuple, grouped.tolist())) == sorted(bounded_chambers_by_dict(lines))
 
@@ -457,6 +456,10 @@ def test_cached_census_is_read_only():
     assert jd_census(5) is census
     with pytest.raises(TypeError):
         census.counts[0.0] = 0
+    for array in (census.positions, census.values, census.gradients):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
 
 
 def test_jd_census_has_one_call_form():
@@ -485,7 +488,7 @@ def test_census_peak_memory_at_degree_24():
 def chamber_maximum_one_at_a_time(lines, start):
     """The damped Newton ascent of one chamber, as the census ran it before
     the chambers were batched."""
-    normals, offsets = _line_arrays(lines)
+    normals, offsets = lines
     x = np.array(start)
     for _ in range(50):
         scaled = normals / (normals @ x + offsets)[:, None]
@@ -503,8 +506,7 @@ def chamber_maximum_one_at_a_time(lines, start):
 
 @pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
 def test_batched_ascent_matches_the_per_chamber_ascent(d):
-    lines = jd_lines(d)
-    normals, offsets = _line_arrays(lines)
+    lines = normals, offsets = jd_lines(d)
     starts = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -344,6 +344,20 @@ def test_jd_verify_up_to_the_census_guard(capsys):
     assert code == 2
     assert json.loads(err)["error"]["type"] == "DegreeGuardError"
 
+
+@pytest.mark.parametrize("d", [0, 1, 2])
+def test_jd_verify_refuses_a_small_degree_before_the_census(capsys, monkeypatch, d):
+    def refuse(*args, **kwargs):
+        raise AssertionError("jd-verify ran a check at a degree it refuses")
+
+    monkeypatch.setattr(cli, "jd_census", refuse)
+    monkeypatch.setattr(cli, "verify_Jd_dual_path", refuse)
+    code, out, err = run(capsys, "jd-verify", "--degree", str(d))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "counts are defined for d >= 3"
+    }
+
 def test_table_csv_rows(capsys):
     code, out, err = run(capsys, "table", "--max-degree", "15", "--nu", "2")
     assert code == 0

@@ -482,19 +482,21 @@ def test_surface_polynomial_evaluates():
     # point of U at value 1.  The gradient the census reports there matches
     # central differences of the surface, taken at rational points so that
     # only the float U part rounds.
-    p = next(q for q in jd_census(9).points if abs(q.value + 1) < 1e-6)
+    j_cen = jd_census(9)
+    k = np.flatnonzero(np.abs(j_cen.values + 1) < 1e-6)[0]
+    (px, py), gradient = j_cen.positions[k].tolist(), j_cen.gradients[k].tolist()
     w = next(w.real for w, val, _ in vertex_u_census(sol).points
              if abs(val - 1) < 1e-6 and abs(w.imag) < 1e-6)
-    x, y, w, h = Fraction(p.x), Fraction(p.y), Fraction(w), Fraction(1, 10**6)
+    x, y, w, h = Fraction(px), Fraction(py), Fraction(w), Fraction(1, 10**6)
     fd = (
         (f(x + h, y, w) - f(x - h, y, w)) / (2 * h),
         (f(x, y + h, w) - f(x, y - h, w)) / (2 * h),
         (f(x, y, w + h) - f(x, y, w - h)) / (2 * h),
     )
-    assert abs(fd[0] - p.gradient[0]) < 1e-6
-    assert abs(fd[1] - p.gradient[1]) < 1e-6
+    assert abs(fd[0] - gradient[0]) < 1e-6
+    assert abs(fd[1] - gradient[1]) < 1e-6
     assert abs(fd[2]) < 1e-6
-    assert max(map(abs, p.gradient)) <= census.max_gradient_defect
+    assert max(map(abs, gradient)) <= census.max_gradient_defect
 
 
 def test_nodal_census_past_the_old_guard():
@@ -504,7 +506,8 @@ def test_nodal_census_past_the_old_guard():
 
 
 def axis_roots(d):
-    return np.sort([-line.c / line.a for line in jd_lines(d)])
+    normals, offsets = jd_lines(d)
+    return np.sort(-offsets / normals[:, 0])
 
 
 @pytest.mark.parametrize("d", range(3, 25))
@@ -513,7 +516,7 @@ def test_nodal_u_census_matches_the_dense_census(d):
     du = u.derivative()
     ddu = du.derivative()
     dense = critical_census_uni(u)
-    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    census = nodal_u_census(*jd_lines(d), scale_constant(d))
     assert dense.reliable
     assert all(abs(e.value.imag) < 1e-12 for e in dense.entries)
     assert len(census.points) == len(census.slopes) == d - 1
@@ -534,7 +537,7 @@ def test_nodal_u_census_matches_the_dense_census(d):
 
 @pytest.mark.parametrize("d", [30, 60, 120, 200])
 def test_nodal_u_census_past_the_census_guard(d):
-    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    census = nodal_u_census(*jd_lines(d), scale_constant(d))
     x = np.array([2 * z + 1 for z, _, _ in census.points])
     roots = axis_roots(d)
     # d - 1 simple points, one strictly inside each gap of the axis roots.
@@ -548,29 +551,58 @@ def test_nodal_u_census_past_the_census_guard(d):
     assert (at_zero.sum(), at_one.sum()) == (d // 2, (d - 1) // 2)
 
 
-@pytest.mark.parametrize("d", [30, 200])
+def axis_critical_points_by_bisection(d):
+    """The critical point in each gap of the axis roots, as the nodal census
+    found them before it used the chamber ascent: bisection on the sign of
+    sum 1/(x - r_i) down to four rounding units of the largest |r_i|."""
+    roots = axis_roots(d)
+    width = 4 * np.finfo(float).eps * np.abs(roots).max()
+    lo, hi = roots[:-1].copy(), roots[1:].copy()
+    while np.any(live := hi - lo > width):
+        mid = (lo[live] + hi[live]) / 2
+        right = (1.0 / (mid[:, None] - roots)).sum(axis=1) > 0
+        lo[np.flatnonzero(live)[right]] = mid[right]
+        hi[np.flatnonzero(live)[~right]] = mid[~right]
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("d", [3, 9, 24, 30, 200])
+def test_nodal_u_ascent_matches_the_bisection(d):
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        census = nodal_u_census(*jd_lines(d), scale_constant(d))
+    x = np.array([2 * z + 1 for z, _, _ in census.points])
+    oracle = axis_critical_points_by_bisection(d)
+    assert np.all(np.abs(x - oracle) <= 1e-14 * (1 + np.abs(oracle)))
+
+
+@pytest.mark.parametrize("d", [3, 9, 24, 30, 200])
 def test_nodal_u_values_agree_with_a_50_digit_line_product(d):
-    census = nodal_u_census(jd_lines(d), scale_constant(d))
+    census = nodal_u_census(*jd_lines(d), scale_constant(d))
     points = [(Fraction(2 * z + 1), Fraction(0)) for z, _, _ in census.points]
     with mp.workdps(50):
         exact = [(3 - j) / 4 for j in line_product_values(d, points)]
         for (_, value, _), u in zip(census.points, exact):
             assert abs(value - u) <= 1e-11
-            # The bisection's point is a critical point to far below the
+            # The ascent's point is a critical point to far below the
             # float product's rounding.
             assert min(abs(u), abs(u - 1)) <= 1e-20
 
 
 def test_nodal_u_census_refuses_a_degenerate_axis():
-    lines = jd_lines(5)
+    normals, offsets = jd_lines(5)
     # A line through the first line's axis point, at twice its slope.
-    first = lines[0]
-    doubled = replace(first, a=2 * first.a, c=2 * first.c)
+    (a, b), c = normals[0], offsets[0]
     with pytest.raises(DegenerateAxisError, match="not distinct"):
-        nodal_u_census([*lines[1:], doubled, first], scale_constant(5))
-    flat = replace(first, a=0.0, c=1.0)
+        nodal_u_census(
+            np.vstack([normals[1:], (2 * a, b), (a, b)]),
+            np.append(offsets[1:], (2 * c, c)),
+            scale_constant(5),
+        )
     with pytest.raises(DegenerateAxisError, match="parallel"):
-        nodal_u_census([*lines[1:], flat], scale_constant(5))
+        nodal_u_census(
+            np.vstack([normals[1:], (0.0, b)]), np.append(offsets[1:], 1.0), scale_constant(5)
+        )
 
 
 def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
@@ -642,3 +674,40 @@ def test_a_u_point_of_complex_value_leaves_the_census_unverified(monkeypatch):
     census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
     assert census.by_type == {2: 127}
     assert not census.verified
+
+
+# 7e-7 from its target: inside VALUE_TOL, but 5e-7 or more from it, where
+# rounding to six digits would tell the value from its target.
+MOVED_J, MOVED_U = -1 + 7e-7, 1 - 7e-7
+
+
+def test_a_j_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
+    # The 2D census counts the moved value at -1, and the 3D pairing takes
+    # J's classes from the same rule.
+    def with_a_moved_value(d):
+        cen = jd_census(d)
+        values = cen.values.copy()
+        values[np.argmin(np.abs(values + 1))] = MOVED_J
+        return replace(cen, values=values)
+
+    assert abs(MOVED_J + 1) <= belyi_numeric.VALUE_TOL
+    monkeypatch.setattr(surface_counts, "jd_census", with_a_moved_value)
+    census = singular_census_3d(3)
+    assert census.total == nodal_surface_count(3) == 4
+    assert census.by_type == {1: 4}
+    assert census.verified
+
+
+def test_a_u_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
+    def with_a_moved_value(*args):
+        cen = nodal_u_census(*args)
+        i = min(range(len(cen.points)), key=lambda i: abs(cen.points[i][1] - 1))
+        w, _, mult = cen.points[i]
+        return replace(cen, points=(*cen.points[:i], (w, MOVED_U, mult), *cen.points[i + 1:]))
+
+    assert abs(MOVED_U - 1) <= belyi_numeric.VALUE_TOL
+    monkeypatch.setattr(surface_counts, "nodal_u_census", with_a_moved_value)
+    census = singular_census_3d(3)
+    assert census.total == nodal_surface_count(3) == 4
+    assert census.by_type == {1: 4}
+    assert census.verified
