@@ -12,7 +12,6 @@ singular points are counted both in closed form and by direct census.
 from .arrangement_jd import (
     BiPoly,
     Census2D,
-    DegenerateAxisError,
     JStats,
     arrangement_census,
     build_Jd,
@@ -20,7 +19,6 @@ from .arrangement_jd import (
     census_matches_jstats,
     jd_census,
     jstats,
-    nodal_u_census,
     verify_Jd_dual_path,
 )
 from .belyi_numeric import (
@@ -31,6 +29,7 @@ from .belyi_numeric import (
     UCensus,
     UniPoly,
     census_matches_profile,
+    chebyshev_solution,
     critical_census_uni,
     shabat_for_derivation,
     shabat_solve,

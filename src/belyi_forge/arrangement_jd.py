@@ -27,11 +27,9 @@ through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
 a vertex.  The lines are arrays from the start (normals and offsets), and
-the census returns its candidates as arrays.  The nodal surface's U census
-(nodal_u_census) reads the same lines and jet on the x-axis, where the same
-ascent, in one dimension, finds a critical point in each gap between the
-axis roots.  The rational coefficients serve the dual-path check, which
-evaluates them in Python ints, and the exact axis restriction.
+the census returns its candidates as arrays.  The rational coefficients
+serve the dual-path check, which evaluates them in Python ints, and the
+exact axis restriction.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .belyi_numeric import VALUE_TOL, DegreeGuardError, UCensus
+from .belyi_numeric import VALUE_TOL, DegreeGuardError
 
 # Working precision of the dual-path check's line product, in bits, and the
 # number and seed of its deterministic rational points.
@@ -57,9 +55,7 @@ DUAL_PATH_SEED = 7
 # form, is worst at the vertices, where it is |Hessian| times the rounding of
 # the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
 # 4.2e-8 at d=35, where one vertex fails and the census is incomplete.  The
-# guard keeps a factor of ten below the test.  The nodal 3D check reads its U
-# side from the axis roots of the same lines, so with the guard lifted it
-# verifies wherever this census is complete (d <= 34 and d = 36).
+# guard keeps a factor of ten below the test.
 CENSUS_DEGREE_GUARD = 24
 VALUE_TARGETS = (0.0, 8.0, -1.0)
 
@@ -388,19 +384,17 @@ def _bounded_chambers(
 def _chamber_maxima(normals: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Maximum of sum(log|l_i|) over the open chamber holding each start.
 
-    The lines l_i = n_i . x + c_i and the starts may be of any dimension:
-    the 2D census runs it on the arrangement's bounded chambers, and the
-    nodal U census in one dimension, on the gaps between the axis roots.
-    Damped Newton ascent, run on all chambers at once as stacked arrays;
-    each chamber stops on its own.  The objective is strictly concave on a
-    chamber, so the ascent converges.  With r_i = (n_i . step) / l_i, the
-    scaled step t * step keeps every sign while all 1 + t*r_i > 0 and raises
-    the objective by sum(log1p(t*r_i)); both read accurately however small
-    the step, and each chamber halves its own t until both hold.  Once the
-    Newton decrement is below 1e-20 the full step stays in the chamber (its
-    Hessian norm is under 1) and lands at rounding level.  A chamber that
-    has not converged in 50 steps keeps its last iterate, which the census's
-    gradient test then rejects.
+    The lines are l_i = n_i . x + c_i, and the starts lie in the
+    arrangement's bounded chambers.  Damped Newton ascent, run on all
+    chambers at once as stacked arrays; each chamber stops on its own.  The
+    objective is strictly concave on a chamber, so the ascent converges.
+    With r_i = (n_i . step) / l_i, the scaled step t * step keeps every sign
+    while all 1 + t*r_i > 0 and raises the objective by sum(log1p(t*r_i));
+    both read accurately however small the step, and each chamber halves
+    its own t until both hold.  Once the Newton decrement is below 1e-20 the
+    full step stays in the chamber (its Hessian norm is under 1) and lands
+    at rounding level.  A chamber that has not converged in 50 steps keeps
+    its last iterate, which the census's gradient test then rejects.
     """
     x = np.array(starts, dtype=float)
     todo = np.arange(len(x))
@@ -517,52 +511,6 @@ def jd_lines(d: int) -> tuple[np.ndarray, np.ndarray]:
     normals, offsets = build_lines(d)
     normals[:, 1] /= math.sqrt(3)
     return normals, offsets
-
-
-class DegenerateAxisError(ArithmeticError):
-    """The lines do not meet the x-axis at distinct real points, so the
-    product-form census of the nodal U does not apply."""
-
-
-def nodal_u_census(normals: np.ndarray, offsets: np.ndarray, scale: float) -> UCensus:
-    """Critical points of U(z) = (3 - J(2z + 1, 0)) / 4, read from the lines.
-
-    On the axis J is scale * prod(a_i x + c_i), of degree d = len(offsets),
-    with roots r_i = -c_i / a_i.  When these are d distinct reals, Rolle
-    puts a critical point of J in each of the d - 1 gaps between
-    consecutive roots; J' has degree d - 1, so these are all of them and
-    each is simple, with no clustering to decide.  Roots that are not
-    distinct, or a line parallel to the axis, raise DegenerateAxisError;
-    there is no fallback.
-
-    Each gap is a bounded chamber of the lines restricted to the axis, and
-    its critical point is the maximum of sum(log|a_i x + c_i|) there, so the
-    2D census's ascent (_chamber_maxima), run in one dimension, finds it
-    from the gap's midpoint.  Every gap must be wider than four rounding
-    units of the largest |r_i|, so that midpoint lies strictly inside it.
-    The point maps to the surface's variable by z = (x - 1) / 2.  There
-    U = (3 - J) / 4 and |U'| = |J_x| / 2, with J and J_x read from the
-    arrangement's product-rule jet (_product_jet) on the axis.
-    """
-    a = normals[:, 0]
-    if np.any(a == 0):
-        raise DegenerateAxisError("a line is parallel to the x-axis")
-    roots = np.sort(-offsets / a)
-    width = 4 * np.finfo(float).eps * np.abs(roots).max()
-    gaps = np.diff(roots)
-    if not np.all(gaps > width):
-        raise DegenerateAxisError(
-            f"axis roots are not distinct: smallest gap {gaps.min():.3e}, "
-            f"rounding width {width:.3e}"
-        )
-    midpoints = (roots[:-1] + roots[1:]) / 2
-    x = _chamber_maxima(a[:, None], offsets, midpoints[:, None])[:, 0]
-    j, jx = _product_jet(normals, offsets, scale, x, np.zeros_like(x))[:2]
-    z, u = (x - 1) / 2, (3 - j) / 4
-    return UCensus(
-        points=tuple((float(w), float(v), 1) for w, v in zip(z, u)),
-        slopes=tuple(float(g) for g in np.abs(jx) / 2),
-    )
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

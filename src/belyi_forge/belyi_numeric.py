@@ -701,13 +701,44 @@ def shabat_for_derivation(seed: SeedSpec, word: str, **kwargs) -> ShabatSolution
     return shabat_solve(tree_for_derivation(seed, word), **kwargs)
 
 
-@dataclass(frozen=True)
-class UCensus:
-    """Critical points of a surface's U as (position w, value U(w), multiplicity),
-    with |U'(w)| at each in slopes, all read from linear factors."""
+def chebyshev_solution(d: int) -> ShabatSolution:
+    """The path with d edges, solved in closed form: p is the Chebyshev T_d.
 
-    points: tuple[tuple[complex, complex, int], ...]
-    slopes: tuple[float, ...]
+    Vertex k sits at cos(kπ/d), where T_d = (−1)^k, so even k is white, odd
+    k is black and the two ends are the leaves; ℓ = 2^(d−1) is T_d's
+    leading coefficient.  The residual is read as shabat_solve reads it,
+    from the other colour's factors (_opposite_products), so it is not zero
+    by construction.  Nothing is solved, so no degree guard applies.
+    """
+    if d < 1:
+        raise ValueError("the path needs at least one edge")
+    positions = np.cos(np.arange(d + 1) * np.pi / d).astype(complex)
+    degs = np.full(d + 1, 2.0)
+    degs[[0, d]] = 1.0
+    black = np.arange(d + 1) % 2 == 1
+    black_idx, white_idx = np.flatnonzero(black), np.flatnonzero(~black)
+    ell = 2.0 ** (d - 1)
+    vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
+    points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
+    return ShabatSolution(
+        black_points=tuple(points[v] for v in black_idx),
+        white_points=tuple(points[v] for v in white_idx),
+        scale_constant=complex(ell),
+        residual=float(np.max(np.abs(vals - np.where(black, -2.0, 2.0)))),
+        converged=True,
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class UCensus:
+    """Critical points of a surface's U as read-only arrays: positions w,
+    values U(w), multiplicities, and |U'(w)| in slopes, all read from linear
+    factors."""
+
+    positions: np.ndarray
+    values: np.ndarray
+    mults: np.ndarray
+    slopes: np.ndarray
 
 
 def vertex_u_census(sol: ShabatSolution) -> UCensus:
@@ -730,12 +761,11 @@ def vertex_u_census(sol: ShabatSolution) -> UCensus:
     inner = np.flatnonzero(degs > 1)
     other = np.where(black[inner, None] != black, degs, 0.0)
     pull = np.sum(other / np.where(other > 0, positions[inner, None] - positions, 1.0), axis=1)
-    return UCensus(
-        points=tuple(
-            (complex(positions[v]), complex(half[v] + black[v]), int(degs[v]) - 1) for v in inner
-        ),
-        slopes=tuple(float(g) for g in np.abs(half[inner] * pull)),
-    )
+    arrays = (positions[inner], half[inner] + black[inner], degs[inner].astype(int) - 1,
+              np.abs(half[inner] * pull))
+    for a in arrays:
+        a.flags.writeable = False
+    return UCensus(*arrays)
 
 
 @dataclass(frozen=True)

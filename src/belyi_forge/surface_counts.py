@@ -26,16 +26,14 @@ from .arrangement_jd import (
     JStats,
     build_Jd,
     jd_census,
-    jd_lines,
     jstats,
-    nodal_u_census,
-    scale_constant,
     value_classes,
 )
 from .belyi_numeric import (
     VALUE_TOL,
     ShabatSolution,
     UniPoly,
+    chebyshev_solution,
     vertex_u_census,
 )
 from .profile_core import CriticalProfile
@@ -308,6 +306,8 @@ def nodal_unit_poly(d: int) -> UniPoly:
 
     Substitutes x = 2z+1, y = 0 into the rational arrangement polynomial
     and applies the affine value map v -> (3-v)/4, all in exact rationals.
+    The result is (1 + T_d)/2, the U the nodal 3D census reads from
+    chebyshev_solution.
     """
     axis = build_Jd(d).restrict_y0()
     t = UniPoly((Fraction(1), Fraction(2)))
@@ -372,34 +372,31 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     """Count singular points of the surface J_d(x, y) + U(w) by pairing the
     two censuses.
 
-    U = (p + 1)/2 for the Shabat solution p, or, when solution is None, the
-    nodal surface's U: the axis restriction of J_d's lines (nodal_unit_poly
-    expands it exactly).  Both censuses read their critical points in
-    product form, with no clustering and no expanded coefficients.  J's
-    come from the cached two-variable census of J_d's lines, as arrays of
-    values and gradients.  U's come with U and |U'| there: for the nodal
-    surface nodal_u_census reads them from the axis roots of the same lines
-    (Rolle puts one simple point in each gap), and for a paired surface
-    vertex_u_census reads them from the solved tree's internal vertices.
+    U = (p + 1)/2 for the Shabat solution p.  When solution is None, p is
+    the Chebyshev T_d (chebyshev_solution, the path tree in closed form):
+    J_d's lines cross the x-axis where T_d = 1/2, so (1 + T_d)/2 is the
+    nodal surface's U, the axis restriction (3 - J_d(2z + 1, 0))/4 that
+    nodal_unit_poly expands exactly.  Both censuses read their critical
+    points in product form, with no clustering and no expanded
+    coefficients.  J's come from the cached two-variable census of J_d's
+    lines, as arrays of values and gradients; U's come from the solved
+    tree's internal vertices (vertex_u_census), with U and |U'| there.
     Each of J's value classes (value_classes, the rule the 2D census
     counts by) pairs with the U points of the opposite value, per
     multiplicity.  Every paired triple is verified directly: the surface
     value and full gradient are formed there from the two censuses, and the
-    worst defects are reported.  A U point whose value pairs with no J
-    class (one with an imaginary part above VALUE_TOL included) leaves the
-    census unverified.
+    worst defects are reported.  The census is verified only when J's
+    census is complete and the defects are small; a U point whose value
+    pairs with no J class (one with an imaginary part above VALUE_TOL
+    included) leaves it unverified.
     """
     if solution is not None and solution.degree != d:
         raise ValueError(
             f"solution degree {solution.degree} does not match arrangement degree {d}"
         )
     j_cen = jd_census(d)
-    if solution is None:
-        u_cen = nodal_u_census(*jd_lines(d), scale_constant(d))
-    else:
-        u_cen = vertex_u_census(solution)
-    w, u, mult = (np.array(q) for q in zip(*u_cen.points))
-    slopes = np.array(u_cen.slopes)
+    u_cen = vertex_u_census(chebyshev_solution(d) if solution is None else solution)
+    w, u, mult, slopes = u_cen.positions, u_cen.values, u_cen.mults, u_cen.slopes
 
     # J's classes are the 2D census's; a U point joins the class of the
     # opposite value if its imaginary part is within VALUE_TOL, and pairs
@@ -424,7 +421,10 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
             f = j_cen.values[j_pts, None] + u[u_pts]
             max_f = max(max_f, float(np.hypot(f.real, f.imag).max()))
             max_g = float(max(max_g, np.abs(j_cen.gradients[j_pts]).max(), slopes[u_pts].max()))
-    verified = max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL and -1 not in u_class
+    verified = (
+        j_cen.complete and max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL
+        and -1 not in u_class
+    )
     return Census3D(
         d=d,
         label="nodal" if solution is None else "paired",

@@ -65,13 +65,15 @@ def test_no_private_imports_across_modules(path):
     assert private_imports(path.read_text()) == []
 
 
-def test_the_nodal_axis_census_is_exported_from_its_owner():
+def test_the_nodal_u_census_is_the_paired_one():
     import belyi_forge
     from belyi_forge import arrangement_jd, belyi_numeric
 
-    for name in ("nodal_u_census", "DegenerateAxisError"):
-        assert getattr(belyi_forge, name) is getattr(arrangement_jd, name)
-    # Both U censuses return the one type, owned by belyi_numeric.
-    for name in ("UCensus", "vertex_u_census"):
+    # The nodal surface reads U from the Chebyshev path like any paired
+    # surface, so the U census and its type are belyi_numeric's alone.
+    for name in ("UCensus", "vertex_u_census", "chebyshev_solution"):
         assert getattr(belyi_forge, name) is getattr(belyi_numeric, name)
-    assert arrangement_jd.UCensus is belyi_numeric.UCensus
+    assert not hasattr(arrangement_jd, "UCensus")
+    # The axis census and its error type are gone.
+    for name in ("nodal_u_census", "DegenerateAxisError"):
+        assert not hasattr(arrangement_jd, name) and not hasattr(belyi_forge, name)

@@ -15,27 +15,29 @@ import pytest
 from belyi_forge import (
     F1,
     F2,
+    PlaneTree,
     UniPoly,
     belyi_numeric,
     build_Jd,
+    chebyshev_solution,
     critical_census_uni,
     format_seed,
     jstats,
+    profile_of,
+    realize_profile,
     seed_profile,
     seed_triple,
     shabat_for_derivation,
+    shabat_solve,
     surface_counts,
     validate_seed,
     vertex_u_census,
     word_engine,
 )
 from belyi_forge.arrangement_jd import (
-    DegenerateAxisError,
     jd_census,
     jd_lines,
     line_product_values,
-    nodal_u_census,
-    scale_constant,
 )
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
@@ -485,7 +487,8 @@ def test_surface_polynomial_evaluates():
     j_cen = jd_census(9)
     k = np.flatnonzero(np.abs(j_cen.values + 1) < 1e-6)[0]
     (px, py), gradient = j_cen.positions[k].tolist(), j_cen.gradients[k].tolist()
-    w = next(w.real for w, val, _ in vertex_u_census(sol).points
+    u_cen = vertex_u_census(sol)
+    w = next(w.real for w, val in zip(u_cen.positions, u_cen.values)
              if abs(val - 1) < 1e-6 and abs(w.imag) < 1e-6)
     x, y, w, h = Fraction(px), Fraction(py), Fraction(w), Fraction(1, 10**6)
     fd = (
@@ -510,51 +513,111 @@ def axis_roots(d):
     return np.sort(-offsets / normals[:, 0])
 
 
+def chebyshev_poly(d):
+    """T_d by T_{n+1} = 2 z T_n - T_{n-1} on integer coefficients, constant first."""
+    t0, t1 = [1], [0, 1]
+    for _ in range(d - 1):
+        t0, t1 = t1, [a - b for a, b in zip([0] + [2 * c for c in t1], t0 + [0, 0])]
+    return t1
+
+
+@pytest.mark.parametrize("d", range(3, 41))
+def test_nodal_unit_poly_is_one_plus_chebyshev_over_two(d):
+    # J_d's lines cross the x-axis where T_d(z) = 1/2, at x = 2z + 1, so
+    # the axis restriction (3 - J_d(2z + 1, 0))/4 is (1 + T_d)/2 exactly.
+    t = chebyshev_poly(d)
+    t[0] += 1
+    assert nodal_unit_poly(d) == UniPoly(tuple(Fraction(c, 2) for c in t))
+
+
+def path_tree(d):
+    """The path with d edges, vertex k white for even k and black for odd k."""
+    return PlaneTree(
+        colors=tuple("black" if k % 2 else "white" for k in range(d + 1)),
+        rotation=tuple(tuple(u for u in (k - 1, k + 1) if 0 <= u <= d) for k in range(d + 1)),
+    )
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_shabat_solve_on_the_path_is_chebyshev(d):
+    # The path as realize_profile builds it.  The solver's gauge differs
+    # from chebyshev_solution's by the affine map that sends the two leaves
+    # to 1 and -1, a white leaf to 1: both ends are white for even d, where
+    # T_d is even.
+    sol = shabat_solve(realize_profile(profile_of(path_tree(d))))
+    cheb = chebyshev_solution(d)
+    one, minus_one = [z for z, m in sol.white_points + sol.black_points if m == 0]
+    a = 2 / (one - minus_one)
+
+    def by_position(points, image=lambda z: z):
+        return sorted(((image(z), m) for z, m in points), key=lambda zm: zm[0].real)
+
+    for colour in ("black_points", "white_points"):
+        mapped = by_position(getattr(sol, colour), lambda z: a * (z - minus_one) - 1)
+        expected = by_position(getattr(cheb, colour))
+        assert [m for _, m in mapped] == [m for _, m in expected]
+        assert max(abs(z - w) for (z, _), (w, _) in zip(mapped, expected)) <= 1e-9
+    # p(w) = T_d(a w + b), so the solver's scale is 2^(d-1) a^d.
+    assert abs(sol.scale_constant / (cheb.scale_constant * a**d) - 1) <= 1e-9
+
+
 @pytest.mark.parametrize("d", range(3, 25))
 def test_nodal_u_census_matches_the_dense_census(d):
     u = nodal_unit_poly(d)
     du = u.derivative()
     ddu = du.derivative()
     dense = critical_census_uni(u)
-    census = nodal_u_census(*jd_lines(d), scale_constant(d))
+    census = vertex_u_census(chebyshev_solution(d))
     assert dense.reliable
     assert all(abs(e.value.imag) < 1e-12 for e in dense.entries)
-    assert len(census.points) == len(census.slopes) == d - 1
+    assert len(census.positions) == len(census.slopes) == d - 1
+    assert not census.positions.imag.any() and not census.values.imag.any()
     # The points' values and multiplicities are the dense census's entries.
-    grouped = Counter((round(value, 6) + 0.0, mult) for _, value, mult in census.points)
+    grouped = Counter(
+        (round(value, 6) + 0.0, mult) for value, mult in zip(census.values.real, census.mults)
+    )
     assert grouped == {(round(e.value.real, 6) + 0.0, e.multiplicity): e.count
                        for e in dense.entries}
     # In exact arithmetic on U's rational coefficients, each of the d - 1
-    # increasing points is one Newton step of at most 1e-10 from a root of
-    # U', and its value is U there.
-    assert list(census.points) == sorted(census.points)
-    for z, value, mult in census.points:
+    # points is one Newton step of at most 1e-10 from a root of U', and its
+    # value is U there.
+    assert set(census.mults.tolist()) == {1}
+    for z, value in zip(census.positions.real, census.values.real):
         w = Fraction(z)
-        assert mult == 1
         assert abs(du(w) / ddu(w)) <= 1e-10
         assert abs(value - u(w)) <= 1e-7
 
 
 @pytest.mark.parametrize("d", [30, 60, 120, 200])
 def test_nodal_u_census_past_the_census_guard(d):
-    census = nodal_u_census(*jd_lines(d), scale_constant(d))
-    x = np.array([2 * z + 1 for z, _, _ in census.points])
+    sol = chebyshev_solution(d)
+    census = vertex_u_census(sol)
+    x = np.sort(2 * census.positions.real + 1)
     roots = axis_roots(d)
     # d - 1 simple points, one strictly inside each gap of the axis roots.
     assert len(x) == d - 1
-    assert all(m == 1 for _, _, m in census.points)
+    assert set(census.mults.tolist()) == {1}
     assert np.all((roots[:-1] < x) & (x < roots[1:]))
-    values = np.array([v for _, v, _ in census.points])
+    values = census.values.real
     at_zero, at_one = np.abs(values) <= 1e-11, np.abs(values - 1) <= 1e-11
     assert np.all(at_zero | at_one)
     # U = 0 is J = 3 and U = 1 is J = -1: at d=200, 100 and 99 points.
     assert (at_zero.sum(), at_one.sum()) == (d // 2, (d - 1) // 2)
+    # Read from the float factors, the residual and |U'| grow with d: 7.6e-13
+    # and 1.5e-9 at d=200.
+    assert sol.residual <= 1e-11
+    assert census.slopes.max() <= 1e-8
+
+
+def test_chebyshev_solution_needs_an_edge():
+    with pytest.raises(ValueError, match="at least one edge"):
+        chebyshev_solution(0)
 
 
 def axis_critical_points_by_bisection(d):
-    """The critical point in each gap of the axis roots, as the nodal census
-    found them before it used the chamber ascent: bisection on the sign of
-    sum 1/(x - r_i) down to four rounding units of the largest |r_i|."""
+    """The critical point in each gap of the axis roots, by bisection on the
+    sign of sum 1/(x - r_i) down to four rounding units of the largest
+    |r_i|."""
     roots = axis_roots(d)
     width = 4 * np.finfo(float).eps * np.abs(roots).max()
     lo, hi = roots[:-1].copy(), roots[1:].copy()
@@ -567,42 +630,26 @@ def axis_critical_points_by_bisection(d):
 
 
 @pytest.mark.parametrize("d", [3, 9, 24, 30, 200])
-def test_nodal_u_ascent_matches_the_bisection(d):
+def test_nodal_u_points_match_the_bisection(d):
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        census = nodal_u_census(*jd_lines(d), scale_constant(d))
-    x = np.array([2 * z + 1 for z, _, _ in census.points])
+        census = vertex_u_census(chebyshev_solution(d))
+    x = np.sort(2 * census.positions.real + 1)
     oracle = axis_critical_points_by_bisection(d)
     assert np.all(np.abs(x - oracle) <= 1e-14 * (1 + np.abs(oracle)))
 
 
 @pytest.mark.parametrize("d", [3, 9, 24, 30, 200])
 def test_nodal_u_values_agree_with_a_50_digit_line_product(d):
-    census = nodal_u_census(*jd_lines(d), scale_constant(d))
-    points = [(Fraction(2 * z + 1), Fraction(0)) for z, _, _ in census.points]
+    census = vertex_u_census(chebyshev_solution(d))
+    points = [(Fraction(2 * z + 1), Fraction(0)) for z in census.positions.real]
     with mp.workdps(50):
         exact = [(3 - j) / 4 for j in line_product_values(d, points)]
-        for (_, value, _), u in zip(census.points, exact):
+        for value, u in zip(census.values.real, exact):
             assert abs(value - u) <= 1e-11
-            # The ascent's point is a critical point to far below the
+            # cos(k pi/d), rounded, is a critical point to far below the
             # float product's rounding.
             assert min(abs(u), abs(u - 1)) <= 1e-20
-
-
-def test_nodal_u_census_refuses_a_degenerate_axis():
-    normals, offsets = jd_lines(5)
-    # A line through the first line's axis point, at twice its slope.
-    (a, b), c = normals[0], offsets[0]
-    with pytest.raises(DegenerateAxisError, match="not distinct"):
-        nodal_u_census(
-            np.vstack([normals[1:], (2 * a, b), (a, b)]),
-            np.append(offsets[1:], (2 * c, c)),
-            scale_constant(5),
-        )
-    with pytest.raises(DegenerateAxisError, match="parallel"):
-        nodal_u_census(
-            np.vstack([normals[1:], (0.0, b)]), np.append(offsets[1:], 1.0), scale_constant(5)
-        )
 
 
 def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
@@ -666,9 +713,13 @@ def test_a_moved_vertex_leaves_the_census_unverified(colour):
 def test_a_u_point_of_complex_value_leaves_the_census_unverified(monkeypatch):
     def with_a_complex_value(sol):
         cen = belyi_numeric.vertex_u_census(sol)
-        (w, value, mult), slope = cen.points[0], cen.slopes[0]
-        return replace(cen, points=(*cen.points, (w, value + 1e-5j, mult)),
-                       slopes=(*cen.slopes, slope))
+        return replace(
+            cen,
+            positions=np.append(cen.positions, cen.positions[0]),
+            values=np.append(cen.values, cen.values[0] + 1e-5j),
+            mults=np.append(cen.mults, cen.mults[0]),
+            slopes=np.append(cen.slopes, cen.slopes[0]),
+        )
 
     monkeypatch.setattr(surface_counts, "vertex_u_census", with_a_complex_value)
     census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
@@ -699,15 +750,29 @@ def test_a_j_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
 
 
 def test_a_u_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
-    def with_a_moved_value(*args):
-        cen = nodal_u_census(*args)
-        i = min(range(len(cen.points)), key=lambda i: abs(cen.points[i][1] - 1))
-        w, _, mult = cen.points[i]
-        return replace(cen, points=(*cen.points[:i], (w, MOVED_U, mult), *cen.points[i + 1:]))
+    def with_a_moved_value(sol):
+        cen = vertex_u_census(sol)
+        values = cen.values.copy()
+        values[np.argmin(np.abs(values - 1))] = MOVED_U
+        return replace(cen, values=values)
 
     assert abs(MOVED_U - 1) <= belyi_numeric.VALUE_TOL
-    monkeypatch.setattr(surface_counts, "nodal_u_census", with_a_moved_value)
+    monkeypatch.setattr(surface_counts, "vertex_u_census", with_a_moved_value)
     census = singular_census_3d(3)
     assert census.total == nodal_surface_count(3) == 4
     assert census.by_type == {1: 4}
     assert census.verified
+
+
+def test_an_incomplete_j_census_leaves_the_census_unverified(monkeypatch):
+    # A J census that lost a candidate and knows it: the pairing still
+    # counts what it holds, but the surface census is not verified.
+    def with_a_dropped_candidate(d):
+        cen = jd_census(d)
+        return replace(cen, positions=cen.positions[1:], values=cen.values[1:],
+                       gradients=cen.gradients[1:], complete=False)
+
+    monkeypatch.setattr(surface_counts, "jd_census", with_a_dropped_candidate)
+    census = singular_census_3d(9)
+    assert census.total < nodal_surface_count(9) == 220
+    assert not census.verified
