@@ -12,8 +12,8 @@ where P_n is the A2 power sum: P_0 = 3, P_1 = z, P_2 = z^2 - 2 zbar and
 P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
 recurrence has integer coefficients, so the y-axis rescaling by sqrt(3)
 gives J_d exactly, with powers of 3 as denominators; the scaled line
-product, evaluated in mpmath, is the independent second route of the
-dual-path check.
+product, evaluated in Python-int fixed point from one root of unity, is the
+independent second route of the dual-path check.
 
 The 2D census takes its candidate critical points from the arrangement
 itself: every vertex (value 0) and, in each bounded chamber, the maximum of
@@ -46,8 +46,9 @@ import numpy as np
 
 from .belyi_numeric import VALUE_TOL, DegreeGuardError
 
-# Working precision of the dual-path check's line product, in bits, and the
-# number and seed of its deterministic rational points.
+# Fractional bits of the dual-path check's fixed-point line product, at which
+# the exact values are also read, and the number and seed of its
+# deterministic rational points.
 DUAL_PATH_PRECISION = 256
 DUAL_PATH_POINTS = 12
 DUAL_PATH_SEED = 7
@@ -205,27 +206,62 @@ def build_Jd(d: int) -> BiPoly:
     return BiPoly(tuple(tuple(coefficient(k, m) for m in range(d + 1)) for k in range(d + 1)))
 
 
-def line_product_values(d: int, points) -> list:
-    """J_d at rational points (x, Y) through the scaled line product.
+def _line_product_fixed(d: int, points, bits: int) -> list[int]:
+    """J_d at rational points (x, Y) through the scaled line product, each
+    value as a Python int near floor(J * 2^bits).
 
-    The lines meet (x, Y/sqrt(3)); every step runs at mpmath's working
-    precision, so the caller sets it.
+    The lines meet (x, Y/sqrt(3)), and their angles phi step by pi/d, so
+    every line comes from one root of unity: e^{i phi} at the first angle,
+    times e^{i pi/d} per line, in fixed point with 64 guard bits; mpmath
+    gives just those two.  Then t = tan(phi) is s/c and the offset
+    sin(3 phi)/cos(phi) is t (3 - t^2)/(1 + t^2).  The scale
+    2cos((3d + 4) pi/6) is -1, -sqrt(3), 1 or sqrt(3) by d mod 4.  At
+    x = p/q and Y = r/u each factor is taken times q u, as
+    -t p u + r q/sqrt(3) + offset q u, so the product over the lines is exact
+    in the rounded constants and is divided once, at the end.  The error is
+    a few units while |J| < 2^50 and a relative 2^-(bits + 50) or so past
+    that (7 units at d=24, where |J| reaches 2^55 on |x|, |Y| <= 4).
     """
     import mpmath as mp
 
-    scale = 2 * mp.cos(d * mp.pi / 2 + 2 * mp.pi / 3)
-    lines = []
-    for mu in _mu_range(d):
-        phi = (6 * mu - 1) * mp.pi / (6 * d)
-        t = mp.tan(phi)
-        lines.append((-t, mp.cos(2 * phi) * t + mp.sin(2 * phi)))
-    s3 = mp.sqrt(3)
+    w = bits + 64
+    one = 1 << w
+    with mp.workprec(w + 16):
+        first = mp.expjpi(mp.mpf(6 * _mu_range(d)[0] - 1) / (6 * d))
+        step = mp.expjpi(mp.mpf(1) / d)
+        fixed = [int(mp.ldexp(v, w)) for z in (first, step) for v in (z.real, z.imag)]
+    c, s, step_c, step_s = fixed
+    slopes, offsets = [], []
+    for _ in range(d):
+        t = (s << w) // c
+        t2 = (t * t) >> w
+        slopes.append(t)
+        offsets.append(t * (3 * one - t2) // (one + t2))
+        c, s = (c * step_c - s * step_s) >> w, (c * step_s + s * step_c) >> w
+    root3, inv_root3 = math.isqrt(3 << 2 * w), math.isqrt((1 << 2 * w) // 3)
+    scale = (-one, -root3, one, root3)[d % 4]
     values = []
     for px, py in points:
-        x = mp.mpf(px.numerator) / px.denominator
-        y = mp.mpf(py.numerator) / py.denominator / s3
-        values.append(scale * mp.fprod(a * x + y + c for a, c in lines))
+        p, q = px.numerator, px.denominator
+        r, u = py.numerator, py.denominator
+        lead, qu = r * q * inv_root3, q * u
+        acc = scale
+        for t, off in zip(slopes, offsets):
+            acc *= lead + off * qu - t * p * u
+        values.append(acc // (qu**d << ((d + 1) * w - bits)))
     return values
+
+
+def line_product_values(d: int, points) -> list:
+    """J_d at rational points (x, Y) through the scaled line product, as mpf.
+
+    The fixed-point product runs with mpmath's working precision as its
+    fractional bits, so the caller sets it.
+    """
+    import mpmath as mp
+
+    bits = mp.mp.prec
+    return [mp.ldexp(mp.mpf(v), -bits) for v in _line_product_fixed(d, points, bits)]
 
 
 def _dual_path_points(n_points: int, seed: int) -> list[tuple[Fraction, Fraction]]:
@@ -240,20 +276,19 @@ def verify_Jd_dual_path(d: int) -> float:
 
     Evaluates J_d at DUAL_PATH_POINTS deterministic rational points both
     exactly, by integer Horner over one common denominator
-    (BiPoly.rational_values), and through the scaled line product at
-    DUAL_PATH_PRECISION bits; returns the largest absolute difference.
+    (BiPoly.rational_values), and through the scaled line product in
+    fixed point with DUAL_PATH_PRECISION fractional bits; each exact value
+    num/den is read as the integer (num << DUAL_PATH_PRECISION) // den, and
+    the largest absolute difference returns as a float.
     """
-    import mpmath as mp
-
     points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED)
     exact_values = build_Jd(d).rational_values(points)
-    with mp.workprec(DUAL_PATH_PRECISION):
-        via_lines = line_product_values(d, points)
-        diffs = [
-            abs(mp.mpf(exact.numerator) / exact.denominator - v)
-            for exact, v in zip(exact_values, via_lines)
-        ]
-        return float(max(diffs, default=0))
+    via_lines = _line_product_fixed(d, points, DUAL_PATH_PRECISION)
+    diffs = (
+        abs((exact.numerator << DUAL_PATH_PRECISION) // exact.denominator - v)
+        for exact, v in zip(exact_values, via_lines)
+    )
+    return max(diffs) / (1 << DUAL_PATH_PRECISION)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import sys
 from functools import cache
 
 from .arrangement_jd import (
+    CENSUS_DEGREE_GUARD,
     census_matches_jstats,
     jd_census,
     jstats,
@@ -326,7 +327,7 @@ def _add_seed_word(p: argparse.ArgumentParser) -> None:
     p.add_argument("--word", default="", help="letter string over the seed's alphabet")
 
 
-def _add_solver(p: argparse.ArgumentParser) -> None:
+def _add_solver(p: argparse.ArgumentParser, max_degree: int = DEGREE_GUARD) -> None:
     p.add_argument(
         "--tol",
         type=float,
@@ -337,7 +338,7 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)
+    p.add_argument("--max-degree", type=int, default=max_degree)
 
 
 @cache
@@ -404,7 +405,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", default=None)
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
-    _add_solver(p)
+    # A paired surface is refused past the 2D census's guard before it
+    # solves, so the solver's own guard defaults to that one: degrees 18 to
+    # 24 solve and verify with default flags.
+    _add_solver(p, max_degree=CENSUS_DEGREE_GUARD)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)
 

@@ -108,31 +108,37 @@ def validate_seed(seed: SeedSpec) -> None:
     raise SeedDomainError(f"unknown seed family: {seed!r}")
 
 
+def f1_d0(n: int, m: int) -> int:
+    """Starting degree of F1{n, m}, unvalidated, for walks over the domain."""
+    return 3 * (n + 3 * m * (n + m))
+
+
+def f2_d0(j: int, n: int, m: int, l: int) -> int:
+    """Starting degree of F2{j, n, m, l}, unvalidated."""
+    return 3 * (m + l * j + (n + l) * (3 * l + j + 1)) + j * (j + 2)
+
+
+def f3_d0(x: int, j: int, n: int, m: int, l: int) -> int:
+    """Starting degree of F3{x, j, n, m, l}, unvalidated."""
+    return 3 * (m * (3 * (m + n) + x - 1) + j * (n + 2 * m + x // 3) + l + 1)
+
+
 def seed_triple(seed: SeedSpec) -> SeedTriple:
     """(d0, nu, eps) of the seed, in integer arithmetic."""
     validate_seed(seed)
     if isinstance(seed, F1):
         n, m = seed.n, seed.m
-        return SeedTriple(
-            d0=3 * (n + 3 * m * (n + m)),
-            nu=3 * (n + m) - 1,
-            eps=0,
-        )
+        return SeedTriple(d0=f1_d0(n, m), nu=3 * (n + m) - 1, eps=0)
     if isinstance(seed, F2):
         j, n, m, l = seed.j, seed.n, seed.m, seed.l
-        return SeedTriple(
-            d0=3 * (m + l * j + (n + l) * (3 * l + j + 1)) + j * (j + 2),
-            nu=3 * (n + l) + j,
-            eps=3 * m + j - 1,
-        )
+        return SeedTriple(d0=f2_d0(j, n, m, l), nu=3 * (n + l) + j, eps=3 * m + j - 1)
     x, j, n, m, l = seed.x, seed.j, seed.n, seed.m, seed.l
-    d0 = 3 * (m * (3 * (m + n) + x - 1) + j * (n + 2 * m + x // 3) + l + 1)
     nu = 3 * (n + m) + j + x - 1
     # The secondary multiplicity 3l + 2 floor(1 + ((x-1)//2 - 1/2) j)
     # + j floor(1/x) mixes half-integer and reciprocal floors; both are
     # integer floors of integer quotients.
     eps = 3 * l + 2 * ((2 + (2 * ((x - 1) // 2) - 1) * j) // 2) + j * (1 // x)
-    return SeedTriple(d0=d0, nu=nu, eps=eps)
+    return SeedTriple(d0=f3_d0(x, j, n, m, l), nu=nu, eps=eps)
 
 
 def seed_start(seed: SeedSpec) -> tuple[SeedTriple, CriticalProfile]:

@@ -42,8 +42,10 @@ from .seed_families import (
     F2,
     F3,
     SeedSpec,
+    f1_d0,
+    f2_d0,
+    f3_d0,
     format_seed,
-    seed_triple,
 )
 from .word_engine import DerivationState, catalogue_ends
 
@@ -116,62 +118,77 @@ def nodal_threefold_count(d: int) -> int:
     return st.n0**2 + st.n8**2 + st.nm1**2
 
 
-def _f1_seeds(d_max: int) -> list[F1]:
+def _f1_seeds(d_max: int) -> list[tuple[int, F1]]:
     out = []
     n = 0
-    while 3 * (n + 3 * (n + 1)) <= d_max:
+    while f1_d0(n, 1) <= d_max:
         m = 1
-        while 3 * (n + 3 * m * (n + m)) <= d_max:
-            out.append(F1(n=n, m=m))
+        while (d0 := f1_d0(n, m)) <= d_max:
+            out.append((d0, F1(n=n, m=m)))
             m += 1
         n += 1
     return out
 
 
-def _f2_seeds(d_max: int) -> list[F2]:
+def _f2_seeds(d_max: int) -> list[tuple[int, F2]]:
     out = []
     for j in (0, 1):
         lo = 1 if j == 0 else 0
         n = lo
-        while seed_triple(F2(j=j, n=n, m=lo, l=lo)).d0 <= d_max:
+        while f2_d0(j, n, lo, lo) <= d_max:
             m = lo
-            while seed_triple(F2(j=j, n=n, m=m, l=m)).d0 <= d_max:
+            while f2_d0(j, n, m, m) <= d_max:
                 l = m
-                while seed_triple(F2(j=j, n=n, m=m, l=l)).d0 <= d_max:
-                    out.append(F2(j=j, n=n, m=m, l=l))
+                while (d0 := f2_d0(j, n, m, l)) <= d_max:
+                    out.append((d0, F2(j=j, n=n, m=m, l=l)))
                     l += 1
                 m += 1
             n += 1
     return out
 
 
-def _f3_seeds(d_max: int) -> list[F3]:
+def _f3_seeds(d_max: int) -> list[tuple[int, F3]]:
     out = []
     for x in (1, 2, 3):
         for j in (-1, 0, 1):
             m_lo = (6 - j) // 3
             n = 0
-            while seed_triple(F3(x=x, j=j, n=n, m=m_lo, l=0)).d0 <= d_max:
+            while f3_d0(x, j, n, m_lo, 0) <= d_max:
                 m = m_lo
-                while seed_triple(F3(x=x, j=j, n=n, m=m, l=0)).d0 <= d_max:
+                while f3_d0(x, j, n, m, 0) <= d_max:
                     l_hi = 0 if m == 1 else m - 2
                     for l in range(l_hi + 1):
-                        cand = F3(x=x, j=j, n=n, m=m, l=l)
-                        if seed_triple(cand).d0 > d_max:
+                        d0 = f3_d0(x, j, n, m, l)
+                        if d0 > d_max:
                             break
-                        out.append(cand)
+                        out.append((d0, F3(x=x, j=j, n=n, m=m, l=l)))
                     m += 1
                 n += 1
     return out
 
 
-def seed_grid(d_max: int) -> list[SeedSpec]:
-    """Every valid seed whose starting degree is at most d_max.
+def _seed_pairs(d_max: int) -> list[tuple[int, SeedSpec]]:
+    """Every valid seed whose starting degree is at most d_max, with that
+    degree, in one walk per family.
 
-    The family generators walk each family's domain, so they emit valid
-    seeds only.
+    Each walk runs over its family's domain and stops where the family's d0
+    formula, the one seed_triple reads, passes d_max; so it emits valid
+    seeds only, and validates and builds no triple.
     """
     return _f1_seeds(d_max) + _f2_seeds(d_max) + _f3_seeds(d_max)
+
+
+def seed_grid(d_max: int) -> list[SeedSpec]:
+    """Every valid seed whose starting degree is at most d_max, family by
+    family (see _seed_pairs)."""
+    return [s for _, s in _seed_pairs(d_max)]
+
+
+@cache
+def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
+    """The (d0, seed) pairs of _seed_pairs(d_max), cached for the catalogue
+    walks."""
+    return tuple(_seed_pairs(d_max))
 
 
 @cache
@@ -179,12 +196,6 @@ def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[DerivationState
     """The seed's admissible catalogued words up to degree d_max, as the
     states they reach, in the order of catalogue_ends."""
     return tuple(catalogue_ends(seed, d_max))
-
-
-@cache
-def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
-    """seed_grid(d_max) with each seed's starting degree."""
-    return tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
 
 
 def _catalogue_order(c: DerivationState) -> tuple:

@@ -16,6 +16,7 @@ import pytest
 from belyi_forge import (
     DegreeGuardError,
     arrangement_census,
+    arrangement_jd,
     build_Jd,
     build_lines,
     census_matches_jstats,
@@ -25,9 +26,14 @@ from belyi_forge import (
 )
 from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
+    DUAL_PATH_POINTS,
+    DUAL_PATH_PRECISION,
+    DUAL_PATH_SEED,
+    BiPoly,
     _bounded_chambers,
     _chamber_maxima,
     _dual_path_points,
+    _line_product_fixed,
     _product_jet,
     _vertices,
     jd_lines,
@@ -361,9 +367,49 @@ def test_integer_horner_equals_fraction_horner(d):
     assert jd.rational_values(points) == [fraction_horner(jd, x, y) for x, y in points]
 
 
-@pytest.mark.parametrize("d", range(3, 8))
+@pytest.mark.parametrize("d", range(3, 25))
 def test_dual_path_agreement(d):
     assert verify_Jd_dual_path(d) < 1e-20
+
+
+def three_trig_line_product(d, points):
+    """The line product as mpmath once took it: tan, cos and sin per line,
+    and the scale 2cos(d pi/2 + 2 pi/3), at the working precision."""
+    scale = 2 * mp.cos(d * mp.pi / 2 + 2 * mp.pi / 3)
+    lines = []
+    for mu in range(-((d - 2) // 2), (d + 1) // 2 + 1):
+        phi = (6 * mu - 1) * mp.pi / (6 * d)
+        t = mp.tan(phi)
+        lines.append((-t, mp.cos(2 * phi) * t + mp.sin(2 * phi)))
+    values = []
+    for px, py in points:
+        x = mp.mpf(px.numerator) / px.denominator
+        y = mp.mpf(py.numerator) / py.denominator / mp.sqrt(3)
+        values.append(scale * mp.fprod(a * x + y + c for a, c in lines))
+    return values
+
+
+@pytest.mark.parametrize("d", range(3, 25))
+def test_fixed_point_line_product_agrees_with_three_trig_mpmath(d):
+    points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED) + EXACT_POINTS
+    fixed = _line_product_fixed(d, points, DUAL_PATH_PRECISION)
+    with mp.workprec(512):
+        for p, k, ref in zip(points, fixed, three_trig_line_product(d, points)):
+            value = mp.ldexp(k, -DUAL_PATH_PRECISION)
+            assert abs(value - ref) < 1e-60 * (1 + abs(ref)), p
+
+
+@pytest.mark.parametrize("d", [3, 9, 24])
+@pytest.mark.parametrize("corner", ["constant", "x^d", "Y^d", "middle"])
+def test_dual_path_catches_a_coefficient_moved_by_its_denominator(monkeypatch, d, corner):
+    # A coefficient of x^k Y^m has denominator 3^(m//2); moving it by that
+    # unit makes J_d wrong, and the fixed-point check must see it.
+    k, m = {"constant": (0, 0), "x^d": (d, 0), "Y^d": (0, d), "middle": (d // 2, d // 2)}[corner]
+    grid = [list(row) for row in build_Jd(d).grid]
+    grid[k][m] += Fraction(1, 3 ** (m // 2))
+    moved = BiPoly(tuple(map(tuple, grid)))
+    monkeypatch.setattr(arrangement_jd, "build_Jd", lambda degree: moved)
+    assert verify_Jd_dual_path(d) > 1e-20
 
 
 def test_rational_restriction_to_axis():

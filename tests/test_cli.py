@@ -7,7 +7,8 @@ import json
 import pytest
 
 from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
-from belyi_forge.arrangement_jd import build_Jd, jd_census
+from belyi_forge.arrangement_jd import CENSUS_DEGREE_GUARD, build_Jd, jd_census
+from belyi_forge.belyi_numeric import DEGREE_GUARD
 from belyi_forge.cli import build_parser, main
 from belyi_forge.surface_counts import lowest_nu_construction, seed_grid
 from belyi_forge.tree_realization import parse_dot
@@ -461,6 +462,29 @@ def test_surface_verify_forwards_the_solver_guard(capsys, monkeypatch):
     assert steps == []
 
 
+def test_solver_guard_defaults_per_subcommand():
+    # shabat keeps the solver's guard; surface-verify refuses past the 2D
+    # census's guard before it solves, so its solver guard defaults to that.
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices["shabat"].get_default("max_degree") == DEGREE_GUARD == 16
+    assert sub.choices["surface-verify"].get_default("max_degree") == CENSUS_DEGREE_GUARD == 24
+
+
+def test_surface_verify_at_degree_18_verifies_with_default_flags(capsys):
+    # The catalogue's construction of lowest nu at d=18 is F1:0,1 aba, past
+    # the solver's guard of 16 and within the census's guard of 24.
+    code, out, err = run(capsys, "surface-verify", "--degree", "18")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["construction"] == "F1:0,1 aba"
+    assert payload["match"] and payload["census"]["verified"]
+    assert payload["census"]["by_type"] == payload["expected_by_type"] == {"A1": 91, "A2": 1100}
+    del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
+    assert _sha256(_dumps(payload)) == (
+        "06ed6d7e70a0a0304e86c3ee81581b8bfd9b90e87f9a84e91bb8c19986a6d230"
+    )
+
+
 @pytest.mark.parametrize("d", [3, 9, 12])
 def test_surface_verify_catalogue_and_explicit_construction_agree(capsys, d):
     # With no --seed, surface-verify reads the catalogue's construction of
@@ -534,35 +558,40 @@ def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
 
 # sha256 of the whole stdout of `jd-verify --degree d`, dual-path difference
 # included, and of the `by_type`, `pairs` and `match` of
-# `surface-verify --degree d --nodal`, recorded when each bounded chamber ran
-# its own Newton ascent and the dual-path check evaluated J_d by Fraction
-# Horner.  Beside them, that run's two nodal defects: they may move only at
-# rounding level, here taken as less than a factor of 8.  The pairings at
-# d = 5, 7, 8, 10-12, 14-17, 19-21 and 23 printed "u_value": -0.0 and were
-# recorded again, as above, when the U pairing key began to fold -0.0.
+# `surface-verify --degree d --nodal`, the pairings recorded when each bounded
+# chamber ran its own Newton ascent.  Beside them, that run's two nodal
+# defects: they may move only at rounding level, here taken as less than a
+# factor of 8.  The pairings at d = 5, 7, 8, 10-12, 14-17, 19-21 and 23
+# printed "u_value": -0.0 and were recorded again, as above, when the U
+# pairing key began to fold -0.0.  The jd-verify digests were recorded again
+# when the line product moved from 256-bit mpmath to 256-bit integer fixed
+# point: its difference from the exact values, read as integers at 256
+# fractional bits, went from 2.0e-74 (d=3) to 4.3e-61 (d=24) down to 0.0,
+# and to 2^-256 at d=24; the payload without that field kept its digest
+# (JD_VERIFY_SHA256 above pins it at d <= 12).
 JD_VERIFY_STDOUT_SHA256 = {
-    3: "1fa58110b8b3d749c74528280fd25c1df23f13015c10364e7e5b782c67977f32",
-    4: "091312692f81b5c0e8d736e4d3f579fdd56cb03721cdb7cfa583c58ddb958509",
-    5: "4b7f76ac07c561de8a20407dffb8aa427de22757dbb2b3495d1a77755a2e8651",
-    6: "164685b6be6dc679f32099cd94431638a7e42166c0de9bbbb54efb2ca9f9b788",
-    7: "e693cb8bf6a14a13e12f1604a8b26a98a5363ad264ef8c19b7c0113a590ca4bb",
-    8: "222206b2cbd96e97f841baa4936dc9668b9517ac0722dfbc86cf9d5834bb6fcd",
-    9: "6f6268404517c8ae368851efc35e3c42e30292d57c3e7d1644735201fa96c587",
-    10: "6ee3ae1c977e3fa922b7f84545162400a7f48b6ade5e83d2730f41709817c4f3",
-    11: "7ee0369c7ecab1597b6a56f08d75fd665eae881a52b330c3997531500a01a28c",
-    12: "ea086a3a025661a7e44d830c30fd37a9e25503f7fbd69578cfd67ceb20887933",
-    13: "06a260a4020795624b17666c8fbc95c3c059fe0e6594012e3519e1dfcd4477b0",
-    14: "df92ca926d0d7a6a65d016d34db58cefc85d3c65b18ff26111916e10f2de0edf",
-    15: "7e3793f2f0680fe44f58e9823db2d9cc309c968447772c38ff318b2efbfaa0d1",
-    16: "3f1bfb695a7fcb5c13bad0cc650884dd3401120453528a6a1c6676415122f967",
-    17: "80fc69bbda2607f2ef3295c61bafee351b3d343273f654da2fd89bcc94887c93",
-    18: "6fd583e4338d293856de10a5406b66e014006d271dca48c015b058584b13e2b4",
-    19: "564d93377e57dc95d958049553a8b041f23340cf10eafbd94845fdb2fb3e467f",
-    20: "aa917091be33515c1dac2ada7b095f5808e1b5d35c0b22be974a4a1f9708c37b",
-    21: "ff8b4ab87706043c3d8545a26c686fc1c217f4bec65ab6cd2b64b76791d1e4a5",
-    22: "76986a6c6417136a9f29f8637d37aead5a79394ea54a7eee797c4bc795132e59",
-    23: "ec5cfb9884737f24eace57f5395955d07ac487b72f51c36737d676ae8a4dbb10",
-    24: "fcb45fb5610bc2edd8c7e2778842163cfceba08be14a6ae1354c4f05b34942a3",
+    3: "c3d252e2997eaf4551490173ded4f0f4a9391cbe722f22e31e7243d9cc2feafe",
+    4: "d45bf1715d8de6b3c2f4af3fe9aa85a03272a1854690c51f1578ea6dc30f75bd",
+    5: "e00c0336c9faf03e3d6057457206c9f872697cdbabb4ca7317bb1ac4ba8019dd",
+    6: "7a09fc456eab454179a5f71e7df49609a9ad732af0d20a4c1ea98d09df032eb3",
+    7: "f711d8a8a6adc25205deecfde1b458492e269073c86ccc5002c92d9bf777845f",
+    8: "32fcf4c908c24485c7bba80f982cbc940a860a536afa58a8ff6d8b04b50c2cdb",
+    9: "ea7de9a8bbeeb7439b08ed81782574342b87da1acf93572fcd6e501f60d3d58a",
+    10: "be4f10738c06494fa49f56527c69e742842d138f4057c5db5b58f5177c953de9",
+    11: "fa4d737e25083138347af5a845e38bccc99f0137619671813c0df840d2dac8de",
+    12: "ffddb32b53920193e37db469e4ebe56204afc870c2f5a4e4e45e78387aad98b7",
+    13: "ad28c0503201afef1d434007b37bdbca67605ee113585d19a2e2cb3c8ddb1db8",
+    14: "7960bbfd33d7bb7d40aa7fb5306e0372288ef49a9ef5b6a017c3c43ae4721b26",
+    15: "20d57863d773711f3842025099bd112cb68445f7a3497055b17b623890860516",
+    16: "22583513e8ae6a290dac4b368aaddbf0fb7e50259a46ae259940aef9101db81a",
+    17: "14fa73426860f5e1a7b598a6a83417caaea166010dd3eee341af5ebfc087a823",
+    18: "c17db482646532cc5d6acfa9f825f54aa4588fd470bd074f3db6232d07f9f333",
+    19: "f155ae3711bd41200d00e3c8501281b0327d875d5f8097c71f392345b3d0847e",
+    20: "88e9f39a8a354d00814784e7471e96a9c0db8c683c9d4745cfbffaa21ce1880b",
+    21: "8c083b16f5841befa1e3bae82eb44d18b2997744fe637ec04e8de9f2bf396960",
+    22: "50f1af94c7fa9d8793315d4132c51d5fa2246ec4cc0b9801d0b1698e585062d1",
+    23: "14d457753962ad9f67985b68eece5385a89cd0e759870c1b90731241fb9d5538",
+    24: "be33bf8240f5f478e72c31cd4b5c0210c939af5b845f817f0c3f780e6cd06e87",
 }
 NODAL_PAIRING_SHA256 = {
     3: "e5ac3c4686dc05eeb383f53fcdbe726342824ede07e53c8c7ccffd791cb31e97",

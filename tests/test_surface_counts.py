@@ -25,6 +25,7 @@ from belyi_forge import (
     jstats,
     profile_of,
     realize_profile,
+    seed_families,
     seed_profile,
     seed_triple,
     shabat_for_derivation,
@@ -278,6 +279,18 @@ def test_seed_grid_is_a_degree_filter_of_the_table_grid():
     table_grid = seed_grid(BOUND_TABLE_GUARD)
     for d in range(3, BOUND_TABLE_GUARD + 1):
         assert [s for s in table_grid if seed_triple(s).d0 <= d] == seed_grid(d), d
+
+
+@pytest.mark.parametrize("d_max", [BOUND_TABLE_GUARD, 600])
+def test_seed_pairs_carry_each_seeds_starting_degree(monkeypatch, d_max):
+    # The grid is walked once, as (d0, seed) pairs read from the family d0
+    # formulas; the walk validates no seed and builds no triple.
+    surface_counts._seeds_with_d0.cache_clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(seed_families, "validate_seed", None)
+        pairs = surface_counts._seeds_with_d0(d_max)
+    surface_counts._seeds_with_d0.cache_clear()
+    assert pairs == tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
 
 
 def test_seed_grid_emits_valid_seeds_only():
