@@ -13,7 +13,9 @@ P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
 recurrence has integer coefficients, so the y-axis rescaling by sqrt(3)
 gives J_d exactly, with powers of 3 as denominators; the scaled line
 product, evaluated in Python-int fixed point from one root of unity, is the
-independent second route of the dual-path check.
+independent second route of the dual-path check.  That root comes from an
+integer Newton solve of z^(12d) = 1 and the check's points are written out,
+so the check imports neither mpmath nor numpy.random.
 
 The 2D census takes its candidate critical points from the arrangement
 itself: every vertex (value 0) and, in each bounded chamber, the maximum of
@@ -47,11 +49,18 @@ import numpy as np
 from .belyi_numeric import VALUE_TOL, DegreeGuardError
 
 # Fractional bits of the dual-path check's fixed-point line product, at which
-# the exact values are also read, and the number and seed of its
-# deterministic rational points.
+# the exact values are also read, and its 12 rational points k/1000 with
+# |k| <= 4000, written out: the first 24 draws of numpy's
+# default_rng(7).integers(-4000, 4000).
 DUAL_PATH_PRECISION = 256
-DUAL_PATH_POINTS = 12
-DUAL_PATH_SEED = 7
+DUAL_PATH_POINTS = tuple(
+    (Fraction(p, 1000), Fraction(q, 1000))
+    for p, q in (
+        (3559, 1000), (1473, 3177), (626, 2205), (2669, -2199),
+        (-3556, -1599), (-1720, 2988), (3300, -3958), (-2, 2569),
+        (-2949, 2376), (-3048, -257), (2531, -1576), (-1268, -1773),
+    )
+)
 # The census's gradient test |grad J| < 1e-8 (1 + |J|), read in product
 # form, is worst at the vertices, where it is |Hessian| times the rounding of
 # the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
@@ -206,31 +215,66 @@ def build_Jd(d: int) -> BiPoly:
     return BiPoly(tuple(tuple(coefficient(k, m) for m in range(d + 1)) for k in range(d + 1)))
 
 
+def _fixed_power(c: int, s: int, k: int, w: int) -> tuple[int, int]:
+    """(c + is)^k by binary powering, in fixed point with w fractional bits."""
+    rc, rs = 1 << w, 0
+    while k:
+        if k & 1:
+            rc, rs = (rc * c - rs * s) >> w, (rc * s + rs * c) >> w
+        c, s = (c * c - s * s) >> w, (2 * c * s) >> w
+        k >>= 1
+    return rc, rs
+
+
+def _unit_roots(d: int, w: int) -> tuple[int, int, int, int]:
+    """e^{i phi} at the first line's angle and the step e^{i pi/d}, as the
+    ints (c, s, step_c, step_s) near 2^w times their parts.
+
+    zeta = e^{i pi/(6d)} is the root of z^n = 1, n = 12d, nearest its float
+    value.  Newton's step z - z (z^n - 1) conj(z^n)/n (near the unit circle
+    conj(z^n) stands for 1/z^n) runs on Gaussian integers in fixed point, the
+    precision nearly doubling per step, up to w + 40 guard bits; each step
+    loses about log2(n) bits, which the schedule allows for.  Then the step
+    is zeta^6 and e^{i phi} = conj(zeta)^(1 - 6 mu0), and each part is
+    truncated toward zero at w bits.
+    """
+    n, guard = 12 * d, 40
+    precisions = [w + guard]
+    while precisions[-1] > 48:
+        precisions.append((precisions[-1] + n.bit_length() + 8) // 2)
+    p = precisions.pop()
+    c = int(math.ldexp(math.cos(math.pi / (6 * d)), p))
+    s = int(math.ldexp(math.sin(math.pi / (6 * d)), p))
+    for q in reversed(precisions):
+        c, s, p = c << (q - p), s << (q - p), q
+        zc, zs = _fixed_power(c, s, n, p)
+        # (z^n - 1) conj(z^n) = |z^n|^2 - conj(z^n).
+        ec = ((zc * zc + zs * zs) >> p) - zc
+        c, s = c - (c * ec - s * zs) // (n << p), s - (c * zs + s * ec) // (n << p)
+    first = _fixed_power(c, -s, 1 - 6 * _mu_range(d)[0], p)
+    step = _fixed_power(c, s, 6, p)
+    return tuple(-(-v >> guard) if v < 0 else v >> guard for v in (*first, *step))
+
+
 def _line_product_fixed(d: int, points, bits: int) -> list[int]:
     """J_d at rational points (x, Y) through the scaled line product, each
     value as a Python int near floor(J * 2^bits).
 
     The lines meet (x, Y/sqrt(3)), and their angles phi step by pi/d, so
     every line comes from one root of unity: e^{i phi} at the first angle,
-    times e^{i pi/d} per line, in fixed point with 64 guard bits; mpmath
-    gives just those two.  Then t = tan(phi) is s/c and the offset
-    sin(3 phi)/cos(phi) is t (3 - t^2)/(1 + t^2).  The scale
-    2cos((3d + 4) pi/6) is -1, -sqrt(3), 1 or sqrt(3) by d mod 4.  At
+    times e^{i pi/d} per line, in fixed point with 64 guard bits; both roots
+    come from one integer Newton solve (_unit_roots).  Then t = tan(phi) is
+    s/c and the offset sin(3 phi)/cos(phi) is t (3 - t^2)/(1 + t^2).  The
+    scale 2cos((3d + 4) pi/6) is -1, -sqrt(3), 1 or sqrt(3) by d mod 4.  At
     x = p/q and Y = r/u each factor is taken times q u, as
     -t p u + r q/sqrt(3) + offset q u, so the product over the lines is exact
     in the rounded constants and is divided once, at the end.  The error is
     a few units while |J| < 2^50 and a relative 2^-(bits + 50) or so past
     that (7 units at d=24, where |J| reaches 2^55 on |x|, |Y| <= 4).
     """
-    import mpmath as mp
-
     w = bits + 64
     one = 1 << w
-    with mp.workprec(w + 16):
-        first = mp.expjpi(mp.mpf(6 * _mu_range(d)[0] - 1) / (6 * d))
-        step = mp.expjpi(mp.mpf(1) / d)
-        fixed = [int(mp.ldexp(v, w)) for z in (first, step) for v in (z.real, z.imag)]
-    c, s, step_c, step_s = fixed
+    c, s, step_c, step_s = _unit_roots(d, w)
     slopes, offsets = [], []
     for _ in range(d):
         t = (s << w) // c
@@ -252,38 +296,18 @@ def _line_product_fixed(d: int, points, bits: int) -> list[int]:
     return values
 
 
-def line_product_values(d: int, points) -> list:
-    """J_d at rational points (x, Y) through the scaled line product, as mpf.
-
-    The fixed-point product runs with mpmath's working precision as its
-    fractional bits, so the caller sets it.
-    """
-    import mpmath as mp
-
-    bits = mp.mp.prec
-    return [mp.ldexp(mp.mpf(v), -bits) for v in _line_product_fixed(d, points, bits)]
-
-
-def _dual_path_points(n_points: int, seed: int) -> list[tuple[Fraction, Fraction]]:
-    """Deterministic rational points k/1000 with |k| <= 4000."""
-    rng = np.random.default_rng(seed)
-    draws = [Fraction(int(rng.integers(-4000, 4000)), 1000) for _ in range(2 * n_points)]
-    return list(zip(draws[::2], draws[1::2]))
-
-
 def verify_Jd_dual_path(d: int) -> float:
     """Max disagreement between the rational polynomial and the line product.
 
-    Evaluates J_d at DUAL_PATH_POINTS deterministic rational points both
+    Evaluates J_d at the DUAL_PATH_POINTS rational points both
     exactly, by integer Horner over one common denominator
     (BiPoly.rational_values), and through the scaled line product in
     fixed point with DUAL_PATH_PRECISION fractional bits; each exact value
     num/den is read as the integer (num << DUAL_PATH_PRECISION) // den, and
     the largest absolute difference returns as a float.
     """
-    points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED)
-    exact_values = build_Jd(d).rational_values(points)
-    via_lines = _line_product_fixed(d, points, DUAL_PATH_PRECISION)
+    exact_values = build_Jd(d).rational_values(DUAL_PATH_POINTS)
+    via_lines = _line_product_fixed(d, DUAL_PATH_POINTS, DUAL_PATH_PRECISION)
     diffs = (
         abs((exact.numerator << DUAL_PATH_PRECISION) // exact.denominator - v)
         for exact, v in zip(exact_values, via_lines)

@@ -28,16 +28,15 @@ from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
     DUAL_PATH_POINTS,
     DUAL_PATH_PRECISION,
-    DUAL_PATH_SEED,
     BiPoly,
     _bounded_chambers,
     _chamber_maxima,
-    _dual_path_points,
     _line_product_fixed,
+    _mu_range,
     _product_jet,
+    _unit_roots,
     _vertices,
     jd_lines,
-    line_product_values,
     scale_constant,
 )
 
@@ -329,10 +328,10 @@ def test_degree_120_agrees_with_the_line_product():
               (Fraction(3, 2), Fraction(1, 9)), (Fraction(-21, 10), Fraction(-13, 5))]
     with mp.workprec(512):
         for p, exact, via_lines in zip(
-            points, jd.rational_values(points), line_product_values(120, points)
+            points, jd.rational_values(points), _line_product_fixed(120, points, 512)
         ):
             exact = mp.mpf(exact.numerator) / exact.denominator
-            assert abs(exact - via_lines) < 1e-100 * (1 + abs(exact)), p
+            assert abs(exact - mp.ldexp(via_lines, -512)) < 1e-100 * (1 + abs(exact)), p
 
 
 def fraction_horner(poly, x, y):
@@ -363,7 +362,7 @@ EXACT_POINTS = [
 @pytest.mark.parametrize("d", range(3, 46))
 def test_integer_horner_equals_fraction_horner(d):
     jd = build_Jd(d)
-    points = _dual_path_points(12, 7) + EXACT_POINTS
+    points = [*DUAL_PATH_POINTS, *EXACT_POINTS]
     assert jd.rational_values(points) == [fraction_horner(jd, x, y) for x, y in points]
 
 
@@ -391,12 +390,41 @@ def three_trig_line_product(d, points):
 
 @pytest.mark.parametrize("d", range(3, 25))
 def test_fixed_point_line_product_agrees_with_three_trig_mpmath(d):
-    points = _dual_path_points(DUAL_PATH_POINTS, DUAL_PATH_SEED) + EXACT_POINTS
+    points = [*DUAL_PATH_POINTS, *EXACT_POINTS]
     fixed = _line_product_fixed(d, points, DUAL_PATH_PRECISION)
     with mp.workprec(512):
         for p, k, ref in zip(points, fixed, three_trig_line_product(d, points)):
             value = mp.ldexp(k, -DUAL_PATH_PRECISION)
             assert abs(value - ref) < 1e-60 * (1 + abs(ref)), p
+
+
+def test_dual_path_points_are_default_rng_7_draws():
+    # The points were drawn once by numpy and are written out, so the check
+    # needs no generator; this pins where they came from.
+    rng = np.random.default_rng(7)
+    draws = [Fraction(int(rng.integers(-4000, 4000)), 1000) for _ in range(24)]
+    assert DUAL_PATH_POINTS == tuple(zip(draws[::2], draws[1::2]))
+
+
+def mpmath_unit_roots(d, w):
+    """The two roots of unity as mpmath gives them, truncated at w bits."""
+    with mp.workprec(w + 16):
+        first = mp.expjpi(mp.mpf(6 * _mu_range(d)[0] - 1) / (6 * d))
+        step = mp.expjpi(mp.mpf(1) / d)
+        return tuple(int(mp.ldexp(v, w)) for z in (first, step) for v in (z.real, z.imag))
+
+
+def test_integer_unit_roots_equal_mpmath():
+    w = DUAL_PATH_PRECISION + 64
+    for d in range(2, 201):
+        assert _unit_roots(d, w) == mpmath_unit_roots(d, w), d
+
+
+def test_integer_unit_roots_are_exact_at_one_half():
+    # The step at d=3 is e^{i pi/3} = (1 + i sqrt(3))/2, truncated.  mpmath
+    # rounds the angle 1/3 before taking the cosine, and lands one unit below
+    # 1/2 at 576 bits, so the oracle test above runs at the check's own width.
+    assert _unit_roots(3, 576)[2:] == (1 << 575, math.isqrt(3 << 1150))
 
 
 @pytest.mark.parametrize("d", [3, 9, 24])
@@ -564,7 +592,29 @@ def test_batched_ascent_matches_the_per_chamber_ascent(d):
     assert np.array_equal(np.sign(maxima @ normals.T + offsets), sides)
 
 
+# Imports the package, notes which of mpmath and numpy.random are loaded, runs
+# the commands and prints the modules they loaded.  numpy 1.x loads
+# numpy.random with numpy itself, so only what the commands add counts.
+IMPORT_PROBE = """
+import contextlib, io, sys
+import belyi_forge, belyi_forge.cli
+watched = ("mpmath", "numpy.random")
+before = {m for m in watched if m in sys.modules}
+assert "mpmath" not in before
+for argv in (["jd-verify", "--degree", "5"], ["surface-verify", "--degree", "5", "--nodal"],
+             ["surface-verify", "--degree", "3"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert belyi_forge.cli.main(argv) == 0, argv
+print(sorted(m for m in watched if m in sys.modules and m not in before))
+"""
+
+
 def test_package_import_leaves_mpmath_unloaded():
-    # Only the dual-path check evaluates in mpmath, so it is imported there.
-    code = "import sys, belyi_forge, belyi_forge.cli; assert 'mpmath' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+    # The dual-path check runs in Python ints from literal points, so neither
+    # importing the package nor running jd-verify or surface-verify loads
+    # mpmath or numpy.random.
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE], check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    assert out.stdout == "[]\n"

@@ -36,9 +36,9 @@ from belyi_forge import (
     word_engine,
 )
 from belyi_forge.arrangement_jd import (
+    _line_product_fixed,
     jd_census,
     jd_lines,
-    line_product_values,
 )
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
@@ -657,7 +657,8 @@ def test_nodal_u_values_agree_with_a_50_digit_line_product(d):
     census = vertex_u_census(chebyshev_solution(d))
     points = [(Fraction(2 * z + 1), Fraction(0)) for z in census.positions.real]
     with mp.workdps(50):
-        exact = [(3 - j) / 4 for j in line_product_values(d, points)]
+        bits = mp.mp.prec
+        exact = [(3 - mp.ldexp(j, -bits)) / 4 for j in _line_product_fixed(d, points, bits)]
         for value, u in zip(census.values.real, exact):
             assert abs(value - u) <= 1e-11
             # cos(k pi/d), rounded, is a critical point to far below the
