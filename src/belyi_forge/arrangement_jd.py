@@ -11,11 +11,11 @@ scaled product is Chmutov's folding polynomial
 where P_n is the A2 power sum: P_0 = 3, P_1 = z, P_2 = z^2 - 2 zbar and
 P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
 recurrence has integer coefficients, so the y-axis rescaling by sqrt(3)
-gives J_d exactly, with powers of 3 as denominators; the scaled line
-product, evaluated in Python-int fixed point from one root of unity, is the
-independent second route of the dual-path check.  That root comes from an
-integer Newton solve of z^(12d) = 1 and the check's points are written out,
-so the check imports neither mpmath nor numpy.random.
+gives J_d exactly, as integers over the one denominator 3^(d//2); the
+scaled line product, evaluated in Python-int fixed point from one root of
+unity, is the independent second route of the dual-path check.  That root
+comes from an integer Newton solve of z^(12d) = 1 and the check's points
+are written out, so the check imports neither mpmath nor numpy.random.
 
 The 2D census takes its candidate critical points from the arrangement
 itself: every vertex (value 0) and, in each bounded chamber, the maximum of
@@ -29,9 +29,9 @@ through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
 a vertex.  The lines are arrays from the start (normals and offsets), and
-the census returns its candidates as arrays.  The rational coefficients
-serve the dual-path check, which evaluates them in Python ints, and the
-exact axis restriction.
+the census returns its candidates as arrays.  The exact J_d, integers over
+3^(d//2), serves the dual-path check, which evaluates it by integer Horner,
+and the exact axis restriction.
 """
 
 from __future__ import annotations
@@ -72,40 +72,29 @@ VALUE_TARGETS = (0.0, 8.0, -1.0)
 
 @dataclass(frozen=True)
 class BiPoly:
-    """Dense bivariate polynomial; grid[i][j] is the coefficient of x^i y^j.
+    """Dense bivariate polynomial with rational coefficients over one
+    denominator: grid[i][j] / den is the coefficient of x^i y^j.
 
-    The grid is square of side degree+1.  Calling it runs Horner in the
-    coefficient type, a dense reference for the product-form census; exact
-    values at rational points come from rational_values, in Python ints.
+    The grid is square of side degree+1 and holds Python ints, and
+    rational_values evaluates it exactly.
     """
 
-    grid: tuple[tuple, ...]
+    grid: tuple[tuple[int, ...], ...]
+    den: int
 
     @property
     def degree(self) -> int:
         return len(self.grid) - 1
 
-    def __call__(self, x, y):
-        acc = None
-        for row in reversed(self.grid):
-            inner = None
-            for c in reversed(row):
-                inner = c if inner is None else inner * y + c
-            acc = inner if acc is None else acc * x + inner
-        return acc
-
     def rational_values(self, points) -> list[Fraction]:
         """Exact values at rational points (x, y), one Fraction per point.
 
-        With D the common denominator of the coefficients (3^(d//2) for
-        build_Jd) and x = p/q, y = r/s, the value times D q^d s^d is the
-        integer sum of D c_ij p^i q^(d-i) r^j s^(d-j).  Homogeneous Horner
-        computes it in Python ints, so the only gcd is the one the Fraction
-        takes when it reduces the quotient.
+        With x = p/q and y = r/s, the value times den q^d s^d is the integer
+        sum of c_ij p^i q^(d-i) r^j s^(d-j) over the grid entries c_ij.
+        Homogeneous Horner computes it in Python ints, so the only gcd is
+        the one the Fraction takes when it reduces the quotient.
         """
         n = self.degree
-        den = math.lcm(*(c.denominator for row in self.grid for c in row))
-        scaled = [[c.numerator * (den // c.denominator) for c in row] for row in self.grid]
         values = []
         for x, y in points:
             p, q = x.numerator, x.denominator
@@ -116,17 +105,13 @@ class BiPoly:
                 s_pows.append(s_pows[-1] * s)
             acc = 0
             for i in range(n, -1, -1):
-                row = scaled[i]
+                row = self.grid[i]
                 inner = row[n]
                 for j in range(n - 1, -1, -1):
                     inner = inner * r + row[j] * s_pows[n - j]
                 acc = acc * p + inner * q_pows[n - i]
-            values.append(Fraction(acc, den * q_pows[n] * s_pows[n]))
+            values.append(Fraction(acc, self.den * q_pows[n] * s_pows[n]))
         return values
-
-    def restrict_y0(self) -> tuple:
-        """Coefficients of p(x, 0), constant first."""
-        return tuple(row[0] for row in self.grid)
 
 
 def _mu_range(d: int) -> range:
@@ -192,27 +177,28 @@ def _a2_power_sum(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=8)
 def build_Jd(d: int) -> BiPoly:
-    """Exact rational form of the arrangement polynomial in x and Y = sqrt(3) y.
+    """Exact form of the arrangement polynomial in x and Y = sqrt(3) y, as
+    integers over the one denominator 3^(d//2).
 
     J_d = 2 - Re P_d + sqrt(3) Im P_d, and a coefficient c of x^k y^m in
     P_d sits at x^k Y^m divided by sqrt(3)^m.  So the coefficient of
     x^k Y^m is -Re c / 3^(m/2) for even m and Im c / 3^((m-1)/2) for odd m,
     plus the constant 2; the other part of c vanishes, and is asserted to.
-    The result is immutable and cached, so the dual-path check, the exact
-    axis restriction (nodal_unit_poly) and surface evaluation of one degree
-    share a single build.  The censuses never build it: they read J_d from
-    its lines.
+    Over 3^(d//2), column m is that part of P_d times 3^(d//2 - m//2).  The
+    result is immutable and cached, so the dual-path check and the exact axis
+    restriction (nodal_unit_poly) of one degree share a single build; the
+    censuses read J_d from its lines.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
     re, im = _a2_power_sum(d)
-
-    def coefficient(k: int, m: int) -> Fraction:
-        rational, other = (-re[k, m], im[k, m]) if m % 2 == 0 else (im[k, m], re[k, m])
-        assert other == 0, (d, k, m)
-        return Fraction(rational, 3 ** (m // 2)) + (2 if k == m == 0 else 0)
-
-    return BiPoly(tuple(tuple(coefficient(k, m) for m in range(d + 1)) for k in range(d + 1)))
+    den = 3 ** (d // 2)
+    even = np.arange(d + 1) % 2 == 0
+    assert not np.any(im[:, even]) and not np.any(re[:, ~even]), d
+    scale = np.array([den // 3 ** (m // 2) for m in range(d + 1)], dtype=object)
+    grid = np.where(even, -re, im) * scale
+    grid[0, 0] += 2 * den
+    return BiPoly(tuple(map(tuple, grid.tolist())), den)
 
 
 def _fixed_power(c: int, s: int, k: int, w: int) -> tuple[int, int]:

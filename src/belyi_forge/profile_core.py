@@ -167,9 +167,9 @@ def profile_to_json(p: CriticalProfile) -> dict:
 
 
 def profile_from_json(obj: Mapping) -> CriticalProfile:
-    return CriticalProfile(
-        black_mults=tuple(int(m) for m in obj["black"]),
-        white_mults=tuple(int(m) for m in obj["white"]),
-        black_leaves=int(obj["black_leaves"]),
-        white_leaves=int(obj["white_leaves"]),
-    )
+    """Inverse of profile_to_json; refuses any count whose type is not int."""
+    black, white = tuple(obj["black"]), tuple(obj["white"])
+    leaves = obj["black_leaves"], obj["white_leaves"]
+    if any(type(v) is not int for v in (*black, *white, *leaves)):
+        raise ValueError(f"profile counts must be ints, got {dict(obj)!r}")
+    return CriticalProfile(black, white, *leaves)

@@ -320,7 +320,8 @@ def nodal_unit_poly(d: int) -> UniPoly:
     The result is (1 + T_d)/2, the U the nodal 3D census reads from
     chebyshev_solution.
     """
-    axis = build_Jd(d).restrict_y0()
+    jd = build_Jd(d)
+    axis = [Fraction(row[0], jd.den) for row in jd.grid]
     t = UniPoly((Fraction(1), Fraction(2)))
     g = UniPoly((axis[-1],))
     for c in reversed(axis[:-1]):

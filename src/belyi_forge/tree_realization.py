@@ -57,14 +57,21 @@ class PlaneTree:
 
 
 def check_tree(t: PlaneTree) -> None:
-    """Assert connectivity, acyclicity, and proper bicoloring."""
+    """Assert known colors and in-range neighbor ids, then connectivity,
+    acyclicity, and proper bicoloring."""
     n = t.vertex_count
     if n == 0:
         raise RealizationError("empty tree")
-    for v, nbrs in enumerate(t.rotation):
+    if len(t.rotation) != n:
+        raise RealizationError(f"{len(t.rotation)} neighbor lists for {n} vertices")
+    for v, (color, nbrs) in enumerate(zip(t.colors, t.rotation)):
+        if color not in (BLACK, WHITE):
+            raise RealizationError(f"vertex {v} has color {color!r}, not {BLACK!r} or {WHITE!r}")
         for u in nbrs:
-            if t.colors[u] == t.colors[v]:
-                raise RealizationError(f"edge {v}-{u} joins two {t.colors[v]} vertices")
+            if not 0 <= u < n:
+                raise RealizationError(f"vertex {v} has neighbor {u} outside 0..{n - 1}")
+            if t.colors[u] == color:
+                raise RealizationError(f"edge {v}-{u} joins two {color} vertices")
             if v not in t.rotation[u]:
                 raise RealizationError(f"edge {v}-{u} not symmetric")
     if t.edge_count != n - 1:
@@ -299,6 +306,8 @@ def parse_dot(text: str) -> PlaneTree:
         raise RealizationError("vertex ids must be contiguous from 0")
     rotation: list[list[int]] = [[] for _ in range(n)]
     for v, u in edges:
+        if max(v, u) >= n:
+            raise RealizationError(f"edge v{v} -- v{u} names an undeclared vertex")
         rotation[v].append(u)
         rotation[u].append(v)
     tree = PlaneTree(
@@ -317,9 +326,12 @@ def export_json_adjacency(t: PlaneTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> PlaneTree:
-    tree = PlaneTree(
-        colors=tuple(obj["colors"]),
-        rotation=tuple(tuple(int(u) for u in nbrs) for nbrs in obj["adjacency"]),
-    )
+    """Inverse of export_json_adjacency; refuses any neighbor id whose type is not int."""
+    rotation = tuple(tuple(nbrs) for nbrs in obj["adjacency"])
+    for v, nbrs in enumerate(rotation):
+        for u in nbrs:
+            if type(u) is not int:
+                raise RealizationError(f"vertex {v} has neighbor {u!r}, not an int")
+    tree = PlaneTree(colors=tuple(obj["colors"]), rotation=rotation)
     check_tree(tree)
     return tree

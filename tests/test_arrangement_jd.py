@@ -134,10 +134,11 @@ def _falling(n, k):
 
 
 def exact_jet(poly, x, y):
-    """(value, gx, gy, hxx, hxy, hyy) of a Fraction BiPoly at Fractions x, y."""
+    """(value, gx, gy, hxx, hxy, hyy) of a BiPoly at Fractions x, y."""
     return tuple(
         sum(
-            c * _falling(i, di) * x ** max(i - di, 0) * _falling(j, dj) * y ** max(j - dj, 0)
+            Fraction(c, poly.den)
+            * _falling(i, di) * x ** max(i - di, 0) * _falling(j, dj) * y ** max(j - dj, 0)
             for i, row in enumerate(poly.grid)
             for j, c in enumerate(row)
         )
@@ -243,29 +244,25 @@ def test_product_jet_of_unscaled_lines_is_not_jd():
     assert min(errors) > 1e-3
 
 
-def _is_power_of_3(n):
-    while n % 3 == 0:
-        n //= 3
-    return n == 1
-
-
 def test_rational_coefficients_small_denominators():
+    # 3^(d//2) is the least common denominator: no factor of 3 divides every
+    # entry of the integer grid.
     for d in range(3, 61):
         jd = build_Jd(d)
-        dens = {c.denominator for row in jd.grid for c in row if c != 0}
-        assert all(map(_is_power_of_3, dens)), d
-        assert max(dens) == 3 ** (d // 2), d
+        assert jd.den == 3 ** (d // 2), d
+        assert math.gcd(jd.den, *(c for row in jd.grid for c in row)) == 1, d
         assert jd.degree == d
 
 
 def _grid_sha256(poly):
-    text = ";".join(",".join(f"{c.numerator}/{c.denominator}" for c in row) for row in poly.grid)
+    rows = ([Fraction(c, poly.den) for c in row] for row in poly.grid)
+    text = ";".join(",".join(f"{f.numerator}/{f.denominator}" for f in row) for row in rows)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of the coefficient grid of build_Jd(d), written row by row as
-# "p/q" Fractions, recorded when J_d was expanded in 256-bit mpmath and
-# rationalized by continued fractions.
+# sha256 of the coefficient grid of build_Jd(d), each entry over the
+# denominator written row by row as a reduced "p/q" Fraction, recorded when
+# J_d was expanded in 256-bit mpmath and rationalized by continued fractions.
 JD_GRID_SHA256 = {
     3: "153bb44bfafe66edba1bd409d3911ba4bd311ca83d78fd28fd0418ed7eebcfc2",
     4: "6558338ef02060374c2a981c32f2a50d13da567d50e213b5a95f1487c635add4",
@@ -316,7 +313,7 @@ JD_GRID_SHA256 = {
 @pytest.mark.parametrize("d", sorted(JD_GRID_SHA256))
 def test_recurrence_reproduces_the_rationalized_build(d):
     jd = build_Jd(d)
-    assert all(isinstance(c, Fraction) for row in jd.grid for c in row)
+    assert all(type(c) is int for row in jd.grid for c in row)
     assert _grid_sha256(jd) == JD_GRID_SHA256[d]
 
 
@@ -340,7 +337,7 @@ def fraction_horner(poly, x, y):
     for row in reversed(poly.grid):
         inner = Fraction(0)
         for c in reversed(row):
-            inner = inner * y + c
+            inner = inner * y + Fraction(c, poly.den)
         acc = acc * x + inner
     return acc
 
@@ -431,23 +428,26 @@ def test_integer_unit_roots_are_exact_at_one_half():
 @pytest.mark.parametrize("corner", ["constant", "x^d", "Y^d", "middle"])
 def test_dual_path_catches_a_coefficient_moved_by_its_denominator(monkeypatch, d, corner):
     # A coefficient of x^k Y^m has denominator 3^(m//2); moving it by that
-    # unit makes J_d wrong, and the fixed-point check must see it.
+    # unit, 3^(d//2 - m//2) in the grid over 3^(d//2), makes J_d wrong, and
+    # the fixed-point check must see it.
     k, m = {"constant": (0, 0), "x^d": (d, 0), "Y^d": (0, d), "middle": (d // 2, d // 2)}[corner]
-    grid = [list(row) for row in build_Jd(d).grid]
-    grid[k][m] += Fraction(1, 3 ** (m // 2))
-    moved = BiPoly(tuple(map(tuple, grid)))
+    jd = build_Jd(d)
+    grid = [list(row) for row in jd.grid]
+    grid[k][m] += 3 ** (d // 2 - m // 2)
+    moved = BiPoly(tuple(map(tuple, grid)), jd.den)
     monkeypatch.setattr(arrangement_jd, "build_Jd", lambda degree: moved)
     assert verify_Jd_dual_path(d) > 1e-20
 
 
 def test_rational_restriction_to_axis():
-    jd = build_Jd(3)
-    coeffs = jd.restrict_y0()
-    assert len(coeffs) == 4
-    x = Fraction(7, 5)
-    direct = jd(x, Fraction(0))
-    from_restriction = sum(c * x**k for k, c in enumerate(coeffs))
-    assert direct == from_restriction
+    # Column 0 of the grid over its denominator is J_d on the axis Y = 0.
+    xs = [Fraction(7, 5), Fraction(-3, 4), Fraction(0), Fraction(2)]
+    for d in (3, 4, 9):
+        jd = build_Jd(d)
+        axis = [Fraction(row[0], jd.den) for row in jd.grid]
+        assert len(axis) == d + 1
+        direct = jd.rational_values([(x, Fraction(0)) for x in xs])
+        assert direct == [sum(c * x**k for k, c in enumerate(axis)) for x in xs], d
 
 
 def float_census(d):

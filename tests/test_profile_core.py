@@ -181,3 +181,17 @@ def test_profile_satisfies_E_rejects_bad_domain():
 @given(balanced_profiles())
 def test_profile_json_round_trip(p):
     assert profile_from_json(profile_to_json(p)) == p
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("black", [2.7]), ("black", [True]), ("white", ["3"]), ("black_leaves", 1.0),
+     ("white_leaves", True), ("white_leaves", "3")],
+    ids=repr,
+)
+def test_profile_from_json_refuses_values_that_are_not_ints(key, value):
+    # int() would read 2.7 as 2, True as 1 and "3" as 3.
+    obj = profile_to_json(CriticalProfile((2,), (1, 1), 3, 1))
+    assert profile_from_json(obj) == CriticalProfile((2,), (1, 1), 3, 1)
+    with pytest.raises(ValueError, match="must be ints"):
+        profile_from_json({**obj, key: value})

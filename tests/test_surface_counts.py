@@ -489,7 +489,7 @@ def test_surface_polynomial_evaluates():
     u = sol.polynomial().shift_constant(1).scale(0.5)
 
     def f(x, y, w):
-        return jd(x, y) + u(w)
+        return jd.rational_values([(x, y)])[0] + u(w)
 
     census = singular_census_3d(9, sol)
     assert census.verified

@@ -159,6 +159,30 @@ def test_json_round_trip():
     assert back == t
 
 
+def test_tree_from_json_refuses_unknown_colors():
+    # The solver reads any color but black as white, so "red" must not pass.
+    with pytest.raises(RealizationError, match="vertex 0 has color 'red'"):
+        tree_from_json({"colors": ["red", "blue"], "adjacency": [[1], [0]]})
+
+
+def test_tree_from_json_refuses_a_neighbor_out_of_range():
+    with pytest.raises(RealizationError, match="vertex 0 has neighbor 3 outside 0..1"):
+        tree_from_json({"colors": ["black", "white"], "adjacency": [[3], [0]]})
+
+
+@pytest.mark.parametrize("u", [1.9, 1.0, True, "1"], ids=repr)
+def test_tree_from_json_refuses_a_neighbor_that_is_not_an_int(u):
+    # int() would read 1.9 as vertex 1 and True as vertex 1.
+    with pytest.raises(RealizationError, match="vertex 0 has neighbor"):
+        tree_from_json({"colors": ["black", "white"], "adjacency": [[u], [0]]})
+
+
+def test_parse_dot_refuses_an_edge_to_an_undeclared_vertex():
+    text = "graph tree {\n  v0 [color=black];\n  v1 [color=white];\n  v0 -- v5;\n}\n"
+    with pytest.raises(RealizationError, match="v0 -- v5"):
+        parse_dot(text)
+
+
 def test_derived_tree_grows_by_word_length():
     seed = F1(0, 1)
     base = derive_tree(seed, "")
