@@ -31,7 +31,9 @@ coefficients would not, and the jet divides by nothing, so it stays exact at
 a vertex.  The lines are arrays from the start (normals and offsets), and
 the census returns its candidates as arrays.  The exact J_d, integers over
 3^(d//2), serves the dual-path check, which evaluates it by integer Horner,
-and the exact axis restriction.
+and the exact axis restriction.  numpy is bound lazily (lazy_numpy): the
+closed-form counts of jstats need none of it, so only building J_d and the
+census execute it.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
+from .belyi_numeric import VALUE_TOL, DegreeGuardError, lazy_numpy
 
-from .belyi_numeric import VALUE_TOL, DegreeGuardError
+np = lazy_numpy()
 
 # Fractional bits of the dual-path check's fixed-point line product, at which
 # the exact values are also read, and its 12 rational points k/1000 with

@@ -22,22 +22,50 @@ by the same Aberth iteration, acts as an independent check that the solved
 polynomial really has the critical structure the tree prescribes.  The
 surface census reads U = (p + 1)/2 at the solved vertices instead
 (vertex_u_census), from the same products of the other colour's factors.
+numpy is bound by lazy_numpy, here and in the other two numeric modules, so
+it executes on the first numeric call, never on import.
 """
 
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
-
-import numpy as np
+from types import ModuleType
 
 from .profile_core import CriticalProfile
 from .seed_families import SeedSpec
 from .tree_realization import BLACK, PlaneTree, dfs_order, derive_tree, realize_profile
 from .word_engine import trajectory, uses_t2
+
+
+def lazy_numpy() -> ModuleType:
+    """numpy, bound now and executed on its first attribute access.
+
+    The numeric modules bind ``np = lazy_numpy()``, so importing the package
+    or running a combinatorial command (table, seeds, families, enumerate,
+    derive, export) never executes numpy; shabat, jd-verify and
+    surface-verify execute it on their first ``np.`` lookup.  After that the
+    module is a plain module again and lookups cost nothing extra.  If numpy
+    is already imported, that module is returned as it is.  LazyLoader is not
+    thread-safe on first access on Python 3.10 and 3.11; the package starts
+    no threads, so no two threads can race to execute numpy.
+    """
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = lazy_numpy()
 
 DEGREE_GUARD = 16
 DEFAULT_TOL = 1e-10

@@ -6,7 +6,9 @@ critical points with opposite critical values; J contributes values
 {0, 8, -1} with known counts and U contributes {0, 1}, so value 0 pairs
 with 0 and value -1 pairs with 1.  Every count and lower-bound formula
 here is that pairing arithmetic in closed form, and the desk-scale census
-recomputes it from the actual polynomials.
+recomputes it from the actual polynomials.  The closed forms and the bound
+table run on Python ints alone; numpy, bound lazily (lazy_numpy), executes
+only when a census runs or an exact J_d is built.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-
-import numpy as np
 
 from .arrangement_jd import (
     VALUE_TARGETS,
@@ -34,6 +34,7 @@ from .belyi_numeric import (
     ShabatSolution,
     UniPoly,
     chebyshev_solution,
+    lazy_numpy,
     vertex_u_census,
 )
 from .profile_core import CriticalProfile
@@ -48,6 +49,8 @@ from .seed_families import (
     format_seed,
 )
 from .word_engine import DerivationState, catalogue_ends
+
+np = lazy_numpy()
 
 BOUND_TABLE_GUARD = 200
 

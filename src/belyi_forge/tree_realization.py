@@ -57,8 +57,8 @@ class PlaneTree:
 
 
 def check_tree(t: PlaneTree) -> None:
-    """Assert known colors and in-range neighbor ids, then connectivity,
-    acyclicity, and proper bicoloring."""
+    """Assert known colors and in-range, distinct neighbor ids, then
+    connectivity, acyclicity, and proper bicoloring."""
     n = t.vertex_count
     if n == 0:
         raise RealizationError("empty tree")
@@ -67,6 +67,8 @@ def check_tree(t: PlaneTree) -> None:
     for v, (color, nbrs) in enumerate(zip(t.colors, t.rotation)):
         if color not in (BLACK, WHITE):
             raise RealizationError(f"vertex {v} has color {color!r}, not {BLACK!r} or {WHITE!r}")
+        if len(set(nbrs)) != len(nbrs):
+            raise RealizationError(f"vertex {v} lists a neighbor twice: {list(nbrs)}")
         for u in nbrs:
             if not 0 <= u < n:
                 raise RealizationError(f"vertex {v} has neighbor {u} outside 0..{n - 1}")

@@ -592,29 +592,49 @@ def test_batched_ascent_matches_the_per_chamber_ascent(d):
     assert np.array_equal(np.sign(maxima @ normals.T + offsets), sides)
 
 
-# Imports the package, notes which of mpmath and numpy.random are loaded, runs
-# the commands and prints the modules they loaded.  numpy 1.x loads
-# numpy.random with numpy itself, so only what the commands add counts.
+# Imports the package and runs the combinatorial commands, then prints the
+# numpy submodules loaded so far: the lazily bound numpy sits in sys.modules
+# from the import on, but only executing it loads submodules.  It then
+# executes numpy, notes which of mpmath and numpy.random are loaded (numpy 1.x
+# loads numpy.random with numpy itself, so only what the commands add counts),
+# runs the numeric commands and prints the watched modules they loaded.
+# shabat draws its restarts from numpy.random, so it runs last and only its
+# exit code is checked.
 IMPORT_PROBE = """
 import contextlib, io, sys
 import belyi_forge, belyi_forge.cli
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert belyi_forge.cli.main(list(argv)) == 0, argv
+run("table", "--max-degree", "24")
+run("table", "--max-degree", "24", "--format", "json")
+run("seeds")
+run("families", "--seed", "F1:0,1")
+run("enumerate", "--seed", "F1:0,1", "--max-len", "4")
+run("derive", "--seed", "F1:0,1", "--word", "ab")
+run("export", "--seed", "F1:0,1", "--word", "ab")
+run("export", "--seed", "F1:0,1", "--word", "ab", "--format", "json")
+print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+import numpy
+numpy.ndarray
 watched = ("mpmath", "numpy.random")
 before = {m for m in watched if m in sys.modules}
 assert "mpmath" not in before
-for argv in (["jd-verify", "--degree", "5"], ["surface-verify", "--degree", "5", "--nodal"],
-             ["surface-verify", "--degree", "3"]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert belyi_forge.cli.main(argv) == 0, argv
+run("jd-verify", "--degree", "5")
+run("surface-verify", "--degree", "5", "--nodal")
+run("surface-verify", "--degree", "3")
 print(sorted(m for m in watched if m in sys.modules and m not in before))
+run("shabat", "--seed", "F1:0,1")
 """
 
 
 def test_package_import_leaves_mpmath_unloaded():
-    # The dual-path check runs in Python ints from literal points, so neither
-    # importing the package nor running jd-verify or surface-verify loads
-    # mpmath or numpy.random.
+    # numpy executes only for the numeric commands, and the dual-path check
+    # runs in Python ints from literal points, so neither importing the
+    # package nor running jd-verify or surface-verify loads mpmath or
+    # numpy.random.
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert out.stdout == "[]\n"
+    assert out.stdout == "[]\n[]\n"

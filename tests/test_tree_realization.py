@@ -177,6 +177,20 @@ def test_tree_from_json_refuses_a_neighbor_that_is_not_an_int(u):
         tree_from_json({"colors": ["black", "white"], "adjacency": [[u], [0]]})
 
 
+@pytest.mark.parametrize(
+    "colors, adjacency, v",
+    [
+        # The edge count reads 3 // 2 = 1 edge, and 0 is in vertex 1's list.
+        (["black", "white"], [[1, 1], [0]], 0),
+        # The profile would read a white 2-point with two black leaves.
+        (["black", "white", "black"], [[1], [0, 2, 2], [1]], 1),
+    ],
+)
+def test_tree_from_json_refuses_a_neighbor_listed_twice(colors, adjacency, v):
+    with pytest.raises(RealizationError, match=f"vertex {v} lists a neighbor twice"):
+        tree_from_json({"colors": colors, "adjacency": adjacency})
+
+
 def test_parse_dot_refuses_an_edge_to_an_undeclared_vertex():
     text = "graph tree {\n  v0 [color=black];\n  v1 [color=white];\n  v0 -- v5;\n}\n"
     with pytest.raises(RealizationError, match="v0 -- v5"):
