@@ -18,7 +18,6 @@ import sys
 from functools import cache
 
 from .arrangement_jd import (
-    CENSUS_DEGREE_GUARD,
     census_matches_jstats,
     jd_census,
     jstats,
@@ -261,14 +260,22 @@ def cmd_surface_verify(args) -> int:
     if args.word is not None and args.seed is None:
         raise ValueError("--word needs the --seed it applies to")
     d = args.degree
-    # The construction is read once: the state the word reaches from the
-    # seed, the catalogue's state of lowest nu at d, or None for the nodal
-    # surface (also when nothing is catalogued at d).
-    if args.seed is not None:
-        seed = parse_seed(args.seed)
-        end = trajectory(seed, word_from_str(args.word or "", seed))[-1]
+    # The counts refuse d < 3, and the 2D census holds its degree guard, so
+    # a paired surface runs it before it reads its construction or solves;
+    # the census is cached, and the 3D census reads it from the cache.  The
+    # construction is read once: the state the word reaches from the seed,
+    # the catalogue's state of lowest nu at d, or None for the nodal surface
+    # (also when nothing is catalogued at d).
+    counts = jstats(d)
+    if args.nodal:
+        end = None
     else:
-        end = None if args.nodal else lowest_nu_construction(d)
+        jd_census(d)
+        if args.seed is None:
+            end = lowest_nu_construction(d)
+        else:
+            seed = parse_seed(args.seed)
+            end = trajectory(seed, word_from_str(args.word or "", seed))[-1]
     if end is None:
         expected = {1: nodal_surface_count(d)}
         provenance = "nodal"
@@ -278,18 +285,15 @@ def cmd_surface_verify(args) -> int:
             raise ValueError(
                 f"word reaches degree {end.profile.degree}, arrangement degree is {d}"
             )
-        expected = spectrum(jstats(d), end.profile)
+        expected = spectrum(counts, end.profile)
         provenance = f"{format_seed(end.seed)} {end.word or '(empty)'}"
-        # The 2D census holds its degree guard, so it runs before the solve;
-        # it is cached, and the 3D census reads it from the cache.
-        jd_census(d)
         sol = shabat_for_derivation(
             end.seed,
             end.word,
             tol=args.tol,
             max_restarts=args.restarts,
             rng_seed=args.rng_seed,
-            max_degree=args.max_degree,
+            max_degree=d,
         )
     census = singular_census_3d(d, sol)
     match = census.by_type == expected and census.verified
@@ -327,7 +331,7 @@ def _add_seed_word(p: argparse.ArgumentParser) -> None:
     p.add_argument("--word", default="", help="letter string over the seed's alphabet")
 
 
-def _add_solver(p: argparse.ArgumentParser, max_degree: int = DEGREE_GUARD) -> None:
+def _add_solver(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--tol",
         type=float,
@@ -338,7 +342,6 @@ def _add_solver(p: argparse.ArgumentParser, max_degree: int = DEGREE_GUARD) -> N
     )
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--max-degree", type=int, default=max_degree)
 
 
 @cache
@@ -373,6 +376,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("shabat", help="solve vertex positions and census the result")
     _add_seed_word(p)
     _add_solver(p)
+    p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)
     p.add_argument(
         "--cluster-tol",
         type=float,
@@ -406,9 +410,8 @@ def build_parser() -> _Parser:
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
     # A paired surface is refused past the 2D census's guard before it
-    # solves, so the solver's own guard defaults to that one: degrees 18 to
-    # 24 solve and verify with default flags.
-    _add_solver(p, max_degree=CENSUS_DEGREE_GUARD)
+    # solves, so its solve takes max_degree=d and has no guard flag.
+    _add_solver(p)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)
 

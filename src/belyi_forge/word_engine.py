@@ -12,6 +12,23 @@ while keeping exactly one white nu-point.
 A word is the plain string of its letters' one-character codes: a, b for
 T13 and A, B, g, d, D for T2, in the order listed.
 
+Every letter is one or two raises.  A raise takes one vertex of a colour
+from multiplicity old (0 for one of that colour's leaves) to new: the
+vertex gains new - old edges, and their far ends are that many new leaves
+of the other colour.  Each letter checks its preconditions, then raises:
+
+    a  white 0 -> 1, then black 0 -> nu
+    b  white 1 -> 2, then black 0 -> nu
+    A  white 0 -> 3
+    B  black eps -> nu, then white 0 -> 2
+    g  black 0 -> nu
+    d  black t -> t + 3
+    D  white t -> t + 3
+
+where eps and d's t are the largest black multiplicity other than nu, and
+D's t the smallest white one, each 0 (a leaf) when there is none.  A letter
+adds the sum of its new - old edges to the degree.
+
 A word is admissible when the seed and every prefix state satisfy the
 floor-arithmetic admissibility condition at the seed's nu.  The admissible
 language is prefix-closed by definition, so breadth-first enumeration with
@@ -109,15 +126,11 @@ def initial_state(seed: SeedSpec) -> DerivationState:
     return DerivationState(seed=seed, word="", profile=profile, nu=triple.nu)
 
 
-def _residuals(mults: tuple[int, ...], nu: int) -> list[int]:
-    return [m for m in mults if m != nu]
-
-
 def _replace(mults: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
     """mults with one copy of old swapped for new, in old's slot.
 
-    Every letter that changes a multiplicity changes exactly one, so one
-    index and two slices do it; CriticalProfile re-sorts the result.
+    A raise changes exactly one multiplicity, so one index and two slices
+    do it; CriticalProfile re-sorts the result.
     """
     try:
         i = mults.index(old)
@@ -126,133 +139,83 @@ def _replace(mults: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
     return mults[:i] + (new,) + mults[i + 1 :]
 
 
-def _apply_t13(state: DerivationState, letter: str) -> CriticalProfile:
+def _raise(
+    mults: tuple[int, ...], leaves: int, far: int, old: int, new: int
+) -> tuple[tuple[int, ...], int, int]:
+    """A vertex of one colour goes from multiplicity old to new (old = 0 is
+    one of that colour's leaves).  Takes and returns that colour's
+    multiplicities and leaf count and the other colour's leaf count far,
+    which gains a leaf at the far end of each of the new - old new edges."""
+    if old:
+        return _replace(mults, old, new), leaves, far + new - old
+    return mults + (new,), leaves - 1, far + new
+
+
+def _apply(state: DerivationState, letter: str) -> CriticalProfile:
+    """The profile one letter on: the letter's preconditions, then its
+    raises, as the module docstring tabulates them."""
     p, nu = state.profile, state.nu
+    black, white = p.black_mults, p.white_mults
+    bl, wl = p.black_leaves, p.white_leaves
     if letter == "a":
-        # New black nu-point hooked onto a white leaf; the leaf becomes a
-        # simple critical point and nu fresh white leaves appear.
-        if p.white_leaves < 1:
+        if wl < 1:
             raise LetterNotApplicableError("alpha needs a white leaf to upgrade")
-        return CriticalProfile(
-            black_mults=p.black_mults + (nu,),
-            white_mults=p.white_mults + (1,),
-            black_leaves=p.black_leaves,
-            white_leaves=p.white_leaves + nu - 1,
-        )
-    # Beta: second black nu-point on the pending simple white point.
-    if 1 not in p.white_mults:
-        raise LetterNotApplicableError(
-            "beta needs the simple white point left by a preceding alpha"
-        )
-    return CriticalProfile(
-        black_mults=p.black_mults + (nu,),
-        white_mults=_replace(p.white_mults, 1, 2),
-        black_leaves=p.black_leaves,
-        white_leaves=p.white_leaves + nu,
-    )
-
-
-def _apply_t2(state: DerivationState, letter: str) -> CriticalProfile:
-    p, nu = state.profile, state.nu
-    if letter == "A":
-        # Three black leaves hooked onto a white leaf, which becomes a
-        # 3-point.  The black leaves are what later gamma steps consume:
-        # every recorded gamma-run bound is exactly the running black-leaf
-        # budget under this reading.
-        if p.white_leaves < 1:
+        white, wl, bl = _raise(white, wl, bl, 0, 1)
+        black, bl, wl = _raise(black, bl, wl, 0, nu)
+    elif letter == "b":
+        if 1 not in white:
+            raise LetterNotApplicableError(
+                "beta needs the simple white point left by a preceding alpha"
+            )
+        white, wl, bl = _raise(white, wl, bl, 1, 2)
+        black, bl, wl = _raise(black, bl, wl, 0, nu)
+    elif letter == "A":
+        # The three black leaves are what later gamma steps consume: every
+        # recorded gamma-run bound is exactly the running black-leaf budget.
+        if wl < 1:
             raise LetterNotApplicableError("alpha needs a white leaf")
         if nu <= 3:
             raise LetterNotApplicableError("alpha would create a second top point")
-        return CriticalProfile(
-            black_mults=p.black_mults,
-            white_mults=p.white_mults + (3,),
-            black_leaves=p.black_leaves + 3,
-            white_leaves=p.white_leaves - 1,
-        )
-    if letter == "B":
-        # Promote the secondary black point (a black leaf when none exists)
-        # to a nu-point, and raise one white leaf to multiplicity two.
-        if p.white_leaves < 1:
+        white, wl, bl = _raise(white, wl, bl, 0, 3)
+    elif letter == "B":
+        if wl < 1:
             raise LetterNotApplicableError("beta needs a white leaf")
         if nu <= 2:
             raise LetterNotApplicableError("beta would duplicate the white top point")
-        res_black = _residuals(p.black_mults, nu)
-        if res_black:
-            eps = max(res_black)
-            return CriticalProfile(
-                black_mults=_replace(p.black_mults, eps, nu),
-                white_mults=p.white_mults + (2,),
-                black_leaves=p.black_leaves + 2,
-                white_leaves=p.white_leaves + nu - eps - 1,
-            )
-        if p.black_leaves < 1:
+        eps = max([m for m in black if m != nu] or [0])
+        if not eps and bl < 1:
             raise LetterNotApplicableError("beta needs a black leaf to promote")
-        return CriticalProfile(
-            black_mults=p.black_mults + (nu,),
-            white_mults=p.white_mults + (2,),
-            black_leaves=p.black_leaves + 1,
-            white_leaves=p.white_leaves + nu - 1,
-        )
-    if letter == "g":
-        # Promote a black leaf directly to a nu-point.
-        if p.black_leaves < 1:
+        black, bl, wl = _raise(black, bl, wl, eps, nu)
+        white, wl, bl = _raise(white, wl, bl, 0, 2)
+    elif letter == "g":
+        if bl < 1:
             raise LetterNotApplicableError("gamma needs a black leaf to promote")
-        return CriticalProfile(
-            black_mults=p.black_mults + (nu,),
-            white_mults=p.white_mults,
-            black_leaves=p.black_leaves - 1,
-            white_leaves=p.white_leaves + nu,
-        )
-    if letter == "d":
-        # Grow the secondary black point by three (create one if absent).
-        res_black = _residuals(p.black_mults, nu)
-        if res_black:
-            target = max(res_black)
-            if target + 3 >= nu:
+        black, bl, wl = _raise(black, bl, wl, 0, nu)
+    elif letter == "d":
+        t = max([m for m in black if m != nu] or [0])
+        if t:
+            if t + 3 >= nu:
                 raise LetterNotApplicableError(
                     "delta would push the secondary black point to the top multiplicity"
                 )
-            return CriticalProfile(
-                black_mults=_replace(p.black_mults, target, target + 3),
-                white_mults=p.white_mults,
-                black_leaves=p.black_leaves,
-                white_leaves=p.white_leaves + 3,
-            )
-        if p.black_leaves < 1:
+        elif bl < 1:
             raise LetterNotApplicableError("delta needs a black leaf to promote")
-        if 3 >= nu:
+        elif 3 >= nu:
             raise LetterNotApplicableError("delta would reach the top multiplicity")
-        return CriticalProfile(
-            black_mults=p.black_mults + (3,),
-            white_mults=p.white_mults,
-            black_leaves=p.black_leaves - 1,
-            white_leaves=p.white_leaves + 3,
-        )
-    # Delta-bar (D): same growth applied on the white side, to the white
-    # critical point of lowest multiplicity.
-    res_white = _residuals(p.white_mults, nu)
-    if res_white:
-        target = min(res_white)
-        if target + 3 >= nu:
-            raise LetterNotApplicableError(
-                "delta-bar would push a white point to the top multiplicity"
-            )
-        return CriticalProfile(
-            black_mults=p.black_mults,
-            white_mults=_replace(p.white_mults, target, target + 3),
-            black_leaves=p.black_leaves + 3,
-            white_leaves=p.white_leaves,
-        )
-    if p.white_leaves < 1:
-        raise LetterNotApplicableError("delta-bar needs a white leaf to promote")
-    if 3 >= nu:
-        raise LetterNotApplicableError("delta-bar would reach the top multiplicity")
-    return CriticalProfile(
-        black_mults=p.black_mults,
-        white_mults=p.white_mults + (3,),
-        black_leaves=p.black_leaves + 3,
-        white_leaves=p.white_leaves - 1,
-    )
+        black, bl, wl = _raise(black, bl, wl, t, t + 3)
+    else:  # D
+        t = min([m for m in white if m != nu] or [0])
+        if t:
+            if t + 3 >= nu:
+                raise LetterNotApplicableError(
+                    "delta-bar would push a white point to the top multiplicity"
+                )
+        elif wl < 1:
+            raise LetterNotApplicableError("delta-bar needs a white leaf to promote")
+        elif 3 >= nu:
+            raise LetterNotApplicableError("delta-bar would reach the top multiplicity")
+        white, wl, bl = _raise(white, wl, bl, t, t + 3)
+    return CriticalProfile(black, white, bl, wl)
 
 
 def apply_letter(state: DerivationState, letter: str) -> DerivationState:
@@ -262,15 +225,12 @@ def apply_letter(state: DerivationState, letter: str) -> DerivationState:
             raise AlphabetMismatchError(
                 f"{letter!r} is not a T2 letter; this seed uses the five-letter alphabet"
             )
-        new_profile = _apply_t2(state, letter)
-    else:
-        if letter not in _T13_LETTERS:
-            raise AlphabetMismatchError(
-                f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
-            )
-        new_profile = _apply_t13(state, letter)
+    elif letter not in _T13_LETTERS:
+        raise AlphabetMismatchError(
+            f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
+        )
     return DerivationState(
-        seed=state.seed, word=state.word + letter, profile=new_profile, nu=state.nu
+        seed=state.seed, word=state.word + letter, profile=_apply(state, letter), nu=state.nu
     )
 
 
@@ -359,8 +319,8 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     Order is breadth-first by length, then by alphabet order within each
     length.  The empty word is listed iff the seed itself is admissible.
 
-    ``_apply_t13``, ``_apply_t2`` and the admissibility condition read only
-    the state's profile and the seed's nu, so whether a letter applies, the
+    ``_apply`` and the admissibility condition read only the state's
+    profile and the seed's nu, so whether a letter applies, the
     profile it yields and whether that profile is admissible depend on the
     profile alone.  Each distinct profile is numbered the first time a move
     reaches it, and its admissible moves, as (letter, profile number) pairs,
@@ -562,10 +522,10 @@ def _catalogue_words(seed: SeedSpec, d_max: int) -> list[str]:
     """The empty word and the seed's catalogued words that can end within
     degree d_max, each once.
 
-    Every letter strictly raises the degree: a T13 letter by nu + 1, a T2
-    letter by at least 3 (by 3, nu, or nu - eps + 2 with eps < nu, and
-    nu = 3(n + l) + j >= 4 for every second-family seed with a recorded
-    family).  So a word of more than (d_max - d0) // (nu + 1) letters, or
+    Every letter strictly raises the degree by the edges its raises add: a
+    T13 letter by 1 + nu, a T2 letter by at least 3 (A, d and D by 3, g by
+    nu, B by nu - eps + 2 with eps < nu, and nu = 3(n + l) + j >= 4 for
+    every second-family seed with a recorded family).  So a word of more than (d_max - d0) // (nu + 1) letters, or
     (d_max - d0) // 3 for a second-family seed, ends past d_max, and no
     such word is generated.  The T2 words come in generation order, not in
     the canonical order of paper_word_families: the catalogue sorts its

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
-from belyi_forge.arrangement_jd import CENSUS_DEGREE_GUARD, build_Jd, jd_census
+from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.belyi_numeric import DEGREE_GUARD
 from belyi_forge.cli import build_parser, main
 from belyi_forge.surface_counts import lowest_nu_construction, seed_grid
@@ -425,7 +425,7 @@ def test_surface_verify_nodal_takes_no_construction(capsys, construction):
         # The word reaches degree 39, which the 2D census refuses; the solve
         # (32 failed restarts here) would come to nothing, so it is not run.
         (
-            ("--degree", "39", "--seed", "F2:0,1,1,1", "--word", "Bg", "--max-degree", "39"),
+            ("--degree", "39", "--seed", "F2:0,1,1,1", "--word", "Bg"),
             {"type": "DegreeGuardError", "message": "degree 39 exceeds census guard 24"},
         ),
     ],
@@ -441,33 +441,32 @@ def test_surface_verify_refuses_before_solving(capsys, monkeypatch, argv, error)
     assert json.loads(err)["error"] == error
 
 
-def test_surface_verify_forwards_the_solver_guard(capsys, monkeypatch):
-    steps = []
-    linear_factors = belyi_numeric._linear_factors
+def test_surface_verify_refuses_a_degree_before_reading_its_construction(capsys, monkeypatch):
+    # The census guard is checked first, so neither the catalogue nor a
+    # word is read at a degree it refuses.
+    def refuse(*args, **kwargs):
+        raise AssertionError("surface-verify read a construction at a refused degree")
 
-    def counting(*args):
-        steps.append(1)
-        return linear_factors(*args)
+    monkeypatch.setattr(cli, "lowest_nu_construction", refuse)
+    monkeypatch.setattr(cli, "trajectory", refuse)
+    for argv in (("--degree", "25"), ("--degree", "25", "--seed", "F1:0,1", "--word", "ab")):
+        code, out, err = run(capsys, "surface-verify", *argv)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == {
+            "type": "DegreeGuardError", "message": "degree 25 exceeds census guard 24"
+        }
 
-    monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
-    # F1:0,1 "a" reaches degree 12, past a guard of 9.
-    code, out, err = run(
-        capsys, "surface-verify", "--degree", "12", "--seed", "F1:0,1", "--word", "a",
-        "--max-degree", "9",
-    )
-    assert (code, out) == (2, "")
-    assert json.loads(err)["error"] == {
-        "type": "DegreeGuardError", "message": "degree 12 exceeds guard 9"
-    }
-    assert steps == []
+
+def test_surface_verify_takes_no_solver_guard(capsys):
+    # It solves with max_degree=d, and d has already passed the census guard.
+    _surface_verify_refuses(capsys, "--max-degree", "9")
 
 
 def test_solver_guard_defaults_per_subcommand():
-    # shabat keeps the solver's guard; surface-verify refuses past the 2D
-    # census's guard before it solves, so its solver guard defaults to that.
+    # shabat keeps the solver's guard; surface-verify has none of its own.
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert sub.choices["shabat"].get_default("max_degree") == DEGREE_GUARD == 16
-    assert sub.choices["surface-verify"].get_default("max_degree") == CENSUS_DEGREE_GUARD == 24
+    assert sub.choices["surface-verify"].get_default("max_degree") is None
 
 
 def test_surface_verify_at_degree_18_verifies_with_default_flags(capsys):
@@ -806,7 +805,7 @@ SUBCOMMAND_OPTIONS = {
     "table": ["--max-degree", "--nu", "--format", "--output"],
     "surface-verify": [
         "--degree", "--seed", "--word", "--nodal", "--tol", "--restarts", "--rng-seed",
-        "--max-degree", "--output",
+        "--output",
     ],
     "export": ["--seed", "--word", "--format", "--output"],
 }

@@ -3,9 +3,13 @@
 import hashlib
 import itertools
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_profile_core import balanced_profiles
 
 from belyi_forge import (
     F1,
@@ -18,9 +22,13 @@ from belyi_forge import (
     seed_triple,
     word_engine,
 )
+from belyi_forge.profile_core import CriticalProfile, validate_profile
 from belyi_forge.surface_counts import seed_grid
 from belyi_forge.word_engine import (
+    T2_ALPHABET,
+    T13_ALPHABET,
     AlphabetMismatchError,
+    DerivationState,
     LetterNotApplicableError,
     NoFamilyRecordedError,
     WordEngineError,
@@ -171,6 +179,145 @@ def letter_outcome(state, letter):
     return (child, child.degree)
 
 
+# The hand-built letter steps that _apply replaced, kept as its reference:
+# each letter's child profile spelled out field by field, with multiplicities
+# swapped by counter_replace.
+def reference_t13(state, letter):
+    p, nu = state.profile, state.nu
+    if letter == "a":
+        if p.white_leaves < 1:
+            raise LetterNotApplicableError("alpha needs a white leaf to upgrade")
+        return CriticalProfile(
+            black_mults=p.black_mults + (nu,),
+            white_mults=p.white_mults + (1,),
+            black_leaves=p.black_leaves,
+            white_leaves=p.white_leaves + nu - 1,
+        )
+    if 1 not in p.white_mults:
+        raise LetterNotApplicableError(
+            "beta needs the simple white point left by a preceding alpha"
+        )
+    return CriticalProfile(
+        black_mults=p.black_mults + (nu,),
+        white_mults=counter_replace(p.white_mults, 1, 2),
+        black_leaves=p.black_leaves,
+        white_leaves=p.white_leaves + nu,
+    )
+
+
+def reference_t2(state, letter):
+    p, nu = state.profile, state.nu
+    if letter == "A":
+        if p.white_leaves < 1:
+            raise LetterNotApplicableError("alpha needs a white leaf")
+        if nu <= 3:
+            raise LetterNotApplicableError("alpha would create a second top point")
+        return CriticalProfile(
+            black_mults=p.black_mults,
+            white_mults=p.white_mults + (3,),
+            black_leaves=p.black_leaves + 3,
+            white_leaves=p.white_leaves - 1,
+        )
+    if letter == "B":
+        if p.white_leaves < 1:
+            raise LetterNotApplicableError("beta needs a white leaf")
+        if nu <= 2:
+            raise LetterNotApplicableError("beta would duplicate the white top point")
+        res_black = [m for m in p.black_mults if m != nu]
+        if res_black:
+            eps = max(res_black)
+            return CriticalProfile(
+                black_mults=counter_replace(p.black_mults, eps, nu),
+                white_mults=p.white_mults + (2,),
+                black_leaves=p.black_leaves + 2,
+                white_leaves=p.white_leaves + nu - eps - 1,
+            )
+        if p.black_leaves < 1:
+            raise LetterNotApplicableError("beta needs a black leaf to promote")
+        return CriticalProfile(
+            black_mults=p.black_mults + (nu,),
+            white_mults=p.white_mults + (2,),
+            black_leaves=p.black_leaves + 1,
+            white_leaves=p.white_leaves + nu - 1,
+        )
+    if letter == "g":
+        if p.black_leaves < 1:
+            raise LetterNotApplicableError("gamma needs a black leaf to promote")
+        return CriticalProfile(
+            black_mults=p.black_mults + (nu,),
+            white_mults=p.white_mults,
+            black_leaves=p.black_leaves - 1,
+            white_leaves=p.white_leaves + nu,
+        )
+    if letter == "d":
+        res_black = [m for m in p.black_mults if m != nu]
+        if res_black:
+            target = max(res_black)
+            if target + 3 >= nu:
+                raise LetterNotApplicableError(
+                    "delta would push the secondary black point to the top multiplicity"
+                )
+            return CriticalProfile(
+                black_mults=counter_replace(p.black_mults, target, target + 3),
+                white_mults=p.white_mults,
+                black_leaves=p.black_leaves,
+                white_leaves=p.white_leaves + 3,
+            )
+        if p.black_leaves < 1:
+            raise LetterNotApplicableError("delta needs a black leaf to promote")
+        if 3 >= nu:
+            raise LetterNotApplicableError("delta would reach the top multiplicity")
+        return CriticalProfile(
+            black_mults=p.black_mults + (3,),
+            white_mults=p.white_mults,
+            black_leaves=p.black_leaves - 1,
+            white_leaves=p.white_leaves + 3,
+        )
+    res_white = [m for m in p.white_mults if m != nu]
+    if res_white:
+        target = min(res_white)
+        if target + 3 >= nu:
+            raise LetterNotApplicableError(
+                "delta-bar would push a white point to the top multiplicity"
+            )
+        return CriticalProfile(
+            black_mults=p.black_mults,
+            white_mults=counter_replace(p.white_mults, target, target + 3),
+            black_leaves=p.black_leaves + 3,
+            white_leaves=p.white_leaves,
+        )
+    if p.white_leaves < 1:
+        raise LetterNotApplicableError("delta-bar needs a white leaf to promote")
+    if 3 >= nu:
+        raise LetterNotApplicableError("delta-bar would reach the top multiplicity")
+    return CriticalProfile(
+        black_mults=p.black_mults,
+        white_mults=p.white_mults + (3,),
+        black_leaves=p.black_leaves + 3,
+        white_leaves=p.white_leaves - 1,
+    )
+
+
+ALL_LETTERS = T13_ALPHABET + T2_ALPHABET
+
+
+def step_outcomes(step, states):
+    """step(state, letter) for every state and every letter of both
+    alphabets: the child profile, or the refusal's message."""
+    outcomes = []
+    for state in states:
+        for letter in ALL_LETTERS:
+            try:
+                outcomes.append(step(state, letter))
+            except LetterNotApplicableError as exc:
+                outcomes.append(("not applicable", str(exc)))
+    return outcomes
+
+
+def reference_step(state, letter):
+    return (reference_t2 if letter in T2_ALPHABET else reference_t13)(state, letter)
+
+
 def reached_states(seed, max_len):
     """One state per distinct profile reached by enumerate_LE(seed, max_len),
     or by catalogue_ends(seed, 60) when max_len is None."""
@@ -200,9 +347,11 @@ REFERENCE_CASES = [(F2(0, 2, 2, 2), 8), (F2(1, 2, 2, 2), 7)] + [
 def test_letter_steps_match_the_counter_reference(monkeypatch, seed, max_len):
     # Every letter of the alphabet from every profile reached: the one-slot
     # swap gives the same child, or refuses with the same message, as
-    # multiset arithmetic on Counter bags.
+    # multiset arithmetic on Counter bags.  So do the raises against the
+    # hand-built steps, on every letter of both alphabets.
     states = reached_states(seed, max_len)
     assert states
+    assert step_outcomes(word_engine._apply, states) == step_outcomes(reference_step, states)
     letters = alphabet_for(seed)
     fast = [letter_outcome(s, x) for s in states for x in letters]
     monkeypatch.setattr(word_engine, "_replace", counter_replace)
@@ -219,6 +368,54 @@ def test_replace_swaps_one_copy():
     assert word_engine._replace((3,), 3, 6) == (6,)
     with pytest.raises(LetterNotApplicableError, match="missing multiplicity"):
         word_engine._replace((5, 2), 1, 2)
+
+
+def random_states(count, rng_seed):
+    """count seeded states of nu 1..9 whose multiplicities (1..nu+1, so
+    nu and values past it occur) and leaf counts (0..3) are drawn freely:
+    most are not valid profiles, and many letters are refused."""
+    rng = random.Random(rng_seed)
+    states = []
+    for _ in range(count):
+        nu = rng.randint(1, 9)
+        black, white = (
+            tuple(rng.randint(1, nu + 1) for _ in range(rng.randint(0, 4))) for _ in "bw"
+        )
+        profile = CriticalProfile(black, white, rng.randint(0, 3), rng.randint(0, 3))
+        states.append(DerivationState(seed=F2(0, 1, 1, 1), word="", profile=profile, nu=nu))
+    return states
+
+
+@pytest.mark.parametrize("rng_seed", range(4))
+def test_raises_match_the_hand_built_steps_on_random_states(rng_seed):
+    # 4 x 25,000 states, every letter of both alphabets on each.
+    states = random_states(25_000, rng_seed)
+    assert step_outcomes(word_engine._apply, states) == step_outcomes(reference_step, states)
+
+
+def raised_edges(profile, nu, letter):
+    """The sum of new - old over the letter's raises, read off the table."""
+    eps = max([m for m in profile.black_mults if m != nu], default=0)
+    return {"a": 1 + nu, "b": 1 + nu, "A": 3, "B": nu - eps + 2, "g": nu, "d": 3, "D": 3}[letter]
+
+
+@settings(max_examples=300)
+@given(balanced_profiles(), st.integers(min_value=0, max_value=6))
+def test_a_raise_keeps_a_profile_valid(profile, headroom):
+    # Each raise adds new - old edges and as many far leaves, so the three
+    # tree identities hold after every letter that applies.  nu is the top
+    # multiplicity, at or above every multiplicity of the state, as in every
+    # seed: B's black eps -> nu is a raise only when eps < nu.
+    nu = max(profile.black_mults + profile.white_mults, default=1) + headroom
+    for seed, letters in ((F1(0, 1), T13_ALPHABET), (F2(0, 1, 1, 1), T2_ALPHABET)):
+        state = DerivationState(seed=seed, word="", profile=profile, nu=nu)
+        for letter in letters:
+            try:
+                child = apply_letter(state, letter).profile
+            except LetterNotApplicableError:
+                continue
+            assert validate_profile(child).ok, (letter, child)
+            assert child.degree == profile.degree + raised_edges(profile, nu, letter)
 
 
 def test_enumeration_deterministic():
