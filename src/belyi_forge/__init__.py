@@ -13,7 +13,6 @@ from .arrangement_jd import (
     BiPoly,
     Census2D,
     JStats,
-    arrangement_census,
     build_Jd,
     build_lines,
     census_matches_jstats,

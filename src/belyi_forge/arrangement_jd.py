@@ -17,28 +17,27 @@ unity, is the independent second route of the dual-path check.  That root
 comes from an integer Newton solve of z^(12d) = 1 and the check's points
 are written out, so the check imports neither mpmath nor numpy.random.
 
-The 2D census takes its candidate critical points from the arrangement
-itself: every vertex (value 0) and, in each bounded chamber, the maximum of
-sum(log|l_i|) (values 8 and -1), found by damped Newton ascent from the
-centroid of the chamber's vertices, all chambers in one batch.  For lines in
-general position these are all the critical points (Varchenko), one per
-bounded chamber, and the bounded chambers number (d-1)(d-2)/2 (Zaslavsky),
-so the census is complete by construction once every candidate passes its
-tests.  It reads J_d, its gradient and its Hessian as one jet, carried
+The 2D census reads J_d's critical points from theory.  On the torus,
+z = sum e^{i theta_j} with theta_1 + theta_2 + theta_3 = 0, J_d is
+2 + 2 sum cos(d theta_j - 2 pi/3), and its critical points are four integer
+lattices in theta_j = 2 pi X_j/(6d), one or two per critical value (Hoffman
+and Withers 1988; Chmutov 1992).  The census lists their (d-1)^2 points and
+checks each on the scaled line product: its value must lie on its lattice
+class's target, one Newton step must not move it, and its Hessian must be
+nondegenerate.  The gradient equations have degree d-1, so by Bezout those
+(d-1)^2 points are every critical point, and the census is complete once all
+pass.  It reads J_d, its gradient and its Hessian as one jet, carried
 through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
-a vertex.  The lines are arrays from the start (normals and offsets), and
-the census returns its candidates as arrays.  The exact J_d, integers over
-3^(d//2), serves the dual-path check, which evaluates it by integer Horner,
-and the exact axis restriction.  numpy is bound lazily (lazy_numpy): the
-closed-form counts of jstats need none of it, so only building J_d and the
-census execute it.
+a vertex.  The exact J_d, integers over 3^(d//2), serves the dual-path
+check, which evaluates it by integer Horner, and the exact axis
+restriction.  numpy is bound lazily (lazy_numpy): the closed-form counts of
+jstats need none of it, so only building J_d and the census execute it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,8 +50,9 @@ from .belyi_numeric import VALUE_TOL, DegreeGuardError, lazy_numpy
 np = lazy_numpy()
 
 # Fractional bits of the dual-path check's fixed-point line product, at which
-# the exact values are also read, and its 12 rational points k/1000 with
-# |k| <= 4000, written out: the first 24 draws of numpy's
+# the exact values are also read, unless the largest |J| at the check's
+# points needs more (from d=90; verify_Jd_dual_path).  Its 12 rational points
+# k/1000 with |k| <= 4000 are written out: the first 24 draws of numpy's
 # default_rng(7).integers(-4000, 4000).
 DUAL_PATH_PRECISION = 256
 DUAL_PATH_POINTS = tuple(
@@ -63,13 +63,19 @@ DUAL_PATH_POINTS = tuple(
         (-2949, 2376), (-3048, -257), (2531, -1576), (-1268, -1773),
     )
 )
-# The census's gradient test |grad J| < 1e-8 (1 + |J|), read in product
-# form, is worst at the vertices, where it is |Hessian| times the rounding of
-# the vertex position: 7.8e-10 at most for d <= 24, 5.4e-9 at d=28, and
-# 4.2e-8 at d=35, where one vertex fails and the census is incomplete.  The
-# guard keeps a factor of ten below the test.
-CENSUS_DEGREE_GUARD = 24
+# The census lists (d-1)^2 points and carries the jet through d line factors
+# at each, so its time grows as d^3 and its memory as d^2: at d=200 it takes
+# about 80 ms and peaks at 5.2 MiB of traced memory, and jd-verify's exact J_d
+# there takes 0.8 s.  The bound table stops at the same degree.
+CENSUS_DEGREE_GUARD = 200
+# Every lattice point must move less than this in one Newton step
+# |H^-1 grad J|: the step is at most 3.4e-14 for d <= 200, where the least
+# gap between two points is 2.8e-5.
+NEWTON_STEP_TOL = 1e-9
 VALUE_TARGETS = (0.0, 8.0, -1.0)
+# The folding lattices of J_d's critical points: each one's index into
+# VALUE_TARGETS, and the residue mod 6 that its X1 and X2 share.
+_LATTICES = ((1, 2), (2, 4), (2, 0), (0, 5))
 
 
 @dataclass(frozen=True)
@@ -290,17 +296,21 @@ def verify_Jd_dual_path(d: int) -> float:
     Evaluates J_d at the DUAL_PATH_POINTS rational points both
     exactly, by integer Horner over one common denominator
     (BiPoly.rational_values), and through the scaled line product in
-    fixed point with DUAL_PATH_PRECISION fractional bits; each exact value
-    num/den is read as the integer (num << DUAL_PATH_PRECISION) // den, and
-    the largest absolute difference returns as a float.
+    fixed point; each exact value num/den is read as the integer
+    (num << bits) // den, and the largest absolute difference returns as a
+    float.  The line product's error is about |J| 2^-(bits + 50), so bits is
+    DUAL_PATH_PRECISION, or 64 more than the bit length of the largest |J|
+    if that is more: the difference stays near 2^-114 at every degree.
     """
     exact_values = build_Jd(d).rational_values(DUAL_PATH_POINTS)
-    via_lines = _line_product_fixed(d, DUAL_PATH_POINTS, DUAL_PATH_PRECISION)
+    top = max((abs(v.numerator) // v.denominator).bit_length() for v in exact_values)
+    bits = max(DUAL_PATH_PRECISION, top + 64)
+    via_lines = _line_product_fixed(d, DUAL_PATH_POINTS, bits)
     diffs = (
-        abs((exact.numerator << DUAL_PATH_PRECISION) // exact.denominator - v)
+        abs((exact.numerator << bits) // exact.denominator - v)
         for exact, v in zip(exact_values, via_lines)
     )
-    return max(diffs) / (1 << DUAL_PATH_PRECISION)
+    return max(diffs) / (1 << bits)
 
 
 @dataclass(frozen=True)
@@ -339,44 +349,41 @@ def jstats(d: int) -> JStats:
     return JStats(d=d, n0=n0, n8=n8, nm1=nm1)
 
 
-def _vertices(normals: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each crossing of line i with a later line j, by Cramer's rule.
-
-    Returns the pairs (i, j) and the crossings (x, y) as rows, in the order
-    of np.triu_indices (i, then j, increasing).  Pairs of parallel lines
-    (|det| < 1e-12) are dropped before the division.
-    """
-    i, j = np.triu_indices(len(offsets), k=1)
-    (a, b), c = normals.T, offsets
-    det = a[i] * b[j] - a[j] * b[i]
-    crossing = np.abs(det) >= 1e-12
-    i, j, det = i[crossing], j[crossing], det[crossing]
-    x = (-c[i] * b[j] + c[j] * b[i]) / det
-    y = (-a[i] * c[j] + a[j] * c[i]) / det
-    return np.stack([i, j], axis=1), np.stack([x, y], axis=1)
-
-
 @dataclass(frozen=True, eq=False)
 class Census2D:
-    """The census's counts per value target, and the candidates that pass its
-    gradient test as read-only arrays: positions and gradients as (x, y)
-    rows, and values."""
+    """The census's counts per value target, and its points as read-only
+    arrays: positions and gradients as (x, Y) rows, values, Newton step
+    lengths and lattice classes (indices into VALUE_TARGETS).
+
+    failures names the tests the points failed, in the order value,
+    newton_step, nondegenerate, count; the census is complete when there
+    are none.
+    """
 
     counts: Mapping
     positions: np.ndarray
     values: np.ndarray
     gradients: np.ndarray
-    complete: bool
-    all_nondegenerate: bool
+    steps: np.ndarray
+    classes: np.ndarray
     expected_total: int
     stray_values: tuple[float, ...]
+    failures: tuple[str, ...]
+
+    @property
+    def complete(self) -> bool:
+        return not self.failures
+
+    @property
+    def all_nondegenerate(self) -> bool:
+        return "nondegenerate" not in self.failures
 
     @property
     def total(self) -> int:
         return len(self.values)
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "counts": {str(k): v for k, v in self.counts.items()},
             "total": self.total,
             "expected_total": self.expected_total,
@@ -384,6 +391,9 @@ class Census2D:
             "all_nondegenerate": self.all_nondegenerate,
             "stray_values": list(self.stray_values),
         }
+        if self.failures:
+            out["failed_tests"] = list(self.failures)
+        return out
 
 
 def value_classes(values: np.ndarray) -> np.ndarray:
@@ -393,80 +403,35 @@ def value_classes(values: np.ndarray) -> np.ndarray:
     return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
-def _bounded_chambers(
-    normals: np.ndarray, offsets: np.ndarray, pairs: np.ndarray, at: np.ndarray
-) -> np.ndarray:
-    """The vertex centroid of each bounded chamber of the arrangement.
+def _lattice_points(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_d's (d-1)^2 critical points from the A2 folding lattice: their
+    classes (indices into VALUE_TARGETS) and their coordinates x and Y.
 
-    A chamber is named by its sign vector (the side of each line it lies
-    on).  Each vertex touches the four chambers that differ only in the
-    signs of its two lines.  A chamber is unbounded exactly when it holds
-    the far points of some direction, and the directions strictly inside
-    the 2n gaps between the n line directions and their opposites name all
-    the unbounded chambers.  The vertices are given as _vertices returns
-    them.  The sign rows are grouped by np.unique, and each centroid sums
-    its vertices in vertex order, as a running mean would.
+    On the torus theta_1 + theta_2 + theta_3 = 0, J_d is
+    2 + 2 sum cos(d theta_j - 2 pi/3), critical exactly where the three
+    sines sin(d theta_j - 2 pi/3) are equal.  With theta_j = 2 pi X_j/(6d)
+    and X1 + X2 + X3 = 0 (mod 6d) that is four integer lattices (_LATTICES):
+    every X_j = 2 (mod 6) gives 8, every X_j = 4 or every X_j = 0 gives -1,
+    and X1 = X2 = 5 with X3 = 2 (mod 6) gives 0, the arrangement's
+    vertices.  The folding z = sum e^{i theta_j} is a local diffeomorphism
+    only where the X_j are distinct, and it identifies the permutations of
+    (X1, X2, X3), so each orbit keeps the one point with X1 > X2 > X3, or
+    X1 > X2 at a vertex.  One residue class is d^2 pairs (X1, X2) from
+    arange(r, 6d, 6).  The census's coordinates are x = Re z and
+    Y = -sqrt(3) Im z.
     """
-    k = np.arange(len(at))
-    sides = np.repeat((at @ normals.T + offsets > 0)[:, None], 4, axis=1)
-    for c, (si, sj) in enumerate(itertools.product((True, False), repeat=2)):
-        sides[k, c, pairs[:, 0]] = si
-        sides[k, c, pairs[:, 1]] = sj
-    along = np.arctan2(-normals[:, 0], normals[:, 1])
-    cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
-    between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
-    far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
-    rows = np.concatenate([sides.reshape(-1, len(offsets)), far])
-    chambers, chamber_of = np.unique(rows, axis=0, return_inverse=True)
-    chamber_of = chamber_of.ravel()
-    touching, unbounded = chamber_of[: 4 * len(at)], chamber_of[4 * len(at) :]
-    count = np.bincount(touching, minlength=len(chambers))
-    bounded = count > 0
-    bounded[unbounded] = False
-    corners = np.repeat(at, 4, axis=0)
-    sums = [np.bincount(touching, corners[:, i], len(chambers))[bounded] for i in (0, 1)]
-    return np.stack(sums, axis=1) / count[bounded, None]
-
-
-def _chamber_maxima(normals: np.ndarray, offsets: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Maximum of sum(log|l_i|) over the open chamber holding each start.
-
-    The lines are l_i = n_i . x + c_i, and the starts lie in the
-    arrangement's bounded chambers.  Damped Newton ascent, run on all
-    chambers at once as stacked arrays; each chamber stops on its own.  The
-    objective is strictly concave on a chamber, so the ascent converges.
-    With r_i = (n_i . step) / l_i, the scaled step t * step keeps every sign
-    while all 1 + t*r_i > 0 and raises the objective by sum(log1p(t*r_i));
-    both read accurately however small the step, and each chamber halves
-    its own t until both hold.  Once the Newton decrement is below 1e-20 the
-    full step stays in the chamber (its Hessian norm is under 1) and lands
-    at rounding level.  A chamber that has not converged in 50 steps keeps
-    its last iterate, which the census's gradient test then rejects.
-    """
-    x = np.array(starts, dtype=float)
-    todo = np.arange(len(x))
-    for _ in range(50):
-        if not todo.size:
-            break
-        scaled = normals / (x[todo] @ normals.T + offsets)[:, :, None]
-        grad = scaled.sum(axis=1)
-        step = np.linalg.solve(scaled.swapaxes(1, 2) @ scaled, grad[:, :, None])[:, :, 0]
-        done = np.einsum("ki,ki->k", grad, step) < 1e-20
-        x[todo[done]] += step[done]
-        todo, scaled, step = todo[~done], scaled[~done], step[~done]
-        r = np.einsum("kni,ki->kn", scaled, step)
-        t = np.ones(len(todo))
-        while True:
-            tr = t[:, None] * r
-            inside = tr > -1.0
-            # log1p only where it is defined, so nothing warns.
-            gain = np.log1p(np.where(inside, tr, 0.0)).sum(axis=1)
-            halve = ~inside.all(axis=1) | (gain <= 0.0)
-            if not halve.any():
-                break
-            t[halve] /= 2
-        x[todo] += t[:, None] * step
-    return x
+    n = 6 * d
+    classes, lattice = [], []
+    for c, r in _LATTICES:
+        x1, x2 = np.meshgrid(np.arange(r, n, 6), np.arange(r, n, 6), indexing="ij")
+        x3 = (-x1 - x2) % n
+        keep = (x1 > x2) & ((x2 > x3) | (c == 0))
+        lattice.append(np.stack([x1[keep], x2[keep], x3[keep]], axis=1))
+        classes.append(np.full(len(lattice[-1]), c))
+    theta = np.concatenate(lattice) * (math.pi / (3 * d))
+    x = np.cos(theta).sum(axis=1)
+    y = -math.sqrt(3) * np.sin(theta).sum(axis=1)
+    return np.concatenate(classes), x, y
 
 
 def _product_jet(
@@ -492,64 +457,56 @@ def _product_jet(
     return tuple(scale * q for q in (value, gx, gy, hxx, hxy, hyy))
 
 
-def arrangement_census(normals: np.ndarray, offsets: np.ndarray, scale: float) -> Census2D:
-    """Real critical points of J = scale * prod(l_i), read in product form.
-
-    The lines l_i = n_i . (x, y) + c_i come as their normals n_i (rows) and
-    offsets c_i.  For d lines in general position the critical points are
-    the d(d-1)/2 vertices, where J vanishes to second order, and one maximum
-    of sum(log|l_i|) in each bounded chamber (Varchenko), of which there are
-    (d-1)(d-2)/2 (Zaslavsky); one batched damped-Newton ascent finds every
-    chamber's maximum (_chamber_maxima).  J, its gradient and its Hessian
-    come from one product-rule jet over the line factors (_product_jet),
-    never from dense coefficients.  Each candidate must pass the gradient
-    test |grad J| < 1e-8 (1 + |J|); it is then classified against the values
-    {0, 8, -1} within VALUE_TOL (value_classes) and flagged nondegenerate by
-    its Hessian determinant.  The census is complete when every candidate
-    passes, no value strays and the bounded chambers number (d-1)(d-2)/2.
-    """
-    d = len(offsets)
-    if d > CENSUS_DEGREE_GUARD:
-        raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
-    pairs, vertices = _vertices(normals, offsets)
-    centroids = _bounded_chambers(normals, offsets, pairs, vertices)
-    maxima = _chamber_maxima(normals, offsets, centroids)
-    x, y = np.concatenate([vertices, maxima]).T
-    val, fx, fy, hxx, hxy, hyy = _product_jet(normals, offsets, scale, x, y)
-    det = hxx * hyy - hxy * hxy
-    ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
-    nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
-    all_nondeg = bool(nondeg[ok].all())
-    # The candidates that pass, one read-only row (x, y, J, J_x, J_y) each.
-    rows = np.stack([x, y, val, fx, fy], axis=1)[ok]
-    rows.flags.writeable = False
-    classes = value_classes(rows[:, 2])
-    counts = np.bincount(classes[classes >= 0], minlength=len(VALUE_TARGETS))
-    strays = tuple(float(v) for v in rows[classes < 0, 2])
-    bounded = (d - 1) * (d - 2) // 2
-    complete = bool(ok.all()) and not strays and all_nondeg and len(centroids) == bounded
-    return Census2D(
-        counts=MappingProxyType(dict(zip(VALUE_TARGETS, counts.tolist()))),
-        positions=rows[:, :2],
-        values=rows[:, 2],
-        gradients=rows[:, 3:],
-        complete=complete,
-        all_nondegenerate=all_nondeg,
-        expected_total=(d - 1) ** 2,
-        stray_values=strays,
-    )
-
-
 @lru_cache(maxsize=8)
 def jd_census(d: int) -> Census2D:
-    """Census of J_d from its lines, which carry the sqrt(3) y-scale.
+    """Real critical points of J_d, read from the folding lattice and checked
+    on the scaled product of its lines.
+
+    The points come from theory (_lattice_points); the census ties them to
+    the polynomial.  J_d, its gradient and its Hessian at every point come
+    from one product-rule jet over the line factors (_product_jet), never
+    from dense coefficients.  Four tests must hold: each value lies within
+    VALUE_TOL of its own class's target (value_classes), each Newton step
+    |H^-1 grad J| is below NEWTON_STEP_TOL, far under the least gap between
+    points, each Hessian is nondegenerate, and there are (d-1)^2 points.  The
+    two gradient equations have degree d-1, so by Bezout (d-1)^2 distinct
+    nondegenerate critical points leave no other in C^2: the census is then
+    complete.  Each test that fails is named in failures.
 
     It depends on d alone, so it is cached: jd-verify, the nodal surface
     and the paired surfaces of one degree share one census.  The census is
     read-only: its counts are a mapping proxy and its arrays are not
     writeable.
     """
-    return arrangement_census(*jd_lines(d), scale_constant(d))
+    if d > CENSUS_DEGREE_GUARD:
+        raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
+    classes, x, y = _lattice_points(d)
+    val, fx, fy, hxx, hxy, hyy = _product_jet(*jd_lines(d), scale_constant(d), x, y)
+    det = hxx * hyy - hxy * hxy
+    nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
+    # |H^-1 grad J| by Cramer's rule, infinite where H is degenerate.
+    steps = np.divide(
+        np.hypot(hyy * fx - hxy * fy, hxx * fy - hxy * fx), np.abs(det),
+        out=np.full_like(det, np.inf), where=nondeg,
+    )
+    on_target = value_classes(val) == classes
+    passed = {
+        "value": on_target.all(),
+        "newton_step": (steps < NEWTON_STEP_TOL).all(),
+        "nondegenerate": nondeg.all(),
+        "count": len(val) == (d - 1) ** 2,
+    }
+    arrays = np.stack([x, y], axis=1), val, np.stack([fx, fy], axis=1), steps, classes
+    for a in arrays:
+        a.flags.writeable = False
+    counts = np.bincount(classes[on_target], minlength=len(VALUE_TARGETS))
+    return Census2D(
+        MappingProxyType(dict(zip(VALUE_TARGETS, counts.tolist()))),
+        *arrays,
+        expected_total=(d - 1) ** 2,
+        stray_values=tuple(val[~on_target].tolist()),
+        failures=tuple(name for name, ok in passed.items() if not ok),
+    )
 
 
 def jd_lines(d: int) -> tuple[np.ndarray, np.ndarray]:

@@ -221,7 +221,7 @@ def cmd_shabat(args) -> int:
 
 def cmd_jd_verify(args) -> int:
     # The counts refuse d < 3 and the census holds the degree guard, so both
-    # run before the dual-path check builds J_d and reads it in 256 bits.
+    # run before the dual-path check builds J_d and reads it in fixed point.
     st = jstats(args.degree)
     census = jd_census(args.degree)
     dual = verify_Jd_dual_path(args.degree)
@@ -389,8 +389,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("jd-verify", help="build the arrangement polynomial, census it")
     p.add_argument("--degree", type=int, required=True)
-    # The 2D census takes its starts from the arrangement, not a grid; the
-    # flag is still accepted (and ignored) so existing scripts keep working.
+    # The 2D census reads its points from the folding lattice, not a grid;
+    # the flag is still accepted (and ignored) so existing scripts keep working.
     # It stays while the benchmark's surface workload passes `--grid 64`:
     # removing it waits for a change that also edits perfbench/.
     p.add_argument("--grid", type=int, help=argparse.SUPPRESS)

@@ -396,11 +396,12 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     coefficients.  J's come from the cached two-variable census of J_d's
     lines, as arrays of values and gradients; U's come from the solved
     tree's internal vertices (vertex_u_census), with U and |U'| there.
-    Each of J's value classes (value_classes, the rule the 2D census
-    counts by) pairs with the U points of the opposite value, per
+    Each of J's lattice classes pairs with the U points of the opposite
+    value (value_classes, the rule the 2D census checks J's values by), per
     multiplicity.  Every paired triple is verified directly: the surface
-    value and full gradient are formed there from the two censuses, and the
-    worst defects are reported.  The census is verified only when J's
+    value is formed there from the two censuses, and its gradient defect is
+    J's Newton step |H^-1 grad J| beside |U'|; the worst defects are
+    reported.  The census is verified only when J's
     census is complete and the defects are small; a U point whose value
     pairs with no J class (one with an imaginary part above VALUE_TOL
     included) leaves it unverified.
@@ -413,10 +414,10 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     u_cen = vertex_u_census(chebyshev_solution(d) if solution is None else solution)
     w, u, mult, slopes = u_cen.positions, u_cen.values, u_cen.mults, u_cen.slopes
 
-    # J's classes are the 2D census's; a U point joins the class of the
+    # J's classes are its lattice classes; a U point joins the class of the
     # opposite value if its imaginary part is within VALUE_TOL, and pairs
     # with nothing if that class holds no J point.
-    j_class = value_classes(j_cen.values)
+    j_class = j_cen.classes
     u_class = np.where(np.abs(np.imag(u)) <= VALUE_TOL, value_classes(-np.real(u)), -1)
     u_class[~np.isin(u_class, j_class)] = -1
     real_u = np.abs(np.imag(w)) <= VALUE_TOL
@@ -435,7 +436,7 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
             # np.hypot rounds as Python's complex abs does.
             f = j_cen.values[j_pts, None] + u[u_pts]
             max_f = max(max_f, float(np.hypot(f.real, f.imag).max()))
-            max_g = float(max(max_g, np.abs(j_cen.gradients[j_pts]).max(), slopes[u_pts].max()))
+            max_g = float(max(max_g, j_cen.steps[j_pts].max(), slopes[u_pts].max()))
     verified = (
         j_cen.complete and max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL
         and -1 not in u_class

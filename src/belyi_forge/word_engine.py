@@ -26,8 +26,9 @@ of the other colour.  Each letter checks its preconditions, then raises:
     D  white t -> t + 3
 
 where eps and d's t are the largest black multiplicity other than nu, and
-D's t the smallest white one, each 0 (a leaf) when there is none.  A letter
-adds the sum of its new - old edges to the degree.
+D's t the smallest white one, each 0 (a leaf) when there is none.  A raise
+never lowers a vertex, so B refuses when eps exceeds nu.  A letter adds the
+sum of its new - old edges to the degree.
 
 A word is admissible when the seed and every prefix state satisfy the
 floor-arithmetic admissibility condition at the seed's nu.  The admissible
@@ -183,6 +184,8 @@ def _apply(state: DerivationState, letter: str) -> CriticalProfile:
         if nu <= 2:
             raise LetterNotApplicableError("beta would duplicate the white top point")
         eps = max([m for m in black if m != nu] or [0])
+        if eps > nu:
+            raise LetterNotApplicableError("beta would lower the secondary black point")
         if not eps and bl < 1:
             raise LetterNotApplicableError("beta needs a black leaf to promote")
         black, bl, wl = _raise(black, bl, wl, eps, nu)

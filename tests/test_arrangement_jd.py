@@ -1,4 +1,10 @@
-"""Line arrangements: exact coefficients, closed-form counts, 2D censuses."""
+"""Line arrangements: exact coefficients, closed-form counts, 2D censuses.
+
+The census reads J_d's critical points from the folding lattice.  The
+arrangement's own candidates, every vertex and one maximum of sum(log|l_i|)
+per bounded chamber found by damped Newton ascent, are the oracle it is
+checked against at d <= 24; so is the unscaled-y arrangement.
+"""
 
 import hashlib
 import itertools
@@ -8,6 +14,7 @@ import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +22,6 @@ import pytest
 
 from belyi_forge import (
     DegreeGuardError,
-    arrangement_census,
     arrangement_jd,
     build_Jd,
     build_lines,
@@ -28,18 +34,22 @@ from belyi_forge.arrangement_jd import (
     CENSUS_DEGREE_GUARD,
     DUAL_PATH_POINTS,
     DUAL_PATH_PRECISION,
+    VALUE_TARGETS,
     BiPoly,
-    _bounded_chambers,
-    _chamber_maxima,
     _line_product_fixed,
     _mu_range,
     _product_jet,
     _unit_roots,
-    _vertices,
     jd_lines,
     scale_constant,
+    value_classes,
 )
+from belyi_forge.belyi_numeric import VALUE_TOL
 
+# The degrees the oracles run at, the old census guard: past it, at d=35, a
+# Cramer vertex fails the chamber oracle's gradient test, and the
+# leave-two-out jet's n x n x K array grows as d^4 (689 MiB at d=98).
+ORACLE_DEGREES = range(3, 25)
 FROZEN_STATS = {3: (3, 0, 1), 4: (6, 1, 2), 5: (10, 2, 4), 6: (15, 3, 7)}
 
 
@@ -81,9 +91,129 @@ def test_scale_constant_nonzero_at_tau_zero():
         assert abs(scale_constant(d)) > 1e-9
 
 
+def vertices_of(normals, offsets):
+    """Each crossing of line i with a later line j, by Cramer's rule.
+
+    Returns the pairs (i, j) and the crossings (x, y) as rows, in the order
+    of np.triu_indices (i, then j, increasing).  Pairs of parallel lines
+    (|det| < 1e-12) are dropped before the division.
+    """
+    i, j = np.triu_indices(len(offsets), k=1)
+    (a, b), c = normals.T, offsets
+    det = a[i] * b[j] - a[j] * b[i]
+    crossing = np.abs(det) >= 1e-12
+    i, j, det = i[crossing], j[crossing], det[crossing]
+    x = (-c[i] * b[j] + c[j] * b[i]) / det
+    y = (-a[i] * c[j] + a[j] * c[i]) / det
+    return np.stack([i, j], axis=1), np.stack([x, y], axis=1)
+
+
+def bounded_chambers(normals, offsets, pairs, at):
+    """The vertex centroid of each bounded chamber of the arrangement.
+
+    A chamber is named by its sign vector (the side of each line it lies
+    on).  Each vertex touches the four chambers that differ only in the
+    signs of its two lines.  A chamber is unbounded exactly when it holds
+    the far points of some direction, and the directions strictly inside
+    the 2n gaps between the n line directions and their opposites name all
+    the unbounded chambers.  The vertices are given as vertices_of returns
+    them.  The sign rows are grouped by np.unique, and each centroid sums
+    its vertices in vertex order, as a running mean would.
+    """
+    k = np.arange(len(at))
+    sides = np.repeat((at @ normals.T + offsets > 0)[:, None], 4, axis=1)
+    for c, (si, sj) in enumerate(itertools.product((True, False), repeat=2)):
+        sides[k, c, pairs[:, 0]] = si
+        sides[k, c, pairs[:, 1]] = sj
+    along = np.arctan2(-normals[:, 0], normals[:, 1])
+    cuts = np.sort(np.concatenate([along, along + math.pi]) % (2 * math.pi))
+    between = (cuts + np.append(cuts[1:], cuts[0] + 2 * math.pi)) / 2
+    far = np.stack([np.cos(between), np.sin(between)], axis=1) @ normals.T > 0
+    rows = np.concatenate([sides.reshape(-1, len(offsets)), far])
+    chambers, chamber_of = np.unique(rows, axis=0, return_inverse=True)
+    chamber_of = chamber_of.ravel()
+    touching, unbounded = chamber_of[: 4 * len(at)], chamber_of[4 * len(at) :]
+    count = np.bincount(touching, minlength=len(chambers))
+    bounded = count > 0
+    bounded[unbounded] = False
+    corners = np.repeat(at, 4, axis=0)
+    sums = [np.bincount(touching, corners[:, i], len(chambers))[bounded] for i in (0, 1)]
+    return np.stack(sums, axis=1) / count[bounded, None]
+
+
+def chamber_maxima(normals, offsets, starts):
+    """Maximum of sum(log|l_i|) over the open chamber holding each start.
+
+    Damped Newton ascent, run on all chambers at once as stacked arrays;
+    each chamber stops on its own.  The objective is strictly concave on a
+    chamber, so the ascent converges.  With r_i = (n_i . step) / l_i, the
+    scaled step t * step keeps every sign while all 1 + t*r_i > 0 and raises
+    the objective by sum(log1p(t*r_i)); each chamber halves its own t until
+    both hold.  Once the Newton decrement is below 1e-20 the full step lands
+    at rounding level.  A chamber that has not converged in 50 steps keeps
+    its last iterate.
+    """
+    x = np.array(starts, dtype=float)
+    todo = np.arange(len(x))
+    for _ in range(50):
+        if not todo.size:
+            break
+        scaled = normals / (x[todo] @ normals.T + offsets)[:, :, None]
+        grad = scaled.sum(axis=1)
+        step = np.linalg.solve(scaled.swapaxes(1, 2) @ scaled, grad[:, :, None])[:, :, 0]
+        done = np.einsum("ki,ki->k", grad, step) < 1e-20
+        x[todo[done]] += step[done]
+        todo, scaled, step = todo[~done], scaled[~done], step[~done]
+        r = np.einsum("kni,ki->kn", scaled, step)
+        t = np.ones(len(todo))
+        while True:
+            tr = t[:, None] * r
+            inside = tr > -1.0
+            # log1p only where it is defined, so nothing warns.
+            gain = np.log1p(np.where(inside, tr, 0.0)).sum(axis=1)
+            halve = ~inside.all(axis=1) | (gain <= 0.0)
+            if not halve.any():
+                break
+            t[halve] /= 2
+        x[todo] += t[:, None] * step
+    return x
+
+
+def oracle_census(normals, offsets, scale):
+    """Real critical points of scale * prod(l_i), as the package found them
+    before the folding lattice.
+
+    For d lines in general position the critical points are the d(d-1)/2
+    vertices and one maximum of sum(log|l_i|) in each bounded chamber
+    (Varchenko), of which there are (d-1)(d-2)/2 (Zaslavsky).  A candidate
+    is kept when |grad J| < 1e-8 (1 + |J|), and classed by value_classes.
+    The census is complete when every candidate passes, lies on a target and
+    is nondegenerate, and the bounded chambers number (d-1)(d-2)/2.
+    """
+    d = len(offsets)
+    pairs, vertices = vertices_of(normals, offsets)
+    centroids = bounded_chambers(normals, offsets, pairs, vertices)
+    x, y = np.concatenate([vertices, chamber_maxima(normals, offsets, centroids)]).T
+    val, fx, fy, hxx, hxy, hyy = _product_jet(normals, offsets, scale, x, y)
+    ok = np.hypot(fx, fy) < 1e-8 * (1.0 + np.abs(val))
+    det = hxx * hyy - hxy * hxy
+    nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
+    classes = value_classes(val)[ok]
+    counts = np.bincount(classes[classes >= 0], minlength=len(VALUE_TARGETS))
+    return SimpleNamespace(
+        counts=dict(zip(VALUE_TARGETS, counts.tolist())),
+        positions=np.stack([x, y], axis=1)[ok],
+        classes=classes,
+        total=len(classes),
+        all_nondegenerate=bool(nondeg[ok].all()),
+        complete=bool(ok.all() and (classes >= 0).all() and nondeg.all())
+        and len(centroids) == (d - 1) * (d - 2) // 2,
+    )
+
+
 def test_intersections_bounded_by_pair_count():
     for d in (3, 4, 5, 6):
-        pairs, _ = _vertices(*build_lines(d))
+        pairs, _ = vertices_of(*build_lines(d))
         assert 1 <= len(pairs) <= d * (d - 1) // 2
 
 
@@ -105,7 +235,7 @@ def vertices_by_loop(normals, offsets):
 
 
 def assert_vertices_equal_the_loop(normals, offsets):
-    pairs, at = _vertices(normals, offsets)
+    pairs, at = vertices_of(normals, offsets)
     oracle = vertices_by_loop(normals, offsets)
     assert pairs.tolist() == [[i, j] for i, j, _, _ in oracle]
     # Bit for bit: equal int64 views also tell -0.0 from 0.0.
@@ -113,7 +243,7 @@ def assert_vertices_equal_the_loop(normals, offsets):
     assert np.array_equal(at.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_vertices_equal_the_double_loop(d):
     assert_vertices_equal_the_loop(*jd_lines(d))
 
@@ -124,7 +254,7 @@ def test_vertices_skip_a_parallel_pair():
     normals = np.insert(normals, 3, normals[1], axis=0)
     offsets = np.insert(offsets, 3, offsets[1] + 1.0)
     assert_vertices_equal_the_loop(normals, offsets)
-    pairs, _ = _vertices(normals, offsets)
+    pairs, _ = vertices_of(normals, offsets)
     assert len(pairs) == 6 * 5 // 2 - 1
     assert [1, 3] not in pairs.tolist()
 
@@ -180,7 +310,7 @@ def test_product_jet_matches_exact_partials():
 
 def test_product_jet_at_vertices_is_exact_and_division_free():
     # Two factors vanish at each vertex of the arrangement.
-    vertices = _vertices(*jd_lines(5))[1].tolist()
+    vertices = vertices_of(*jd_lines(5))[1].tolist()
     assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
     normals = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
@@ -215,18 +345,14 @@ def product_jet_leave_two_out(normals, factors, scale):
     return value, gx, gy, hxx, hxy, hyy
 
 
-@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_product_rule_jet_equals_the_leave_two_out_jet(d):
-    # At every census candidate the values are equal, and each derivative
+    # At every census point the values are equal, and each derivative
     # agrees to 1e-12 relative to the sum of its terms' sizes: the old jet
     # taken over |n_i|, |l_i| and |scale|.  The gradient itself vanishes
     # there, so it is no scale.
     normals, offsets = jd_lines(d)
-    pairs, vertices = _vertices(normals, offsets)
-    maxima = _chamber_maxima(
-        normals, offsets, _bounded_chambers(normals, offsets, pairs, vertices)
-    )
-    x, y = np.concatenate([vertices, maxima]).T
+    x, y = jd_census(d).positions.T
     scale = scale_constant(d)
     factors = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + offsets[:, None]
     jet = _product_jet(normals, offsets, scale, x, y)
@@ -368,6 +494,13 @@ def test_dual_path_agreement(d):
     assert verify_Jd_dual_path(d) < 1e-20
 
 
+@pytest.mark.parametrize("d", [110, 150])
+def test_dual_path_agreement_past_256_bits(d):
+    # 256 fractional bits read 2.3e-21 at d=110 and 1.9e5 at d=150, where
+    # |J| at the points nears 2^323; the check reads 64 bits above it.
+    assert verify_Jd_dual_path(d) < 1e-30
+
+
 def three_trig_line_product(d, points):
     """The line product as mpmath once took it: tan, cos and sin per line,
     and the scale 2cos(d pi/2 + 2 pi/3), at the working precision."""
@@ -451,8 +584,8 @@ def test_rational_restriction_to_axis():
 
 
 def float_census(d):
-    """Census of the unscaled-y arrangement polynomial."""
-    return arrangement_census(*build_lines(d), scale_constant(d))
+    """The oracle's census of the unscaled-y arrangement polynomial."""
+    return oracle_census(*build_lines(d), scale_constant(d))
 
 
 def test_smallest_census_from_spec_example():
@@ -484,6 +617,72 @@ def test_rational_census_matches_counts_past_nine(d):
     assert census.all_nondegenerate
 
 
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
+def test_lattice_points_match_the_chamber_oracle(d):
+    # One to one: each lattice point lies within 1e-12 of its own oracle
+    # point, and both read the same value class there.
+    census, oracle = jd_census(d), oracle_census(*jd_lines(d), scale_constant(d))
+    assert census.complete and oracle.complete
+    assert census.total == oracle.total == (d - 1) ** 2
+    gaps = np.linalg.norm(census.positions[:, None] - oracle.positions[None], axis=2)
+    nearest = gaps.argmin(axis=1)
+    assert sorted(nearest.tolist()) == list(range(oracle.total))
+    assert gaps.min(axis=1).max() < 1e-12
+    assert np.array_equal(census.classes, oracle.classes[nearest])
+
+
+@pytest.mark.parametrize("d", [25, 35, 48, 99, 200])
+def test_census_is_complete_past_the_old_guard(d):
+    # d=35 is where a Cramer vertex of the chamber census failed its
+    # gradient test.  Every Newton step stays far under NEWTON_STEP_TOL.
+    census = jd_census(d)
+    assert census.failures == ()
+    assert census_matches_jstats(census, jstats(d)), census.as_dict()
+    assert census.steps.max() < 1e-13
+    assert "failed_tests" not in census.as_dict()
+
+
+def with_moved_offset(line, by):
+    def moved(d):
+        normals, offsets = jd_lines(d)
+        offsets[line] += by
+        return normals, offsets
+
+    return moved
+
+
+@pytest.mark.parametrize("d", [3, 24, 200])
+@pytest.mark.parametrize("line", [0, -1])
+def test_a_moved_line_fails_the_newton_step_test(monkeypatch, d, line):
+    # One line's offset moved by 1e-6 leaves the lattice points off the
+    # polynomial's critical points; the census names the test that failed.
+    monkeypatch.setattr(arrangement_jd, "jd_lines", with_moved_offset(line, 1e-6))
+    census = jd_census.__wrapped__(d)
+    assert not census.complete
+    assert "newton_step" in census.failures
+    assert census.as_dict()["failed_tests"] == list(census.failures)
+    assert not census_matches_jstats(census, jstats(d))
+
+
+def test_a_wrong_scale_fails_the_value_test_alone(monkeypatch):
+    # Every point is still critical, but no value lies on its target.
+    monkeypatch.setattr(arrangement_jd, "scale_constant", lambda d: 1.5 * scale_constant(d))
+    census = jd_census.__wrapped__(9)
+    assert census.failures == ("value",)
+    assert census.counts == {0.0: jstats(9).n0, 8.0: 0, -1.0: 0}
+    assert len(census.stray_values) == jstats(9).n8 + jstats(9).nm1
+
+
+def test_a_lost_point_fails_the_count_test_alone(monkeypatch):
+    def one_short(d):
+        classes, x, y = lattice(d)
+        return classes[1:], x[1:], y[1:]
+
+    lattice = arrangement_jd._lattice_points
+    monkeypatch.setattr(arrangement_jd, "_lattice_points", one_short)
+    assert jd_census.__wrapped__(9).failures == ("count",)
+
+
 def test_census_guard_refuses_degree_past_guard():
     with pytest.raises(DegreeGuardError):
         jd_census(CENSUS_DEGREE_GUARD + 1)
@@ -492,7 +691,7 @@ def test_census_guard_refuses_degree_past_guard():
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
         normals, offsets = jd_lines(d)
-        chambers = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
+        chambers = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
         assert len(chambers) == (d - 1) * (d - 2) // 2, d
 
 
@@ -502,7 +701,7 @@ def bounded_chambers_by_dict(lines):
     chamber."""
     normals, offsets = lines
     chambers = {}
-    pairs, at = _vertices(normals, offsets)
+    pairs, at = vertices_of(normals, offsets)
     for (i, j), (x, y) in zip(pairs.tolist(), at.tolist()):
         side = normals @ (x, y) + offsets > 0
         for si, sj in itertools.product((True, False), repeat=2):
@@ -516,12 +715,12 @@ def bounded_chambers_by_dict(lines):
     return [tuple(np.mean(v, axis=0)) for k, v in chambers.items() if k not in unbounded]
 
 
-@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_grouped_chambers_equal_the_dict_grouping(d):
     # Each centroid sums its vertices in the same order as the running mean
     # did, so the two agree bit for bit; only the chamber order differs.
     lines = normals, offsets = jd_lines(d)
-    grouped = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
+    grouped = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
     assert sorted(map(tuple, grouped.tolist())) == sorted(bounded_chambers_by_dict(lines))
 
 
@@ -546,17 +745,26 @@ def test_jd_census_has_one_call_form():
         jd_census(5, 1e-6)
 
 
-def test_census_peak_memory_at_degree_24():
-    # The jet holds six arrays the size of the candidates, so the census
-    # peaks near 0.5 MiB; an n x n x K Hessian array would take 9.6 MiB.
+def census_peak_memory(d):
     jd_census.cache_clear()
     tracemalloc.start()
     try:
-        jd_census(24)
+        jd_census(d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20, peak
+    return peak
+
+
+def test_census_peak_memory_at_degree_24():
+    # The jet holds six arrays the size of the points, so the census peaks
+    # near 0.1 MiB; an n x n x K Hessian array would take 9.6 MiB.
+    assert census_peak_memory(24) < 2 * 2**20
+
+
+def test_census_peak_memory_at_the_guard():
+    # About 5.2 MiB at d=200: the memory grows as (d-1)^2.
+    assert census_peak_memory(CENSUS_DEGREE_GUARD) < 8 * 2**20
 
 
 def chamber_maximum_one_at_a_time(lines, start):
@@ -578,13 +786,13 @@ def chamber_maximum_one_at_a_time(lines, start):
     return x
 
 
-@pytest.mark.parametrize("d", range(3, CENSUS_DEGREE_GUARD + 1))
+@pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_batched_ascent_matches_the_per_chamber_ascent(d):
     lines = normals, offsets = jd_lines(d)
-    starts = _bounded_chambers(normals, offsets, *_vertices(normals, offsets))
+    starts = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        maxima = _chamber_maxima(normals, offsets, starts)
+        maxima = chamber_maxima(normals, offsets, starts)
     oracle = np.array([chamber_maximum_one_at_a_time(lines, s) for s in starts])
     assert np.all(np.abs(maxima - oracle) <= 1e-13 * (1 + np.abs(oracle)))
     sides = np.sign(starts @ normals.T + offsets)

@@ -10,7 +10,7 @@ from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
 from belyi_forge.arrangement_jd import build_Jd, jd_census
 from belyi_forge.belyi_numeric import DEGREE_GUARD
 from belyi_forge.cli import build_parser, main
-from belyi_forge.surface_counts import lowest_nu_construction, seed_grid
+from belyi_forge.surface_counts import lowest_nu_construction, nodal_surface_count, seed_grid
 from belyi_forge.tree_realization import parse_dot
 
 
@@ -338,12 +338,25 @@ def test_surface_verify_refuses_grid(capsys):
 
 
 def test_jd_verify_up_to_the_census_guard(capsys):
-    code, out, err = run(capsys, "jd-verify", "--degree", "24")
+    # At d=200 the largest |J| at the dual-path points is near 2^430, so the
+    # check reads it past 256 bits and still holds its absolute 1e-20.
+    code, out, err = run(capsys, "jd-verify", "--degree", "200")
     assert code == 0
-    assert json.loads(out)["match"] is True
-    code, out, err = run(capsys, "jd-verify", "--degree", "25")
+    payload = json.loads(out)
+    assert payload["match"] is True and payload["census"]["complete"] is True
+    assert payload["dual_path_max_diff"] < 1e-20
+    code, out, err = run(capsys, "jd-verify", "--degree", "201")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "DegreeGuardError"
+
+
+@pytest.mark.parametrize("d", [25, 48, 99, 200])
+def test_nodal_surface_verifies_past_the_old_guard(capsys, d):
+    code, out, err = run(capsys, "surface-verify", "--degree", str(d), "--nodal")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["match"] is True and payload["census"]["verified"] is True
+    assert payload["census"]["total"] == payload["expected_total"] == nodal_surface_count(d)
 
 
 @pytest.mark.parametrize("d", [0, 1, 2])
@@ -422,11 +435,11 @@ def test_surface_verify_nodal_takes_no_construction(capsys, construction):
             ("--degree", "12", "--seed", "F1:0,1"),
             {"type": "ValueError", "message": "word reaches degree 9, arrangement degree is 12"},
         ),
-        # The word reaches degree 39, which the 2D census refuses; the solve
-        # (32 failed restarts here) would come to nothing, so it is not run.
+        # The word reaches degree 201, which the 2D census refuses, so the
+        # solve is not run.
         (
-            ("--degree", "39", "--seed", "F2:0,1,1,1", "--word", "Bg"),
-            {"type": "DegreeGuardError", "message": "degree 39 exceeds census guard 24"},
+            ("--degree", "201", "--seed", "F2:0,10,1,1", "--word", "Bg"),
+            {"type": "DegreeGuardError", "message": "degree 201 exceeds census guard 200"},
         ),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else v["type"],
@@ -449,11 +462,11 @@ def test_surface_verify_refuses_a_degree_before_reading_its_construction(capsys,
 
     monkeypatch.setattr(cli, "lowest_nu_construction", refuse)
     monkeypatch.setattr(cli, "trajectory", refuse)
-    for argv in (("--degree", "25"), ("--degree", "25", "--seed", "F1:0,1", "--word", "ab")):
+    for argv in (("--degree", "201"), ("--degree", "201", "--seed", "F1:0,1", "--word", "ab")):
         code, out, err = run(capsys, "surface-verify", *argv)
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == {
-            "type": "DegreeGuardError", "message": "degree 25 exceeds census guard 24"
+            "type": "DegreeGuardError", "message": "degree 201 exceeds census guard 200"
         }
 
 
@@ -558,9 +571,10 @@ def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
 # sha256 of the whole stdout of `jd-verify --degree d`, dual-path difference
 # included, and of the `by_type`, `pairs` and `match` of
 # `surface-verify --degree d --nodal`, the pairings recorded when each bounded
-# chamber ran its own Newton ascent.  Beside them, that run's two nodal
-# defects: they may move only at rounding level, here taken as less than a
-# factor of 8.  The pairings at d = 5, 7, 8, 10-12, 14-17, 19-21 and 23
+# chamber ran its own Newton ascent.  Beside them, the two nodal defects,
+# recorded again when the census read its points from the folding lattice
+# and J's gradient defect became the Newton step |H^-1 grad J|: they may move
+# only at rounding level, here taken as less than a factor of 8.  The pairings at d = 5, 7, 8, 10-12, 14-17, 19-21 and 23
 # printed "u_value": -0.0 and were recorded again, as above, when the U
 # pairing key began to fold -0.0.  The jd-verify digests were recorded again
 # when the line product moved from 256-bit mpmath to 256-bit integer fixed
@@ -617,28 +631,28 @@ NODAL_PAIRING_SHA256 = {
     24: "2cf76dfa999d7772b5ed57401a94cecef388f06b7df3705e0f0cb51e4adbafe9",
 }
 NODAL_DEFECTS = {
-    3: (2.44e-15, 8.05e-16),
-    4: (3.66e-15, 3.16e-15),
-    5: (1.78e-15, 4.5e-14),
-    6: (3.11e-15, 1.25e-13),
-    7: (5.66e-15, 4.42e-13),
-    8: (8.44e-15, 1.81e-12),
-    9: (1.71e-14, 1.76e-12),
-    10: (3.21e-14, 5.54e-13),
-    11: (2.86e-14, 4.88e-12),
-    12: (2.52e-13, 9.77e-12),
-    13: (4.69e-13, 1.25e-11),
-    14: (1.01e-12, 4.21e-11),
-    15: (2.9e-12, 1.84e-11),
-    16: (3.41e-12, 3.95e-11),
-    17: (1.71e-11, 1.11e-10),
-    18: (8.48e-12, 2.82e-10),
-    19: (8.98e-11, 3.51e-10),
-    20: (1.65e-10, 1.67e-09),
-    21: (3.95e-10, 2.41e-09),
-    22: (1.31e-09, 1.47e-08),
-    23: (9.13e-10, 1.64e-08),
-    24: (6.33e-09, 5.86e-08),
+    3: (2e-15, 1.57e-15),
+    4: (3.66e-15, 2.47e-15),
+    5: (2.66e-15, 2.66e-15),
+    6: (4e-15, 7.99e-15),
+    7: (5.77e-15, 1.15e-14),
+    8: (1.02e-14, 4.77e-15),
+    9: (5.77e-15, 1.51e-14),
+    10: (1.25e-14, 2.14e-14),
+    11: (1.23e-14, 2.49e-14),
+    12: (2.56e-14, 9.95e-14),
+    13: (1.57e-14, 1.31e-13),
+    14: (3.06e-14, 2.77e-13),
+    15: (3.31e-14, 1.47e-13),
+    16: (3.28e-14, 6.13e-14),
+    17: (4.57e-14, 1.07e-13),
+    18: (3.02e-14, 2.5e-13),
+    19: (4.37e-14, 4.16e-13),
+    20: (3.2e-14, 4.83e-13),
+    21: (4.44e-14, 3.2e-13),
+    22: (6.62e-14, 5.13e-13),
+    23: (6.41e-14, 1.39e-12),
+    24: (1.47e-13, 5.84e-13),
 }
 
 
@@ -839,4 +853,4 @@ def test_documented_defaults():
     assert VALUE_TOL == 1e-6
     assert DEGREE_GUARD == 16
     assert DUAL_PATH_PRECISION == 256
-    assert CENSUS_DEGREE_GUARD == 24
+    assert CENSUS_DEGREE_GUARD == 200

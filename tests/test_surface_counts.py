@@ -493,10 +493,10 @@ def test_surface_polynomial_evaluates():
 
     census = singular_census_3d(9, sol)
     assert census.verified
-    # A paired point: a chamber maximum of J at value -1 and a real critical
-    # point of U at value 1.  The gradient the census reports there matches
-    # central differences of the surface, taken at rational points so that
-    # only the float U part rounds.
+    # A paired point: a maximum of J at value -1 and a real critical point of
+    # U at value 1.  The gradient the 2D census reads there matches central
+    # differences of the surface, taken at rational points so that only the
+    # float U part rounds; the 3D census reports J's Newton step there.
     j_cen = jd_census(9)
     k = np.flatnonzero(np.abs(j_cen.values + 1) < 1e-6)[0]
     (px, py), gradient = j_cen.positions[k].tolist(), j_cen.gradients[k].tolist()
@@ -512,7 +512,7 @@ def test_surface_polynomial_evaluates():
     assert abs(fd[0] - gradient[0]) < 1e-6
     assert abs(fd[1] - gradient[1]) < 1e-6
     assert abs(fd[2]) < 1e-6
-    assert max(map(abs, gradient)) <= census.max_gradient_defect
+    assert j_cen.steps[k] <= census.max_gradient_defect
 
 
 def test_nodal_census_past_the_old_guard():
@@ -748,7 +748,7 @@ MOVED_J, MOVED_U = -1 + 7e-7, 1 - 7e-7
 
 def test_a_j_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
     # The 2D census counts the moved value at -1, and the 3D pairing takes
-    # J's classes from the same rule.
+    # J's lattice classes, which the 2D census checks the values against.
     def with_a_moved_value(d):
         cen = jd_census(d)
         values = cen.values.copy()
@@ -779,12 +779,14 @@ def test_a_u_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
 
 
 def test_an_incomplete_j_census_leaves_the_census_unverified(monkeypatch):
-    # A J census that lost a candidate and knows it: the pairing still
+    # A J census that lost a vertex and knows it: the pairing still
     # counts what it holds, but the surface census is not verified.
     def with_a_dropped_candidate(d):
         cen = jd_census(d)
-        return replace(cen, positions=cen.positions[1:], values=cen.values[1:],
-                       gradients=cen.gradients[1:], complete=False)
+        keep = np.arange(cen.total) != np.flatnonzero(cen.classes == 0)[0]
+        return replace(cen, positions=cen.positions[keep], values=cen.values[keep],
+                       gradients=cen.gradients[keep], steps=cen.steps[keep],
+                       classes=cen.classes[keep], failures=("count",))
 
     monkeypatch.setattr(surface_counts, "jd_census", with_a_dropped_candidate)
     census = singular_census_3d(9)

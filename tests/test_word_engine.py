@@ -315,7 +315,14 @@ def step_outcomes(step, states):
 
 
 def reference_step(state, letter):
-    return (reference_t2 if letter in T2_ALPHABET else reference_t13)(state, letter)
+    """The hand-built steps, with the one refusal they lacked: B when eps,
+    the largest black multiplicity other than nu, exceeds nu, where their
+    step lowered that vertex and could leave a negative leaf count."""
+    child = (reference_t2 if letter in T2_ALPHABET else reference_t13)(state, letter)
+    eps = max([m for m in state.profile.black_mults if m != state.nu], default=0)
+    if letter == "B" and eps > state.nu:
+        raise LetterNotApplicableError("beta would lower the secondary black point")
+    return child
 
 
 def reached_states(seed, max_len):
@@ -416,6 +423,32 @@ def test_a_raise_keeps_a_profile_valid(profile, headroom):
                 continue
             assert validate_profile(child).ok, (letter, child)
             assert child.degree == profile.degree + raised_edges(profile, nu, letter)
+
+
+def test_beta_refuses_to_lower_the_secondary_black_point():
+    # eps = 4 above nu = 3: the step would take the black 4 down to 3 and
+    # leave white_leaves at -1.
+    profile = CriticalProfile((4, 1), (1, 1, 1, 1, 1), 4, 1)
+    assert validate_profile(profile).ok
+    state = DerivationState(seed=F2(0, 1, 1, 1), word="", profile=profile, nu=3)
+    with pytest.raises(LetterNotApplicableError, match="lower the secondary black point"):
+        apply_letter(state, "B")
+
+
+@settings(max_examples=300)
+@given(balanced_profiles(), st.integers(min_value=1, max_value=10))
+def test_no_letter_returns_an_invalid_profile(profile, nu):
+    # nu is drawn apart from the profile, so it may sit below the state's
+    # top multiplicity: every letter of both alphabets either refuses or
+    # returns a valid profile.
+    for seed, letters in ((F1(0, 1), T13_ALPHABET), (F2(0, 1, 1, 1), T2_ALPHABET)):
+        state = DerivationState(seed=seed, word="", profile=profile, nu=nu)
+        for letter in letters:
+            try:
+                child = apply_letter(state, letter).profile
+            except LetterNotApplicableError:
+                continue
+            assert validate_profile(child).ok, (letter, nu, child)
 
 
 def test_enumeration_deterministic():
