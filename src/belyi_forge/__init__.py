@@ -10,13 +10,12 @@ singular points are counted both in closed form and by direct census.
 """
 
 from .arrangement_jd import (
-    BiPoly,
     Census2D,
     JStats,
-    build_Jd,
     build_lines,
     census_matches_jstats,
     jd_census,
+    jd_exact_values,
     jstats,
     verify_Jd_dual_path,
 )
@@ -78,7 +77,6 @@ from .surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
-    nodal_unit_poly,
     singular_census_3d,
     spectrum,
 )

@@ -10,12 +10,13 @@ scaled product is Chmutov's folding polynomial
 
 where P_n is the A2 power sum: P_0 = 3, P_1 = z, P_2 = z^2 - 2 zbar and
 P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
-recurrence has integer coefficients, so the y-axis rescaling by sqrt(3)
-gives J_d exactly, as integers over the one denominator 3^(d//2); the
-scaled line product, evaluated in Python-int fixed point from one root of
-unity, is the independent second route of the dual-path check.  That root
-comes from an integer Newton solve of z^(12d) = 1 and the check's points
-are written out, so the check imports neither mpmath nor numpy.random.
+recurrence has integer coefficients, so run on the numbers of a rational
+point (x, Y), with Y = sqrt(3) y, it gives J_d there exactly in Python ints
+(jd_exact_values); the scaled line product, evaluated in Python-int fixed
+point from one root of unity, is the independent second route of the
+dual-path check.  That root comes from an integer Newton solve of
+z^(12d) = 1 and the check's points are written out, so the check imports
+neither mpmath nor numpy.random.
 
 The 2D census reads J_d's critical points from theory.  On the torus,
 z = sum e^{i theta_j} with theta_1 + theta_2 + theta_3 = 0, J_d is
@@ -30,10 +31,10 @@ pass.  It reads J_d, its gradient and its Hessian as one jet, carried
 through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
-a vertex.  The exact J_d, integers over 3^(d//2), serves the dual-path
-check, which evaluates it by integer Horner, and the exact axis
-restriction.  numpy is bound lazily (lazy_numpy): the closed-form counts of
-jstats need none of it, so only building J_d and the census execute it.
+a vertex.  Nothing expands J_d's coefficients: the dual-path check reads
+the exact J_d at its 12 points alone.  numpy is bound lazily (lazy_numpy):
+the closed-form counts of jstats and the dual-path check need none of it,
+so only the census executes it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ DUAL_PATH_POINTS = tuple(
 )
 # The census lists (d-1)^2 points and carries the jet through d line factors
 # at each, so its time grows as d^3 and its memory as d^2: at d=200 it takes
-# about 80 ms and peaks at 5.2 MiB of traced memory, and jd-verify's exact J_d
-# there takes 0.8 s.  The bound table stops at the same degree.
+# about 80 ms and peaks at 5.2 MiB of traced memory, and jd-verify's exact
+# values at the 12 dual-path points take about 6 ms.  The bound table stops at
+# the same degree.
 CENSUS_DEGREE_GUARD = 200
 # Every lattice point must move less than this in one Newton step
 # |H^-1 grad J|: the step is at most 3.4e-14 for d <= 200, where the least
@@ -76,50 +78,6 @@ VALUE_TARGETS = (0.0, 8.0, -1.0)
 # The folding lattices of J_d's critical points: each one's index into
 # VALUE_TARGETS, and the residue mod 6 that its X1 and X2 share.
 _LATTICES = ((1, 2), (2, 4), (2, 0), (0, 5))
-
-
-@dataclass(frozen=True)
-class BiPoly:
-    """Dense bivariate polynomial with rational coefficients over one
-    denominator: grid[i][j] / den is the coefficient of x^i y^j.
-
-    The grid is square of side degree+1 and holds Python ints, and
-    rational_values evaluates it exactly.
-    """
-
-    grid: tuple[tuple[int, ...], ...]
-    den: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.grid) - 1
-
-    def rational_values(self, points) -> list[Fraction]:
-        """Exact values at rational points (x, y), one Fraction per point.
-
-        With x = p/q and y = r/s, the value times den q^d s^d is the integer
-        sum of c_ij p^i q^(d-i) r^j s^(d-j) over the grid entries c_ij.
-        Homogeneous Horner computes it in Python ints, so the only gcd is
-        the one the Fraction takes when it reduces the quotient.
-        """
-        n = self.degree
-        values = []
-        for x, y in points:
-            p, q = x.numerator, x.denominator
-            r, s = y.numerator, y.denominator
-            q_pows, s_pows = [1], [1]
-            for _ in range(n):
-                q_pows.append(q_pows[-1] * q)
-                s_pows.append(s_pows[-1] * s)
-            acc = 0
-            for i in range(n, -1, -1):
-                row = self.grid[i]
-                inner = row[n]
-                for j in range(n - 1, -1, -1):
-                    inner = inner * r + row[j] * s_pows[n - j]
-                acc = acc * p + inner * q_pows[n - i]
-            values.append(Fraction(acc, self.den * q_pows[n] * s_pows[n]))
-        return values
 
 
 def _mu_range(d: int) -> range:
@@ -150,63 +108,37 @@ def scale_constant(d: int) -> float:
     return 2.0 * math.cos(d * math.pi / 2 + 2 * math.pi / 3)
 
 
-def _a2_power_sum(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of P_d as integer grids over x^k y^m.
+def jd_exact_values(d: int, points) -> list[Fraction]:
+    """J_d at rational points (x, Y), exactly, one Fraction per point.
 
-    Gaussian integers are pairs of Python ints (the grids have dtype
-    object).  With z = x - iy, z (R + iI) = xR + yI + i(xI - yR) and
-    zbar (R + iI) = xR - yI + i(xI + yR); the recurrence starts from
-    P_{-1} = zbar, P_0 = 3, P_1 = z.
-    """
-
-    def monomial(k, m, c):
-        g = np.zeros((d + 1, d + 1), dtype=object)
-        g[k, m] = c
-        return g
-
-    def x(g):
-        out = np.zeros_like(g)
-        out[1:] = g[:-1]
-        return out
-
-    def y(g):
-        out = np.zeros_like(g)
-        out[:, 1:] = g[:, :-1]
-        return out
-
-    p3 = (monomial(1, 0, 1), monomial(0, 1, 1))  # P_{-1} = x + iy
-    p2 = (monomial(0, 0, 3), monomial(0, 0, 0))  # P_0 = 3
-    p1 = (monomial(1, 0, 1), monomial(0, 1, -1))  # P_1 = x - iy
-    for _ in range(d - 1):
-        (r1, i1), (r2, i2), (r3, i3) = p1, p2, p3
-        p1, p2, p3 = (x(r1 - r2) + y(i1 + i2) + r3, x(i1 - i2) - y(r1 + r2) + i3), p1, p2
-    return p1
-
-
-@lru_cache(maxsize=8)
-def build_Jd(d: int) -> BiPoly:
-    """Exact form of the arrangement polynomial in x and Y = sqrt(3) y, as
-    integers over the one denominator 3^(d//2).
-
-    J_d = 2 - Re P_d + sqrt(3) Im P_d, and a coefficient c of x^k y^m in
-    P_d sits at x^k Y^m divided by sqrt(3)^m.  So the coefficient of
-    x^k Y^m is -Re c / 3^(m/2) for even m and Im c / 3^((m-1)/2) for odd m,
-    plus the constant 2; the other part of c vanishes, and is asserted to.
-    Over 3^(d//2), column m is that part of P_d times 3^(d//2 - m//2).  The
-    result is immutable and cached, so the dual-path check and the exact axis
-    restriction (nodal_unit_poly) of one degree share a single build; the
-    censuses read J_d from its lines.
+    The A2 recurrence runs on each point's numbers.  With x = p/q, Y = r/u,
+    s = sqrt(-3) and lam = 3qu, lam z = 3pu - rq s and lam zbar = 3pu + rq s;
+    numbers a + b s are pairs of Python ints.  Q_n = lam^n P_n is then
+    integral: Q_0 = 3, Q_1 = lam z, Q_2 = (lam z)^2 - 2 lam (lam zbar) and
+    Q_n = (lam z) Q_{n-1} - lam (lam zbar) Q_{n-2} + lam^3 Q_{n-3}.  With
+    Q_d = a + b s, Re P_d = a/lam^d and sqrt(3) Im P_d = 3b/lam^d, so
+    J_d = 2 + (3b - a)/lam^d; the only gcd is the one the Fraction takes.
     """
     if d < 2:
         raise ValueError("need degree >= 2")
-    re, im = _a2_power_sum(d)
-    den = 3 ** (d // 2)
-    even = np.arange(d + 1) % 2 == 0
-    assert not np.any(im[:, even]) and not np.any(re[:, ~even]), d
-    scale = np.array([den // 3 ** (m // 2) for m in range(d + 1)], dtype=object)
-    grid = np.where(even, -re, im) * scale
-    grid[0, 0] += 2 * den
-    return BiPoly(tuple(map(tuple, grid.tolist())), den)
+
+    def mul(v, w):
+        return v[0] * w[0] - 3 * v[1] * w[1], v[0] * w[1] + v[1] * w[0]
+
+    values = []
+    for x, y in points:
+        p, q = x.numerator, x.denominator
+        r, u = y.numerator, y.denominator
+        lam = 3 * q * u
+        lz, l2zbar = (3 * p * u, -r * q), (3 * p * u * lam, r * q * lam)
+        lam3 = lam**3
+        q0, q1, q2 = (3, 0), lz, tuple(a - 2 * b for a, b in zip(mul(lz, lz), l2zbar))
+        for _ in range(d - 2):
+            (a, b), (c, e) = mul(lz, q2), mul(l2zbar, q1)
+            q0, q1, q2 = q1, q2, (a - c + lam3 * q0[0], b - e + lam3 * q0[1])
+        a, b = q2
+        values.append(2 + Fraction(3 * b - a, lam**d))
+    return values
 
 
 def _fixed_power(c: int, s: int, k: int, w: int) -> tuple[int, int]:
@@ -294,15 +226,14 @@ def verify_Jd_dual_path(d: int) -> float:
     """Max disagreement between the rational polynomial and the line product.
 
     Evaluates J_d at the DUAL_PATH_POINTS rational points both
-    exactly, by integer Horner over one common denominator
-    (BiPoly.rational_values), and through the scaled line product in
-    fixed point; each exact value num/den is read as the integer
+    exactly, by the A2 recurrence on each point's numbers (jd_exact_values),
+    and through the scaled line product in fixed point; each exact value num/den is read as the integer
     (num << bits) // den, and the largest absolute difference returns as a
     float.  The line product's error is about |J| 2^-(bits + 50), so bits is
     DUAL_PATH_PRECISION, or 64 more than the bit length of the largest |J|
     if that is more: the difference stays near 2^-114 at every degree.
     """
-    exact_values = build_Jd(d).rational_values(DUAL_PATH_POINTS)
+    exact_values = jd_exact_values(d, DUAL_PATH_POINTS)
     top = max((abs(v.numerator) // v.denominator).bit_length() for v in exact_values)
     bits = max(DUAL_PATH_PRECISION, top + 64)
     via_lines = _line_product_fixed(d, DUAL_PATH_POINTS, bits)
@@ -471,13 +402,16 @@ def jd_census(d: int) -> Census2D:
     points, each Hessian is nondegenerate, and there are (d-1)^2 points.  The
     two gradient equations have degree d-1, so by Bezout (d-1)^2 distinct
     nondegenerate critical points leave no other in C^2: the census is then
-    complete.  Each test that fails is named in failures.
+    complete.  Each test that fails is named in failures.  A degree below 2
+    raises ValueError before any work.
 
     It depends on d alone, so it is cached: jd-verify, the nodal surface
     and the paired surfaces of one degree share one census.  The census is
     read-only: its counts are a mapping proxy and its arrays are not
     writeable.
     """
+    if d < 2:
+        raise ValueError("need at least two lines")
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
     classes, x, y = _lattice_points(d)

@@ -221,7 +221,7 @@ def cmd_shabat(args) -> int:
 
 def cmd_jd_verify(args) -> int:
     # The counts refuse d < 3 and the census holds the degree guard, so both
-    # run before the dual-path check builds J_d and reads it in fixed point.
+    # run before the dual-path check reads J_d exactly and in fixed point.
     st = jstats(args.degree)
     census = jd_census(args.degree)
     dual = verify_Jd_dual_path(args.degree)

@@ -8,7 +8,7 @@ with 0 and value -1 pairs with 1.  Every count and lower-bound formula
 here is that pairing arithmetic in closed form, and the desk-scale census
 recomputes it from the actual polynomials.  The closed forms and the bound
 table run on Python ints alone; numpy, bound lazily (lazy_numpy), executes
-only when a census runs or an exact J_d is built.
+only when a census runs.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import io
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .arrangement_jd import (
     VALUE_TARGETS,
     JStats,
-    build_Jd,
     jd_census,
     jstats,
     value_classes,
@@ -32,7 +30,6 @@ from .arrangement_jd import (
 from .belyi_numeric import (
     VALUE_TOL,
     ShabatSolution,
-    UniPoly,
     chebyshev_solution,
     lazy_numpy,
     vertex_u_census,
@@ -315,23 +312,6 @@ def bound_table(d_max: int) -> BoundTable:
     return BoundTable(rows=tuple(rows))
 
 
-def nodal_unit_poly(d: int) -> UniPoly:
-    """Exact axis restriction reparametrized to critical values {0, 1}.
-
-    Substitutes x = 2z+1, y = 0 into the rational arrangement polynomial
-    and applies the affine value map v -> (3-v)/4, all in exact rationals.
-    The result is (1 + T_d)/2, the U the nodal 3D census reads from
-    chebyshev_solution.
-    """
-    jd = build_Jd(d)
-    axis = [Fraction(row[0], jd.den) for row in jd.grid]
-    t = UniPoly((Fraction(1), Fraction(2)))
-    g = UniPoly((axis[-1],))
-    for c in reversed(axis[:-1]):
-        g = (g * t).shift_constant(c)
-    return g.scale(Fraction(-1, 4)).shift_constant(Fraction(3, 4))
-
-
 @dataclass(frozen=True)
 class PairClass:
     j_value: float
@@ -390,21 +370,20 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     U = (p + 1)/2 for the Shabat solution p.  When solution is None, p is
     the Chebyshev T_d (chebyshev_solution, the path tree in closed form):
     J_d's lines cross the x-axis where T_d = 1/2, so (1 + T_d)/2 is the
-    nodal surface's U, the axis restriction (3 - J_d(2z + 1, 0))/4 that
-    nodal_unit_poly expands exactly.  Both censuses read their critical
-    points in product form, with no clustering and no expanded
-    coefficients.  J's come from the cached two-variable census of J_d's
-    lines, as arrays of values and gradients; U's come from the solved
-    tree's internal vertices (vertex_u_census), with U and |U'| there.
-    Each of J's lattice classes pairs with the U points of the opposite
-    value (value_classes, the rule the 2D census checks J's values by), per
-    multiplicity.  Every paired triple is verified directly: the surface
-    value is formed there from the two censuses, and its gradient defect is
-    J's Newton step |H^-1 grad J| beside |U'|; the worst defects are
-    reported.  The census is verified only when J's
-    census is complete and the defects are small; a U point whose value
-    pairs with no J class (one with an imaginary part above VALUE_TOL
-    included) leaves it unverified.
+    nodal surface's U, the axis restriction (3 - J_d(2z + 1, 0))/4.  Both
+    censuses read their critical points in product form, with no
+    clustering and no expanded coefficients.  J's come from the cached
+    two-variable census of J_d's lines, as arrays of values and gradients;
+    U's come from the solved tree's internal vertices (vertex_u_census), with
+    U and |U'| there.  Each of J's lattice classes pairs with the U points of
+    the opposite value (value_classes, the rule the 2D census checks J's
+    values by), per multiplicity.  Every paired triple is verified directly:
+    the surface value is formed there from the two censuses, and its
+    gradient defect is J's Newton step |H^-1 grad J| beside |U'|; the worst
+    defects are reported.  The census is verified only when J's census is
+    complete and the defects are small; a U point whose value pairs with no
+    J class (one with an imaginary part above VALUE_TOL included) leaves it
+    unverified.  A degree below 2 raises ValueError, from jd_census.
     """
     if solution is not None and solution.degree != d:
         raise ValueError(

@@ -6,6 +6,7 @@ the per-criterion verdict.
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from belyi_forge import (
     verify_Jd_dual_path,
     verify_coincidences,
 )
-from belyi_forge.arrangement_jd import build_Jd
+from belyi_forge.arrangement_jd import DUAL_PATH_POINTS, jd_exact_values
 from belyi_forge.seed_families import seed_satisfies_E
 from belyi_forge.surface_counts import (
     ExistenceUnverifiedWarning,
@@ -211,11 +212,11 @@ def test_criterion_06_arrangement_census():
 def test_criterion_07_rationality():
     budget = Budget("criterion 07 rationality", 30.0)
     for d in range(3, 10):
-        jd = build_Jd(d)
-        assert jd.degree == d
+        values = jd_exact_values(d, DUAL_PATH_POINTS)
+        assert all(type(v) is Fraction for v in values), d
         diff = verify_Jd_dual_path(d)
         assert diff < 1e-20, (d, diff)
-    budget.done("exact coefficients at d=3..9; dual-path gap below 1e-20")
+    budget.done("exact values at d=3..9; dual-path gap below 1e-20")
 
 
 def test_criterion_08_shabat_realization():

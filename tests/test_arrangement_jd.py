@@ -3,7 +3,9 @@
 The census reads J_d's critical points from the folding lattice.  The
 arrangement's own candidates, every vertex and one maximum of sum(log|l_i|)
 per bounded chamber found by damped Newton ascent, are the oracle it is
-checked against at d <= 24; so is the unscaled-y arrangement.
+checked against at d <= 24; so is the unscaled-y arrangement.  J_d's
+exact values come from the A2 recurrence run on each point's numbers; the
+expanded coefficient grid (oracle_Jd) is their oracle.
 """
 
 import hashlib
@@ -13,7 +15,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -23,10 +27,10 @@ import pytest
 from belyi_forge import (
     DegreeGuardError,
     arrangement_jd,
-    build_Jd,
     build_lines,
     census_matches_jstats,
     jd_census,
+    jd_exact_values,
     jstats,
     verify_Jd_dual_path,
 )
@@ -35,7 +39,6 @@ from belyi_forge.arrangement_jd import (
     DUAL_PATH_POINTS,
     DUAL_PATH_PRECISION,
     VALUE_TARGETS,
-    BiPoly,
     _line_product_fixed,
     _mu_range,
     _product_jet,
@@ -263,6 +266,102 @@ def _falling(n, k):
     return math.prod(range(n - k + 1, n + 1)) if k <= n else 0
 
 
+@dataclass(frozen=True)
+class BiPoly:
+    """Dense bivariate polynomial with rational coefficients over one
+    denominator: grid[i][j] / den is the coefficient of x^i y^j.
+
+    The grid is square of side degree+1 and holds Python ints, and
+    rational_values evaluates it exactly.
+    """
+
+    grid: tuple[tuple[int, ...], ...]
+    den: int
+
+    @property
+    def degree(self) -> int:
+        return len(self.grid) - 1
+
+    def rational_values(self, points) -> list[Fraction]:
+        """Exact values at rational points (x, y), one Fraction per point.
+
+        With x = p/q and y = r/s, the value times den q^d s^d is the integer
+        sum of c_ij p^i q^(d-i) r^j s^(d-j) over the grid entries c_ij,
+        taken by homogeneous Horner in Python ints.
+        """
+        n = self.degree
+        values = []
+        for x, y in points:
+            p, q = x.numerator, x.denominator
+            r, s = y.numerator, y.denominator
+            q_pows, s_pows = [1], [1]
+            for _ in range(n):
+                q_pows.append(q_pows[-1] * q)
+                s_pows.append(s_pows[-1] * s)
+            acc = 0
+            for i in range(n, -1, -1):
+                row = self.grid[i]
+                inner = row[n]
+                for j in range(n - 1, -1, -1):
+                    inner = inner * r + row[j] * s_pows[n - j]
+                acc = acc * p + inner * q_pows[n - i]
+            values.append(Fraction(acc, self.den * q_pows[n] * s_pows[n]))
+        return values
+
+
+def a2_power_sum(d):
+    """Real and imaginary parts of P_d as integer grids over x^k y^m.
+
+    Gaussian integers are pairs of Python ints (the grids have dtype
+    object).  With z = x - iy, z (R + iI) = xR + yI + i(xI - yR) and
+    zbar (R + iI) = xR - yI + i(xI + yR); the recurrence starts from
+    P_{-1} = zbar, P_0 = 3, P_1 = z.
+    """
+
+    def monomial(k, m, c):
+        g = np.zeros((d + 1, d + 1), dtype=object)
+        g[k, m] = c
+        return g
+
+    def x(g):
+        out = np.zeros_like(g)
+        out[1:] = g[:-1]
+        return out
+
+    def y(g):
+        out = np.zeros_like(g)
+        out[:, 1:] = g[:, :-1]
+        return out
+
+    p3 = (monomial(1, 0, 1), monomial(0, 1, 1))  # P_{-1} = x + iy
+    p2 = (monomial(0, 0, 3), monomial(0, 0, 0))  # P_0 = 3
+    p1 = (monomial(1, 0, 1), monomial(0, 1, -1))  # P_1 = x - iy
+    for _ in range(d - 1):
+        (r1, i1), (r2, i2), (r3, i3) = p1, p2, p3
+        p1, p2, p3 = (x(r1 - r2) + y(i1 + i2) + r3, x(i1 - i2) - y(r1 + r2) + i3), p1, p2
+    return p1
+
+
+@lru_cache(maxsize=8)
+def oracle_Jd(d):
+    """The coefficient grid of J_d in x and Y = sqrt(3) y, as integers over
+    the one denominator 3^(d//2): the expansion the package once built.
+
+    A coefficient c of x^k y^m in P_d sits at x^k Y^m divided by
+    sqrt(3)^m, so the coefficient of x^k Y^m is -Re c / 3^(m/2) for even m
+    and Im c / 3^((m-1)/2) for odd m, plus the constant 2; the other part
+    of c vanishes, and is asserted to.
+    """
+    re, im = a2_power_sum(d)
+    den = 3 ** (d // 2)
+    even = np.arange(d + 1) % 2 == 0
+    assert not np.any(im[:, even]) and not np.any(re[:, ~even]), d
+    scale = np.array([den // 3 ** (m // 2) for m in range(d + 1)], dtype=object)
+    grid = np.where(even, -re, im) * scale
+    grid[0, 0] += 2 * den
+    return BiPoly(tuple(map(tuple, grid.tolist())), den)
+
+
 def exact_jet(poly, x, y):
     """(value, gx, gy, hxx, hxy, hyy) of a BiPoly at Fractions x, y."""
     return tuple(
@@ -304,14 +403,14 @@ RATIONAL_POINTS = [
 
 def test_product_jet_matches_exact_partials():
     for d in (3, 6, 9, 12):
-        errors = jet_errors(jd_lines(d), scale_constant(d), build_Jd(d), RATIONAL_POINTS)
+        errors = jet_errors(jd_lines(d), scale_constant(d), oracle_Jd(d), RATIONAL_POINTS)
         assert max(errors) < 1e-12, (d, errors)
 
 
 def test_product_jet_at_vertices_is_exact_and_division_free():
     # Two factors vanish at each vertex of the arrangement.
     vertices = vertices_of(*jd_lines(5))[1].tolist()
-    assert max(jet_errors(jd_lines(5), scale_constant(5), build_Jd(5), vertices)) < 1e-12
+    assert max(jet_errors(jd_lines(5), scale_constant(5), oracle_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
     normals = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     with np.errstate(all="raise"):
@@ -366,7 +465,7 @@ def test_product_rule_jet_equals_the_leave_two_out_jet(d):
 def test_product_jet_of_unscaled_lines_is_not_jd():
     # The unscaled lines are the factors of J_d in the y/sqrt(3) coordinate,
     # not in the rational polynomial's own.
-    errors = jet_errors(build_lines(5), scale_constant(5), build_Jd(5), RATIONAL_POINTS)
+    errors = jet_errors(build_lines(5), scale_constant(5), oracle_Jd(5), RATIONAL_POINTS)
     assert min(errors) > 1e-3
 
 
@@ -374,7 +473,7 @@ def test_rational_coefficients_small_denominators():
     # 3^(d//2) is the least common denominator: no factor of 3 divides every
     # entry of the integer grid.
     for d in range(3, 61):
-        jd = build_Jd(d)
+        jd = oracle_Jd(d)
         assert jd.den == 3 ** (d // 2), d
         assert math.gcd(jd.den, *(c for row in jd.grid for c in row)) == 1, d
         assert jd.degree == d
@@ -386,7 +485,7 @@ def _grid_sha256(poly):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of the coefficient grid of build_Jd(d), each entry over the
+# sha256 of the coefficient grid of oracle_Jd(d), each entry over the
 # denominator written row by row as a reduced "p/q" Fraction, recorded when
 # J_d was expanded in 256-bit mpmath and rationalized by continued fractions.
 JD_GRID_SHA256 = {
@@ -438,20 +537,19 @@ JD_GRID_SHA256 = {
 
 @pytest.mark.parametrize("d", sorted(JD_GRID_SHA256))
 def test_recurrence_reproduces_the_rationalized_build(d):
-    jd = build_Jd(d)
+    jd = oracle_Jd(d)
     assert all(type(c) is int for row in jd.grid for c in row)
     assert _grid_sha256(jd) == JD_GRID_SHA256[d]
 
 
 def test_degree_120_agrees_with_the_line_product():
-    # Past the old build's reach: its denominators, up to 3^60, would need
+    # Past the mpmath build's reach: its denominators, up to 3^60, would need
     # a rationalization bound far beyond any it used.
-    jd = build_Jd(120)
     points = [(Fraction(1, 3), Fraction(-2, 7)), (Fraction(-9, 10), Fraction(5, 4)),
               (Fraction(3, 2), Fraction(1, 9)), (Fraction(-21, 10), Fraction(-13, 5))]
     with mp.workprec(512):
         for p, exact, via_lines in zip(
-            points, jd.rational_values(points), _line_product_fixed(120, points, 512)
+            points, jd_exact_values(120, points), _line_product_fixed(120, points, 512)
         ):
             exact = mp.mpf(exact.numerator) / exact.denominator
             assert abs(exact - mp.ldexp(via_lines, -512)) < 1e-100 * (1 + abs(exact)), p
@@ -484,9 +582,39 @@ EXACT_POINTS = [
 
 @pytest.mark.parametrize("d", range(3, 46))
 def test_integer_horner_equals_fraction_horner(d):
-    jd = build_Jd(d)
+    jd = oracle_Jd(d)
     points = [*DUAL_PATH_POINTS, *EXACT_POINTS]
     assert jd.rational_values(points) == [fraction_horner(jd, x, y) for x, y in points]
+
+
+@pytest.mark.parametrize("d", [*range(2, 61), 120, 200])
+def test_exact_values_equal_the_grid_oracle(d):
+    # The recurrence run on each point's numbers against the expanded grid,
+    # evaluated by integer Horner.
+    points = [*DUAL_PATH_POINTS, *EXACT_POINTS]
+    assert jd_exact_values(d, points) == oracle_Jd(d).rational_values(points)
+
+
+def test_exact_values_refuse_a_tiny_degree():
+    with pytest.raises(ValueError):
+        jd_exact_values(1, DUAL_PATH_POINTS)
+
+
+# Runs the dual-path check with numpy set to None, so any use of numpy fails.
+NUMPY_FREE_PROBE = """
+import sys
+sys.modules["numpy"] = None
+from belyi_forge.arrangement_jd import verify_Jd_dual_path
+print(verify_Jd_dual_path(24) < 1e-20)
+"""
+
+
+def test_dual_path_check_runs_without_numpy():
+    out = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_PROBE], check=True, timeout=120,
+        capture_output=True, text=True,
+    )
+    assert out.stdout == "True\n"
 
 
 @pytest.mark.parametrize("d", range(3, 25))
@@ -561,14 +689,18 @@ def test_integer_unit_roots_are_exact_at_one_half():
 @pytest.mark.parametrize("corner", ["constant", "x^d", "Y^d", "middle"])
 def test_dual_path_catches_a_coefficient_moved_by_its_denominator(monkeypatch, d, corner):
     # A coefficient of x^k Y^m has denominator 3^(m//2); moving it by that
-    # unit, 3^(d//2 - m//2) in the grid over 3^(d//2), makes J_d wrong, and
-    # the fixed-point check must see it.
+    # unit adds x^k Y^m / 3^(m//2) to J_d's exact values, and the fixed-point
+    # check must see it.
     k, m = {"constant": (0, 0), "x^d": (d, 0), "Y^d": (0, d), "middle": (d // 2, d // 2)}[corner]
-    jd = build_Jd(d)
-    grid = [list(row) for row in jd.grid]
-    grid[k][m] += 3 ** (d // 2 - m // 2)
-    moved = BiPoly(tuple(map(tuple, grid)), jd.den)
-    monkeypatch.setattr(arrangement_jd, "build_Jd", lambda degree: moved)
+    exact = arrangement_jd.jd_exact_values
+
+    def moved(degree, points):
+        return [
+            v + Fraction(x**k * y**m, 3 ** (m // 2))
+            for v, (x, y) in zip(exact(degree, points), points)
+        ]
+
+    monkeypatch.setattr(arrangement_jd, "jd_exact_values", moved)
     assert verify_Jd_dual_path(d) > 1e-20
 
 
@@ -576,10 +708,10 @@ def test_rational_restriction_to_axis():
     # Column 0 of the grid over its denominator is J_d on the axis Y = 0.
     xs = [Fraction(7, 5), Fraction(-3, 4), Fraction(0), Fraction(2)]
     for d in (3, 4, 9):
-        jd = build_Jd(d)
+        jd = oracle_Jd(d)
         axis = [Fraction(row[0], jd.den) for row in jd.grid]
         assert len(axis) == d + 1
-        direct = jd.rational_values([(x, Fraction(0)) for x in xs])
+        direct = jd_exact_values(d, [(x, Fraction(0)) for x in xs])
         assert direct == [sum(c * x**k for k, c in enumerate(axis)) for x in xs], d
 
 
@@ -686,6 +818,17 @@ def test_a_lost_point_fails_the_count_test_alone(monkeypatch):
 def test_census_guard_refuses_degree_past_guard():
     with pytest.raises(DegreeGuardError):
         jd_census(CENSUS_DEGREE_GUARD + 1)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_census_refuses_a_degree_below_two_before_any_work(monkeypatch, d):
+    # At d = 0 the lattice's angles would divide by 3d.
+    def lattice_points(degree):
+        raise AssertionError("the lattice was listed")
+
+    monkeypatch.setattr(arrangement_jd, "_lattice_points", lattice_points)
+    with pytest.raises(ValueError):
+        jd_census(d)
 
 
 def test_bounded_chambers_number_zaslavsky_count():

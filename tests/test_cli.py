@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from belyi_forge import F2, belyi_numeric, cli, format_seed, word_engine
-from belyi_forge.arrangement_jd import build_Jd, jd_census
+from belyi_forge import F2, arrangement_jd, belyi_numeric, cli, format_seed, word_engine
+from belyi_forge.arrangement_jd import jd_census
 from belyi_forge.belyi_numeric import DEGREE_GUARD
 from belyi_forge.cli import build_parser, main
 from belyi_forge.surface_counts import lowest_nu_construction, nodal_surface_count, seed_grid
@@ -235,21 +235,16 @@ def test_jd_verify_small_degree(capsys):
     assert obj["census"]["counts"] == {"0.0": 3, "8.0": 0, "-1.0": 1}
 
 
-def test_jd_verify_builds_jd_once(capsys):
-    build_Jd.cache_clear()
-    code, out, err = run(capsys, "jd-verify", "--degree", "5")
-    assert code == 0
-    assert build_Jd.cache_info().misses == 1
+def test_jd_verify_refuses_a_degree_past_the_guard_before_building_jd(capsys, monkeypatch):
+    # The census holds the degree guard and runs first; the dual-path check's
+    # exact values must not be read before the guard fires.
+    def exact_values(d, points):
+        raise AssertionError("the exact values were read")
 
-
-def test_jd_verify_refuses_a_degree_past_the_guard_before_building_jd(capsys):
-    # The census holds the degree guard and runs first; the dual-path check
-    # would build the exact J_d and take seconds before the guard fired.
-    build_Jd.cache_clear()
+    monkeypatch.setattr(arrangement_jd, "jd_exact_values", exact_values)
     code, out, err = run(capsys, "jd-verify", "--degree", "300")
     assert code == 2
     assert json.loads(err)["error"]["type"] == "DegreeGuardError"
-    assert build_Jd.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("subcommand", ["jd-verify", "surface-verify"])
@@ -581,7 +576,9 @@ def test_jd_verify_and_nodal_surface_outputs_are_pinned(capsys, d):
 # point: its difference from the exact values, read as integers at 256
 # fractional bits, went from 2.0e-74 (d=3) to 4.3e-61 (d=24) down to 0.0,
 # and to 2^-256 at d=24; the payload without that field kept its digest
-# (JD_VERIFY_SHA256 above pins it at d <= 12).
+# (JD_VERIFY_SHA256 above pins it at d <= 12).  The digests at d = 48, 99, 150
+# and 200 were recorded while the exact values still came from the expanded
+# coefficient grid, before they came from the recurrence run on each point.
 JD_VERIFY_STDOUT_SHA256 = {
     3: "c3d252e2997eaf4551490173ded4f0f4a9391cbe722f22e31e7243d9cc2feafe",
     4: "d45bf1715d8de6b3c2f4af3fe9aa85a03272a1854690c51f1578ea6dc30f75bd",
@@ -605,6 +602,10 @@ JD_VERIFY_STDOUT_SHA256 = {
     22: "50f1af94c7fa9d8793315d4132c51d5fa2246ec4cc0b9801d0b1698e585062d1",
     23: "14d457753962ad9f67985b68eece5385a89cd0e759870c1b90731241fb9d5538",
     24: "be33bf8240f5f478e72c31cd4b5c0210c939af5b845f817f0c3f780e6cd06e87",
+    48: "dd76c6073e3aa67d150899b79cb92de9da4fda6d586e2f0db8ec52c3bd52abdd",
+    99: "287f8dde861fefc9c02aaba93d50e25c619531098c3d7012015d9ebd12681d3d",
+    150: "426a7895408caa744a86ebb15b0a912301bb8b2a81af06c6532e4ed387b8d935",
+    200: "1780a69871482247c99d23e0900f7e30c84b1e9767a27ea20fc6ab9aee541ef7",
 }
 NODAL_PAIRING_SHA256 = {
     3: "e5ac3c4686dc05eeb383f53fcdbe726342824ede07e53c8c7ccffd791cb31e97",
@@ -656,7 +657,7 @@ NODAL_DEFECTS = {
 }
 
 
-@pytest.mark.parametrize("d", sorted(JD_VERIFY_STDOUT_SHA256))
+@pytest.mark.parametrize("d", sorted(NODAL_PAIRING_SHA256))
 def test_jd_verify_stdout_and_nodal_pairing_are_pinned_to_the_guard(capsys, d):
     code, out, err = run(capsys, "jd-verify", "--degree", str(d))
     assert code == 0
@@ -670,6 +671,13 @@ def test_jd_verify_stdout_and_nodal_pairing_are_pinned_to_the_guard(capsys, d):
     value_defect, gradient_defect = NODAL_DEFECTS[d]
     assert census["max_value_defect"] <= 8 * value_defect
     assert census["max_gradient_defect"] <= 8 * gradient_defect
+
+
+@pytest.mark.parametrize("d", [d for d in sorted(JD_VERIFY_STDOUT_SHA256) if d > 24])
+def test_jd_verify_stdout_is_pinned_past_the_old_guard(capsys, d):
+    code, out, err = run(capsys, "jd-verify", "--degree", str(d))
+    assert code == 0
+    assert _sha256(out) == JD_VERIFY_STDOUT_SHA256[d]
 
 
 NO_NEGATIVE_ZERO_CALLS = [

@@ -18,7 +18,6 @@ from belyi_forge import (
     PlaneTree,
     UniPoly,
     belyi_numeric,
-    build_Jd,
     chebyshev_solution,
     critical_census_uni,
     format_seed,
@@ -38,6 +37,7 @@ from belyi_forge import (
 from belyi_forge.arrangement_jd import (
     _line_product_fixed,
     jd_census,
+    jd_exact_values,
     jd_lines,
 )
 from belyi_forge.surface_counts import (
@@ -51,7 +51,6 @@ from belyi_forge.surface_counts import (
     lowest_nu_construction,
     nodal_surface_count,
     nodal_threefold_count,
-    nodal_unit_poly,
     seed_grid,
     singular_census_3d,
     spectrum,
@@ -485,11 +484,10 @@ def test_vertex_value_key_is_positive_zero():
 
 def test_surface_polynomial_evaluates():
     sol = shabat_for_derivation(F1(0, 1), "")
-    jd = build_Jd(9)
     u = sol.polynomial().shift_constant(1).scale(0.5)
 
     def f(x, y, w):
-        return jd.rational_values([(x, y)])[0] + u(w)
+        return jd_exact_values(9, [(x, y)])[0] + u(w)
 
     census = singular_census_3d(9, sol)
     assert census.verified
@@ -515,6 +513,13 @@ def test_surface_polynomial_evaluates():
     assert j_cen.steps[k] <= census.max_gradient_defect
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_nodal_census_refuses_a_degree_below_two(d):
+    # d = 0 once divided by zero listing J's lattice.
+    with pytest.raises(ValueError):
+        singular_census_3d(d)
+
+
 def test_nodal_census_past_the_old_guard():
     census = singular_census_3d(18)
     assert census.verified
@@ -534,13 +539,22 @@ def chebyshev_poly(d):
     return t1
 
 
-@pytest.mark.parametrize("d", range(3, 41))
-def test_nodal_unit_poly_is_one_plus_chebyshev_over_two(d):
-    # J_d's lines cross the x-axis where T_d(z) = 1/2, at x = 2z + 1, so
-    # the axis restriction (3 - J_d(2z + 1, 0))/4 is (1 + T_d)/2 exactly.
+def nodal_unit_poly(d):
+    """The nodal surface's U, (1 + T_d)/2, with exact coefficients."""
     t = chebyshev_poly(d)
     t[0] += 1
-    assert nodal_unit_poly(d) == UniPoly(tuple(Fraction(c, 2) for c in t))
+    return UniPoly(tuple(Fraction(c, 2) for c in t))
+
+
+@pytest.mark.parametrize("d", [*range(3, 41), 200])
+def test_nodal_unit_poly_is_one_plus_chebyshev_over_two(d):
+    # J_d's lines cross the x-axis where T_d(z) = 1/2, at x = 2z + 1, so
+    # the axis restriction (3 - J_d(2z + 1, 0))/4 is (1 + T_d)/2.  Both sides
+    # have degree d, so equality at d + 1 distinct rational z proves it.
+    zs = [Fraction(k - d // 2, 7) for k in range(d + 1)]
+    axis = jd_exact_values(d, [(2 * z + 1, Fraction(0)) for z in zs])
+    u = nodal_unit_poly(d)
+    assert [(3 - j) / 4 for j in axis] == [u(z) for z in zs]
 
 
 def path_tree(d):
