@@ -25,7 +25,6 @@ from .belyi_numeric import (
     NoConvergenceError,
     ShabatSolution,
     UCensus,
-    UniPoly,
     census_matches_profile,
     chebyshev_solution,
     critical_census_uni,

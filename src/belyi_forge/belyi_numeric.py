@@ -16,14 +16,14 @@ root of (g − t)/∏_critical, same target (w-q)^(m+1), with g read by the
 same quadrature, and a short Gauss–Newton pass refines every vertex and ℓ
 on the full vertex system.  Acceptance reads that system's largest
 residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
-coefficients are formed; only ShabatSolution.polynomial() expands them, and
-only for the univariate census.  That root census of p', its roots polished
-by the same Aberth iteration, acts as an independent check that the solved
-polynomial really has the critical structure the tree prescribes.  The
-surface census reads U = (p + 1)/2 at the solved vertices instead
-(vertex_u_census), from the same products of the other colour's factors.
-numpy is bound by lazy_numpy, here and in the other two numeric modules, so
-it executes on the first numeric call, never on import.
+coefficients are formed; only ShabatSolution.polynomial() expands them, to a
+tuple of complex numbers that critical_census_uni reads.  That root census of
+p', its roots polished by the same Aberth iteration, acts as an independent
+check that the solved polynomial really has the critical structure the tree
+prescribes.  The surface census reads U = (p + 1)/2 at the solved vertices
+instead (vertex_u_census), from the same products of the other colour's
+factors.  numpy is bound by lazy_numpy, here and in the other two numeric
+modules, so it executes on the first numeric call, never on import.
 """
 
 from __future__ import annotations
@@ -89,66 +89,6 @@ class DegreeGuardError(ValueError):
 
 
 @dataclass(frozen=True)
-class UniPoly:
-    """Dense univariate polynomial, constant term first.
-
-    Coefficients may be float, complex, or Fraction; the arithmetic here
-    never forces a conversion, so precision is whatever the coefficients
-    carry.
-    """
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        cs = tuple(self.coeffs)
-        if not cs:
-            cs = (0,)
-        while len(cs) > 1 and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        r = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            r = r * x + c
-        return r
-
-    def derivative(self) -> "UniPoly":
-        if self.degree == 0:
-            return UniPoly((0,))
-        return UniPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __mul__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-        return UniPoly(tuple(out))
-
-    def scale(self, s) -> "UniPoly":
-        return UniPoly(tuple(c * s for c in self.coeffs))
-
-    def shift_constant(self, s) -> "UniPoly":
-        return UniPoly((self.coeffs[0] + s,) + self.coeffs[1:])
-
-    @classmethod
-    def from_roots(cls, roots_with_mults, leading=1) -> "UniPoly":
-        p = cls((leading,))
-        for root, m in roots_with_mults:
-            for _ in range(m):
-                p = p * cls((-root, 1))
-        return p
-
-    def as_complex_array(self) -> np.ndarray:
-        return np.asarray([complex(c) for c in self.coeffs], dtype=complex)
-
-
-@dataclass(frozen=True)
 class ShabatSolution:
     """Solved vertex positions for a plane tree.
 
@@ -171,16 +111,24 @@ class ShabatSolution:
     def degree(self) -> int:
         return sum(m + 1 for _, m in self.black_points)
 
-    def polynomial(self) -> UniPoly:
-        """p = ℓ·∏_black (w-a)^(mult+1) - 1 expanded in the monomial basis.
+    def polynomial(self) -> tuple[complex, ...]:
+        """p = ℓ·∏_black (w-a)^(mult+1) - 1 as complex coefficients, constant term first.
 
-        The expansion is ill-conditioned at high degree: its coefficients
-        span many orders of magnitude and round far above the residual.  It
-        is kept for the univariate census only; the solver and the surface
-        census never form it.
+        Each linear factor w − a maps the coefficients term by term in the
+        order of the schoolbook product, int 0 and 1 included, so every bit
+        (signed zeros too) is that product's.  The expansion is
+        ill-conditioned at high degree: its coefficients span many orders of
+        magnitude and round far above the residual.  It is kept for the
+        univariate census only; the solver and the surface census never form it.
         """
-        b = UniPoly.from_roots([(a, m + 1) for a, m in self.black_points])
-        return b.scale(self.scale_constant).shift_constant(-1)
+        cs = [1]
+        for a, m in self.black_points:
+            for _ in range(m + 1):
+                middle = ((0 + x * 1) + y * -a for x, y in zip(cs, cs[1:]))
+                cs = [0 + cs[0] * -a, *middle, 0 + cs[-1] * 1]
+        cs = [c * self.scale_constant for c in cs]
+        cs[0] = cs[0] + -1
+        return tuple(cs)
 
 
 def solution_to_json(s: ShabatSolution) -> dict:
@@ -484,6 +432,8 @@ def shabat_solve(
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_restarts < 1:
         raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
     nvert = t.vertex_count
     degs = np.array([t.degree(v) for v in range(nvert)], dtype=float)
     black = np.array([c == BLACK for c in t.colors])
@@ -874,27 +824,36 @@ def check_cluster_tol(cluster_tol: float) -> None:
 
 
 def critical_census_uni(
-    p: UniPoly, cluster_tol: float = DEFAULT_CLUSTER_TOL
+    p: tuple[complex, ...], cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> CriticalCensus:
     """Census of p's critical points grouped by value and multiplicity.
 
-    Roots of p' come from the companion matrix and are polished by the
-    Aberth iteration that reads the solver's leaves (_aberth), in at most
-    _CENSUS_ITERS steps where the leaves take up to _LEAF_ITERS (see
-    _critical_points).  Roots within cluster_tol merge into one critical
-    point whose multiplicity is the cluster size.  Clusters whose
-    separation or spread is marginal at cluster_tol mark the census
+    p is its coefficients, constant term first, as ShabatSolution.polynomial()
+    gives them.  ValueError refuses fewer than two coefficients or a zero
+    leading one, and a cluster_tol that is not finite and > 0.  Roots of p'
+    come from the companion matrix and are polished by the Aberth iteration
+    that reads the solver's leaves (_aberth), in at most _CENSUS_ITERS steps
+    where the leaves take up to _LEAF_ITERS (see _critical_points).  Roots
+    within cluster_tol merge into one critical point whose multiplicity is
+    the cluster size; p is read at its centre by Horner's rule.  Clusters
+    whose separation or spread is marginal at cluster_tol mark the census
     unreliable rather than failing.  Multiplicities above ~3 in double
     precision need a looser cluster_tol because the root cluster radius
     scales like eps^(1/mult).
     """
     check_cluster_tol(cluster_tol)
-    if p.degree < 1:
-        raise ValueError("census needs degree >= 1")
-    dp = p.derivative().as_complex_array()
+    if len(p) < 2 or p[-1] == 0:
+        raise ValueError("census needs degree >= 1 and a nonzero leading coefficient")
+    dp = np.array([k * c for k, c in enumerate(p)][1:], complex)
     if len(dp) == 1:
         return CriticalCensus(entries=(), reliable=True)
     roots = _critical_points(dp)
+
+    def at(z):
+        r = p[-1]
+        for c in p[-2::-1]:
+            r = r * z + c
+        return complex(r)
 
     notes: list[str] = []
     reliable = True
@@ -910,7 +869,7 @@ def critical_census_uni(
         reliable = False
         notes.append("root clusters closer than 10x cluster_tol")
 
-    values = np.array([complex(p(z)) for z in centers])
+    values = np.array([at(z) for z in centers])
     vclusters = _single_linkage(values, cluster_tol)
     entries: list[CensusEntry] = []
     for vidx in vclusters:

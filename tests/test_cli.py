@@ -296,6 +296,35 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
     assert steps == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("shabat", "--seed", "F1:0,1"),
+        ("shabat", "--seed", "F3:1,1,0,1,0", "--word", "ab", "--max-degree", "28"),
+        ("surface-verify", "--degree", "15"),
+    ],
+    ids=" ".join,
+)
+def test_negative_rng_seed_is_usage_error_before_any_restart(capsys, monkeypatch, argv):
+    # The first and third solves land at restart 0, which draws no random
+    # numbers, so they once exited 0; the second needs restart 2 and once
+    # exited 2 only when numpy refused the seed there.
+    steps = []
+    linear_factors = belyi_numeric._linear_factors
+
+    def counting(*args):
+        steps.append(1)
+        return linear_factors(*args)
+
+    monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
+    code, out, err = run(capsys, *argv, "--rng-seed", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError", "message": "rng_seed must be >= 0, got -1"
+    }
+    assert steps == []
+
+
 def _surface_verify_refuses(capsys, *argv):
     # argv ends with the flag and value that surface-verify does not take.
     with pytest.raises(SystemExit) as exc:
@@ -678,6 +707,59 @@ def test_jd_verify_stdout_is_pinned_past_the_old_guard(capsys, d):
     code, out, err = run(capsys, "jd-verify", "--degree", str(d))
     assert code == 0
     assert _sha256(out) == JD_VERIFY_STDOUT_SHA256[d]
+
+
+# The console-script pins of the CI workflow that no other tier-1 test
+# holds, run here through cli.main: the sha256 of each command's stdout, a
+# surface-verify payload taken without its census's two float defects, as
+# the workflow's pin_without_defects takes it.
+CI_STDOUT_SHA256 = {
+    "surface-verify --degree 24 --nodal":
+        "bb38132e1d088deee0f958d41378614e4be03ba9e659f6912aaed9d2a3066959",
+    "surface-verify --degree 48 --nodal":
+        "fb89c4e89ac22f06d2c1a7f18a73c5eb81b1ba1428837aabd405dbb3292814c0",
+    "surface-verify --degree 3": "f5267a09742fb19d219d47f9cf2943bbac744abc737dfe3142db8303e1d031d0",
+    "surface-verify --degree 9": "24c61d51981d3ff73960209db1c2f662b347ae6e0348f198c1c3012852aa1908",
+    "surface-verify --degree 12": "60eb4b0a23ec52e14fa99ea5d6c20da50a0dc056173a93e0edcb846ad6d9acf3",
+    "surface-verify --degree 15": "db02610f63e42b934f9b11b0b0d958f4f591eab517d891f2a18a90c1e7c9519d",
+    "surface-verify --degree 21": "9aacad1c85a12a56a5ef1d8cd553c6083d9a246471544793144c113514aca2f4",
+    "surface-verify --degree 24": "3ea216c40506c85a1523c36793c29a3530d26c4007aae3a8681d2d666ef0032b",
+    "surface-verify --degree 9 --seed F2:1,1,0,0":
+        "60f8506fa2744ae36afa04f861297b29739a44b0c1f2b837ac1b95807cf44643",
+    "surface-verify --degree 15 --seed F2:1,2,0,0":
+        "b7b711fc19cb0d673dfbf977a21f7193bc90a94ca129f2c73619e20114c3a16e",
+    "table --max-degree 200 --format json":
+        "8abd0262841d4545805303dc534ce69f967aa1e73847dfc32818ac1d03a25845",
+    "seeds --max-degree 200": "0ec3c3ee52f0fcab3c65aca41be5954a77039daed00633ca6398a8705f55566e",
+    "enumerate --seed F2:0,2,2,2 --max-len 8":
+        "19f87ba0be0c83078d06f6cb8a8e519e43291fc8a2559440da237c531304a1ce",
+    "enumerate --seed F2:1,2,2,2 --max-len 9":
+        "ac6ca9185c308a259832680c2afec41825114bc8e5ca32c3ca34b11c0d205ab5",
+    "enumerate --seed F1:0,1 --max-len 4":
+        "8b7e9208f7721fee2281cf43fb76aa3717110174df7cec1a685f111bb3a3a67c",
+    "derive --seed F2:0,2,1,1 --word BggDg":
+        "f6787a4d24a8d6030f9a554617688ae7f28da1b0320bb12b424ed9873d210574",
+    "derive --seed F1:1,1 --word abab":
+        "e392897d68055dbbb62a84dff6d06bdee0baacf364c892645609d2908c309857",
+    "derive --seed F1:1,1 --word ab":
+        "ae6a8fceb9920ecccd3fcc21478215f3319d1ebab9b6797c4d5645f96b86733e",
+    "export --seed F1:0,1 --word ab --format dot":
+        "0fd45f06ee8718ac8b24471da85ace99897d0df482ecb756b7fa98fcce036f0d",
+    "export --seed F1:0,1 --word ab --format json":
+        "e91bb46cad265cbfae3e23511007271a69518abbe475151e3120b57d853377d6",
+}
+
+
+@pytest.mark.parametrize("command", list(CI_STDOUT_SHA256))
+def test_ci_console_script_pins_hold(capsys, command):
+    argv = command.split()
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if argv[0] == "surface-verify":
+        payload = json.loads(out)
+        del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
+        out = _dumps(payload)
+    assert _sha256(out) == CI_STDOUT_SHA256[command]
 
 
 NO_NEGATIVE_ZERO_CALLS = [

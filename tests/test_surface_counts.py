@@ -16,7 +16,6 @@ from belyi_forge import (
     F1,
     F2,
     PlaneTree,
-    UniPoly,
     belyi_numeric,
     chebyshev_solution,
     critical_census_uni,
@@ -66,6 +65,8 @@ from belyi_forge.word_engine import (
     trajectory,
     word_from_str,
 )
+
+from unipoly import UniPoly
 
 
 def test_frozen_high_multiplicity_counts():
@@ -484,7 +485,7 @@ def test_vertex_value_key_is_positive_zero():
 
 def test_surface_polynomial_evaluates():
     sol = shabat_for_derivation(F1(0, 1), "")
-    u = sol.polynomial().shift_constant(1).scale(0.5)
+    u = UniPoly(sol.polynomial()).shift_constant(1).scale(0.5)
 
     def f(x, y, w):
         return jd_exact_values(9, [(x, y)])[0] + u(w)
@@ -593,7 +594,7 @@ def test_nodal_u_census_matches_the_dense_census(d):
     u = nodal_unit_poly(d)
     du = u.derivative()
     ddu = du.derivative()
-    dense = critical_census_uni(u)
+    dense = critical_census_uni(u.coeffs)
     census = vertex_u_census(chebyshev_solution(d))
     assert dense.reliable
     assert all(abs(e.value.imag) < 1e-12 for e in dense.entries)
@@ -687,7 +688,7 @@ def test_nodal_surface_census_skips_the_dense_u_path(monkeypatch):
     monkeypatch.setattr(belyi_numeric, "critical_census_uni", refuse)
     monkeypatch.setattr(belyi_numeric, "_aberth", refuse)
     monkeypatch.setattr(np, "roots", refuse)
-    monkeypatch.setattr(UniPoly, "__call__", refuse)
+    monkeypatch.setattr(belyi_numeric.ShabatSolution, "polynomial", refuse)
     census = singular_census_3d(12)
     assert census.verified
     assert census.by_type == {1: nodal_surface_count(12)}
