@@ -12,7 +12,6 @@ singular points are counted both in closed form and by direct census.
 from .arrangement_jd import (
     Census2D,
     JStats,
-    build_lines,
     census_matches_jstats,
     jd_census,
     jd_exact_values,

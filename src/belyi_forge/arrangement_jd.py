@@ -1,22 +1,25 @@
 """Line-arrangement polynomials with critical values {0, 8, -1}.
 
-A degree-d member is a scaled product of d lines whose angles march in
-steps of pi/d; all (d-1)^2 critical points are real with values in
-{0, 8, -1} and known closed-form counts.  The lines
-x sin(phi) - y cos(phi) = sin(3 phi) are tangent to the deltoid, and the
-scaled product is Chmutov's folding polynomial
+A degree-d member J_d is a scaled product of d lines whose angles phi march
+in steps of pi/d; all (d-1)^2 critical points are real with values in
+{0, 8, -1} and known closed-form counts.  In the coordinates (x, Y) used
+throughout, the lines x sin(phi) - (Y/sqrt(3)) cos(phi) = sin(3 phi) are
+tangent to the deltoid, and the scaled product is Chmutov's folding
+polynomial
 
-    2 - Re P_d(z) + sqrt(3) Im P_d(z),    z = x - iy,
+    2 - Re P_d(z) + sqrt(3) Im P_d(z),    z = x - iY/sqrt(3),
 
 where P_n is the A2 power sum: P_0 = 3, P_1 = z, P_2 = z^2 - 2 zbar and
 P_n = z P_{n-1} - zbar P_{n-2} + P_{n-3} (Hoffman and Withers 1988).  The
 recurrence has integer coefficients, so run on the numbers of a rational
-point (x, Y), with Y = sqrt(3) y, it gives J_d there exactly in Python ints
-(jd_exact_values); the scaled line product, evaluated in Python-int fixed
-point from one root of unity, is the independent second route of the
-dual-path check.  That root comes from an integer Newton solve of
-z^(12d) = 1 and the check's points are written out, so the check imports
-neither mpmath nor numpy.random.
+point (x, Y) it gives J_d there exactly in Python ints (jd_exact_values).
+
+The lines have one construction (_jd_lines): their slopes, offsets and the
+scale as Python ints in fixed point, all from one root of unity that an
+integer Newton solve of z^(12d) = 1 gives.  The dual-path check multiplies
+those ints exactly at 12 written-out rational points and compares the
+product with the exact J_d there, so it imports neither mpmath nor numpy.
+The 2D census reads the same ints rounded to float.
 
 The 2D census reads J_d's critical points from theory.  On the torus,
 z = sum e^{i theta_j} with theta_1 + theta_2 + theta_3 = 0, J_d is
@@ -31,10 +34,9 @@ pass.  It reads J_d, its gradient and its Hessian as one jet, carried
 through the product of the lines by the product rule one line at a time and
 scaled last; the factors keep a small relative error where the dense
 coefficients would not, and the jet divides by nothing, so it stays exact at
-a vertex.  Nothing expands J_d's coefficients: the dual-path check reads
-the exact J_d at its 12 points alone.  numpy is bound lazily (lazy_numpy):
-the closed-form counts of jstats and the dual-path check need none of it,
-so only the census executes it.
+a vertex.  Nothing expands J_d's coefficients.  numpy is bound lazily
+(lazy_numpy): the closed-form counts of jstats and the dual-path check need
+none of it, so only the census executes it.
 """
 
 from __future__ import annotations
@@ -82,30 +84,6 @@ _LATTICES = ((1, 2), (2, 4), (2, 0), (0, 5))
 
 def _mu_range(d: int) -> range:
     return range(-((d - 2) // 2), (d + 1) // 2 + 1)
-
-
-def build_lines(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The d lines a*x + b*y + c = 0 whose product (after scaling) has
-    critical values {0,8,-1}: their normals (a, b) as rows, and offsets c.
-
-    Angles are phi = (6*mu - 1)*pi/(6d), and a = -tan(phi), b = 1.  None is
-    vertical: that would need 6*mu - 1 to be an odd multiple of 3d, and 3
-    does not divide 6*mu - 1.
-    """
-    if d < 2:
-        raise ValueError("need at least two lines")
-    normals, offsets = [], []
-    for mu in _mu_range(d):
-        phi = (6 * mu - 1) * math.pi / (6 * d)
-        t = math.tan(phi)
-        normals.append((-t, 1.0))
-        offsets.append(math.cos(2 * phi) * t + math.sin(2 * phi))
-    return np.array(normals), np.array(offsets)
-
-
-def scale_constant(d: int) -> float:
-    """The prefactor 2cos(d pi/2 + 2 pi/3) of the line product."""
-    return 2.0 * math.cos(d * math.pi / 2 + 2 * math.pi / 3)
 
 
 def jd_exact_values(d: int, points) -> list[Fraction]:
@@ -182,23 +160,21 @@ def _unit_roots(d: int, w: int) -> tuple[int, int, int, int]:
     return tuple(-(-v >> guard) if v < 0 else v >> guard for v in (*first, *step))
 
 
-def _line_product_fixed(d: int, points, bits: int) -> list[int]:
-    """J_d at rational points (x, Y) through the scaled line product, each
-    value as a Python int near floor(J * 2^bits).
+@lru_cache(maxsize=8)
+def _jd_lines(d: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """J_d's d lines and scale in fixed point, each an int near 2^w times its
+    value: the slopes t, the offsets, 1/sqrt(3) and the scale.
 
-    The lines meet (x, Y/sqrt(3)), and their angles phi step by pi/d, so
-    every line comes from one root of unity: e^{i phi} at the first angle,
-    times e^{i pi/d} per line, in fixed point with 64 guard bits; both roots
-    come from one integer Newton solve (_unit_roots).  Then t = tan(phi) is
-    s/c and the offset sin(3 phi)/cos(phi) is t (3 - t^2)/(1 + t^2).  The
-    scale 2cos((3d + 4) pi/6) is -1, -sqrt(3), 1 or sqrt(3) by d mod 4.  At
-    x = p/q and Y = r/u each factor is taken times q u, as
-    -t p u + r q/sqrt(3) + offset q u, so the product over the lines is exact
-    in the rounded constants and is divided once, at the end.  The error is
-    a few units while |J| < 2^50 and a relative 2^-(bits + 50) or so past
-    that (7 units at d=24, where |J| reaches 2^55 on |x|, |Y| <= 4).
+    Line k is -t x + Y/sqrt(3) + offset at the angle phi = (6 mu - 1) pi/(6d),
+    mu the k-th of _mu_range.  The angles step by pi/d, so every line comes
+    from one root of unity: e^{i phi} at the first angle, times e^{i pi/d}
+    per line, both from one integer Newton solve (_unit_roots).  Then
+    t = tan(phi) is s/c and the offset sin(3 phi)/cos(phi) is
+    t (3 - t^2)/(1 + t^2); no line is vertical, as 3 does not divide
+    6 mu - 1.  The scale 2cos((3d + 4) pi/6) is -1, -sqrt(3), 1 or sqrt(3) by
+    d mod 4.  It is cached: at d < 90 the census and the dual-path check
+    read one build.
     """
-    w = bits + 64
     one = 1 << w
     c, s, step_c, step_s = _unit_roots(d, w)
     slopes, offsets = [], []
@@ -210,6 +186,22 @@ def _line_product_fixed(d: int, points, bits: int) -> list[int]:
         c, s = (c * step_c - s * step_s) >> w, (c * step_s + s * step_c) >> w
     root3, inv_root3 = math.isqrt(3 << 2 * w), math.isqrt((1 << 2 * w) // 3)
     scale = (-one, -root3, one, root3)[d % 4]
+    return tuple(slopes), tuple(offsets), inv_root3, scale
+
+
+def _line_product_fixed(d: int, points, bits: int) -> list[int]:
+    """J_d at rational points (x, Y) through the scaled product of its lines
+    (_jd_lines, with 64 guard bits), each value as a Python int near
+    floor(J * 2^bits).
+
+    At x = p/q and Y = r/u each factor is taken times q u, as
+    -t p u + r q/sqrt(3) + offset q u, so the product over the lines is exact
+    in the rounded constants and is divided once, at the end.  The error is
+    a few units while |J| < 2^50 and a relative 2^-(bits + 50) or so past
+    that (7 units at d=24, where |J| reaches 2^55 on |x|, |Y| <= 4).
+    """
+    w = bits + 64
+    slopes, offsets, inv_root3, scale = _jd_lines(d, w)
     values = []
     for px, py in points:
         p, q = px.numerator, px.denominator
@@ -223,15 +215,16 @@ def _line_product_fixed(d: int, points, bits: int) -> list[int]:
 
 
 def verify_Jd_dual_path(d: int) -> float:
-    """Max disagreement between the rational polynomial and the line product.
+    """Max disagreement between the exact J_d and the product of its lines.
 
-    Evaluates J_d at the DUAL_PATH_POINTS rational points both
-    exactly, by the A2 recurrence on each point's numbers (jd_exact_values),
-    and through the scaled line product in fixed point; each exact value num/den is read as the integer
-    (num << bits) // den, and the largest absolute difference returns as a
-    float.  The line product's error is about |J| 2^-(bits + 50), so bits is
-    DUAL_PATH_PRECISION, or 64 more than the bit length of the largest |J|
-    if that is more: the difference stays near 2^-114 at every degree.
+    Evaluates J_d at the DUAL_PATH_POINTS both exactly, by the A2 recurrence
+    on each point's numbers (jd_exact_values), and as the scaled product of
+    the lines the census reads (_line_product_fixed); each exact value
+    num/den is read as the integer (num << bits) // den, and the largest
+    absolute difference returns as a float.  The product's error is about
+    |J| 2^-(bits + 50), so bits is DUAL_PATH_PRECISION, or 64 more than the
+    bit length of the largest |J| if that is more: the difference stays near
+    2^-114 at every degree.
     """
     exact_values = jd_exact_values(d, DUAL_PATH_POINTS)
     top = max((abs(v.numerator) // v.denominator).bit_length() for v in exact_values)
@@ -365,6 +358,17 @@ def _lattice_points(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate(classes), x, y
 
 
+def _census_lines(d: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """_jd_lines in float, int / 2^w rounding each correctly: normals (a, b)
+    as rows, offsets c and the scale.  At d < 90 the check multiplies the
+    very ints rounded here."""
+    w = DUAL_PATH_PRECISION + 64
+    slopes, offsets, inv_root3, scale = _jd_lines(d, w)
+    one = 1 << w
+    normals = np.array([(-t / one, inv_root3 / one) for t in slopes])
+    return normals, np.array([c / one for c in offsets]), scale / one
+
+
 def _product_jet(
     normals: np.ndarray, offsets: np.ndarray, scale: float, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -395,14 +399,14 @@ def jd_census(d: int) -> Census2D:
 
     The points come from theory (_lattice_points); the census ties them to
     the polynomial.  J_d, its gradient and its Hessian at every point come
-    from one product-rule jet over the line factors (_product_jet), never
-    from dense coefficients.  Four tests must hold: each value lies within
-    VALUE_TOL of its own class's target (value_classes), each Newton step
-    |H^-1 grad J| is below NEWTON_STEP_TOL, far under the least gap between
-    points, each Hessian is nondegenerate, and there are (d-1)^2 points.  The
-    two gradient equations have degree d-1, so by Bezout (d-1)^2 distinct
-    nondegenerate critical points leave no other in C^2: the census is then
-    complete.  Each test that fails is named in failures.  A degree below 2
+    from one product-rule jet (_product_jet) over the lines the dual-path
+    check multiplies (_census_lines), never from dense coefficients.  Four
+    tests must hold: each value lies within VALUE_TOL of its own class's
+    target (value_classes), each Newton step |H^-1 grad J| is below
+    NEWTON_STEP_TOL, far under the least gap between points, each Hessian is
+    nondegenerate, and there are (d-1)^2 points.  The two gradient equations
+    have degree d-1, so by Bezout (d-1)^2 distinct nondegenerate critical
+    points leave no other in C^2: the census is then complete.  Each test that fails is named in failures.  A degree below 2
     raises ValueError before any work.
 
     It depends on d alone, so it is cached: jd-verify, the nodal surface
@@ -415,7 +419,7 @@ def jd_census(d: int) -> Census2D:
     if d > CENSUS_DEGREE_GUARD:
         raise DegreeGuardError(f"degree {d} exceeds census guard {CENSUS_DEGREE_GUARD}")
     classes, x, y = _lattice_points(d)
-    val, fx, fy, hxx, hxy, hyy = _product_jet(*jd_lines(d), scale_constant(d), x, y)
+    val, fx, fy, hxx, hxy, hyy = _product_jet(*_census_lines(d), x, y)
     det = hxx * hyy - hxy * hxy
     nondeg = np.abs(det) > VALUE_TOL * (1.0 + hxx * hxx + hxy * hxy + hyy * hyy)
     # |H^-1 grad J| by Cramer's rule, infinite where H is degenerate.
@@ -441,14 +445,6 @@ def jd_census(d: int) -> Census2D:
         stray_values=tuple(val[~on_target].tolist()),
         failures=tuple(name for name, ok in passed.items() if not ok),
     )
-
-
-def jd_lines(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The arrangement's normals and offsets in the rational polynomial's
-    coordinates, where each b = 1 of build_lines is 1/sqrt(3)."""
-    normals, offsets = build_lines(d)
-    normals[:, 1] /= math.sqrt(3)
-    return normals, offsets
 
 
 def census_matches_jstats(census: Census2D, stats: JStats) -> bool:

@@ -255,8 +255,8 @@ def _radial_layout(t: PlaneTree) -> np.ndarray:
     return pos
 
 
-def _min_same_color_gap(positions: np.ndarray, black_idx, white_idx) -> float:
-    pairs = (pq for idx in (black_idx, white_idx) for pq in combinations(positions[idx], 2))
+def _min_same_color_gap(positions: np.ndarray, black: np.ndarray) -> float:
+    pairs = (pq for side in (black, ~black) for pq in combinations(positions[side], 2))
     return min((abs(p - q) for p, q in pairs), default=math.inf)
 
 
@@ -288,21 +288,39 @@ def _aberth(z: np.ndarray, correction, repel: np.ndarray, steps: int) -> np.ndar
     return best
 
 
-def _opposite_products(positions: np.ndarray, black_idx, white_idx, degs) -> np.ndarray:
+def _opposite_products(positions: np.ndarray, black: np.ndarray, degs) -> np.ndarray:
     """∏ (v − u)^deg_u over the vertices u of the other colour, at every vertex v.
 
     Each u is repeated deg_u times as a linear factor, so no complex power
     is taken.
     """
     out = np.empty(len(positions), dtype=complex)
+    black_idx, white_idx = np.flatnonzero(black), np.flatnonzero(~black)
     for rows, cols in ((black_idx, white_idx), (white_idx, black_idx)):
         rep = np.repeat(cols, degs[cols].astype(int))
         out[rows] = np.multiply.reduce(positions[rows][:, None] - positions[rep], axis=1)
     return out
 
 
+def _pull(positions: np.ndarray, black: np.ndarray, degs, rows=slice(None)) -> np.ndarray:
+    """deg_u/(v − u), one row per vertex v of rows: 0 where u has v's colour."""
+    other = np.where(black[rows, None] != black, degs, 0.0)
+    return other / np.where(other > 0, positions[rows, None] - positions, 1.0)
+
+
+def _solution(positions, degs, black, ell, residual, restarts_used=0) -> ShabatSolution:
+    """The converged solution at these vertices, each colour in index order."""
+    points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
+    return ShabatSolution(
+        black_points=tuple(points[v] for v in np.flatnonzero(black)),
+        white_points=tuple(points[v] for v in np.flatnonzero(~black)),
+        scale_constant=complex(ell), residual=residual, converged=True,
+        restarts_used=restarts_used,
+    )
+
+
 def _refine(
-    positions: np.ndarray, ell: complex, black_idx, white_idx, degs, free
+    positions: np.ndarray, ell: complex, black: np.ndarray, degs, free
 ) -> tuple[np.ndarray, complex, float]:
     """Gauss–Newton on the full vertex system: best iterate, its ℓ and max|r|.
 
@@ -313,13 +331,11 @@ def _refine(
     −deg_u·ℓ·∏/(v − u).  Steps stop at _REFINE_STEPS or once max|r| stops
     falling.
     """
-    black = np.isin(np.arange(len(positions)), black_idx)
     target = np.where(black, -2.0, 2.0)
-    other = np.where(black[:, None] != black, degs, 0.0)
-    vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
+    vals = ell * _opposite_products(positions, black, degs)
     best = (positions, ell, float(np.max(np.abs(vals - target))))
     for _ in range(_REFINE_STEPS):
-        pull = other / np.where(other > 0, positions[:, None] - positions, 1.0)
+        pull = _pull(positions, black, degs)
         jac = -vals[:, None] * pull
         jac[np.diag_indices_from(jac)] = vals * pull.sum(axis=1)
         jac = np.column_stack([jac[:, free], vals])
@@ -329,7 +345,7 @@ def _refine(
         positions = positions.copy()
         positions[free] += delta[:-1]
         ell = ell * np.exp(delta[-1])
-        vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
+        vals = ell * _opposite_products(positions, black, degs)
         residual = float(np.max(np.abs(vals - target)))
         if not residual < best[2]:
             break
@@ -437,9 +453,8 @@ def shabat_solve(
     nvert = t.vertex_count
     degs = np.array([t.degree(v) for v in range(nvert)], dtype=float)
     black = np.array([c == BLACK for c in t.colors])
-    black_idx, white_idx = np.flatnonzero(black), np.flatnonzero(~black)
-    top_black = max(black_idx, key=lambda v: (degs[v], -v))
-    top_white = max(white_idx, key=lambda v: (degs[v], -v))
+    top_black = max(np.flatnonzero(black), key=lambda v: (degs[v], -v))
+    top_white = max(np.flatnonzero(~black), key=lambda v: (degs[v], -v))
     free = [v for v in range(nvert) if v not in (top_black, top_white)]
     leaves = [v for v in free if degs[v] < 2]
     base = _radial_layout(t)
@@ -449,7 +464,7 @@ def shabat_solve(
     # distinct targets, or a lone one and its first neighbour.  A tree with
     # no critical vertex of g (the single edge, a black-centre star) takes
     # top_black as its lone one, a simple root of g − t_lo.
-    k = math.gcd(*degs[black_idx].astype(int))
+    k = math.gcd(*degs[black].astype(int))
     label = _power_labels(t, k, top_black)
     crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)] or [top_black]
     others = [v for v in range(nvert) if v not in crit]
@@ -635,20 +650,14 @@ def shabat_solve(
             fnorm, verdict, positions, ell = land(restart)
             residual = math.inf
             if verdict is None:
-                positions, ell, residual = _refine(positions, ell, black_idx, white_idx, degs, free)
-                gap = _min_same_color_gap(positions, black_idx, white_idx)
+                positions, ell, residual = _refine(positions, ell, black, degs, free)
+                gap = _min_same_color_gap(positions, black)
                 if not residual <= tol:
                     verdict = f"vertex residual {residual:.2e} > tol {tol:.0e}"
                 elif gap < _MIN_SEPARATION:
                     verdict = f"same-color vertex gap {gap:.2e} < {_MIN_SEPARATION:.0e}"
                 else:
-                    points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
-                    return ShabatSolution(
-                        black_points=tuple(points[v] for v in black_idx),
-                        white_points=tuple(points[v] for v in white_idx),
-                        scale_constant=complex(ell), residual=residual, converged=True,
-                        restarts_used=restart,
-                    )
+                    return _solution(positions, degs, black, ell, residual, restart)
         if closest is None or (residual, fnorm) < closest[:2]:
             closest = (residual, fnorm, restart, verdict)
     why = "; closest restart {2} (fnorm {1:.2e}) failed: {3}".format(*closest) if closest else ""
@@ -694,17 +703,10 @@ def chebyshev_solution(d: int) -> ShabatSolution:
     degs = np.full(d + 1, 2.0)
     degs[[0, d]] = 1.0
     black = np.arange(d + 1) % 2 == 1
-    black_idx, white_idx = np.flatnonzero(black), np.flatnonzero(~black)
     ell = 2.0 ** (d - 1)
-    vals = ell * _opposite_products(positions, black_idx, white_idx, degs)
-    points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
-    return ShabatSolution(
-        black_points=tuple(points[v] for v in black_idx),
-        white_points=tuple(points[v] for v in white_idx),
-        scale_constant=complex(ell),
-        residual=float(np.max(np.abs(vals - np.where(black, -2.0, 2.0)))),
-        converged=True,
-    )
+    vals = ell * _opposite_products(positions, black, degs)
+    residual = float(np.max(np.abs(vals - np.where(black, -2.0, 2.0))))
+    return _solution(positions, degs, black, ell, residual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -733,12 +735,9 @@ def vertex_u_census(sol: ShabatSolution) -> UCensus:
     positions = np.array([z for z, _ in pts], dtype=complex)
     degs = np.array([m + 1 for _, m in pts], dtype=float)
     black = np.arange(len(pts)) < len(sol.black_points)
-    half = sol.scale_constant / 2 * _opposite_products(
-        positions, np.flatnonzero(black), np.flatnonzero(~black), degs
-    )
+    half = sol.scale_constant / 2 * _opposite_products(positions, black, degs)
     inner = np.flatnonzero(degs > 1)
-    other = np.where(black[inner, None] != black, degs, 0.0)
-    pull = np.sum(other / np.where(other > 0, positions[inner, None] - positions, 1.0), axis=1)
+    pull = _pull(positions, black, degs, inner).sum(axis=1)
     arrays = (positions[inner], half[inner] + black[inner], degs[inner].astype(int) - 1,
               np.abs(half[inner] * pull))
     for a in arrays:

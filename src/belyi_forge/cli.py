@@ -255,8 +255,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_surface_verify(args) -> int:
-    if args.nodal and (args.seed is not None or args.word is not None):
-        raise ValueError("--nodal builds its own surface; it takes no --seed or --word")
+    flags = ("seed", "word", "tol", "restarts", "rng_seed")
+    given = [f"--{f.replace('_', '-')}" for f in flags if getattr(args, f) is not None]
+    if args.nodal and given:
+        raise ValueError(f"--nodal builds its own surface and solves nothing; it takes no "
+                         f"{' or '.join(given)}")
     if args.word is not None and args.seed is None:
         raise ValueError("--word needs the --seed it applies to")
     d = args.degree
@@ -287,14 +290,9 @@ def cmd_surface_verify(args) -> int:
             )
         expected = spectrum(counts, end.profile)
         provenance = f"{format_seed(end.seed)} {end.word or '(empty)'}"
-        sol = shabat_for_derivation(
-            end.seed,
-            end.word,
-            tol=args.tol,
-            max_restarts=args.restarts,
-            rng_seed=args.rng_seed,
-            max_degree=d,
-        )
+        solver = {"tol": args.tol, "max_restarts": args.restarts, "rng_seed": args.rng_seed}
+        solver = {name: value for name, value in solver.items() if value is not None}
+        sol = shabat_for_derivation(end.seed, end.word, max_degree=d, **solver)
     census = singular_census_3d(d, sol)
     match = census.by_type == expected and census.verified
     payload = {
@@ -338,7 +336,7 @@ def _add_solver(p: argparse.ArgumentParser) -> None:
         default=DEFAULT_TOL,
         help="bound on the solution's residual, its largest vertex defect: "
         "|l*prod(v-u)^deg(u) -/+ 2| at each vertex v over the other colour's "
-        "vertices u (default %(default)s)",
+        f"vertices u (default {DEFAULT_TOL})",
     )
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--rng-seed", type=int, default=0)
@@ -387,7 +385,9 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_shabat)
 
-    p = sub.add_parser("jd-verify", help="build the arrangement polynomial, census it")
+    p = sub.add_parser(
+        "jd-verify", help="census J_d's critical points and check its lines against the exact J_d"
+    )
     p.add_argument("--degree", type=int, required=True)
     # The 2D census reads its points from the folding lattice, not a grid;
     # the flag is still accepted (and ignored) so existing scripts keep working.
@@ -410,8 +410,11 @@ def build_parser() -> _Parser:
     p.add_argument("--word", default=None)
     p.add_argument("--nodal", action="store_true", help="use the all-nodes surface")
     # A paired surface is refused past the 2D census's guard before it
-    # solves, so its solve takes max_degree=d and has no guard flag.
+    # solves, so its solve takes max_degree=d and has no guard flag.  None
+    # marks a solver flag left out: the nodal surface refuses a given one,
+    # and a paired solve keeps shabat_solve's defaults, which are shabat's.
     _add_solver(p)
+    p.set_defaults(tol=None, restarts=None, rng_seed=None)
     _add_common(p)
     p.set_defaults(func=cmd_surface_verify)
 

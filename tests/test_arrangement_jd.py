@@ -3,9 +3,11 @@
 The census reads J_d's critical points from the folding lattice.  The
 arrangement's own candidates, every vertex and one maximum of sum(log|l_i|)
 per bounded chamber found by damped Newton ascent, are the oracle it is
-checked against at d <= 24; so is the unscaled-y arrangement.  J_d's
-exact values come from the A2 recurrence run on each point's numbers; the
-expanded coefficient grid (oracle_Jd) is their oracle.
+checked against at d <= 24, on lines built in float from math.tan, cos
+and sin (tan_lines).  The census and the dual-path check read one fixed-point
+construction of the lines, which mpmath checks.  J_d's exact values come
+from the A2 recurrence run on each point's numbers; the expanded coefficient
+grid (oracle_Jd) is their oracle.
 """
 
 import hashlib
@@ -27,7 +29,6 @@ import pytest
 from belyi_forge import (
     DegreeGuardError,
     arrangement_jd,
-    build_lines,
     census_matches_jstats,
     jd_census,
     jd_exact_values,
@@ -39,12 +40,11 @@ from belyi_forge.arrangement_jd import (
     DUAL_PATH_POINTS,
     DUAL_PATH_PRECISION,
     VALUE_TARGETS,
+    _census_lines,
     _line_product_fixed,
     _mu_range,
     _product_jet,
     _unit_roots,
-    jd_lines,
-    scale_constant,
     value_classes,
 )
 from belyi_forge.belyi_numeric import VALUE_TOL
@@ -74,24 +74,65 @@ def test_counts_reject_tiny_degree():
         jstats(2)
 
 
+def tan_lines(d):
+    """The d lines as the package once built them, in float from math.tan,
+    cos and sin, in the unscaled coordinate y = Y/sqrt(3): normals (a, 1) as
+    rows and offsets c of the lines a x + y + c = 0."""
+    normals, offsets = [], []
+    for mu in _mu_range(d):
+        phi = (6 * mu - 1) * math.pi / (6 * d)
+        t = math.tan(phi)
+        normals.append((-t, 1.0))
+        offsets.append(math.cos(2 * phi) * t + math.sin(2 * phi))
+    return np.array(normals), np.array(offsets)
+
+
+def chamber_lines(d):
+    """tan_lines in the census's coordinates (x, Y): each b = 1 becomes
+    1/sqrt(3).  The chamber oracle reads these."""
+    normals, offsets = tan_lines(d)
+    normals[:, 1] /= math.sqrt(3)
+    return normals, offsets
+
+
 def test_line_count_is_degree():
     for d in range(2, 61):
-        normals, offsets = build_lines(d)
+        normals, offsets, _ = _census_lines(d)
         assert normals.shape == (d, 2) and offsets.shape == (d,)
-        # no line is vertical, so every one is y = -a x - c
-        assert np.all(normals[:, 1] == 1)
+        # No line is vertical: every one is -t x + Y/sqrt(3) + c.
+        assert np.all(normals[:, 1] == 3**-0.5)
 
 
 def test_lines_have_distinct_angles():
     for d in (3, 4, 7, 12):
-        normals, _ = build_lines(d)
-        angles = np.arctan2(-normals[:, 0], normals[:, 1]) % math.pi
+        normals, _, _ = _census_lines(d)
+        angles = np.arctan2(-normals[:, 0], math.sqrt(3) * normals[:, 1]) % math.pi
         assert len({round(a, 9) for a in angles.tolist()}) == d
 
 
 def test_scale_constant_nonzero_at_tau_zero():
     for d in range(2, 20):
-        assert abs(scale_constant(d)) > 1e-9
+        assert abs(_census_lines(d)[2]) > 1e-9
+
+
+def within_one_ulp(got, want):
+    return all(abs(mp.mpf(g) - w) <= math.ulp(g) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("d", [3, 24, 99, 192, 200])
+def test_census_lines_are_the_exact_lines_to_one_ulp(d):
+    # The float slopes, offsets, Y part and scale against the lines at 60
+    # digits: t = tan(phi), offset sin(3 phi)/cos(phi) and the scale
+    # 2cos(d pi/2 + 2 pi/3).  The lines of tan_lines miss by up to 3.0e-11
+    # (d=192, where an offset nears 367), and that scale taken in float by
+    # 4.8e-14 (d=176).
+    normals, offsets, scale = _census_lines(d)
+    with mp.workdps(60):
+        phi = [(6 * mu - 1) * mp.pi / (6 * d) for mu in _mu_range(d)]
+        assert within_one_ulp(normals[:, 0].tolist(), [-mp.tan(p) for p in phi])
+        assert within_one_ulp(normals[:, 1].tolist(), [1 / mp.sqrt(3)] * d)
+        assert within_one_ulp(offsets.tolist(), [mp.sin(3 * p) / mp.cos(p) for p in phi])
+        assert within_one_ulp([scale], [2 * mp.cos(d * mp.pi / 2 + 2 * mp.pi / 3)])
 
 
 def vertices_of(normals, offsets):
@@ -216,7 +257,7 @@ def oracle_census(normals, offsets, scale):
 
 def test_intersections_bounded_by_pair_count():
     for d in (3, 4, 5, 6):
-        pairs, _ = vertices_of(*build_lines(d))
+        pairs, _ = vertices_of(*tan_lines(d))
         assert 1 <= len(pairs) <= d * (d - 1) // 2
 
 
@@ -248,11 +289,11 @@ def assert_vertices_equal_the_loop(normals, offsets):
 
 @pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_vertices_equal_the_double_loop(d):
-    assert_vertices_equal_the_loop(*jd_lines(d))
+    assert_vertices_equal_the_loop(*chamber_lines(d))
 
 
 def test_vertices_skip_a_parallel_pair():
-    normals, offsets = jd_lines(5)
+    normals, offsets = chamber_lines(5)
     # Line 1 shifted, inserted as line 3.
     normals = np.insert(normals, 3, normals[1], axis=0)
     offsets = np.insert(offsets, 3, offsets[1] + 1.0)
@@ -375,15 +416,15 @@ def exact_jet(poly, x, y):
     )
 
 
-def jet_errors(lines, scale, poly, points):
+def jet_errors(normals, offsets, scale, poly, points):
     """Worst error of the product form's value, gradient and Hessian of the
-    lines (normals, offsets) against the exact polynomial, each relative to
-    1 + its exact size."""
+    lines against the exact polynomial, each relative to 1 + its exact
+    size."""
     x = np.array([float(px) for px, _ in points])
     y = np.array([float(py) for _, py in points])
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")
-        jet = np.array(_product_jet(*lines, scale, x, y))
+        jet = np.array(_product_jet(normals, offsets, scale, x, y))
     assert np.isfinite(jet).all()
     worst = [0.0, 0.0, 0.0]
     for k, (px, py) in enumerate(zip(x, y)):
@@ -403,14 +444,15 @@ RATIONAL_POINTS = [
 
 def test_product_jet_matches_exact_partials():
     for d in (3, 6, 9, 12):
-        errors = jet_errors(jd_lines(d), scale_constant(d), oracle_Jd(d), RATIONAL_POINTS)
+        errors = jet_errors(*_census_lines(d), oracle_Jd(d), RATIONAL_POINTS)
         assert max(errors) < 1e-12, (d, errors)
 
 
 def test_product_jet_at_vertices_is_exact_and_division_free():
     # Two factors vanish at each vertex of the arrangement.
-    vertices = vertices_of(*jd_lines(5))[1].tolist()
-    assert max(jet_errors(jd_lines(5), scale_constant(5), oracle_Jd(5), vertices)) < 1e-12
+    lines = _census_lines(5)
+    vertices = vertices_of(*lines[:2])[1].tolist()
+    assert max(jet_errors(*lines, oracle_Jd(5), vertices)) < 1e-12
     # x * y * (x + y - 1) at the origin: two factors are exactly zero.
     normals = np.array([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
     with np.errstate(all="raise"):
@@ -450,9 +492,8 @@ def test_product_rule_jet_equals_the_leave_two_out_jet(d):
     # agrees to 1e-12 relative to the sum of its terms' sizes: the old jet
     # taken over |n_i|, |l_i| and |scale|.  The gradient itself vanishes
     # there, so it is no scale.
-    normals, offsets = jd_lines(d)
+    normals, offsets, scale = _census_lines(d)
     x, y = jd_census(d).positions.T
-    scale = scale_constant(d)
     factors = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + offsets[:, None]
     jet = _product_jet(normals, offsets, scale, x, y)
     oracle = product_jet_leave_two_out(normals, factors, scale)
@@ -465,7 +506,7 @@ def test_product_rule_jet_equals_the_leave_two_out_jet(d):
 def test_product_jet_of_unscaled_lines_is_not_jd():
     # The unscaled lines are the factors of J_d in the y/sqrt(3) coordinate,
     # not in the rational polynomial's own.
-    errors = jet_errors(build_lines(5), scale_constant(5), oracle_Jd(5), RATIONAL_POINTS)
+    errors = jet_errors(*tan_lines(5), _census_lines(5)[2], oracle_Jd(5), RATIONAL_POINTS)
     assert min(errors) > 1e-3
 
 
@@ -717,7 +758,7 @@ def test_rational_restriction_to_axis():
 
 def float_census(d):
     """The oracle's census of the unscaled-y arrangement polynomial."""
-    return oracle_census(*build_lines(d), scale_constant(d))
+    return oracle_census(*tan_lines(d), _census_lines(d)[2])
 
 
 def test_smallest_census_from_spec_example():
@@ -753,7 +794,7 @@ def test_rational_census_matches_counts_past_nine(d):
 def test_lattice_points_match_the_chamber_oracle(d):
     # One to one: each lattice point lies within 1e-12 of its own oracle
     # point, and both read the same value class there.
-    census, oracle = jd_census(d), oracle_census(*jd_lines(d), scale_constant(d))
+    census, oracle = jd_census(d), oracle_census(*chamber_lines(d), _census_lines(d)[2])
     assert census.complete and oracle.complete
     assert census.total == oracle.total == (d - 1) ** 2
     gaps = np.linalg.norm(census.positions[:, None] - oracle.positions[None], axis=2)
@@ -774,11 +815,14 @@ def test_census_is_complete_past_the_old_guard(d):
     assert "failed_tests" not in census.as_dict()
 
 
-def with_moved_offset(line, by):
-    def moved(d):
-        normals, offsets = jd_lines(d)
-        offsets[line] += by
-        return normals, offsets
+def with_moved_offset(line):
+    lines = arrangement_jd._jd_lines
+
+    def moved(d, w):
+        slopes, offsets, inv_root3, scale = lines(d, w)
+        offsets = list(offsets)
+        offsets[line] += (1 << w) // 10**6
+        return slopes, offsets, inv_root3, scale
 
     return moved
 
@@ -786,19 +830,28 @@ def with_moved_offset(line, by):
 @pytest.mark.parametrize("d", [3, 24, 200])
 @pytest.mark.parametrize("line", [0, -1])
 def test_a_moved_line_fails_the_newton_step_test(monkeypatch, d, line):
-    # One line's offset moved by 1e-6 leaves the lattice points off the
-    # polynomial's critical points; the census names the test that failed.
-    monkeypatch.setattr(arrangement_jd, "jd_lines", with_moved_offset(line, 1e-6))
+    # One line's offset moved by 1e-6 in the one construction both checks
+    # read leaves the lattice points off the polynomial's critical points,
+    # and the line product off the exact J_d: the census names the test
+    # that failed, and the dual-path check sees it.
+    monkeypatch.setattr(arrangement_jd, "_jd_lines", with_moved_offset(line))
     census = jd_census.__wrapped__(d)
     assert not census.complete
     assert "newton_step" in census.failures
     assert census.as_dict()["failed_tests"] == list(census.failures)
     assert not census_matches_jstats(census, jstats(d))
+    assert verify_Jd_dual_path(d) > 1e-20
 
 
 def test_a_wrong_scale_fails_the_value_test_alone(monkeypatch):
     # Every point is still critical, but no value lies on its target.
-    monkeypatch.setattr(arrangement_jd, "scale_constant", lambda d: 1.5 * scale_constant(d))
+    lines = arrangement_jd._jd_lines
+
+    def wrong_scale(d, w):
+        *rest, scale = lines(d, w)
+        return *rest, scale * 3 // 2
+
+    monkeypatch.setattr(arrangement_jd, "_jd_lines", wrong_scale)
     census = jd_census.__wrapped__(9)
     assert census.failures == ("value",)
     assert census.counts == {0.0: jstats(9).n0, 8.0: 0, -1.0: 0}
@@ -833,7 +886,7 @@ def test_census_refuses_a_degree_below_two_before_any_work(monkeypatch, d):
 
 def test_bounded_chambers_number_zaslavsky_count():
     for d in range(3, 13):
-        normals, offsets = jd_lines(d)
+        normals, offsets = chamber_lines(d)
         chambers = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
         assert len(chambers) == (d - 1) * (d - 2) // 2, d
 
@@ -862,7 +915,7 @@ def bounded_chambers_by_dict(lines):
 def test_grouped_chambers_equal_the_dict_grouping(d):
     # Each centroid sums its vertices in the same order as the running mean
     # did, so the two agree bit for bit; only the chamber order differs.
-    lines = normals, offsets = jd_lines(d)
+    lines = normals, offsets = chamber_lines(d)
     grouped = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
     assert sorted(map(tuple, grouped.tolist())) == sorted(bounded_chambers_by_dict(lines))
 
@@ -931,7 +984,7 @@ def chamber_maximum_one_at_a_time(lines, start):
 
 @pytest.mark.parametrize("d", ORACLE_DEGREES)
 def test_batched_ascent_matches_the_per_chamber_ascent(d):
-    lines = normals, offsets = jd_lines(d)
+    lines = normals, offsets = chamber_lines(d)
     starts = bounded_chambers(normals, offsets, *vertices_of(normals, offsets))
     with np.errstate(all="raise"), warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -721,15 +721,12 @@ def test_refinement_takes_a_moved_solution_back_to_rounding_level():
     points = sol.black_points + sol.white_points
     positions = np.array([z for z, _ in points])
     degs = np.array([m + 1 for _, m in points], dtype=float)
-    black_idx = np.arange(len(sol.black_points))
-    white_idx = np.arange(len(sol.black_points), len(points))
+    black = np.arange(len(points)) < len(sol.black_points)
     free = [v for v, z in enumerate(positions) if z not in (0, 1)]  # the gauge pins 0 and 1
     rng = np.random.default_rng(0)
     moved = positions.copy()
     moved[free] += 1e-9 * (rng.normal(size=len(free)) + 1j * rng.normal(size=len(free)))
-    _, ell, residual = belyi_numeric._refine(
-        moved, sol.scale_constant, black_idx, white_idx, degs, free
-    )
+    _, ell, residual = belyi_numeric._refine(moved, sol.scale_constant, black, degs, free)
     assert residual <= 1e-13
     assert abs(ell - sol.scale_constant) <= 1e-12 * abs(sol.scale_constant)
 

@@ -325,6 +325,50 @@ def test_negative_rng_seed_is_usage_error_before_any_restart(capsys, monkeypatch
     assert steps == []
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--tol", "-1"), ("--restarts", "0"), ("--rng-seed", "-1"),
+     ("--tol", "1e-10"), ("--restarts", "32"), ("--rng-seed", "0")],
+)
+def test_nodal_surface_refuses_every_solver_flag(capsys, flag, value):
+    # The nodal surface solves nothing, so a solver flag is refused whatever
+    # its value, its default included; it was once accepted and ignored.
+    code, out, err = run(capsys, "surface-verify", "--degree", "9", "--nodal", flag, value)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "ValueError",
+        "message": f"--nodal builds its own surface and solves nothing; it takes no {flag}",
+    }
+
+
+def test_paired_surface_solver_flags_keep_their_defaults(capsys):
+    plain = run(capsys, "surface-verify", "--degree", "9")
+    explicit = run(
+        capsys, "surface-verify", "--degree", "9", "--tol", "1e-10", "--restarts", "32",
+        "--rng-seed", "0",
+    )
+    assert explicit == plain and plain[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "F2:1,3,0,0", "--max-degree", "21"),
+        ("--seed", "F1:0,1", "--word", "aba", "--max-degree", "18"),
+    ],
+    ids=" ".join,
+)
+def test_shabat_converges_where_the_clustered_census_splits(capsys, argv):
+    # Each solve converges at the default tol; the clustered census splits
+    # the two 10-fold vertices at degree 21, and some of p's double critical
+    # points at degree 18 (every black degree is 3, so it solves for
+    # g = (p + 1)^(1/3)), so shabat exits 1, never more.
+    code, out, err = run(capsys, "shabat", *argv)
+    assert (code, err) == (1, "")
+    solution = json.loads(out)["solution"]
+    assert solution["converged"] and solution["residual"] <= 1e-10
+
+
 def _surface_verify_refuses(capsys, *argv):
     # argv ends with the flag and value that surface-verify does not take.
     with pytest.raises(SystemExit) as exc:
@@ -508,7 +552,7 @@ def test_solver_guard_defaults_per_subcommand():
 
 def test_surface_verify_at_degree_18_verifies_with_default_flags(capsys):
     # The catalogue's construction of lowest nu at d=18 is F1:0,1 aba, past
-    # the solver's guard of 16 and within the census's guard of 24.
+    # the solver's guard of 16 and within the census's guard of 200.
     code, out, err = run(capsys, "surface-verify", "--degree", "18")
     assert (code, err) == (0, "")
     payload = json.loads(out)
@@ -709,10 +753,10 @@ def test_jd_verify_stdout_is_pinned_past_the_old_guard(capsys, d):
     assert _sha256(out) == JD_VERIFY_STDOUT_SHA256[d]
 
 
-# The console-script pins of the CI workflow that no other tier-1 test
-# holds, run here through cli.main: the sha256 of each command's stdout, a
-# surface-verify payload taken without its census's two float defects, as
-# the workflow's pin_without_defects takes it.
+# The outputs the CI workflow once pinned on the installed entry point and
+# no other tier-1 test holds, run here through cli.main: the sha256 of each
+# command's stdout, a surface-verify payload taken without its census's two
+# float defects.
 CI_STDOUT_SHA256 = {
     "surface-verify --degree 24 --nodal":
         "bb38132e1d088deee0f958d41378614e4be03ba9e659f6912aaed9d2a3066959",

@@ -34,10 +34,10 @@ from belyi_forge import (
     word_engine,
 )
 from belyi_forge.arrangement_jd import (
+    _census_lines,
     _line_product_fixed,
     jd_census,
     jd_exact_values,
-    jd_lines,
 )
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
@@ -528,7 +528,7 @@ def test_nodal_census_past_the_old_guard():
 
 
 def axis_roots(d):
-    normals, offsets = jd_lines(d)
+    normals, offsets, _ = _census_lines(d)
     return np.sort(-offsets / normals[:, 0])
 
 
