@@ -189,16 +189,29 @@ def _jd_lines(d: int, w: int) -> tuple[tuple[int, ...], tuple[int, ...], int, in
     return tuple(slopes), tuple(offsets), inv_root3, scale
 
 
+def _pairwise_product(factors: list[int], start: int = 1) -> int:
+    """start times the product of the ints, halves first: each multiplication
+    pairs two operands of about equal width, where a running product grows one
+    operand by every factor in turn (O(d^2) in the width).  Up to 16 factors,
+    math.prod.
+    """
+    if len(factors) <= 16:
+        return math.prod(factors, start=start)
+    half = len(factors) // 2
+    return start * _pairwise_product(factors[:half]) * _pairwise_product(factors[half:])
+
+
 def _line_product_fixed(d: int, points, bits: int) -> list[int]:
     """J_d at rational points (x, Y) through the scaled product of its lines
     (_jd_lines, with 64 guard bits), each value as a Python int near
     floor(J * 2^bits).
 
     At x = p/q and Y = r/u each factor is taken times q u, as
-    -t p u + r q/sqrt(3) + offset q u, so the product over the lines is exact
-    in the rounded constants and is divided once, at the end.  The error is
-    a few units while |J| < 2^50 and a relative 2^-(bits + 50) or so past
-    that (7 units at d=24, where |J| reaches 2^55 on |x|, |Y| <= 4).
+    -t p u + r q/sqrt(3) + offset q u, so the product over the lines, taken
+    pairwise (_pairwise_product), is exact in the rounded constants and is
+    divided once, at the end.  The error is a few units while |J| < 2^50 and
+    a relative 2^-(bits + 50) or so past that (7 units at d=24, where |J|
+    reaches 2^55 on |x|, |Y| <= 4).
     """
     w = bits + 64
     slopes, offsets, inv_root3, scale = _jd_lines(d, w)
@@ -206,11 +219,9 @@ def _line_product_fixed(d: int, points, bits: int) -> list[int]:
     for px, py in points:
         p, q = px.numerator, px.denominator
         r, u = py.numerator, py.denominator
-        lead, qu = r * q * inv_root3, q * u
-        acc = scale
-        for t, off in zip(slopes, offsets):
-            acc *= lead + off * qu - t * p * u
-        values.append(acc // (qu**d << ((d + 1) * w - bits)))
+        lead, qu, pu = r * q * inv_root3, q * u, p * u
+        factors = [lead + off * qu - t * pu for t, off in zip(slopes, offsets)]
+        values.append(_pairwise_product(factors, scale) // (qu**d << ((d + 1) * w - bits)))
     return values
 
 

@@ -583,9 +583,11 @@ def aberth_inputs():
 def test_census_polish_lands_on_the_unfused_loop():
     # The census polishes with the leaves' Aberth iteration, which stops once
     # its steps reach rounding level and takes no 0.5 step clamp; the
-    # reference runs all 30 steps, so the two agree to rounding.
+    # reference runs every one of the census's _CENSUS_ITERS steps, so the
+    # two agree to rounding.
     for c, roots in aberth_inputs():
-        got, want = belyi_numeric._critical_points(c), reference_aberth(c, roots)
+        got = belyi_numeric._critical_points(c)
+        want = reference_aberth(c, roots, iters=belyi_numeric._CENSUS_ITERS)
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(1, np.abs(want))), c
 
 
@@ -612,7 +614,7 @@ def test_census_and_leaves_run_aberth_at_their_own_caps(monkeypatch):
     assert calls and set(calls) == {("assemble", 64)}
     calls.clear()
     critical_census_uni(sol.polynomial())
-    assert calls == [("_critical_points", 30)]
+    assert calls == [("_critical_points", belyi_numeric._CENSUS_ITERS)]
 
 
 # Census of each solve-workload construction at max_degree 18 and the
@@ -663,6 +665,26 @@ def test_solve_workload_censuses_are_pinned(key):
     profile = trajectory(seed, word)[-1].profile
     got = (census_matches_profile(census, profile), census.reliable, census.notes, entries)
     assert got == CENSUS_PINS[key]
+
+
+@pytest.mark.parametrize("key", list(CENSUS_PINS), ids=lambda k: f"{k[0]}-{k[1] or 'e'}-{k[2]}")
+def test_census_verdicts_do_not_depend_on_the_polish_budget(key, monkeypatch):
+    # A multiple root of p′ converges only linearly, so the census runs to
+    # its step cap; the steps past _CENSUS_ITERS only resample rounding, and
+    # no verdict moves at any of the README's cluster tolerances.
+    seed_text, word_text, rng_seed = key
+    seed = parse_seed(seed_text)
+    word = word_from_str(word_text, seed)
+    p = shabat_for_derivation(seed, word, max_degree=18, rng_seed=rng_seed).polynomial()
+    profile = trajectory(seed, word)[-1].profile
+
+    def verdicts():
+        tols = (1e-6, 1e-4, 1e-3)
+        return [census_matches_profile(critical_census_uni(p, tol), profile) for tol in tols]
+
+    capped = verdicts()
+    monkeypatch.setattr(belyi_numeric, "_CENSUS_ITERS", 30)
+    assert capped == verdicts()
 
 
 def test_census_of_an_exact_triple_zero_is_one_point():

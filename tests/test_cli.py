@@ -369,6 +369,27 @@ def test_shabat_converges_where_the_clustered_census_splits(capsys, argv):
     assert solution["converged"] and solution["residual"] <= 1e-10
 
 
+# README §4's measured census limits, as (exit code, census_matches_profile,
+# census.reliable): the clustered census splits a double point of F1:0,1 `a`
+# at the default 1e-6, and on F2:1,1,0,0 it calls reliable a census that does
+# not match until 1e-3.
+README_CENSUS_LIMITS = {
+    ("--seed", "F1:0,1", "--word", "a"): (1, False, False),
+    ("--seed", "F1:0,1", "--word", "a", "--cluster-tol", "1e-4"): (0, True, True),
+    ("--seed", "F2:1,1,0,0"): (1, False, True),
+    ("--seed", "F2:1,1,0,0", "--cluster-tol", "1e-3"): (0, True, True),
+}
+
+
+@pytest.mark.parametrize("argv", list(README_CENSUS_LIMITS), ids=" ".join)
+def test_readme_census_limits_hold(capsys, argv):
+    code, out, err = run(capsys, "shabat", *argv)
+    obj = json.loads(out)
+    got = (code, obj["census_matches_profile"], obj["census"]["reliable"])
+    assert got == README_CENSUS_LIMITS[argv]
+    assert err == "" and obj["solution"]["converged"]
+
+
 def _surface_verify_refuses(capsys, *argv):
     # argv ends with the flag and value that surface-verify does not take.
     with pytest.raises(SystemExit) as exc:
