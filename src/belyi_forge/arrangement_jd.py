@@ -42,11 +42,10 @@ none of it, so only the census executes it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .belyi_numeric import VALUE_TOL, DegreeGuardError, lazy_numpy
 
@@ -248,8 +247,7 @@ def verify_Jd_dual_path(d: int) -> float:
     return max(diffs) / (1 << bits)
 
 
-@dataclass(frozen=True)
-class JStats:
+class JStats(NamedTuple):
     d: int
     n0: int
     n8: int
@@ -260,7 +258,7 @@ class JStats:
         return self.n0 + self.n8 + self.nm1
 
     def as_dict(self) -> dict:
-        return {"d": self.d, "n0": self.n0, "n8": self.n8, "nm1": self.nm1}
+        return self._asdict()
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -284,26 +282,49 @@ def jstats(d: int) -> JStats:
     return JStats(d=d, n0=n0, n8=n8, nm1=nm1)
 
 
-@dataclass(frozen=True, eq=False)
 class Census2D:
-    """The census's counts per value target, and its points as read-only
-    arrays: positions and gradients as (x, Y) rows, values, Newton step
-    lengths and lattice classes (indices into VALUE_TARGETS).
+    """The census's counts per value target, as a read-only mapping, and its
+    points as read-only arrays: positions and gradients as (x, Y) rows,
+    values, Newton step lengths and lattice classes (indices into
+    VALUE_TARGETS).  Arrays have no single truth value, so censuses compare
+    by identity.
 
     failures names the tests the points failed, in the order value,
     newton_step, nondegenerate, count; the census is complete when there
     are none.
     """
 
-    counts: Mapping
-    positions: np.ndarray
-    values: np.ndarray
-    gradients: np.ndarray
-    steps: np.ndarray
-    classes: np.ndarray
-    expected_total: int
-    stray_values: tuple[float, ...]
-    failures: tuple[str, ...]
+    __slots__ = (
+        "counts", "positions", "values", "gradients", "steps", "classes",
+        "expected_total", "stray_values", "failures",
+    )
+
+    def __init__(
+        self,
+        counts: Mapping,
+        positions: np.ndarray,
+        values: np.ndarray,
+        gradients: np.ndarray,
+        steps: np.ndarray,
+        classes: np.ndarray,
+        expected_total: int,
+        stray_values: tuple[float, ...],
+        failures: tuple[str, ...],
+    ) -> None:
+        self.counts = MappingProxyType(dict(counts))
+        self.positions, self.values = positions, values
+        self.gradients, self.steps, self.classes = gradients, steps, classes
+        self.expected_total, self.stray_values = expected_total, stray_values
+        self.failures = failures
+
+    def _replace(self, **changes) -> Census2D:
+        """A copy with the named fields changed, as a NamedTuple's _replace."""
+        return Census2D(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
+
+    def __reduce__(self) -> tuple:
+        # A mapping proxy does not pickle: copy and pickle rebuild the census
+        # from its fields, the counts as a dict.
+        return Census2D, (dict(self.counts), *(getattr(self, n) for n in self.__slots__[1:]))
 
     @property
     def complete(self) -> bool:
@@ -450,7 +471,7 @@ def jd_census(d: int) -> Census2D:
         a.flags.writeable = False
     counts = np.bincount(classes[on_target], minlength=len(VALUE_TARGETS))
     return Census2D(
-        MappingProxyType(dict(zip(VALUE_TARGETS, counts.tolist()))),
+        dict(zip(VALUE_TARGETS, counts.tolist())),
         *arrays,
         expected_total=(d - 1) ** 2,
         stray_values=tuple(val[~on_target].tolist()),

@@ -32,10 +32,10 @@ import cmath
 import importlib.util
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from types import ModuleType
+from typing import NamedTuple
 
 from .profile_core import CriticalProfile
 from .seed_families import SeedSpec
@@ -92,8 +92,7 @@ class DegreeGuardError(ValueError):
     """Requested degree exceeds the solver's scope guard."""
 
 
-@dataclass(frozen=True)
-class ShabatSolution:
+class ShabatSolution(NamedTuple):
     """Solved vertex positions for a plane tree.
 
     black_points and white_points are (position, multiplicity) pairs;
@@ -231,15 +230,16 @@ def _radial_layout(t: PlaneTree) -> np.ndarray:
     into; drawings that put sibling same-color vertices close together
     feed Newton into the basin where they merge and p degenerates.
     """
-    n = t.vertex_count
-    root = max(range(n), key=lambda v: (t.degree(v), -v))
+    rotation = t.rotation
+    n = len(rotation)
+    root = max(range(n), key=lambda v: (len(rotation[v]), -v))
     parent: dict[int, int | None] = {root: None}
     order = dfs_order(t, root)
     for v in order:
-        for u in t.rotation[v]:
+        for u in rotation[v]:
             if u not in parent:
                 parent[u] = v
-    children = {v: [u for u in t.rotation[v] if parent.get(u) == v] for v in order}
+    children = {v: [u for u in rotation[v] if parent.get(u) == v] for v in order}
     weight = {v: 1 for v in order}
     for v in reversed(order):
         if children[v]:
@@ -269,7 +269,8 @@ def _aberth(z: np.ndarray, correction, repel: np.ndarray, steps: int) -> np.ndar
 
     correction(z) gives each root's error and its Newton correction f/f′.
     Roots i and j repel only where repel[i, j].  Steps stop after steps of
-    them, or after a step below 1e-12 of every root's modulus: at simple
+    them, whose last iterate's error is read but no step is built from it,
+    or after a step below 1e-12 of every root's modulus: at simple
     roots the iteration converges cubically, so the iterate that step
     reaches is at rounding level.  It has two callers.  Shabat's leaves
     (steps _LEAF_ITERS) are simple roots, and leaves of one colour repel.
@@ -279,11 +280,11 @@ def _aberth(z: np.ndarray, correction, repel: np.ndarray, steps: int) -> np.ndar
     8 steps: later ones only resample the best iterate's rounding.
     """
     best, best_err, step = z, math.inf, np.inf
-    for _ in range(steps + 1):
+    for taken in range(steps + 1):
         err, newton = correction(z)
         if np.max(err) < best_err:
             best, best_err = z, np.max(err)
-        if np.all(np.abs(step) <= 1e-12 * np.abs(z)):
+        if taken == steps or np.all(np.abs(step) <= 1e-12 * np.abs(z)):
             break
         pull = np.sum(1 / np.where(repel, z[:, None] - z, np.inf), axis=1)
         step = newton / (1 - newton * pull)
@@ -367,11 +368,12 @@ def _power_labels(t: PlaneTree, k: int, root: int) -> np.ndarray:
     consecutive edges.  The walk labels each black vertex's neighbours from
     its parent, the one already labelled, so on a tree the labels agree.
     """
-    out = np.full(t.vertex_count, -1.0 if k == 1 else 0.0, dtype=complex)
+    colors, rotation = t.colors, t.rotation
+    out = np.full(len(colors), -1.0 if k == 1 else 0.0, dtype=complex)
     turns: dict[int, int] = {}
     for b in dfs_order(t, root):
-        if t.colors[b] == BLACK:
-            nbrs = t.rotation[b]
+        if colors[b] == BLACK:
+            nbrs = rotation[b]
             i = next((i for i, w in enumerate(nbrs) if w in turns), 0)
             first = turns.get(nbrs[i], 0) - i
             for j, w in enumerate(nbrs):
@@ -455,8 +457,9 @@ def shabat_solve(
         raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
-    nvert = t.vertex_count
-    degs = np.array([t.degree(v) for v in range(nvert)], dtype=float)
+    rotation = t.rotation
+    nvert = len(rotation)
+    degs = np.array([len(nbrs) for nbrs in rotation], dtype=float)
     black = np.array([c == BLACK for c in t.colors])
     top_black = max(np.flatnonzero(black), key=lambda v: (degs[v], -v))
     top_white = max(np.flatnonzero(~black), key=lambda v: (degs[v], -v))
@@ -475,7 +478,7 @@ def shabat_solve(
     others = [v for v in range(nvert) if v not in crit]
     lo = max(crit, key=lambda v: (black[v], degs[v], -v))
     hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v))
-    hi = t.rotation[lo][0] if hi == lo else hi
+    hi = rotation[lo][0] if hi == lo else hi
     frame = (base - base[lo]) / (base[hi] - base[lo])
 
     idx_of = {v: i for i, v in enumerate(crit)}
@@ -522,7 +525,7 @@ def shabat_solve(
     own = (mults + 1) * (own_target[:, None] == targets)
     repel = (own_target[:, None] == own_target) & ~np.eye(len(others), dtype=bool)
     hub = np.array(
-        [next((u for u in t.rotation[v] if u in idx_of), t.rotation[v][0]) for v in others]
+        [next((u for u in rotation[v] if u in idx_of), rotation[v][0]) for v in others]
     )
     relay = np.array([u not in idx_of for u in hub])
     heading = (frame[others] - frame[hub]) / np.abs(frame[others] - frame[hub])
@@ -714,16 +717,22 @@ def chebyshev_solution(d: int) -> ShabatSolution:
     return _solution(positions, degs, black, ell, residual)
 
 
-@dataclass(frozen=True, eq=False)
 class UCensus:
     """Critical points of a surface's U as read-only arrays: positions w,
     values U(w), multiplicities, and |U'(w)| in slopes, all read from linear
-    factors."""
+    factors.  Arrays have no single truth value, so censuses compare by
+    identity."""
 
-    positions: np.ndarray
-    values: np.ndarray
-    mults: np.ndarray
-    slopes: np.ndarray
+    __slots__ = ("positions", "values", "mults", "slopes")
+
+    def __init__(
+        self, positions: np.ndarray, values: np.ndarray, mults: np.ndarray, slopes: np.ndarray
+    ) -> None:
+        self.positions, self.values, self.mults, self.slopes = positions, values, mults, slopes
+
+    def _replace(self, **changes) -> UCensus:
+        """A copy with the named fields changed, as a NamedTuple's _replace."""
+        return UCensus(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
 
 def vertex_u_census(sol: ShabatSolution) -> UCensus:
@@ -750,20 +759,18 @@ def vertex_u_census(sol: ShabatSolution) -> UCensus:
     return UCensus(*arrays)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     value: complex
     multiplicity: int
     count: int
 
 
-@dataclass(frozen=True)
-class CriticalCensus:
+class CriticalCensus(NamedTuple):
     """Entries aggregate the critical points by (value, multiplicity)."""
 
     entries: tuple[CensusEntry, ...]
     reliable: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def total(self) -> int:
         return sum(e.multiplicity * e.count for e in self.entries)

@@ -10,16 +10,22 @@ that tree, which is what every counting formula downstream consumes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 
 def _canon(mults: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(mults, reverse=True))
 
 
-@dataclass(frozen=True)
-class CriticalProfile:
+class _ProfileFields(NamedTuple):
+    black_mults: tuple[int, ...]
+    white_mults: tuple[int, ...]
+    black_leaves: int
+    white_leaves: int
+    degree: int
+
+
+class CriticalProfile(_ProfileFields):
     """Multiplicity data of a two-critical-value polynomial.
 
     ``black_mults`` and ``white_mults`` hold the multiplicities (each >= 1)
@@ -30,21 +36,41 @@ class CriticalProfile:
 
     ``degree`` is the tree's edge count read from the black side,
     sum(m + 1 for m in black_mults) + black_leaves.  It is worked out once,
-    at construction, and follows from the four fields above, so it is left
-    out of ``==``, ``hash``, ``repr`` and ``profile_to_json``.
+    at construction, as a fifth field that follows from the four above: it
+    changes nothing in ``==`` or ``hash`` and is left out of ``repr``,
+    ``profile_to_json`` and the constructor's arguments.  ``_make``, and so
+    ``_replace``, build through the constructor and recount it, and
+    ``__getnewargs__`` lets copy and pickle do the same.
     """
 
-    black_mults: tuple[int, ...]
-    white_mults: tuple[int, ...]
-    black_leaves: int = 0
-    white_leaves: int = 0
-    degree: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        black = _canon(self.black_mults)
-        object.__setattr__(self, "black_mults", black)
-        object.__setattr__(self, "white_mults", _canon(self.white_mults))
-        object.__setattr__(self, "degree", sum(black) + len(black) + self.black_leaves)
+    def __new__(
+        cls,
+        black_mults: Iterable[int],
+        white_mults: Iterable[int],
+        black_leaves: int = 0,
+        white_leaves: int = 0,
+    ) -> CriticalProfile:
+        black = _canon(black_mults)
+        degree = sum(black) + len(black) + black_leaves
+        return tuple.__new__(
+            cls, (black, _canon(white_mults), black_leaves, white_leaves, degree)
+        )
+
+    def __getnewargs__(self) -> tuple:
+        return self[:4]
+
+    def __repr__(self) -> str:
+        return (
+            f"CriticalProfile(black_mults={self.black_mults!r}, "
+            f"white_mults={self.white_mults!r}, black_leaves={self.black_leaves!r}, "
+            f"white_leaves={self.white_leaves!r})"
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CriticalProfile:
+        return cls(*tuple(iterable)[:4])
 
     @property
     def white_degree(self) -> int:
@@ -72,8 +98,7 @@ class CriticalProfile:
         return Counter(self.white_mults)
 
 
-@dataclass(frozen=True)
-class TopStats:
+class TopStats(NamedTuple):
     """Degree and the critical-point counts at the top multiplicity nu."""
 
     d: int
@@ -82,8 +107,7 @@ class TopStats:
     n_plus1: int
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[str, ...] = ()
 

@@ -12,8 +12,7 @@ in ``word_engine``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .profile_core import CriticalProfile, profile_satisfies_E, validate_profile
 
@@ -22,16 +21,14 @@ class SeedDomainError(ValueError):
     """Raised when seed parameters violate the family's domain constraints."""
 
 
-@dataclass(frozen=True)
-class F1:
+class F1(NamedTuple):
     """First family: parameters n >= 0, m >= 1."""
 
     n: int
     m: int
 
 
-@dataclass(frozen=True)
-class F2:
+class F2(NamedTuple):
     """Second family: j in {0,1}; n,m >= 1 if j=0, n,m >= 0 if j=1; l >= m."""
 
     j: int
@@ -40,8 +37,7 @@ class F2:
     l: int
 
 
-@dataclass(frozen=True)
-class F3:
+class F3(NamedTuple):
     """Third family: x in {1,2,3}, j in {-1,0,1}, m >= 1, n >= 0, 3m+j >= 4,
     and l = 0 when m = 1, otherwise 0 <= l <= m-2."""
 
@@ -58,8 +54,7 @@ _FAMILIES = {cls.__name__: cls for cls in (F1, F2, F3)}
 _PARAM = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
 
 
-@dataclass(frozen=True)
-class SeedTriple:
+class SeedTriple(NamedTuple):
     d0: int
     nu: int
     eps: int
@@ -192,15 +187,13 @@ def seed_satisfies_E(seed: SeedSpec) -> bool:
     return profile_satisfies_E(profile, t.nu)
 
 
-@dataclass(frozen=True)
-class CoincidencePair:
+class CoincidencePair(NamedTuple):
     left: SeedSpec
     right: SeedSpec
     matches: bool
 
 
-@dataclass(frozen=True)
-class CoincidenceReport:
+class CoincidenceReport(NamedTuple):
     pairs: tuple[CoincidencePair, ...]
 
     @property
@@ -238,9 +231,7 @@ def verify_coincidences(n_max: int = 5, m_max: int = 5) -> CoincidenceReport:
 
 
 def seed_to_json(seed: SeedSpec) -> dict:
-    # A seed's instance dict holds its fields in declaration order; asdict
-    # would deep-copy them at 15x the cost.
-    return {"family": type(seed).__name__, **vars(seed)}
+    return {"family": type(seed).__name__, **seed._asdict()}
 
 
 def seed_from_json(obj: Mapping) -> SeedSpec:
@@ -248,7 +239,7 @@ def seed_from_json(obj: Mapping) -> SeedSpec:
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise SeedDomainError(f"unknown seed family: {family!r}")
-    names = [f.name for f in fields(cls)]
+    names = list(cls._fields)
     nums = [obj.get(name) for name in names]
     # A missing key reads None; bool, an int subclass, fails the exact type test.
     if len(obj) != 1 + len(names) or any(type(v) is not int for v in nums):
@@ -277,7 +268,7 @@ def parse_seed(text: str) -> SeedSpec:
     if family not in _FAMILIES:
         raise SeedDomainError(f"unknown seed family in {text!r}")
     cls = _FAMILIES[family]
-    arity = len(fields(cls))
+    arity = len(cls._fields)
     if len(parts) != arity:
         raise SeedDomainError(f"{family} takes {arity} parameters, got {len(parts)}")
     seed = cls(*map(int, parts))

@@ -17,8 +17,8 @@ import csv
 import io
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .arrangement_jd import (
     VALUE_TARGETS,
@@ -248,8 +248,7 @@ def lowest_nu_construction(d: int) -> DerivationState | None:
     return next(iter(_constructions_at(d)), None)
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     d: int
     nu: int
     bound: int
@@ -257,8 +256,7 @@ class BoundRow:
     word: str
 
 
-@dataclass(frozen=True)
-class BoundTable:
+class BoundTable(NamedTuple):
     rows: tuple[BoundRow, ...]
 
     def row(self, d: int, nu: int) -> BoundRow | None:
@@ -270,16 +268,12 @@ class BoundTable:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["d", "nu", "bound", "seed", "word"])
-        for r in self.rows:
-            writer.writerow([r.d, r.nu, r.bound, r.seed, r.word])
+        writer.writerow(BoundRow._fields)
+        writer.writerows(self.rows)
         return buf.getvalue()
 
     def to_json(self) -> list[dict]:
-        return [
-            {"d": r.d, "nu": r.nu, "bound": r.bound, "seed": r.seed, "word": r.word}
-            for r in self.rows
-        ]
+        return [r._asdict() for r in self.rows]
 
 
 def bound_table(d_max: int) -> BoundTable:
@@ -312,8 +306,7 @@ def bound_table(d_max: int) -> BoundTable:
     return BoundTable(rows=tuple(rows))
 
 
-@dataclass(frozen=True)
-class PairClass:
+class PairClass(NamedTuple):
     j_value: float
     u_value: float
     j_count: int
@@ -329,8 +322,7 @@ class PairClass:
         return f"A{self.mult}"
 
 
-@dataclass(frozen=True)
-class Census3D:
+class Census3D(NamedTuple):
     d: int
     label: str
     total: int

@@ -11,7 +11,7 @@ derivations can be compared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .profile_core import CriticalProfile, ValidationReport, validate_profile
 from .seed_families import SeedSpec, seed_profile
@@ -25,8 +25,7 @@ class RealizationError(ValueError):
     """Raised when a profile admits no tree or a surgery site is invalid."""
 
 
-@dataclass(frozen=True)
-class PlaneTree:
+class PlaneTree(NamedTuple):
     """Bicolored tree with a rotation system.
 
     ``colors[v]`` is "black" or "white"; ``rotation[v]`` lists the neighbors
@@ -59,12 +58,13 @@ class PlaneTree:
 def check_tree(t: PlaneTree) -> None:
     """Assert known colors and in-range, distinct neighbor ids, then
     connectivity, acyclicity, and proper bicoloring."""
-    n = t.vertex_count
+    colors, rotation = t.colors, t.rotation
+    n = len(colors)
     if n == 0:
         raise RealizationError("empty tree")
-    if len(t.rotation) != n:
-        raise RealizationError(f"{len(t.rotation)} neighbor lists for {n} vertices")
-    for v, (color, nbrs) in enumerate(zip(t.colors, t.rotation)):
+    if len(rotation) != n:
+        raise RealizationError(f"{len(rotation)} neighbor lists for {n} vertices")
+    for v, (color, nbrs) in enumerate(zip(colors, rotation)):
         if color not in (BLACK, WHITE):
             raise RealizationError(f"vertex {v} has color {color!r}, not {BLACK!r} or {WHITE!r}")
         if len(set(nbrs)) != len(nbrs):
@@ -72,9 +72,9 @@ def check_tree(t: PlaneTree) -> None:
         for u in nbrs:
             if not 0 <= u < n:
                 raise RealizationError(f"vertex {v} has neighbor {u} outside 0..{n - 1}")
-            if t.colors[u] == color:
+            if colors[u] == color:
                 raise RealizationError(f"edge {v}-{u} joins two {color} vertices")
-            if v not in t.rotation[u]:
+            if v not in rotation[u]:
                 raise RealizationError(f"edge {v}-{u} not symmetric")
     if t.edge_count != n - 1:
         raise RealizationError(f"{t.edge_count} edges on {n} vertices is not a tree")
@@ -82,7 +82,7 @@ def check_tree(t: PlaneTree) -> None:
     stack = [0]
     while stack:
         v = stack.pop()
-        for u in t.rotation[v]:
+        for u in rotation[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -153,9 +153,9 @@ def profile_of(t: PlaneTree) -> CriticalProfile:
     """Read the critical profile off a tree."""
     black_mults, white_mults = [], []
     black_leaves = white_leaves = 0
-    for v in range(t.vertex_count):
-        deg = t.degree(v)
-        if t.colors[v] == BLACK:
+    for color, nbrs in zip(t.colors, t.rotation):
+        deg = len(nbrs)
+        if color == BLACK:
             if deg == 1:
                 black_leaves += 1
             else:
@@ -174,7 +174,7 @@ def profile_of(t: PlaneTree) -> CriticalProfile:
 
 
 def top_black_multiplicity(t: PlaneTree) -> int:
-    mults = [t.degree(v) - 1 for v in range(t.vertex_count) if t.colors[v] == BLACK]
+    mults = [len(nbrs) - 1 for color, nbrs in zip(t.colors, t.rotation) if color == BLACK]
     mults = [m for m in mults if m >= 1]
     if not mults:
         raise RealizationError("tree has no black critical point")
@@ -223,11 +223,12 @@ def dfs_order(t: PlaneTree, root: int) -> list[int]:
     derive_tree picks its alpha sites in this order, and the solver's radial
     drawing and its root-of-unity labels walk the tree in it.
     """
+    rotation = t.rotation
     order, seen, stack = [], {root}, [root]
     while stack:
         v = stack.pop()
         order.append(v)
-        for u in reversed(t.rotation[v]):
+        for u in reversed(rotation[v]):
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -247,11 +248,12 @@ def derive_tree(seed: SeedSpec, word: str) -> PlaneTree:
     pending: list[int] = []
     for letter in word:
         if letter == "a":
+            colors, rotation = tree.colors, tree.rotation
             site = next(
                 (
                     v
                     for v in dfs_order(tree, 0)
-                    if tree.colors[v] == WHITE and tree.degree(v) == 1
+                    if colors[v] == WHITE and len(rotation[v]) == 1
                 ),
                 None,
             )
@@ -274,8 +276,8 @@ def tree_state_matches(seed: SeedSpec, word: str, state: DerivationState) -> boo
 def export_dot(t: PlaneTree) -> str:
     """DOT text with color attributes; edge order follows the rotation."""
     lines = ["graph tree {"]
-    for v in range(t.vertex_count):
-        fill = "black" if t.colors[v] == BLACK else "white"
+    for v, color in enumerate(t.colors):
+        fill = "black" if color == BLACK else "white"
         lines.append(f'  v{v} [color={fill}];')
     for v, nbrs in enumerate(t.rotation):
         for u in nbrs:

@@ -48,8 +48,7 @@ the bound table's catalogue is read from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .profile_core import CriticalProfile, TopStats, profile_satisfies_E, top_stats
 from .seed_families import F1, F2, F3, SeedSpec, seed_start, seed_triple
@@ -103,8 +102,7 @@ def word_from_str(text: str, seed: SeedSpec) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class DerivationState:
+class DerivationState(NamedTuple):
     """A seed together with the profile reached by a word, and the seed's
     top multiplicity nu, which every letter carries forward."""
 
@@ -232,9 +230,7 @@ def apply_letter(state: DerivationState, letter: str) -> DerivationState:
         raise AlphabetMismatchError(
             f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
         )
-    return DerivationState(
-        seed=state.seed, word=state.word + letter, profile=_apply(state, letter), nu=state.nu
-    )
+    return DerivationState(state.seed, state.word + letter, _apply(state, letter), state.nu)
 
 
 def trajectory(seed: SeedSpec, word: str) -> list[DerivationState]:
@@ -341,7 +337,7 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     start = initial_state(seed)
     if not start.satisfies_E():
         return []
-    letters = alphabet_for(seed)
+    letters, nu = alphabet_for(seed), start.nu
     ids = {start.profile: 0}
     profiles = [start.profile]
     # moves[i] is None until a word with profile i is expanded.
@@ -353,18 +349,17 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
         for word, pid in zip(frontier, frontier_ids):
             admissible = moves[pid]
             if admissible is None:
-                state = DerivationState(
-                    seed=seed, word=word, profile=profiles[pid], nu=start.nu
-                )
+                state = DerivationState(seed, word, profiles[pid], nu)
                 admissible = moves[pid] = []
                 for letter in letters:
                     child = _admissible_child(state, letter)
                     if child is None:
                         continue
-                    cid = ids.get(child.profile)
+                    profile = child.profile
+                    cid = ids.get(profile)
                     if cid is None:
-                        cid = ids[child.profile] = len(profiles)
-                        profiles.append(child.profile)
+                        cid = ids[profile] = len(profiles)
+                        profiles.append(profile)
                         moves.append(None)
                     admissible.append((letter, cid))
             for letter, cid in admissible:

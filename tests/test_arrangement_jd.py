@@ -998,12 +998,15 @@ def test_batched_ascent_matches_the_per_chamber_ascent(d):
 
 # Imports the package and runs the combinatorial commands, then prints the
 # numpy submodules loaded so far: the lazily bound numpy sits in sys.modules
-# from the import on, but only executing it loads submodules.  It then
-# executes numpy, notes which of mpmath and numpy.random are loaded (numpy 1.x
-# loads numpy.random with numpy itself, so only what the commands add counts),
-# runs the numeric commands and prints the watched modules they loaded.
-# shabat draws its restarts from numpy.random, so it runs last and only its
-# exit code is checked.
+# from the import on, but only executing it loads submodules.  It prints
+# which of dataclasses and inspect are loaded too: the package's records are
+# NamedTuples, so nothing loads dataclasses, nor inspect, which dataclasses
+# imports.  It then executes numpy, notes which of mpmath and numpy.random
+# are loaded (numpy 1.x loads numpy.random with numpy itself, so only what
+# the commands add counts), runs the numeric commands and prints the watched
+# modules they loaded.  shabat draws its restarts from numpy.random, so it
+# runs last and only its exit code is checked; then the probe prints whether
+# dataclasses is loaded (numpy itself loads inspect).
 IMPORT_PROBE = """
 import contextlib, io, sys
 import belyi_forge, belyi_forge.cli
@@ -1019,6 +1022,7 @@ run("derive", "--seed", "F1:0,1", "--word", "ab")
 run("export", "--seed", "F1:0,1", "--word", "ab")
 run("export", "--seed", "F1:0,1", "--word", "ab", "--format", "json")
 print(sorted(m for m in sys.modules if m.startswith("numpy.")))
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 import numpy
 numpy.ndarray
 watched = ("mpmath", "numpy.random")
@@ -1029,6 +1033,7 @@ run("surface-verify", "--degree", "5", "--nodal")
 run("surface-verify", "--degree", "3")
 print(sorted(m for m in watched if m in sys.modules and m not in before))
 run("shabat", "--seed", "F1:0,1")
+print("dataclasses" in sys.modules)
 """
 
 
@@ -1036,9 +1041,10 @@ def test_package_import_leaves_mpmath_unloaded():
     # numpy executes only for the numeric commands, and the dual-path check
     # runs in Python ints from literal points, so neither importing the
     # package nor running jd-verify or surface-verify loads mpmath or
-    # numpy.random.
+    # numpy.random; no command loads dataclasses, and the combinatorial ones
+    # load no inspect.
     out = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE], check=True, timeout=120,
         capture_output=True, text=True,
     )
-    assert out.stdout == "[]\n[]\n"
+    assert out.stdout == "[]\n[]\n[]\nFalse\n"

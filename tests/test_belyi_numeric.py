@@ -617,6 +617,31 @@ def test_census_and_leaves_run_aberth_at_their_own_caps(monkeypatch):
     assert calls == [("_critical_points", belyi_numeric._CENSUS_ITERS)]
 
 
+def test_aberth_builds_no_step_past_its_cap():
+    # Each step sums the repulsions once, through np.where on the repel
+    # mask.  At the cap the last iterate's error is read and no step follows
+    # it: steps=2 reads three errors and sums the repulsions twice.  A
+    # triple root converges linearly, so the stop rule does not fire first.
+    repel_sums = []
+
+    class CountingMask(np.ndarray):
+        def __array_function__(self, func, types, args, kwargs):
+            if func is np.where:
+                repel_sums.append(func)
+            return super().__array_function__(func, types, args, kwargs)
+
+    errors = []
+
+    def correction(w):
+        errors.append(w)
+        return np.abs(w - 1) ** 3, (w - 1) / 3
+
+    z = np.array([2 + 1j, -1.5 - 0.5j, 0.3j])
+    repel = (~np.eye(3, dtype=bool)).view(CountingMask)
+    belyi_numeric._aberth(z, correction, repel, 2)
+    assert (len(errors), len(repel_sums)) == (3, 2)
+
+
 # Census of each solve-workload construction at max_degree 18 and the
 # default cluster_tol, recorded before the census shared the leaves' Aberth
 # iteration: (census_matches_profile, reliable, notes, entries as (value to

@@ -5,7 +5,6 @@ import math
 import random
 import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import mpmath as mp
@@ -731,7 +730,7 @@ def test_a_moved_vertex_leaves_the_census_unverified(colour):
     points = list(getattr(sol, colour))
     i = next(i for i, (_, mult) in enumerate(points) if mult >= 1)
     points[i] = (points[i][0] + 1e-6, points[i][1])
-    census = singular_census_3d(9, replace(sol, **{colour: tuple(points)}))
+    census = singular_census_3d(9, sol._replace(**{colour: tuple(points)}))
     # The other colour's U values move by about 2e-6 and pair with no J
     # value, while the points that do pair keep small defects.
     assert census.by_type in ({2: 19}, {2: 108})
@@ -742,8 +741,7 @@ def test_a_moved_vertex_leaves_the_census_unverified(colour):
 def test_a_u_point_of_complex_value_leaves_the_census_unverified(monkeypatch):
     def with_a_complex_value(sol):
         cen = belyi_numeric.vertex_u_census(sol)
-        return replace(
-            cen,
+        return cen._replace(
             positions=np.append(cen.positions, cen.positions[0]),
             values=np.append(cen.values, cen.values[0] + 1e-5j),
             mults=np.append(cen.mults, cen.mults[0]),
@@ -768,7 +766,7 @@ def test_a_j_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
         cen = jd_census(d)
         values = cen.values.copy()
         values[np.argmin(np.abs(values + 1))] = MOVED_J
-        return replace(cen, values=values)
+        return cen._replace(values=values)
 
     assert abs(MOVED_J + 1) <= belyi_numeric.VALUE_TOL
     monkeypatch.setattr(surface_counts, "jd_census", with_a_moved_value)
@@ -783,7 +781,7 @@ def test_a_u_value_off_its_target_within_tolerance_still_pairs(monkeypatch):
         cen = vertex_u_census(sol)
         values = cen.values.copy()
         values[np.argmin(np.abs(values - 1))] = MOVED_U
-        return replace(cen, values=values)
+        return cen._replace(values=values)
 
     assert abs(MOVED_U - 1) <= belyi_numeric.VALUE_TOL
     monkeypatch.setattr(surface_counts, "vertex_u_census", with_a_moved_value)
@@ -799,9 +797,9 @@ def test_an_incomplete_j_census_leaves_the_census_unverified(monkeypatch):
     def with_a_dropped_candidate(d):
         cen = jd_census(d)
         keep = np.arange(cen.total) != np.flatnonzero(cen.classes == 0)[0]
-        return replace(cen, positions=cen.positions[keep], values=cen.values[keep],
-                       gradients=cen.gradients[keep], steps=cen.steps[keep],
-                       classes=cen.classes[keep], failures=("count",))
+        return cen._replace(positions=cen.positions[keep], values=cen.values[keep],
+                            gradients=cen.gradients[keep], steps=cen.steps[keep],
+                            classes=cen.classes[keep], failures=("count",))
 
     monkeypatch.setattr(surface_counts, "jd_census", with_a_dropped_candidate)
     census = singular_census_3d(9)
