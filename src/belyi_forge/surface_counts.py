@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
+import threading
 import warnings
 from collections import Counter
 from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from .arrangement_jd import (
@@ -186,55 +188,52 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
 
 @cache
 def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
-    """The (d0, seed) pairs of _seed_pairs(d_max), cached for the catalogue
-    walks."""
+    """The (d0, seed) pairs of _seed_pairs(d_max), cached for _catalogue."""
     return tuple(_seed_pairs(d_max))
-
-
-@cache
-def _constructions_for_seed(seed: SeedSpec, d_max: int) -> tuple[DerivationState, ...]:
-    """The seed's admissible catalogued words up to degree d_max, as the
-    states they reach, in the order of catalogue_ends."""
-    return tuple(catalogue_ends(seed, d_max))
 
 
 def _catalogue_order(c: DerivationState) -> tuple:
     return (c.profile.degree, c.nu, format_seed(c.seed), c.word)
 
 
-def _catalogued(d_max: int, keep) -> tuple[DerivationState, ...]:
-    """The constructions c up to degree d_max with keep(c), in catalogue order.
+_CATALOGUE_LOCK = threading.Lock()
 
-    They are read from per-seed walks cached to the table guard (or to
-    d_max past it); the seeds of seed_grid(d_max) are those of the cached
-    grid at the walk degree whose starting degree is at most d_max, and
-    only those are walked.
-    """
-    walk_to = max(d_max, BOUND_TABLE_GUARD)
-    cons = [
-        c
-        for d0, s in _seeds_with_d0(walk_to)
-        if d0 <= d_max
-        for c in _constructions_for_seed(s, walk_to)
-        if keep(c)
-    ]
-    return tuple(sorted(cons, key=_catalogue_order))
+
+@cache
+def _catalogue(walk_to: int) -> tuple[list, dict, dict]:
+    """The catalogue walked to degree walk_to, filled by _slice: the seeds
+    not yet walked, by falling d0; walked states by degree; sorted slices."""
+    return sorted(_seeds_with_d0(walk_to), key=itemgetter(0), reverse=True), {}, {}
+
+
+def _slice(d: int, walk_to: int) -> tuple[DerivationState, ...]:
+    """The constructions at exactly degree d, in catalogue order.  Every
+    letter raises the degree, so degree d is complete once every seed with
+    d0 <= d is walked, and no other seed is; a seed leaves the pending list
+    only after all of its states are filed."""
+    pending, filed, slices = _catalogue(walk_to)
+    with _CATALOGUE_LOCK:
+        if d not in slices:
+            while pending and pending[-1][0] <= d:
+                for c in catalogue_ends(pending[-1][1], walk_to):
+                    filed.setdefault(c.profile.degree, []).append(c)
+                pending.pop()
+            slices[d] = tuple(sorted(filed.get(d, ()), key=_catalogue_order))
+        return slices[d]
 
 
 def constructions_up_to(d_max: int) -> tuple[DerivationState, ...]:
     """Catalogued constructions (seed plus admissible word) up to degree d_max,
     in catalogue order: by degree, nu, seed and word."""
-    return _catalogued(d_max, lambda c: c.profile.degree <= d_max)
+    walk_to = max(d_max, BOUND_TABLE_GUARD)
+    return tuple(c for d in range(d_max + 1) for c in _slice(d, walk_to))
 
 
 @cache
 def _constructions_at(d: int) -> tuple[DerivationState, ...]:
-    """The catalogue's slice at exactly degree d, by nu, seed and word.
-
-    Built on first use of each degree, so a lookup at a small degree walks
-    only the seeds that start at or below it.
-    """
-    return _catalogued(d, lambda c: c.profile.degree == d)
+    """The catalogue's slice at exactly degree d, walked to the table guard
+    (or to d past it): a lookup walks only the seeds with d0 <= d."""
+    return _slice(d, max(d, BOUND_TABLE_GUARD))
 
 
 def find_construction(d: int, nu: int) -> DerivationState | None:

@@ -789,6 +789,7 @@ CI_STDOUT_SHA256 = {
     "surface-verify --degree 15": "db02610f63e42b934f9b11b0b0d958f4f591eab517d891f2a18a90c1e7c9519d",
     "surface-verify --degree 21": "9aacad1c85a12a56a5ef1d8cd553c6083d9a246471544793144c113514aca2f4",
     "surface-verify --degree 24": "3ea216c40506c85a1523c36793c29a3530d26c4007aae3a8681d2d666ef0032b",
+    "surface-verify --degree 28": "8dff1a19f8db8025baf781c0c72c87b285900fb3270ea157e556ff0ae84d49ae",
     "surface-verify --degree 9 --seed F2:1,1,0,0":
         "60f8506fa2744ae36afa04f861297b29739a44b0c1f2b837ac1b95807cf44643",
     "surface-verify --degree 15 --seed F2:1,2,0,0":

@@ -299,15 +299,15 @@ def test_seed_grid_emits_valid_seeds_only():
 
 def _clear_catalogue_caches():
     for fn in (
-        surface_counts._constructions_for_seed,
+        surface_counts._catalogue,
         surface_counts._seeds_with_d0,
         surface_counts._constructions_at,
     ):
         fn.cache_clear()
 
 
-def _walk_counting_letters(monkeypatch, d_max):
-    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies.
+def _counting_letters(monkeypatch, run):
+    """(seed, prefix) of every letter that run() applies, caches as they are.
 
     The patch is undone on return, so letters the caller applies itself
     are not counted."""
@@ -318,14 +318,19 @@ def _walk_counting_letters(monkeypatch, d_max):
         calls.append((state.seed, state.word + letter))
         return apply_letter(state, letter)
 
+    with monkeypatch.context() as patch:
+        patch.setattr(word_engine, "apply_letter", counting)
+        run()
+    return calls
+
+
+def _walk_counting_letters(monkeypatch, d_max):
+    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies."""
     _clear_catalogue_caches()
     try:
-        with monkeypatch.context() as patch:
-            patch.setattr(word_engine, "apply_letter", counting)
-            constructions_up_to(d_max)
+        return _counting_letters(monkeypatch, lambda: constructions_up_to(d_max))
     finally:
         _clear_catalogue_caches()
-    return calls
 
 
 def test_catalogue_applies_each_prefix_once(monkeypatch):
@@ -349,6 +354,91 @@ def test_cold_table_catalogue_letter_count(monkeypatch):
     # the walk degree it no longer applies beta to F2:0,1,1,4 (d0 = 198)
     # or alpha after beta to F2:1,0,4,4 (d0 = 195): both end past 200.
     assert len(_walk_counting_letters(monkeypatch, BOUND_TABLE_GUARD)) == 1492
+
+
+def test_catalogue_lookups_after_the_table_apply_no_letter(monkeypatch):
+    # The sweep of test_count_sweep_builds_each_degree_slice_once, after the
+    # table's walk: each of its 30 misses reads the walked index.
+    sweep = [(d, nu) for nu in range(3, 12) for d in range(3, 91, 3)]
+    random.Random(0).shuffle(sweep)
+
+    def count_sweep():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ExistenceUnverifiedWarning)
+            for d, nu in sweep:
+                count_Anu(d, nu)
+
+    _clear_catalogue_caches()
+    try:
+        constructions_up_to(BOUND_TABLE_GUARD)
+        assert _counting_letters(monkeypatch, count_sweep) == []
+    finally:
+        _clear_catalogue_caches()
+
+
+@pytest.mark.parametrize("d, letters", [(3, 0), (30, 107), (90, 760)])
+def test_cold_lookup_walks_only_the_seeds_starting_at_or_below_it(monkeypatch, d, letters):
+    # The letters the per-seed walks applied for the same lookup: a lookup
+    # at d walks the seeds with d0 <= d, each to the table guard.
+    _clear_catalogue_caches()
+    try:
+        calls = _counting_letters(monkeypatch, lambda: lowest_nu_construction(d))
+    finally:
+        _clear_catalogue_caches()
+    assert len(calls) == letters
+    assert all(seed_triple(seed).d0 <= d for seed, _ in calls)
+
+
+def test_catalogue_survives_a_walk_that_raises(monkeypatch):
+    d = 30
+    _clear_catalogue_caches()
+    expected = tuple(c for c in constructions_up_to(d) if c.profile.degree == d)
+    # The seed at d that starts highest, so seeds below it are walked first.
+    bad = max(expected, key=lambda c: seed_triple(c.seed).d0).seed
+    assert seed_triple(bad).d0 > min(seed_triple(c.seed).d0 for c in expected)
+    catalogue_ends = surface_counts.catalogue_ends
+    raised = []
+
+    def flaky(seed, d_max):
+        if seed == bad and not raised:
+            raised.append(seed)
+            raise RuntimeError("walk interrupted")
+        return catalogue_ends(seed, d_max)
+
+    _clear_catalogue_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(surface_counts, "catalogue_ends", flaky)
+            with pytest.raises(RuntimeError, match="walk interrupted"):
+                lowest_nu_construction(d)
+            assert raised == [bad]
+            assert surface_counts._constructions_at(d) == expected
+            full = constructions_up_to(BOUND_TABLE_GUARD)
+    finally:
+        _clear_catalogue_caches()
+    assert full == constructions_up_to(BOUND_TABLE_GUARD)
+
+
+def test_catalogue_lookups_do_not_depend_on_their_order():
+    # Past the table guard a lookup at d walks its own catalogue, to d.
+    top = BOUND_TABLE_GUARD + 30
+    shuffled = list(range(1, top + 1))
+    random.Random(0).shuffle(shuffled)
+    _clear_catalogue_caches()
+    try:
+        table = constructions_up_to(BOUND_TABLE_GUARD)
+        expected = {d: tuple(c for c in table if c.profile.degree == d)
+                    for d in range(1, BOUND_TABLE_GUARD + 1)}
+        for d in range(BOUND_TABLE_GUARD + 1, top + 1):
+            expected[d] = tuple(c for c in constructions_up_to(d) if c.profile.degree == d)
+        for order in (range(top, 0, -1), range(1, top + 1), shuffled):
+            _clear_catalogue_caches()
+            got = {d: surface_counts._constructions_at(d) for d in order}
+            assert got == expected
+        csv_text = bound_table(BOUND_TABLE_GUARD).to_csv()
+    finally:
+        _clear_catalogue_caches()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == TABLE_200_SHA256
 
 
 def test_every_letter_raises_the_degree():
