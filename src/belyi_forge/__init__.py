@@ -24,6 +24,7 @@ from .belyi_numeric import (
     NoConvergenceError,
     ShabatSolution,
     UCensus,
+    WindingCensus,
     census_matches_profile,
     chebyshev_solution,
     critical_census_uni,
@@ -31,6 +32,7 @@ from .belyi_numeric import (
     shabat_solve,
     tree_for_derivation,
     vertex_u_census,
+    winding_census,
 )
 from .profile_core import (
     CriticalProfile,

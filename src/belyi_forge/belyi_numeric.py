@@ -15,14 +15,15 @@ in product form: Aberth's iteration reads every other vertex as a simple
 root of (g − t)/∏_critical, same target (w-q)^(m+1), with g read by the
 same quadrature, and a short Gauss–Newton pass refines every vertex and ℓ
 on the full vertex system.  Acceptance reads that system's largest
-residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  No dense
-coefficients are formed; only ShabatSolution.polynomial() expands them, to a
-tuple of complex numbers that critical_census_uni reads.  That root census of
-p', its roots polished by the same Aberth iteration, acts as an independent
-check that the solved polynomial really has the critical structure the tree
-prescribes.  The surface census reads U = (p + 1)/2 at the solved vertices
-instead (vertex_u_census), from the same products of the other colour's
-factors.  numpy is bound by lazy_numpy, here and in the other two numeric
+residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  The
+independent check that the solved polynomial has the critical structure the
+tree prescribes stays in product form too: winding_census counts the zeros
+of p′/(p + 1) = Σ_black (m+1)/(w − a) by winding number around the white
+vertices.  No dense coefficients are formed; only ShabatSolution.polynomial()
+expands them, for the older root census critical_census_uni, which the
+benchmark harness still reads.  The surface census reads U = (p + 1)/2 at
+the solved vertices (vertex_u_census), from the same products of the other
+colour's factors.  numpy is bound by lazy_numpy, here and in the other two numeric
 modules, so it executes on the first numeric call, never on import.
 """
 
@@ -82,6 +83,11 @@ _LEAF_ITERS = 64  # the leaves of F2:1,20,0,0 (d=123) take 31
 # 5 to 30 tried (cluster_tol 1e-6, 1e-4 and 1e-3).
 _CENSUS_ITERS = 8
 _REFINE_STEPS = 4
+# winding_census: samples per circle, circle radius over the distance to the
+# nearest other vertex, and the largest phase step it trusts a count across.
+_WINDING_SAMPLES = 256
+_WINDING_RADIUS = 0.4
+_MAX_PHASE_STEP = math.pi / 2
 
 
 class NoConvergenceError(RuntimeError):
@@ -113,6 +119,15 @@ class ShabatSolution(NamedTuple):
     @property
     def degree(self) -> int:
         return sum(m + 1 for _, m in self.black_points)
+
+    @property
+    def profile(self) -> CriticalProfile:
+        """The passport the points carry: multiplicities m ≥ 1, and leaves."""
+        black = [m for _, m in self.black_points]
+        white = [m for _, m in self.white_points]
+        return CriticalProfile(
+            [m for m in black if m], [m for m in white if m], black.count(0), white.count(0)
+        )
 
     def polynomial(self) -> tuple[complex, ...]:
         """p = ℓ·∏_black (w-a)^(mult+1) - 1 as complex coefficients, constant term first.
@@ -735,6 +750,14 @@ class UCensus:
         return UCensus(**{**{name: getattr(self, name) for name in self.__slots__}, **changes})
 
 
+def _vertices(sol: ShabatSolution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The solution's positions, degrees and black mask, black vertices first."""
+    pts = sol.black_points + sol.white_points
+    positions = np.array([z for z, _ in pts], dtype=complex)
+    degs = np.array([m + 1 for _, m in pts], dtype=float)
+    return positions, degs, np.arange(len(pts)) < len(sol.black_points)
+
+
 def vertex_u_census(sol: ShabatSolution) -> UCensus:
     """Critical points of U = (p + 1)/2 read from the solved vertices.
 
@@ -743,12 +766,10 @@ def vertex_u_census(sol: ShabatSolution) -> UCensus:
     from the other colour's factor (_opposite_products), so neither defect
     is zero by construction: at a white vertex b, U = ℓ·∏_black (b − a)^deg / 2
     and U′ = U·Σ deg_a/(b − a); at a black vertex a, U − 1 = ℓ·∏_white
-    (a − b)^deg / 2 and U′ = (U − 1)·Σ deg_b/(a − b).
+    (a − b)^deg / 2 and U′ = (U − 1)·Σ deg_b/(a − b).  It assumes p has no
+    critical point away from the vertices; winding_census proves that.
     """
-    pts = sol.black_points + sol.white_points
-    positions = np.array([z for z, _ in pts], dtype=complex)
-    degs = np.array([m + 1 for _, m in pts], dtype=float)
-    black = np.arange(len(pts)) < len(sol.black_points)
+    positions, degs, black = _vertices(sol)
     half = sol.scale_constant / 2 * _opposite_products(positions, black, degs)
     inner = np.flatnonzero(degs > 1)
     pull = _pull(positions, black, degs, inner).sum(axis=1)
@@ -757,6 +778,117 @@ def vertex_u_census(sol: ShabatSolution) -> UCensus:
     for a in arrays:
         a.flags.writeable = False
     return UCensus(*arrays)
+
+
+class WindingCensus(NamedTuple):
+    """The critical points of p away from its black vertices, counted by
+    winding number around each white vertex of multiplicity m ≥ 1.
+
+    Per circle, in the solution's white order: the vertex's multiplicity,
+    the zeros of S counted inside, and the least |S| on the circle over its
+    largest (small where a zero lies near the circle).  expected_total
+    is B − 1, the number of zeros S has.  failures names the tests that
+    failed, in the order separation, phase_step, count, total, value; the
+    census matches when there are none.
+    """
+
+    mults: tuple[int, ...]
+    counts: tuple[int, ...]
+    modulus_ratios: tuple[float, ...]
+    expected_total: int
+    max_phase_step: float
+    max_value_defect: float
+    failures: tuple[str, ...]
+
+    @property
+    def matches(self) -> bool:
+        return not self.failures
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts)
+
+    def as_dict(self) -> dict:
+        out = {
+            "circles": [
+                {"mult": m, "count": n, "modulus_ratio": r}
+                for m, n, r in zip(self.mults, self.counts, self.modulus_ratios)
+            ],
+            "total": self.total,
+            "expected_total": self.expected_total,
+            "max_phase_step": self.max_phase_step,
+            "max_value_defect": self.max_value_defect,
+            "matches": self.matches,
+        }
+        if self.failures:
+            out["failed_tests"] = list(self.failures)
+        return out
+
+
+def winding_census(sol: ShabatSolution) -> WindingCensus:
+    """Count p's critical points by the argument principle, in product form.
+
+    p + 1 = ℓ·∏_black (w − a)^(m_a+1), so p′ = (p + 1)·S with
+    S(w) = Σ_black (m_a + 1)/(w − a).  The black critical points are the
+    product's own factors; every other critical point is a zero of S, a
+    ratio whose numerator has degree B − 1 over B distinct black vertices.
+    Around each white vertex of multiplicity m ≥ 1 the census draws a circle
+    of radius _WINDING_RADIUS = 0.4 times its distance to the nearest other
+    vertex, so no pole of S lies inside and no two circles meet, and counts
+    the zeros of S inside by the winding number of S over _WINDING_SAMPLES
+    = 256 fixed samples.  Five tests must hold: no two vertices lie within
+    _MIN_SEPARATION (separation), no phase step between samples exceeds
+    _MAX_PHASE_STEP = π/2, well inside the π at which a step's turn becomes
+    ambiguous (phase_step), each circle holds m zeros (count), and the
+    counts sum to B − 1 (total), so S has no zero outside them and p no
+    critical point away from the vertices.  Last, p at each critical vertex
+    is read from the other colour's factors as the solver reads its
+    residual, and the worst |p ∓ 1| must be within VALUE_TOL (value).  S is
+    a sum of simple fractions: nothing is expanded or eigensolved, so the
+    count is as well conditioned at degree 200 as at 9.  It proves the
+    critical points and their multiplicities given the float positions; it
+    does not prove that an exact Shabat polynomial lies nearby, nor which
+    plane tree of the passport p draws.
+    """
+    positions, degs, black = _vertices(sol)
+    gaps = np.abs(positions[:, None] - positions)
+    np.fill_diagonal(gaps, np.inf)
+    nearest = gaps.min(axis=1)
+    inner = np.flatnonzero(degs > 1)
+    circles = inner[~black[inner]]
+    ring = np.exp(2j * np.pi * np.arange(_WINDING_SAMPLES) / _WINDING_SAMPLES)
+    z = positions[circles, None] + (_WINDING_RADIUS * nearest[circles, None]) * ring
+    s = np.zeros_like(z)
+    # Coincident vertices (a separation failure) may divide by zero.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, order in zip(positions[black], degs[black]):
+            s += order / (z - a)
+        turns = np.angle(np.roll(s, -1, axis=1) / s)
+    steps = np.abs(turns)
+    max_step = float(steps.max(initial=0.0)) if np.isfinite(steps).all() else math.inf
+    counts = np.rint(np.nan_to_num(turns.sum(axis=1) / (2 * np.pi))).astype(int)
+    modulus = np.abs(s)
+    ratios = modulus.min(axis=1) / modulus.max(axis=1)
+    mults = degs[circles].astype(int) - 1
+    vals = sol.scale_constant * _opposite_products(positions, black, degs)
+    defect = float(np.abs(vals - np.where(black, -2.0, 2.0))[inner].max(initial=0.0))
+    expected_total = int(np.count_nonzero(black)) - 1
+    passed = {
+        "separation": nearest.min() >= _MIN_SEPARATION,
+        "phase_step": max_step <= _MAX_PHASE_STEP,
+        "count": np.array_equal(counts, mults),
+        "total": int(counts.sum()) == expected_total,
+        "value": defect <= VALUE_TOL,
+    }
+    return WindingCensus(
+        mults=tuple(mults.tolist()),
+        counts=tuple(counts.tolist()),
+        modulus_ratios=tuple(ratios.tolist()),
+        expected_total=expected_total,
+        max_phase_step=max_step,
+        max_value_defect=defect,
+        failures=tuple(name for name, ok in passed.items() if not ok),
+    )
 
 
 class CensusEntry(NamedTuple):

@@ -24,18 +24,14 @@ from .arrangement_jd import (
     verify_Jd_dual_path,
 )
 from .belyi_numeric import (
-    DEFAULT_CLUSTER_TOL,
     DEFAULT_TOL,
     DEGREE_GUARD,
     DegreeGuardError,
     NoConvergenceError,
-    census_matches_profile,
-    census_to_json,
-    check_cluster_tol,
-    critical_census_uni,
     shabat_for_derivation,
     solution_to_json,
     tree_for_derivation,
+    winding_census,
 )
 from .profile_core import profile_satisfies_E, profile_to_json
 from .seed_families import (
@@ -193,7 +189,6 @@ def cmd_families(args) -> int:
 
 
 def cmd_shabat(args) -> int:
-    check_cluster_tol(args.cluster_tol)
     seed = parse_seed(args.seed)
     word = word_from_str(args.word, seed)
     sol = shabat_for_derivation(
@@ -204,15 +199,15 @@ def cmd_shabat(args) -> int:
         rng_seed=args.rng_seed,
         max_degree=args.max_degree,
     )
-    census = critical_census_uni(sol.polynomial(), args.cluster_tol)
+    census = winding_census(sol)
     prof = trajectory(seed, word)[-1].profile
-    match = census_matches_profile(census, prof)
+    match = census.matches and sol.profile == prof
     payload = {
         "seed": format_seed(seed),
         "word": word,
         "degree": prof.degree,
         "solution": solution_to_json(sol),
-        "census": census_to_json(census),
+        "census": census.as_dict(),
         "census_matches_profile": match,
     }
     _write_output(_dumps(payload), args.output)
@@ -371,17 +366,19 @@ def build_parser() -> _Parser:
     _add_common(p)
     p.set_defaults(func=cmd_families)
 
-    p = sub.add_parser("shabat", help="solve vertex positions and census the result")
+    p = sub.add_parser(
+        "shabat",
+        help="solve vertex positions and census the critical points",
+        description="Solve the derived tree's vertex positions, then count p's critical "
+        "points by winding number around each white vertex of multiplicity m >= 1 "
+        "(S = sum over black vertices a of (m_a + 1)/(w - a), p' = (p + 1)*S). "
+        "The census proves the critical points and their multiplicities given the "
+        "float positions; it does not prove that an exact Shabat polynomial lies "
+        "nearby, nor which plane tree of the passport p draws.",
+    )
     _add_seed_word(p)
     _add_solver(p)
     p.add_argument("--max-degree", type=int, default=DEGREE_GUARD)
-    p.add_argument(
-        "--cluster-tol",
-        type=float,
-        default=DEFAULT_CLUSTER_TOL,
-        help="root clustering of the census of p' (surface-verify reads U's "
-        "critical points from the solved vertices and has none)",
-    )
     _add_common(p)
     p.set_defaults(func=cmd_shabat)
 

@@ -32,9 +32,11 @@ from .arrangement_jd import (
 from .belyi_numeric import (
     VALUE_TOL,
     ShabatSolution,
+    WindingCensus,
     chebyshev_solution,
     lazy_numpy,
     vertex_u_census,
+    winding_census,
 )
 from .profile_core import CriticalProfile
 from .seed_families import (
@@ -186,12 +188,6 @@ def seed_grid(d_max: int) -> list[SeedSpec]:
     return [s for _, s in _seed_pairs(d_max)]
 
 
-@cache
-def _seeds_with_d0(d_max: int) -> tuple[tuple[int, SeedSpec], ...]:
-    """The (d0, seed) pairs of _seed_pairs(d_max), cached for _catalogue."""
-    return tuple(_seed_pairs(d_max))
-
-
 def _catalogue_order(c: DerivationState) -> tuple:
     return (c.profile.degree, c.nu, format_seed(c.seed), c.word)
 
@@ -199,40 +195,77 @@ def _catalogue_order(c: DerivationState) -> tuple:
 _CATALOGUE_LOCK = threading.Lock()
 
 
+class _Index:
+    """The catalogue walked to degree walk_to, filled by _slice: the degree
+    its seeds are listed to, the listed seeds not yet walked (by falling
+    d0), the walked states by degree, and the sorted slices."""
+
+    __slots__ = ("walk_to", "listed_to", "pending", "filed", "slices")
+
+    def __init__(self, walk_to: int) -> None:
+        self.walk_to, self.listed_to = walk_to, -1
+        self.pending: list[tuple[int, SeedSpec]] = []
+        self.filed: dict[int, list[DerivationState]] = {}
+        self.slices: dict[int, tuple[DerivationState, ...]] = {}
+
+
 @cache
-def _catalogue(walk_to: int) -> tuple[list, dict, dict]:
-    """The catalogue walked to degree walk_to, filled by _slice: the seeds
-    not yet walked, by falling d0; walked states by degree; sorted slices."""
-    return sorted(_seeds_with_d0(walk_to), key=itemgetter(0), reverse=True), {}, {}
+def _indexes() -> dict[bool, _Index]:
+    """The catalogue's two indexes, keyed by whether they walk past the table
+    guard: the guard's own, and one walked to the largest degree past it
+    asked so far.  Under functools.cache, so clearing it drops both."""
+    return {}
+
+
+def _index(walk_to: int) -> _Index:
+    """The index a lookup walked to walk_to reads.  A slice is the same from
+    any walk degree at or above it, so a lookup past the guard reads the one
+    index past it when that index walks far enough, and else replaces it."""
+    indexes = _indexes()
+    key = walk_to > BOUND_TABLE_GUARD
+    if key not in indexes or indexes[key].walk_to < walk_to:
+        indexes[key] = _Index(walk_to)
+    return indexes[key]
 
 
 def _slice(d: int, walk_to: int) -> tuple[DerivationState, ...]:
     """The constructions at exactly degree d, in catalogue order.  Every
     letter raises the degree, so degree d is complete once every seed with
-    d0 <= d is walked, and no other seed is; a seed leaves the pending list
-    only after all of its states are filed."""
-    pending, filed, slices = _catalogue(walk_to)
+    d0 <= d is walked, and no other seed is; a cold lookup lists seeds only
+    up to the degree asked, and a seed leaves the pending list only after
+    all of its states are filed."""
     with _CATALOGUE_LOCK:
-        if d not in slices:
+        index = _index(walk_to)
+        if d not in index.slices:
+            if d > index.listed_to:
+                # The listing at least doubles its reach, so ascending lookups
+                # list O(log d) times; a seed is walked only once asked for.
+                to = min(max(d, 2 * index.listed_to), index.walk_to)
+                fresh = [pair for pair in _seed_pairs(to) if pair[0] > index.listed_to]
+                index.pending[:0] = sorted(fresh, key=itemgetter(0), reverse=True)
+                index.listed_to = to
+            pending = index.pending
             while pending and pending[-1][0] <= d:
-                for c in catalogue_ends(pending[-1][1], walk_to):
-                    filed.setdefault(c.profile.degree, []).append(c)
+                for c in catalogue_ends(pending[-1][1], index.walk_to):
+                    index.filed.setdefault(c.profile.degree, []).append(c)
                 pending.pop()
-            slices[d] = tuple(sorted(filed.get(d, ()), key=_catalogue_order))
-        return slices[d]
+            index.slices[d] = tuple(sorted(index.filed.get(d, ()), key=_catalogue_order))
+        return index.slices[d]
 
 
 def constructions_up_to(d_max: int) -> tuple[DerivationState, ...]:
     """Catalogued constructions (seed plus admissible word) up to degree d_max,
-    in catalogue order: by degree, nu, seed and word."""
+    in catalogue order: by degree, nu, seed and word.  The top degree is read
+    first, so the seeds are listed and walked once."""
     walk_to = max(d_max, BOUND_TABLE_GUARD)
+    _slice(d_max, walk_to)
     return tuple(c for d in range(d_max + 1) for c in _slice(d, walk_to))
 
 
 @cache
 def _constructions_at(d: int) -> tuple[DerivationState, ...]:
     """The catalogue's slice at exactly degree d, walked to the table guard
-    (or to d past it): a lookup walks only the seeds with d0 <= d."""
+    (or past it): a lookup lists and walks only the seeds with d0 <= d."""
     return _slice(d, max(d, BOUND_TABLE_GUARD))
 
 
@@ -331,9 +364,10 @@ class Census3D(NamedTuple):
     verified: bool
     max_value_defect: float
     max_gradient_defect: float
+    winding: WindingCensus | None = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "d": self.d,
             "label": self.label,
             "total": self.total,
@@ -352,6 +386,9 @@ class Census3D(NamedTuple):
             "max_value_defect": self.max_value_defect,
             "max_gradient_defect": self.max_gradient_defect,
         }
+        if self.winding is not None:
+            out["winding_census"] = self.winding.as_dict()
+        return out
 
 
 def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census3D:
@@ -374,7 +411,11 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     defects are reported.  The census is verified only when J's census is
     complete and the defects are small; a U point whose value pairs with no
     J class (one with an imaginary part above VALUE_TOL included) leaves it
-    unverified.  A degree below 2 raises ValueError, from jd_census.
+    unverified.  U's census reads the vertices as U's only critical points.
+    For a solved p the winding census (winding_census) proves it, and a
+    paired census is verified only when that census matches; T_d's critical
+    points are its interior vertices in closed form.  A degree below 2
+    raises ValueError, from jd_census.
     """
     if solution is not None and solution.degree != d:
         raise ValueError(
@@ -397,19 +438,23 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     max_f = max_g = 0.0
     for jv, c in sorted((t, c) for c, t in enumerate(VALUE_TARGETS)):
         j_pts = np.flatnonzero(j_class == c)
+        j_vals = j_cen.values[j_pts]
         for m in sorted(set(mult[u_class == c].tolist())):
             u_pts = np.flatnonzero((u_class == c) & (mult == m))
             # 0.0 - jv is +0.0 opposite the vertex value.
             pairs.append(PairClass(jv, 0.0 - jv, len(j_pts), len(u_pts), m))
             by_type[m] += len(j_pts) * len(u_pts)
             real_total += len(j_pts) * int(np.count_nonzero(real_u[u_pts]))
-            # np.hypot rounds as Python's complex abs does.
-            f = j_cen.values[j_pts, None] + u[u_pts]
+            # J is real and fl(j + Re u) is monotone in j, so |J + U| over
+            # the class is greatest at its least or its greatest J.  np.hypot
+            # rounds as Python's complex abs does.
+            f = np.array([j_vals.min(), j_vals.max()])[:, None] + u[u_pts]
             max_f = max(max_f, float(np.hypot(f.real, f.imag).max()))
             max_g = float(max(max_g, j_cen.steps[j_pts].max(), slopes[u_pts].max()))
+    winding = None if solution is None else winding_census(solution)
     verified = (
         j_cen.complete and max_f <= 10 * VALUE_TOL and max_g <= 10 * VALUE_TOL
-        and -1 not in u_class
+        and -1 not in u_class and (winding is None or winding.matches)
     )
     return Census3D(
         d=d,
@@ -421,5 +466,6 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
         verified=verified,
         max_value_defect=max_f,
         max_gradient_defect=max_g,
+        winding=winding,
     )
 

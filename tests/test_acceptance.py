@@ -16,8 +16,6 @@ from belyi_forge import (
     F3,
     DegreeGuardError,
     census_matches_jstats,
-    census_matches_profile,
-    critical_census_uni,
     jd_census,
     jstats,
     seed_profile,
@@ -26,6 +24,7 @@ from belyi_forge import (
     validate_profile,
     verify_Jd_dual_path,
     verify_coincidences,
+    winding_census,
 )
 from belyi_forge.arrangement_jd import DUAL_PATH_POINTS, jd_exact_values
 from belyi_forge.seed_families import seed_satisfies_E
@@ -232,8 +231,8 @@ def test_criterion_08_shabat_realization():
         sol = shabat_for_derivation(seed, word, max_restarts=32)
         assert sol.converged
         assert sol.residual < 1e-8, word
-        census = critical_census_uni(sol.polynomial(), cluster_tol=1e-4)
-        assert census_matches_profile(census, state.profile), word
+        census = winding_census(sol)
+        assert census.matches and sol.profile == state.profile, word
         solved += 1
     assert solved == 3
     for guard_seed in (F1(1, 1), F3(2, 1, 0, 1, 0)):

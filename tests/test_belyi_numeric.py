@@ -26,7 +26,13 @@ from belyi_forge import (
     tree_for_derivation,
 )
 from belyi_forge import belyi_numeric
-from belyi_forge.belyi_numeric import CensusEntry, census_to_json, solution_to_json
+from belyi_forge.belyi_numeric import (
+    CensusEntry,
+    census_to_json,
+    chebyshev_solution,
+    solution_to_json,
+    winding_census,
+)
 from belyi_forge.surface_counts import constructions_up_to
 from belyi_forge.tree_realization import BLACK, profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
@@ -52,28 +58,136 @@ def _bits(coeffs):
     return [struct.pack("<dd", c.real, c.imag) for c in map(complex, coeffs)]
 
 
-def test_polynomial_is_the_dense_product_bit_for_bit():
-    # Every converged solve of the catalogue up to degree 24, at rng_seeds 0
-    # and 1: p's coefficients are those of UniPoly's schoolbook product,
-    # signed zeros included, and the census reads both alike.  F3:1,1,0,1,0 a
-    # (degree 23) converges at neither seed.
-    solved = 0
+@lru_cache(maxsize=None)
+def catalogue_solves_up_to_24():
+    """Every converged solve of the catalogue up to degree 24, at rng_seeds 0
+    and 1, with its construction.  F3:1,1,0,1,0 a (degree 23) converges at
+    neither seed."""
+    solves = []
     for c in constructions_up_to(24):
         for rng_seed in (0, 1):
             try:
                 sol = shabat_for_derivation(c.seed, c.word, max_degree=24, rng_seed=rng_seed)
             except NoConvergenceError:
                 continue
-            p = sol.polynomial()
-            oracle = UniPoly.from_roots([(a, m + 1) for a, m in sol.black_points])
-            oracle = oracle.scale(sol.scale_constant).shift_constant(-1).coeffs
-            assert all(type(x) is complex for x in p)
-            assert _bits(p) == _bits(oracle)
-            assert census_to_json(critical_census_uni(p)) == census_to_json(
-                critical_census_uni(oracle)
-            )
-            solved += 1
-    assert solved == 32
+            solves.append((c, sol))
+    return tuple(solves)
+
+
+def test_polynomial_is_the_dense_product_bit_for_bit():
+    # p's coefficients are those of UniPoly's schoolbook product, signed
+    # zeros included, and the census reads both alike.
+    for _, sol in catalogue_solves_up_to_24():
+        p = sol.polynomial()
+        oracle = UniPoly.from_roots([(a, m + 1) for a, m in sol.black_points])
+        oracle = oracle.scale(sol.scale_constant).shift_constant(-1).coeffs
+        assert all(type(x) is complex for x in p)
+        assert _bits(p) == _bits(oracle)
+        assert census_to_json(critical_census_uni(p)) == census_to_json(
+            critical_census_uni(oracle)
+        )
+    assert len(catalogue_solves_up_to_24()) == 32
+
+
+def test_winding_census_matches_the_catalogue_up_to_degree_24():
+    # A tier-1 sample of the 209-solve sweep (constructions_up_to(45) at
+    # rng_seeds 0..3), which the census matches in full.  Each circle holds
+    # its vertex's multiplicity, the counts sum to B - 1, and the solution
+    # carries the construction's passport.
+    for c, sol in catalogue_solves_up_to_24():
+        census = winding_census(sol)
+        assert census.failures == (), (c, census)
+        assert census.counts == census.mults and census.total == census.expected_total
+        assert census.expected_total == len(sol.black_points) - 1
+        assert sol.profile == c.profile
+        assert census.max_phase_step < 0.5 and census.max_value_defect <= sol.residual
+    assert len(catalogue_solves_up_to_24()) == 32
+
+
+def _with_point(points, i, z=None, dm=0):
+    """points with point i moved to z and its multiplicity raised by dm."""
+    w, m = points[i]
+    return points[:i] + ((w if z is None else z, m + dm),) + points[i + 1:]
+
+
+# Broken copies of three solves, each with the tests it must fail: the first
+# white vertex of multiplicity >= 1 raised by 1, black vertex 1 moved onto
+# black vertex 0 and white vertex 1 onto white vertex 0, and black vertex 0
+# moved by 1e-3.  A moved black vertex keeps every zero of S of these low
+# multiplicities inside its circle, so only p's value there shows it; at
+# F2:1,1,0,0 the 4-fold zero splits past the circle and the count fails too.
+BROKEN = {
+    "raised": {"F1:0,1 a": ("count", "value"), "F1:0,1 aba": ("count", "value"),
+               "F2:1,1,0,0": ("count", "value")},
+    "merged black": {"F1:0,1 a": ("separation", "count", "total", "value"),
+                     "F1:0,1 aba": ("separation", "count", "total", "value"),
+                     "F2:1,1,0,0": ("separation", "count", "total", "value")},
+    "merged white": {"F1:0,1 a": ("separation", "count", "total", "value"),
+                     "F1:0,1 aba": ("separation", "count", "total", "value"),
+                     "F2:1,1,0,0": ("separation", "count", "total", "value")},
+    "moved black": {"F1:0,1 a": ("value",), "F1:0,1 aba": ("value",),
+                    "F2:1,1,0,0": ("value",)},
+}
+
+
+@pytest.mark.parametrize("construction", ["F1:0,1 a", "F1:0,1 aba", "F2:1,1,0,0"])
+@pytest.mark.parametrize("broken", list(BROKEN))
+def test_winding_census_names_the_test_a_broken_solution_fails(broken, construction):
+    seed_text, _, word = construction.partition(" ")
+    sol = shabat_for_derivation(parse_seed(seed_text), word, max_degree=18)
+    assert winding_census(sol).matches
+    black, white = sol.black_points, sol.white_points
+    if broken == "raised":
+        first = next(i for i, (_, m) in enumerate(white) if m >= 1)
+        sol = sol._replace(white_points=_with_point(white, first, dm=1))
+    elif broken == "merged black":
+        sol = sol._replace(black_points=_with_point(black, 1, black[0][0]))
+    elif broken == "merged white":
+        sol = sol._replace(white_points=_with_point(white, 1, white[0][0]))
+    else:
+        sol = sol._replace(black_points=_with_point(black, 0, black[0][0] + 1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        census = winding_census(sol)
+    assert not census.matches
+    assert census.failures == BROKEN[broken][construction]
+    assert census.as_dict()["failed_tests"] == list(census.failures)
+
+
+def test_winding_census_names_a_phase_step_it_cannot_trust(monkeypatch):
+    # Eight samples around the 4-fold white vertex of F2:1,1,0,0 turn S by
+    # about pi per step, where a step's direction is ambiguous.
+    sol = shabat_for_derivation(parse_seed("F2:1,1,0,0"), "")
+    monkeypatch.setattr(belyi_numeric, "_WINDING_SAMPLES", 8)
+    census = winding_census(sol)
+    assert "phase_step" in census.failures
+    assert census.max_phase_step > belyi_numeric._MAX_PHASE_STEP
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 50, 200])
+def test_winding_census_matches_the_chebyshev_path(d):
+    # T_d's critical points are its d - 1 interior vertices, all simple:
+    # the white ones are the zeros of S, one per circle, B - 1 in all.
+    census = winding_census(chebyshev_solution(d))
+    assert census.failures == ()
+    assert census.counts == census.mults == (1,) * ((d - 1) // 2)
+    assert census.expected_total == (d + 1) // 2 - 1 == census.total
+
+
+@pytest.mark.parametrize(
+    "profile, counts",
+    [
+        (CriticalProfile([], [], 1, 1), ()),  # the single edge
+        (CriticalProfile([5], [], 0, 6), ()),  # a black-centre star
+        (CriticalProfile([], [5], 6, 0), (5,)),  # a white-centre star
+    ],
+    ids=["edge", "black star", "white star"],
+)
+def test_winding_census_of_the_smallest_trees(profile, counts):
+    sol = shabat_solve(realize_profile(profile))
+    census = winding_census(sol)
+    assert (census.failures, census.counts, census.total) == ((), counts, sum(counts))
+    assert sol.profile == profile
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -289,10 +290,16 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
 
     monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
     # F1:0,1 derives a degree-9 tree that is not a star, so its solve runs
-    # Newton, and its inputs are refused before the first step.
-    code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", flag, value)
+    # Newton, and its inputs are refused before the first step.  The census
+    # no longer clusters, so argparse refuses --cluster-tol as it refuses any
+    # flag it does not know.
+    try:
+        code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", flag, value)
+    except SystemExit as exc:
+        code, (out, err) = exc.code, capsys.readouterr()
     assert (code, out) == (2, "")
-    assert json.loads(err)["error"]["type"] == "ValueError"
+    expected = "usage" if flag == "--cluster-tol" else "ValueError"
+    assert json.loads(err)["error"]["type"] == expected
     assert steps == []
 
 
@@ -355,38 +362,52 @@ def test_paired_surface_solver_flags_keep_their_defaults(capsys):
     [
         ("--seed", "F2:1,3,0,0", "--max-degree", "21"),
         ("--seed", "F1:0,1", "--word", "aba", "--max-degree", "18"),
+        ("--seed", "F1:0,1", "--word", "ab"),
     ],
     ids=" ".join,
 )
 def test_shabat_converges_where_the_clustered_census_splits(capsys, argv):
-    # Each solve converges at the default tol; the clustered census splits
-    # the two 10-fold vertices at degree 21, and some of p's double critical
-    # points at degree 18 (every black degree is 3, so it solves for
-    # g = (p + 1)^(1/3)), so shabat exits 1, never more.
+    # Each solve converges at the default tol.  The clustered census split
+    # the two 10-fold white vertices at degree 21, and some of p's double
+    # critical points at degree 18 (every black degree is 3, so it solves
+    # for g = (p + 1)^(1/3)), and shabat exited 1; the winding count holds
+    # each multiplicity in its circle.
     code, out, err = run(capsys, "shabat", *argv)
-    assert (code, err) == (1, "")
-    solution = json.loads(out)["solution"]
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    solution, census = payload["solution"], payload["census"]
     assert solution["converged"] and solution["residual"] <= 1e-10
+    assert payload["census_matches_profile"] and census["matches"]
+    assert "failed_tests" not in census
+    assert census["total"] == census["expected_total"] == len(solution["black"]) - 1
 
 
-# README §4's measured census limits, as (exit code, census_matches_profile,
-# census.reliable): the clustered census splits a double point of F1:0,1 `a`
-# at the default 1e-6, and on F2:1,1,0,0 it calls reliable a census that does
-# not match until 1e-3.
+# The clustered census's measured limits, which README §4 listed, as
+# (exit code, census_matches_profile, the census's counts per circle): at
+# its default cluster tolerance it split the double point of F1:0,1 `a` and
+# counted the 4-fold white vertex of F2:1,1,0,0 as four simple points, and
+# it matched only at the looser tolerance given.  The winding census matches
+# both with default flags, and the tolerance is a usage error.
 README_CENSUS_LIMITS = {
-    ("--seed", "F1:0,1", "--word", "a"): (1, False, False),
-    ("--seed", "F1:0,1", "--word", "a", "--cluster-tol", "1e-4"): (0, True, True),
-    ("--seed", "F2:1,1,0,0"): (1, False, True),
-    ("--seed", "F2:1,1,0,0", "--cluster-tol", "1e-3"): (0, True, True),
+    ("--seed", "F1:0,1", "--word", "a"): (0, True, [2, 1]),
+    ("--seed", "F1:0,1", "--word", "a", "--cluster-tol", "1e-4"): (2, None, None),
+    ("--seed", "F2:1,1,0,0"): (0, True, [4]),
+    ("--seed", "F2:1,1,0,0", "--cluster-tol", "1e-3"): (2, None, None),
 }
 
 
 @pytest.mark.parametrize("argv", list(README_CENSUS_LIMITS), ids=" ".join)
 def test_readme_census_limits_hold(capsys, argv):
+    if "--cluster-tol" in argv:
+        with pytest.raises(SystemExit) as exc:
+            main(["shabat", *argv])
+        assert (exc.value.code, None, None) == README_CENSUS_LIMITS[argv]
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "usage"
+        return
     code, out, err = run(capsys, "shabat", *argv)
     obj = json.loads(out)
-    got = (code, obj["census_matches_profile"], obj["census"]["reliable"])
-    assert got == README_CENSUS_LIMITS[argv]
+    counts = [circle["count"] for circle in obj["census"]["circles"]]
+    assert (code, obj["census_matches_profile"], counts) == README_CENSUS_LIMITS[argv]
     assert err == "" and obj["solution"]["converged"]
 
 
@@ -580,7 +601,13 @@ def test_surface_verify_at_degree_18_verifies_with_default_flags(capsys):
     assert payload["construction"] == "F1:0,1 aba"
     assert payload["match"] and payload["census"]["verified"]
     assert payload["census"]["by_type"] == payload["expected_by_type"] == {"A1": 91, "A2": 1100}
-    del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
+    assert payload["census"]["winding_census"]["matches"]
+    payload = _without_floats(payload)
+    assert _sha256(_dumps(payload)) == (
+        "ddba4df721b7b04da1d518ad7bab7671d2b4d4b46c7076b8fba36cd1b55e8d1f"
+    )
+    # The pin the payload had before the winding census joined it.
+    del payload["census"]["winding_census"]
     assert _sha256(_dumps(payload)) == (
         "06ed6d7e70a0a0304e86c3ee81581b8bfd9b90e87f9a84e91bb8c19986a6d230"
     )
@@ -641,6 +668,20 @@ def _sha256(text):
 
 def _dumps(payload):
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _without_floats(payload):
+    """A surface-verify payload without its rounding-level floats: the 3D
+    census's two defects and, on a paired surface, the winding census's
+    phase step, value defect and modulus ratios."""
+    census = payload["census"]
+    del census["max_value_defect"], census["max_gradient_defect"]
+    winding = census.get("winding_census")
+    if winding is not None:
+        del winding["max_phase_step"], winding["max_value_defect"]
+        for circle in winding["circles"]:
+            del circle["modulus_ratio"]
+    return payload
 
 
 @pytest.mark.parametrize("d", sorted(JD_VERIFY_SHA256))
@@ -776,24 +817,27 @@ def test_jd_verify_stdout_is_pinned_past_the_old_guard(capsys, d):
 
 # The outputs the CI workflow once pinned on the installed entry point and
 # no other tier-1 test holds, run here through cli.main: the sha256 of each
-# command's stdout, a surface-verify payload taken without its census's two
-# float defects.
+# command's stdout, a surface-verify payload taken without its floats
+# (_without_floats).  The paired entries were recorded again when the winding
+# census joined the payload; PRE_WINDING_SHA256 keeps their earlier pins.
 CI_STDOUT_SHA256 = {
     "surface-verify --degree 24 --nodal":
         "bb38132e1d088deee0f958d41378614e4be03ba9e659f6912aaed9d2a3066959",
+    "surface-verify --degree 200 --nodal":
+        "b23d2e8fe225dc0de8f97b2768eadb2b2aaf8e38b35c558a4f5f1a0acffff39d",
     "surface-verify --degree 48 --nodal":
         "fb89c4e89ac22f06d2c1a7f18a73c5eb81b1ba1428837aabd405dbb3292814c0",
-    "surface-verify --degree 3": "f5267a09742fb19d219d47f9cf2943bbac744abc737dfe3142db8303e1d031d0",
-    "surface-verify --degree 9": "24c61d51981d3ff73960209db1c2f662b347ae6e0348f198c1c3012852aa1908",
-    "surface-verify --degree 12": "60eb4b0a23ec52e14fa99ea5d6c20da50a0dc056173a93e0edcb846ad6d9acf3",
-    "surface-verify --degree 15": "db02610f63e42b934f9b11b0b0d958f4f591eab517d891f2a18a90c1e7c9519d",
-    "surface-verify --degree 21": "9aacad1c85a12a56a5ef1d8cd553c6083d9a246471544793144c113514aca2f4",
-    "surface-verify --degree 24": "3ea216c40506c85a1523c36793c29a3530d26c4007aae3a8681d2d666ef0032b",
-    "surface-verify --degree 28": "8dff1a19f8db8025baf781c0c72c87b285900fb3270ea157e556ff0ae84d49ae",
+    "surface-verify --degree 3": "c19b6137c5d81afff41a287295aa1a80fc1db97807a5983e6d354372f18b1073",
+    "surface-verify --degree 9": "a33c5dddeda7561b2651e8044b036a4df4ef91e79d443f480f3e4ebb3e6513c8",
+    "surface-verify --degree 12": "6c0b2c6d45a9f5b2458f1d139b2c1af5b3eff8d39f316abb9202b0dddbe22456",
+    "surface-verify --degree 15": "bbc9d31b0519b1eb9950b4c0270148fdd400713df1a29e932f5d8a807f2bb911",
+    "surface-verify --degree 21": "98d5cd12e7255b44b556e71e3f99ff41546bf2733dc10af0c1655e50003fcd89",
+    "surface-verify --degree 24": "08393d8bd163211a44d92116a98c0db819abef94d87196333ff1eca2a881a2fa",
+    "surface-verify --degree 28": "3fd951f599518eab05c644dc068732090b35706fa365ecc90374f743ae85edcf",
     "surface-verify --degree 9 --seed F2:1,1,0,0":
-        "60f8506fa2744ae36afa04f861297b29739a44b0c1f2b837ac1b95807cf44643",
+        "588f35e1836982964103fdc403e1a9f115e856e41655bb886a442f405d9234a2",
     "surface-verify --degree 15 --seed F2:1,2,0,0":
-        "b7b711fc19cb0d673dfbf977a21f7193bc90a94ca129f2c73619e20114c3a16e",
+        "1fc8a15c19ad745b161e1e1baa285902bf8355bc4b1425c82bc5f92603703d0d",
     "table --max-degree 200 --format json":
         "8abd0262841d4545805303dc534ce69f967aa1e73847dfc32818ac1d03a25845",
     "seeds --max-degree 200": "0ec3c3ee52f0fcab3c65aca41be5954a77039daed00633ca6398a8705f55566e",
@@ -816,16 +860,47 @@ CI_STDOUT_SHA256 = {
 }
 
 
+# The paired entries of CI_STDOUT_SHA256 before the winding census joined
+# the payload: each payload must still give its old pin without that key.
+PRE_WINDING_SHA256 = {
+    "surface-verify --degree 3":
+        "f5267a09742fb19d219d47f9cf2943bbac744abc737dfe3142db8303e1d031d0",
+    "surface-verify --degree 9":
+        "24c61d51981d3ff73960209db1c2f662b347ae6e0348f198c1c3012852aa1908",
+    "surface-verify --degree 12":
+        "60eb4b0a23ec52e14fa99ea5d6c20da50a0dc056173a93e0edcb846ad6d9acf3",
+    "surface-verify --degree 15":
+        "db02610f63e42b934f9b11b0b0d958f4f591eab517d891f2a18a90c1e7c9519d",
+    "surface-verify --degree 21":
+        "9aacad1c85a12a56a5ef1d8cd553c6083d9a246471544793144c113514aca2f4",
+    "surface-verify --degree 24":
+        "3ea216c40506c85a1523c36793c29a3530d26c4007aae3a8681d2d666ef0032b",
+    "surface-verify --degree 28":
+        "8dff1a19f8db8025baf781c0c72c87b285900fb3270ea157e556ff0ae84d49ae",
+    "surface-verify --degree 9 --seed F2:1,1,0,0":
+        "60f8506fa2744ae36afa04f861297b29739a44b0c1f2b837ac1b95807cf44643",
+    "surface-verify --degree 15 --seed F2:1,2,0,0":
+        "b7b711fc19cb0d673dfbf977a21f7193bc90a94ca129f2c73619e20114c3a16e",
+}
+
+
 @pytest.mark.parametrize("command", list(CI_STDOUT_SHA256))
 def test_ci_console_script_pins_hold(capsys, command):
     argv = command.split()
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     if argv[0] == "surface-verify":
-        payload = json.loads(out)
-        del payload["census"]["max_value_defect"], payload["census"]["max_gradient_defect"]
-        out = _dumps(payload)
+        out = _dumps(_without_floats(json.loads(out)))
     assert _sha256(out) == CI_STDOUT_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(PRE_WINDING_SHA256))
+def test_paired_pins_differ_only_by_the_winding_census(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    payload = _without_floats(json.loads(out))
+    assert payload["census"].pop("winding_census")["matches"]
+    assert _sha256(_dumps(payload)) == PRE_WINDING_SHA256[command]
 
 
 NO_NEGATIVE_ZERO_CALLS = [
@@ -898,7 +973,7 @@ def test_reruns_byte_identical(capsys):
     outputs = set()
     for _ in range(2):
         code, out, err = run(capsys, "shabat", "--seed", "F1:0,1", "--word", "a",
-                        "--rng-seed", "3", "--cluster-tol", "1e-4")
+                        "--rng-seed", "3")
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
@@ -968,8 +1043,7 @@ SUBCOMMAND_OPTIONS = {
     "enumerate": ["--seed", "--max-len", "--output"],
     "families": ["--seed", "--limit", "--output"],
     "shabat": [
-        "--seed", "--word", "--tol", "--restarts", "--rng-seed", "--max-degree",
-        "--cluster-tol", "--output",
+        "--seed", "--word", "--tol", "--restarts", "--rng-seed", "--max-degree", "--output",
     ],
     "jd-verify": ["--degree", "--grid", "--output"],
     "table": ["--max-degree", "--nu", "--format", "--output"],
@@ -998,14 +1072,18 @@ def test_inadmissible_word_is_mismatch(capsys):
 def test_documented_defaults():
     from belyi_forge.arrangement_jd import CENSUS_DEGREE_GUARD, DUAL_PATH_PRECISION
     from belyi_forge.belyi_numeric import (
-        DEFAULT_CLUSTER_TOL,
+        _MAX_PHASE_STEP,
+        _WINDING_RADIUS,
+        _WINDING_SAMPLES,
         DEFAULT_TOL,
         DEGREE_GUARD,
         VALUE_TOL,
     )
 
     assert DEFAULT_TOL == 1e-10
-    assert DEFAULT_CLUSTER_TOL == 1e-6
+    # The winding census's fixed settings, which replaced shabat's
+    # --cluster-tol (default 1e-6).
+    assert (_WINDING_SAMPLES, _WINDING_RADIUS, _MAX_PHASE_STEP) == (256, 0.4, math.pi / 2)
     assert VALUE_TOL == 1e-6
     assert DEGREE_GUARD == 16
     assert DUAL_PATH_PRECISION == 256

@@ -33,6 +33,7 @@ from belyi_forge import (
     validate_profile,
     verify_coincidences,
     vertex_u_census,
+    winding_census,
     word_engine,
 )
 
@@ -64,7 +65,7 @@ def one_of_each():
         state.profile, top_stats(state.profile, state.nu), validate_profile(state.profile),
         state.seed, parse_seed("F2:1,0,0,1"), parse_seed("F3:1,1,0,1,0"),
         seed_triple(state.seed), coincidences.pairs[0], coincidences, state,
-        tree_for_derivation(F1(0, 1), "ab"), sol, vertex_u_census(sol),
+        tree_for_derivation(F1(0, 1), "ab"), sol, vertex_u_census(sol), winding_census(sol),
         census.entries[0], census, jstats(6), jd_census(4), table.rows[0], table,
         surface.pairs[0], surface,
     ]
@@ -82,7 +83,7 @@ def same_fields(a, b) -> bool:
 
 def test_one_of_each_covers_every_public_record():
     assert {type(r) for r in RECORDS} == public_record_types()
-    assert len(RECORDS) == len(public_record_types()) == 21
+    assert len(RECORDS) == len(public_record_types()) == 22
 
 
 @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)

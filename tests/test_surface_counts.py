@@ -20,6 +20,7 @@ from belyi_forge import (
     critical_census_uni,
     format_seed,
     jstats,
+    parse_seed,
     profile_of,
     realize_profile,
     seed_families,
@@ -37,6 +38,7 @@ from belyi_forge.arrangement_jd import (
     _line_product_fixed,
     jd_census,
     jd_exact_values,
+    value_classes,
 )
 from belyi_forge.surface_counts import (
     BOUND_TABLE_GUARD,
@@ -273,8 +275,8 @@ def test_count_sweep_builds_each_degree_slice_once():
 
 
 def test_seed_grid_is_a_degree_filter_of_the_table_grid():
-    # constructions_up_to reads its seeds from the cached grid at the table
-    # guard, filtered by starting degree.
+    # A lookup at d lists only the seeds with d0 <= d: the table guard's
+    # grid, filtered by starting degree.
     table_grid = seed_grid(BOUND_TABLE_GUARD)
     for d in range(3, BOUND_TABLE_GUARD + 1):
         assert [s for s in table_grid if seed_triple(s).d0 <= d] == seed_grid(d), d
@@ -284,12 +286,10 @@ def test_seed_grid_is_a_degree_filter_of_the_table_grid():
 def test_seed_pairs_carry_each_seeds_starting_degree(monkeypatch, d_max):
     # The grid is walked once, as (d0, seed) pairs read from the family d0
     # formulas; the walk validates no seed and builds no triple.
-    surface_counts._seeds_with_d0.cache_clear()
     with monkeypatch.context() as patch:
         patch.setattr(seed_families, "validate_seed", None)
-        pairs = surface_counts._seeds_with_d0(d_max)
-    surface_counts._seeds_with_d0.cache_clear()
-    assert pairs == tuple((seed_triple(s).d0, s) for s in seed_grid(d_max))
+        pairs = surface_counts._seed_pairs(d_max)
+    assert pairs == [(seed_triple(s).d0, s) for s in seed_grid(d_max)]
 
 
 def test_seed_grid_emits_valid_seeds_only():
@@ -298,11 +298,7 @@ def test_seed_grid_emits_valid_seeds_only():
 
 
 def _clear_catalogue_caches():
-    for fn in (
-        surface_counts._catalogue,
-        surface_counts._seeds_with_d0,
-        surface_counts._constructions_at,
-    ):
+    for fn in (surface_counts._indexes, surface_counts._constructions_at):
         fn.cache_clear()
 
 
@@ -439,6 +435,74 @@ def test_catalogue_lookups_do_not_depend_on_their_order():
     finally:
         _clear_catalogue_caches()
     assert hashlib.sha256(csv_text.encode()).hexdigest() == TABLE_200_SHA256
+
+
+def _listing_degrees(monkeypatch, run):
+    """The degrees up to which run() lists seeds, from cold caches."""
+    listed = []
+    seed_pairs = surface_counts._seed_pairs
+
+    def recording(d_max):
+        listed.append(d_max)
+        return seed_pairs(d_max)
+
+    _clear_catalogue_caches()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(surface_counts, "_seed_pairs", recording)
+            run()
+    finally:
+        _clear_catalogue_caches()
+    return listed
+
+
+@pytest.mark.parametrize(
+    "run, listed",
+    [
+        (lambda: lowest_nu_construction(3), [3]),
+        (lambda: lowest_nu_construction(30), [30]),
+        (lambda: constructions_up_to(BOUND_TABLE_GUARD), [BOUND_TABLE_GUARD]),
+        (lambda: constructions_up_to(BOUND_TABLE_GUARD + 5), [BOUND_TABLE_GUARD + 5]),
+        (lambda: [lowest_nu_construction(d) for d in (9, 3, 30, 12)], [9, 30]),
+        (lambda: [lowest_nu_construction(d) for d in range(1, BOUND_TABLE_GUARD + 1)],
+         [1, 2, 4, 8, 16, 32, 64, 128, BOUND_TABLE_GUARD]),
+    ],
+    ids=["lookup 3", "lookup 30", "table", "past the guard", "four lookups", "ascending"],
+)
+def test_seeds_are_listed_only_up_to_the_degree_asked(monkeypatch, run, listed):
+    # A cold lookup at d = 3 needs 1 seed of the table grid's 414; the table
+    # asks for its top degree first, so it lists the seeds once, and a
+    # listing at least doubles its reach, so ascending lookups list 9 times,
+    # not 200.
+    assert _listing_degrees(monkeypatch, run) == listed
+
+
+def test_lookups_past_the_guard_share_one_index():
+    # Ascending lookups past the table guard replace the one index past it
+    # rather than keep one per degree, and read the slices descending
+    # lookups read from the first index they walk.
+    top = BOUND_TABLE_GUARD + 30
+    past = range(BOUND_TABLE_GUARD + 1, top + 1)
+    _clear_catalogue_caches()
+    try:
+        descending = {d: surface_counts._constructions_at(d) for d in reversed(past)}
+        walked = [index.walk_to for index in surface_counts._indexes().values()]
+        _clear_catalogue_caches()
+        ascending = {}
+        for d in past:
+            ascending[d] = surface_counts._constructions_at(d)
+            indexes = surface_counts._indexes()
+            assert [index.walk_to for index in indexes.values()] == [d]
+        assert ascending == descending
+        assert walked == [top]
+        assert surface_counts._constructions_at(150) == tuple(
+            c for c in constructions_up_to(150) if c.profile.degree == 150
+        )
+        assert sorted(index.walk_to for index in surface_counts._indexes().values()) == [
+            BOUND_TABLE_GUARD, top,
+        ]
+    finally:
+        _clear_catalogue_caches()
 
 
 def test_every_letter_raises_the_degree():
@@ -812,6 +876,56 @@ def test_paired_census_reads_u_from_the_solved_vertices(seed, word, d):
     census = singular_census_3d(d, shabat_for_derivation(seed, word))
     assert census.by_type == spectrum(jstats(d), trajectory(seed, word)[-1].profile)
     assert census.verified
+
+
+def grid_max_value_defect(d, solution=None):
+    """The largest |J + U| over the full |J class| x |U class| grid of every
+    value class: the pairing's old form, kept as the oracle of its class
+    extremes."""
+    j_cen = jd_census(d)
+    u = vertex_u_census(chebyshev_solution(d) if solution is None else solution).values
+    u_class = np.where(np.abs(u.imag) <= belyi_numeric.VALUE_TOL, value_classes(-u.real), -1)
+    best = 0.0
+    for c in set(u_class.tolist()) & set(j_cen.classes.tolist()):
+        f = j_cen.values[j_cen.classes == c, None] + u[u_class == c]
+        best = max(best, float(np.hypot(f.real, f.imag).max()))
+    return best
+
+
+@pytest.mark.parametrize("d", range(3, BOUND_TABLE_GUARD + 1))
+def test_nodal_pairing_by_class_extremes_is_the_full_grid_bit_for_bit(d):
+    census = singular_census_3d(d)
+    assert census.max_value_defect.hex() == grid_max_value_defect(d).hex()
+    assert census.verified and census.winding is None
+    assert "winding_census" not in census.as_dict()
+
+
+# The paired surfaces of CI's console-script step and tier-1's pins.
+CI_PAIRED = [(d, None) for d in (3, 9, 12, 15, 18, 21, 24, 28)] + [
+    (9, "F2:1,1,0,0"), (15, "F2:1,2,0,0"), (9, "F1:0,1"),
+]
+
+
+@pytest.mark.parametrize("d, seed", CI_PAIRED, ids=lambda v: str(v))
+def test_paired_pairing_by_class_extremes_is_the_full_grid_bit_for_bit(d, seed):
+    end = lowest_nu_construction(d) if seed is None else trajectory(parse_seed(seed), "")[-1]
+    sol = shabat_for_derivation(end.seed, end.word, max_degree=d)
+    census = singular_census_3d(d, sol)
+    assert census.max_value_defect.hex() == grid_max_value_defect(d, sol).hex()
+    assert census.verified and census.winding.matches
+
+
+def test_a_failing_winding_census_leaves_a_paired_census_unverified(monkeypatch):
+    # vertex_u_census reads the vertices as U's only critical points; the
+    # winding census proves that, and the pairing is verified only with it.
+    def failing(sol):
+        return belyi_numeric.winding_census(sol)._replace(failures=("count",))
+
+    monkeypatch.setattr(surface_counts, "winding_census", failing)
+    census = singular_census_3d(9, shabat_for_derivation(F1(0, 1), ""))
+    assert census.by_type == {2: 127}
+    assert not census.verified
+    assert census.as_dict()["winding_census"]["failed_tests"] == ["count"]
 
 
 @pytest.mark.parametrize("colour", ["black_points", "white_points"])
