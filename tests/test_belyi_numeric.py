@@ -1,6 +1,7 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
 import inspect
+import itertools
 import math
 import re
 import struct
@@ -34,7 +35,7 @@ from belyi_forge.belyi_numeric import (
     winding_census,
 )
 from belyi_forge.surface_counts import constructions_up_to
-from belyi_forge.tree_realization import BLACK, profile_of, realize_profile
+from belyi_forge.tree_realization import BLACK, WHITE, PlaneTree, profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
 from unipoly import UniPoly
@@ -724,6 +725,8 @@ def test_census_and_leaves_run_aberth_at_their_own_caps(monkeypatch):
         return aberth(z, correction, repel, steps)
 
     monkeypatch.setattr(belyi_numeric, "_aberth", counting)
+    # An earlier solve of the tree would have left its restart 0 memoized.
+    belyi_numeric._first_landing.cache_clear()
     sol = shabat_solve(tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1))))
     assert calls and set(calls) == {("assemble", 64)}
     calls.clear()
@@ -894,8 +897,122 @@ def test_refinement_takes_a_moved_solution_back_to_rounding_level():
 
 def test_same_color_gap_below_the_separation_is_rejected(monkeypatch):
     monkeypatch.setattr(belyi_numeric, "_MIN_SEPARATION", 10.0)
+    belyi_numeric._first_landing.cache_clear()
     with pytest.raises(NoConvergenceError, match="same-color vertex gap"):
         shabat_solve(tree_for_derivation(F1(0, 1), ""), max_restarts=2)
+
+
+def counting_refines(monkeypatch) -> list:
+    """The list that grows by one per _refine call, from a cleared memo."""
+    refine, calls = belyi_numeric._refine, []
+
+    def counting(*args):
+        calls.append(1)
+        return refine(*args)
+
+    monkeypatch.setattr(belyi_numeric, "_refine", counting)
+    belyi_numeric._first_landing.cache_clear()
+    return calls
+
+
+def solve_bits(tree, **kwargs) -> bytes:
+    """The solve's positions, ℓ, residual and restarts_used, packed, or its error."""
+    try:
+        sol = shabat_solve(tree, **kwargs)
+    except NoConvergenceError as exc:
+        return str(exc).encode()
+    values = [z for z, _ in sol.black_points + sol.white_points] + [sol.scale_constant]
+    return b"".join(_bits(values)) + struct.pack("<di", sol.residual, sol.restarts_used)
+
+
+def test_restart_zero_of_a_solved_tree_is_not_solved_again(monkeypatch):
+    tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
+    refines = counting_refines(monkeypatch)
+    cold = solve_bits(tree, rng_seed=1)
+    assert len(refines) == 1
+    belyi_numeric._first_landing.cache_clear()
+    solve_bits(tree, rng_seed=0)
+    refines.clear()
+    assert solve_bits(tree, rng_seed=1) == cold
+    assert refines == []
+
+
+def test_each_solve_judges_the_stored_restart_zero_by_its_own_tol():
+    tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
+    belyi_numeric._first_landing.cache_clear()
+    strict = shabat_solve(tree).residual / 2
+    assert strict > 0
+    warm = solve_bits(tree, tol=strict, max_restarts=3)
+    belyi_numeric._first_landing.cache_clear()
+    cold = solve_bits(tree, tol=strict, max_restarts=3)
+    assert warm == cold
+    assert cold.startswith(b"no convergence after 3 restarts")
+    # The memo a rejected restart 0 filled still lands at the default tol.
+    assert shabat_solve(tree).restarts_used == 0
+
+
+def test_later_restarts_draw_as_they_do_from_a_cleared_memo():
+    # Restart 2 lands at rng_seed 0; seeds 1 to 3 exhaust their 32 restarts.
+    tree = tree_for_derivation(parse_seed("F3:1,1,0,1,0"), "ab")
+    cold = []
+    for rng_seed in range(4):
+        belyi_numeric._first_landing.cache_clear()
+        cold.append(solve_bits(tree, max_degree=28, rng_seed=rng_seed))
+    warm = [solve_bits(tree, max_degree=28, rng_seed=rng_seed) for rng_seed in range(4)]
+    assert warm == cold
+    assert shabat_solve(tree, max_degree=28).restarts_used == 2
+
+
+def test_a_tree_of_lists_solves_and_shares_the_memo(monkeypatch):
+    tree = tree_for_derivation(F1(0, 1), word_from_str("a", F1(0, 1)))
+    listed = PlaneTree(list(tree.colors), [list(nbrs) for nbrs in tree.rotation])
+    refines = counting_refines(monkeypatch)
+    assert solve_bits(listed) == solve_bits(tree)
+    assert len(refines) == 1
+
+
+def test_the_memo_holds_at_most_its_bound(monkeypatch):
+    # Relabelled black-centre stars with five leaves: each is another key.
+    bound = belyi_numeric._first_landing.cache_info().maxsize
+    refines = counting_refines(monkeypatch)
+    stars = []
+    for centre, *leaves in itertools.islice(itertools.permutations(range(6)), bound + 20):
+        colors, rotation = [WHITE] * 6, [(centre,)] * 6
+        colors[centre], rotation[centre] = BLACK, tuple(leaves)
+        stars.append(PlaneTree(tuple(colors), tuple(rotation)))
+    for star in stars:
+        shabat_solve(star)
+    assert len(refines) == bound + 20
+    assert belyi_numeric._first_landing.cache_info().currsize == bound
+    # The first star was dropped, the last one is still held.
+    shabat_solve(stars[-1])
+    shabat_solve(stars[0])
+    assert len(refines) == bound + 21
+
+
+# The solve workload's 18 solver inputs, (seed, word, max_degree, rng_seed):
+# eight constructions at rng_seeds 0 and 1, then the two shabat commands.
+SOLVE_WORKLOAD_INPUTS = [
+    (seed_text, word, 18, rng_seed)
+    for rng_seed in (0, 1)
+    for seed_text, word in (
+        ("F2:1,0,0,0", ""), ("F1:0,1", ""), ("F1:0,1", "a"), ("F1:0,1", "ab"),
+        ("F1:0,1", "aba"), ("F2:1,1,0,0", ""), ("F2:1,2,0,0", ""), ("F3:1,1,0,1,0", ""),
+    )
+] + [("F1:0,1", "", 60, 0), ("F1:0,1", "a", 60, 0)]
+
+
+def test_solve_workload_refines_each_tree_once(monkeypatch):
+    # Every one of the 18 lands at restart 0, and 8 trees are distinct:
+    # without the memo each solve refines, 18 calls.
+    refines = counting_refines(monkeypatch)
+    for seed_text, word, max_degree, rng_seed in SOLVE_WORKLOAD_INPUTS:
+        seed = parse_seed(seed_text)
+        sol = shabat_for_derivation(
+            seed, word_from_str(word, seed), max_degree=max_degree, rng_seed=rng_seed
+        )
+        assert sol.restarts_used == 0
+    assert len(refines) == 8
 
 
 def test_census_off_the_profile_values_does_not_match():

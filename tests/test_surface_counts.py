@@ -416,7 +416,8 @@ def test_catalogue_survives_a_walk_that_raises(monkeypatch):
 
 
 def test_catalogue_lookups_do_not_depend_on_their_order():
-    # Past the table guard a lookup at d walks its own catalogue, to d.
+    # Lookups past the table guard share one index, walked to the largest
+    # degree asked so far, so each order walks it differently.
     top = BOUND_TABLE_GUARD + 30
     shuffled = list(range(1, top + 1))
     random.Random(0).shuffle(shuffled)
