@@ -3,28 +3,14 @@
 The solver exploits the factorization p+1 = ℓ·∏_black (w-a)^deg and
 p-1 = ℓ·∏_white (w-b)^deg.  When every black degree is a multiple of
 k > 1, p + 1 = 2·g^k with deg g = d/k (Ritt 1922; Adrianov & Zvonkin
-1998), g being 0 at the black vertices and a k-th root of unity at the
-white ones.  Newton runs on g's critical vertices: g is c·S + K, with S
-the antiderivative of ∏_critical (w-q)^m, and must take its value at each.
-For k = 1 this is the same loop on g = p, with targets ∓1.  S at a vertex
-is evaluated in product form, as a Gauss–Legendre sum of products of
-linear factors, each vertex's factor repeated once per power, so no
-complex power is taken; a Jacobian column leaves out one copy of a factor,
-as a product of prefix and suffix products.  Everything after Newton stays
-in product form: Aberth's iteration reads every other vertex as a simple
-root of (g − t)/∏_critical, same target (w-q)^(m+1), with g read by the
-same quadrature, and a short Gauss–Newton pass refines every vertex and ℓ
-on the full vertex system.  Acceptance reads that system's largest
-residual, |ℓ·∏_other colour (v-u)^deg ∓ 2| over all vertices v.  The
-independent check that the solved polynomial has the critical structure the
-tree prescribes stays in product form too: winding_census counts the zeros
-of p′/(p + 1) = Σ_black (m+1)/(w − a) by winding number around the white
-vertices.  No dense coefficients are formed; only ShabatSolution.polynomial()
-expands them, for the older root census critical_census_uni, which the
-benchmark harness still reads.  The surface census reads U = (p + 1)/2 at
-the solved vertices (vertex_u_census), from the same products of the other
-colour's factors.  numpy is bound by lazy_numpy, here and in the other two numeric
-modules, so it executes on the first numeric call, never on import.
+1998), and Newton runs on g's critical vertices (see _ShabatSystem); for
+k = 1 it is the same loop on g = p.  The solver, the winding census of p's
+critical points and the U census of the surfaces (vertex_u_census) all read
+products of linear factors; only ShabatSolution.polynomial() expands
+coefficients, for the older root census critical_census_uni, which the
+benchmark harness still reads.  numpy is bound by lazy_numpy, here and in
+the other two numeric modules, so it executes on the first numeric call,
+never on import.
 """
 
 from __future__ import annotations
@@ -33,8 +19,9 @@ import cmath
 import importlib.util
 import math
 import sys
+from collections.abc import Iterator
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import combinations, count
 from types import ModuleType
 from typing import NamedTuple
 
@@ -290,9 +277,7 @@ def _aberth(z: np.ndarray, correction, repel: np.ndarray, steps: int) -> np.ndar
     reaches is at rounding level.  It has two callers.  Shabat's leaves
     (steps _LEAF_ITERS) are simple roots, and leaves of one colour repel.
     The census polishes np.roots' roots of p′ (steps _CENSUS_ITERS), where
-    only starts that differ repel.  A multiple root of p′ converges only
-    linearly and seldom meets the stop rule, so the census runs to its cap,
-    8 steps: later ones only resample the best iterate's rounding.
+    only starts that differ repel (see _critical_points).
     """
     best, best_err, step = z, math.inf, np.inf
     for taken in range(steps + 1):
@@ -329,14 +314,13 @@ def _pull(positions: np.ndarray, black: np.ndarray, degs, rows=slice(None)) -> n
     return other / np.where(other > 0, positions[rows, None] - positions, 1.0)
 
 
-def _solution(positions, degs, black, ell, residual, restarts_used=0) -> ShabatSolution:
+def _solution(positions, degs, black, ell, residual) -> ShabatSolution:
     """The converged solution at these vertices, each colour in index order."""
     points = [(complex(z), int(m) - 1) for z, m in zip(positions, degs)]
     return ShabatSolution(
         black_points=tuple(points[v] for v in np.flatnonzero(black)),
         white_points=tuple(points[v] for v in np.flatnonzero(~black)),
         scale_constant=complex(ell), residual=residual, converged=True,
-        restarts_used=restarts_used,
     )
 
 
@@ -397,18 +381,295 @@ def _power_labels(t: PlaneTree, k: int, root: int) -> np.ndarray:
     return out
 
 
+class _ShabatSystem:
+    """Newton's system for one plane tree: what every restart shares.
+
+    Gauge: the highest-degree black vertex is pinned at 0 and the
+    highest-degree white vertex at 1 (ties by lowest vertex id).  k is the
+    gcd of the black degrees, leaves counting as degree 1.  Newton solves for
+    g, with p + 1 = 2·g^k for k > 1 and g = p for k = 1, whose value at each
+    vertex is its label (see _power_labels).  The unknowns are g's critical
+    vertices crit (white of degree ≥ 2, black of degree ≥ 2k) plus c and K of
+    g = c·S + K, S the antiderivative of g's critical divisor; every other
+    vertex is a simple root of g − t_v.  This keeps the system small (F1:0,1
+    aba, k = 3: 3 unknowns, not 9) and removes the spurious branch where the
+    black and white products collide coefficient by coefficient.
+    """
+
+    def __init__(self, t: PlaneTree) -> None:
+        rotation = t.rotation
+        self.d, self.nvert = d, nvert = t.edge_count, len(rotation)
+        self.degs = degs = np.array([len(nbrs) for nbrs in rotation], dtype=float)
+        self.black = black = np.array([c == BLACK for c in t.colors])
+        top_black = max(np.flatnonzero(black), key=lambda v: (degs[v], -v))
+        top_white = max(np.flatnonzero(~black), key=lambda v: (degs[v], -v))
+        self.tops = top_black, top_white
+        self.free = [v for v in range(nvert) if v not in self.tops]
+        self.leaves = [v for v in self.free if degs[v] < 2]
+        self.base = base = _radial_layout(t)
+
+        # Newton's gauge pins lo at 0 and hi at 1: the top black and white
+        # vertices when both are critical, else two critical vertices of
+        # distinct targets, or a lone one and its first neighbour.  A tree with
+        # no critical vertex of g (the single edge, a black-centre star) takes
+        # top_black as its lone one, a simple root of g − t_lo.
+        self.k = k = math.gcd(*degs[black].astype(int))
+        self.label = label = _power_labels(t, k, top_black)
+        crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)] or [top_black]
+        others = [v for v in range(nvert) if v not in crit]
+        lo = max(crit, key=lambda v: (black[v], degs[v], -v))
+        hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v))
+        hi = rotation[lo][0] if hi == lo else hi
+        self.lo, self.hi = lo, hi
+        frame = (base - base[lo]) / (base[hi] - base[lo])
+        idx_of = {v: i for i, v in enumerate(crit)}
+        self.pins = [idx_of[v] for v in (lo, hi) if v in idx_of]  # hi's only if critical
+        self.free_cols = free_cols = [idx_of[v] for v in crit if v not in (lo, hi)]
+        self.crit, self.targets = crit, label[crit]
+
+        # The integrand ∏_l (w − q_l)^m_l, with m_l = deg_l − 1 at a white vertex
+        # and deg_l/k − 1 at a black one, has degree d/k − 1, so (d/k + 1)//2
+        # Gauss–Legendre nodes integrate it exactly.  It is kept as linear
+        # factors, vertex l repeated m_l times.  ∂S(q_j)/∂q_i is −m_i times the
+        # integral with one copy of factor i left out (the first one, at
+        # drop_at[i]); the upper limit adds nothing, as q_j is a root of the
+        # integrand.
+        self.nodes, self.weights = _gauss_legendre_01((d // k + 1) // 2)
+        mults = np.array([int(degs[v]) // (k if black[v] else 1) - 1 for v in crit], dtype=int)
+        self.mults, self.rep = mults, np.repeat(np.arange(len(crit)), mults)
+        self.drop_at = (np.cumsum(mults) - mults)[free_cols]
+        self.col_scale = -mults[free_cols]
+
+        # Vertex i of `others` is a root of g − own_target[i]; own[i] holds the
+        # multiplicities of the critical vertices that g − own_target[i] shares,
+        # which f divides out, and roots of one g − t repel each other in
+        # Aberth's iteration.  Each starts from a hub: its first critical
+        # neighbour, or else a relay, its first neighbour, itself a simple root.
+        own_target = label[others]
+        self.others, self.own_target = others, own_target
+        self.own = (mults + 1) * (own_target[:, None] == self.targets)
+        self.repel = (own_target[:, None] == own_target) & ~np.eye(len(others), dtype=bool)
+        hub = [next((u for u in rotation[v] if u in idx_of), rotation[v][0]) for v in others]
+        self.hub = hub = np.array(hub)
+        self.relay = np.array([u not in idx_of for u in hub])
+        self.heading = (frame[others] - frame[hub]) / np.abs(frame[others] - frame[hub])
+        self.rise = abs(label[top_white] - label[top_black])
+        self.own_copy = self.rep == np.arange(len(crit))[:, None]
+
+    def _s_at(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The linear factors at q, kept for the Jacobian once q is accepted, and S(q)."""
+        factors = _linear_factors(q, self.nodes, self.rep)
+        return factors, _antiderivative_at_vertices(q, self.weights, factors)
+
+    def newton(self, q0: np.ndarray) -> tuple[float, int, str | None, tuple]:
+        """Damped Newton from q0: fnorm, steps taken, the failed test (None
+        once it lands) and the last (q, c, K).  S(q_j), the integral of ∏_l (w − q_l)^m_l from 0 to q_j, is a
+        Gauss–Legendre sum of products of d/k − 1 linear factors.  Each
+        Jacobian column leaves out one copy of one factor, as the product of
+        the factors before it times the product of those after it, so no
+        factor, which can vanish at a node, is divided out.  The factors of
+        the line-search trial Newton accepts serve the next Jacobian.  A lone
+        critical vertex needs no Newton: it is a root of g − t_lo of
+        multiplicity e, and g = t_lo + (t_hi − t_lo)·z^e puts it at 0 and its
+        first neighbour hi at 1.
+        """
+        label, targets, free_cols = self.label, self.targets, self.free_cols
+        if len(self.crit) == 1:
+            c = (self.mults[0] + 1) * (label[self.hi] - label[self.lo])
+            return 0.0, 0, None, (q0, c, label[self.lo])
+        q, steps = q0, 0
+        factors, s_vals = self._s_at(q)
+        # Fit c and K through the two pinned vertices exactly; a least-squares
+        # fit over all vertices tends to start c near zero, and Newton then
+        # creeps down the flat c -> 0 valley instead of converging.
+        i, j = self.pins
+        a, b = s_vals[i], s_vals[j]
+        if abs(b - a) > 1e-9:
+            c = (targets[j] - targets[i]) / (b - a)
+            c, K = complex(c), complex(targets[i] - c * a)
+        else:
+            fit = np.stack([s_vals, np.ones_like(s_vals)], axis=1)
+            c, K = map(complex, np.linalg.lstsq(fit, targets, rcond=None)[0])
+        for _ in range(_NEWTON_ITERS):
+            fvec = c * s_vals + K - targets
+            fnorm = _norm(fvec)
+            if fnorm < 1e-13:
+                break
+            jac = np.empty((len(q), len(free_cols) + 2), dtype=complex)
+            partials = _antiderivative_partials(q, self.weights, factors, self.drop_at)
+            jac[:, :-2] = (c * self.col_scale) * partials.T
+            jac[:, -2] = s_vals
+            jac[:, -1] = 1.0
+            try:
+                delta = np.linalg.solve(jac, -fvec)
+            except np.linalg.LinAlgError:
+                delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
+            if not np.all(np.isfinite(delta)):
+                return _norm(fvec), steps, "a non-finite Newton step", (q, c, K)
+            lam = 1.0
+            while lam >= 1 / 4096:
+                q_t = q.copy()
+                q_t[free_cols] = q[free_cols] + lam * delta[:-2]
+                c_t = c + lam * delta[-2]
+                K_t = K + lam * delta[-1]
+                f_t, s_t = self._s_at(q_t)
+                if _norm(c_t * s_t + K_t - targets) <= (1 - 1e-4 * lam) * fnorm:
+                    q, c, K, s_vals, factors = q_t, c_t, K_t, s_t, f_t
+                    break
+                lam /= 2
+            else:
+                break
+            steps += 1
+        # Stalled-but-close states are still worth refining: the full vertex
+        # system converges them, while pseudo-solutions (critical points
+        # clustered where p is flat, so Newton's equations hold to 1e-14
+        # without p being Shabat) fail its residual however small fnorm is.
+        fnorm = _norm(c * s_vals + K - targets)
+        if fnorm > 1e-6:
+            return fnorm, steps, f"fnorm {fnorm:.2e} > 1e-6", (q, c, K)
+        if abs(c) < 1e-12:
+            return fnorm, steps, f"scale |c| = {abs(c):.2e} < 1e-12", (q, c, K)
+        return fnorm, steps, None, (q, c, K)
+
+    def assemble(self, q: np.ndarray, c: complex, K: complex) -> tuple[np.ndarray, complex]:
+        """Every vertex and ℓ in the gauge top_black → 0, top_white → 1.
+
+        The others are the simple roots of f = (g − t)/∏ (z − q)^(m+1), over
+        the critical q with the same target t, found together by Aberth's
+        iteration, with g = c·S + K read by the same quadrature and
+        f′/f = g′/(g − t) − Σ (m+1)/(z − q).  ℓ is c/d for k = 1 and
+        2·(c·k/d)^k for k > 1.  Leaves other than the two tops are sorted
+        within each colour, as they are interchangeable."""
+        nodes, weights, rep, own_target = self.nodes, self.weights, self.rep, self.own_target
+        hub, relay, mults, crit = self.hub, self.relay, self.mults, self.crit
+
+        def correction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            value = c * _antiderivative_at_vertices(
+                z, weights, _linear_factors(q, nodes, rep, z)
+            ) + K - own_target
+            slope = c * np.multiply.reduce(z - q[rep][:, None], axis=0)
+            # The Newton correction is 1/(f′/f), and 0 at an exact root.
+            log_slope = slope / value - np.sum(self.own / (z[:, None] - q), axis=1)
+            return np.abs(value), np.divide(1, log_slope, out=np.zeros_like(z), where=value != 0)
+
+        # Each vertex starts one local edge length from its hub, in the
+        # drawing's direction: near a critical vertex q, a root of
+        # multiplicity e of g − g(q), g ≈ g(q) + A·(z − q)^e, with
+        # e·A = c·∏ of the other vertices' factors at q (own_copy marks q's
+        # own), and its neighbours sit where |A|·r^e = rise, the change of g
+        # along an edge.  A vertex whose hub is a relay starts where the hub
+        # starts: Aberth's first step from there is a Newton step along it.
+        positions = np.zeros(self.nvert, dtype=complex)
+        positions[crit] = q
+        reach = np.zeros(self.nvert)
+        local = c * np.multiply.reduce(np.where(self.own_copy, 1, q[:, None] - q[rep]), axis=1)
+        reach[crit] = (self.rise * (mults + 1) / np.abs(local)) ** (1 / (mults + 1))
+        z = positions[hub] + reach[hub] * self.heading
+        if relay.any():
+            positions[self.others] = z
+            z[relay] = positions[hub[relay]]
+        positions[self.others] = _aberth(z, correction, self.repel, _LEAF_ITERS)
+        d, k, (top_black, top_white) = self.d, self.k, self.tops
+        ell = c / d if k == 1 else 2 * (c * k / d) ** k
+        span = positions[top_white] - positions[top_black]
+        if positions[top_black] != 0 or positions[top_white] != 1:
+            positions = (positions - positions[top_black]) / span
+            positions[[top_black, top_white]] = 0, 1
+            ell = ell * span**d
+        for colour in (True, False):
+            ids = [v for v in self.leaves if self.black[v] == colour]
+            positions[ids] = sorted(positions[ids], key=lambda w: (round(w.real, 9), w.imag))
+        return positions, ell
+
+
+def _starts(system: _ShabatSystem, rng_seed: int) -> Iterator[np.ndarray | str]:
+    """Each restart's Newton start, in restart order, or the reason it has none.
+
+    Restart 0 starts from the radial drawing and draws no random number, the
+    other even restarts from copies of it jittered by 0.08·(restart//2), and
+    odd restarts from gaussian scatters keyed by (rng_seed, restart).  A lone
+    critical vertex has one start, 0, which newton leaves where it is."""
+    s, n = system, len(system.crit)
+    if n == 1:
+        yield np.zeros(1, complex)
+        return
+    for restart in count():
+        if restart % 2 == 0:
+            # The radial drawing, plain first and then jittered.  It
+            # separates sibling vertices angularly, which is where the
+            # true basins live.
+            pos = s.base
+            if restart:
+                rng = np.random.default_rng([rng_seed, restart])
+                jit = 0.08 * (restart // 2)
+                pos = s.base + jit * (rng.normal(size=s.nvert) + 1j * rng.normal(size=s.nvert))
+            span = pos[s.hi] - pos[s.lo]
+            if abs(span) < 1e-9:
+                yield "a degenerate start"
+                continue
+            q = ((pos - pos[s.lo]) / span)[s.crit].astype(complex)
+        else:
+            # Plain gaussian scatter for basins the drawing misses.
+            rng = np.random.default_rng([rng_seed, restart])
+            spread = 1.0 + 0.25 * (restart % 4)
+            q = rng.normal(scale=spread, size=n) + 1j * rng.normal(scale=spread, size=n)
+        q[s.pins] = 0.0, 1.0
+        yield q
+
+
+class _Restart(NamedTuple):
+    """One restart's record: Newton's fnorm and steps, the refined residual and
+    gap, the test that rejected it (if any) and the solution it would return."""
+
+    fnorm: float
+    steps: int
+    residual: float = math.inf
+    gap: float = math.inf
+    verdict: str | None = None
+    solution: ShabatSolution | None = None
+
+
+def _land(system: _ShabatSystem, start: np.ndarray | str) -> _Restart:
+    """Newton from start, then assemble and _refine on the full vertex system:
+    the tree's and the start's alone, judged by each call in _accept."""
+    if isinstance(start, str):
+        return _Restart(math.inf, 0, verdict=start)
+    # A diverging restart overflows; the tests below already reject its
+    # non-finite steps and norms, so numpy need not warn on stderr.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fnorm, steps, verdict, qck = system.newton(start)
+        if verdict is not None:
+            return _Restart(fnorm, steps, verdict=verdict)
+        positions, ell = system.assemble(*qck)
+        black, degs = system.black, system.degs
+        positions, ell, residual = _refine(positions, ell, black, degs, system.free)
+        sol = _solution(positions, degs, black, ell, residual)
+        return _Restart(fnorm, steps, residual, _min_same_color_gap(positions, black), None, sol)
+
+
+def _accept(landing: _Restart, tol: float) -> str | None:
+    """The test that rejects the landing under tol, or None to accept it:
+    its vertex residual max|r| ≤ tol, and no two same-colour vertices within
+    _MIN_SEPARATION.  Together these are the Shabat condition:
+    ℓ·(∏black − ∏white) − 2 has degree at most d − 1 and vanishes, up to r,
+    at the d + 1 distinct vertices.  Newton's equations alone admit
+    pseudo-solutions whose vertex residual is far above tol."""
+    if landing.verdict is not None:
+        return landing.verdict
+    if not landing.residual <= tol:
+        return f"vertex residual {landing.residual:.2e} > tol {tol:.0e}"
+    if landing.gap < _MIN_SEPARATION:
+        return f"same-color vertex gap {landing.gap:.2e} < {_MIN_SEPARATION:.0e}"
+    return None
+
+
 @lru_cache(maxsize=256)
 def _first_landing(colors: tuple[str, ...], rotation: tuple[tuple[int, ...], ...]) -> list:
-    """The slot that holds one tree's restart-0 outcome once a solve fills it.
-
-    Restart 0 starts from the radial drawing and draws no random number, and
-    tol, max_restarts and max_degree only judge or bound it, so each solve of
-    the tree would repeat it bit for bit.  shabat_solve stores land's fnorm
-    and verdict and, when it landed, the refined positions (read-only), ℓ,
-    the residual and the same-colour gap; every solve judges them by its own
-    tol.  The bound holds the 249 witnesses of the d ≤ 120 sweep, and
-    cache_clear empties every slot.
-    """
+    """The slot that holds one tree's restart-0 _land record once a solve
+    fills it.  Restart 0 draws no random number, and tol, max_restarts and
+    max_degree only judge or bound it, so each solve of the tree would repeat
+    it bit for bit.  The bound holds the 249 witnesses of the d ≤ 120 sweep,
+    and cache_clear empties every slot."""
     return []
 
 
@@ -421,68 +682,20 @@ def shabat_solve(
 ) -> ShabatSolution:
     """Solve for vertex positions giving critical values -1 (black), +1 (white).
 
-    Gauge: the highest-degree black vertex is pinned at 0 and the
-    highest-degree white vertex at 1 (ties by lowest vertex id).  Let k be
-    the gcd of the black degrees, leaves counting as degree 1.  Newton
-    solves for g, with p + 1 = 2·g^k for k > 1 and g = p for k = 1, whose
-    value at each vertex is its target t_v (see _power_labels).  The
-    unknowns are g's critical vertices (white of degree ≥ 2, black of
-    degree ≥ 2k: for k = 1 the internal vertices) plus the scale and
-    integration constant of g = c·S + K, the antiderivative of its critical
-    divisor; every other vertex is recovered as a simple root of g − t_v.
-    This keeps the system small (F1:0,1 aba, k = 3: 3 unknowns, not 9) and
-    removes the spurious solution branch where the black and white products
-    collide coefficient by coefficient.  Newton pins two critical vertices
-    of distinct targets at 0 and 1, and the solution is mapped to the
-    gauge.  A tree with at most one critical vertex of g needs no Newton:
-    that vertex (top_black when there is none: the single edge, a
-    black-centre star) is a root of g − t_lo of multiplicity e, and
-    g = t_lo + (t_hi − t_lo)·z^e puts it at 0 and its first neighbour at 1,
-    in one restart.  Otherwise damped Newton runs per restart.  Restart 0
-    starts from the radial tree drawing, the other even restarts from
-    copies of it jittered by 0.08·(restart//2), and odd restarts from
-    gaussian scatters; the random draws are keyed by (rng_seed, restart),
-    and the first restart index that converges wins.
-    Same-color vertex collisions are rejected as degenerate basins.
+    A loop over restarts of Newton's system (_ShabatSystem): _starts gives
+    each start, _land runs Newton from it, finds the other vertices and
+    refines them all on the full vertex system, and _accept judges the
+    landing by tol and the same-colour separation.  The first restart
+    accepted wins; a lone critical vertex has one.  If none is, the
+    NoConvergenceError names the system (full, or perfect-power with its k),
+    its unknowns, and from the per-restart records the closest restart
+    (least max|r|, then least fnorm) and the test that rejected it.
 
-    Newton evaluates the vertex equations in product form: S(q_j), the
-    integral of ∏_l (w − q_l)^m_l from 0 to q_j, with m_l the multiplicity
-    of q_l as a critical point of g, is a Gauss–Legendre sum of products of
-    d/k − 1 linear factors (vertex l repeated m_l times), with no expanded
-    coefficients and no complex powers.  Each Jacobian column leaves out
-    one copy of one factor, as the product of the factors before it times
-    the product of those after it, so no factor, which can vanish at a
-    node, is divided out.  The factors of the line-search trial Newton
-    accepts serve the next Jacobian.
-
-    Every landed restart stays in product form.  The other vertices are the
-    simple roots of f = (g − t)/∏ (z − q)^(m+1), over the critical q with
-    the same target t, found together by Aberth's iteration (see _aberth),
-    with g = c·S + K read by the same quadrature and
-    f′/f = g′/(g − t) − Σ (m+1)/(z − q).  Each starts one local edge length
-    from its first critical neighbour, in the direction the radial drawing
-    gives it, or else where its neighbour starts.  Leaves other than the
-    pinned top_black and top_white are then listed in sorted order per
-    colour.  A short Gauss–Newton pass then refines every free position and
-    ℓ (c/d for k = 1, 2·(c·k/d)^k for k > 1) on the full vertex system
-    r(v) = ℓ·∏_other colour (v − u)^deg ∓ 2 (see _refine).  A restart is
-    accepted when max|r| ≤ tol and no two same-colour vertices are within
-    _MIN_SEPARATION.  Together these are the Shabat condition:
-    ℓ·(∏black − ∏white) − 2 has degree at most d − 1 and vanishes, up to r,
-    at the d + 1 distinct vertices.  The critical-vertex and leaf equations
-    alone admit pseudo-solutions whose vertex residual is far above tol.
-    If no restart is accepted, NoConvergenceError names the system (full,
-    or perfect-power with its k) and its number of unknowns, and the
-    closest restart (least max|r|, then least fnorm) and the test that
-    rejected it.
-
-    Restart 0 draws no random number, so its outcome is memoized per tree,
-    keyed by the colours and rotation as tuples, for up to 256 trees
-    (_first_landing).  Repeat solves of a tree in one process, such as the
-    shabat and surface-verify commands or a sweep over rng_seed, run it
-    once.  Every call still checks its arguments before it reads the memo,
-    and it judges the stored outcome by its own tol; restarts 1 and up run
-    as they would from a cold memo.
+    Restart 0's landing is memoized per tree, keyed by the colours and
+    rotation as tuples, for up to 256 trees (_first_landing): repeat solves
+    of a tree in one process land it once.  After its argument checks, a
+    call whose stored restart 0 passes its tol returns before Newton's system
+    is built; restarts 1 and up run as from a cold memo.
     """
     d = t.edge_count
     if d > max_degree:
@@ -495,232 +708,26 @@ def shabat_solve(
         raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
-    rotation = t.rotation
-    nvert = len(rotation)
-    degs = np.array([len(nbrs) for nbrs in rotation], dtype=float)
-    black = np.array([c == BLACK for c in t.colors])
-    top_black = max(np.flatnonzero(black), key=lambda v: (degs[v], -v))
-    top_white = max(np.flatnonzero(~black), key=lambda v: (degs[v], -v))
-    free = [v for v in range(nvert) if v not in (top_black, top_white)]
-    leaves = [v for v in free if degs[v] < 2]
-    base = _radial_layout(t)
-
-    # Newton's gauge pins lo at 0 and hi at 1: the top black and white
-    # vertices when both are critical, else two critical vertices of
-    # distinct targets, or a lone one and its first neighbour.  A tree with
-    # no critical vertex of g (the single edge, a black-centre star) takes
-    # top_black as its lone one, a simple root of g − t_lo.
-    k = math.gcd(*degs[black].astype(int))
-    label = _power_labels(t, k, top_black)
-    crit = [v for v in range(nvert) if degs[v] >= (2 * k if black[v] else 2)] or [top_black]
-    others = [v for v in range(nvert) if v not in crit]
-    lo = max(crit, key=lambda v: (black[v], degs[v], -v))
-    hi = max(crit, key=lambda v: (label[v] != label[lo], degs[v], -v))
-    hi = rotation[lo][0] if hi == lo else hi
-    frame = (base - base[lo]) / (base[hi] - base[lo])
-
-    idx_of = {v: i for i, v in enumerate(crit)}
-    free_cols = [idx_of[v] for v in crit if v not in (lo, hi)]
-    targets = label[crit]
-
-    # The integrand ∏_l (w − q_l)^m_l, with m_l = deg_l − 1 at a white vertex
-    # and deg_l/k − 1 at a black one, has degree d/k − 1, so (d/k + 1)//2
-    # Gauss–Legendre nodes integrate it exactly.  It is kept as linear
-    # factors, vertex l repeated m_l times.  ∂S(q_j)/∂q_i is −m_i times the
-    # integral with one copy of factor i left out (the first one, at
-    # drop_at[i]); the upper limit adds nothing, as q_j is a root of the
-    # integrand.
-    nodes, weights = _gauss_legendre_01((d // k + 1) // 2)
-    mults = np.array([int(degs[v]) // (k if black[v] else 1) - 1 for v in crit], dtype=int)
-    rep = np.repeat(np.arange(len(crit)), mults)
-    drop_at = (np.cumsum(mults) - mults)[free_cols]
-    col_scale = -mults[free_cols]
-
-    def s_at(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The factors at q, kept for the Jacobian once q is accepted.
-        factors = _linear_factors(q, nodes, rep)
-        return factors, _antiderivative_at_vertices(q, weights, factors)
-
-    def fit_ck(s_vals: np.ndarray) -> tuple[complex, complex]:
-        # Fit through the two pinned vertices exactly; a least-squares fit
-        # over all vertices tends to start c near zero, and Newton then
-        # creeps down the flat c -> 0 valley instead of converging.
-        i, j = idx_of[lo], idx_of[hi]
-        a, b = s_vals[i], s_vals[j]
-        if abs(b - a) > 1e-9:
-            c = (targets[j] - targets[i]) / (b - a)
-            return complex(c), complex(targets[i] - c * a)
-        A = np.stack([s_vals, np.ones_like(s_vals)], axis=1)
-        (c, K), *_ = np.linalg.lstsq(A, targets, rcond=None)
-        return complex(c), complex(K)
-
-    # Vertex i of `others` is a root of g − own_target[i]; own[i] holds the
-    # multiplicities of the critical vertices that g − own_target[i] shares,
-    # which f divides out, and roots of one g − t repel each other in
-    # Aberth's iteration.  Each starts from a hub: its first critical
-    # neighbour, or else a relay, its first neighbour, itself a simple root.
-    own_target = label[others]
-    own = (mults + 1) * (own_target[:, None] == targets)
-    repel = (own_target[:, None] == own_target) & ~np.eye(len(others), dtype=bool)
-    hub = np.array(
-        [next((u for u in rotation[v] if u in idx_of), rotation[v][0]) for v in others]
-    )
-    relay = np.array([u not in idx_of for u in hub])
-    heading = (frame[others] - frame[hub]) / np.abs(frame[others] - frame[hub])
-    rise = abs(label[top_white] - label[top_black])
-    own_copy = rep == np.arange(len(crit))[:, None]
-
-    def assemble(q: np.ndarray, c: complex, K: complex) -> tuple[np.ndarray, complex]:
-        """Every vertex and ℓ in the gauge top_black → 0, top_white → 1."""
-
-        def correction(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            value = c * _antiderivative_at_vertices(
-                z, weights, _linear_factors(q, nodes, rep, z)
-            ) + K - own_target
-            slope = c * np.multiply.reduce(z - q[rep][:, None], axis=0)
-            # The Newton correction is 1/(f′/f), and 0 at an exact root.
-            log_slope = slope / value - np.sum(own / (z[:, None] - q), axis=1)
-            return np.abs(value), np.divide(1, log_slope, out=np.zeros_like(z), where=value != 0)
-
-        # Each vertex starts one local edge length from its hub, in the
-        # drawing's direction: near a critical vertex q, a root of
-        # multiplicity e of g − g(q), g ≈ g(q) + A·(z − q)^e, with
-        # e·A = c·∏ of the other vertices' factors at q (own_copy marks q's
-        # own), and its neighbours sit where |A|·r^e = rise, the change of g
-        # along an edge.  A vertex whose hub is a relay starts where the hub
-        # starts: Aberth's first step from there is a Newton step along it.
-        positions = np.zeros(nvert, dtype=complex)
-        positions[crit] = q
-        reach = np.zeros(nvert)
-        local = c * np.multiply.reduce(np.where(own_copy, 1, q[:, None] - q[rep]), axis=1)
-        reach[crit] = (rise * (mults + 1) / np.abs(local)) ** (1 / (mults + 1))
-        z = positions[hub] + reach[hub] * heading
-        if relay.any():
-            positions[others] = z
-            z[relay] = positions[hub[relay]]
-        positions[others] = _aberth(z, correction, repel, _LEAF_ITERS)
-        ell = c / d if k == 1 else 2 * (c * k / d) ** k
-        span = positions[top_white] - positions[top_black]
-        if positions[top_black] != 0 or positions[top_white] != 1:
-            positions = (positions - positions[top_black]) / span
-            positions[[top_black, top_white]] = 0, 1
-            ell = ell * span**d
-        # Leaves of one colour are interchangeable; they are listed sorted.
-        for colour in (True, False):
-            ids = [v for v in leaves if black[v] == colour]
-            positions[ids] = sorted(positions[ids], key=lambda w: (round(w.real, 9), w.imag))
-        return positions, ell
-
-    def land(restart: int) -> tuple[float, str | None, np.ndarray | None, complex]:
-        """Newton from this restart's start: fnorm, the test that failed (None
-        once it lands), and the assembled positions and ℓ."""
-        if len(crit) == 1:
-            # g = t_lo + (t_hi − t_lo)·z^e puts lo at 0 and its neighbour hi at 1.
-            c = (mults[0] + 1) * (label[hi] - label[lo])
-            return 0.0, None, *assemble(np.zeros(1, complex), c, label[lo])
-        if restart % 2 == 0:
-            # The radial drawing, plain first and then jittered.  It
-            # separates sibling vertices angularly, which is where the
-            # true basins live.
-            pos = base
-            if restart:
-                rng = np.random.default_rng([rng_seed, restart])
-                jit = 0.08 * (restart // 2)
-                pos = base + jit * (rng.normal(size=nvert) + 1j * rng.normal(size=nvert))
-            span = pos[hi] - pos[lo]
-            if abs(span) < 1e-9:
-                return math.inf, "a degenerate start", None, 0j
-            pos = (pos - pos[lo]) / span
-            q = pos[crit].astype(complex)
-        else:
-            # Plain gaussian scatter for basins the drawing misses.
-            rng = np.random.default_rng([rng_seed, restart])
-            spread = 1.0 + 0.25 * (restart % 4)
-            q = rng.normal(scale=spread, size=len(crit)) + 1j * rng.normal(
-                scale=spread, size=len(crit)
-            )
-        q[idx_of[lo]] = 0.0
-        q[idx_of[hi]] = 1.0
-
-        factors, s_vals = s_at(q)
-        c, K = fit_ck(s_vals)
-        for _ in range(_NEWTON_ITERS):
-            fvec = c * s_vals + K - targets
-            fnorm = _norm(fvec)
-            if fnorm < 1e-13:
-                break
-            jac = np.empty((len(crit), len(free_cols) + 2), dtype=complex)
-            partials = _antiderivative_partials(q, weights, factors, drop_at)
-            jac[:, :-2] = (c * col_scale) * partials.T
-            jac[:, -2] = s_vals
-            jac[:, -1] = 1.0
-            try:
-                delta = np.linalg.solve(jac, -fvec)
-            except np.linalg.LinAlgError:
-                delta, *_ = np.linalg.lstsq(jac, -fvec, rcond=None)
-            if not np.all(np.isfinite(delta)):
-                return _norm(fvec), "a non-finite Newton step", None, 0j
-            lam, accepted = 1.0, False
-            while lam >= 1 / 4096:
-                q_t = q.copy()
-                q_t[free_cols] = q[free_cols] + lam * delta[:-2]
-                c_t = c + lam * delta[-2]
-                K_t = K + lam * delta[-1]
-                f_t, s_t = s_at(q_t)
-                tnorm = _norm(c_t * s_t + K_t - targets)
-                if tnorm <= (1 - 1e-4 * lam) * fnorm:
-                    q, c, K, s_vals, factors = q_t, c_t, K_t, s_t, f_t
-                    accepted = True
-                    break
-                lam /= 2
-            if not accepted:
-                break
-        # Stalled-but-close states are still worth refining: the full vertex
-        # system converges them, while pseudo-solutions (a cluster of
-        # critical points where p is flat, so Newton's vertex equations
-        # hold to 1e-14 without p being Shabat) fail its residual no matter
-        # how small fnorm is.
-        fnorm = _norm(c * s_vals + K - targets)
-        if fnorm > 1e-6:
-            return fnorm, f"fnorm {fnorm:.2e} > 1e-6", None, 0j
-        if abs(c) < 1e-12:
-            return fnorm, f"scale |c| = {abs(c):.2e} < 1e-12", None, 0j
-        return fnorm, None, *assemble(q, c, K)
-
-    def outcome(restart: int) -> tuple:
-        """land's fnorm and verdict, then the refined positions, ℓ, residual and gap."""
-        # A diverging restart overflows; the tests below already reject its
-        # non-finite steps and norms, so numpy need not warn on stderr.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fnorm, verdict, positions, ell = land(restart)
-            if verdict is not None:
-                return fnorm, verdict, positions, ell, math.inf, math.inf
-            positions, ell, residual = _refine(positions, ell, black, degs, free)
-            positions.flags.writeable = False
-            return fnorm, None, positions, ell, residual, _min_same_color_gap(positions, black)
-
-    # Restart 0 draws no random number, so its outcome is the tree's alone.
-    memo = _first_landing(tuple(t.colors), tuple(map(tuple, rotation)))
-    if not memo:
-        memo.append(outcome(0))
-    closest: tuple[float, float, int, str] | None = None
-    tries = 1 if len(crit) == 1 else max_restarts
-    for restart in range(tries):
-        fnorm, verdict, positions, ell, residual, gap = outcome(restart) if restart else memo[0]
+    slot = _first_landing(tuple(t.colors), tuple(map(tuple, t.rotation)))
+    if slot and _accept(slot[0], tol) is None:
+        return slot[0].solution
+    system = _ShabatSystem(t)
+    tries = 1 if len(system.crit) == 1 else max_restarts
+    records = []
+    for restart, start in zip(range(tries), _starts(system, rng_seed)):
+        if not slot:
+            slot.append(_land(system, start))
+        landing = _land(system, start) if restart else slot[0]
+        verdict = _accept(landing, tol)
         if verdict is None:
-            if not residual <= tol:
-                verdict = f"vertex residual {residual:.2e} > tol {tol:.0e}"
-            elif gap < _MIN_SEPARATION:
-                verdict = f"same-color vertex gap {gap:.2e} < {_MIN_SEPARATION:.0e}"
-            else:
-                return _solution(positions, degs, black, ell, residual, restart)
-        if closest is None or (residual, fnorm) < closest[:2]:
-            closest = (residual, fnorm, restart, verdict)
-    why = "; closest restart {2} (fnorm {1:.2e}) failed: {3}".format(*closest) if closest else ""
-    system = "full system" if k == 1 else f"perfect-power system k={k}"
+            return landing.solution._replace(restarts_used=restart)
+        records.append(landing._replace(verdict=verdict))
+    restart, closest = min(enumerate(records), key=lambda r: (r[1].residual, r[1].fnorm))
+    kind = "full system" if system.k == 1 else f"perfect-power system k={system.k}"
     raise NoConvergenceError(
-        f"no convergence after {tries} restarts (degree {d}, {system}, "
-        f"{len(crit)} unknown{'s' * (len(crit) != 1)}){why}"
+        f"no convergence after {tries} restarts (degree {d}, {kind}, {len(system.crit)} "
+        f"unknown{'s' * (len(system.crit) != 1)}); closest restart {restart} "
+        f"(fnorm {closest.fnorm:.2e}) failed: {closest.verdict}"
     )
 
 
@@ -996,12 +1003,6 @@ def _single_linkage(points: np.ndarray, tol: float) -> list[list[int]]:
     return list(groups.values())
 
 
-def check_cluster_tol(cluster_tol: float) -> None:
-    """The census's test of its clustering tolerance: finite and > 0."""
-    if not 0 < cluster_tol < math.inf:
-        raise ValueError(f"cluster_tol must be finite and > 0, got {cluster_tol}")
-
-
 def critical_census_uni(
     p: tuple[complex, ...], cluster_tol: float = DEFAULT_CLUSTER_TOL
 ) -> CriticalCensus:
@@ -1012,9 +1013,7 @@ def critical_census_uni(
     leading one, and a cluster_tol that is not finite and > 0.  Roots of p'
     come from the companion matrix and are polished by the Aberth iteration
     that reads the solver's leaves (_aberth), in at most _CENSUS_ITERS = 8
-    steps where the leaves take up to _LEAF_ITERS: a multiple root of p′
-    converges only linearly, so the census runs to its cap, and steps past 8
-    move no census_matches_profile verdict (see _critical_points).  Roots
+    steps (see _critical_points).  Roots
     within cluster_tol merge into one critical point whose multiplicity is
     the cluster size; p is read at its centre by Horner's rule.  Clusters
     whose separation or spread is marginal at cluster_tol mark the census
@@ -1022,7 +1021,8 @@ def critical_census_uni(
     precision need a looser cluster_tol because the root cluster radius
     scales like eps^(1/mult).
     """
-    check_cluster_tol(cluster_tol)
+    if not 0 < cluster_tol < math.inf:
+        raise ValueError(f"cluster_tol must be finite and > 0, got {cluster_tol}")
     if len(p) < 2 or p[-1] == 0:
         raise ValueError("census needs degree >= 1 and a nonzero leading coefficient")
     dp = np.array([k * c for k, c in enumerate(p)][1:], complex)

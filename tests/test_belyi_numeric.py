@@ -1,5 +1,6 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
+import hashlib
 import inspect
 import itertools
 import math
@@ -1013,6 +1014,96 @@ def test_solve_workload_refines_each_tree_once(monkeypatch):
         )
         assert sol.restarts_used == 0
     assert len(refines) == 8
+
+
+def counting_systems(monkeypatch) -> list:
+    """The list that grows by one per _ShabatSystem built, from a cleared memo."""
+    built = []
+
+    class CountingSystem(belyi_numeric._ShabatSystem):
+        def __init__(self, t):
+            built.append(t)
+            super().__init__(t)
+
+    monkeypatch.setattr(belyi_numeric, "_ShabatSystem", CountingSystem)
+    belyi_numeric._first_landing.cache_clear()
+    return built
+
+
+def test_solve_workload_builds_each_system_once(monkeypatch):
+    # A memo hit that passes its tol returns before Newton's system is built:
+    # 8 systems for the 18 inputs, where each solve built one before.
+    built = counting_systems(monkeypatch)
+    for seed_text, word, max_degree, rng_seed in SOLVE_WORKLOAD_INPUTS:
+        seed = parse_seed(seed_text)
+        shabat_for_derivation(
+            seed, word_from_str(word, seed), max_degree=max_degree, rng_seed=rng_seed
+        )
+    assert len(built) == 8
+
+
+def test_a_stored_restart_zero_that_fails_its_tol_builds_the_system(monkeypatch):
+    tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
+    built = counting_systems(monkeypatch)
+    strict = shabat_solve(tree).residual / 2
+    assert len(built) == 1
+    belyi_numeric._first_landing.cache_clear()
+    cold = solve_bits(tree, tol=strict, max_restarts=3)
+    assert cold.startswith(b"no convergence after 3 restarts")
+    built.clear()
+    assert shabat_solve(tree).restarts_used == 0
+    assert built == []
+    assert solve_bits(tree, tol=strict, max_restarts=3) == cold
+    assert len(built) == 1
+
+
+# sha256 of the starts of restarts 0 to 3 at rng_seed 0, each critical
+# vertex's start packed as two little-endian doubles, recorded from the
+# solver before it was split into system, starts and acceptance.
+PARENT_STARTS = {
+    ("F3:1,1,0,1,0", "ab"): "f206b8692b7bee2bc0b4e50e6c5c68b3514d6590172058451b3a6e2a53af3099",
+    ("F1:0,1", "ab"): "529000039944e59d0dcd939f139807746dd14e708630a8b862b58bd54e6a1cf4",
+}
+
+
+@pytest.mark.parametrize("key", list(PARENT_STARTS), ids=" ".join)
+def test_starts_are_the_parents_draws(key):
+    seed = parse_seed(key[0])
+    system = belyi_numeric._ShabatSystem(tree_for_derivation(seed, word_from_str(key[1], seed)))
+    starts = list(itertools.islice(belyi_numeric._starts(system, 0), 4))
+    packed = b"".join(b"".join(_bits(q)) for q in starts)
+    assert hashlib.sha256(packed).hexdigest() == PARENT_STARTS[key]
+
+
+def test_a_lone_critical_vertex_has_one_start_and_no_newton():
+    # F1:0,1 has k = 3, and its only critical vertex of g is the centre.
+    system = belyi_numeric._ShabatSystem(tree_for_derivation(F1(0, 1), ""))
+    assert (system.k, len(system.crit)) == (3, 1)
+    (start,) = belyi_numeric._starts(system, 0)
+    fnorm, steps, verdict, _ = system.newton(start)
+    assert (fnorm, steps, verdict) == (0.0, 0, None)
+
+
+def test_accept_names_the_test_that_rejects_a_landing():
+    landing = belyi_numeric._Restart(1e-14, 5, residual=3e-9, gap=0.5)
+    assert belyi_numeric._accept(landing, 1e-10) == "vertex residual 3.00e-09 > tol 1e-10"
+    assert belyi_numeric._accept(landing, 1e-8) is None
+    close = landing._replace(residual=1e-12, gap=2e-7)
+    assert belyi_numeric._accept(close, 1e-10) == "same-color vertex gap 2.00e-07 < 1e-06"
+    stalled = belyi_numeric._Restart(3e-5, 120, verdict="fnorm 3.00e-05 > 1e-6")
+    assert belyi_numeric._accept(stalled, 1e-10) == "fnorm 3.00e-05 > 1e-6"
+
+
+def test_a_landing_is_judged_by_each_tol():
+    # F3:1,1,0,1,0 has 5 critical vertices, so Newton moves 3 of them.
+    system = belyi_numeric._ShabatSystem(tree_for_derivation(parse_seed("F3:1,1,0,1,0"), ""))
+    landing = belyi_numeric._land(system, next(belyi_numeric._starts(system, 0)))
+    assert landing.verdict is None and landing.steps > 0
+    assert belyi_numeric._accept(landing, belyi_numeric.DEFAULT_TOL) is None
+    strict = landing.residual / 2
+    assert belyi_numeric._accept(landing, strict) == (
+        f"vertex residual {landing.residual:.2e} > tol {strict:.0e}"
+    )
 
 
 def test_census_off_the_profile_values_does_not_match():
