@@ -212,24 +212,19 @@ class _Index:
 @cache
 def _indexes() -> dict[bool, _Index]:
     """The catalogue's two indexes, keyed by whether they walk past the table
-    guard: the guard's own, and one walked at least to the largest degree
-    past it asked so far.  Under functools.cache, so clearing it drops both."""
+    guard: the guard's own, and one walked to the largest degree past it
+    asked so far.  Under functools.cache, so clearing it drops both."""
     return {}
 
 
 def _index(walk_to: int) -> _Index:
     """The index a lookup walked to walk_to reads.  A slice is the same from
     any walk degree at or above it, so a lookup past the guard reads the one
-    index past it when that index walks far enough.  Else it replaces it with
-    one that walks at least twice as far past the guard, so ascending lookups
-    walk O(log) times, not once per degree."""
+    index past it when that index walks far enough, and else replaces it."""
     indexes = _indexes()
     key = walk_to > BOUND_TABLE_GUARD
-    if key not in indexes:
+    if key not in indexes or indexes[key].walk_to < walk_to:
         indexes[key] = _Index(walk_to)
-    elif indexes[key].walk_to < walk_to:
-        grown = 2 * indexes[key].walk_to - BOUND_TABLE_GUARD
-        indexes[key] = _Index(max(walk_to, grown))
     return indexes[key]
 
 

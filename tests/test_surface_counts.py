@@ -493,44 +493,15 @@ def test_lookups_past_the_guard_share_one_index():
         for d in past:
             ascending[d] = surface_counts._constructions_at(d)
             indexes = surface_counts._indexes()
-            assert len(indexes) == 1 and indexes[True].walk_to >= d
+            assert [index.walk_to for index in indexes.values()] == [d]
         assert ascending == descending
         assert walked == [top]
         assert surface_counts._constructions_at(150) == tuple(
             c for c in constructions_up_to(150) if c.profile.degree == 150
         )
-        guard, past = sorted(index.walk_to for index in surface_counts._indexes().values())
-        assert guard == BOUND_TABLE_GUARD and past >= top
-    finally:
-        _clear_catalogue_caches()
-
-
-def test_ascending_lookups_past_the_guard_walk_log_many_times(monkeypatch):
-    # Each replacement of the index past the guard at least doubles its walk
-    # degree's excess over the guard, so after the table 30 ascending lookups
-    # walk 6 times, not 30.  A lookup that fits reads the index it finds.
-    walks = []
-
-    class CountingIndex(surface_counts._Index):
-        __slots__ = ()
-
-        def __init__(self, walk_to):
-            walks.append(walk_to)
-            super().__init__(walk_to)
-
-    _clear_catalogue_caches()
-    try:
-        constructions_up_to(BOUND_TABLE_GUARD)
-        monkeypatch.setattr(surface_counts, "_Index", CountingIndex)
-        for d in range(BOUND_TABLE_GUARD + 1, BOUND_TABLE_GUARD + 31):
-            surface_counts._constructions_at(d)
-        assert walks == [201, 202, 204, 208, 216, 232]
-        walks.clear()
-        surface_counts._constructions_at(BOUND_TABLE_GUARD + 32)
-        surface_counts._constructions_at(BOUND_TABLE_GUARD + 1)
-        assert walks == []
-        surface_counts._constructions_at(BOUND_TABLE_GUARD + 33)
-        assert walks == [264]
+        assert sorted(index.walk_to for index in surface_counts._indexes().values()) == [
+            BOUND_TABLE_GUARD, top,
+        ]
     finally:
         _clear_catalogue_caches()
 
