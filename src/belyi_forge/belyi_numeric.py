@@ -712,9 +712,8 @@ def shabat_solve(
     if slot and _accept(slot[0], tol) is None:
         return slot[0].solution
     system = _ShabatSystem(t)
-    tries = 1 if len(system.crit) == 1 else max_restarts
     records = []
-    for restart, start in zip(range(tries), _starts(system, rng_seed)):
+    for restart, start in zip(range(max_restarts), _starts(system, rng_seed)):
         if not slot:
             slot.append(_land(system, start))
         landing = _land(system, start) if restart else slot[0]
@@ -725,7 +724,7 @@ def shabat_solve(
     restart, closest = min(enumerate(records), key=lambda r: (r[1].residual, r[1].fnorm))
     kind = "full system" if system.k == 1 else f"perfect-power system k={system.k}"
     raise NoConvergenceError(
-        f"no convergence after {tries} restarts (degree {d}, {kind}, {len(system.crit)} "
+        f"no convergence after {len(records)} restarts (degree {d}, {kind}, {len(system.crit)} "
         f"unknown{'s' * (len(system.crit) != 1)}); closest restart {restart} "
         f"(fnorm {closest.fnorm:.2e}) failed: {closest.verdict}"
     )

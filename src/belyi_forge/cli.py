@@ -362,7 +362,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("families", help="catalogued word families plus subset check")
     p.add_argument("--seed", required=True)
-    p.add_argument("--limit", type=int, default=20)
+    p.add_argument(
+        "--limit",
+        type=int,
+        default=20,
+        help="longest word to list of F1:0,1's alternating family, the one "
+        "unbounded family (nu = 2); every other seed lists its whole catalogue",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_families)
 

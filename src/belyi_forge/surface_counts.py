@@ -196,77 +196,61 @@ _CATALOGUE_LOCK = threading.Lock()
 
 
 class _Index:
-    """The catalogue walked to degree walk_to, filled by _slice: the degree
-    its seeds are listed to, the listed seeds not yet walked (by falling
-    d0), the walked states by degree, and the sorted slices."""
+    """The catalogue walked to degree walk_to: the degree its seeds are listed
+    to, the listed seeds not yet walked (by falling d0), and the walked
+    states by degree."""
 
-    __slots__ = ("walk_to", "listed_to", "pending", "filed", "slices")
+    __slots__ = ("walk_to", "listed_to", "pending", "filed")
 
     def __init__(self, walk_to: int) -> None:
         self.walk_to, self.listed_to = walk_to, -1
         self.pending: list[tuple[int, SeedSpec]] = []
         self.filed: dict[int, list[DerivationState]] = {}
-        self.slices: dict[int, tuple[DerivationState, ...]] = {}
+
+    def slice(self, d: int) -> tuple[DerivationState, ...]:
+        """The constructions at exactly degree d <= walk_to, in catalogue
+        order.  Every letter raises the degree, so degree d is complete once
+        every seed with d0 <= d is walked, and no other seed is; a cold index
+        lists seeds only up to the degree asked, and a seed leaves the
+        pending list only after all of its states are filed."""
+        if d > self.listed_to:
+            # The listing at least doubles its reach, so ascending lookups
+            # list O(log d) times; a seed is walked only once asked for.
+            to = min(max(d, 2 * self.listed_to), self.walk_to)
+            fresh = [pair for pair in _seed_pairs(to) if pair[0] > self.listed_to]
+            self.pending[:0] = sorted(fresh, key=itemgetter(0), reverse=True)
+            self.listed_to = to
+        pending = self.pending
+        while pending and pending[-1][0] <= d:
+            for c in catalogue_ends(pending[-1][1], self.walk_to):
+                self.filed.setdefault(c.profile.degree, []).append(c)
+            pending.pop()
+        return tuple(sorted(self.filed.get(d, ()), key=_catalogue_order))
 
 
 @cache
-def _indexes() -> dict[bool, _Index]:
-    """The catalogue's two indexes, keyed by whether they walk past the table
-    guard: the guard's own, and one walked to the largest degree past it
-    asked so far.  Under functools.cache, so clearing it drops both."""
-    return {}
+def _table_index() -> _Index:
+    """The one index kept: the catalogue walked to the table guard."""
+    return _Index(BOUND_TABLE_GUARD)
 
 
-def _index(walk_to: int) -> _Index:
-    """The index a lookup walked to walk_to reads.  A slice is the same from
-    any walk degree at or above it, so a lookup past the guard reads the one
-    index past it when that index walks far enough, and else replaces it."""
-    indexes = _indexes()
-    key = walk_to > BOUND_TABLE_GUARD
-    if key not in indexes or indexes[key].walk_to < walk_to:
-        indexes[key] = _Index(walk_to)
-    return indexes[key]
-
-
-def _slice(d: int, walk_to: int) -> tuple[DerivationState, ...]:
-    """The constructions at exactly degree d, in catalogue order.  Every
-    letter raises the degree, so degree d is complete once every seed with
-    d0 <= d is walked, and no other seed is; a cold lookup lists seeds only
-    up to the degree asked, and a seed leaves the pending list only after
-    all of its states are filed."""
+@cache
+def _constructions_at(d: int) -> tuple[DerivationState, ...]:
+    """The catalogue's slice at exactly degree d: the table index's, or past
+    the guard one from an index walked to exactly d and not kept.  A lookup
+    lists and walks only the seeds with d0 <= d."""
     with _CATALOGUE_LOCK:
-        index = _index(walk_to)
-        if d not in index.slices:
-            if d > index.listed_to:
-                # The listing at least doubles its reach, so ascending lookups
-                # list O(log d) times; a seed is walked only once asked for.
-                to = min(max(d, 2 * index.listed_to), index.walk_to)
-                fresh = [pair for pair in _seed_pairs(to) if pair[0] > index.listed_to]
-                index.pending[:0] = sorted(fresh, key=itemgetter(0), reverse=True)
-                index.listed_to = to
-            pending = index.pending
-            while pending and pending[-1][0] <= d:
-                for c in catalogue_ends(pending[-1][1], index.walk_to):
-                    index.filed.setdefault(c.profile.degree, []).append(c)
-                pending.pop()
-            index.slices[d] = tuple(sorted(index.filed.get(d, ()), key=_catalogue_order))
-        return index.slices[d]
+        return (_table_index() if d <= BOUND_TABLE_GUARD else _Index(d)).slice(d)
 
 
 def constructions_up_to(d_max: int) -> tuple[DerivationState, ...]:
     """Catalogued constructions (seed plus admissible word) up to degree d_max,
     in catalogue order: by degree, nu, seed and word.  The top degree is read
-    first, so the seeds are listed and walked once."""
-    walk_to = max(d_max, BOUND_TABLE_GUARD)
-    _slice(d_max, walk_to)
-    return tuple(c for d in range(d_max + 1) for c in _slice(d, walk_to))
-
-
-@cache
-def _constructions_at(d: int) -> tuple[DerivationState, ...]:
-    """The catalogue's slice at exactly degree d, walked to the table guard
-    (or past it): a lookup lists and walks only the seeds with d0 <= d."""
-    return _slice(d, max(d, BOUND_TABLE_GUARD))
+    first, so the seeds are listed and walked once; past the table guard
+    they are walked to d_max in an index that is not kept."""
+    at = _constructions_at if d_max <= BOUND_TABLE_GUARD else _Index(d_max).slice
+    at(d_max)
+    return tuple(c for d in range(d_max + 1) for c in at(d))
 
 
 def find_construction(d: int, nu: int) -> DerivationState | None:

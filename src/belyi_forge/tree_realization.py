@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .profile_core import CriticalProfile, ValidationReport, validate_profile
 from .seed_families import SeedSpec, seed_profile
-from .word_engine import DerivationState, uses_t2
+from .word_engine import uses_t2
 
 BLACK = "black"
 WHITE = "white"
@@ -266,11 +266,6 @@ def derive_tree(seed: SeedSpec, word: str) -> PlaneTree:
                 raise RealizationError("beta needs the site of a preceding alpha")
             tree = apply_letter_tree(tree, letter, pending.pop())
     return tree
-
-
-def tree_state_matches(seed: SeedSpec, word: str, state: DerivationState) -> bool:
-    """True iff the tree-level derivation reproduces the profile-level one."""
-    return profile_of(derive_tree(seed, word)) == state.profile
 
 
 def export_dot(t: PlaneTree) -> str:

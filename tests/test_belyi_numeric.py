@@ -903,6 +903,19 @@ def test_same_color_gap_below_the_separation_is_rejected(monkeypatch):
         shabat_solve(tree_for_derivation(F1(0, 1), ""), max_restarts=2)
 
 
+def test_lone_critical_vertex_fails_after_its_one_restart(monkeypatch):
+    # A lone critical vertex has one start, so a rejected landing ends the
+    # solve whatever max_restarts allows, and the message counts one restart.
+    monkeypatch.setattr(belyi_numeric, "_MIN_SEPARATION", 10.0)
+    belyi_numeric._first_landing.cache_clear()
+    with pytest.raises(NoConvergenceError) as info:
+        shabat_solve(realize_profile(star_profile(5)), max_restarts=32)
+    assert str(info.value) == (
+        "no convergence after 1 restarts (degree 5, perfect-power system k=5, 1 unknown); "
+        "closest restart 0 (fnorm 0.00e+00) failed: same-color vertex gap 1.18e+00 < 1e+01"
+    )
+
+
 def counting_refines(monkeypatch) -> list:
     """The list that grows by one per _refine call, from a cleared memo."""
     refine, calls = belyi_numeric._refine, []

@@ -298,7 +298,7 @@ def test_seed_grid_emits_valid_seeds_only():
 
 
 def _clear_catalogue_caches():
-    for fn in (surface_counts._indexes, surface_counts._constructions_at):
+    for fn in (surface_counts._table_index, surface_counts._constructions_at):
         fn.cache_clear()
 
 
@@ -416,8 +416,8 @@ def test_catalogue_survives_a_walk_that_raises(monkeypatch):
 
 
 def test_catalogue_lookups_do_not_depend_on_their_order():
-    # Lookups past the table guard share one index, walked to the largest
-    # degree asked so far, so each order walks it differently.
+    # Lookups at or below the table guard share its index, which each order
+    # lists and walks differently; a lookup past it walks its own index.
     top = BOUND_TABLE_GUARD + 30
     shuffled = list(range(1, top + 1))
     random.Random(0).shuffle(shuffled)
@@ -478,30 +478,34 @@ def test_seeds_are_listed_only_up_to_the_degree_asked(monkeypatch, run, listed):
     assert _listing_degrees(monkeypatch, run) == listed
 
 
-def test_lookups_past_the_guard_share_one_index():
-    # Ascending lookups past the table guard replace the one index past it
-    # rather than keep one per degree, and read the slices descending
-    # lookups read from the first index they walk.
-    top = BOUND_TABLE_GUARD + 30
-    past = range(BOUND_TABLE_GUARD + 1, top + 1)
+def test_lookups_past_the_guard_walk_to_exactly_their_degree(monkeypatch):
+    # A lookup past the table guard walks an index to exactly its degree and
+    # keeps only its slice, in either order, and builds no table index; a
+    # later lookup below the guard walks the table's index to the guard.
+    past = range(BOUND_TABLE_GUARD + 1, BOUND_TABLE_GUARD + 31)
     _clear_catalogue_caches()
     try:
-        descending = {d: surface_counts._constructions_at(d) for d in reversed(past)}
-        walked = [index.walk_to for index in surface_counts._indexes().values()]
-        _clear_catalogue_caches()
-        ascending = {}
-        for d in past:
-            ascending[d] = surface_counts._constructions_at(d)
-            indexes = surface_counts._indexes()
-            assert [index.walk_to for index in indexes.values()] == [d]
-        assert ascending == descending
-        assert walked == [top]
-        assert surface_counts._constructions_at(150) == tuple(
-            c for c in constructions_up_to(150) if c.profile.degree == 150
-        )
-        assert sorted(index.walk_to for index in surface_counts._indexes().values()) == [
-            BOUND_TABLE_GUARD, top,
-        ]
+        expected = {d: tuple(c for c in constructions_up_to(d) if c.profile.degree == d)
+                    for d in [150, *past]}
+        walked_to = []
+        catalogue_ends = surface_counts.catalogue_ends
+
+        def recording(seed, d_max):
+            walked_to.append(d_max)
+            return catalogue_ends(seed, d_max)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(surface_counts, "catalogue_ends", recording)
+            for order in (past, reversed(past)):
+                _clear_catalogue_caches()
+                for d in order:
+                    walked_to.clear()
+                    assert surface_counts._constructions_at(d) == expected[d], d
+                    assert set(walked_to) == {d}, d
+                assert surface_counts._table_index.cache_info().currsize == 0
+            walked_to.clear()
+            assert surface_counts._constructions_at(150) == expected[150]
+            assert set(walked_to) == {BOUND_TABLE_GUARD}
     finally:
         _clear_catalogue_caches()
 

@@ -17,7 +17,6 @@ from belyi_forge.tree_realization import (
     profile_of,
     realize_profile,
     tree_from_json,
-    tree_state_matches,
 )
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
@@ -71,10 +70,9 @@ def test_tree_rewrites_commute_with_profile_rewrites(seed):
     as the profile-level engine, for every admissible short word."""
     for word in enumerate_LE(seed, 6):
         states = trajectory(seed, word)
-        assert tree_state_matches(seed, word, states[-1]), word
         t = derive_tree(seed, word)
         check_tree(t)
-        assert profile_of(t) == states[-1].profile
+        assert profile_of(t) == states[-1].profile, word
 
 
 def test_single_surgery_matches_engine_step():
