@@ -42,6 +42,7 @@ none of it, so only the census executes it.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -269,7 +270,18 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def jstats(d: int) -> JStats:
-    """Closed-form critical-point counts at values 0, 8, -1."""
+    """Closed-form critical-point counts at values 0, 8, -1.
+
+    They are cached per degree (_jstats), keyed on operator.index(d): a
+    numpy integer reads the same plain-int counts as the int, and a float
+    raises TypeError whatever is cached.
+    """
+    return _jstats(operator.index(d))
+
+
+# 256 entries hold the 198 degrees that bound_table(200) reads.
+@lru_cache(maxsize=256)
+def _jstats(d: int) -> JStats:
     if d < 3:
         raise ValueError("counts are defined for d >= 3")
     n0 = _exact_div(d * (d - 1), 2)

@@ -17,9 +17,10 @@ import csv
 import io
 import threading
 import warnings
+from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .arrangement_jd import (
@@ -253,10 +254,16 @@ def constructions_up_to(d_max: int) -> tuple[DerivationState, ...]:
     return tuple(c for d in range(d_max + 1) for c in at(d))
 
 
+_NU = attrgetter("nu")
+
+
 def find_construction(d: int, nu: int) -> DerivationState | None:
     """Smallest catalogued construction at exactly (degree, nu), if any:
-    the first of that nu in the degree's cached slice."""
-    return next((c for c in _constructions_at(d) if c.nu == nu), None)
+    the first of that nu in the degree's cached slice, found by bisection,
+    as catalogue order sorts a slice by nu."""
+    at = _constructions_at(d)
+    i = bisect_left(at, nu, key=_NU)
+    return at[i] if i < len(at) and at[i].nu == nu else None
 
 
 def lowest_nu_construction(d: int) -> DerivationState | None:

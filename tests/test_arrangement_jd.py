@@ -70,8 +70,29 @@ def test_counts_tile_the_critical_set():
 
 
 def test_counts_reject_tiny_degree():
-    with pytest.raises(ValueError):
-        jstats(2)
+    # An error is not cached: every call raises.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            jstats(2)
+
+
+def test_count_cache_is_keyed_on_the_index():
+    # A numpy integer decides nothing about a later int lookup, and a float
+    # raises the same error cold and with its degree cached.
+    arrangement_jd._jstats.cache_clear()
+    with pytest.raises(TypeError):
+        jstats(9.0)
+    assert jstats(np.int64(9)) == jstats(9) == (9, 36, 9, 19)
+    assert all(type(v) is int for v in jstats(9))
+    assert all(type(v) is int for v in jstats(np.int64(12)))
+    with pytest.raises(TypeError):
+        jstats(9.0)
+    assert arrangement_jd._jstats.cache_info().currsize == 2
+
+
+def test_count_cache_is_bounded():
+    # It still holds the bound table's 198 degrees (test_surface_counts).
+    assert arrangement_jd._jstats.cache_info().maxsize is not None
 
 
 def tan_lines(d):

@@ -15,6 +15,7 @@ from belyi_forge import (
     F1,
     F2,
     PlaneTree,
+    arrangement_jd,
     belyi_numeric,
     chebyshev_solution,
     critical_census_uni,
@@ -272,6 +273,49 @@ def test_count_sweep_builds_each_degree_slice_once():
         surface_counts._constructions_at.cache_clear()
     assert info.misses == len({d for d, _ in sweep}) == 30
     assert info.hits == 240
+
+
+def test_bound_table_reads_each_degrees_counts_once():
+    # Cold, the table builds jstats once per degree 3..200, 198 in all: the
+    # cache holds every degree the table reads.
+    arrangement_jd._jstats.cache_clear()
+    bound_table(BOUND_TABLE_GUARD)
+    assert arrangement_jd._jstats.cache_info().misses == BOUND_TABLE_GUARD - 2
+
+
+def test_count_sweep_after_the_table_builds_no_counts():
+    # The catalogue workload's sweep, after the table it follows: every one
+    # of its 270 counts is read from the cache.
+    sweep = [(d, nu) for nu in range(3, 12) for d in range(3, 91, 3)]
+    random.Random(0).shuffle(sweep)
+    arrangement_jd._jstats.cache_clear()
+    bound_table(90)
+    before = arrangement_jd._jstats.cache_info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExistenceUnverifiedWarning)
+        for d, nu in sweep:
+            count_Anu(d, nu)
+    after = arrangement_jd._jstats.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(sweep) == 270
+
+
+def test_slices_are_sorted_by_nu():
+    # find_construction bisects a slice on nu.
+    for d in range(3, BOUND_TABLE_GUARD + 1):
+        nus = [c.nu for c in surface_counts._constructions_at(d)]
+        assert nus == sorted(nus), d
+
+
+@pytest.mark.parametrize("d", [201, 204])
+def test_lookups_past_the_guard_are_the_first_match_of_a_scan(d):
+    at_d = [c for c in constructions_up_to(d) if c.profile.degree == d]
+    present = {c.nu for c in at_d}
+    nus = range(1, 13)
+    assert present & set(nus) and set(nus) - present
+    for nu in nus:
+        first = next((c for c in at_d if c.nu == nu), None)
+        assert find_construction(d, nu) == first, nu
 
 
 def test_seed_grid_is_a_degree_filter_of_the_table_grid():
