@@ -836,6 +836,108 @@ def test_census_is_complete_past_the_old_guard(d):
     assert "failed_tests" not in census.as_dict()
 
 
+# sha256 of the census's arrays (dtype, shape and bytes of positions,
+# values, gradients, steps and classes, in that order) and of the exact
+# values at DUAL_PATH_POINTS (numerator/denominator, space-separated), and
+# verify_Jd_dual_path as float.hex().  The CLI pins drop every float; these
+# hold each kernel bit for bit.
+JD_KERNEL_PINS = {
+    2: (
+        "07f40975d3320cf3bebb799909edc0ab89cb94fe3915367047e0835f18b4e23c",
+        "54942bca759cae830ea14caa77ee9f772334aa7154c3ececfa34b6cb10f72aae",
+        "0x0.0p+0",
+    ),
+    3: (
+        "9a61325444fb4b7ddd2a2de0f274391488a6c760933763fc618d3f24b51d220f",
+        "30d2d4b8817be3a5f97eb9be4fd573d3e0044d0dcd228cb92240a0e62daf466d",
+        "0x0.0p+0",
+    ),
+    4: (
+        "1b726ec648ed41ca872c9d4baa66b1b516c3b2e039e76cb19cf57a5d3eea100e",
+        "6f760179e324cc3aa2da4cf9001e933d479a239b03be0423415f2a8cd50c4991",
+        "0x0.0p+0",
+    ),
+    5: (
+        "fd349ab792a3790cc34d72143e416097fab460d79fc49bf526ca8a57aa02e8fe",
+        "4847f7e953955daa26015713b7f9499dbf1cc52f24a6e2f10f3a5b9a5c742bb7",
+        "0x0.0p+0",
+    ),
+    6: (
+        "edfa03f092480a865d977447ed2e71d412dea05b7dd58fdd8d55578a312cd2d7",
+        "d5a54b2457603de1764eb532c287fc7388f9f9d325bbaf244fe28ab6ed8f38ac",
+        "0x0.0p+0",
+    ),
+    7: (
+        "2d06b88885036104c726dbad66b208c7f09d5abc15cc8c957d1afc3ce5d57912",
+        "0a000f790c1d7de265c47c41e7fa557b4a43ccdadd3a4c7502b86d4447db62e5",
+        "0x0.0p+0",
+    ),
+    8: (
+        "47f29ae5c3b914de4d5b395a78644ca010a6227f9eb1a0805d7cda07d981cf79",
+        "22fd5d04edf29abb6512f0b47f34f9a66e4d1c888650dd3758780a5d5c48978d",
+        "0x0.0p+0",
+    ),
+    9: (
+        "fed1c160e5bdd21841d23db495f00f8ee5e8c1de7dd10933dc43eb8f6db6ad6c",
+        "d3d59389196e63f896c2528282774f06ecdfe79b4bde09f50e04016c782e1a45",
+        "0x0.0p+0",
+    ),
+    10: (
+        "2c5ee2d114cd928abd4a3e02c55a8caef0791707768e7584be5d20b27688d431",
+        "c3fc54ea70acdb8f46a04dfbe6f26505b86650e374286723513ef776aba9231b",
+        "0x0.0p+0",
+    ),
+    11: (
+        "72ae761cc18bcecb9e3966119c2d2d3ebb637d4a7ae4a7f1e5c9af20fef451e4",
+        "53dcdf09df320f11d3814968aa5a46a0d3c4a63258820cec927056894402b86b",
+        "0x0.0p+0",
+    ),
+    12: (
+        "c43f58d55e6f4b116183436de01545b1e2dd44fa1ac150a04bab4cc78ea43f12",
+        "6a39e25d82a5c8ea4ca2b259919b68c4f93ccb4310593fa406d5f2cff34afe49",
+        "0x0.0p+0",
+    ),
+    24: (
+        "eb645411481b088bbf07b115547cf6b3aa783b1243795b9250c26011f04cbadc",
+        "d57ad1b17530e20b402914199eb636b6ba7fc324e297425156f003563f637287",
+        "0x1.0000000000000p-256",
+    ),
+    48: (
+        "e9d4da539ab911ed155db1f56cf7b1361b8a6be6b85606d6ee807b8ee24ccb15",
+        "ae4930a719324169306a6b209b54c8c63630e700983c941d6d859d1c5d68aa69",
+        "0x1.c89f8b2e3dbe4p-206",
+    ),
+    99: (
+        "8178c95fa4970d64e832e0317b6e335cbf46b4a675537c387ced4e16d5b9c6d1",
+        "84f63b8ea436235d6684dcd1c5455b8f1abc7881ac885658ee82e5c4043d322b",
+        "0x1.0a3fd7ec69ec5p-117",
+    ),
+    200: (
+        "6fa8cdb49235dee8c49b75ad701aee890520a2464e31234aea9a1d2b093c54f2",
+        "97cdaaaa64e32c271f4527f5c57336b51cf33e3e86986c442486a7464259aa85",
+        "0x1.a7f32451b7e68p-112",
+    ),
+}
+
+
+def census_digest(census):
+    h = hashlib.sha256()
+    for a in (census.positions, census.values, census.gradients, census.steps, census.classes):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("d", sorted(JD_KERNEL_PINS))
+def test_jd_kernels_are_pinned_bit_for_bit(d):
+    census_sha, exact_sha, dual_hex = JD_KERNEL_PINS[d]
+    assert census_digest(jd_census(d)) == census_sha
+    exact = jd_exact_values(d, DUAL_PATH_POINTS)
+    text = " ".join(f"{v.numerator}/{v.denominator}" for v in exact)
+    assert hashlib.sha256(text.encode()).hexdigest() == exact_sha
+    assert verify_Jd_dual_path(d).hex() == dual_hex
+
+
 def with_moved_offset(line):
     lines = arrangement_jd._jd_lines
 
