@@ -68,9 +68,10 @@ DUAL_PATH_POINTS = tuple(
 )
 # The census lists (d-1)^2 points and carries the jet through d line factors
 # at each, so its time grows as d^3 and its memory as d^2: at d=200 it takes
-# about 80 ms and peaks at 5.2 MiB of traced memory, and jd-verify's exact
-# values at the 12 dual-path points take about 6 ms.  The bound table stops at
-# the same degree.
+# about 70 ms and peaks at 5.0 MiB of traced memory, and jd-verify's exact
+# values at the 12 dual-path points take about 6 ms (CPython 3.11, numpy 2.4,
+# one core of a 2-core x86-64 machine).  The bound table stops at the same
+# degree.
 CENSUS_DEGREE_GUARD = 200
 # Every lattice point must move less than this in one Newton step
 # |H^-1 grad J|: the step is at most 3.4e-14 for d <= 200, where the least
@@ -95,27 +96,33 @@ def jd_exact_values(d: int, points) -> list[Fraction]:
     integral: Q_0 = 3, Q_1 = lam z, Q_2 = (lam z)^2 - 2 lam (lam zbar) and
     Q_n = (lam z) Q_{n-1} - lam (lam zbar) Q_{n-2} + lam^3 Q_{n-3}.  With
     Q_d = a + b s, Re P_d = a/lam^d and sqrt(3) Im P_d = 3b/lam^d, so
-    J_d = 2 + (3b - a)/lam^d; the only gcd is the one the Fraction takes.
+    J_d = (2 lam^d + 3b - a)/lam^d; the only gcd is the one the Fraction
+    takes.  The recurrence keeps a and b of its last three terms as plain
+    ints, with each product in Z[s] written out.  The degree is read by
+    operator.index, so a float raises TypeError.
     """
+    d = operator.index(d)
     if d < 2:
         raise ValueError("need degree >= 2")
-
-    def mul(v, w):
-        return v[0] * w[0] - 3 * v[1] * w[1], v[0] * w[1] + v[1] * w[0]
-
     values = []
     for x, y in points:
         p, q = x.numerator, x.denominator
         r, u = y.numerator, y.denominator
         lam = 3 * q * u
-        lz, l2zbar = (3 * p * u, -r * q), (3 * p * u * lam, r * q * lam)
-        lam3 = lam**3
-        q0, q1, q2 = (3, 0), lz, tuple(a - 2 * b for a, b in zip(mul(lz, lz), l2zbar))
+        lam3, lam_d = lam**3, lam**d
+        # lam z = zr + zi s and lam (lam zbar) = wr + wi s; Q_n = a_n + b_n s.
+        zr, zi = 3 * p * u, -r * q
+        wr, wi = zr * lam, r * q * lam
+        zi3, wi3 = 3 * zi, 3 * wi
+        a0, b0, a1, b1 = 3, 0, zr, zi
+        a2, b2 = zr * zr - zi3 * zi - 2 * wr, 2 * zr * zi - 2 * wi
         for _ in range(d - 2):
-            (a, b), (c, e) = mul(lz, q2), mul(l2zbar, q1)
-            q0, q1, q2 = q1, q2, (a - c + lam3 * q0[0], b - e + lam3 * q0[1])
-        a, b = q2
-        values.append(2 + Fraction(3 * b - a, lam**d))
+            a0, b0, a1, b1, a2, b2 = (
+                a1, b1, a2, b2,
+                zr * a2 - zi3 * b2 - wr * a1 + wi3 * b1 + lam3 * a0,
+                zr * b2 + zi * a2 - wr * b1 - wi * a1 + lam3 * b0,
+            )
+        values.append(Fraction(2 * lam_d + 3 * b2 - a2, lam_d))
     return values
 
 
@@ -237,6 +244,7 @@ def verify_Jd_dual_path(d: int) -> float:
     bit length of the largest |J| if that is more: the difference stays near
     2^-114 at every degree.
     """
+    d = operator.index(d)
     exact_values = jd_exact_values(d, DUAL_PATH_POINTS)
     top = max((abs(v.numerator) // v.denominator).bit_length() for v in exact_values)
     bits = max(DUAL_PATH_PRECISION, top + 64)
@@ -367,7 +375,8 @@ class Census2D:
 def value_classes(values: np.ndarray) -> np.ndarray:
     """For each value, the index of the target in VALUE_TARGETS it lies within
     VALUE_TOL of, or -1 for none; the targets are too far apart for two."""
-    near = np.abs(values[:, None] - np.array(VALUE_TARGETS)) <= VALUE_TOL
+    gaps = values[:, None] - np.array(VALUE_TARGETS)
+    near = np.abs(gaps, out=gaps) <= VALUE_TOL
     return np.where(near.any(axis=1), near.argmax(axis=1), -1)
 
 
@@ -384,22 +393,24 @@ def _lattice_points(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vertices.  The folding z = sum e^{i theta_j} is a local diffeomorphism
     only where the X_j are distinct, and it identifies the permutations of
     (X1, X2, X3), so each orbit keeps the one point with X1 > X2 > X3, or
-    X1 > X2 at a vertex.  One residue class is d^2 pairs (X1, X2) from
-    arange(r, 6d, 6).  The census's coordinates are x = Re z and
-    Y = -sqrt(3) Im z.
+    X1 > X2 at a vertex.  The four lattices are one (4, d, d) grid: at
+    [k, i, j], X1 = r + 6i and X2 = r + 6j for lattice k's residue r, so X2
+    is X1 transposed.  Every X_j is an integer below 6d, so each angle's
+    cosine and sine are read from one table over arange(6d).  The census's
+    coordinates are x = Re z and Y = -sqrt(3) Im z.
     """
     n = 6 * d
-    classes, lattice = [], []
-    for c, r in _LATTICES:
-        x1, x2 = np.meshgrid(np.arange(r, n, 6), np.arange(r, n, 6), indexing="ij")
-        x3 = (-x1 - x2) % n
-        keep = (x1 > x2) & ((x2 > x3) | (c == 0))
-        lattice.append(np.stack([x1[keep], x2[keep], x3[keep]], axis=1))
-        classes.append(np.full(len(lattice[-1]), c))
-    theta = np.concatenate(lattice) * (math.pi / (3 * d))
-    x = np.cos(theta).sum(axis=1)
-    y = -math.sqrt(3) * np.sin(theta).sum(axis=1)
-    return np.concatenate(classes), x, y
+    classes, residues = np.array(_LATTICES).T[..., None, None]
+    x1 = (residues + np.arange(0, n, 6)[:, None]).repeat(d, axis=2)
+    x2 = x1.transpose(0, 2, 1)
+    x3 = -x1 - x2
+    x3 %= n
+    keep = (x1 > x2) & ((x2 > x3) | (classes == 0))
+    lattice = np.stack([x1[keep], x2[keep], x3[keep]], axis=1)
+    theta = np.arange(n) * (math.pi / (3 * d))
+    x = np.cos(theta)[lattice].sum(axis=1)
+    y = -math.sqrt(3) * np.sin(theta)[lattice].sum(axis=1)
+    return np.broadcast_to(classes, keep.shape)[keep], x, y
 
 
 def _census_lines(d: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -424,19 +435,36 @@ def _product_jet(
     (v l, g l + v n, H l + n g^T + g n^T).  The scale multiplies last, so
     the value rounds as scale * prod(l_i) taken line by line does.  The jet
     divides by nothing, so it stays exact at a vertex, where two factors
-    vanish, and it holds six arrays the size of the points.
+    vanish.  Its six arrays, the size of the points, are updated in place
+    through two scratch arrays (l and one product), H before g before v,
+    each sum left to right: hxy becomes (hxy l + a gy) + b gx.
     """
     value = np.ones_like(x)
     gx, gy, hxx, hxy, hyy = (np.zeros_like(x) for _ in range(5))
-    for (a, b), c in zip(normals, offsets):
-        l = a * x + b * y + c
-        hxx, hxy, hyy = hxx * l + 2 * a * gx, hxy * l + a * gy + b * gx, hyy * l + 2 * b * gy
-        gx, gy = gx * l + a * value, gy * l + b * value
-        value = value * l
-    return tuple(scale * q for q in (value, gx, gy, hxx, hxy, hyy))
+    l, t = np.empty_like(x), np.empty_like(x)
+    for (a, b), c in zip(normals.tolist(), offsets.tolist()):
+        np.multiply(a, x, out=l)
+        l += np.multiply(b, y, out=t)
+        l += c
+        hxx *= l
+        hxx += np.multiply(2 * a, gx, out=t)
+        hxy *= l
+        hxy += np.multiply(a, gy, out=t)
+        hxy += np.multiply(b, gx, out=t)
+        hyy *= l
+        hyy += np.multiply(2 * b, gy, out=t)
+        gx *= l
+        gx += np.multiply(a, value, out=t)
+        gy *= l
+        gy += np.multiply(b, value, out=t)
+        value *= l
+    jet = value, gx, gy, hxx, hxy, hyy
+    for q in jet:
+        q *= scale
+    return jet
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def jd_census(d: int) -> Census2D:
     """Real critical points of J_d, read from the folding lattice and checked
     on the scaled product of its lines.
@@ -450,14 +478,19 @@ def jd_census(d: int) -> Census2D:
     NEWTON_STEP_TOL, far under the least gap between points, each Hessian is
     nondegenerate, and there are (d-1)^2 points.  The two gradient equations
     have degree d-1, so by Bezout (d-1)^2 distinct nondegenerate critical
-    points leave no other in C^2: the census is then complete.  Each test that fails is named in failures.  A degree below 2
-    raises ValueError before any work.
+    points leave no other in C^2: the census is then complete.  Each test
+    that fails is named in failures.  The degree is read by operator.index:
+    a float raises TypeError and a degree below 2 ValueError, before any
+    work.
 
     It depends on d alone, so it is cached: jd-verify, the nodal surface
-    and the paired surfaces of one degree share one census.  The census is
+    and the paired surfaces of one degree share one census.  The cache is
+    typed, so a float never reads an int's census; a numpy integer's census
+    is built apart from the int's, with the same bytes.  The census is
     read-only: its counts are a mapping proxy and its arrays are not
     writeable.
     """
+    d = operator.index(d)
     if d < 2:
         raise ValueError("need at least two lines")
     if d > CENSUS_DEGREE_GUARD:

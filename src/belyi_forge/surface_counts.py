@@ -20,7 +20,7 @@ import warnings
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter, index, itemgetter
 from typing import NamedTuple
 
 from .arrangement_jd import (
@@ -113,6 +113,7 @@ def count_A2_family(h: int) -> int:
 
 def nodal_surface_count(d: int) -> int:
     """Node count of the degree-d surface built from the axis restriction."""
+    d = index(d)
     st = jstats(d)
     return st.n0 * (d // 2) + st.nm1 * ((d - 1) // 2)
 
@@ -408,6 +409,7 @@ def singular_census_3d(d: int, solution: ShabatSolution | None = None) -> Census
     points are its interior vertices in closed form.  A degree below 2
     raises ValueError, from jd_census.
     """
+    d = index(d)
     if solution is not None and solution.degree != d:
         raise ValueError(
             f"solution degree {solution.degree} does not match arrangement degree {d}"

@@ -33,6 +33,8 @@ from belyi_forge import (
     jd_census,
     jd_exact_values,
     jstats,
+    nodal_surface_count,
+    singular_census_3d,
     verify_Jd_dual_path,
 )
 from belyi_forge.arrangement_jd import (
@@ -840,7 +842,8 @@ def test_census_is_complete_past_the_old_guard(d):
 # values, gradients, steps and classes, in that order) and of the exact
 # values at DUAL_PATH_POINTS (numerator/denominator, space-separated), and
 # verify_Jd_dual_path as float.hex().  The CLI pins drop every float; these
-# hold each kernel bit for bit.
+# hold each kernel bit for bit.  The census's floats read numpy's float64 cos
+# and sin; the pins were recorded with numpy 2.4.6 on x86-64.
 JD_KERNEL_PINS = {
     2: (
         "07f40975d3320cf3bebb799909edc0ab89cb94fe3915367047e0835f18b4e23c",
@@ -1062,6 +1065,34 @@ def test_jd_census_has_one_call_form():
     assert jd_census.cache_info().hits == hits + 1
     with pytest.raises(TypeError):
         jd_census(5, 1e-6)
+
+
+def test_jd_entry_points_read_the_degree_as_an_index(monkeypatch):
+    # A numpy integer gives the int's results as plain ints.  A float raises
+    # TypeError before any work, cold and with its degree cached.
+    jd_census.cache_clear()
+    d = np.int64(5)
+    census = jd_census(d)
+    assert census_digest(census) == JD_KERNEL_PINS[5][0]
+    assert all(type(v) is int for v in census.counts.values())
+    surface = singular_census_3d(d)
+    assert type(surface.d) is int and surface == singular_census_3d(5)
+    count = nodal_surface_count(d)
+    assert type(count) is int and count == nodal_surface_count(5)
+    assert jd_exact_values(d, DUAL_PATH_POINTS) == jd_exact_values(5, DUAL_PATH_POINTS)
+    assert verify_Jd_dual_path(d).hex() == JD_KERNEL_PINS[5][2]
+    jd_census(5)
+
+    def no_work(*args):
+        raise AssertionError("the degree was used")
+
+    monkeypatch.setattr(arrangement_jd, "_lattice_points", no_work)
+    monkeypatch.setattr(arrangement_jd, "_jd_lines", no_work)
+    for call in (jd_census, singular_census_3d, nodal_surface_count, verify_Jd_dual_path):
+        with pytest.raises(TypeError):
+            call(5.0)
+    with pytest.raises(TypeError):
+        jd_exact_values(5.0, DUAL_PATH_POINTS)
 
 
 def census_peak_memory(d):
