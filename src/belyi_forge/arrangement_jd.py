@@ -19,7 +19,8 @@ scale as Python ints in fixed point, all from one root of unity that an
 integer Newton solve of z^(12d) = 1 gives.  The dual-path check multiplies
 those ints exactly at 12 written-out rational points and compares the
 product with the exact J_d there, so it imports neither mpmath nor numpy.
-The 2D census reads the same ints rounded to float.
+The 2D census reads the lines rounded to float; from d=90 the check builds
+them wider, and both builds round to the same floats up to d=200.
 
 The 2D census reads J_d's critical points from theory.  On the torus,
 z = sum e^{i theta_j} with theta_1 + theta_2 + theta_3 = 0, J_d is
@@ -416,7 +417,8 @@ def _lattice_points(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _census_lines(d: int) -> tuple[np.ndarray, np.ndarray, float]:
     """_jd_lines in float, int / 2^w rounding each correctly: normals (a, b)
     as rows, offsets c and the scale.  At d < 90 the check multiplies the
-    very ints rounded here."""
+    very ints rounded here; from d=90 it multiplies a wider build, which
+    rounds to these same floats up to d=200."""
     w = DUAL_PATH_PRECISION + 64
     slopes, offsets, inv_root3, scale = _jd_lines(d, w)
     one = 1 << w

@@ -21,7 +21,7 @@ import math
 import sys
 from collections.abc import Iterator
 from functools import cache, lru_cache
-from itertools import combinations, count
+from itertools import chain, combinations, count, islice
 from types import ModuleType
 from typing import NamedTuple
 
@@ -455,6 +455,10 @@ class _ShabatSystem:
         self.heading = (frame[others] - frame[hub]) / np.abs(frame[others] - frame[hub])
         self.rise = abs(label[top_white] - label[top_black])
         self.own_copy = self.rep == np.arange(len(crit))[:, None]
+        # Every solve of the tree shares the system (_tree_system).
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def _s_at(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The linear factors at q, kept for the Jacobian once q is accepted, and S(q)."""
@@ -664,13 +668,15 @@ def _accept(landing: _Restart, tol: float) -> str | None:
 
 
 @lru_cache(maxsize=256)
-def _first_landing(colors: tuple[str, ...], rotation: tuple[tuple[int, ...], ...]) -> list:
-    """The slot that holds one tree's restart-0 _land record once a solve
-    fills it.  Restart 0 draws no random number, and tol, max_restarts and
-    max_degree only judge or bound it, so each solve of the tree would repeat
-    it bit for bit.  The bound holds the 249 witnesses of the d ≤ 120 sweep,
-    and cache_clear empties every slot."""
-    return []
+def _tree_system(colors: tuple[str, ...], rotation: tuple[tuple[int, ...], ...]) -> _ShabatSystem:
+    """One tree's Newton system, shared by every solve of the tree, holding its
+    restart 0's landing as first_landing.  Restart 0 draws no random number,
+    and tol, max_restarts and max_degree only judge or bound it, so each solve
+    would repeat it bit for bit.  The bound holds the 249 witnesses of the
+    d ≤ 120 sweep, and cache_clear empties it."""
+    system = _ShabatSystem(PlaneTree(colors, rotation))
+    system.first_landing = _land(system, next(_starts(system, 0)))
+    return system
 
 
 def shabat_solve(
@@ -691,11 +697,10 @@ def shabat_solve(
     its unknowns, and from the per-restart records the closest restart
     (least max|r|, then least fnorm) and the test that rejected it.
 
-    Restart 0's landing is memoized per tree, keyed by the colours and
-    rotation as tuples, for up to 256 trees (_first_landing): repeat solves
-    of a tree in one process land it once.  After its argument checks, a
-    call whose stored restart 0 passes its tol returns before Newton's system
-    is built; restarts 1 and up run as from a cold memo.
+    One cache per tree (_tree_system), keyed by the colours and rotation as
+    tuples, holds its Newton system and its restart 0, up to 256 trees, so
+    repeat solves in one process build and land them once.  Each call judges
+    that restart 0 by its own tol; restarts 1 and up draw as from a cold cache.
     """
     d = t.edge_count
     if d > max_degree:
@@ -708,15 +713,10 @@ def shabat_solve(
         raise ValueError(f"max_restarts must be >= 1, got {max_restarts}")
     if rng_seed < 0:
         raise ValueError(f"rng_seed must be >= 0, got {rng_seed}")
-    slot = _first_landing(tuple(t.colors), tuple(map(tuple, t.rotation)))
-    if slot and _accept(slot[0], tol) is None:
-        return slot[0].solution
-    system = _ShabatSystem(t)
+    system = _tree_system(tuple(t.colors), tuple(map(tuple, t.rotation)))
+    later = (_land(system, start) for start in islice(_starts(system, rng_seed), 1, None))
     records = []
-    for restart, start in zip(range(max_restarts), _starts(system, rng_seed)):
-        if not slot:
-            slot.append(_land(system, start))
-        landing = _land(system, start) if restart else slot[0]
+    for restart, landing in zip(range(max_restarts), chain([system.first_landing], later)):
         verdict = _accept(landing, tol)
         if verdict is None:
             return landing.solution._replace(restarts_used=restart)

@@ -85,6 +85,7 @@ def count_Anu(d: int, nu: int) -> int:
     Warns when no catalogued construction reaches (d, nu); the value is
     still the formula's.
     """
+    d, nu = index(d), index(nu)
     if d < 3 or d % 3 != 0:
         raise ValueError("count is defined for degrees divisible by 3")
     if nu <= 2:
@@ -262,14 +263,14 @@ def find_construction(d: int, nu: int) -> DerivationState | None:
     """Smallest catalogued construction at exactly (degree, nu), if any:
     the first of that nu in the degree's cached slice, found by bisection,
     as catalogue order sorts a slice by nu."""
-    at = _constructions_at(d)
+    at = _constructions_at(index(d))
     i = bisect_left(at, nu, key=_NU)
     return at[i] if i < len(at) and at[i].nu == nu else None
 
 
 def lowest_nu_construction(d: int) -> DerivationState | None:
     """Smallest catalogued construction of lowest multiplicity at exactly degree d."""
-    return next(iter(_constructions_at(d)), None)
+    return next(iter(_constructions_at(index(d))), None)
 
 
 class BoundRow(NamedTuple):

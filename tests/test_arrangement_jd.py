@@ -693,6 +693,29 @@ def test_dual_path_agreement_past_256_bits(d):
     assert verify_Jd_dual_path(d) < 1e-30
 
 
+@pytest.mark.parametrize("d, width", [(90, 322), (99, 342), (150, 451), (200, 558)])
+def test_the_checked_lines_round_to_the_census_lines(monkeypatch, d, width):
+    # From d=90 the check multiplies lines built wider than the census's
+    # DUAL_PATH_PRECISION + 64 = 320 bits.  Both builds round to the same
+    # floats, bit for bit, so the check still proves the lines the census
+    # reads; this holds at every d from 2 to 200.
+    normals, offsets, scale = _census_lines(d)
+    lines, widths = arrangement_jd._jd_lines, []
+
+    def recording(d, w):
+        widths.append(w)
+        return lines(d, w)
+
+    monkeypatch.setattr(arrangement_jd, "_jd_lines", recording)
+    verify_Jd_dual_path(d)
+    assert widths == [width]
+    slopes, wide_offsets, inv_root3, wide_scale = lines(d, width)
+    one = 1 << width
+    assert normals.tobytes() == np.array([(-t / one, inv_root3 / one) for t in slopes]).tobytes()
+    assert offsets.tobytes() == np.array([c / one for c in wide_offsets]).tobytes()
+    assert scale == wide_scale / one
+
+
 def three_trig_line_product(d, points):
     """The line product as mpmath once took it: tan, cos and sin per line,
     and the scale 2cos(d pi/2 + 2 pi/3), at the working precision."""

@@ -726,8 +726,8 @@ def test_census_and_leaves_run_aberth_at_their_own_caps(monkeypatch):
         return aberth(z, correction, repel, steps)
 
     monkeypatch.setattr(belyi_numeric, "_aberth", counting)
-    # An earlier solve of the tree would have left its restart 0 memoized.
-    belyi_numeric._first_landing.cache_clear()
+    # An earlier solve of the tree would have left its restart 0 cached.
+    belyi_numeric._tree_system.cache_clear()
     sol = shabat_solve(tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1))))
     assert calls and set(calls) == {("assemble", 64)}
     calls.clear()
@@ -898,7 +898,7 @@ def test_refinement_takes_a_moved_solution_back_to_rounding_level():
 
 def test_same_color_gap_below_the_separation_is_rejected(monkeypatch):
     monkeypatch.setattr(belyi_numeric, "_MIN_SEPARATION", 10.0)
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     with pytest.raises(NoConvergenceError, match="same-color vertex gap"):
         shabat_solve(tree_for_derivation(F1(0, 1), ""), max_restarts=2)
 
@@ -907,7 +907,7 @@ def test_lone_critical_vertex_fails_after_its_one_restart(monkeypatch):
     # A lone critical vertex has one start, so a rejected landing ends the
     # solve whatever max_restarts allows, and the message counts one restart.
     monkeypatch.setattr(belyi_numeric, "_MIN_SEPARATION", 10.0)
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     with pytest.raises(NoConvergenceError) as info:
         shabat_solve(realize_profile(star_profile(5)), max_restarts=32)
     assert str(info.value) == (
@@ -917,7 +917,7 @@ def test_lone_critical_vertex_fails_after_its_one_restart(monkeypatch):
 
 
 def counting_refines(monkeypatch) -> list:
-    """The list that grows by one per _refine call, from a cleared memo."""
+    """The list that grows by one per _refine call, from a cleared cache."""
     refine, calls = belyi_numeric._refine, []
 
     def counting(*args):
@@ -925,7 +925,7 @@ def counting_refines(monkeypatch) -> list:
         return refine(*args)
 
     monkeypatch.setattr(belyi_numeric, "_refine", counting)
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     return calls
 
 
@@ -944,7 +944,7 @@ def test_restart_zero_of_a_solved_tree_is_not_solved_again(monkeypatch):
     refines = counting_refines(monkeypatch)
     cold = solve_bits(tree, rng_seed=1)
     assert len(refines) == 1
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     solve_bits(tree, rng_seed=0)
     refines.clear()
     assert solve_bits(tree, rng_seed=1) == cold
@@ -953,15 +953,15 @@ def test_restart_zero_of_a_solved_tree_is_not_solved_again(monkeypatch):
 
 def test_each_solve_judges_the_stored_restart_zero_by_its_own_tol():
     tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     strict = shabat_solve(tree).residual / 2
     assert strict > 0
     warm = solve_bits(tree, tol=strict, max_restarts=3)
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     cold = solve_bits(tree, tol=strict, max_restarts=3)
     assert warm == cold
     assert cold.startswith(b"no convergence after 3 restarts")
-    # The memo a rejected restart 0 filled still lands at the default tol.
+    # The cached restart 0 that this tol rejected still lands at the default tol.
     assert shabat_solve(tree).restarts_used == 0
 
 
@@ -970,7 +970,7 @@ def test_later_restarts_draw_as_they_do_from_a_cleared_memo():
     tree = tree_for_derivation(parse_seed("F3:1,1,0,1,0"), "ab")
     cold = []
     for rng_seed in range(4):
-        belyi_numeric._first_landing.cache_clear()
+        belyi_numeric._tree_system.cache_clear()
         cold.append(solve_bits(tree, max_degree=28, rng_seed=rng_seed))
     warm = [solve_bits(tree, max_degree=28, rng_seed=rng_seed) for rng_seed in range(4)]
     assert warm == cold
@@ -987,7 +987,7 @@ def test_a_tree_of_lists_solves_and_shares_the_memo(monkeypatch):
 
 def test_the_memo_holds_at_most_its_bound(monkeypatch):
     # Relabelled black-centre stars with five leaves: each is another key.
-    bound = belyi_numeric._first_landing.cache_info().maxsize
+    bound = belyi_numeric._tree_system.cache_info().maxsize
     refines = counting_refines(monkeypatch)
     stars = []
     for centre, *leaves in itertools.islice(itertools.permutations(range(6)), bound + 20):
@@ -997,7 +997,7 @@ def test_the_memo_holds_at_most_its_bound(monkeypatch):
     for star in stars:
         shabat_solve(star)
     assert len(refines) == bound + 20
-    assert belyi_numeric._first_landing.cache_info().currsize == bound
+    assert belyi_numeric._tree_system.cache_info().currsize == bound
     # The first star was dropped, the last one is still held.
     shabat_solve(stars[-1])
     shabat_solve(stars[0])
@@ -1030,7 +1030,7 @@ def test_solve_workload_refines_each_tree_once(monkeypatch):
 
 
 def counting_systems(monkeypatch) -> list:
-    """The list that grows by one per _ShabatSystem built, from a cleared memo."""
+    """The list that grows by one per _ShabatSystem built, from a cleared cache."""
     built = []
 
     class CountingSystem(belyi_numeric._ShabatSystem):
@@ -1039,7 +1039,7 @@ def counting_systems(monkeypatch) -> list:
             super().__init__(t)
 
     monkeypatch.setattr(belyi_numeric, "_ShabatSystem", CountingSystem)
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     return built
 
 
@@ -1055,19 +1055,37 @@ def test_solve_workload_builds_each_system_once(monkeypatch):
     assert len(built) == 8
 
 
-def test_a_stored_restart_zero_that_fails_its_tol_builds_the_system(monkeypatch):
+def test_a_stored_restart_zero_that_fails_its_tol_builds_no_system(monkeypatch):
+    # The cached system serves the later restarts of a rejected cache hit.
     tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
     built = counting_systems(monkeypatch)
     strict = shabat_solve(tree).residual / 2
     assert len(built) == 1
-    belyi_numeric._first_landing.cache_clear()
+    belyi_numeric._tree_system.cache_clear()
     cold = solve_bits(tree, tol=strict, max_restarts=3)
     assert cold.startswith(b"no convergence after 3 restarts")
     built.clear()
     assert shabat_solve(tree).restarts_used == 0
-    assert built == []
     assert solve_bits(tree, tol=strict, max_restarts=3) == cold
+    assert built == []
+
+
+def test_later_restarts_of_every_rng_seed_share_one_system(monkeypatch):
+    # Restart 2 lands at rng_seed 0; seeds 1 to 3 exhaust their 4 restarts,
+    # each reading the one cached system.
+    tree = tree_for_derivation(parse_seed("F3:1,1,0,1,0"), "ab")
+    built = counting_systems(monkeypatch)
+    got = [solve_bits(tree, max_degree=28, rng_seed=s, max_restarts=4) for s in range(4)]
+    assert not got[0].startswith(b"no convergence")
+    assert all(g.startswith(b"no convergence after 4 restarts") for g in got[1:])
     assert len(built) == 1
+
+
+def test_a_cached_system_is_read_only():
+    tree = tree_for_derivation(F1(0, 1), word_from_str("ab", F1(0, 1)))
+    system = belyi_numeric._tree_system(tree.colors, tree.rotation)
+    with pytest.raises(ValueError, match="read-only"):
+        system.base[0] = 1.0
 
 
 # sha256 of the starts of restarts 0 to 3 at rng_seed 0, each critical

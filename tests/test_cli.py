@@ -289,8 +289,8 @@ def test_solver_input_out_of_range_is_usage_error(capsys, monkeypatch, flag, val
         return linear_factors(*args)
 
     monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
-    # A memoized restart 0 would count no steps even if the refusal came late.
-    belyi_numeric._first_landing.cache_clear()
+    # A cached restart 0 would count no steps even if the refusal came late.
+    belyi_numeric._tree_system.cache_clear()
     # F1:0,1 derives a degree-9 tree that is not a star, so its solve runs
     # Newton, and its inputs are refused before the first step.  The census
     # no longer clusters, so argparse refuses --cluster-tol as it refuses any
@@ -326,8 +326,8 @@ def test_negative_rng_seed_is_usage_error_before_any_restart(capsys, monkeypatch
         return linear_factors(*args)
 
     monkeypatch.setattr(belyi_numeric, "_linear_factors", counting)
-    # A memoized restart 0 would count no steps even if the refusal came late.
-    belyi_numeric._first_landing.cache_clear()
+    # A cached restart 0 would count no steps even if the refusal came late.
+    belyi_numeric._tree_system.cache_clear()
     code, out, err = run(capsys, *argv, "--rng-seed", "-1")
     assert (code, out) == (2, "")
     assert json.loads(err)["error"] == {

@@ -84,6 +84,36 @@ def test_count_rejects_bad_domain():
         count_Anu(9, 2)
 
 
+@pytest.mark.filterwarnings("ignore::belyi_forge.surface_counts.ExistenceUnverifiedWarning")
+def test_count_anu_reads_nu_as_an_index():
+    count = count_Anu(9, np.int64(3))
+    assert (type(count), count) == (int, 91)
+    with pytest.raises(TypeError):
+        count_Anu(9, 3.0)
+
+
+LOOKUPS_BY_DEGREE = {
+    "count_Anu": lambda d: count_Anu(d, 3),
+    "find_construction": lambda d: find_construction(d, 2),
+    "lowest_nu_construction": lowest_nu_construction,
+    "constructions_up_to": constructions_up_to,
+    "bound_table": bound_table,
+}
+
+
+@pytest.mark.filterwarnings("ignore::belyi_forge.surface_counts.ExistenceUnverifiedWarning")
+@pytest.mark.parametrize("name", list(LOOKUPS_BY_DEGREE))
+def test_degree_lookups_refuse_a_float_and_accept_a_numpy_integer(name):
+    # A numpy integer reads what the int reads, types too: count_Anu once
+    # returned np.int64(91).  A float is refused before any check reads it:
+    # count_Anu once passed its % 3 check, and the lookups once answered.
+    lookup = LOOKUPS_BY_DEGREE[name]
+    with pytest.raises(TypeError):
+        lookup(9.0)
+    got, want = lookup(np.int64(9)), lookup(9)
+    assert (type(got), got) == (type(want), want)
+
+
 def test_count_anu_is_not_the_condition_e_maximum():
     # count_Anu returns n0 q + nm1 with q = floor(d / (nu + 1)).  The
     # condition-E maximum is n0 q + nm1 r with r = floor((d - 1) / nu) - q,
