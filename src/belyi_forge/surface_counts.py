@@ -262,8 +262,9 @@ _NU = attrgetter("nu")
 def find_construction(d: int, nu: int) -> DerivationState | None:
     """Smallest catalogued construction at exactly (degree, nu), if any:
     the first of that nu in the degree's cached slice, found by bisection,
-    as catalogue order sorts a slice by nu."""
-    at = _constructions_at(index(d))
+    as catalogue order sorts a slice by nu.  Both are read with
+    operator.index, as count_Anu reads them."""
+    at, nu = _constructions_at(index(d)), index(nu)
     i = bisect_left(at, nu, key=_NU)
     return at[i] if i < len(at) and at[i].nu == nu else None
 

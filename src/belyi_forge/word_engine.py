@@ -28,7 +28,16 @@ of the other colour.  Each letter checks its preconditions, then raises:
 where eps and d's t are the largest black multiplicity other than nu, and
 D's t the smallest white one, each 0 (a leaf) when there is none.  A raise
 never lowers a vertex, so B refuses when eps exceeds nu.  A letter adds the
-sum of its new - old edges to the degree.
+sum of its new - old edges to the degree.  ``CriticalProfile.raised``
+makes a letter's raises: it keeps each colour's multiplicities descending
+and the degree current, so the child is built with no sort and no sum.
+
+Internal steps return refusals: ``_apply`` gives the child profile or the
+refused letter's message, and ``_step``, the step that enumeration and the
+catalogue walks take, adds the degree bound and the admissibility
+condition and gives the child or None, with no exception and no
+derivation state made.  ``apply_letter`` is the public step: it builds the
+state and raises LetterNotApplicableError with the same message.
 
 A word is admissible when the seed and every prefix state satisfy the
 floor-arithmetic admissibility condition at the seed's nu.  The admissible
@@ -77,6 +86,9 @@ T2_ALPHABET = "ABgdD"
 # letters are checked against sets.
 _T13_LETTERS = frozenset(T13_ALPHABET)
 _T2_LETTERS = frozenset(T2_ALPHABET)
+# Each T2 letter as the digit of its place in the alphabet, so words of one
+# length sort as strings in alphabet order.
+_T2_RANKS = str.maketrans(T2_ALPHABET, "01234")
 
 
 def uses_t2(seed: SeedSpec) -> bool:
@@ -87,13 +99,29 @@ def alphabet_for(seed: SeedSpec) -> str:
     return T2_ALPHABET if uses_t2(seed) else T13_ALPHABET
 
 
+def _letters(seed: SeedSpec) -> frozenset[str]:
+    return _T2_LETTERS if uses_t2(seed) else _T13_LETTERS
+
+
+def _mismatch(seed: SeedSpec, letter: str) -> AlphabetMismatchError:
+    """The error for a letter outside the seed's alphabet, raised where a
+    letter would be applied."""
+    if uses_t2(seed):
+        return AlphabetMismatchError(
+            f"{letter!r} is not a T2 letter; this seed uses the five-letter alphabet"
+        )
+    return AlphabetMismatchError(
+        f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
+    )
+
+
 def word_from_str(text: str, seed: SeedSpec) -> str:
     """The word text spells, once every letter is checked against the
     seed's alphabet.  Raises TypeError unless text is a str: a tuple of
     letters would pass the letter check and then stand in for a word."""
     if not isinstance(text, str):
         raise TypeError(f"a word is a str of letter codes, got {type(text).__name__}")
-    letters = _T2_LETTERS if uses_t2(seed) else _T13_LETTERS
+    letters = _letters(seed)
     for ch in text:
         if ch not in letters:
             raise AlphabetMismatchError(
@@ -125,112 +153,102 @@ def initial_state(seed: SeedSpec) -> DerivationState:
     return DerivationState(seed=seed, word="", profile=profile, nu=triple.nu)
 
 
-def _replace(mults: tuple[int, ...], old: int, new: int) -> tuple[int, ...]:
-    """mults with one copy of old swapped for new, in old's slot.
-
-    A raise changes exactly one multiplicity, so one index and two slices
-    do it; CriticalProfile re-sorts the result.
-    """
-    try:
-        i = mults.index(old)
-    except ValueError:
-        raise LetterNotApplicableError("internal: removed a missing multiplicity") from None
-    return mults[:i] + (new,) + mults[i + 1 :]
+def _largest_other(mults: tuple[int, ...], nu: int) -> int:
+    """The largest of mults other than nu, 0 when none.  A profile keeps its
+    multiplicities descending, so this is the entry past the leading run
+    of nu, if mults starts with one."""
+    i = mults.count(nu) if mults and mults[0] == nu else 0
+    return mults[i] if i < len(mults) else 0
 
 
-def _raise(
-    mults: tuple[int, ...], leaves: int, far: int, old: int, new: int
-) -> tuple[tuple[int, ...], int, int]:
-    """A vertex of one colour goes from multiplicity old to new (old = 0 is
-    one of that colour's leaves).  Takes and returns that colour's
-    multiplicities and leaf count and the other colour's leaf count far,
-    which gains a leaf at the far end of each of the new - old new edges."""
-    if old:
-        return _replace(mults, old, new), leaves, far + new - old
-    return mults + (new,), leaves - 1, far + new
+def _smallest_other(mults: tuple[int, ...], nu: int) -> int:
+    """The smallest of mults other than nu, 0 when none: in descending
+    mults, the entry before the trailing run of nu, if mults ends with
+    one."""
+    i = len(mults) - (mults.count(nu) if mults and mults[-1] == nu else 0)
+    return mults[i - 1] if i else 0
 
 
-def _apply(state: DerivationState, letter: str) -> CriticalProfile:
-    """The profile one letter on: the letter's preconditions, then its
-    raises, as the module docstring tabulates them."""
-    p, nu = state.profile, state.nu
-    black, white = p.black_mults, p.white_mults
-    bl, wl = p.black_leaves, p.white_leaves
+def _apply(profile: CriticalProfile, nu: int, letter: str) -> CriticalProfile | str:
+    """The profile one letter on, or the refusal's message when one of the
+    letter's preconditions fails: the preconditions, then the raises, as
+    the module docstring tabulates them."""
+    black, white, bl, wl, _ = profile
     if letter == "a":
         if wl < 1:
-            raise LetterNotApplicableError("alpha needs a white leaf to upgrade")
-        white, wl, bl = _raise(white, wl, bl, 0, 1)
-        black, bl, wl = _raise(black, bl, wl, 0, nu)
-    elif letter == "b":
+            return "alpha needs a white leaf to upgrade"
+        return profile.raised(black=(0, nu), white=(0, 1))
+    if letter == "b":
         if 1 not in white:
-            raise LetterNotApplicableError(
-                "beta needs the simple white point left by a preceding alpha"
-            )
-        white, wl, bl = _raise(white, wl, bl, 1, 2)
-        black, bl, wl = _raise(black, bl, wl, 0, nu)
-    elif letter == "A":
+            return "beta needs the simple white point left by a preceding alpha"
+        return profile.raised(black=(0, nu), white=(1, 2))
+    if letter == "A":
         # The three black leaves are what later gamma steps consume: every
         # recorded gamma-run bound is exactly the running black-leaf budget.
         if wl < 1:
-            raise LetterNotApplicableError("alpha needs a white leaf")
+            return "alpha needs a white leaf"
         if nu <= 3:
-            raise LetterNotApplicableError("alpha would create a second top point")
-        white, wl, bl = _raise(white, wl, bl, 0, 3)
-    elif letter == "B":
+            return "alpha would create a second top point"
+        return profile.raised(white=(0, 3))
+    if letter == "B":
         if wl < 1:
-            raise LetterNotApplicableError("beta needs a white leaf")
+            return "beta needs a white leaf"
         if nu <= 2:
-            raise LetterNotApplicableError("beta would duplicate the white top point")
-        eps = max([m for m in black if m != nu] or [0])
+            return "beta would duplicate the white top point"
+        eps = _largest_other(black, nu)
         if eps > nu:
-            raise LetterNotApplicableError("beta would lower the secondary black point")
+            return "beta would lower the secondary black point"
         if not eps and bl < 1:
-            raise LetterNotApplicableError("beta needs a black leaf to promote")
-        black, bl, wl = _raise(black, bl, wl, eps, nu)
-        white, wl, bl = _raise(white, wl, bl, 0, 2)
-    elif letter == "g":
+            return "beta needs a black leaf to promote"
+        return profile.raised(black=(eps, nu), white=(0, 2))
+    if letter == "g":
         if bl < 1:
-            raise LetterNotApplicableError("gamma needs a black leaf to promote")
-        black, bl, wl = _raise(black, bl, wl, 0, nu)
-    elif letter == "d":
-        t = max([m for m in black if m != nu] or [0])
+            return "gamma needs a black leaf to promote"
+        return profile.raised(black=(0, nu))
+    if letter == "d":
+        t = _largest_other(black, nu)
         if t:
             if t + 3 >= nu:
-                raise LetterNotApplicableError(
-                    "delta would push the secondary black point to the top multiplicity"
-                )
+                return "delta would push the secondary black point to the top multiplicity"
         elif bl < 1:
-            raise LetterNotApplicableError("delta needs a black leaf to promote")
+            return "delta needs a black leaf to promote"
         elif 3 >= nu:
-            raise LetterNotApplicableError("delta would reach the top multiplicity")
-        black, bl, wl = _raise(black, bl, wl, t, t + 3)
-    else:  # D
-        t = min([m for m in white if m != nu] or [0])
-        if t:
-            if t + 3 >= nu:
-                raise LetterNotApplicableError(
-                    "delta-bar would push a white point to the top multiplicity"
-                )
-        elif wl < 1:
-            raise LetterNotApplicableError("delta-bar needs a white leaf to promote")
-        elif 3 >= nu:
-            raise LetterNotApplicableError("delta-bar would reach the top multiplicity")
-        white, wl, bl = _raise(white, wl, bl, t, t + 3)
-    return CriticalProfile(black, white, bl, wl)
+            return "delta would reach the top multiplicity"
+        return profile.raised(black=(t, t + 3))
+    # D
+    t = _smallest_other(white, nu)
+    if t:
+        if t + 3 >= nu:
+            return "delta-bar would push a white point to the top multiplicity"
+    elif wl < 1:
+        return "delta-bar needs a white leaf to promote"
+    elif 3 >= nu:
+        return "delta-bar would reach the top multiplicity"
+    return profile.raised(white=(t, t + 3))
+
+
+def _step(
+    profile: CriticalProfile, nu: int, letter: str, d_max: int | float
+) -> CriticalProfile | None:
+    """The admissibility step: the profile one letter on, or None if the
+    letter is refused or the child is past degree d_max or fails the
+    condition.  Builds no state and raises nothing."""
+    child = _apply(profile, nu, letter)
+    if type(child) is str or child.degree > d_max or not profile_satisfies_E(child, nu):
+        return None
+    return child
 
 
 def apply_letter(state: DerivationState, letter: str) -> DerivationState:
-    """Apply one rewrite letter; raises if the alphabet or target is wrong."""
-    if uses_t2(state.seed):
-        if letter not in _T2_LETTERS:
-            raise AlphabetMismatchError(
-                f"{letter!r} is not a T2 letter; this seed uses the five-letter alphabet"
-            )
-    elif letter not in _T13_LETTERS:
-        raise AlphabetMismatchError(
-            f"{letter!r} is not a T13 letter; this seed uses the two-letter alphabet"
-        )
-    return DerivationState(state.seed, state.word + letter, _apply(state, letter), state.nu)
+    """Apply one rewrite letter; raises AlphabetMismatchError for a letter
+    outside the seed's alphabet and LetterNotApplicableError, with the
+    refusal's message, when the letter does not apply."""
+    if letter not in _letters(state.seed):
+        raise _mismatch(state.seed, letter)
+    child = _apply(state.profile, state.nu, letter)
+    if type(child) is str:
+        raise LetterNotApplicableError(child)
+    return DerivationState(state.seed, state.word + letter, child, state.nu)
 
 
 def trajectory(seed: SeedSpec, word: str) -> list[DerivationState]:
@@ -239,23 +257,6 @@ def trajectory(seed: SeedSpec, word: str) -> list[DerivationState]:
     for letter in word:
         states.append(apply_letter(states[-1], letter))
     return states
-
-
-def _kept(state: DerivationState, d_max: int | float) -> DerivationState | None:
-    """The state if it is within degree d_max and admissible, else None."""
-    return state if state.profile.degree <= d_max and state.satisfies_E() else None
-
-
-def _admissible_child(
-    state: DerivationState, letter: str, d_max: int | float = math.inf
-) -> DerivationState | None:
-    """The state one letter on, or None if the letter does not apply or
-    the new state is past degree d_max or fails the condition."""
-    try:
-        child = apply_letter(state, letter)
-    except LetterNotApplicableError:
-        return None
-    return _kept(child, d_max)
 
 
 def admissible_end(seed: SeedSpec, word: str) -> DerivationState | None:
@@ -272,26 +273,33 @@ def _walk(
     """For each word, the state it reaches, or None unless it is admissible
     and ends within degree d_max.
 
-    A memo maps each word prefix to its state, or to None once the prefix
+    A memo maps each word prefix to its profile, or to None once the prefix
     fails or passes degree d_max, so each distinct prefix costs at most one
-    letter application and one admissibility test however many words share
-    it.  Every letter strictly raises the degree, so no extension of a
-    prefix past d_max comes back within it.  A word whose prefixes are not
-    all in the memo is read from its longest known one, so the words need
-    not be sorted or prefix-closed.
+    ``_step`` however many words share it.  Every letter strictly raises
+    the degree, so no extension of a prefix past d_max comes back within
+    it.  A word whose prefixes are not all in the memo is read from its
+    longest known one, so the words need not be sorted or prefix-closed.
+    A letter outside the seed's alphabet raises AlphabetMismatchError, as
+    apply_letter does, where it would be applied: after a live prefix.
     """
-    memo = {"": _kept(initial_state(seed), d_max)}
+    start = initial_state(seed)
+    nu, letters = start.nu, _letters(seed)
+    kept = start.profile.degree <= d_max and start.satisfies_E()
+    memo = {"": start.profile if kept else None}
     ends = []
     for w in words:
         known = len(w)
         while w[:known] not in memo:
             known -= 1
         for i in range(known, len(w)):
-            state = memo[w[:i]]
-            memo[w[: i + 1]] = (
-                None if state is None else _admissible_child(state, w[i], d_max)
-            )
-        ends.append(memo[w])
+            profile = memo[w[:i]]
+            if profile is not None:
+                if w[i] not in letters:
+                    raise _mismatch(seed, w[i])
+                profile = _step(profile, nu, w[i], d_max)
+            memo[w[: i + 1]] = profile
+        end = memo[w]
+        ends.append(None if end is None else DerivationState(seed, w, end, nu))
     return ends
 
 
@@ -318,15 +326,14 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
     Order is breadth-first by length, then by alphabet order within each
     length.  The empty word is listed iff the seed itself is admissible.
 
-    ``_apply`` and the admissibility condition read only the state's
-    profile and the seed's nu, so whether a letter applies, the
-    profile it yields and whether that profile is admissible depend on the
-    profile alone.  Each distinct profile is numbered the first time a move
-    reaches it, and its admissible moves, as (letter, profile number) pairs,
-    are worked out once, from the first word that reaches it.  The frontier
-    carries each word's profile number beside it, so a later word with that
-    profile just extends itself by each move's letter, and a profile is
-    hashed once per move rather than once per word.
+    ``_step`` reads only a profile and the seed's nu, so whether a letter
+    applies, the profile it yields and whether that profile is admissible
+    depend on the profile alone.  Each distinct profile is numbered the
+    first time a move reaches it, and its admissible moves, as (letter,
+    profile number) pairs, are worked out once, from the first word that
+    reaches it.  The frontier carries each word's profile number beside it,
+    so a later word with that profile just extends itself by each move's
+    letter, and a profile is hashed once per move rather than once per word.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -349,13 +356,12 @@ def enumerate_LE(seed: SeedSpec, max_len: int) -> list[str]:
         for word, pid in zip(frontier, frontier_ids):
             admissible = moves[pid]
             if admissible is None:
-                state = DerivationState(seed, word, profiles[pid], nu)
+                parent = profiles[pid]
                 admissible = moves[pid] = []
                 for letter in letters:
-                    child = _admissible_child(state, letter)
-                    if child is None:
+                    profile = _step(parent, nu, letter, math.inf)
+                    if profile is None:
                         continue
-                    profile = child.profile
                     cid = ids.get(profile)
                     if cid is None:
                         cid = ids[profile] = len(profiles)
@@ -513,7 +519,7 @@ def paper_word_families(seed: SeedSpec, limit: int = 20) -> list[str]:
         cap = limit if max_h(seed) == math.inf else math.inf
         return list(_family_words(seed, cap))
     words = set(_family_words(seed, math.inf))
-    return sorted(words, key=lambda w: (len(w), [T2_ALPHABET.index(x) for x in w]))
+    return sorted(words, key=lambda w: (len(w), w.translate(_T2_RANKS)))
 
 
 def _catalogue_words(seed: SeedSpec, d_max: int) -> list[str]:

@@ -645,6 +645,22 @@ def test_kernel_jacobian_is_finite_where_a_factor_vanishes():
     assert np.max(np.abs(jac - central)) <= 1e-7 * np.max(np.abs(jac))
 
 
+# sha256 of the bytes of the nodes, then the weights, of
+# _gauss_legendre_01(n) for n = 1..60.
+GAUSS_LEGENDRE_1_60_SHA256 = "07925a27eb4d9164c859db76daf25bbc6c571145f085ffd71571fb54c322f4e9"
+
+
+def test_gauss_legendre_rules_are_frozen():
+    digest = hashlib.sha256()
+    for n in range(1, 61):
+        nodes, weights = belyi_numeric._gauss_legendre_01(n)
+        assert nodes.dtype == weights.dtype == np.float64
+        assert nodes.shape == weights.shape == (n,)
+        digest.update(nodes.tobytes())
+        digest.update(weights.tobytes())
+    assert digest.hexdigest() == GAUSS_LEGENDRE_1_60_SHA256
+
+
 def reference_aberth(c, roots, iters=30):
     """Aberth iteration with c and c' evaluated by separate Horner loops."""
 

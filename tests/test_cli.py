@@ -205,13 +205,13 @@ def test_families_applies_each_distinct_prefix_once(capsys, monkeypatch):
     # The 63 words of F2:0,3,1,1 have 63 distinct nonempty prefixes; reading
     # each word from the seed applied 846 letters.
     applied = []
-    apply_letter = word_engine.apply_letter
+    step = word_engine._step
 
-    def counting(state, letter):
+    def counting(profile, nu, letter, d_max):
         applied.append(letter)
-        return apply_letter(state, letter)
+        return step(profile, nu, letter, d_max)
 
-    monkeypatch.setattr(word_engine, "apply_letter", counting)
+    monkeypatch.setattr(word_engine, "_step", counting)
     code, out, err = run(capsys, "families", "--seed", "F2:0,3,1,1")
     assert code == 0
     assert json.loads(out)["count"] == 63

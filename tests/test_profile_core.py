@@ -150,6 +150,40 @@ def test_degree_is_stored_at_construction_and_ignored_by_equality(
     assert "degree" not in profile_to_json(p)
 
 
+@settings(max_examples=300)
+@given(
+    black=st.lists(st.integers(min_value=1, max_value=12), max_size=6),
+    white=st.lists(st.integers(min_value=1, max_value=12), max_size=6),
+    black_leaves=st.integers(min_value=0, max_value=6),
+    white_leaves=st.integers(min_value=0, max_value=6),
+    data=st.data(),
+)
+def test_raised_is_the_constructors_profile(black, white, black_leaves, white_leaves, data):
+    # A raise keeps each tuple descending and adds its new - old edges to
+    # the degree, so the child is, in all five fields, the profile the
+    # constructor sorts and sums from the same multisets and leaf counts.
+    p = CriticalProfile(tuple(black), tuple(white), black_leaves, white_leaves)
+    leaves = {"black": black_leaves, "white": white_leaves}
+    mults = {"black": list(black), "white": list(white)}
+    raises = {}
+    for colour, far in (("black", "white"), ("white", "black")):
+        if data.draw(st.booleans(), label=f"raise {colour}"):
+            old = data.draw(st.sampled_from([0, *mults[colour]]), label=f"{colour} old")
+            new = data.draw(st.integers(min_value=old + 1, max_value=old + 12))
+            raises[colour] = (old, new)
+            if old:
+                mults[colour].remove(old)
+            else:
+                leaves[colour] -= 1
+            mults[colour].append(new)
+            leaves[far] += new - old
+    child = p.raised(**raises)
+    expected = CriticalProfile(
+        mults["black"], mults["white"], leaves["black"], leaves["white"]
+    )
+    assert tuple(child) == tuple(expected)
+
+
 def test_degree_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         CriticalProfile((2,), (2,), 1, 1, degree=4)

@@ -90,6 +90,12 @@ def test_count_anu_reads_nu_as_an_index():
     assert (type(count), count) == (int, 91)
     with pytest.raises(TypeError):
         count_Anu(9, 3.0)
+    # find_construction reads nu as count_Anu does: bisection once
+    # compared a float nu as a number and answered.
+    assert find_construction(9, 2) is not None
+    assert find_construction(9, np.int64(2)) == find_construction(9, 2)
+    with pytest.raises(TypeError):
+        find_construction(9, 2.0)
 
 
 LOOKUPS_BY_DEGREE = {
@@ -377,25 +383,33 @@ def _clear_catalogue_caches():
 
 
 def _counting_letters(monkeypatch, run):
-    """(seed, prefix) of every letter that run() applies, caches as they are.
+    """(seed, parent profile, letter) of every letter step that run()'s
+    catalogue walks take, caches as they are.
 
-    The patch is undone on return, so letters the caller applies itself
-    are not counted."""
-    calls = []
-    apply_letter = word_engine.apply_letter
+    The step sees a profile, not a word, so the seed is the one of the walk
+    it is called from.  The patch is undone on return, so letters the
+    caller applies itself are not counted."""
+    calls, seeds = [], []
+    walk, step = word_engine._walk, word_engine._step
 
-    def counting(state, letter):
-        calls.append((state.seed, state.word + letter))
-        return apply_letter(state, letter)
+    def walking(seed, words, d_max):
+        seeds.append(seed)
+        return walk(seed, words, d_max)
+
+    def counting(profile, nu, letter, d_max):
+        calls.append((seeds[-1], profile, letter))
+        return step(profile, nu, letter, d_max)
 
     with monkeypatch.context() as patch:
-        patch.setattr(word_engine, "apply_letter", counting)
+        patch.setattr(word_engine, "_walk", walking)
+        patch.setattr(word_engine, "_step", counting)
         run()
     return calls
 
 
 def _walk_counting_letters(monkeypatch, d_max):
-    """(seed, prefix) of every letter a cold constructions_up_to(d_max) applies."""
+    """(seed, parent profile, letter) of every letter step a cold
+    constructions_up_to(d_max) takes."""
     _clear_catalogue_caches()
     try:
         return _counting_letters(monkeypatch, lambda: constructions_up_to(d_max))
@@ -406,6 +420,8 @@ def _walk_counting_letters(monkeypatch, d_max):
 def test_catalogue_applies_each_prefix_once(monkeypatch):
     # The walk applies a letter exactly when the prefix before it is
     # admissible and within the walk degree, the table guard.
+    # Two prefixes of one seed may share a parent profile and a last
+    # letter, so the steps are compared as a multiset: one per prefix.
     calls = _walk_counting_letters(monkeypatch, 60)
     prefixes = set()
     for seed in seed_grid(60):
@@ -414,8 +430,10 @@ def test_catalogue_applies_each_prefix_once(monkeypatch):
                 parent = admissible_end(seed, w[:i])
                 if parent is not None and parent.profile.degree <= BOUND_TABLE_GUARD:
                     prefixes.add((seed, w[: i + 1]))
-    assert len(calls) == len(set(calls))
-    assert set(calls) == prefixes
+    steps = Counter(
+        (seed, admissible_end(seed, w[:-1]).profile, w[-1]) for seed, w in prefixes
+    )
+    assert Counter(calls) == steps
 
 
 def test_cold_table_catalogue_letter_count(monkeypatch):
@@ -424,6 +442,40 @@ def test_cold_table_catalogue_letter_count(monkeypatch):
     # the walk degree it no longer applies beta to F2:0,1,1,4 (d0 = 198)
     # or alpha after beta to F2:1,0,4,4 (d0 = 195): both end past 200.
     assert len(_walk_counting_letters(monkeypatch, BOUND_TABLE_GUARD)) == 1492
+
+
+def test_enumeration_and_cold_table_walk_raise_no_refusal(monkeypatch):
+    # A refused letter comes back from the step as its message; only
+    # apply_letter, the public step, builds LetterNotApplicableError.
+    built = []
+    init = LetterNotApplicableError.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LetterNotApplicableError, "__init__", counting)
+    with pytest.raises(LetterNotApplicableError, match="simple white point"):
+        apply_letter(word_engine.initial_state(F1(0, 1)), "b")
+    assert len(built) == 1
+    built.clear()
+    refused = []
+    apply = word_engine._apply
+
+    def noting(profile, nu, letter):
+        child = apply(profile, nu, letter)
+        refused.append(isinstance(child, str))
+        return child
+
+    monkeypatch.setattr(word_engine, "_apply", noting)
+    assert len(enumerate_LE(F2(0, 2, 2, 2), 10)) == 70572
+    _clear_catalogue_caches()
+    try:
+        bound_table(BOUND_TABLE_GUARD)
+    finally:
+        _clear_catalogue_caches()
+    assert any(refused)
+    assert built == []
 
 
 def test_catalogue_lookups_after_the_table_apply_no_letter(monkeypatch):
@@ -456,7 +508,7 @@ def test_cold_lookup_walks_only_the_seeds_starting_at_or_below_it(monkeypatch, d
     finally:
         _clear_catalogue_caches()
     assert len(calls) == letters
-    assert all(seed_triple(seed).d0 <= d for seed, _ in calls)
+    assert all(seed_triple(seed).d0 <= d for seed, _, _ in calls)
 
 
 def test_catalogue_survives_a_walk_that_raises(monkeypatch):

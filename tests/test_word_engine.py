@@ -130,13 +130,13 @@ def test_enumerated_word_lists_are_frozen(name, length):
 def test_enumeration_applies_each_profile_letter_pair_once(monkeypatch):
     seed, max_len = F2(0, 2, 2, 2), 8
     pairs = []
-    apply_letter = word_engine.apply_letter
+    step = word_engine._step
 
-    def counting(state, letter):
-        pairs.append((state.profile, letter))
-        return apply_letter(state, letter)
+    def counting(profile, nu, letter, d_max):
+        pairs.append((profile, letter))
+        return step(profile, nu, letter, d_max)
 
-    monkeypatch.setattr(word_engine, "apply_letter", counting)
+    monkeypatch.setattr(word_engine, "_step", counting)
     words = enumerate_LE(seed, max_len)
     monkeypatch.undo()
     expanded = {trajectory(seed, w)[-1].profile for w in words if len(w) < max_len}
@@ -148,26 +148,28 @@ def test_enumeration_expands_each_profile_once(monkeypatch):
     # 955 admissibility steps, the count before profiles were numbered:
     # each distinct profile reached below length 10 tries each letter once.
     calls = []
-    admissible_child = word_engine._admissible_child
+    step = word_engine._step
 
-    def counting(state, letter):
+    def counting(profile, nu, letter, d_max):
         calls.append(letter)
-        return admissible_child(state, letter)
+        return step(profile, nu, letter, d_max)
 
-    monkeypatch.setattr(word_engine, "_admissible_child", counting)
+    monkeypatch.setattr(word_engine, "_step", counting)
     words = enumerate_LE(F2(0, 2, 2, 2), 10)
     assert len(words) == 70572
     assert len(calls) == 955
 
 
 def counter_replace(mults, old, new):
-    """_replace by multiset arithmetic: one copy of old out, one of new in."""
+    """profile_core._replace_one by multiset arithmetic: one copy of old
+    out, one of new in, and the bag listed in descending order, the order
+    _replace_one keeps."""
     bag = Counter(mults)
     bag.subtract(Counter([old]))
     if any(c < 0 for c in bag.values()):
-        raise LetterNotApplicableError("internal: removed a missing multiplicity")
+        raise ValueError("internal: removed a missing multiplicity")
     bag.update(Counter([new]))
-    return tuple(bag.elements())
+    return tuple(sorted(bag.elements(), reverse=True))
 
 
 def letter_outcome(state, letter):
@@ -301,6 +303,15 @@ def reference_t2(state, letter):
 ALL_LETTERS = T13_ALPHABET + T2_ALPHABET
 
 
+def kernel_step(state, letter):
+    """_apply on the state's profile and nu, its refusal message raised as
+    the reference raises it."""
+    child = word_engine._apply(state.profile, state.nu, letter)
+    if isinstance(child, str):
+        raise LetterNotApplicableError(child)
+    return child
+
+
 def step_outcomes(step, states):
     """step(state, letter) for every state and every letter of both
     alphabets: the child profile, or the refusal's message."""
@@ -358,10 +369,10 @@ def test_letter_steps_match_the_counter_reference(monkeypatch, seed, max_len):
     # hand-built steps, on every letter of both alphabets.
     states = reached_states(seed, max_len)
     assert states
-    assert step_outcomes(word_engine._apply, states) == step_outcomes(reference_step, states)
+    assert step_outcomes(kernel_step, states) == step_outcomes(reference_step, states)
     letters = alphabet_for(seed)
     fast = [letter_outcome(s, x) for s in states for x in letters]
-    monkeypatch.setattr(word_engine, "_replace", counter_replace)
+    monkeypatch.setattr(profile_core, "_replace_one", counter_replace)
     reference = [letter_outcome(s, x) for s in states for x in letters]
     assert fast == reference
     for outcome in fast:
@@ -371,10 +382,10 @@ def test_letter_steps_match_the_counter_reference(monkeypatch, seed, max_len):
 
 
 def test_replace_swaps_one_copy():
-    assert word_engine._replace((5, 2, 2, 1), 2, 5) == (5, 5, 2, 1)
-    assert word_engine._replace((3,), 3, 6) == (6,)
-    with pytest.raises(LetterNotApplicableError, match="missing multiplicity"):
-        word_engine._replace((5, 2), 1, 2)
+    assert profile_core._replace_one((5, 2, 2, 1), 2, 5) == (5, 5, 2, 1)
+    assert profile_core._replace_one((3,), 3, 6) == (6,)
+    with pytest.raises(ValueError, match="missing multiplicity"):
+        profile_core._replace_one((5, 2), 1, 2)
 
 
 def random_states(count, rng_seed):
@@ -397,7 +408,7 @@ def random_states(count, rng_seed):
 def test_raises_match_the_hand_built_steps_on_random_states(rng_seed):
     # 4 x 25,000 states, every letter of both alphabets on each.
     states = random_states(25_000, rng_seed)
-    assert step_outcomes(word_engine._apply, states) == step_outcomes(reference_step, states)
+    assert step_outcomes(kernel_step, states) == step_outcomes(reference_step, states)
 
 
 def raised_edges(profile, nu, letter):
