@@ -1,5 +1,6 @@
 """Numeric realization: polynomial helpers, the solver, and the census oracle."""
 
+import collections
 import hashlib
 import inspect
 import itertools
@@ -1102,6 +1103,91 @@ def test_a_cached_system_is_read_only():
     system = belyi_numeric._tree_system(tree.colors, tree.rotation)
     with pytest.raises(ValueError, match="read-only"):
         system.base[0] = 1.0
+
+
+# The solver's work on fixed inputs, solved in this order from a cleared cache:
+# (seed, word, max_degree, rng_seed, max_restarts).  The solve workload's 8
+# constructions land at restart 0; F3:1,1,0,1,0 ab lands at restart 2 at
+# rng_seed 0 and exhausts its 8 restarts at rng_seed 1, and F2:1,1,0,1
+# exhausts its 8.
+WORK_PIN_INPUTS = [
+    (seed_text, word, 18, 0, 32) for seed_text, word, *_ in SOLVE_WORKLOAD_INPUTS[:8]
+] + [
+    ("F3:1,1,0,1,0", "ab", 28, 0, 8),
+    ("F3:1,1,0,1,0", "ab", 28, 1, 8),
+    ("F2:1,1,0,1", "", 36, 0, 8),
+]
+# Per input: Newton steps, line-search trials (the _s_at calls after each
+# Newton run's first), _refine's Gauss–Newton steps (its _pull calls) and the
+# leaf Aberth corrections.  A change that saves steps updates these; one that
+# adds steps fails here.
+WORK_PINS = {
+    "F2:1,0,0,0 - 0": (0, 0, 3, 3),
+    "F1:0,1 - 0": (0, 0, 3, 5),
+    "F1:0,1 a 0": (0, 0, 3, 5),
+    "F1:0,1 ab 0": (0, 0, 2, 5),
+    "F1:0,1 aba 0": (6, 6, 3, 5),
+    "F2:1,1,0,0 - 0": (0, 0, 4, 6),
+    "F2:1,2,0,0 - 0": (0, 0, 2, 7),
+    "F3:1,1,0,1,0 - 0": (15, 30, 2, 8),
+    "F3:1,1,0,1,0 ab 0": (140, 444, 2, 11),
+    "F3:1,1,0,1,0 ab 1": (457, 1698, 1, 11),
+    "F2:1,1,0,1 - 0": (128, 361, 1, 42),
+}
+
+
+def counting_work(monkeypatch) -> collections.Counter:
+    """The counter of the solver's steps, by kind, from a cleared cache."""
+    work, system = collections.Counter(), belyi_numeric._ShabatSystem
+    newton, s_at = system.newton, system._s_at
+    pull, aberth = belyi_numeric._pull, belyi_numeric._aberth
+
+    def counting_newton(self, q0):
+        out = newton(self, q0)
+        work["newton steps"] += out[1]
+        work["line-search trials"] -= len(self.crit) > 1  # its first _s_at is no trial
+        return out
+
+    def counting_s_at(self, q):
+        work["line-search trials"] += 1
+        return s_at(self, q)
+
+    def counting_pull(*args, **kwargs):
+        work["refine steps"] += 1
+        return pull(*args, **kwargs)
+
+    def counting_aberth(z, correction, *args):
+        def counted(z):
+            work["leaf corrections"] += 1
+            return correction(z)
+
+        return aberth(z, counted, *args)
+
+    monkeypatch.setattr(system, "newton", counting_newton)
+    monkeypatch.setattr(system, "_s_at", counting_s_at)
+    monkeypatch.setattr(belyi_numeric, "_pull", counting_pull)
+    monkeypatch.setattr(belyi_numeric, "_aberth", counting_aberth)
+    belyi_numeric._tree_system.cache_clear()
+    return work
+
+
+def test_the_solver_work_on_the_pinned_inputs_is_pinned(monkeypatch):
+    work, got = counting_work(monkeypatch), {}
+    for seed_text, word, max_degree, rng_seed, max_restarts in WORK_PIN_INPUTS:
+        work.clear()
+        seed = parse_seed(seed_text)
+        try:
+            shabat_for_derivation(
+                seed, word_from_str(word, seed), max_degree=max_degree, rng_seed=rng_seed,
+                max_restarts=max_restarts,
+            )
+        except NoConvergenceError:
+            pass
+        got[f"{seed_text} {word or '-'} {rng_seed}"] = tuple(
+            work[kind] for kind in
+            ("newton steps", "line-search trials", "refine steps", "leaf corrections")
+        )
+    assert got == WORK_PINS
 
 
 # sha256 of the starts of restarts 0 to 3 at rng_seed 0, each critical
