@@ -40,6 +40,7 @@ from belyi_forge.surface_counts import constructions_up_to
 from belyi_forge.tree_realization import BLACK, WHITE, PlaneTree, profile_of, realize_profile
 from belyi_forge.word_engine import enumerate_LE, trajectory, word_from_str
 
+import vertex_reference
 from unipoly import UniPoly
 
 
@@ -589,7 +590,11 @@ def kernel_jacobian(q, mults, nodes, weights):
     rep = np.repeat(np.arange(len(q)), mults)
     drop = np.cumsum(mults) - mults
     factors = belyi_numeric._linear_factors(q, nodes, rep)
-    return -mults * belyi_numeric._antiderivative_partials(q, weights, factors, drop).T
+    pre = np.ones((len(rep) + 1,) + factors.shape[1:], dtype=complex)
+    partials = belyi_numeric._antiderivative_partials(
+        q, weights, factors, drop, drop + 1, pre, pre.copy()
+    )
+    return -mults * partials.T
 
 
 def central_differences(q, mults, nodes, weights, h=1e-6):
@@ -908,7 +913,8 @@ def test_refinement_takes_a_moved_solution_back_to_rounding_level():
     rng = np.random.default_rng(0)
     moved = positions.copy()
     moved[free] += 1e-9 * (rng.normal(size=len(free)) + 1j * rng.normal(size=len(free)))
-    _, ell, residual = belyi_numeric._refine(moved, sol.scale_constant, black, degs, free)
+    plan = belyi_numeric._VertexPlan(black, degs, free)
+    _, ell, residual = belyi_numeric._refine(plan, moved, sol.scale_constant)
     assert residual <= 1e-13
     assert abs(ell - sol.scale_constant) <= 1e-12 * abs(sol.scale_constant)
 
@@ -1171,10 +1177,9 @@ def counting_work(monkeypatch) -> collections.Counter:
     return work
 
 
-def test_the_solver_work_on_the_pinned_inputs_is_pinned(monkeypatch):
-    work, got = counting_work(monkeypatch), {}
+def solving_the_work_pin_inputs():
+    """Solve each work-pin input in turn, yielding its key once it is done."""
     for seed_text, word, max_degree, rng_seed, max_restarts in WORK_PIN_INPUTS:
-        work.clear()
         seed = parse_seed(seed_text)
         try:
             shabat_for_derivation(
@@ -1183,11 +1188,65 @@ def test_the_solver_work_on_the_pinned_inputs_is_pinned(monkeypatch):
             )
         except NoConvergenceError:
             pass
-        got[f"{seed_text} {word or '-'} {rng_seed}"] = tuple(
+        yield f"{seed_text} {word or '-'} {rng_seed}"
+
+
+def test_the_solver_work_on_the_pinned_inputs_is_pinned(monkeypatch):
+    work, got = counting_work(monkeypatch), {}
+    for key in solving_the_work_pin_inputs():
+        got[key] = tuple(
             work[kind] for kind in
             ("newton steps", "line-search trials", "refine steps", "leaf corrections")
         )
+        work.clear()
     assert got == WORK_PINS
+
+
+def packed(*values) -> bytes:
+    """Every entry of each value, in order, packed as _bits packs it."""
+    return b"".join(b for value in values for b in _bits(np.atleast_1d(value).tolist()))
+
+
+def test_the_vertex_system_gives_its_reference_results_bit_for_bit(monkeypatch):
+    # On every landing of the work-pin inputs, and on every product the
+    # landings take, the solver's helpers and the reference reduce the same
+    # operands in the same layout, in one process, so the bytes agree on any
+    # BLAS.
+    compared = collections.Counter()
+    opposite = belyi_numeric._opposite_products
+    refine, gap = belyi_numeric._refine, belyi_numeric._min_same_color_gap
+
+    def checked_opposite(plan, positions):
+        out = opposite(plan, positions)
+        assert packed(out) == packed(
+            vertex_reference.opposite_products(positions, plan.black, plan.degs)
+        )
+        compared["products"] += 1
+        return out
+
+    def checked_refine(plan, positions, ell):
+        out = refine(plan, positions, ell)
+        expected = vertex_reference.refine(
+            positions, ell, plan.black, plan.degs, plan.free.tolist()
+        )
+        assert packed(*out) == packed(*expected)
+        compared["landings"] += 1
+        return out
+
+    def checked_gap(plan, positions):
+        out = gap(plan, positions)
+        assert packed(out) == packed(vertex_reference.min_same_color_gap(positions, plan.black))
+        compared["gaps"] += 1
+        return out
+
+    monkeypatch.setattr(belyi_numeric, "_opposite_products", checked_opposite)
+    monkeypatch.setattr(belyi_numeric, "_refine", checked_refine)
+    monkeypatch.setattr(belyi_numeric, "_min_same_color_gap", checked_gap)
+    belyi_numeric._tree_system.cache_clear()
+    for _ in solving_the_work_pin_inputs():
+        pass
+    assert compared["gaps"] == compared["landings"] >= len(WORK_PIN_INPUTS)
+    assert compared["products"] > 2 * compared["landings"]
 
 
 # sha256 of the starts of restarts 0 to 3 at rng_seed 0, each critical
